@@ -20,7 +20,7 @@ from pricebench.demand import (
     price_multipliers,
 )
 from pricebench.harness import write_sweep_csv
-from pricebench.market import ProductSpec, ProductState
+from pricebench.market import ProductSpec
 
 
 def main() -> int:
@@ -32,7 +32,7 @@ def main() -> int:
     params = DemandParams(elasticity=args.elasticity, noise_sigma=0.0).with_clusters([0, 1])
     spec = ProductSpec("demo", 1, 10.0, 6.0, 100.0)
     model = ParametricDemandModel(params)
-    query = neutral_query(ProductState.fresh(spec))
+    query = neutral_query(spec)
 
     grid = price_multipliers()
     prices, demands = elasticity_sweep(model, query, grid)

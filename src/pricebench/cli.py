@@ -26,7 +26,7 @@ from .harness import (
     write_summary_csvs,
     write_sweep_csv,
 )
-from .market import ConfigError, ProductState, ProductSpec
+from .market import ConfigError, ProductSpec
 from .metrics import MetricsReport
 from .transactions import (
     CalibrationError,
@@ -149,7 +149,7 @@ def cmd_elasticity(args) -> int:
         baseline_demand=100.0,
     )
     model = ParametricDemandModel(params.with_clusters([0]))
-    epsilon = estimate_elasticity(model, neutral_query(ProductState.fresh(spec)))
+    epsilon = estimate_elasticity(model, neutral_query(spec))
     print(f"elasticity over the sweep: {epsilon:.4f} -> curve at {args.out}")
     return EXIT_OK
 

@@ -3,9 +3,10 @@
 The reference model is log-linear: multiplicative baseline/cluster level,
 constant own-price elasticity, a relative-price (cluster competition) term,
 sinusoidal seasonality, a holiday uplift, an AR(1) demand carry-over, and
-optional lognormal noise. It exposes the same feature inputs a trained
-regressor would consume, so any oracle implementing `expected_demand` /
-`sample_demand` can be swapped in.
+optional lognormal noise. A `DemandQuery` carries exactly the inputs that
+model reads for one product-week; `MarketEnvironment.step` builds them, so
+any oracle implementing `expected_demand` / `sample_demand` over the same
+query can be swapped in.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .features import FeatureVector
-from .market import ConfigError, ProductState
+from .market import ConfigError, ProductSpec
 
 ELASTICITY_SWEEP_POINTS = 41
 ELASTICITY_SWEEP_RANGE = (0.5, 2.5)
@@ -81,31 +81,33 @@ class DemandParams:
 
 @dataclass
 class DemandQuery:
-    """Everything the oracle may look at for one product-week."""
+    """The demand model's inputs for one product in one week."""
 
-    product: ProductState
-    features: FeatureVector
+    spec: ProductSpec
+    price: float
+    relative_price: float  # price / mean price of its cluster (own price included)
+    lag1_demand: float  # last week's demand; the baseline before the first week
+    week_sin: float = 0.0
+    holiday: bool = False
     rng: np.random.Generator | None = None
-    observation: object | None = None  # full market snapshot, for richer oracles
 
 
 def _log_demand(query: DemandQuery, params: DemandParams) -> float:
-    spec = query.product.spec
-    price = query.product.current_price
+    spec = query.spec
+    price = query.price
     if price <= 0:
         raise ValueError(f"price must be > 0, got {price}")
     try:
         cluster_mult = params.cluster_base[spec.cluster_id]
     except KeyError:
         raise ConfigError(f"no cluster_base entry for cluster {spec.cluster_id}") from None
-    f = query.features
-    lag1 = max(f.lag1_demand, 1e-9)
+    lag1 = max(query.lag1_demand, 1e-9)
     return (
         math.log(spec.baseline_demand * cluster_mult)
         + params.elasticity * math.log(price / spec.initial_price)
-        - params.competitor_weight * math.log(f.pvc_avg)
-        + params.seasonal_amp * f.week_sin
-        + math.log(params.holiday_uplift) * f.holiday
+        - params.competitor_weight * math.log(query.relative_price)
+        + params.seasonal_amp * query.week_sin
+        + math.log(params.holiday_uplift) * query.holiday
         + params.lag_weight * math.log(lag1 / spec.baseline_demand)
     )
 
@@ -174,15 +176,11 @@ def elasticity_sweep(
     if scales is None:
         scales = price_multipliers()
     scales = np.asarray(scales, dtype=float)
-    base_price = base_query.product.current_price
     predict = oracle.expected_demand if hasattr(oracle, "expected_demand") else oracle
-    prices = np.empty(len(scales))
+    prices = base_query.price * scales
     demands = np.empty(len(scales))
-    for i, s in enumerate(scales):
-        product = replace(base_query.product, current_price=base_price * float(s))
-        query = replace(base_query, product=product, rng=None)
-        prices[i] = product.current_price
-        demands[i] = predict(query)
+    for i, price in enumerate(prices):
+        demands[i] = predict(replace(base_query, price=float(price), rng=None))
     return prices, demands
 
 
@@ -214,19 +212,8 @@ def estimate_elasticity(
     return float(slope)
 
 
-def neutral_query(product: ProductState) -> DemandQuery:
-    """Query with all demand modifiers at their neutral values (for sweeps)."""
-    from .features import build_feature_vector
-
-    features = build_feature_vector(
-        demand_history=[],
-        baseline_demand=product.spec.baseline_demand,
-        price=product.current_price,
-        cluster_prices=[product.current_price],
-        week=26,
-        month=6,
-        is_holiday=False,
+def neutral_query(spec: ProductSpec) -> DemandQuery:
+    """Query at the initial price with every demand modifier neutral (for sweeps)."""
+    return DemandQuery(
+        spec=spec, price=spec.initial_price, relative_price=1.0, lag1_demand=spec.baseline_demand
     )
-    # week 26 gives sin(pi) != 0 exactly; force the seasonal term off
-    features = replace(features, week_sin=0.0, week_cos=-1.0)
-    return DemandQuery(product=product, features=features)

@@ -1,18 +1,22 @@
 """Weekly-stepped market simulation: collect prices, draw demand, settle revenue.
 
 All agents submit prices for the week before any demand is computed
-(simultaneous-move). Demand noise streams are keyed per (agent, product,
-episode), so outcomes are independent of roster iteration order.
+(simultaneous-move). The step alone enforces the market rules: every
+submission is capped at +/-max_weekly_change of last week's price and then
+raised to the margin floor (`MarketConfig.allowed_price`), and each changed
+submission is counted in `clamp_events`. Demand noise streams are keyed per
+(agent, product, episode), so outcomes are independent of roster iteration
+order.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .demand import DemandOracle, DemandQuery
-from .features import build_feature_vector
+from .features import seasonal_encoding
 from .market import (
     AgentSnapshot,
     MarketConfig,
@@ -41,7 +45,7 @@ HISTORY_COLUMNS = (
 
 
 class ProtocolError(RuntimeError):
-    """An agent violated the step contract (e.g. missing price submission)."""
+    """An agent violated the step contract (a missing or non-finite price)."""
 
 
 class PricingAgentBase:
@@ -102,7 +106,6 @@ class SimulationState:
     current_week_index: int = 0
     year: int = 1
     week_number: int = 1
-    history_log: list[WeeklyRecord] = field(default_factory=list)
 
 
 class MarketEnvironment:
@@ -131,36 +134,36 @@ class MarketEnvironment:
 
     # -- observation plumbing ---------------------------------------------
 
-    def _cluster_prices(self) -> dict[int, list[float]]:
-        prices: dict[int, list[float]] = {}
+    def _price_pools(self) -> tuple[dict[int, list[tuple[str, float]]], dict[int, float]]:
+        """This week's (agent_id, price) pairs grouped by cluster in roster
+        order, and each cluster's mean price (own price included)."""
+        pools: dict[int, list[tuple[str, float]]] = {}
         for agent in self.agents:
             for product in agent.portfolio.values():
-                prices.setdefault(product.spec.cluster_id, []).append(product.current_price)
-        return prices
+                pools.setdefault(product.spec.cluster_id, []).append(
+                    (agent.agent_id, product.current_price)
+                )
+        means = {c: math.fsum(p for _, p in pool) / len(pool) for c, pool in pools.items()}
+        return pools, means
 
     def _build_observation(
         self,
+        pools: dict[int, list[tuple[str, float]]],
+        cluster_means: dict[int, float],
         last_demand: dict[tuple[str, str], float],
         agent_revenue: dict[str, float],
     ) -> MarketObservation:
-        cluster_prices = self._cluster_prices()
         per_product: dict[tuple[str, str], ProductSnapshot] = {}
         for agent in self.agents:
             for pid, product in agent.portfolio.items():
                 cluster = product.spec.cluster_id
-                competitors = [
-                    other_prod.current_price
-                    for other in self.agents
-                    if other.agent_id != agent.agent_id
-                    for other_prod in other.portfolio.values()
-                    if other_prod.spec.cluster_id == cluster
-                ]
-                pool = cluster_prices[cluster]
                 per_product[(agent.agent_id, pid)] = ProductSnapshot(
                     price=product.current_price,
                     cluster_id=cluster,
-                    competitor_prices=tuple(competitors),
-                    cluster_avg_price=math.fsum(pool) / len(pool),
+                    competitor_prices=tuple(
+                        p for aid, p in pools[cluster] if aid != agent.agent_id
+                    ),
+                    cluster_avg_price=cluster_means[cluster],
                     last_demand=last_demand[(agent.agent_id, pid)],
                 )
         total = math.fsum(agent_revenue.values())
@@ -194,7 +197,7 @@ class MarketEnvironment:
             )
             for a in self.agents
         }
-        return self._build_observation(last_demand, agent_revenue)
+        return self._build_observation(*self._price_pools(), last_demand, agent_revenue)
 
     # -- stepping -----------------------------------------------------------
 
@@ -211,9 +214,9 @@ class MarketEnvironment:
         week = self.state.week_number
         year = self.state.year
         is_holiday = holiday_flag(week)
-        month = month_of_week(week)
+        week_sin = seasonal_encoding(week, month_of_week(week))[0]
 
-        # validate and apply submissions, clamping at the margin floor
+        # validate every submission and apply the market rule to it
         for agent in self.agents:
             agent_prices = submitted_prices.get(agent.agent_id)
             if agent_prices is None:
@@ -223,18 +226,22 @@ class MarketEnvironment:
                     raise ProtocolError(
                         f"agent {agent.agent_id} submitted no price for product {pid}"
                     )
-                price = float(agent_prices[pid])
-                floor = self.config.price_floor(product.spec)
-                if price < floor:
+                submitted = float(agent_prices[pid])
+                if not math.isfinite(submitted):
+                    raise ProtocolError(
+                        f"agent {agent.agent_id} submitted non-finite price {submitted} "
+                        f"for product {pid}"
+                    )
+                price = self.config.allowed_price(product.spec, product.current_price, submitted)
+                if price != submitted:
                     log.debug(
-                        "clamping %s/%s price %.4f up to floor %.4f",
-                        agent.agent_id, pid, price, floor,
+                        "clamping %s/%s price %.4f to %.4f",
+                        agent.agent_id, pid, submitted, price,
                     )
                     self.clamp_events += 1
-                    price = floor
                 product.current_price = price
 
-        cluster_prices = self._cluster_prices()
+        pools, cluster_means = self._price_pools()
 
         outcomes: dict[tuple[str, str], ProductOutcome] = {}
         last_demand: dict[tuple[str, str], float] = {}
@@ -242,26 +249,24 @@ class MarketEnvironment:
         for agent in self.agents:
             revenue_total = 0.0
             for pid, product in agent.portfolio.items():
-                features = build_feature_vector(
-                    demand_history=product.demand_history,
-                    baseline_demand=product.spec.baseline_demand,
-                    price=product.current_price,
-                    cluster_prices=cluster_prices[product.spec.cluster_id],
-                    week=week,
-                    month=month,
-                    is_holiday=is_holiday,
-                )
+                spec = product.spec
+                price = product.current_price
+                history = product.demand_history
                 query = DemandQuery(
-                    product=product,
-                    features=features,
+                    spec=spec,
+                    price=price,
+                    relative_price=price / cluster_means[spec.cluster_id],
+                    lag1_demand=history[-1] if history else spec.baseline_demand,
+                    week_sin=week_sin,
+                    holiday=is_holiday,
                     rng=self._rngs[(agent.agent_id, pid)],
                 )
                 demand = self.demand_model.sample_demand(query)
-                revenue = product.current_price * demand
-                profit = (product.current_price - product.spec.unit_cost) * demand
-                product.record_week(product.current_price, demand)
+                revenue = price * demand
+                profit = (price - spec.unit_cost) * demand
+                product.record_week(price, demand)
                 outcomes[(agent.agent_id, pid)] = ProductOutcome(
-                    price=product.current_price,
+                    price=price,
                     demand=demand,
                     revenue=revenue,
                     profit=profit,
@@ -287,8 +292,7 @@ class MarketEnvironment:
             zero_revenue=zero_revenue,
         )
         self._advance_calendar()
-        self.state.history_log.append(record)
-        observation = self._build_observation(last_demand, agent_revenue)
+        observation = self._build_observation(pools, cluster_means, last_demand, agent_revenue)
         return record, observation
 
 

@@ -1,15 +1,15 @@
-"""Engineered temporal and price features used by the demand model and agents.
+"""Rolling demand statistics and calendar encodings.
 
 All functions are pure. Rolling statistics read history oldest-to-newest and
-operate on the trailing window; `build_feature_vector` applies the cold-start
-substitutions (baseline for missing lags/means, zero for missing
-trend/acceleration/volatility) so downstream code never sees partial windows.
+operate on the trailing window, raising `InsufficientHistory` when the window
+is not yet full; callers (the learners' `encode_state`) choose the cold-start
+substitute. `seasonal_encoding` also feeds the demand model's week term and
+the calibration regressors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 VOLATILITY_WINDOW = 4
@@ -35,13 +35,6 @@ def trend(history: Sequence[float]) -> float:
     return qrm(history, 4) - qrm(history, 2)
 
 
-def acceleration(history: Sequence[float]) -> float:
-    """Last value minus the 2-week mean (short-term momentum)."""
-    if len(history) < 2:
-        raise InsufficientHistory(f"need 2 weeks of history, have {len(history)}")
-    return history[-1] - qrm(history, 2)
-
-
 def rolling_volatility(history: Sequence[float], k: int) -> float:
     """Population standard deviation (1/k) over the last k entries."""
     if k < 2:
@@ -53,16 +46,6 @@ def rolling_volatility(history: Sequence[float], k: int) -> float:
     return math.sqrt(sum((q - mean) ** 2 for q in window) / k)
 
 
-def pvc_avg(price: float, cluster_prices: Sequence[float]) -> float:
-    """Price relative to its cluster's mean price (own price included)."""
-    if not cluster_prices:
-        raise ValueError("cluster_prices must be non-empty")
-    mean = math.fsum(cluster_prices) / len(cluster_prices)
-    if mean <= 0:
-        raise ValueError(f"cluster mean price must be > 0, got {mean}")
-    return price / mean
-
-
 def seasonal_encoding(week: int, month: int) -> tuple[float, float, float, float]:
     """Sine/cosine decomposition of the calendar week (period 52) and month (period 12)."""
     if not 1 <= week <= 53:
@@ -72,67 +55,3 @@ def seasonal_encoding(week: int, month: int) -> tuple[float, float, float, float
     wa = 2.0 * math.pi * week / 52.0
     ma = 2.0 * math.pi * month / 12.0
     return math.sin(wa), math.cos(wa), math.sin(ma), math.cos(ma)
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Demand-model inputs for one product in one week."""
-
-    qrm2: float
-    qrm4: float
-    trend: float
-    acceleration: float
-    volatility: float
-    pvc_avg: float
-    week_sin: float
-    week_cos: float
-    month_sin: float
-    month_cos: float
-    log_price: float
-    price_sq: float
-    holiday: int
-    lag1_demand: float
-
-
-def build_feature_vector(
-    demand_history: Sequence[float],
-    baseline_demand: float,
-    price: float,
-    cluster_prices: Sequence[float],
-    week: int,
-    month: int,
-    is_holiday: bool,
-) -> FeatureVector:
-    """Assemble the weekly feature vector with cold-start substitutions applied."""
-    if price <= 0:
-        raise ValueError(f"price must be > 0, got {price}")
-
-    def _or_baseline(fn, *args):
-        try:
-            return fn(*args)
-        except InsufficientHistory:
-            return baseline_demand
-
-    def _or_zero(fn, *args):
-        try:
-            return fn(*args)
-        except InsufficientHistory:
-            return 0.0
-
-    week_sin, week_cos, month_sin, month_cos = seasonal_encoding(week, month)
-    return FeatureVector(
-        qrm2=_or_baseline(qrm, demand_history, 2),
-        qrm4=_or_baseline(qrm, demand_history, 4),
-        trend=_or_zero(trend, demand_history),
-        acceleration=_or_zero(acceleration, demand_history),
-        volatility=_or_zero(rolling_volatility, demand_history, VOLATILITY_WINDOW),
-        pvc_avg=pvc_avg(price, cluster_prices),
-        week_sin=week_sin,
-        week_cos=week_cos,
-        month_sin=month_sin,
-        month_cos=month_cos,
-        log_price=math.log(price),
-        price_sq=price * price,
-        holiday=1 if is_holiday else 0,
-        lag1_demand=demand_history[-1] if demand_history else baseline_demand,
-    )

@@ -35,7 +35,6 @@ from .market import (
     ConfigError,
     MarketConfig,
     ProductSpec,
-    ProductState,
     make_default_portfolio,
 )
 from .marl import MadqnAgent, build_maddpg_team, build_qmix_team
@@ -65,8 +64,6 @@ FULL_EPISODES = 30
 FULL_WEEKS = 104
 FULL_RUNS = 8
 
-EMIT_KINDS = ("history_csv", "metrics_json", "summary_csv", "plotdata")
-
 
 def roster_for_config(config_id: str, shared_params: dict | None = None) -> list[AgentSpec]:
     """Expand a matrix letter into the 4-agent roster it denotes."""
@@ -92,16 +89,12 @@ class ExperimentSpec:
     market: MarketConfig
     n_runs: int = 8
     checkpoint_every: int = 0
-    emit: tuple[str, ...] = ("history_csv", "metrics_json")
 
     def validate(self) -> "ExperimentSpec":
         if self.config_id != "custom" and self.config_id not in CONFIG_MATRIX:
             raise ConfigError(f"unknown config_id {self.config_id!r}")
         if self.n_runs < 1:
             raise ConfigError("n_runs must be >= 1")
-        for kind in self.emit:
-            if kind not in EMIT_KINDS:
-                raise ConfigError(f"unknown emit kind {kind!r}")
         self.market.validate()
         return self
 
@@ -110,7 +103,6 @@ class ExperimentSpec:
             "config_id": self.config_id,
             "n_runs": self.n_runs,
             "checkpoint_every": self.checkpoint_every,
-            "emit": list(self.emit),
             "market": self.market.to_dict(),
         }
 
@@ -131,7 +123,6 @@ class ExperimentSpec:
             market=MarketConfig.from_dict(market_dict),
             n_runs=int(d.get("n_runs", 8)),
             checkpoint_every=int(d.get("checkpoint_every", 0)),
-            emit=tuple(d.get("emit", ("history_csv", "metrics_json"))),
         )
         return spec.validate()
 
@@ -252,14 +243,13 @@ def execute_run(
             _write_checkpoints(agents, out, run_id, ep + 1)
     report = compute_report(episodes)
 
-    artifacts = {}
-    if "history_csv" in spec.emit:
-        write_history_csv(episodes, run_dir / "history.csv")
-        artifacts["history_csv"] = str(run_dir / "history.csv")
-    if "metrics_json" in spec.emit:
-        with open(run_dir / "metrics.json", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report.to_json() + "\n")
-        artifacts["metrics_json"] = str(run_dir / "metrics.json")
+    write_history_csv(episodes, run_dir / "history.csv")
+    with open(run_dir / "metrics.json", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(report.to_json() + "\n")
+    artifacts = {
+        "history_csv": str(run_dir / "history.csv"),
+        "metrics_json": str(run_dir / "metrics.json"),
+    }
 
     config_dict = {"config_id": spec.config_id, "market": run_config.to_dict()}
     manifest = RunManifest(
@@ -515,9 +505,8 @@ def emit_plotdata(
     reports_by_config: dict[str, list[MetricsReport]],
     out_dir,
     demand_params=None,
-    share_series_by_config: dict[str, list[dict[str, list[float]]]] | None = None,
 ) -> list[str]:
-    """Per-figure CSVs: final-episode shares with CI, share-by-week, demand sweep."""
+    """Per-figure CSVs: final-episode shares with CI, and the demand sweep."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -537,20 +526,6 @@ def emit_plotdata(
                 )
     written.append(str(path))
 
-    if share_series_by_config:
-        path = out / "market_share_by_week.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["config_id", "week", "agent_id", "mean_share"])
-            for cid, runs in sorted(share_series_by_config.items()):
-                agent_ids = sorted(runs[0])
-                n_weeks = len(runs[0][agent_ids[0]])
-                for week in range(n_weeks):
-                    for aid in agent_ids:
-                        mean = float(np.mean([run[aid][week] for run in runs]))
-                        writer.writerow([cid, week + 1, aid, f"{mean:.6f}"])
-        written.append(str(path))
-
     if demand_params is not None:
         path = out / "price_demand_curve.csv"
         written.append(str(write_sweep_csv(demand_params, path)))
@@ -564,7 +539,7 @@ def write_sweep_csv(demand_params, path) -> str:
     )
     params = demand_params.with_clusters([0])
     model = ParametricDemandModel(params)
-    query = neutral_query(ProductState.fresh(spec))
+    query = neutral_query(spec)
     scales = price_multipliers()
     prices, demands = elasticity_sweep(model, query, scales)
     with open(path, "w", encoding="utf-8", newline="") as fh:

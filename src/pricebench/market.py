@@ -89,10 +89,6 @@ class ProductState:
         self.demand_history.append(demand)
         self.revenue_history.append(price * demand)
 
-    @property
-    def weeks_completed(self) -> int:
-        return len(self.price_history)
-
     def last_relative_change(self) -> float:
         if not self.price_history:
             return 0.0
@@ -133,9 +129,6 @@ class MarketObservation:
     per_product: dict[tuple[str, str], ProductSnapshot]
     per_agent: dict[str, AgentSnapshot]
     zero_revenue: bool = False
-
-    def own_products(self, agent_id: str) -> dict[str, ProductSnapshot]:
-        return {pid: snap for (aid, pid), snap in self.per_product.items() if aid == agent_id}
 
 
 @dataclass(frozen=True)
@@ -225,6 +218,13 @@ class MarketConfig:
 
     def price_floor(self, spec: ProductSpec) -> float:
         return spec.unit_cost * (1.0 + self.min_margin)
+
+    def allowed_price(self, spec: ProductSpec, last_price: float, price: float) -> float:
+        """The market rule: cap a move at +/-max_weekly_change of last week's
+        price, then raise the result to the margin floor."""
+        span = self.max_weekly_change
+        capped = min(max(price, last_price * (1.0 - span)), last_price * (1.0 + span))
+        return max(capped, self.price_floor(spec))
 
     # -- JSON round-trip -------------------------------------------------
 

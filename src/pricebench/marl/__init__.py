@@ -4,7 +4,6 @@ with centralized critics, and monotonic value factorization."""
 from .common import (
     MarlAgentBase,
     N_PRICE_BINS,
-    apply_action,
     compute_reward,
     discretize_action,
     encode_state,
@@ -24,7 +23,6 @@ from .qmix import (
 __all__ = [
     "MarlAgentBase",
     "N_PRICE_BINS",
-    "apply_action",
     "compute_reward",
     "discretize_action",
     "encode_state",

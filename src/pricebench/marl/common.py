@@ -1,4 +1,4 @@
-"""State encoding, reward shaping and action post-processing shared by the
+"""State encoding, reward shaping and action application shared by the
 learning agents."""
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import numpy as np
 from ..environment import PricingAgentBase
 from ..features import InsufficientHistory, qrm, rolling_volatility, seasonal_encoding, trend
 from ..features import VOLATILITY_WINDOW
-from ..market import MarketConfig, MarketObservation, ProductSpec, ProductState, month_of_week
+from ..market import MarketConfig, MarketObservation, ProductSpec, month_of_week
 
 STATE_SLOTS_PER_PRODUCT = 12
 
@@ -22,19 +22,6 @@ def discretize_action(bin_index: int, n_bins: int = N_PRICE_BINS, max_change: fl
     if not 0 <= bin_index < n_bins:
         raise ValueError(f"bin must be in 0..{n_bins - 1}, got {bin_index}")
     return -max_change + (2.0 * max_change / (n_bins - 1)) * bin_index
-
-
-def apply_action(
-    product: ProductState,
-    relative_change: float,
-    min_margin: float,
-    max_weekly_change: float,
-) -> float:
-    """New price after a relative change, under the margin floor and weekly cap."""
-    price = product.current_price
-    floor = product.spec.unit_cost * (1.0 + min_margin)
-    ceiling = price * (1.0 + max_weekly_change)
-    return min(max(price * (1.0 + relative_change), floor), ceiling)
 
 
 def compute_reward(
@@ -118,13 +105,9 @@ class MarlAgentBase(PricingAgentBase):
         self._prev_changes = {s.product_id: 0.0 for s in self.product_specs}
 
     def _apply_changes(self, changes: dict[str, float]) -> dict[str, float]:
-        prices = {}
-        for pid, r in changes.items():
-            prices[pid] = apply_action(
-                self.portfolio[pid], r, self.config.min_margin, self.config.max_weekly_change
-            )
-            self._prev_changes[pid] = r
-        return prices
+        """Prices after each relative change; the environment enforces the market rules."""
+        self._prev_changes.update(changes)
+        return {pid: self.portfolio[pid].current_price * (1.0 + r) for pid, r in changes.items()}
 
     def _reward_from(
         self, observation: MarketObservation, prev_observation: MarketObservation

@@ -80,12 +80,12 @@ class JointTransition:
 class MaddpgCoordinator:
     """Owns the joint replay buffer and runs the centralized training step."""
 
-    def __init__(self, config: MarketConfig, hyper: MaddpgHyper, team_key: str = "maddpg"):
+    def __init__(self, config: MarketConfig, hyper: MaddpgHyper):
         self.config = config
         self.hyper = hyper
         self.members: list["MaddpgAgent"] = []
         self.buffer = ReplayBuffer(hyper.buffer_capacity, hyper.recency_decay)
-        self.rng = derive_rng(config.seed, "team", team_key)
+        self.rng = derive_rng(config.seed, "team", "maddpg")
         self._pending: dict[str, tuple] = {}
         self.last_losses: list[tuple[float, float]] = []
 

@@ -193,13 +193,12 @@ class QmixCoordinator:
         hyper: QmixHyper,
         n_agents: int,
         local_state_size: int,
-        team_key: str = "qmix",
     ):
         self.config = config
         self.hyper = hyper
         self.n_agents = n_agents
         self.members: list["QmixAgent"] = []
-        rng = derive_rng(config.seed, "team", team_key)
+        rng = derive_rng(config.seed, "team", "qmix")
         self.mixer = MonotonicMixer(n_agents, n_agents * local_state_size, hyper.mixing_dim, rng)
         self.target_mixer = self.mixer.clone()
         self.buffer = ReplayBuffer(hyper.buffer_capacity, hyper.recency_decay)

@@ -182,15 +182,6 @@ class Adam:
             p -= lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
 
 
-def adam_step(
-    params: Sequence[np.ndarray],
-    grads: Sequence[np.ndarray],
-    state: Adam,
-    lr: float,
-) -> None:
-    state.step(params, grads, lr)
-
-
 @dataclass
 class Transition:
     state: np.ndarray
@@ -263,10 +254,6 @@ class ExplorationSchedule:
         if episode < 0:
             raise ValueError("episode must be >= 0")
         return max(self.floor, self.start * self.decay**episode)
-
-
-def schedule_value(schedule: ExplorationSchedule, episode: int) -> float:
-    return schedule.value(episode)
 
 
 EPSILON_GREEDY_DEFAULT = ExplorationSchedule("epsilon_greedy", start=1.0, decay=0.995, floor=0.05)

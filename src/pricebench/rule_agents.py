@@ -2,8 +2,9 @@
 
 Five strategies: cost-plus markup, competitor matching with an undercut,
 own-price historical anchoring, demand-responsive stepping, and seasonal
-uplift pricing. Each maps (product state, market observation) to a raw price;
-the agent wrapper then applies the weekly-change clamp and the margin floor.
+uplift pricing. Each maps (product state, market observation) to a price that
+the agent submits as is; the environment caps it at the weekly change limit
+and raises it to the margin floor.
 """
 
 from __future__ import annotations
@@ -64,10 +65,9 @@ def competitor_match_price(
     observation: MarketObservation,
     agent_id: str,
     undercut_fraction: float = 0.03,
-    min_margin: float = 0.05,
     markup: float = 0.5,
 ) -> float:
-    """Mean competitor cluster price minus a small undercut, margin-floored.
+    """Mean competitor cluster price minus a small undercut.
 
     Falls back to the static markup when the cluster has no competitors.
     """
@@ -77,9 +77,7 @@ def competitor_match_price(
         log.debug("%s/%s: no competitors in cluster, using static markup",
                   agent_id, product.spec.product_id)
         return static_markup_price(product, markup)
-    target = (math.fsum(competitors) / len(competitors)) * (1.0 - undercut_fraction)
-    floor = product.spec.unit_cost * (1.0 + min_margin)
-    return max(target, floor)
+    return (math.fsum(competitors) / len(competitors)) * (1.0 - undercut_fraction)
 
 
 def historical_anchor_price(product: ProductState, anchor_window: int = 8) -> float:
@@ -91,24 +89,17 @@ def historical_anchor_price(product: ProductState, anchor_window: int = 8) -> fl
     return sum(window) / len(window)
 
 
-def demand_responsive_price(
-    product: ProductState,
-    response_step: float = 0.02,
-    min_margin: float = 0.05,
-    max_weekly_change: float = 0.10,
-) -> float:
+def demand_responsive_price(product: ProductState, response_step: float = 0.02) -> float:
     """Step price up when demand rose, down when it fell, hold on a tie."""
     demand = product.demand_history
     price = product.current_price
     if len(demand) < 2:
         return price
     if demand[-1] > demand[-2]:
-        price = price * (1.0 + response_step)
-    elif demand[-1] < demand[-2]:
-        price = price * (1.0 - response_step)
-    floor = product.spec.unit_cost * (1.0 + min_margin)
-    ceiling = product.current_price * (1.0 + max_weekly_change)
-    return min(max(price, floor), ceiling)
+        return price * (1.0 + response_step)
+    if demand[-1] < demand[-2]:
+        return price * (1.0 - response_step)
+    return price
 
 
 def seasonal_price(
@@ -125,7 +116,7 @@ def seasonal_price(
 
 
 class RuleAgent(PricingAgentBase):
-    """Applies one fixed strategy to every product, under market constraints."""
+    """Applies one fixed strategy to every product."""
 
     def __init__(
         self,
@@ -145,25 +136,16 @@ class RuleAgent(PricingAgentBase):
             return static_markup_price(product, s.markup)
         if s.kind == "competitor_match":
             return competitor_match_price(
-                product, observation, self.agent_id,
-                s.undercut_fraction, self.config.min_margin, s.markup,
+                product, observation, self.agent_id, s.undercut_fraction, s.markup
             )
         if s.kind == "historical_anchor":
             return historical_anchor_price(product, s.anchor_window)
         if s.kind == "demand_responsive":
-            return demand_responsive_price(
-                product, s.response_step, self.config.min_margin,
-                self.config.max_weekly_change,
-            )
+            return demand_responsive_price(product, s.response_step)
         return seasonal_price(product, observation, s.seasonal_uplift, s.markup)
 
     def propose_prices(self, observation: MarketObservation) -> dict[str, float]:
-        prices = {}
-        for pid, product in self.portfolio.items():
-            raw = self._raw_price(product, observation)
-            current = product.current_price
-            span = self.config.max_weekly_change
-            clamped = min(max(raw, current * (1.0 - span)), current * (1.0 + span))
-            floor = self.config.price_floor(product.spec)
-            prices[pid] = max(clamped, floor)
-        return prices
+        return {
+            pid: self._raw_price(product, observation)
+            for pid, product in self.portfolio.items()
+        }

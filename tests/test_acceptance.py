@@ -15,7 +15,7 @@ from pricebench.demand import (
 )
 from pricebench.environment import run_episode
 from pricebench.harness import ExperimentSpec, build_agents, execute_run, wilcoxon_signed_rank
-from pricebench.market import ProductSpec, ProductState, derive_rng
+from pricebench.market import ProductSpec, derive_rng
 from pricebench.metrics import (
     adjustment_frequency,
     adjustment_magnitude,
@@ -107,7 +107,7 @@ def test_criterion_02_elasticity_reproduction():
         spec = ProductSpec("p", 1, 10.0, 6.0, 100.0)
         params = DemandParams(noise_sigma=0.0).with_clusters([1])
         model = ParametricDemandModel(params)
-        eps = estimate_elasticity(model, neutral_query(ProductState.fresh(spec)))
+        eps = estimate_elasticity(model, neutral_query(spec))
         assert eps == pytest.approx(-0.072, abs=0.005)
 
 

@@ -14,7 +14,7 @@ from pricebench.demand import (
     predict_demand,
     price_multipliers,
 )
-from pricebench.market import ConfigError, ProductSpec, ProductState, derive_rng
+from pricebench.market import ConfigError, ProductSpec, derive_rng
 
 
 def _spec(price=10.0, baseline=100.0, cluster=1):
@@ -41,32 +41,30 @@ class TestDemandParams:
 
 class TestPredictDemand:
     def test_all_neutral_gives_baseline(self):
-        q = neutral_query(ProductState.fresh(_spec()))
+        q = neutral_query(_spec())
         assert predict_demand(q, _params()) == pytest.approx(100.0)
 
     def test_cluster_multiplier(self):
-        q = neutral_query(ProductState.fresh(_spec()))
+        q = neutral_query(_spec())
         params = _params()
         params = replace(params, cluster_base={**params.cluster_base, 1: 1.5})
         assert predict_demand(q, params) == pytest.approx(150.0)
 
     def test_doubled_price_scaling(self):
-        state = ProductState.fresh(_spec())
-        q = neutral_query(state)
-        q = replace(q, product=replace(state, current_price=20.0))
+        q = replace(neutral_query(_spec()), price=20.0)
         assert predict_demand(q, _params()) == pytest.approx(100.0 * 2 ** (-0.072))
 
     def test_holiday_uplift(self):
-        q = neutral_query(ProductState.fresh(_spec()))
-        q = replace(q, features=replace(q.features, holiday=1))
+        q = neutral_query(_spec())
+        q = replace(q, holiday=True)
         assert predict_demand(q, _params()) == pytest.approx(135.0)
 
     def test_deterministic_without_noise(self):
-        q = neutral_query(ProductState.fresh(_spec()))
+        q = neutral_query(_spec())
         assert predict_demand(q, _params()) == predict_demand(q, _params())
 
     def test_noise_needs_rng(self):
-        q = neutral_query(ProductState.fresh(_spec()))
+        q = neutral_query(_spec())
         with pytest.raises(ValueError):
             predict_demand(q, replace(_params(), noise_sigma=0.1))
 
@@ -74,40 +72,32 @@ class TestPredictDemand:
         params = replace(_params(), noise_sigma=0.2)
         vals = []
         for _ in range(2):
-            state = ProductState.fresh(_spec())
-            q = replace(neutral_query(state), rng=derive_rng(5, "noise"))
+            q = replace(neutral_query(_spec()), rng=derive_rng(5, "noise"))
             vals.append([predict_demand(q, params) for _ in range(3)])
         assert vals[0] == vals[1]
 
     def test_nonpositive_price_rejected(self):
-        state = ProductState.fresh(_spec())
-        state.current_price = 0.0
-        q = replace(neutral_query(ProductState.fresh(_spec())), product=state)
+        q = replace(neutral_query(_spec()), price=0.0)
         with pytest.raises(ValueError):
             predict_demand(q, _params())
 
     def test_missing_cluster_entry_rejected(self):
-        q = neutral_query(ProductState.fresh(_spec(cluster=9)))
+        q = neutral_query(_spec(cluster=9))
         with pytest.raises(ConfigError):
             predict_demand(q, _params())
 
     def test_strictly_decreasing_in_price(self):
         params = _params(elasticity=-0.5)
-        state = ProductState.fresh(_spec())
-        base = neutral_query(state)
+        base = neutral_query(_spec())
         prices = np.linspace(1.0, 50.0, 100)
-        values = [
-            predict_demand(replace(base, product=replace(state, current_price=p)), params)
-            for p in prices
-        ]
+        values = [predict_demand(replace(base, price=p), params) for p in prices]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_always_finite_nonnegative(self):
         params = _params(elasticity=-1.0)
-        state = ProductState.fresh(_spec())
-        base = neutral_query(state)
+        base = neutral_query(_spec())
         for p in (1e-6, 1.0, 1e6):
-            v = predict_demand(replace(base, product=replace(state, current_price=p)), params)
+            v = predict_demand(replace(base, price=p), params)
             assert math.isfinite(v) and v >= 0
 
 
@@ -127,26 +117,26 @@ class TestElasticity:
     @pytest.mark.parametrize("target", [-0.072, -0.5, -1.0])
     def test_reference_model_recovery(self, target):
         model = ParametricDemandModel(_params(elasticity=target))
-        q = neutral_query(ProductState.fresh(_spec()))
+        q = neutral_query(_spec())
         assert estimate_elasticity(model, q) == pytest.approx(target, abs=0.005)
 
     def test_constant_oracle(self):
-        q = neutral_query(ProductState.fresh(_spec()))
+        q = neutral_query(_spec())
         assert estimate_elasticity(lambda query: 42.0, q) == pytest.approx(0.0, abs=1e-9)
 
     def test_unit_elastic_oracle(self):
-        q = neutral_query(ProductState.fresh(_spec()))
-        oracle = lambda query: 500.0 / query.product.current_price
+        q = neutral_query(_spec())
+        oracle = lambda query: 500.0 / query.price
         assert estimate_elasticity(oracle, q) == pytest.approx(-1.0, abs=1e-6)
 
     def test_too_few_points(self):
-        q = neutral_query(ProductState.fresh(_spec()))
+        q = neutral_query(_spec())
         with pytest.raises(ValueError):
             estimate_elasticity(lambda query: 1.0, q, scales=[0.5, 1.0, 2.5])
 
     def test_sweep_ignores_noise(self):
         model = ParametricDemandModel(replace(_params(), noise_sigma=0.5))
-        q = neutral_query(ProductState.fresh(_spec()))
+        q = neutral_query(_spec())
         prices, first = elasticity_sweep(model, q)
         _, second = elasticity_sweep(model, q)
         assert np.array_equal(first, second)

@@ -1,4 +1,7 @@
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pricebench.demand import DemandQuery, ParametricDemandModel
 from pricebench.environment import (
@@ -9,7 +12,7 @@ from pricebench.environment import (
     history_csv_lines,
     run_episode,
 )
-from pricebench.market import AgentSpec, MarketConfig, make_default_portfolio
+from pricebench.market import AgentSpec, MarketConfig, ProductSpec, make_default_portfolio
 from pricebench.rule_agents import RuleAgent, RuleStrategy
 
 
@@ -23,6 +26,18 @@ class StubOracle:
         return self.value
 
     sample_demand = expected_demand
+
+
+class RecordingOracle(StubOracle):
+    """Stub oracle that keeps every query it was asked."""
+
+    def __init__(self, value=10.0):
+        super().__init__(value)
+        self.queries: list[DemandQuery] = []
+
+    def sample_demand(self, query: DemandQuery) -> float:
+        self.queries.append(query)
+        return self.value
 
 
 class FixedPriceAgent(PricingAgentBase):
@@ -64,11 +79,11 @@ class TestStep:
         (agent,) = _agents(config)
         env = MarketEnvironment(config, [agent], StubOracle(10.0))
         pid = next(iter(agent.portfolio))
-        record, _ = env.step({agent.agent_id: {pid: 5.0}})
+        record, _ = env.step({agent.agent_id: {pid: 5.5}})
         outcome = record.products[(agent.agent_id, pid)]
         cost = agent.portfolio[pid].spec.unit_cost
-        assert outcome.revenue == pytest.approx(50.0)
-        assert outcome.profit == pytest.approx((5.0 - cost) * 10.0)
+        assert outcome.revenue == pytest.approx(55.0)
+        assert outcome.profit == pytest.approx((5.5 - cost) * 10.0)
         assert outcome.profit <= outcome.revenue
 
     def test_market_share_definition(self):
@@ -77,9 +92,10 @@ class TestStep:
 
         env = MarketEnvironment(config, agents, StubOracle(10.0))
         pid = next(iter(agents[0].portfolio))
-        record, obs = env.step({"a0": {pid: 30.0}, "a1": {pid: 70.0}})
-        assert record.market_share["a0"] == pytest.approx(0.3)
-        assert record.market_share["a1"] == pytest.approx(0.7)
+        record, obs = env.step({"a0": {pid: 5.4}, "a1": {pid: 6.6}})
+        assert env.clamp_events == 0
+        assert record.market_share["a0"] == pytest.approx(0.45)
+        assert record.market_share["a1"] == pytest.approx(0.55)
         assert sum(obs.per_agent[a].market_share for a in ("a0", "a1")) == pytest.approx(1.0)
 
     def test_holiday_flips_at_47(self):
@@ -103,18 +119,21 @@ class TestStep:
         env = MarketEnvironment(config, agents, StubOracle())
         pid = next(iter(agents[0].portfolio))
         with pytest.raises(ProtocolError, match="a1"):
-            env.step({"a0": {pid: 5.0}, "a1": {}})
+            env.step({"a0": {pid: 6.0}, "a1": {}})
 
     def test_floor_clamp_applies_and_logs(self):
-        config = _config(n_agents=1)
+        # 0.01 each week: capped at -10 % a week until the margin floor binds
+        config = _config(n_agents=1, weeks=8)
         (agent,) = _agents(config)
         env = MarketEnvironment(config, [agent], StubOracle())
         pid = next(iter(agent.portfolio))
         spec = agent.portfolio[pid].spec
-        record, _ = env.step({agent.agent_id: {pid: 0.01}})
+        prices = [env.step({agent.agent_id: {pid: 0.01}})[0].products[("a0", pid)].price
+                  for _ in range(6)]
         floor = spec.unit_cost * 1.05
-        assert record.products[(agent.agent_id, pid)].price == pytest.approx(floor)
-        assert env.clamp_events == 1
+        assert prices[:4] == pytest.approx([spec.initial_price * 0.9**k for k in range(1, 5)])
+        assert prices[4:] == pytest.approx([floor, floor])
+        assert env.clamp_events == 6
 
     def test_conservation(self):
         config = _config(n_agents=3, weeks=6)
@@ -130,13 +149,125 @@ class TestStep:
         (agent,) = _agents(config)
         env = MarketEnvironment(config, [agent], StubOracle(7.0))
         pid = next(iter(agent.portfolio))
-        record, obs = env.step({agent.agent_id: {pid: 9.0}})
+        record, obs = env.step({agent.agent_id: {pid: 6.5}})
         snap = obs.per_product[(agent.agent_id, pid)]
-        assert snap.price == 9.0
+        assert snap.price == 6.5
         assert snap.last_demand == 7.0
-        assert obs.per_agent[agent.agent_id].revenue_last_week == pytest.approx(63.0)
+        assert obs.per_agent[agent.agent_id].revenue_last_week == pytest.approx(45.5)
         # calendar in the observation points at the week to be priced next
         assert obs.week_number == record.week_number + 1
+
+
+class TestMarketRules:
+    def test_cap_limits_submitted_price(self):
+        config = _config(n_agents=2)
+        agents = _agents(config)
+        env = MarketEnvironment(config, agents, StubOracle())
+        pid = next(iter(agents[0].portfolio))
+        current = agents[0].portfolio[pid].current_price
+        record, _ = env.step({"a0": {pid: 1e6}, "a1": {pid: current}})
+        capped = current * (1 + config.max_weekly_change)
+        assert record.products[("a0", pid)].price == capped
+        assert record.market_share["a0"] == pytest.approx(capped / (capped + current))
+        assert env.clamp_events == 1
+
+    def test_cap_limits_rule_strategy(self):
+        # markup 1.0 prices at twice the cost, 20 % above the initial price
+        config = _config(n_agents=1)
+        portfolio = make_default_portfolio(1, [1], config.seed)
+        agent = RuleAgent("a0", portfolio, config, RuleStrategy("static_markup", markup=1.0))
+        env = MarketEnvironment(config, [agent], StubOracle())
+        obs = env.bootstrap_observation()
+        spec = portfolio[0]
+        assert agent.propose_prices(obs)[spec.product_id] == pytest.approx(spec.unit_cost * 2)
+        record, _ = env.step({"a0": agent.propose_prices(obs)})
+        assert record.products[("a0", spec.product_id)].price == pytest.approx(
+            spec.initial_price * 1.1
+        )
+        assert env.clamp_events == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_price_is_protocol_error(self, bad):
+        config = _config(n_agents=2)
+        agents = _agents(config)
+        oracle = RecordingOracle()
+        env = MarketEnvironment(config, agents, oracle)
+        pid = next(iter(agents[0].portfolio))
+        with pytest.raises(ProtocolError, match=f"a1.*{pid}"):
+            env.step({"a0": {pid: 6.0}, "a1": {pid: bad}})
+        assert oracle.queries == []
+
+
+def _hold_cluster_prices(prices):
+    """One week in which agent i holds one product priced at prices[i]; returns
+    the demand queries and the observation after it."""
+    config = _config(n_agents=len(prices))
+    agents = [
+        FixedPriceAgent(f"a{i}", [ProductSpec("p", 1, price, price * 0.6, 20.0)], config)
+        for i, price in enumerate(prices)
+    ]
+    oracle = RecordingOracle()
+    env = MarketEnvironment(config, agents, oracle)
+    _, obs = env.step({a.agent_id: a.propose_prices(None) for a in agents})
+    return oracle.queries, obs
+
+
+class TestDemandInputs:
+    def test_cold_start_demand_inputs(self):
+        config = _config(n_agents=1)
+        (agent,) = _agents(config)
+        oracle = RecordingOracle()
+        env = MarketEnvironment(config, [agent], oracle)
+        spec = agent.portfolio["prod1"].spec
+        env.step({"a0": {"prod1": 6.3}})
+        (query,) = oracle.queries
+        assert query.spec == spec and query.price == 6.3
+        assert query.lag1_demand == spec.baseline_demand  # no history yet
+        assert query.week_sin == pytest.approx(math.sin(2 * math.pi / 52))
+        assert query.holiday is False
+        assert query.rng is not None
+
+    def test_warm_demand_inputs(self):
+        config = _config(weeks=60)
+        agents = _agents(config)
+        oracle = RecordingOracle(7.0)
+        env = MarketEnvironment(config, agents, oracle)
+        env.state.week_number = 46
+        for _ in range(2):
+            env.step({a.agent_id: {"prod1": 6.0} for a in agents})
+        cold, warm = oracle.queries[:2], oracle.queries[2:]
+        assert [q.holiday for q in cold] == [False, False]
+        assert [q.holiday for q in warm] == [True, True]
+        assert [q.lag1_demand for q in warm] == [7.0, 7.0]
+
+    def test_relative_price_is_price_over_cluster_mean(self):
+        queries, _ = _hold_cluster_prices([12.0, 8.0, 4.0])
+        assert [q.relative_price for q in queries] == pytest.approx([1.5, 1.0, 0.5])
+
+    def test_relative_price_at_cluster_mean_is_one(self):
+        queries, _ = _hold_cluster_prices([8.0, 8.0])
+        assert [q.relative_price for q in queries] == [1.0, 1.0]
+
+    def test_singleton_cluster_relative_price_is_one(self):
+        queries, _ = _hold_cluster_prices([3.0])
+        assert queries[0].relative_price == 1.0
+
+    @given(
+        st.lists(st.floats(min_value=0.1, max_value=100), min_size=1, max_size=6),
+        st.floats(min_value=0.01, max_value=50),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_relative_price_scale_invariance(self, prices, c):
+        base, scaled = (
+            [q.relative_price for q in _hold_cluster_prices([p * k for p in prices])[0]]
+            for k in (1.0, c)
+        )
+        assert scaled == pytest.approx(base, rel=1e-9)
+
+    def test_observation_shares_the_cluster_mean(self):
+        _, obs = _hold_cluster_prices([12.0, 8.0, 4.0])
+        assert obs.per_product[("a0", "p")].cluster_avg_price == 8.0
+        assert obs.per_product[("a1", "p")].competitor_prices == (12.0, 4.0)
 
 
 class TestRunEpisode:
@@ -199,7 +330,7 @@ class TestRunEpisode:
         agents = _agents(config)
         env = MarketEnvironment(config, agents, StubOracle(0.0))
         pid = next(iter(agents[0].portfolio))
-        record, obs = env.step({a.agent_id: {pid: 7.0} for a in agents})
+        record, obs = env.step({a.agent_id: {pid: 6.3} for a in agents})
         assert record.zero_revenue is True
         assert record.market_share["a0"] == pytest.approx(0.5)
 

@@ -5,9 +5,6 @@ from hypothesis import given, strategies as st
 
 from pricebench.features import (
     InsufficientHistory,
-    acceleration,
-    build_feature_vector,
-    pvc_avg,
     qrm,
     rolling_volatility,
     seasonal_encoding,
@@ -52,19 +49,6 @@ class TestTrend:
             trend([1, 2, 3])
 
 
-class TestAcceleration:
-    def test_constant_is_zero(self):
-        assert acceleration([4, 4]) == 0
-
-    def test_hand_values(self):
-        assert acceleration([10, 20]) == pytest.approx(5.0)
-        assert acceleration([20, 10]) == pytest.approx(-5.0)
-
-    def test_insufficient(self):
-        with pytest.raises(InsufficientHistory):
-            acceleration([1])
-
-
 class TestVolatility:
     def test_constant_is_zero(self):
         assert rolling_volatility([9, 9, 9, 9], 4) == 0
@@ -80,27 +64,6 @@ class TestVolatility:
     @given(demands)
     def test_nonnegative(self, history):
         assert rolling_volatility(history, 4) >= 0
-
-
-class TestPvc:
-    def test_at_mean(self):
-        assert pvc_avg(8.0, [8.0, 8.0]) == pytest.approx(1.0)
-
-    def test_hand_value(self):
-        assert pvc_avg(12.0, [12.0, 8.0, 4.0]) == pytest.approx(1.5)
-
-    def test_singleton_cluster(self):
-        assert pvc_avg(3.0, [3.0]) == pytest.approx(1.0)
-
-    @given(
-        st.floats(min_value=0.1, max_value=100),
-        st.lists(st.floats(min_value=0.1, max_value=100), min_size=1, max_size=8),
-        st.floats(min_value=0.01, max_value=50),
-    )
-    def test_scale_invariance(self, price, cluster, c):
-        base = pvc_avg(price, cluster)
-        scaled = pvc_avg(price * c, [p * c for p in cluster])
-        assert scaled == pytest.approx(base, rel=1e-9)
 
 
 class TestSeasonalEncoding:
@@ -124,41 +87,3 @@ class TestSeasonalEncoding:
         ws, wc, ms, mc = seasonal_encoding(week, month)
         assert ws * ws + wc * wc == pytest.approx(1.0, abs=1e-9)
         assert ms * ms + mc * mc == pytest.approx(1.0, abs=1e-9)
-
-
-class TestBuildFeatureVector:
-    def test_cold_start_substitutions(self):
-        fv = build_feature_vector(
-            demand_history=[],
-            baseline_demand=30.0,
-            price=10.0,
-            cluster_prices=[10.0, 12.0],
-            week=1,
-            month=1,
-            is_holiday=False,
-        )
-        assert fv.qrm2 == 30.0
-        assert fv.qrm4 == 30.0
-        assert fv.lag1_demand == 30.0
-        assert fv.trend == 0.0
-        assert fv.acceleration == 0.0
-        assert fv.volatility == 0.0
-
-    def test_warm_features_match_ops(self):
-        history = [10.0, 12.0, 9.0, 14.0, 11.0]
-        fv = build_feature_vector(
-            demand_history=history,
-            baseline_demand=30.0,
-            price=10.0,
-            cluster_prices=[10.0],
-            week=50,
-            month=12,
-            is_holiday=True,
-        )
-        assert fv.qrm2 == pytest.approx(qrm(history, 2))
-        assert fv.trend == pytest.approx(trend(history))
-        assert fv.volatility == pytest.approx(rolling_volatility(history, 4))
-        assert fv.holiday == 1
-        assert fv.lag1_demand == 11.0
-        assert fv.log_price == pytest.approx(math.log(10.0))
-        assert fv.price_sq == pytest.approx(100.0)

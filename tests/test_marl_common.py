@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from pricebench.demand import ParametricDemandModel
 from pricebench.environment import MarketEnvironment
-from pricebench.market import AgentSpec, MarketConfig, ProductSpec, ProductState, make_default_portfolio
-from pricebench.marl import apply_action, compute_reward, discretize_action, encode_state, state_dim
+from pricebench.market import AgentSpec, MarketConfig, ProductSpec, make_default_portfolio
+from pricebench.marl import compute_reward, discretize_action, encode_state, state_dim
 from pricebench.marl.common import N_PRICE_BINS, STATE_SLOTS_PER_PRODUCT
 from pricebench.marl.madqn import MadqnAgent
 
@@ -33,18 +33,28 @@ class TestDiscretize:
 
 
 class TestApplyAction:
-    def _product(self, price=10.0, cost=6.0):
-        return ProductState.fresh(ProductSpec("p", 1, price, cost, 10.0))
+    """Learners submit current * (1 + r); the market rule then caps and floors it."""
+
+    def _agent(self, price=10.0, cost=6.0):
+        config = MarketConfig(
+            agent_roster=[AgentSpec("q0", "madqn")], products_per_agent=1, clusters=(1,)
+        ).validate()
+        return MadqnAgent("q0", [ProductSpec("p", 1, price, cost, 10.0)], config, None)
 
     def test_zero_change(self):
-        assert apply_action(self._product(), 0.0, 0.05, 0.10) == pytest.approx(10.0)
+        assert self._agent()._apply_changes({"p": 0.0}) == {"p": pytest.approx(10.0)}
 
     def test_full_raise(self):
-        assert apply_action(self._product(), 0.10, 0.05, 0.10) == pytest.approx(11.0)
+        agent = self._agent()
+        assert agent._apply_changes({"p": 0.10}) == {"p": pytest.approx(11.0)}
+        assert agent._prev_changes["p"] == 0.10
 
     def test_floor_clamps(self):
-        product = self._product(price=6.5, cost=6.0)
-        assert apply_action(product, -0.10, 0.05, 0.10) == pytest.approx(6.30)
+        agent = self._agent(price=6.5, cost=6.0)
+        submitted = agent._apply_changes({"p": -0.10})["p"]
+        assert submitted == pytest.approx(5.85)
+        spec = agent.portfolio["p"].spec
+        assert agent.config.allowed_price(spec, 6.5, submitted) == pytest.approx(6.30)
 
 
 class TestReward:

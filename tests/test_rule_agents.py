@@ -1,7 +1,7 @@
 import pytest
 
 from pricebench.demand import ParametricDemandModel
-from pricebench.environment import run_episode
+from pricebench.environment import MarketEnvironment, run_episode
 from pricebench.market import (
     AgentSpec,
     ConfigError,
@@ -24,6 +24,29 @@ from pricebench.rule_agents import (
 
 def _product(price=10.0, cost=6.0, baseline=20.0):
     return ProductState.fresh(ProductSpec("p", 1, price, cost, baseline))
+
+
+def _one_product_config(n_agents, weeks=4):
+    return MarketConfig(
+        agent_roster=[AgentSpec(f"rule-{i}", "rule") for i in range(n_agents)],
+        products_per_agent=1,
+        clusters=(1,),
+        weeks_per_episode=weeks,
+        episodes=1,
+    ).validate()
+
+
+class FallingDemand:
+    """Oracle whose demand drops by one unit on every draw."""
+
+    def __init__(self, start=20.0):
+        self.value = start
+
+    def sample_demand(self, query):
+        self.value -= 1.0
+        return self.value
+
+    expected_demand = sample_demand
 
 
 def _observation(week=20, competitor_prices=(), holiday=False, price=10.0):
@@ -66,9 +89,18 @@ class TestCompetitorMatch:
         assert price == pytest.approx(9.70)
 
     def test_floor_binds(self):
-        obs = _observation(competitor_prices=(1.0,))
-        price = competitor_match_price(_product(cost=6.0), obs, "me", undercut_fraction=0.03)
-        assert price == pytest.approx(6.0 * 1.05)
+        # undercutting a rival priced just above the floor lands below it;
+        # the environment raises the submission to the floor
+        config = _one_product_config(2)
+        spec = ProductSpec("p", 1, 6.31, 6.0, 20.0)
+        me = RuleAgent("rule-0", [spec], config, RuleStrategy("competitor_match"))
+        rival = RuleAgent("rule-1", [spec], config, RuleStrategy("historical_anchor"))
+        env = MarketEnvironment(config, [me, rival], ParametricDemandModel(config.demand_params))
+        obs = env.bootstrap_observation()
+        assert me.propose_prices(obs)["p"] == pytest.approx(6.31 * 0.97)
+        record, _ = env.step({a.agent_id: a.propose_prices(obs) for a in (me, rival)})
+        assert record.products[("rule-0", "p")].price == pytest.approx(6.0 * 1.05)
+        assert env.clamp_events == 1
 
     def test_no_competitors_falls_back_to_markup(self):
         obs = _observation(competitor_prices=())
@@ -113,8 +145,12 @@ class TestDemandResponsive:
         assert demand_responsive_price(product) == pytest.approx(10.0)
 
     def test_floor_clamps_down_step(self):
-        product = self._with_demand(12.0, 10.0, price=6.31)
-        assert demand_responsive_price(product, response_step=0.02) == pytest.approx(6.30)
+        # falling demand steps 6.31 down 2 % in week 3; the environment floors it at 6.30
+        config = _one_product_config(1, weeks=3)
+        spec = ProductSpec("p", 1, 6.31, 6.0, 20.0)
+        agent = RuleAgent("rule-0", [spec], config, RuleStrategy("demand_responsive"))
+        run_episode(config, [agent], FallingDemand())
+        assert agent.portfolio["p"].price_history == pytest.approx([6.31, 6.31, 6.30])
 
 
 class TestSeasonal:
