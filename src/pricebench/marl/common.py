@@ -103,6 +103,21 @@ class MarlAgentBase(PricingAgentBase):
         super().begin_episode(episode_index)
         self._revenue_samples = []
         self._prev_changes = {s.product_id: 0.0 for s in self.product_specs}
+        self._encoded: tuple[MarketObservation | None, np.ndarray | None] = (None, None)
+
+    def _encode(self, observation: MarketObservation, encode) -> np.ndarray:
+        """encode(self, observation), computed once per observation.
+
+        feedback() encodes next_state from the same observation object that
+        the next propose_prices() receives, and the portfolio does not change
+        in between, so the second call reuses the first's state. Each learner
+        passes its module's `encode_state`, where callers look that name up.
+        """
+        seen, state = self._encoded
+        if observation is not seen:
+            state = encode(self, observation)
+            self._encoded = (observation, state)
+        return state
 
     def _apply_changes(self, changes: dict[str, float]) -> dict[str, float]:
         """Prices after each relative change; the environment enforces the market rules."""

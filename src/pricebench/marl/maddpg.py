@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..market import MarketConfig, MarketObservation, ProductSpec, derive_rng
+from ..market import ConfigError, MarketConfig, MarketObservation, ProductSpec, derive_rng
 from ..nn import (
     Adam,
     DenseNet,
@@ -68,17 +68,25 @@ class MaddpgHyper:
 
 @dataclass
 class JointTransition:
-    """One aligned team step: per-member local views plus a shared done flag."""
+    """One aligned team step: per-member local views plus a shared done flag.
 
-    states: list[np.ndarray]
-    actions: list[np.ndarray]  # applied relative changes, one vector per member
+    `states`, `actions` and `next_states` hold one row per member.
+    """
+
+    states: np.ndarray
+    actions: np.ndarray  # applied relative changes, one row per member
     rewards: list[float]
-    next_states: list[np.ndarray]
+    next_states: np.ndarray
     done: bool
 
 
 class MaddpgCoordinator:
-    """Owns the joint replay buffer and runs the centralized training step."""
+    """Owns the joint replay buffer and runs the centralized training step.
+
+    At its first learn step it stacks the members' actors, critics and their
+    targets into four team nets (the member nets become views of them) and
+    trains each team in one batched pass under one Adam per role.
+    """
 
     def __init__(self, config: MarketConfig, hyper: MaddpgHyper):
         self.config = config
@@ -88,8 +96,13 @@ class MaddpgCoordinator:
         self.rng = derive_rng(config.seed, "team", "maddpg")
         self._pending: dict[str, tuple] = {}
         self.last_losses: list[tuple[float, float]] = []
+        # team nets and their optimizers, stacked from the members by the first learn step
+        self.actors = self.critics = self.target_actors = self.target_critics = None
+        self.actor_opt = self.critic_opt = None
 
     def register(self, member: "MaddpgAgent") -> None:
+        if self.actors is not None:
+            raise ConfigError("the team has started training; no member can join")
         self.members.append(member)
 
     def contribute(self, agent_id, state, action, reward, next_state, done) -> None:
@@ -103,73 +116,70 @@ class MaddpgCoordinator:
         self._pending = {}
         self.buffer.push(
             JointTransition(
-                states=[p[0] for p in parts],
-                actions=[p[1] for p in parts],
+                states=np.stack([p[0] for p in parts]),
+                actions=np.stack([p[1] for p in parts]),
                 rewards=[p[2] for p in parts],
-                next_states=[p[3] for p in parts],
+                next_states=np.stack([p[3] for p in parts]),
                 done=done,
             )
         )
         self.learn()
 
-    def _joint(self, rows: list[list[np.ndarray]]) -> np.ndarray:
-        return np.concatenate([np.stack(col) for col in rows], axis=1)
-
     def learn(self) -> None:
         hp = self.hyper
         if len(self.buffer) < max(hp.warm_up, hp.batch_size):
             return
+        if self.actors is None:
+            ms = self.members
+            self.actors = DenseNet.team([m.actor for m in ms])
+            self.critics = DenseNet.team([m.critic for m in ms])
+            self.target_actors = DenseNet.team([m.target_actor for m in ms])
+            self.target_critics = DenseNet.team([m.target_critic for m in ms])
+            self.actor_opt = Adam([self.actors.flat])
+            self.critic_opt = Adam([self.critics.flat])
         batch = self.buffer.sample(hp.batch_size, self.rng)
-        n = len(self.members)
-        states = [[t.states[i] for t in batch] for i in range(n)]
-        actions = [[t.actions[i] for t in batch] for i in range(n)]
-        next_states = [[t.next_states[i] for t in batch] for i in range(n)]
-        rewards = [np.asarray([t.rewards[i] for t in batch]) for i in range(n)]
+        b, n = len(batch), len(self.members)
+        states = np.stack([t.states for t in batch])  # (B, members, local state)
+        actions = np.stack([t.actions for t in batch])  # (B, members, products)
+        next_states = np.stack([t.next_states for t in batch])
+        rewards = np.asarray([t.rewards for t in batch]).T  # (members, B)
         done = np.asarray([t.done for t in batch], dtype=float)
-        b = len(batch)
-
-        joint_state = self._joint(states)
-        joint_action = self._joint(actions)
-        joint_next_state = self._joint(next_states)
         max_change = self.config.max_weekly_change
-        target_next_actions = np.concatenate(
-            [
-                m.target_actor.forward(np.stack(next_states[i])) * max_change
-                for i, m in enumerate(self.members)
-            ],
+
+        # every critic reads the joint state and action: member-major blocks
+        joint_dim = states[0].size
+        target_next_actions = self.target_actors.forward(next_states.transpose(1, 0, 2)) * max_change
+        critic_next_in = np.concatenate(
+            [next_states.reshape(b, -1), target_next_actions.transpose(1, 0, 2).reshape(b, -1)],
             axis=1,
         )
-        critic_next_in = np.concatenate([joint_next_state, target_next_actions], axis=1)
-        critic_in = np.concatenate([joint_state, joint_action], axis=1)
+        critic_in = np.concatenate([states.reshape(b, -1), actions.reshape(b, -1)], axis=1)
 
-        self.last_losses = []
-        action_offsets = np.cumsum([0] + [a[0].shape[0] for a in actions])
-        for i, member in enumerate(self.members):
-            q_next = member.target_critic.forward(critic_next_in)[:, 0]
-            y = rewards[i] + hp.gamma * (1.0 - done) * q_next
-            q, cache = member.critic.forward_cached(critic_in)
-            err = q[:, 0] - y
-            critic_loss = float(np.mean(err**2))
-            grads, _ = member.critic.backward(cache, (2.0 * err / b)[:, None])
-            member.critic_opt.step(member.critic.params(), grads, hp.critic_lr)
+        q_next = self.target_critics.forward(critic_next_in)[..., 0]  # (members, B)
+        y = rewards + hp.gamma * (1.0 - done) * q_next
+        q, cache = self.critics.forward_cached(critic_in)
+        err = q[..., 0] - y
+        critic_loss = np.mean(err**2, axis=1)
+        self.critics.backward(cache, (2.0 * err / b)[..., None], inputs=False)
+        self.critic_opt.step([self.critics.flat], [self.critics.grad], hp.critic_lr)
 
-            # actor: ascend Q with own action replaced by the policy output
-            own_states = np.stack(states[i])
-            actor_out, actor_cache = member.actor.forward_cached(own_states)
-            replaced = critic_in.copy()
-            lo = joint_state.shape[1] + action_offsets[i]
-            hi = joint_state.shape[1] + action_offsets[i + 1]
-            replaced[:, lo:hi] = actor_out * max_change
-            q_pi, critic_cache = member.critic.forward_cached(replaced)
-            actor_loss = float(-np.mean(q_pi))
-            _, input_grad = member.critic.backward(critic_cache, np.full((b, 1), -1.0 / b))
-            upstream_actor = input_grad[:, lo:hi] * max_change
-            actor_grads, _ = member.actor.backward(actor_cache, upstream_actor)
-            member.actor_opt.step(member.actor.params(), actor_grads, hp.actor_lr)
+        # actors: ascend Q with each member's own action replaced by its policy output
+        actor_out, actor_cache = self.actors.forward_cached(states.transpose(1, 0, 2))
+        replaced = np.repeat(critic_in[None], n, axis=0)  # (members, B, critic input)
+        own = np.arange(n)
+        replaced[:, :, joint_dim:].reshape(n, b, n, -1)[own, :, own] = actor_out * max_change
+        q_pi, critic_cache = self.critics.forward_cached(replaced)
+        actor_loss = -np.mean(q_pi[..., 0], axis=1)
+        _, input_grad = self.critics.backward(
+            critic_cache, np.full((n, b, 1), -1.0 / b), params=False
+        )
+        upstream_actor = input_grad[:, :, joint_dim:].reshape(n, b, n, -1)[own, :, own] * max_change
+        self.actors.backward(actor_cache, upstream_actor, inputs=False)
+        self.actor_opt.step([self.actors.flat], [self.actors.grad], hp.actor_lr)
 
-            soft_update(member.target_actor, member.actor, hp.tau)
-            soft_update(member.target_critic, member.critic, hp.tau)
-            self.last_losses.append((critic_loss, actor_loss))
+        soft_update(self.target_actors, self.actors, hp.tau)
+        soft_update(self.target_critics, self.critics, hp.tau)
+        self.last_losses = list(zip(critic_loss.tolist(), actor_loss.tolist()))
 
 
 class MaddpgAgent(MarlAgentBase):
@@ -203,8 +213,6 @@ class MaddpgAgent(MarlAgentBase):
         )
         self.target_actor = self.actor.clone()
         self.target_critic = self.critic.clone()
-        self.actor_opt = Adam(self.actor.params())
-        self.critic_opt = Adam(self.critic.params())
         self.noise_rng = rng
         self.coordinator = coordinator
         coordinator.register(self)
@@ -218,7 +226,7 @@ class MaddpgAgent(MarlAgentBase):
         return noisy * self.config.max_weekly_change
 
     def propose_prices(self, observation: MarketObservation) -> dict[str, float]:
-        state = encode_state(self, observation)
+        state = self._encode(observation, encode_state)
         raw = self.act_raw(state, self.episode_index)
         changes = {}
         for spec, r in zip(self.product_specs, raw):
@@ -234,7 +242,7 @@ class MaddpgAgent(MarlAgentBase):
         state, action = self._pending
         self._pending = None
         reward = self._reward_from(observation, prev_observation)
-        next_state = encode_state(self, observation)
+        next_state = self._encode(observation, encode_state)
         self.coordinator.contribute(self.agent_id, state, action, reward, next_state, done)
 
     def checkpoint_state(self) -> dict:

@@ -86,7 +86,7 @@ class DqnCore:
         acts = ["relu"] * len(hyper.hidden) + ["linear"]
         self.net = DenseNet(sizes, acts, rng)
         self.target = self.net.clone()
-        self.optimizer = Adam(self.net.params())
+        self.optimizer = Adam([self.net.flat])
         self.buffer = ReplayBuffer(hyper.buffer_capacity, hyper.recency_decay)
         self.learn_calls = 0
 
@@ -138,8 +138,8 @@ class DqnCore:
 
         upstream = np.zeros_like(q)
         upstream[rows, heads, actions] = 2.0 * err / err.size
-        grads, _ = self.net.backward(cache, upstream.reshape(b, -1))
-        self.optimizer.step(self.net.params(), grads, self.hyper.lr)
+        self.net.backward(cache, upstream.reshape(b, -1), inputs=False)
+        self.optimizer.step([self.net.flat], [self.net.grad], self.hyper.lr)
 
         self.learn_calls += 1
         if self.hyper.soft_tau > 0:
@@ -172,7 +172,7 @@ class MadqnAgent(MarlAgentBase):
         self.last_loss: float | None = None
 
     def propose_prices(self, observation: MarketObservation) -> dict[str, float]:
-        state = encode_state(self, observation)
+        state = self._encode(observation, encode_state)
         bins = self.core.act(state, self.episode_index)
         self._pending = (state, bins)
         changes = {
@@ -189,7 +189,7 @@ class MadqnAgent(MarlAgentBase):
         state, bins = self._pending
         self._pending = None
         reward = self._reward_from(observation, prev_observation)
-        next_state = encode_state(self, observation)
+        next_state = self._encode(observation, encode_state)
         self.core.store(Transition(state, bins, reward, next_state, done))
         for _ in range(self.hyper.updates_per_step):
             self.last_loss = self.core.learn()

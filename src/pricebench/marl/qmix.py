@@ -75,8 +75,17 @@ def _elu_grad(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
 
 
+MIXER_PARAMS = (
+    "w1_hyper", "w1_bias", "b1_hyper", "b1_bias", "w2_hyper", "w2_bias", "b2_hyper", "b2_bias",
+)
+
+
 class MonotonicMixer:
-    """Two-layer mixer with |hypernetwork| weights: Q_tot monotone in each q_i."""
+    """Two-layer mixer with |hypernetwork| weights: Q_tot monotone in each q_i.
+
+    Its eight parameter arrays are views of one contiguous `flat` vector, in
+    MIXER_PARAMS order, and its gradients views of one `grad` vector.
+    """
 
     def __init__(self, n_agents: int, state_size: int, mixing_dim: int, rng: np.random.Generator):
         self.n_agents = n_agents
@@ -89,35 +98,41 @@ class MonotonicMixer:
                 -bound, bound, size=rows
             )
 
-        self.w1_hyper, self.w1_bias = lin(n_agents * mixing_dim)
-        self.b1_hyper, self.b1_bias = lin(mixing_dim)
-        self.w2_hyper, self.w2_bias = lin(mixing_dim)
-        self.b2_hyper, self.b2_bias = lin(1)
+        arrays = [a for rows in self._hyper_rows() for a in lin(rows)]
+        self._bind(np.concatenate([a.ravel() for a in arrays]))
+
+    def _hyper_rows(self) -> tuple[int, ...]:
+        return (self.n_agents * self.mixing_dim, self.mixing_dim, self.mixing_dim, 1)
+
+    def _bind(self, flat: np.ndarray) -> None:
+        self.flat = flat
+        self.grad: np.ndarray | None = None  # allocated by the first backward
+        for name, view in zip(MIXER_PARAMS, self._views(flat)):
+            setattr(self, name, view)
+
+    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Views of `flat` shaped like the parameters, in MIXER_PARAMS order."""
+        views, offset = [], 0
+        for rows in self._hyper_rows():
+            views.append(flat[offset : offset + rows * self.state_size].reshape(rows, self.state_size))
+            offset += rows * self.state_size
+            views.append(flat[offset : offset + rows])
+            offset += rows
+        return views
 
     def params(self) -> list[np.ndarray]:
-        return [
-            self.w1_hyper, self.w1_bias,
-            self.b1_hyper, self.b1_bias,
-            self.w2_hyper, self.w2_bias,
-            self.b2_hyper, self.b2_bias,
-        ]
+        return [getattr(self, name) for name in MIXER_PARAMS]
 
     def clone(self) -> "MonotonicMixer":
         twin = MonotonicMixer.__new__(MonotonicMixer)
         twin.n_agents = self.n_agents
         twin.state_size = self.state_size
         twin.mixing_dim = self.mixing_dim
-        (
-            twin.w1_hyper, twin.w1_bias,
-            twin.b1_hyper, twin.b1_bias,
-            twin.w2_hyper, twin.w2_bias,
-            twin.b2_hyper, twin.b2_bias,
-        ) = (p.copy() for p in self.params())
+        twin._bind(self.flat.copy())
         return twin
 
     def copy_from(self, other: "MonotonicMixer") -> None:
-        for mine, theirs in zip(self.params(), other.params()):
-            mine[...] = theirs
+        self.flat[...] = other.flat
 
     def forward_cached(self, qs: np.ndarray, states: np.ndarray):
         qs = np.atleast_2d(np.asarray(qs, dtype=float))
@@ -144,39 +159,43 @@ class MonotonicMixer:
         return self.forward_cached(qs, states)[0]
 
     def backward(self, cache, upstream: np.ndarray):
-        """Gradients of sum(upstream * Q_tot) w.r.t. params and agent utilities."""
+        """Gradients of sum(upstream * Q_tot) w.r.t. params and agent utilities.
+
+        The parameter gradients are views of `self.grad`, in params() order;
+        the next backward overwrites them.
+        """
         g = np.asarray(upstream, dtype=float)
         qs, states = cache["qs"], cache["states"]
         b, n, m = qs.shape[0], self.n_agents, self.mixing_dim
+        if self.grad is None:
+            self.grad = np.zeros_like(self.flat)
+            self._grads = self._views(self.grad)
+        d_w1_hyper, d_w1_bias, d_b1_hyper, d_b1_bias, d_w2_hyper, d_w2_bias, d_b2_hyper, d_b2_bias = (
+            self._grads
+        )
 
         d_b2 = g[:, None]  # (B, 1)
-        d_b2_hyper = d_b2.T @ states
-        d_b2_bias = d_b2.sum(axis=0)
+        np.matmul(d_b2.T, states, out=d_b2_hyper)
+        np.sum(d_b2, axis=0, out=d_b2_bias)
 
         d_w2 = g[:, None] * cache["h"]  # (B, m)
         d_u2 = d_w2 * np.sign(cache["u2"])
-        d_w2_hyper = d_u2.T @ states
-        d_w2_bias = d_u2.sum(axis=0)
+        np.matmul(d_u2.T, states, out=d_w2_hyper)
+        np.sum(d_u2, axis=0, out=d_w2_bias)
 
         d_h = g[:, None] * cache["w2"]  # (B, m)
         d_h_pre = d_h * _elu_grad(cache["h_pre"])
 
-        d_b1_hyper = d_h_pre.T @ states
-        d_b1_bias = d_h_pre.sum(axis=0)
+        np.matmul(d_h_pre.T, states, out=d_b1_hyper)
+        np.sum(d_h_pre, axis=0, out=d_b1_bias)
 
         d_w1 = qs[:, :, None] * d_h_pre[:, None, :]  # (B, n, m)
         d_u1 = (d_w1 * np.sign(cache["u1"]).reshape(b, n, m)).reshape(b, n * m)
-        d_w1_hyper = d_u1.T @ states
-        d_w1_bias = d_u1.sum(axis=0)
+        np.matmul(d_u1.T, states, out=d_w1_hyper)
+        np.sum(d_u1, axis=0, out=d_w1_bias)
 
         d_qs = np.einsum("bm,bnm->bn", d_h_pre, cache["w1"])
-        grads = [
-            d_w1_hyper, d_w1_bias,
-            d_b1_hyper, d_b1_bias,
-            d_w2_hyper, d_w2_bias,
-            d_b2_hyper, d_b2_bias,
-        ]
-        return grads, d_qs
+        return self._grads, d_qs
 
 
 def qmix_mix(agent_qs, global_state, mixer: MonotonicMixer) -> float:
@@ -185,7 +204,12 @@ def qmix_mix(agent_qs, global_state, mixer: MonotonicMixer) -> float:
 
 
 class QmixCoordinator:
-    """Joint trainer for the member Q-networks and the mixing network."""
+    """Joint trainer for the member Q-networks and the mixing network.
+
+    At its first learn step it stacks the member nets and their targets into
+    two team nets (the member nets become views of them), and trains the
+    team and the mixer in one batched pass under a single Adam.
+    """
 
     def __init__(
         self,
@@ -203,6 +227,8 @@ class QmixCoordinator:
         self.target_mixer = self.mixer.clone()
         self.buffer = ReplayBuffer(hyper.buffer_capacity, hyper.recency_decay)
         self.rng = rng
+        self.nets: DenseNet | None = None
+        self.target_nets: DenseNet | None = None
         self.optimizer: Adam | None = None
         self.learn_calls = 0
         self.last_loss: float | None = None
@@ -211,16 +237,11 @@ class QmixCoordinator:
     def register(self, member: "QmixAgent") -> None:
         if member.coordinator is not None and member.coordinator is not self:
             raise ConfigError(f"agent {member.agent_id} already has a coordinator")
+        if self.nets is not None:
+            raise ConfigError("the team has started training; no member can join")
         self.members.append(member)
         if len(self.members) > self.n_agents:
             raise ConfigError("more members registered than the coordinator was sized for")
-
-    def _all_params(self) -> list[np.ndarray]:
-        params: list[np.ndarray] = []
-        for m in self.members:
-            params.extend(m.net.params())
-        params.extend(self.mixer.params())
-        return params
 
     def contribute(self, agent_id, state, action, reward, next_state, done) -> None:
         if agent_id not in {m.agent_id for m in self.members}:
@@ -233,10 +254,10 @@ class QmixCoordinator:
         shared_reward = float(np.mean([p[2] for p in parts]))
         self.buffer.push(
             JointTransition(
-                states=[p[0] for p in parts],
-                actions=[p[1] for p in parts],
+                states=np.stack([p[0] for p in parts]),
+                actions=np.stack([p[1] for p in parts]),
                 rewards=[shared_reward] * len(parts),
-                next_states=[p[3] for p in parts],
+                next_states=np.stack([p[3] for p in parts]),
                 done=done,
             )
         )
@@ -247,64 +268,53 @@ class QmixCoordinator:
         hp = self.hyper
         if len(self.buffer) < max(hp.warm_up, 1):
             return None
-        if self.optimizer is None:
-            self.optimizer = Adam(self._all_params())
+        if self.nets is None:
+            self.nets = DenseNet.team([m.net for m in self.members])
+            self.target_nets = DenseNet.team([m.target for m in self.members])
+            self.optimizer = Adam([self.nets.flat, self.mixer.flat])
         batch = self.buffer.sample(hp.batch_size, self.rng)
         b = len(batch)
         n = len(self.members)
+        n_heads, n_bins = self.members[0].n_heads, self.members[0].n_bins
         rewards = np.asarray([t.rewards[0] for t in batch])
         done = np.asarray([t.done for t in batch], dtype=float)
-        global_state = np.concatenate(
-            [np.stack([t.states[i] for t in batch]) for i in range(n)], axis=1
-        )
-        next_global_state = np.concatenate(
-            [np.stack([t.next_states[i] for t in batch]) for i in range(n)], axis=1
-        )
+        states = np.stack([t.states for t in batch])  # (B, members, local state)
+        next_states = np.stack([t.next_states for t in batch])
+        actions = np.asarray(np.stack([t.actions for t in batch]), dtype=int).transpose(1, 0, 2)
+        global_state = states.reshape(b, -1)
+        next_global_state = next_states.reshape(b, -1)
 
         # target utilities: per-member greedy on the target nets
-        target_qs = np.empty((b, n))
-        for i, member in enumerate(self.members):
-            next_states = np.stack([t.next_states[i] for t in batch])
-            tq = member.target.forward(next_states).reshape(b, member.n_heads, member.n_bins)
-            target_qs[:, i] = tq.max(axis=2).mean(axis=1)
+        tq = self.target_nets.forward(next_states.transpose(1, 0, 2)).reshape(n, b, n_heads, n_bins)
+        target_qs = np.ascontiguousarray(tq.max(axis=3).mean(axis=2).T)  # (B, members)
         q_tot_next = self.target_mixer.forward(target_qs, next_global_state)
         y = rewards + hp.gamma * (1.0 - done) * q_tot_next
 
         # online utilities at the taken actions
-        qs = np.empty((b, n))
-        caches = []
-        for i, member in enumerate(self.members):
-            states = np.stack([t.states[i] for t in batch])
-            actions = np.stack([np.asarray(t.actions[i], dtype=int) for t in batch])
-            out, cache = member.net.forward_cached(states)
-            q = out.reshape(b, member.n_heads, member.n_bins)
-            rows = np.arange(b)[:, None]
-            heads = np.arange(member.n_heads)[None, :]
-            qs[:, i] = q[rows, heads, actions].mean(axis=1)
-            caches.append((cache, actions, q.shape))
+        out, cache = self.nets.forward_cached(states.transpose(1, 0, 2))
+        q = out.reshape(n, b, n_heads, n_bins)
+        taken = (
+            np.arange(n)[:, None, None],
+            np.arange(b)[None, :, None],
+            np.arange(n_heads)[None, None, :],
+            actions,
+        )
+        qs = np.ascontiguousarray(q[taken].mean(axis=2).T)  # (B, members)
         q_tot, mix_cache = self.mixer.forward_cached(qs, global_state)
 
         err = q_tot - y
         loss = float(np.mean(err**2))
         upstream = 2.0 * err / b
-        mixer_grads, d_qs = self.mixer.backward(mix_cache, upstream)
+        _, d_qs = self.mixer.backward(mix_cache, upstream)
 
-        all_grads: list[np.ndarray] = []
-        for i, member in enumerate(self.members):
-            cache, actions, q_shape = caches[i]
-            net_upstream = np.zeros(q_shape)
-            rows = np.arange(b)[:, None]
-            heads = np.arange(member.n_heads)[None, :]
-            net_upstream[rows, heads, actions] = (d_qs[:, i] / member.n_heads)[:, None]
-            grads, _ = member.net.backward(cache, net_upstream.reshape(b, -1))
-            all_grads.extend(grads)
-        all_grads.extend(mixer_grads)
-        self.optimizer.step(self._all_params(), all_grads, hp.lr)
+        net_upstream = np.zeros(q.shape)
+        net_upstream[taken] = (d_qs.T / n_heads)[:, :, None]
+        self.nets.backward(cache, net_upstream.reshape(n, b, -1), inputs=False)
+        self.optimizer.step([self.nets.flat, self.mixer.flat], [self.nets.grad, self.mixer.grad], hp.lr)
 
         self.learn_calls += 1
         if self.learn_calls % hp.target_update_every == 0:
-            for member in self.members:
-                hard_update(member.target, member.net)
+            hard_update(self.target_nets, self.nets)
             self.target_mixer.copy_from(self.mixer)
         self.last_loss = loss
         return loss
@@ -344,7 +354,7 @@ class QmixAgent(MarlAgentBase):
         return np.where(explore, random_bins, greedy)
 
     def propose_prices(self, observation: MarketObservation) -> dict[str, float]:
-        state = encode_state(self, observation)
+        state = self._encode(observation, encode_state)
         bins = self.act_bins(state, self.episode_index)
         self._pending = (state, bins)
         changes = {}
@@ -360,7 +370,7 @@ class QmixAgent(MarlAgentBase):
         state, bins = self._pending
         self._pending = None
         reward = self._reward_from(observation, prev_observation)
-        next_state = encode_state(self, observation)
+        next_state = self._encode(observation, encode_state)
         self.coordinator.contribute(self.agent_id, state, bins, reward, next_state, done)
 
     def checkpoint_state(self) -> dict:

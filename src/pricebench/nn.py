@@ -1,9 +1,13 @@
 """Self-contained learning substrate: dense nets with exact backprop, Adam,
 recency-biased replay, Polyak target updates, and exploration schedules.
 
-Everything is plain numpy. A network's parameters live in `weights`/`biases`
-lists; optimizers mutate those arrays in place so target-network copies stay
-independent.
+Everything is plain numpy. A network's parameters live in one contiguous
+`flat` vector; its `weights`/`biases` lists are views of it, so Adam, target
+updates and writes through either name change the same memory. Same-shaped
+nets can be stacked into one team net (`DenseNet.team`) with a leading
+members axis: each member's parameters stay one contiguous slice of the
+team's `flat`, and the member nets become views of that slice, so a team
+trains in one batched pass while each member still acts on its own.
 """
 
 from __future__ import annotations
@@ -16,6 +20,9 @@ import numpy as np
 
 ACTIVATIONS = ("relu", "tanh", "linear")
 WEIGHTS_FORMAT_VERSION = 1
+# Elements per pass of the elementwise optimizer and target-update loops: the
+# scratch stays in cache and is bounded however large the parameter vector.
+CHUNK = 32_768
 
 
 class ShapeError(ValueError):
@@ -42,8 +49,35 @@ def _activation_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.ones_like(z)
 
 
+def _layer_views(layer_sizes: Sequence[int], flat: np.ndarray, members: int | None):
+    """Per-layer weight and bias views of `flat`.
+
+    The layout is member-major and, within a member, W1, b1, W2, b2, ...
+    each row-major. With `members` the views carry a leading members axis.
+    """
+    rows = flat.reshape(members or 1, -1)
+    lead = (members,) if members else ()
+    weights, biases, offset = [], [], 0
+    for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
+        weights.append(rows[:, offset : offset + fan_out * fan_in].reshape(lead + (fan_out, fan_in)))
+        offset += fan_out * fan_in
+        biases.append(rows[:, offset : offset + fan_out].reshape(lead + (fan_out,)))
+        offset += fan_out
+    if offset != rows.shape[1]:
+        raise ShapeError(f"{rows.shape[1]} parameters per net, layer sizes need {offset}")
+    return weights, biases
+
+
+def _interleave(weights: list[np.ndarray], biases: list[np.ndarray]) -> list[np.ndarray]:
+    return [a for pair in zip(weights, biases) for a in pair]
+
+
 class DenseNet:
-    """Fully-connected network with per-layer activations and cached backprop."""
+    """Fully-connected network with per-layer activations and cached backprop.
+
+    `members` is None for a single net, or the size of the leading members
+    axis of a team net built by `DenseNet.team`.
+    """
 
     def __init__(
         self,
@@ -60,22 +94,43 @@ class DenseNet:
                 raise ShapeError(f"unknown activation {act!r}")
         self.layer_sizes = list(layer_sizes)
         self.activations = list(activations)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
+        arrays = []
         for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
             bound = 1.0 / np.sqrt(fan_in)
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-            self.biases.append(rng.uniform(-bound, bound, size=fan_out))
+            arrays.append(rng.uniform(-bound, bound, size=fan_out * fan_in))
+            arrays.append(rng.uniform(-bound, bound, size=fan_out))
+        self._bind(np.concatenate(arrays), None)
 
-    @property
-    def parameter_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+    def _bind(self, flat: np.ndarray, members: int | None) -> None:
+        self.flat = flat
+        self.members = members
+        self.weights, self.biases = _layer_views(self.layer_sizes, flat, members)
+        self.grad: np.ndarray | None = None  # allocated by the first backward that needs it
+
+    @classmethod
+    def team(cls, nets: Sequence["DenseNet"]) -> "DenseNet":
+        """One net with a leading members axis holding copies of `nets`.
+
+        Each of `nets` is rebound to its slice of the team's `flat`, so from
+        then on member and team read and write the same parameters.
+        """
+        first = nets[0]
+        for net in nets:
+            if net.members is not None:
+                raise ShapeError("a team member must be a single net")
+            if net.layer_sizes != first.layer_sizes or net.activations != first.activations:
+                raise ShapeError("team members must share one architecture")
+        team = cls.__new__(cls)
+        team.layer_sizes = list(first.layer_sizes)
+        team.activations = list(first.activations)
+        team._bind(np.concatenate([net.flat for net in nets]), len(nets))
+        size = first.flat.size
+        for i, net in enumerate(nets):
+            net._bind(team.flat[i * size : (i + 1) * size], None)
+        return team
 
     def params(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
+        return _interleave(self.weights, self.biases)
 
     def scale_output_layer(self, factor: float) -> None:
         self.weights[-1] *= factor
@@ -86,65 +141,86 @@ class DenseNet:
         return y
 
     def forward_cached(self, x: np.ndarray):
-        """Forward pass keeping pre/post activations for backward()."""
+        """Forward pass keeping pre/post activations for backward().
+
+        `x` is one sample `(in,)` or a batch `(B, in)`, shared by every member
+        of a team, or, for a team, one batch per member `(members, B, in)`.
+        A team's outputs carry a leading members axis.
+        """
         x = np.asarray(x, dtype=float)
         squeeze = x.ndim == 1
-        a = x.reshape(1, -1) if squeeze else x
-        if a.shape[1] != self.layer_sizes[0]:
+        a = x[None, :] if squeeze else x
+        if a.shape[-1] != self.layer_sizes[0]:
             raise ShapeError(
-                f"input dim {a.shape[1]} != expected {self.layer_sizes[0]}"
+                f"input dim {a.shape[-1]} != expected {self.layer_sizes[0]}"
             )
+        if a.ndim == 3 and a.shape[0] != self.members:
+            raise ShapeError(f"{a.shape[0]} input batches for {self.members} members")
         pre, post = [], [a]
         for w, b, act in zip(self.weights, self.biases, self.activations):
-            z = post[-1] @ w.T + b
+            z = post[-1] @ w.swapaxes(-1, -2) + b[..., None, :]
             pre.append(z)
             post.append(_apply_activation(act, z))
-        y = post[-1][0] if squeeze else post[-1]
+        y = post[-1][..., 0, :] if squeeze else post[-1]
         return y, {"pre": pre, "post": post, "squeeze": squeeze}
 
-    def backward(self, cache, upstream: np.ndarray):
+    def backward(self, cache, upstream: np.ndarray, params: bool = True, inputs: bool = True):
         """Exact gradients of sum(output * upstream) w.r.t. params and input.
 
-        Returns ([dW1, db1, dW2, db2, ...], input_grad), aligned with params().
+        Returns (grads, input_grad). `grads` is [dW1, db1, dW2, db2, ...],
+        aligned with params(): views of `self.grad`, which the next backward
+        overwrites. A team's input gradient has one batch per member. With
+        `params=False` no weight gradient is computed and `grads` is None;
+        with `inputs=False` the first layer's input product is skipped and
+        `input_grad` is None.
         """
         if cache is None:
             raise RuntimeError("backward() called without a cached forward pass")
         upstream = np.asarray(upstream, dtype=float)
         if cache["squeeze"]:
-            upstream = upstream.reshape(1, -1)
+            upstream = upstream[..., None, :]
         pre, post = cache["pre"], cache["post"]
         if upstream.shape != pre[-1].shape:
             raise ShapeError(
                 f"upstream shape {upstream.shape} != output shape {pre[-1].shape}"
             )
-        grads: list[np.ndarray] = []
+        if params and self.grad is None:
+            self.grad = np.zeros_like(self.flat)
+            self._grad_weights, self._grad_biases = _layer_views(
+                self.layer_sizes, self.grad, self.members
+            )
         g = upstream
         for layer in reversed(range(len(self.weights))):
             dz = g * _activation_grad(self.activations[layer], pre[layer], post[layer + 1])
-            dw = dz.T @ post[layer]
-            db = dz.sum(axis=0)
-            grads.insert(0, db)
-            grads.insert(0, dw)
-            g = dz @ self.weights[layer]
-        input_grad = g[0] if cache["squeeze"] else g
+            if params:
+                np.matmul(dz.swapaxes(-1, -2), post[layer], out=self._grad_weights[layer])
+                np.sum(dz, axis=-2, out=self._grad_biases[layer])
+            if layer or inputs:
+                g = dz @ self.weights[layer]
+        grads = _interleave(self._grad_weights, self._grad_biases) if params else None
+        input_grad = None
+        if inputs:
+            input_grad = g[..., 0, :] if cache["squeeze"] else g
         return grads, input_grad
 
     def clone(self) -> "DenseNet":
         twin = DenseNet.__new__(DenseNet)
         twin.layer_sizes = list(self.layer_sizes)
         twin.activations = list(self.activations)
-        twin.weights = [w.copy() for w in self.weights]
-        twin.biases = [b.copy() for b in self.biases]
+        twin._bind(self.flat.copy(), self.members)
         return twin
 
 
 def soft_update(target: DenseNet, online: DenseNet, tau: float) -> None:
     """Polyak update: target <- (1 - tau) * target + tau * online."""
-    if target.layer_sizes != online.layer_sizes:
+    if target.layer_sizes != online.layer_sizes or target.flat.shape != online.flat.shape:
         raise ShapeError("target/online architectures differ")
-    for tp, op in zip(target.params(), online.params()):
-        tp *= 1.0 - tau
-        tp += tau * op
+    scratch = np.empty(min(CHUNK, target.flat.size))
+    for lo in range(0, target.flat.size, CHUNK):
+        t = target.flat[lo : lo + CHUNK]
+        tau_online = np.multiply(online.flat[lo : lo + CHUNK], tau, out=scratch[: t.size])
+        t *= 1.0 - tau
+        t += tau_online
 
 
 def hard_update(target: DenseNet, online: DenseNet) -> None:
@@ -152,7 +228,12 @@ def hard_update(target: DenseNet, online: DenseNet) -> None:
 
 
 class Adam:
-    """Adam over an in-place-updated list of parameter arrays."""
+    """Adam over a list of contiguous parameter arrays, updated in place.
+
+    The learners pass flat parameter vectors, so one step is a few passes
+    over a vector rather than a Python loop over layers and members. The
+    scratch is two chunk-sized buffers, allocated by the first step.
+    """
 
     beta1 = 0.9
     beta2 = 0.999
@@ -162,24 +243,44 @@ class Adam:
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
+        self._scratch: np.ndarray | None = None
 
     def step(self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray], lr: float) -> None:
         if len(params) != len(self.m):
             raise ShapeError("parameter list length changed under the optimizer")
+        if not all(p.flags.c_contiguous for p in params):
+            raise ShapeError("Adam updates contiguous arrays in place")
         for i, g in enumerate(grads):
-            if not np.all(np.isfinite(g)):
+            # min and max propagate NaN and reach +-inf, without a mask the size of g
+            if not (np.isfinite(g.min()) and np.isfinite(g.max())):
                 raise TrainingError(
                     f"non-finite gradient in parameter {i} (shape {g.shape})"
                 )
+        if self._scratch is None:
+            self._scratch = np.empty((2, min(CHUNK, max(p.size for p in params))))
         self.t += 1
         correct1 = 1.0 - self.beta1**self.t
         correct2 = 1.0 - self.beta2**self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+            p, g, m, v = p.reshape(-1), np.ravel(g), m.reshape(-1), v.reshape(-1)
+            for lo in range(0, p.size, CHUNK):
+                chunk = slice(lo, lo + CHUNK)
+                gc, mc, vc = g[chunk], m[chunk], v[chunk]
+                step, denom = self._scratch[:, : gc.size]
+                # m <- beta1 m + (1 - beta1) g;  v <- beta2 v + (1 - beta2) g g
+                mc *= self.beta1
+                mc += np.multiply(gc, 1.0 - self.beta1, out=step)
+                vc *= self.beta2
+                np.multiply(gc, 1.0 - self.beta2, out=step)
+                vc += np.multiply(step, gc, out=step)
+                # p <- p - lr (m / c1) / (sqrt(v / c2) + eps)
+                np.divide(mc, correct1, out=step)
+                step *= lr
+                np.divide(vc, correct2, out=denom)
+                np.sqrt(denom, out=denom)
+                denom += self.eps
+                step /= denom
+                p[chunk] -= step
 
 
 @dataclass
@@ -280,11 +381,10 @@ def load_weights(path) -> DenseNet:
     net = DenseNet.__new__(DenseNet)
     net.layer_sizes = list(payload["layer_sizes"])
     net.activations = list(payload["activations"])
-    net.weights = [np.asarray(w, dtype=float) for w in payload["weights"]]
-    net.biases = [np.asarray(b, dtype=float) for b in payload["biases"]]
-    for w, (fan_out, fan_in) in zip(
-        net.weights, zip(net.layer_sizes[1:], net.layer_sizes[:-1])
-    ):
+    weights = [np.asarray(w, dtype=float) for w in payload["weights"]]
+    biases = [np.asarray(b, dtype=float) for b in payload["biases"]]
+    for w, (fan_out, fan_in) in zip(weights, zip(net.layer_sizes[1:], net.layer_sizes[:-1])):
         if w.shape != (fan_out, fan_in):
             raise ShapeError(f"weight shape {w.shape} != ({fan_out}, {fan_in})")
+    net._bind(np.concatenate([a.ravel() for a in _interleave(weights, biases)]), None)
     return net

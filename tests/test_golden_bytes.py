@@ -1,8 +1,14 @@
-"""Pinned artifact bytes: the seeded desk runs of configs A, C and F.
+"""Pinned artifact bytes: seeded runs of configs A-F at two scales.
 
 `golden_bytes.json` holds the SHA-256 of every run's `history.csv` and
-`metrics.json`. A refactor that keeps these hashes keeps the simulator's
-numbers; a change that alters them on purpose re-captures the file with
+`metrics.json` in two tables:
+
+- `desk`: the desk preset of A, C and F, whose learners never pass warm-up;
+- `training`: B, C and F at 2 episodes x 52 weeks, where every learner takes
+  gradient steps, so the bytes also pin the nets, Adam and the target updates.
+
+A refactor that keeps these hashes keeps the simulator's numbers; a change
+that alters them on purpose re-captures the file with
 
     PYTHONPATH=src python -m tests.test_golden_bytes
 """
@@ -15,33 +21,63 @@ from pathlib import Path
 
 import pytest
 
+from pricebench import nn
 from pricebench.harness import desk_spec, run_experiment
 
 GOLDEN = Path(__file__).with_name("golden_bytes.json")
-CONFIGS = ("A", "C", "F")
 ARTIFACTS = ("history.csv", "metrics.json")
+SCALES = {
+    "desk": (("A", "C", "F"), {}),
+    "training": (("B", "C", "F"), {"episodes": 2, "weeks_per_episode": 52}),
+}
 
 
-def artifact_hashes(config_id: str, out: Path) -> dict[str, str]:
-    """SHA-256 of each artifact of the config's desk runs, keyed run_id/name."""
+def artifact_hashes(spec, out: Path) -> dict[str, str]:
+    """SHA-256 of each artifact of the spec's runs, keyed run_id/name."""
     hashes = {}
-    for manifest, _ in run_experiment(desk_spec(config_id), out):
+    for manifest, _ in run_experiment(spec, out):
         for name in ARTIFACTS:
             data = (out / manifest.run_id / name).read_bytes()
             hashes[f"{manifest.run_id}/{name}"] = hashlib.sha256(data).hexdigest()
     return hashes
 
 
-@pytest.mark.parametrize("config_id", CONFIGS)
+def _golden(scale: str, config_id: str) -> dict[str, str]:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))[scale][config_id]
+
+
+def _spec(scale: str, config_id: str):
+    return desk_spec(config_id, **SCALES[scale][1])
+
+
+@pytest.mark.parametrize("config_id", SCALES["desk"][0])
 def test_desk_artifacts_match_golden(config_id, tmp_path):
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[config_id]
-    assert artifact_hashes(config_id, tmp_path) == golden
+    assert artifact_hashes(_spec("desk", config_id), tmp_path) == _golden("desk", config_id)
+
+
+@pytest.mark.parametrize("config_id", SCALES["training"][0])
+def test_training_artifacts_match_golden(config_id, tmp_path, monkeypatch):
+    steps = 0
+    adam_step = nn.Adam.step
+
+    def counting(opt, *args, **kwargs):
+        nonlocal steps
+        steps += 1
+        return adam_step(opt, *args, **kwargs)
+
+    monkeypatch.setattr(nn.Adam, "step", counting)
+    hashes = artifact_hashes(_spec("training", config_id), tmp_path)
+    assert steps > 0, "the training-scale runs took no optimizer step"
+    assert hashes == _golden("training", config_id)
 
 
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        table = {cid: artifact_hashes(cid, Path(tmp) / cid) for cid in CONFIGS}
+        table = {
+            scale: {cid: artifact_hashes(_spec(scale, cid), Path(tmp) / scale / cid) for cid in configs}
+            for scale, (configs, _) in SCALES.items()
+        }
     GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}")

@@ -1,10 +1,13 @@
+import copy
+
 import numpy as np
 import pytest
 
 from pricebench.demand import ParametricDemandModel
 from pricebench.environment import run_episode
-from pricebench.market import AgentSpec, MarketConfig, derive_rng, make_default_portfolio
+from pricebench.market import AgentSpec, ConfigError, MarketConfig, derive_rng, make_default_portfolio
 from pricebench.marl.maddpg import ACTION_SMOOTHING, JointTransition, build_team
+from pricebench.nn import Adam, soft_update
 
 
 def _config(n_agents=2, n_products=2, seed=23, weeks=10):
@@ -96,8 +99,6 @@ class TestLearning:
         # tau=0.001 for 1000 steps shrinks the gap by 0.999^1000 ~ 0.368
         config = _config(n_agents=1)
         team = _team(config)
-        from pricebench.nn import soft_update
-
         agent = team[0]
         agent.target_critic.weights[0][:] = 0.0
         agent.critic.weights[0][:] = 1.0
@@ -161,6 +162,68 @@ class TestLearning:
         before = [w.copy() for w in team[0].critic.weights]
         coord.learn()
         assert all(np.array_equal(b, w) for b, w in zip(before, team[0].critic.weights))
+
+
+ROLES = ("actor", "critic", "target_actor", "target_critic")
+
+
+def _reference_learn(coord, nets, opts, rng):
+    """One MADDPG step as a loop over members, each with its own nets and Adams."""
+    hp = coord.hyper
+    batch = coord.buffer.sample(hp.batch_size, rng)
+    b, n = len(batch), len(nets)
+    states = [np.stack([t.states[i] for t in batch]) for i in range(n)]
+    actions = [np.stack([t.actions[i] for t in batch]) for i in range(n)]
+    next_states = [np.stack([t.next_states[i] for t in batch]) for i in range(n)]
+    rewards = [np.asarray([t.rewards[i] for t in batch]) for i in range(n)]
+    done = np.asarray([t.done for t in batch], dtype=float)
+    max_change = coord.config.max_weekly_change
+    joint_state = np.concatenate(states, axis=1)
+    target_actions = [r["target_actor"].forward(s) * max_change for r, s in zip(nets, next_states)]
+    critic_next_in = np.concatenate([np.concatenate(next_states, axis=1), *target_actions], axis=1)
+    critic_in = np.concatenate([joint_state, *actions], axis=1)
+    width = actions[0].shape[1]
+    for i, (r, (actor_opt, critic_opt)) in enumerate(zip(nets, opts)):
+        q_next = r["target_critic"].forward(critic_next_in)[:, 0]
+        y = rewards[i] + hp.gamma * (1.0 - done) * q_next
+        q, cache = r["critic"].forward_cached(critic_in)
+        grads, _ = r["critic"].backward(cache, (2.0 * (q[:, 0] - y) / b)[:, None])
+        critic_opt.step(r["critic"].params(), grads, hp.critic_lr)
+        actor_out, actor_cache = r["actor"].forward_cached(states[i])
+        replaced = critic_in.copy()
+        lo = joint_state.shape[1] + i * width
+        replaced[:, lo : lo + width] = actor_out * max_change
+        _, critic_cache = r["critic"].forward_cached(replaced)
+        _, input_grad = r["critic"].backward(critic_cache, np.full((b, 1), -1.0 / b))
+        actor_grads, _ = r["actor"].backward(actor_cache, input_grad[:, lo : lo + width] * max_change)
+        actor_opt.step(r["actor"].params(), actor_grads, hp.actor_lr)
+        soft_update(r["target_actor"], r["actor"], hp.tau)
+        soft_update(r["target_critic"], r["critic"], hp.tau)
+
+
+class TestTeamStep:
+    def test_team_step_equals_per_member_reference(self):
+        config = _config(n_agents=3)
+        team = _team(config, warm_up=16, batch_size=16, actor_lr=0.01, critic_lr=0.01, tau=0.1)
+        coord = _fill_buffer(team, lambda s, a: float(np.tanh(a.sum())), n=40)
+        nets = [{role: getattr(m, role).clone() for role in ROLES} for m in team]
+        opts = [(Adam(r["actor"].params()), Adam(r["critic"].params())) for r in nets]
+        rng = copy.deepcopy(coord.rng)
+        for _ in range(3):
+            coord.learn()
+            _reference_learn(coord, nets, opts, rng)
+        for member, r in zip(team, nets):
+            for role in ROLES:
+                assert np.array_equal(getattr(member, role).flat, r[role].flat), role
+        assert not np.array_equal(team[0].actor.flat, team[0].target_actor.flat)
+
+    def test_no_member_joins_after_training_starts(self):
+        config = _config(n_agents=2)
+        team = _team(config, warm_up=16, batch_size=16)
+        coord = _fill_buffer(team, lambda s, a: 0.0, n=16)
+        coord.learn()
+        with pytest.raises(ConfigError):
+            coord.register(team[0])
 
 
 class TestJointAlignment:

@@ -29,8 +29,10 @@ class TestAct:
 
     def test_equal_q_values_pick_bin_zero(self):
         core = _core(epsilon=0.0)
-        core.net.weights = [np.zeros_like(w) for w in core.net.weights]
-        core.net.biases = [np.zeros_like(b) for b in core.net.biases]
+        for w in core.net.weights:
+            w[:] = 0.0
+        for b in core.net.biases:
+            b[:] = 0.0
         assert np.array_equal(core.greedy_bins(np.ones(3)), [0])
 
     def test_argmax_invariant_under_constant_shift(self):

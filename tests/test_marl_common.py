@@ -1,12 +1,15 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pricebench.demand import ParametricDemandModel
-from pricebench.environment import MarketEnvironment
+from pricebench.environment import MarketEnvironment, run_episode
+from pricebench.harness import build_agents, desk_spec
 from pricebench.market import AgentSpec, MarketConfig, ProductSpec, make_default_portfolio
 from pricebench.marl import compute_reward, discretize_action, encode_state, state_dim
-from pricebench.marl.common import N_PRICE_BINS, STATE_SLOTS_PER_PRODUCT
+from pricebench.marl.common import N_PRICE_BINS, STATE_SLOTS_PER_PRODUCT, MarlAgentBase
 from pricebench.marl.madqn import MadqnAgent
 
 
@@ -131,6 +134,30 @@ class TestEncodeState:
             _, obs = env.step(submitted)
             for agent in agents:
                 assert np.all(np.isfinite(encode_state(agent, obs)))
+
+
+class TestStateEncodedOncePerWeek:
+    """feedback() encodes next_state; the next propose_prices() reuses it."""
+
+    @pytest.mark.parametrize("config_id,module", [("B", "maddpg"), ("C", "madqn"), ("F", "qmix")])
+    def test_one_encoding_per_learner_per_week(self, config_id, module, monkeypatch):
+        learner = importlib.import_module(f"pricebench.marl.{module}")
+        calls = []
+
+        def counting(agent, observation):
+            calls.append(agent.agent_id)
+            return encode_state(agent, observation)
+
+        monkeypatch.setattr(learner, "encode_state", counting)
+        weeks, episodes = 6, 2
+        config = desk_spec(config_id, seed=17).market.copy_with(weeks_per_episode=weeks).validate()
+        agents = build_agents(config)
+        model = ParametricDemandModel(config.demand_params)
+        for episode in range(episodes):
+            run_episode(config, agents, model, episode)
+        learners = [a for a in agents if isinstance(a, MarlAgentBase)]
+        # each episode: one encoding of the opening observation, then one per week
+        assert len(calls) == len(learners) * episodes * (weeks + 1)
 
 
 class TestLearningPersistence:

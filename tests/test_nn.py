@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from pricebench.market import derive_rng
 from pricebench.nn import (
+    CHUNK,
     Adam,
     DenseNet,
     EPSILON_GREEDY_DEFAULT,
@@ -159,6 +160,151 @@ class TestAdam:
         p = [np.array([1.0])]
         with pytest.raises(TrainingError):
             Adam(p).step(p, [np.array([np.nan])], lr=0.01)
+
+    def test_buffered_step_matches_reference_arithmetic(self):
+        # the in-place, chunked step against the plain whole-array formulas
+        rng = derive_rng(3, "adam-ref")
+        sizes = (2 * CHUNK + 123, 7)  # crosses chunk boundaries; a second, short vector
+        params = [rng.normal(size=n) for n in sizes]
+        ref = [p.copy() for p in params]
+        ref_m = [np.zeros(n) for n in sizes]
+        ref_v = [np.zeros(n) for n in sizes]
+        opt = Adam(params)
+        b1, b2, eps, lr = Adam.beta1, Adam.beta2, Adam.eps, 0.01
+        for t in range(1, 6):
+            grads = [rng.normal(size=n) for n in sizes]
+            opt.step(params, grads, lr)
+            for p, m, v, g in zip(ref, ref_m, ref_v, grads):
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * g * g
+                p -= lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+            for mine, theirs in zip(params + opt.m + opt.v, ref + ref_m + ref_v):
+                assert np.array_equal(mine, theirs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_leaves_state_untouched(self, bad):
+        rng = derive_rng(4, "adam-bad")
+        params = [rng.normal(size=50), rng.normal(size=7)]
+        opt = Adam(params)
+        opt.step(params, [rng.normal(size=50), rng.normal(size=7)], lr=0.01)
+        before = [a.copy() for a in params + opt.m + opt.v]
+        grads = [rng.normal(size=50), rng.normal(size=7)]
+        grads[1][3] = bad  # only the second vector is bad: the first must not move either
+        with pytest.raises(TrainingError):
+            opt.step(params, grads, lr=0.01)
+        assert opt.t == 1
+        assert all(np.array_equal(b, a) for b, a in zip(before, params + opt.m + opt.v))
+
+    def test_strided_parameters_rejected(self):
+        team = DenseNet.team([DenseNet([3, 2], ["linear"], derive_rng(i, "adam")) for i in range(2)])
+        params = team.params()
+        with pytest.raises(ShapeError):
+            Adam(params).step(params, [np.zeros(p.shape) for p in params], lr=0.01)
+
+
+# production shapes: (layer sizes, activations, whether the team shares one input batch)
+TEAM_SHAPES = {
+    "maddpg_critic": ([260, 128, 64, 1], ["relu", "relu", "linear"], True),
+    "maddpg_actor": ([60, 64, 64, 5], ["relu", "relu", "tanh"], False),
+    "q_net": ([60, 128, 64, 32, 105], ["relu", "relu", "relu", "linear"], False),
+}
+
+
+def _team(sizes, acts, members=4, seed=0):
+    """A team net, its member nets (now views of it), and independent copies of them."""
+    rng = derive_rng(seed, "team")
+    nets = [DenseNet(sizes, acts, rng) for _ in range(members)]
+    copies = [net.clone() for net in nets]
+    return DenseNet.team(nets), nets, copies
+
+
+class TestTeamNets:
+    @pytest.mark.parametrize("name", TEAM_SHAPES)
+    def test_team_pass_equals_member_passes(self, name):
+        sizes, acts, shared = TEAM_SHAPES[name]
+        team, _, copies = _team(sizes, acts)
+        rng = derive_rng(1, "team-pass", name)
+        m, b = len(copies), 64
+        x = rng.normal(size=(b, sizes[0]) if shared else (m, b, sizes[0]))
+        up = rng.normal(size=(m, b, sizes[-1]))
+        y, cache = team.forward_cached(x)
+        grads, no_input = team.backward(cache, up, inputs=False)
+        no_grads, input_grad = team.backward(cache, up, params=False)
+        assert no_input is None and no_grads is None
+        assert y.shape == (m, b, sizes[-1]) and input_grad.shape == (m, b, sizes[0])
+        for i, net in enumerate(copies):
+            y_i, cache_i = net.forward_cached(x if shared else x[i])
+            grads_i, input_grad_i = net.backward(cache_i, up[i])
+            assert np.array_equal(y[i], y_i)
+            assert all(np.array_equal(g[i], g_i) for g, g_i in zip(grads, grads_i))
+            assert np.array_equal(input_grad[i], input_grad_i)
+
+    def test_team_gradient_matches_finite_differences(self):
+        sizes, acts, _ = TEAM_SHAPES["maddpg_critic"]
+        team, _, _ = _team(sizes, acts, members=3)
+        rng = derive_rng(2, "team-fd")
+        x = rng.normal(size=(4, sizes[0]))
+        up = rng.normal(size=(3, 4, 1))
+        _, cache = team.forward_cached(x)
+        team.backward(cache, up, inputs=False)
+        grad = team.grad.copy()
+
+        def loss():
+            return float(np.sum(team.forward(x) * up))
+
+        # perturb through flat: ravel() of a strided team view is a copy
+        h, worst = 1e-5, 0.0
+        for i in rng.choice(team.flat.size, size=100, replace=False):
+            orig = team.flat[i]
+            team.flat[i] = orig + h
+            up_loss = loss()
+            team.flat[i] = orig - h
+            dn_loss = loss()
+            team.flat[i] = orig
+            fd = (up_loss - dn_loss) / (2 * h)
+            worst = max(worst, abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-8))
+        assert worst < 1e-4
+
+    def test_member_and_team_views_alias_both_ways(self):
+        team, nets, copies = _team([6, 5, 2], ["relu", "linear"], members=3)
+        assert all(np.array_equal(net.flat, copy.flat) for net, copy in zip(nets, copies))
+        nets[1].weights[0][2, 3] = 7.0
+        assert team.weights[0][1, 2, 3] == 7.0
+        team.biases[1][2, 0] = -4.0
+        assert nets[2].biases[1][0] == -4.0
+        size = nets[0].flat.size
+        assert np.array_equal(nets[2].flat, team.flat[2 * size :])
+        # a member-level update writes that member's slice of the team, and no other
+        source = copies[0].clone()
+        source.flat[:] = 3.0
+        rest = team.flat[size:].copy()
+        soft_update(nets[0], source, 1.0)
+        assert np.all(team.flat[:size] == 3.0)
+        assert np.array_equal(team.flat[size:], rest)
+
+    def test_team_single_sample_gives_one_row_per_member(self):
+        team, _, copies = _team([6, 5, 2], ["relu", "tanh"], members=3)
+        x = derive_rng(6, "team-x").normal(size=6)
+        y, cache = team.forward_cached(x)
+        grads, input_grad = team.backward(cache, np.ones((3, 2)))
+        assert y.shape == (3, 2) and input_grad.shape == (3, 6)
+        for i, net in enumerate(copies):
+            y_i, cache_i = net.forward_cached(x)
+            grads_i, input_grad_i = net.backward(cache_i, np.ones(2))
+            assert np.array_equal(y[i], y_i) and np.array_equal(input_grad[i], input_grad_i)
+            assert all(np.array_equal(g[i], g_i) for g, g_i in zip(grads, grads_i))
+
+    def test_team_input_batches_must_match_members(self):
+        team, _, _ = _team([6, 5, 2], ["relu", "linear"], members=3)
+        with pytest.raises(ShapeError):
+            team.forward(np.zeros((2, 4, 6)))
+
+    def test_team_of_mixed_architectures_rejected(self):
+        rng = derive_rng(5, "team")
+        with pytest.raises(ShapeError):
+            DenseNet.team([DenseNet([3, 2], ["linear"], rng), DenseNet([3, 4], ["linear"], rng)])
 
 
 class TestReplayBuffer:

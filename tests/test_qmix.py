@@ -1,10 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 
 from pricebench.demand import ParametricDemandModel
 from pricebench.environment import run_episode
 from pricebench.market import AgentSpec, ConfigError, MarketConfig, derive_rng, make_default_portfolio
-from pricebench.nn import DenseNet
+from pricebench.nn import Adam, DenseNet, TrainingError, hard_update
 from pricebench.marl.maddpg import JointTransition
 from pricebench.marl.qmix import (
     MonotonicMixer,
@@ -157,6 +159,92 @@ class TestCoordinator:
         for _ in range(2500):
             loss = coord.learn()
         assert loss < 1e-3
+
+
+def _fill(coord, n=32, seed=7):
+    rng = derive_rng(seed, "fill")
+    for _ in range(n):
+        coord.buffer.push(
+            JointTransition(
+                [rng.normal(size=2) for _ in coord.members],
+                [[int(rng.integers(3))] for _ in coord.members],
+                [float(rng.normal())] * len(coord.members),
+                [rng.normal(size=2) for _ in coord.members],
+                bool(rng.integers(2)),
+            )
+        )
+
+
+def _reference_learn(coord, nets, targets, mixer, target_mixer, opt, rng, step):
+    """One QMIX step as a loop over members: per-member nets, one Adam over every array."""
+    hp = coord.hyper
+    batch = coord.buffer.sample(hp.batch_size, rng)
+    b, n = len(batch), len(nets)
+    rows = np.arange(b)[:, None]
+    heads = np.arange(1)[None, :]
+    rewards = np.asarray([t.rewards[0] for t in batch])
+    done = np.asarray([t.done for t in batch], dtype=float)
+    states = [np.stack([np.asarray(t.states[i]) for t in batch]) for i in range(n)]
+    next_states = [np.stack([np.asarray(t.next_states[i]) for t in batch]) for i in range(n)]
+    actions = [np.stack([np.asarray(t.actions[i], dtype=int) for t in batch]) for i in range(n)]
+    target_qs = np.empty((b, n))
+    for i, target in enumerate(targets):
+        target_qs[:, i] = target.forward(next_states[i]).reshape(b, 1, -1).max(axis=2).mean(axis=1)
+    y = rewards + hp.gamma * (1.0 - done) * target_mixer.forward(
+        target_qs, np.concatenate(next_states, axis=1)
+    )
+    qs, caches = np.empty((b, n)), []
+    for i, net in enumerate(nets):
+        out, cache = net.forward_cached(states[i])
+        q = out.reshape(b, 1, -1)
+        qs[:, i] = q[rows, heads, actions[i]].mean(axis=1)
+        caches.append((cache, q.shape))
+    q_tot, mix_cache = mixer.forward_cached(qs, np.concatenate(states, axis=1))
+    mixer_grads, d_qs = mixer.backward(mix_cache, 2.0 * (q_tot - y) / b)
+    grads, params = [], []
+    for i, (net, (cache, shape)) in enumerate(zip(nets, caches)):
+        upstream = np.zeros(shape)
+        upstream[rows, heads, actions[i]] = d_qs[:, i][:, None]
+        grads.extend(net.backward(cache, upstream.reshape(b, -1))[0])
+        params.extend(net.params())
+    opt.step(params + mixer.params(), grads + mixer_grads, hp.lr)
+    if step % hp.target_update_every == 0:
+        for target, net in zip(targets, nets):
+            hard_update(target, net)
+        target_mixer.copy_from(mixer)
+
+
+class TestTeamStep:
+    def test_team_step_equals_per_member_reference(self):
+        coord = _coordinator(n_agents=3, lr=0.02, target_update_every=2)
+        _fill(coord)
+        nets = [m.net.clone() for m in coord.members]
+        targets = [m.target.clone() for m in coord.members]
+        mixer, target_mixer = coord.mixer.clone(), coord.target_mixer.clone()
+        opt = Adam([p for net in nets for p in net.params()] + mixer.params())
+        rng = copy.deepcopy(coord.rng)
+        for step in range(1, 6):
+            coord.learn()
+            _reference_learn(coord, nets, targets, mixer, target_mixer, opt, rng, step)
+        for member, net, target in zip(coord.members, nets, targets):
+            assert np.array_equal(member.net.flat, net.flat)
+            assert np.array_equal(member.target.flat, target.flat)
+        assert np.array_equal(coord.mixer.flat, mixer.flat)
+        assert np.array_equal(coord.target_mixer.flat, target_mixer.flat)
+
+    def test_non_finite_joint_step_leaves_team_and_mixer_untouched(self):
+        coord = _coordinator(lr=0.02)
+        _fill(coord)
+        coord.learn()
+        for t in coord.buffer.snapshot():
+            t.rewards = [np.nan] * len(t.rewards)
+        opt = coord.optimizer
+        before = [a.copy() for a in [coord.nets.flat, coord.mixer.flat, *opt.m, *opt.v]]
+        with pytest.raises(TrainingError):
+            coord.learn()
+        assert opt.t == 1
+        after = [coord.nets.flat, coord.mixer.flat, *opt.m, *opt.v]
+        assert all(np.array_equal(b, a) for b, a in zip(before, after))
 
 
 class TestMatrixGame:
