@@ -3,10 +3,11 @@
 The reference model is log-linear: multiplicative baseline/cluster level,
 constant own-price elasticity, a relative-price (cluster competition) term,
 sinusoidal seasonality, a holiday uplift, an AR(1) demand carry-over, and
-optional lognormal noise. A `DemandQuery` carries exactly the inputs that
-model reads for one product-week; `MarketEnvironment.step` builds them, so
-any oracle implementing `expected_demand` / `sample_demand` over the same
-query can be swapped in.
+optional lognormal noise (standard-normal shocks scaled by `noise_sigma`). A
+`DemandQuery` is a batch of per-slot inputs; `MarketEnvironment.step` sends
+one per week, so any oracle returning one demand per slot from
+`expected_demand` / `sample_demand` can be swapped in. The kernel is scalar:
+numpy's log and exp round differently from `math`'s, which changes the bytes.
 """
 
 from __future__ import annotations
@@ -81,54 +82,62 @@ class DemandParams:
 
 @dataclass
 class DemandQuery:
-    """The demand model's inputs for one product in one week."""
+    """The demand model's inputs for one week: equal-length per-slot sequences
+    plus the week's calendar terms. A single product is a batch of one."""
 
-    spec: ProductSpec
-    price: float
-    relative_price: float  # price / mean price of its cluster (own price included)
-    lag1_demand: float  # last week's demand; the baseline before the first week
+    specs: Sequence[ProductSpec]
+    prices: Sequence[float]
+    relative_prices: Sequence[float]  # price / mean price of its cluster (own price included)
+    lag1_demands: Sequence[float]  # last week's demand; the baseline before the first week
+    shocks: Sequence[float] | None = None  # standard-normal log-noise draws, one per slot
     week_sin: float = 0.0
     holiday: bool = False
-    rng: np.random.Generator | None = None
 
 
-def _log_demand(query: DemandQuery, params: DemandParams) -> float:
-    spec = query.spec
-    price = query.price
-    if price <= 0:
-        raise ValueError(f"price must be > 0, got {price}")
-    try:
-        cluster_mult = params.cluster_base[spec.cluster_id]
-    except KeyError:
-        raise ConfigError(f"no cluster_base entry for cluster {spec.cluster_id}") from None
-    lag1 = max(query.lag1_demand, 1e-9)
-    return (
-        math.log(spec.baseline_demand * cluster_mult)
-        + params.elasticity * math.log(price / spec.initial_price)
-        - params.competitor_weight * math.log(query.relative_price)
-        + params.seasonal_amp * query.week_sin
-        + math.log(params.holiday_uplift) * query.holiday
-        + params.lag_weight * math.log(lag1 / spec.baseline_demand)
-    )
-
-
-def predict_demand(query: DemandQuery, params: DemandParams) -> float:
-    """Expected weekly units, with lognormal noise when noise_sigma > 0."""
-    log_q = _log_demand(query, params)
-    if params.noise_sigma > 0:
-        if query.rng is None:
-            raise ValueError("noise_sigma > 0 requires a query rng")
-        log_q += query.rng.normal(0.0, params.noise_sigma)
-    q = math.exp(log_q)
-    if not math.isfinite(q):
-        raise ValueError(f"demand model produced a non-finite value (log_q={log_q})")
-    return max(q, 0.0)
+def predict_demand(query: DemandQuery, params: DemandParams) -> list[float]:
+    """Weekly units per slot, with lognormal noise (sigma * shock) when noise_sigma > 0."""
+    sigma = params.noise_sigma
+    shocks = query.shocks
+    if sigma > 0 and shocks is None:
+        raise ValueError("noise_sigma > 0 requires query shocks")
+    season = params.seasonal_amp * query.week_sin
+    holiday = math.log(params.holiday_uplift) * query.holiday
+    demands = []
+    for i, (spec, price, relative, lag1) in enumerate(
+        zip(query.specs, query.prices, query.relative_prices, query.lag1_demands, strict=True)
+    ):
+        if price <= 0:
+            raise ValueError(f"price must be > 0, got {price}")
+        cluster_mult = params.cluster_base.get(spec.cluster_id)
+        if cluster_mult is None:
+            raise ConfigError(f"no cluster_base entry for cluster {spec.cluster_id}")
+        log_q = (
+            math.log(spec.baseline_demand * cluster_mult)
+            + params.elasticity * math.log(price / spec.initial_price)
+            - params.competitor_weight * math.log(relative)
+            + season
+            + holiday
+            + params.lag_weight * math.log(max(lag1, 1e-9) / spec.baseline_demand)
+        )
+        if sigma > 0:
+            log_q += sigma * shocks[i]
+        try:
+            q = math.exp(log_q)
+        except OverflowError:
+            q = math.inf
+        if not math.isfinite(q):
+            raise ValueError(
+                f"demand model produced a non-finite demand for product {spec.product_id} "
+                f"(log_q={log_q})"
+            )
+        demands.append(q)
+    return demands
 
 
 class DemandOracle(Protocol):
-    def expected_demand(self, query: DemandQuery) -> float: ...
+    def expected_demand(self, query: DemandQuery) -> Sequence[float]: ...
 
-    def sample_demand(self, query: DemandQuery) -> float: ...
+    def sample_demand(self, query: DemandQuery) -> Sequence[float]: ...
 
 
 class ParametricDemandModel:
@@ -137,10 +146,10 @@ class ParametricDemandModel:
     def __init__(self, params: DemandParams):
         self.params = params
 
-    def expected_demand(self, query: DemandQuery) -> float:
+    def expected_demand(self, query: DemandQuery) -> list[float]:
         return predict_demand(query, replace(self.params, noise_sigma=0.0))
 
-    def sample_demand(self, query: DemandQuery) -> float:
+    def sample_demand(self, query: DemandQuery) -> list[float]:
         return predict_demand(query, self.params)
 
 
@@ -164,7 +173,7 @@ def centered_rolling_mean(values: np.ndarray, window: int = SMOOTHING_WINDOW) ->
 
 
 def elasticity_sweep(
-    oracle: DemandOracle | Callable[[DemandQuery], float],
+    oracle: DemandOracle | Callable[[DemandQuery], Sequence[float]],
     base_query: DemandQuery,
     scales: Sequence[float] | np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -177,15 +186,20 @@ def elasticity_sweep(
         scales = price_multipliers()
     scales = np.asarray(scales, dtype=float)
     predict = oracle.expected_demand if hasattr(oracle, "expected_demand") else oracle
-    prices = base_query.price * scales
-    demands = np.empty(len(scales))
-    for i, price in enumerate(prices):
-        demands[i] = predict(replace(base_query, price=float(price), rng=None))
-    return prices, demands
+    ((spec,), (price,), (relative,), (lag1,)) = (
+        base_query.specs, base_query.prices, base_query.relative_prices, base_query.lag1_demands
+    )
+    prices = price * scales
+    n = len(prices)
+    sweep = replace(
+        base_query, specs=[spec] * n, prices=prices.tolist(), relative_prices=[relative] * n,
+        lag1_demands=[lag1] * n, shocks=None,
+    )
+    return prices, np.asarray(predict(sweep), dtype=float)
 
 
 def estimate_elasticity(
-    oracle: DemandOracle | Callable[[DemandQuery], float],
+    oracle: DemandOracle | Callable[[DemandQuery], Sequence[float]],
     base_query: DemandQuery,
     scales: Sequence[float] | np.ndarray | None = None,
 ) -> float:
@@ -213,7 +227,8 @@ def estimate_elasticity(
 
 
 def neutral_query(spec: ProductSpec) -> DemandQuery:
-    """Query at the initial price with every demand modifier neutral (for sweeps)."""
+    """Batch of one at the initial price with every demand modifier neutral (for sweeps)."""
     return DemandQuery(
-        spec=spec, price=spec.initial_price, relative_price=1.0, lag1_demand=spec.baseline_demand
+        specs=[spec], prices=[spec.initial_price], relative_prices=[1.0],
+        lag1_demands=[spec.baseline_demand],
     )

@@ -4,9 +4,12 @@ All agents submit prices for the week before any demand is computed
 (simultaneous-move). The step alone enforces the market rules: every
 submission is capped at +/-max_weekly_change of last week's price and then
 raised to the margin floor (`MarketConfig.allowed_price`), and each changed
-submission is counted in `clamp_events`. Demand noise streams are keyed per
-(agent, product, episode), so outcomes are independent of roster iteration
-order.
+submission is counted in `clamp_events`.
+
+A slot is one (agent, product) pair, in roster x portfolio order. Slot tables,
+with every slot's demand shocks for the episode (one draw per (agent, product,
+episode) stream, so roster order does not matter), are built once per episode;
+a week is one pass over per-slot lists and one demand-oracle call.
 """
 
 from __future__ import annotations
@@ -15,13 +18,13 @@ import logging
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .demand import DemandOracle, DemandQuery
 from .features import seasonal_encoding
 from .market import (
-    AgentSnapshot,
     MarketConfig,
     MarketObservation,
-    ProductSnapshot,
     ProductSpec,
     ProductState,
     derive_rng,
@@ -79,21 +82,20 @@ class PricingAgentBase:
         """Optional hook after the final week of an episode."""
 
 
-@dataclass(frozen=True)
-class ProductOutcome:
-    price: float
-    demand: float
-    revenue: float
-    profit: float
-
-
 @dataclass
 class WeeklyRecord:
+    """One settled week. The per-slot lists follow `slots` (roster x portfolio
+    order), which every record of an episode shares."""
+
     week_index: int  # 1-based within the episode
     year: int
     week_number: int
     is_holiday: bool
-    products: dict[tuple[str, str], ProductOutcome]
+    slots: dict[tuple[str, str], int]
+    price: list[float]
+    demand: list[float]
+    revenue: list[float]
+    profit: list[float]
     agent_revenue: dict[str, float]
     market_share: dict[str, float]
     zero_revenue: bool = False
@@ -109,7 +111,13 @@ class SimulationState:
 
 
 class MarketEnvironment:
-    """One episode's market. Construct fresh per episode."""
+    """One episode's market. Construct fresh per episode.
+
+    The slot tables are built here once: per slot, its agent, product state,
+    margin floor, cluster and the episode's demand shocks, one
+    `standard_normal(weeks_per_episode)` draw per (agent, product, episode)
+    stream.
+    """
 
     def __init__(
         self,
@@ -124,175 +132,141 @@ class MarketEnvironment:
         self.episode_index = episode_index
         self.state = SimulationState()
         self.clamp_events = 0
-        self._rngs = {
-            (a.agent_id, pid): derive_rng(
-                config.seed, "demand", a.agent_id, pid, episode_index
-            )
-            for a in agents
-            for pid in a.portfolio
-        }
+        pairs = [(a.agent_id, pid, p) for a in self.agents for pid, p in a.portfolio.items()]
+        self.slots = {(aid, pid): i for i, (aid, pid, _) in enumerate(pairs)}
+        self._products = [p for _, _, p in pairs]
+        self._specs = [p.spec for p in self._products]
+        self._by_agent = [
+            (a.agent_id, [(pid, p, config.price_floor(p.spec)) for pid, p in a.portfolio.items()])
+            for a in self.agents
+        ]
+        cluster_ids = [spec.cluster_id for spec in self._specs]
+        clusters = list(dict.fromkeys(cluster_ids))
+        self._slot_cluster = [clusters.index(c) for c in cluster_ids]
+        self._cluster_members = [
+            [i for i, k in enumerate(self._slot_cluster) if k == c] for c in range(len(clusters))
+        ]
+        self.competitor_slots = tuple(
+            tuple(j for j in self._cluster_members[c] if pairs[j][0] != aid)
+            for (aid, _, _), c in zip(pairs, self._slot_cluster)
+        )
+        weeks = config.weeks_per_episode
+        self._shocks = np.array([
+            derive_rng(config.seed, "demand", aid, pid, episode_index).standard_normal(weeks)
+            for aid, pid, _ in pairs
+        ]).T.tolist()
+        self._last_demand = [spec.baseline_demand for spec in self._specs]
 
     # -- observation plumbing ---------------------------------------------
 
-    def _price_pools(self) -> tuple[dict[int, list[tuple[str, float]]], dict[int, float]]:
-        """This week's (agent_id, price) pairs grouped by cluster in roster
-        order, and each cluster's mean price (own price included)."""
-        pools: dict[int, list[tuple[str, float]]] = {}
-        for agent in self.agents:
-            for product in agent.portfolio.values():
-                pools.setdefault(product.spec.cluster_id, []).append(
-                    (agent.agent_id, product.current_price)
-                )
-        means = {c: math.fsum(p for _, p in pool) / len(pool) for c, pool in pools.items()}
-        return pools, means
+    def _cluster_avg(self, prices: list[float]) -> list[float]:
+        """Each slot's cluster mean price, its own price included."""
+        means = [
+            math.fsum([prices[i] for i in members]) / len(members)
+            for members in self._cluster_members
+        ]
+        return [means[c] for c in self._slot_cluster]
 
-    def _build_observation(
-        self,
-        pools: dict[int, list[tuple[str, float]]],
-        cluster_means: dict[int, float],
-        last_demand: dict[tuple[str, str], float],
-        agent_revenue: dict[str, float],
+    def _observe(
+        self, prices: list[float], cluster_avg: list[float], agent_revenue: dict[str, float]
     ) -> MarketObservation:
-        per_product: dict[tuple[str, str], ProductSnapshot] = {}
-        for agent in self.agents:
-            for pid, product in agent.portfolio.items():
-                cluster = product.spec.cluster_id
-                per_product[(agent.agent_id, pid)] = ProductSnapshot(
-                    price=product.current_price,
-                    cluster_id=cluster,
-                    competitor_prices=tuple(
-                        p for aid, p in pools[cluster] if aid != agent.agent_id
-                    ),
-                    cluster_avg_price=cluster_means[cluster],
-                    last_demand=last_demand[(agent.agent_id, pid)],
-                )
-        total = math.fsum(agent_revenue.values())
-        zero_revenue = total <= 0
-        per_agent = {
-            aid: AgentSnapshot(
-                revenue_last_week=rev,
-                market_share=(rev / total) if not zero_revenue else 1.0 / len(agent_revenue),
-            )
-            for aid, rev in agent_revenue.items()
-        }
-        return MarketObservation(
-            week_number=self.state.week_number,
-            year=self.state.year,
-            is_holiday=holiday_flag(self.state.week_number),
-            per_product=per_product,
-            per_agent=per_agent,
-            zero_revenue=zero_revenue,
-        )
-
-    def bootstrap_observation(self) -> MarketObservation:
-        """Week-zero snapshot: initial prices, baseline demand, baseline revenue."""
-        last_demand = {
-            (a.agent_id, pid): p.spec.baseline_demand
-            for a in self.agents
-            for pid, p in a.portfolio.items()
-        }
-        agent_revenue = {
-            a.agent_id: sum(
-                p.spec.initial_price * p.spec.baseline_demand for p in a.portfolio.values()
-            )
-            for a in self.agents
-        }
-        return self._build_observation(*self._price_pools(), last_demand, agent_revenue)
-
-    # -- stepping -----------------------------------------------------------
-
-    def _advance_calendar(self) -> None:
-        self.state.current_week_index += 1
-        self.state.week_number += 1
-        if self.state.week_number > 52:
-            self.state.week_number = 1
-            self.state.year += 1
-
-    def step(
-        self, submitted_prices: dict[str, dict[str, float]]
-    ) -> tuple[WeeklyRecord, MarketObservation]:
-        week = self.state.week_number
-        year = self.state.year
-        is_holiday = holiday_flag(week)
-        week_sin = seasonal_encoding(week, month_of_week(week))[0]
-
-        # validate every submission and apply the market rule to it
-        for agent in self.agents:
-            agent_prices = submitted_prices.get(agent.agent_id)
-            if agent_prices is None:
-                raise ProtocolError(f"agent {agent.agent_id} submitted no prices")
-            for pid, product in agent.portfolio.items():
-                if pid not in agent_prices:
-                    raise ProtocolError(
-                        f"agent {agent.agent_id} submitted no price for product {pid}"
-                    )
-                submitted = float(agent_prices[pid])
-                if not math.isfinite(submitted):
-                    raise ProtocolError(
-                        f"agent {agent.agent_id} submitted non-finite price {submitted} "
-                        f"for product {pid}"
-                    )
-                price = self.config.allowed_price(product.spec, product.current_price, submitted)
-                if price != submitted:
-                    log.debug(
-                        "clamping %s/%s price %.4f to %.4f",
-                        agent.agent_id, pid, submitted, price,
-                    )
-                    self.clamp_events += 1
-                product.current_price = price
-
-        pools, cluster_means = self._price_pools()
-
-        outcomes: dict[tuple[str, str], ProductOutcome] = {}
-        last_demand: dict[tuple[str, str], float] = {}
-        agent_revenue: dict[str, float] = {}
-        for agent in self.agents:
-            revenue_total = 0.0
-            for pid, product in agent.portfolio.items():
-                spec = product.spec
-                price = product.current_price
-                history = product.demand_history
-                query = DemandQuery(
-                    spec=spec,
-                    price=price,
-                    relative_price=price / cluster_means[spec.cluster_id],
-                    lag1_demand=history[-1] if history else spec.baseline_demand,
-                    week_sin=week_sin,
-                    holiday=is_holiday,
-                    rng=self._rngs[(agent.agent_id, pid)],
-                )
-                demand = self.demand_model.sample_demand(query)
-                revenue = price * demand
-                profit = (price - spec.unit_cost) * demand
-                product.record_week(price, demand)
-                outcomes[(agent.agent_id, pid)] = ProductOutcome(
-                    price=price,
-                    demand=demand,
-                    revenue=revenue,
-                    profit=profit,
-                )
-                last_demand[(agent.agent_id, pid)] = demand
-                revenue_total += revenue
-            agent_revenue[agent.agent_id] = revenue_total
-
         total = math.fsum(agent_revenue.values())
         zero_revenue = total <= 0
         shares = {
             aid: (rev / total) if not zero_revenue else 1.0 / len(agent_revenue)
             for aid, rev in agent_revenue.items()
         }
-        record = WeeklyRecord(
-            week_index=self.state.current_week_index + 1,
-            year=year,
-            week_number=week,
-            is_holiday=is_holiday,
-            products=outcomes,
-            agent_revenue=agent_revenue,
-            market_share=shares,
-            zero_revenue=zero_revenue,
+        week = self.state.week_number
+        return MarketObservation(
+            week_number=week, year=self.state.year, is_holiday=holiday_flag(week),
+            slots=self.slots, competitor_slots=self.competitor_slots, price=prices,
+            cluster_avg_price=cluster_avg, last_demand=self._last_demand,
+            agent_revenue=agent_revenue, market_share=shares, zero_revenue=zero_revenue,
         )
-        self._advance_calendar()
-        observation = self._build_observation(pools, cluster_means, last_demand, agent_revenue)
+
+    def bootstrap_observation(self) -> MarketObservation:
+        """Week-zero snapshot: initial prices, baseline demand, baseline revenue."""
+        prices = [p.current_price for p in self._products]
+        agent_revenue = {
+            a.agent_id: sum(
+                p.spec.initial_price * p.spec.baseline_demand for p in a.portfolio.values()
+            )
+            for a in self.agents
+        }
+        return self._observe(prices, self._cluster_avg(prices), agent_revenue)
+
+    # -- stepping -----------------------------------------------------------
+
+    def step(
+        self, submitted_prices: dict[str, dict[str, float]]
+    ) -> tuple[WeeklyRecord, MarketObservation]:
+        state = self.state
+        t = state.current_week_index
+        if t >= self.config.weeks_per_episode:
+            raise ProtocolError(f"the episode's {self.config.weeks_per_episode} weeks are over")
+        week = state.week_number
+        year = state.year
+        is_holiday = holiday_flag(week)
+        week_sin = seasonal_encoding(week, month_of_week(week))[0]
+
+        # validate every submission and apply the market rule to it
+        allowed_price = self.config.allowed_price
+        prices = []
+        for agent_id, members in self._by_agent:
+            agent_prices = submitted_prices.get(agent_id)
+            if agent_prices is None:
+                raise ProtocolError(f"agent {agent_id} submitted no prices")
+            for pid, product, floor in members:
+                if pid not in agent_prices:
+                    raise ProtocolError(f"agent {agent_id} submitted no price for product {pid}")
+                submitted = float(agent_prices[pid])
+                if not math.isfinite(submitted):
+                    raise ProtocolError(
+                        f"agent {agent_id} submitted non-finite price {submitted} "
+                        f"for product {pid}"
+                    )
+                price = allowed_price(product.current_price, submitted, floor)
+                if price != submitted:
+                    log.debug("clamping %s/%s price %.4f to %.4f", agent_id, pid, submitted, price)
+                    self.clamp_events += 1
+                product.current_price = price
+                prices.append(price)
+
+        # one demand call for every slot, then settle each agent in portfolio order
+        cluster_avg = self._cluster_avg(prices)
+        demands = self.demand_model.sample_demand(DemandQuery(
+            specs=self._specs, prices=prices,
+            relative_prices=[p / m for p, m in zip(prices, cluster_avg)],
+            lag1_demands=self._last_demand, shocks=self._shocks[t],
+            week_sin=week_sin, holiday=is_holiday,
+        ))
+        revenues = []
+        profits = []
+        agent_revenue = {}
+        for agent_id, members in self._by_agent:
+            revenue_total = 0.0
+            for _, product, _ in members:
+                i = len(revenues)
+                price, demand = prices[i], demands[i]
+                product.record_week(price, demand)
+                revenues.append(price * demand)
+                profits.append((price - product.spec.unit_cost) * demand)
+                revenue_total += revenues[i]
+            agent_revenue[agent_id] = revenue_total
+        self._last_demand = demands
+
+        state.current_week_index += 1
+        state.week_number += 1
+        if state.week_number > 52:
+            state.week_number = 1
+            state.year += 1
+        observation = self._observe(prices, cluster_avg, agent_revenue)
+        record = WeeklyRecord(
+            week_index=t + 1, year=year, week_number=week, is_holiday=is_holiday,
+            slots=self.slots, price=prices, demand=demands, revenue=revenues, profit=profits,
+            agent_revenue=agent_revenue, market_share=observation.market_share,
+            zero_revenue=observation.zero_revenue,
+        )
         return record, observation
 
 
@@ -324,14 +298,18 @@ def run_episode(
 def history_csv_lines(episodes: list[list[WeeklyRecord]]) -> list[str]:
     """Flatten run history into CSV lines (header included, floats at 6 dp)."""
     lines = [",".join(HISTORY_COLUMNS)]
+    row = "%d,%d,%s,%s,%.6f,%.6f,%.6f,%.6f,%.6f"
     for ep_idx, records in enumerate(episodes, start=1):
         for record in records:
-            for (agent_id, product_id), outcome in record.products.items():
-                lines.append(
-                    f"{ep_idx},{record.week_index},{agent_id},{product_id},"
-                    f"{outcome.price:.6f},{outcome.demand:.6f},{outcome.revenue:.6f},"
-                    f"{outcome.profit:.6f},{record.market_share[agent_id]:.6f}"
-                )
+            week = record.week_index
+            shares = record.market_share
+            for (agent_id, product_id), price, demand, revenue, profit in zip(
+                record.slots, record.price, record.demand, record.revenue, record.profit
+            ):
+                lines.append(row % (
+                    ep_idx, week, agent_id, product_id, price, demand, revenue, profit,
+                    shares[agent_id],
+                ))
     return lines
 
 

@@ -1,4 +1,4 @@
-"""Core market domain types: products, observations, run configuration."""
+"""Core market domain types: products, per-slot observations, run configuration."""
 
 from __future__ import annotations
 
@@ -97,37 +97,27 @@ class ProductState:
 
 
 @dataclass(frozen=True)
-class ProductSnapshot:
-    """Per-product entry of the weekly market observation."""
-
-    price: float
-    cluster_id: int
-    competitor_prices: tuple[float, ...]  # same-cluster prices posted by other agents
-    cluster_avg_price: float  # cluster mean including this product
-    last_demand: float
-
-
-@dataclass(frozen=True)
-class AgentSnapshot:
-    revenue_last_week: float
-    market_share: float
-
-
-@dataclass(frozen=True)
 class MarketObservation:
     """Shared weekly snapshot broadcast to every agent.
 
     Market quantities (prices, demands, revenues, shares) describe the last
     completed week; the calendar fields describe the week agents price next.
-    Keys of per_product are (agent_id, product_id) pairs because all agents
-    carry identically-named portfolios.
+    Per-product quantities are per-slot lists: a slot is one (agent_id,
+    product_id) pair, and `slots` maps each pair to its position, in roster x
+    portfolio order. `slots` and `competitor_slots` are built once per episode
+    and shared by every observation and record of it.
     """
 
     week_number: int
     year: int
     is_holiday: bool
-    per_product: dict[tuple[str, str], ProductSnapshot]
-    per_agent: dict[str, AgentSnapshot]
+    slots: dict[tuple[str, str], int]
+    competitor_slots: tuple[tuple[int, ...], ...]  # other agents' same-cluster slots, roster order
+    price: list[float]
+    cluster_avg_price: list[float]  # the slot's cluster mean, its own price included
+    last_demand: list[float]
+    agent_revenue: dict[str, float]  # last week's revenue per agent, roster order
+    market_share: dict[str, float]
     zero_revenue: bool = False
 
 
@@ -219,12 +209,12 @@ class MarketConfig:
     def price_floor(self, spec: ProductSpec) -> float:
         return spec.unit_cost * (1.0 + self.min_margin)
 
-    def allowed_price(self, spec: ProductSpec, last_price: float, price: float) -> float:
+    def allowed_price(self, last_price: float, price: float, floor: float) -> float:
         """The market rule: cap a move at +/-max_weekly_change of last week's
-        price, then raise the result to the margin floor."""
+        price, then raise the result to the margin floor (`price_floor`)."""
         span = self.max_weekly_change
         capped = min(max(price, last_price * (1.0 - span)), last_price * (1.0 + span))
-        return max(capped, self.price_floor(spec))
+        return max(capped, floor)
 
     # -- JSON round-trip -------------------------------------------------
 

@@ -50,11 +50,12 @@ def encode_state(agent: PricingAgentBase, observation: MarketObservation) -> np.
         observation.week_number, month_of_week(observation.week_number)
     )
     holiday = 1.0 if observation.is_holiday else 0.0
-    share = observation.per_agent[agent.agent_id].market_share
+    share = observation.market_share[agent.agent_id]
+    cluster_avg = observation.cluster_avg_price
+    slot_of = observation.slots
     slots = []
     for spec in agent.product_specs:
         product = agent.portfolio[spec.product_id]
-        snapshot = observation.per_product[(agent.agent_id, spec.product_id)]
         baseline = spec.baseline_demand
         history = product.demand_history
 
@@ -67,7 +68,7 @@ def encode_state(agent: PricingAgentBase, observation: MarketObservation) -> np.
         price = product.current_price
         slots.extend(
             [
-                price / snapshot.cluster_avg_price,
+                price / cluster_avg[slot_of[(agent.agent_id, spec.product_id)]],
                 (price - spec.unit_cost) / price,
                 (history[-1] / baseline) if history else 1.0,
                 ratio_or(qrm, 1.0, 2),
@@ -127,8 +128,8 @@ class MarlAgentBase(PricingAgentBase):
     def _reward_from(
         self, observation: MarketObservation, prev_observation: MarketObservation
     ) -> float:
-        revenue = observation.per_agent[self.agent_id].revenue_last_week
-        prev_revenue = prev_observation.per_agent[self.agent_id].revenue_last_week
+        revenue = observation.agent_revenue[self.agent_id]
+        prev_revenue = prev_observation.agent_revenue[self.agent_id]
         if not self._revenue_samples:
             self._revenue_samples.append(prev_revenue)
         running_mean = sum(self._revenue_samples) / len(self._revenue_samples)

@@ -283,11 +283,9 @@ def _agent_ids(records: list[WeeklyRecord]) -> list[str]:
 
 
 def _price_series(records: list[WeeklyRecord]) -> dict[tuple[str, str], list[float]]:
-    series: dict[tuple[str, str], list[float]] = {}
-    for record in records:
-        for key, outcome in record.products.items():
-            series.setdefault(key, []).append(outcome.price)
-    return series
+    """Each slot's weekly prices over one episode, keyed (agent_id, product_id)."""
+    columns = zip(*(record.price for record in records))
+    return dict(zip(records[0].slots, map(list, columns)))
 
 
 def compute_report(episodes: list[list[WeeklyRecord]]) -> MetricsReport:

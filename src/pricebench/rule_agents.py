@@ -60,6 +60,17 @@ def static_markup_price(product: ProductState, markup: float = 0.5) -> float:
     return product.spec.unit_cost * (1.0 + markup)
 
 
+def competitor_prices(
+    observation: MarketObservation, agent_id: str, product_id: str
+) -> list[float]:
+    """Prices of the same-cluster slots of other agents, in roster order
+    (empty when the observation has no such slot)."""
+    slot = observation.slots.get((agent_id, product_id))
+    if slot is None:
+        return []
+    return [observation.price[j] for j in observation.competitor_slots[slot]]
+
+
 def competitor_match_price(
     product: ProductState,
     observation: MarketObservation,
@@ -71,8 +82,7 @@ def competitor_match_price(
 
     Falls back to the static markup when the cluster has no competitors.
     """
-    snapshot = observation.per_product.get((agent_id, product.spec.product_id))
-    competitors = snapshot.competitor_prices if snapshot else ()
+    competitors = competitor_prices(observation, agent_id, product.spec.product_id)
     if not competitors:
         log.debug("%s/%s: no competitors in cluster, using static markup",
                   agent_id, product.spec.product_id)

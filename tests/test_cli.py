@@ -3,6 +3,7 @@ import json
 import pytest
 
 from pricebench.cli import main
+from pricebench.harness import desk_spec
 from tests.test_transactions import HEADER, synthetic_records
 
 
@@ -59,6 +60,34 @@ class TestSimulate:
         for run_dir in serial.iterdir():
             twin = parallel / run_dir.name
             assert (run_dir / "history.csv").read_bytes() == (twin / "history.csv").read_bytes()
+
+    def test_jobs_parallel_matches_serial_on_trained_runs(self, tmp_path):
+        # the training preset of B: every run takes optimizer steps (see the
+        # `training` table of tests/golden_bytes.json)
+        config = tmp_path / "experiment.json"
+        spec = desk_spec("B", episodes=2, weeks_per_episode=52)
+        config.write_text(json.dumps(spec.to_dict()))
+        serial = tmp_path / "serial"
+        parallel = tmp_path / "parallel"
+        assert main(["simulate", "--config", str(config), "--out", str(serial)]) == 0
+        assert main(
+            ["simulate", "--config", str(config), "--out", str(parallel), "--jobs", "2"]
+        ) == 0
+        run_dirs = sorted(serial.iterdir())
+        assert len(run_dirs) == spec.n_runs == 2
+        for run_dir in run_dirs:
+            twin = parallel / run_dir.name
+            for name in ("history.csv", "metrics.json"):
+                assert (run_dir / name).read_bytes() == (twin / name).read_bytes()
+
+    def test_demand_overflow_exits_1(self, tmp_path, capsys):
+        # a log demand past math.exp's range is the same model error as a NaN one
+        config = _experiment_file(tmp_path, weeks=4)
+        spec = json.loads(config.read_text())
+        spec["market"]["demand_params"] = {"elasticity": -10000.0}
+        config.write_text(json.dumps(spec))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        assert "non-finite demand for product" in capsys.readouterr().err
 
 
 class TestCalibrate:

@@ -6,6 +6,7 @@ import pytest
 
 from pricebench.demand import (
     DemandParams,
+    DemandQuery,
     ParametricDemandModel,
     centered_rolling_mean,
     estimate_elasticity,
@@ -42,42 +43,49 @@ class TestDemandParams:
 class TestPredictDemand:
     def test_all_neutral_gives_baseline(self):
         q = neutral_query(_spec())
-        assert predict_demand(q, _params()) == pytest.approx(100.0)
+        assert predict_demand(q, _params()) == pytest.approx([100.0])
 
     def test_cluster_multiplier(self):
         q = neutral_query(_spec())
         params = _params()
         params = replace(params, cluster_base={**params.cluster_base, 1: 1.5})
-        assert predict_demand(q, params) == pytest.approx(150.0)
+        assert predict_demand(q, params) == pytest.approx([150.0])
 
     def test_doubled_price_scaling(self):
-        q = replace(neutral_query(_spec()), price=20.0)
-        assert predict_demand(q, _params()) == pytest.approx(100.0 * 2 ** (-0.072))
+        q = replace(neutral_query(_spec()), prices=[20.0])
+        assert predict_demand(q, _params()) == pytest.approx([100.0 * 2 ** (-0.072)])
 
     def test_holiday_uplift(self):
         q = neutral_query(_spec())
         q = replace(q, holiday=True)
-        assert predict_demand(q, _params()) == pytest.approx(135.0)
+        assert predict_demand(q, _params()) == pytest.approx([135.0])
 
     def test_deterministic_without_noise(self):
         q = neutral_query(_spec())
         assert predict_demand(q, _params()) == predict_demand(q, _params())
 
     def test_noise_needs_rng(self):
+        # noise needs the query's shocks
         q = neutral_query(_spec())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="shocks"):
             predict_demand(q, replace(_params(), noise_sigma=0.1))
 
     def test_noise_reproducible_per_stream(self):
         params = replace(_params(), noise_sigma=0.2)
         vals = []
         for _ in range(2):
-            q = replace(neutral_query(_spec()), rng=derive_rng(5, "noise"))
-            vals.append([predict_demand(q, params) for _ in range(3)])
+            shock = derive_rng(5, "noise").standard_normal(1).tolist()
+            vals.append(predict_demand(replace(neutral_query(_spec()), shocks=shock), params))
         assert vals[0] == vals[1]
 
+    def test_noise_is_sigma_times_shock(self):
+        q = neutral_query(_spec())
+        (expected,) = predict_demand(q, _params())
+        (noisy,) = predict_demand(replace(q, shocks=[1.5]), replace(_params(), noise_sigma=0.2))
+        assert noisy == pytest.approx(expected * math.exp(0.2 * 1.5))
+
     def test_nonpositive_price_rejected(self):
-        q = replace(neutral_query(_spec()), price=0.0)
+        q = replace(neutral_query(_spec()), prices=[0.0])
         with pytest.raises(ValueError):
             predict_demand(q, _params())
 
@@ -90,15 +98,51 @@ class TestPredictDemand:
         params = _params(elasticity=-0.5)
         base = neutral_query(_spec())
         prices = np.linspace(1.0, 50.0, 100)
-        values = [predict_demand(replace(base, price=p), params) for p in prices]
+        values = [predict_demand(replace(base, prices=[p]), params)[0] for p in prices]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_always_finite_nonnegative(self):
         params = _params(elasticity=-1.0)
         base = neutral_query(_spec())
         for p in (1e-6, 1.0, 1e6):
-            v = predict_demand(replace(base, price=p), params)
+            (v,) = predict_demand(replace(base, prices=[p]), params)
             assert math.isfinite(v) and v >= 0
+
+    def test_batch_equals_products_one_by_one(self):
+        params = replace(_params(elasticity=-0.5), noise_sigma=0.1).with_clusters([1, 2])
+        specs = [_spec(), _spec(price=7.0, baseline=30.0, cluster=2), _spec(baseline=12.0)]
+        batch = DemandQuery(
+            specs=specs, prices=[9.0, 7.5, 11.0], relative_prices=[0.9, 1.0, 1.1],
+            lag1_demands=[90.0, 0.0, 15.0], shocks=[0.3, -1.2, 2.0], week_sin=0.4, holiday=True,
+        )
+        singles = [
+            predict_demand(
+                replace(batch, specs=[s], prices=[p], relative_prices=[r], lag1_demands=[q],
+                        shocks=[z]),
+                params,
+            )[0]
+            for s, p, r, q, z in zip(
+                specs, batch.prices, batch.relative_prices, batch.lag1_demands, batch.shocks
+            )
+        ]
+        assert predict_demand(batch, params) == singles
+
+    def test_unequal_lengths_rejected(self):
+        q = replace(neutral_query(_spec()), prices=[10.0, 11.0])
+        with pytest.raises(ValueError):
+            predict_demand(q, _params())
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("prices", [0.5]), ("relative_prices", [math.nan])],
+        ids=["overflow", "nan"],
+    )
+    def test_non_finite_demand_is_value_error(self, field, value):
+        # elasticity -10000 at half the initial price gives log demand ~6936,
+        # past math.exp's range; a NaN relative price gives a NaN log demand
+        q = replace(neutral_query(_spec()), **{field: value})
+        with pytest.raises(ValueError, match=r"non-finite demand for product p \(log_q="):
+            predict_demand(q, _params(elasticity=-10000.0))
 
 
 class TestElasticity:
@@ -122,17 +166,31 @@ class TestElasticity:
 
     def test_constant_oracle(self):
         q = neutral_query(_spec())
-        assert estimate_elasticity(lambda query: 42.0, q) == pytest.approx(0.0, abs=1e-9)
+        oracle = lambda query: [42.0] * len(query.prices)
+        assert estimate_elasticity(oracle, q) == pytest.approx(0.0, abs=1e-9)
 
     def test_unit_elastic_oracle(self):
         q = neutral_query(_spec())
-        oracle = lambda query: 500.0 / query.price
+        oracle = lambda query: [500.0 / p for p in query.prices]
         assert estimate_elasticity(oracle, q) == pytest.approx(-1.0, abs=1e-6)
 
     def test_too_few_points(self):
         q = neutral_query(_spec())
         with pytest.raises(ValueError):
-            estimate_elasticity(lambda query: 1.0, q, scales=[0.5, 1.0, 2.5])
+            estimate_elasticity(lambda query: [1.0] * len(query.prices), q, scales=[0.5, 1.0, 2.5])
+
+    def test_sweep_is_one_batch(self):
+        calls = []
+
+        def oracle(query):
+            calls.append(query)
+            return [1.0] * len(query.prices)
+
+        q = neutral_query(_spec())
+        prices, _ = elasticity_sweep(oracle, q)
+        (query,) = calls
+        assert query.prices == pytest.approx(list(prices))
+        assert query.specs == [q.specs[0]] * 41 and query.shocks is None
 
     def test_sweep_ignores_noise(self):
         model = ParametricDemandModel(replace(_params(), noise_sigma=0.5))

@@ -1,11 +1,14 @@
-"""Pinned artifact bytes: seeded runs of configs A-F at two scales.
+"""Pinned artifact bytes: seeded runs of configs A-H at three scales.
 
 `golden_bytes.json` holds the SHA-256 of every run's `history.csv` and
-`metrics.json` in two tables:
+`metrics.json` in three tables:
 
 - `desk`: the desk preset of A, C and F, whose learners never pass warm-up;
 - `training`: B, C and F at 2 episodes x 52 weeks, where every learner takes
-  gradient steps, so the bytes also pin the nets, Adam and the target updates.
+  gradient steps, so the bytes also pin the nets, Adam and the target updates;
+- `long`: A, D, E, G and H at 1 episode x 104 weeks, which reaches the
+  holiday weeks 47-52 with rule agents, crosses into a second year and pins
+  the mixed rosters (every learner among them takes gradient steps).
 
 A refactor that keeps these hashes keeps the simulator's numbers; a change
 that alters them on purpose re-captures the file with
@@ -22,13 +25,14 @@ from pathlib import Path
 import pytest
 
 from pricebench import nn
-from pricebench.harness import desk_spec, run_experiment
+from pricebench.harness import CONFIG_MATRIX, desk_spec, run_experiment
 
 GOLDEN = Path(__file__).with_name("golden_bytes.json")
 ARTIFACTS = ("history.csv", "metrics.json")
 SCALES = {
     "desk": (("A", "C", "F"), {}),
     "training": (("B", "C", "F"), {"episodes": 2, "weeks_per_episode": 52}),
+    "long": (("A", "D", "E", "G", "H"), {"episodes": 1, "weeks_per_episode": 104}),
 }
 
 
@@ -55,8 +59,8 @@ def test_desk_artifacts_match_golden(config_id, tmp_path):
     assert artifact_hashes(_spec("desk", config_id), tmp_path) == _golden("desk", config_id)
 
 
-@pytest.mark.parametrize("config_id", SCALES["training"][0])
-def test_training_artifacts_match_golden(config_id, tmp_path, monkeypatch):
+def _hashes_and_steps(scale: str, config_id: str, out: Path, monkeypatch) -> tuple[dict, int]:
+    """Artifact hashes of the scale's runs and the optimizer steps they took."""
     steps = 0
     adam_step = nn.Adam.step
 
@@ -66,9 +70,22 @@ def test_training_artifacts_match_golden(config_id, tmp_path, monkeypatch):
         return adam_step(opt, *args, **kwargs)
 
     monkeypatch.setattr(nn.Adam, "step", counting)
-    hashes = artifact_hashes(_spec("training", config_id), tmp_path)
+    return artifact_hashes(_spec(scale, config_id), out), steps
+
+
+@pytest.mark.parametrize("config_id", SCALES["training"][0])
+def test_training_artifacts_match_golden(config_id, tmp_path, monkeypatch):
+    hashes, steps = _hashes_and_steps("training", config_id, tmp_path, monkeypatch)
     assert steps > 0, "the training-scale runs took no optimizer step"
     assert hashes == _golden("training", config_id)
+
+
+@pytest.mark.parametrize("config_id", SCALES["long"][0])
+def test_long_artifacts_match_golden(config_id, tmp_path, monkeypatch):
+    hashes, steps = _hashes_and_steps("long", config_id, tmp_path, monkeypatch)
+    if set(CONFIG_MATRIX[config_id]) != {"rule"}:
+        assert steps > 0, "the long runs' learners took no optimizer step"
+    assert hashes == _golden("long", config_id)
 
 
 if __name__ == "__main__":

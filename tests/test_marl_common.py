@@ -56,8 +56,8 @@ class TestApplyAction:
         agent = self._agent(price=6.5, cost=6.0)
         submitted = agent._apply_changes({"p": -0.10})["p"]
         assert submitted == pytest.approx(5.85)
-        spec = agent.portfolio["p"].spec
-        assert agent.config.allowed_price(spec, 6.5, submitted) == pytest.approx(6.30)
+        floor = agent.config.price_floor(agent.portfolio["p"].spec)
+        assert agent.config.allowed_price(6.5, submitted, floor) == pytest.approx(6.30)
 
 
 class TestReward:

@@ -260,28 +260,25 @@ class TestAdjustments:
 
 
 def _toy_episodes(agent_ids=("a", "b"), weeks=10, episodes=2):
-    from pricebench.environment import ProductOutcome, WeeklyRecord
+    from pricebench.environment import WeeklyRecord
 
+    slots = {(aid, "p1"): i for i, aid in enumerate(agent_ids)}
     eps = []
     for e in range(episodes):
         records = []
         for t in range(weeks):
-            products = {}
-            revenue = {}
-            for aid in agent_ids:
-                i = ord(aid) - ord("a")  # value tied to identity, not roster position
-                price = 10.0 + i + 0.1 * t
-                demand = 5.0 + i
-                products[(aid, "p1")] = ProductOutcome(
-                    price=price, demand=demand, revenue=price * demand,
-                    profit=(price - 6.0) * demand,
-                )
-                revenue[aid] = price * demand
-            total = sum(revenue.values())
+            # values tied to identity, not roster position
+            prices = [10.0 + (ord(aid) - ord("a")) + 0.1 * t for aid in agent_ids]
+            demands = [5.0 + (ord(aid) - ord("a")) for aid in agent_ids]
+            revenues = [p * d for p, d in zip(prices, demands)]
+            revenue = dict(zip(agent_ids, revenues))
+            total = sum(revenues)
             records.append(
                 WeeklyRecord(
                     week_index=t + 1, year=1, week_number=t + 1, is_holiday=False,
-                    products=products, agent_revenue=revenue,
+                    slots=slots, price=prices, demand=demands, revenue=revenues,
+                    profit=[(p - 6.0) * d for p, d in zip(prices, demands)],
+                    agent_revenue=revenue,
                     market_share={a: revenue[a] / total for a in agent_ids},
                 )
             )

@@ -15,6 +15,7 @@ from pricebench.rule_agents import (
     RuleAgent,
     RuleStrategy,
     competitor_match_price,
+    competitor_prices,
     demand_responsive_price,
     historical_anchor_price,
     seasonal_price,
@@ -44,29 +45,29 @@ class FallingDemand:
 
     def sample_demand(self, query):
         self.value -= 1.0
-        return self.value
+        return [self.value] * len(query.prices)
 
     expected_demand = sample_demand
 
 
 def _observation(week=20, competitor_prices=(), holiday=False, price=10.0):
-    from pricebench.market import AgentSnapshot, MarketObservation, ProductSnapshot
+    """Agent "me" and one rival per competitor price, one cluster-1 product each."""
+    from pricebench.market import MarketObservation
 
     pool = [price, *competitor_prices]
+    ids = ["me", *(f"rival{i}" for i in range(len(competitor_prices)))]
+    n = len(pool)
     return MarketObservation(
         week_number=week,
         year=1,
         is_holiday=holiday,
-        per_product={
-            ("me", "p"): ProductSnapshot(
-                price=price,
-                cluster_id=1,
-                competitor_prices=tuple(competitor_prices),
-                cluster_avg_price=sum(pool) / len(pool),
-                last_demand=20.0,
-            )
-        },
-        per_agent={"me": AgentSnapshot(revenue_last_week=200.0, market_share=1.0)},
+        slots={(aid, "p"): i for i, aid in enumerate(ids)},
+        competitor_slots=tuple(tuple(j for j in range(n) if j != i) for i in range(n)),
+        price=pool,
+        cluster_avg_price=[sum(pool) / n] * n,
+        last_demand=[20.0] * n,
+        agent_revenue={aid: 200.0 for aid in ids},
+        market_share={aid: 1.0 / n for aid in ids},
     )
 
 
@@ -99,8 +100,38 @@ class TestCompetitorMatch:
         obs = env.bootstrap_observation()
         assert me.propose_prices(obs)["p"] == pytest.approx(6.31 * 0.97)
         record, _ = env.step({a.agent_id: a.propose_prices(obs) for a in (me, rival)})
-        assert record.products[("rule-0", "p")].price == pytest.approx(6.0 * 1.05)
+        assert record.price[record.slots[("rule-0", "p")]] == pytest.approx(6.0 * 1.05)
         assert env.clamp_events == 1
+
+    def test_competitors_are_other_agents_same_cluster_slots(self):
+        # a0 and a1 carry two cluster-1 products each; a0's own second
+        # cluster-1 product is not its competitor
+        roster = [AgentSpec(f"a{i}", "rule") for i in range(3)]
+        clusters = (1, 1, 2, 3, 5)
+        config = MarketConfig(agent_roster=roster, clusters=clusters, episodes=1).validate()
+        portfolio = make_default_portfolio(5, clusters, config.seed)
+        agents = [RuleAgent(s.agent_id, portfolio, config, RuleStrategy("static_markup"))
+                  for s in roster]
+        env = MarketEnvironment(config, agents, ParametricDemandModel(config.demand_params))
+        submitted = {
+            a.agent_id: {s.product_id: s.initial_price * (1 + 0.01 * (i + 1) + 0.001 * k)
+                         for k, s in enumerate(portfolio)}
+            for i, a in enumerate(agents)
+        }
+        _, obs = env.step(submitted)
+        for agent in agents:
+            for spec in portfolio:
+                expected = [
+                    submitted[other.agent_id][s.product_id]
+                    for other in agents if other is not agent
+                    for s in portfolio if s.cluster_id == spec.cluster_id
+                ]
+                assert competitor_prices(obs, agent.agent_id, spec.product_id) == expected
+        assert competitor_prices(obs, "a0", "prod1") == [
+            6.0 * 1.02, 6.0 * 1.021, 6.0 * 1.03, 6.0 * 1.031
+        ]
+        assert competitor_prices(obs, "a0", "prod3") == [7.0 * 1.022, 7.0 * 1.032]
+        assert competitor_prices(obs, "nobody", "prod1") == []
 
     def test_no_competitors_falls_back_to_markup(self):
         obs = _observation(competitor_prices=())
@@ -205,7 +236,7 @@ class TestRuleAgentProperties:
             config, agents = _rule_market(weeks=10)
             model = ParametricDemandModel(config.demand_params)
             records = run_episode(config, agents, model)
-            results.append([r.products for r in records])
+            results.append([(r.price, r.demand, r.revenue, r.profit) for r in records])
         assert results[0] == results[1]
 
     def test_constraints_respected(self):
