@@ -1,10 +1,12 @@
-"""Rolling demand statistics and calendar encodings.
+"""Trailing demand statistics and calendar encodings.
 
-All functions are pure. Rolling statistics read history oldest-to-newest and
-operate on the trailing window, raising `InsufficientHistory` when the window
-is not yet full; callers (the learners' `encode_state`) choose the cold-start
-substitute. `seasonal_encoding` also feeds the demand model's week term and
-the calibration regressors.
+All functions are pure. `demand_features` reads one product's demand history
+oldest-to-newest and derives every demand entry of the learners' state
+(`marl.common.encode_state`) from its last four weeks in one pass, each as a
+ratio to the product's baseline demand. Until a window is full its entries
+take cold-start substitutes: the lag and the 2- and 4-week means read 1.0
+(demand at baseline), trend and volatility read 0.0. `seasonal_encoding`
+also feeds the demand model's week term and the calibration regressors.
 """
 
 from __future__ import annotations
@@ -12,38 +14,31 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-VOLATILITY_WINDOW = 4
+DEMAND_WINDOW = 4  # weeks behind the 4-week mean, the trend and the volatility
 
 
-class InsufficientHistory(ValueError):
-    """Raised when a rolling feature is asked for more history than exists."""
+def demand_features(
+    history: Sequence[float], baseline: float
+) -> tuple[float, float, float, float, float]:
+    """(lag, 2-week mean, 4-week mean, trend, volatility), each / `baseline`.
 
-
-def qrm(history: Sequence[float], k: int) -> float:
-    """Mean of the last k entries (trailing quantity rolling mean)."""
-    if k < 1:
-        raise ValueError(f"window k must be >= 1, got {k}")
-    if len(history) < k:
-        raise InsufficientHistory(f"need {k} weeks of history, have {len(history)}")
-    return sum(history[-k:]) / k
-
-
-def trend(history: Sequence[float]) -> float:
-    """4-week mean minus 2-week mean; negative when demand is rising."""
-    if len(history) < 4:
-        raise InsufficientHistory(f"need 4 weeks of history, have {len(history)}")
-    return qrm(history, 4) - qrm(history, 2)
-
-
-def rolling_volatility(history: Sequence[float], k: int) -> float:
-    """Population standard deviation (1/k) over the last k entries."""
-    if k < 2:
-        raise ValueError(f"window k must be >= 2, got {k}")
-    if len(history) < k:
-        raise InsufficientHistory(f"need {k} weeks of history, have {len(history)}")
-    window = history[-k:]
-    mean = sum(window) / k
-    return math.sqrt(sum((q - mean) ** 2 for q in window) / k)
+    Trend is the 4-week mean minus the 2-week mean (negative when demand is
+    rising); volatility is the population (1/4) standard deviation of the
+    last four demands.
+    """
+    n = len(history)
+    if n == 0:
+        return 1.0, 1.0, 1.0, 0.0, 0.0
+    lag = history[-1] / baseline
+    if n < 2:
+        return lag, 1.0, 1.0, 0.0, 0.0
+    mean2 = sum(history[-2:]) / 2
+    if n < DEMAND_WINDOW:
+        return lag, mean2 / baseline, 1.0, 0.0, 0.0
+    window = history[-DEMAND_WINDOW:]
+    mean4 = sum(window) / DEMAND_WINDOW
+    volatility = math.sqrt(sum((q - mean4) ** 2 for q in window) / DEMAND_WINDOW)
+    return lag, mean2 / baseline, mean4 / baseline, (mean4 - mean2) / baseline, volatility / baseline
 
 
 def seasonal_encoding(week: int, month: int) -> tuple[float, float, float, float]:

@@ -8,8 +8,7 @@ import math
 import numpy as np
 
 from ..environment import PricingAgentBase
-from ..features import InsufficientHistory, qrm, rolling_volatility, seasonal_encoding, trend
-from ..features import VOLATILITY_WINDOW
+from ..features import demand_features, seasonal_encoding
 from ..market import MarketConfig, MarketObservation, ProductSpec, month_of_week
 
 STATE_SLOTS_PER_PRODUCT = 12
@@ -43,8 +42,8 @@ def encode_state(agent: PricingAgentBase, observation: MarketObservation) -> np.
     Per product: [price vs cluster avg, margin ratio, lag demand ratio,
     2-week mean ratio, 4-week mean ratio, trend ratio, volatility ratio,
     week sin, week cos, holiday, own market share, last relative price change].
-    Demand ratios substitute 1.0 and trend/volatility 0.0 until enough history
-    exists.
+    The five demand entries come from `features.demand_features`, with its
+    cold-start substitutes until enough history exists.
     """
     week_sin, week_cos, _, _ = seasonal_encoding(
         observation.week_number, month_of_week(observation.week_number)
@@ -53,34 +52,19 @@ def encode_state(agent: PricingAgentBase, observation: MarketObservation) -> np.
     share = observation.market_share[agent.agent_id]
     cluster_avg = observation.cluster_avg_price
     slot_of = observation.slots
-    slots = []
+    slots: list[float] = []
     for spec in agent.product_specs:
         product = agent.portfolio[spec.product_id]
-        baseline = spec.baseline_demand
-        history = product.demand_history
-
-        def ratio_or(fn, default, *args):
-            try:
-                return fn(history, *args) / baseline
-            except InsufficientHistory:
-                return default
-
         price = product.current_price
-        slots.extend(
-            [
-                price / cluster_avg[slot_of[(agent.agent_id, spec.product_id)]],
-                (price - spec.unit_cost) / price,
-                (history[-1] / baseline) if history else 1.0,
-                ratio_or(qrm, 1.0, 2),
-                ratio_or(qrm, 1.0, 4),
-                ratio_or(trend, 0.0),
-                ratio_or(rolling_volatility, 0.0, VOLATILITY_WINDOW),
-                week_sin,
-                week_cos,
-                holiday,
-                share,
-                product.last_relative_change(),
-            ]
+        slots += (
+            price / cluster_avg[slot_of[(agent.agent_id, spec.product_id)]],
+            (price - spec.unit_cost) / price,
+            *demand_features(product.demand_history, spec.baseline_demand),
+            week_sin,
+            week_cos,
+            holiday,
+            share,
+            product.last_relative_change(),
         )
     state = np.asarray(slots, dtype=float)
     if not np.all(np.isfinite(state)):

@@ -83,15 +83,19 @@ class JointTransition:
 class MaddpgCoordinator:
     """Owns the joint replay buffer and runs the centralized training step.
 
-    At its first learn step it stacks the members' actors, critics and their
-    targets into four team nets (the member nets become views of them) and
-    trains each team in one batched pass under one Adam per role.
+    It knows its members by id and by their nets, never as agents: the
+    members own the coordinator, and with no reference back a finished run
+    is freed by reference counting alone. At its first learn step it stacks
+    the members' actors, critics and their targets into four team nets (the
+    member nets become views of them) and trains each team in one batched
+    pass under one Adam per role.
     """
 
     def __init__(self, config: MarketConfig, hyper: MaddpgHyper):
         self.config = config
         self.hyper = hyper
-        self.members: list["MaddpgAgent"] = []
+        self.member_ids: list[str] = []
+        self._member_nets: list[tuple[DenseNet, DenseNet, DenseNet, DenseNet]] = []
         self.buffer = ReplayBuffer(hyper.buffer_capacity, hyper.recency_decay)
         self.rng = derive_rng(config.seed, "team", "maddpg")
         self._pending: dict[str, tuple] = {}
@@ -103,16 +107,19 @@ class MaddpgCoordinator:
     def register(self, member: "MaddpgAgent") -> None:
         if self.actors is not None:
             raise ConfigError("the team has started training; no member can join")
-        self.members.append(member)
+        self.member_ids.append(member.agent_id)
+        self._member_nets.append(
+            (member.actor, member.critic, member.target_actor, member.target_critic)
+        )
 
     def contribute(self, agent_id, state, action, reward, next_state, done) -> None:
         """Collect one member's step; store and learn once the team is complete."""
-        if agent_id not in {m.agent_id for m in self.members}:
+        if agent_id not in self.member_ids:
             raise ValueError(f"agent {agent_id!r} is not a member of this team")
         self._pending[agent_id] = (state, action, reward, next_state)
-        if len(self._pending) < len(self.members):
+        if len(self._pending) < len(self.member_ids):
             return
-        parts = [self._pending[m.agent_id] for m in self.members]
+        parts = [self._pending[aid] for aid in self.member_ids]
         self._pending = {}
         self.buffer.push(
             JointTransition(
@@ -130,15 +137,15 @@ class MaddpgCoordinator:
         if len(self.buffer) < max(hp.warm_up, hp.batch_size):
             return
         if self.actors is None:
-            ms = self.members
-            self.actors = DenseNet.team([m.actor for m in ms])
-            self.critics = DenseNet.team([m.critic for m in ms])
-            self.target_actors = DenseNet.team([m.target_actor for m in ms])
-            self.target_critics = DenseNet.team([m.target_critic for m in ms])
+            actors, critics, target_actors, target_critics = zip(*self._member_nets)
+            self.actors = DenseNet.team(actors)
+            self.critics = DenseNet.team(critics)
+            self.target_actors = DenseNet.team(target_actors)
+            self.target_critics = DenseNet.team(target_critics)
             self.actor_opt = Adam([self.actors.flat])
             self.critic_opt = Adam([self.critics.flat])
         batch = self.buffer.sample(hp.batch_size, self.rng)
-        b, n = len(batch), len(self.members)
+        b, n = len(batch), len(self.member_ids)
         states = np.stack([t.states for t in batch])  # (B, members, local state)
         actions = np.stack([t.actions for t in batch])  # (B, members, products)
         next_states = np.stack([t.next_states for t in batch])

@@ -206,9 +206,12 @@ def qmix_mix(agent_qs, global_state, mixer: MonotonicMixer) -> float:
 class QmixCoordinator:
     """Joint trainer for the member Q-networks and the mixing network.
 
-    At its first learn step it stacks the member nets and their targets into
-    two team nets (the member nets become views of them), and trains the
-    team and the mixer in one batched pass under a single Adam.
+    It knows its members by id and by their nets, never as agents: the
+    members own the coordinator, and with no reference back a finished run
+    is freed by reference counting alone. At its first learn step it stacks
+    the member nets and their targets into two team nets (the member nets
+    become views of them), and trains the team and the mixer in one batched
+    pass under a single Adam.
     """
 
     def __init__(
@@ -221,7 +224,9 @@ class QmixCoordinator:
         self.config = config
         self.hyper = hyper
         self.n_agents = n_agents
-        self.members: list["QmixAgent"] = []
+        self.member_ids: list[str] = []
+        self._member_nets: list[tuple[DenseNet, DenseNet]] = []  # (net, target) per member
+        self._q_shape: tuple[int, int] | None = None  # (heads, bins) of the first member
         rng = derive_rng(config.seed, "team", "qmix")
         self.mixer = MonotonicMixer(n_agents, n_agents * local_state_size, hyper.mixing_dim, rng)
         self.target_mixer = self.mixer.clone()
@@ -239,17 +244,19 @@ class QmixCoordinator:
             raise ConfigError(f"agent {member.agent_id} already has a coordinator")
         if self.nets is not None:
             raise ConfigError("the team has started training; no member can join")
-        self.members.append(member)
-        if len(self.members) > self.n_agents:
+        if len(self.member_ids) == self.n_agents:
             raise ConfigError("more members registered than the coordinator was sized for")
+        self.member_ids.append(member.agent_id)
+        self._member_nets.append((member.net, member.target))
+        self._q_shape = self._q_shape or (member.n_heads, member.n_bins)
 
     def contribute(self, agent_id, state, action, reward, next_state, done) -> None:
-        if agent_id not in {m.agent_id for m in self.members}:
+        if agent_id not in self.member_ids:
             raise ValueError(f"agent {agent_id!r} is not a member of this team")
         self._pending[agent_id] = (state, action, reward, next_state)
-        if len(self._pending) < len(self.members):
+        if len(self._pending) < len(self.member_ids):
             return
-        parts = [self._pending[m.agent_id] for m in self.members]
+        parts = [self._pending[aid] for aid in self.member_ids]
         self._pending = {}
         shared_reward = float(np.mean([p[2] for p in parts]))
         self.buffer.push(
@@ -269,13 +276,14 @@ class QmixCoordinator:
         if len(self.buffer) < max(hp.warm_up, 1):
             return None
         if self.nets is None:
-            self.nets = DenseNet.team([m.net for m in self.members])
-            self.target_nets = DenseNet.team([m.target for m in self.members])
+            nets, targets = zip(*self._member_nets)
+            self.nets = DenseNet.team(nets)
+            self.target_nets = DenseNet.team(targets)
             self.optimizer = Adam([self.nets.flat, self.mixer.flat])
         batch = self.buffer.sample(hp.batch_size, self.rng)
         b = len(batch)
-        n = len(self.members)
-        n_heads, n_bins = self.members[0].n_heads, self.members[0].n_bins
+        n = len(self.member_ids)
+        n_heads, n_bins = self._q_shape
         rewards = np.asarray([t.rewards[0] for t in batch])
         done = np.asarray([t.done for t in batch], dtype=float)
         states = np.stack([t.states for t in batch])  # (B, members, local state)

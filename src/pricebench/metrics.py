@@ -4,6 +4,14 @@ All statistics use population (1/N) normalization. Price-change statistics
 average over the number of changes (T - 1 for a T-week series). Functions are
 pure; `compute_report` assembles the full per-run report from episode
 histories.
+
+The price-series metrics (`price_volatility`, `price_cv`,
+`adjustment_magnitude`, `adjustment_frequency`, `price_stability`) reduce
+over the last axis: a 1-D series of T weekly prices gives a float, and an
+array of such series (one row per slot, say) gives one result per row in a
+single call. They reduce a C-contiguous copy of their input, whose rows
+numpy sums in the same pairwise order as a 1-D call, so each row's result is
+bit for bit that series' own.
 """
 
 from __future__ import annotations
@@ -21,16 +29,23 @@ CONVERGENCE_WINDOW_WEEKS = 8
 ADJUSTMENT_THRESHOLD = 0.01
 
 
-def _pop_std(values: Sequence[float]) -> float:
-    arr = np.asarray(values, dtype=float)
-    return float(np.sqrt(np.mean((arr - arr.mean()) ** 2)))
+def _rows(result: np.ndarray):
+    """A float for a reduction of one series, the array of row results otherwise."""
+    return float(result) if np.ndim(result) == 0 else result
 
 
-def _relative_changes(prices: Sequence[float]) -> np.ndarray:
-    arr = np.asarray(prices, dtype=float)
-    if len(arr) < 2:
+def _pop_std(values):
+    """Population standard deviation over the last axis."""
+    arr = np.ascontiguousarray(values, dtype=float)
+    return _rows(np.sqrt(np.mean((arr - arr.mean(axis=-1, keepdims=True)) ** 2, axis=-1)))
+
+
+def _relative_changes(prices) -> np.ndarray:
+    """Week-over-week relative changes along the last axis."""
+    arr = np.ascontiguousarray(prices, dtype=float)
+    if arr.shape[-1] < 2:
         raise ValueError("need at least 2 weeks of prices")
-    return (arr[1:] - arr[:-1]) / arr[:-1]
+    return (arr[..., 1:] - arr[..., :-1]) / arr[..., :-1]
 
 
 def revenue_per_agent(weekly_revenues: Sequence[float]) -> float:
@@ -75,24 +90,19 @@ def welfare_fairness(revenues: Sequence[float]) -> float:
     return 1.0 - gini(revenues)
 
 
-def nash_proximity(
-    price_series: Sequence[Sequence[float]], window: int | None = NASH_WINDOW_WEEKS
-) -> float:
+def nash_proximity(price_series, window: int | None = NASH_WINDOW_WEEKS) -> float:
     """1 - min(1, 10 * mean |relative weekly change|) over the trailing window.
 
-    `price_series` holds one price sequence per agent-product pair; pass
-    window=None to use every week.
+    `price_series` holds one equally long price sequence per agent-product
+    pair (a `(slots, weeks)` array); pass window=None to use every week. The
+    mean is a sequential sum, series by series.
     """
-    changes: list[float] = []
-    for series in price_series:
-        series = list(series)
-        if window is not None:
-            series = series[-(window + 1):]
-        if len(series) < 2:
-            continue
-        changes.extend(abs(c) for c in _relative_changes(series))
-    if not changes:
+    prices = np.asarray(price_series, dtype=float)
+    if window is not None:
+        prices = prices[..., -(window + 1):]
+    if prices.size == 0 or prices.shape[-1] < 2:
         raise ValueError("need at least 2 weeks in the window")
+    changes = np.abs(_relative_changes(prices)).ravel().tolist()
     mean_change = sum(changes) / len(changes)
     return 1.0 - min(1.0, 10.0 * mean_change)
 
@@ -134,24 +144,24 @@ def market_share_volatility_pp(share_series: dict[str, Sequence[float]]) -> floa
     return 100.0 * float(np.mean([_pop_std(s) for s in share_series.values()]))
 
 
-def price_volatility(prices: Sequence[float]) -> dict[str, float]:
-    """Mean/std/max of absolute relative weekly changes for one price series."""
+def price_volatility(prices) -> dict:
+    """Mean |relative weekly change|, std of the changes and max |change|, per series."""
     changes = _relative_changes(prices)
     abs_changes = np.abs(changes)
     return {
-        "mean_abs_change": float(abs_changes.mean()),
+        "mean_abs_change": _rows(abs_changes.mean(axis=-1)),
         "std_change": _pop_std(changes),
-        "max_change": float(abs_changes.max()),
+        "max_change": _rows(abs_changes.max(axis=-1)),
     }
 
 
-def price_cv(prices: Sequence[float]) -> float:
-    """Coefficient of variation of the price level (population std / mean)."""
-    arr = np.asarray(prices, dtype=float)
-    mean = float(arr.mean())
-    if mean == 0:
-        return 0.0
-    return _pop_std(arr) / mean
+def price_cv(prices):
+    """Coefficient of variation of the price level (population std / mean); 0 at mean 0."""
+    arr = np.ascontiguousarray(prices, dtype=float)
+    mean = arr.mean(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cv = _pop_std(arr) / mean
+    return _rows(np.where(mean == 0, 0.0, cv))
 
 
 def price_convergence(pooled_prices: Sequence[float]) -> float:
@@ -163,21 +173,20 @@ def price_convergence(pooled_prices: Sequence[float]) -> float:
     return 1.0 - _pop_std(arr) / peak
 
 
-def adjustment_magnitude(prices: Sequence[float]) -> float:
+def adjustment_magnitude(prices):
     """Mean absolute relative change between consecutive weeks."""
-    return float(np.abs(_relative_changes(prices)).mean())
+    return _rows(np.abs(_relative_changes(prices)).mean(axis=-1))
 
 
-def adjustment_frequency(prices: Sequence[float], tau: float = ADJUSTMENT_THRESHOLD) -> float:
+def adjustment_frequency(prices, tau: float = ADJUSTMENT_THRESHOLD):
     """Fraction of weeks whose |relative change| strictly exceeds tau."""
     changes = np.abs(_relative_changes(prices))
-    return float(np.mean(changes > tau))
+    return _rows(np.mean(changes > tau, axis=-1))
 
 
-def price_stability(prices: Sequence[float]) -> float:
+def price_stability(prices):
     """1 - min(1, 10 * population std of relative weekly changes)."""
-    changes = _relative_changes(prices)
-    return 1.0 - min(1.0, 10.0 * _pop_std(changes))
+    return _rows(1.0 - np.minimum(1.0, 10.0 * _pop_std(_relative_changes(prices))))
 
 
 # -- report assembly ---------------------------------------------------------
@@ -282,19 +291,34 @@ def _agent_ids(records: list[WeeklyRecord]) -> list[str]:
     return list(records[0].agent_revenue)
 
 
-def _price_series(records: list[WeeklyRecord]) -> dict[tuple[str, str], list[float]]:
-    """Each slot's weekly prices over one episode, keyed (agent_id, product_id)."""
-    columns = zip(*(record.price for record in records))
-    return dict(zip(records[0].slots, map(list, columns)))
+def _slot_prices(records: list[WeeklyRecord]) -> np.ndarray:
+    """One episode's `(slots, weeks)` price array, C-contiguous, rows in slot order."""
+    return np.ascontiguousarray(np.array([record.price for record in records], dtype=float).T)
+
+
+def _slot_metrics(prices: np.ndarray) -> dict[str, np.ndarray]:
+    """Per-slot AgentMetrics price fields of one episode's `(slots, weeks)` prices.
+
+    `price_volatility_mean_abs` is `adjustment_magnitude`'s mean |change|.
+    """
+    volatility = price_volatility(prices)
+    return {
+        "adjustment_magnitude": volatility["mean_abs_change"],
+        "adjustment_frequency": adjustment_frequency(prices),
+        "price_stability": price_stability(prices),
+        "price_volatility_std": volatility["std_change"],
+        "price_volatility_max": volatility["max_change"],
+        "price_cv": price_cv(prices),
+    }
 
 
 def compute_report(episodes: list[list[WeeklyRecord]]) -> MetricsReport:
     """Build the full metric report for one run.
 
     Per-agent change statistics average over the agent's products and
-    episodes. Share volatility, coordination and convergence metrics are
-    computed on the final episode; fairness and welfare use per-agent mean
-    episode returns.
+    episodes, in (episode, product) order. Share volatility, coordination and
+    convergence metrics are computed on the final episode; fairness and
+    welfare use per-agent mean episode returns.
     """
     if not episodes or not episodes[0]:
         raise ValueError("need at least one completed episode")
@@ -307,37 +331,31 @@ def compute_report(episodes: list[list[WeeklyRecord]]) -> MetricsReport:
     mean_returns = {aid: float(np.mean(v)) for aid, v in episode_returns.items()}
     totals = {aid: float(np.sum(v)) for aid, v in episode_returns.items()}
 
-    per_agent_mag: dict[str, list[float]] = {aid: [] for aid in agent_ids}
-    per_agent_freq: dict[str, list[float]] = {aid: [] for aid in agent_ids}
-    per_agent_stab: dict[str, list[float]] = {aid: [] for aid in agent_ids}
-    per_agent_vol: dict[str, list[dict[str, float]]] = {aid: [] for aid in agent_ids}
-    per_agent_cv: dict[str, list[float]] = {aid: [] for aid in agent_ids}
+    # one metric call per episode over all slots; each agent's columns, episode by episode
+    per_agent: dict[str, list[np.ndarray]] = {aid: [] for aid in agent_ids}
     for ep in episodes:
-        for (aid, _pid), prices in _price_series(ep).items():
-            if len(prices) < 2:
-                continue
-            per_agent_mag[aid].append(adjustment_magnitude(prices))
-            per_agent_freq[aid].append(adjustment_frequency(prices))
-            per_agent_stab[aid].append(price_stability(prices))
-            per_agent_vol[aid].append(price_volatility(prices))
-            per_agent_cv[aid].append(price_cv(prices))
+        slot_metrics = _slot_metrics(_slot_prices(ep))
+        table = np.stack(list(slot_metrics.values()))  # (metrics, slots)
+        columns: dict[str, list[int]] = {aid: [] for aid in agent_ids}
+        for (aid, _pid), i in ep[0].slots.items():
+            columns[aid].append(i)
+        for aid, cols in columns.items():
+            per_agent[aid].append(table[:, cols])
 
     max_return = max(mean_returns.values())
     if max_return <= 0:
         flags.append("non-positive-max-return")
     agents = {}
     for aid in agent_ids:
-        vols = per_agent_vol[aid]
+        # a C-contiguous copy: the column gathers are Fortran-ordered, and a row
+        # mean sums pairwise (as np.mean of a list does) only along contiguous rows
+        values = np.ascontiguousarray(np.concatenate(per_agent[aid], axis=1))
+        means = dict(zip(slot_metrics, values.mean(axis=-1).tolist()))
         agents[aid] = AgentMetrics(
             total_revenue=totals[aid],
             mean_return=mean_returns[aid],
-            adjustment_magnitude=float(np.mean(per_agent_mag[aid])),
-            adjustment_frequency=float(np.mean(per_agent_freq[aid])),
-            price_stability=float(np.mean(per_agent_stab[aid])),
-            price_volatility_mean_abs=float(np.mean([v["mean_abs_change"] for v in vols])),
-            price_volatility_std=float(np.mean([v["std_change"] for v in vols])),
-            price_volatility_max=float(np.mean([v["max_change"] for v in vols])),
-            price_cv=float(np.mean(per_agent_cv[aid])),
+            price_volatility_mean_abs=means["adjustment_magnitude"],
+            **means,
             optimality_gap=(
                 optimality_gap(mean_returns[aid], max_return) if max_return > 0 else float("nan")
             ),
@@ -349,15 +367,14 @@ def compute_report(episodes: list[list[WeeklyRecord]]) -> MetricsReport:
     if flagged_weeks:
         flags.append(f"zero-revenue-weeks:{len(flagged_weeks)}")
 
-    final_prices = _price_series(final)
-    product_ids = sorted({pid for (_aid, pid) in final_prices})
-    convergence_values = []
-    for pid in product_ids:
-        pooled = []
-        for (aid, p), prices in final_prices.items():
-            if p == pid:
-                pooled.extend(prices[-CONVERGENCE_WINDOW_WEEKS:])
-        convergence_values.append(price_convergence(pooled))
+    final_prices = _slot_prices(final)
+    final_window = final_prices[:, -CONVERGENCE_WINDOW_WEEKS:]
+    slots_of: dict[str, list[int]] = {}
+    for (_aid, pid), i in final[0].slots.items():
+        slots_of.setdefault(pid, []).append(i)
+    convergence_values = [
+        price_convergence(final_window[slots_of[pid]].ravel()) for pid in sorted(slots_of)
+    ]
 
     returns_vector = [mean_returns[aid] for aid in agent_ids]
     if all(v == 0 for v in returns_vector):
@@ -369,7 +386,7 @@ def compute_report(episodes: list[list[WeeklyRecord]]) -> MetricsReport:
         gini=gini(returns_vector),
         social_welfare=social_welfare(returns_vector),
         welfare_fairness=welfare_fairness(returns_vector),
-        nash_proximity=nash_proximity(list(final_prices.values())),
+        nash_proximity=nash_proximity(final_prices),
         mean_optimality_gap=float(np.mean([a.optimality_gap for a in agents.values()])),
         price_convergence=float(np.mean(convergence_values)),
         market_share_volatility_pp=market_share_volatility_pp(shares),

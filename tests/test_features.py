@@ -3,67 +3,88 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from pricebench.features import (
-    InsufficientHistory,
-    qrm,
-    rolling_volatility,
-    seasonal_encoding,
-    trend,
-)
+from pricebench.features import DEMAND_WINDOW, demand_features, seasonal_encoding
 
 demands = st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=4, max_size=40)
 
 
+def _stats(history, baseline=1.0):
+    lag, mean2, mean4, trend, volatility = demand_features(history, baseline)
+    return {"lag": lag, "mean2": mean2, "mean4": mean4, "trend": trend, "volatility": volatility}
+
+
 class TestQrm:
+    """The 2- and 4-week trailing means and the lag."""
+
     def test_constant_series(self):
-        assert qrm([5, 5, 5], 2) == 5
+        stats = _stats([5.0] * 4)
+        assert stats["mean2"] == stats["mean4"] == 5
 
     def test_recent_mean(self):
-        assert qrm([1, 2, 20, 10], 2) == 15
+        stats = _stats([1.0, 2.0, 20.0, 10.0])
+        assert stats["mean2"] == 15
+        assert stats["mean4"] == 8.25
 
     def test_k1_identity(self):
-        assert qrm([7], 1) == 7
+        assert _stats([7.0])["lag"] == 7
 
     def test_insufficient(self):
-        with pytest.raises(InsufficientHistory):
-            qrm([1], 2)
+        # a window that is not full yet reads demand at baseline
+        assert _stats([3.0], baseline=2.0)["mean2"] == 1.0
+        assert _stats([1.0, 2.0, 3.0])["mean4"] == 1.0
 
-    @given(demands, st.integers(min_value=1, max_value=4))
-    def test_shift_invariance(self, history, k):
-        assert qrm(history, k) == pytest.approx(sum(history[-k:]) / k)
+    @given(demands, st.floats(min_value=0.5, max_value=1e3))
+    def test_shift_invariance(self, history, baseline):
+        stats = _stats(history, baseline)
+        assert stats["lag"] == history[-1] / baseline
+        assert stats["mean2"] == pytest.approx(sum(history[-2:]) / 2 / baseline)
+        assert stats["mean4"] == pytest.approx(sum(history[-4:]) / 4 / baseline)
 
 
 class TestTrend:
     def test_constant_is_zero(self):
-        assert trend([3, 3, 3, 3]) == 0
+        assert _stats([3.0] * 4)["trend"] == 0
 
     def test_hand_value(self):
-        # qrm4 = 2.5, qrm2 = 3.5
-        assert trend([1, 2, 3, 4]) == pytest.approx(-1.0)
+        # 4-week mean 2.5, 2-week mean 3.5
+        assert _stats([1.0, 2.0, 3.0, 4.0])["trend"] == pytest.approx(-1.0)
 
     def test_rising_series_negative(self):
-        assert trend([1, 2, 4, 8]) < 0
+        assert _stats([1.0, 2.0, 4.0, 8.0])["trend"] < 0
 
     def test_insufficient(self):
-        with pytest.raises(InsufficientHistory):
-            trend([1, 2, 3])
+        assert _stats([1.0, 2.0, 3.0])["trend"] == 0.0
 
 
 class TestVolatility:
     def test_constant_is_zero(self):
-        assert rolling_volatility([9, 9, 9, 9], 4) == 0
+        assert _stats([9.0] * 4)["volatility"] == 0
 
     def test_two_point(self):
-        # population std of {10, 20} = sqrt((25 + 25) / 2) = 5
-        assert rolling_volatility([10, 20], 2) == pytest.approx(5.0)
+        # population std of {10, 20, 10, 20} = 5
+        assert _stats([0.0, 10.0, 20.0, 10.0, 20.0])["volatility"] == pytest.approx(5.0)
 
     def test_population_normalizer(self):
-        # sample (1/(k-1)) std would give sqrt(50); population gives 5
-        assert rolling_volatility([0, 10, 20], 2) != pytest.approx(math.sqrt(50))
+        # {0, 10, 20, 30}: population (1/4) variance 125, sample (1/3) variance 500/3
+        volatility = _stats([0.0, 10.0, 20.0, 30.0])["volatility"]
+        assert volatility == pytest.approx(math.sqrt(125))
+        assert volatility != pytest.approx(math.sqrt(500 / 3))
 
     @given(demands)
     def test_nonnegative(self, history):
-        assert rolling_volatility(history, 4) >= 0
+        assert _stats(history)["volatility"] >= 0
+
+
+class TestColdStart:
+    @pytest.mark.parametrize("weeks", range(DEMAND_WINDOW + 2))
+    def test_substitutes_until_each_window_fills(self, weeks):
+        history = [10.0 * (t + 1) for t in range(weeks)]
+        lag, mean2, mean4, trend, volatility = demand_features(history, 10.0)
+        assert lag == (weeks if weeks else 1.0)
+        assert mean2 == ((2 * weeks - 1) / 2 if weeks >= 2 else 1.0)
+        assert mean4 == ((4 * weeks - 6) / 4 if weeks >= 4 else 1.0)
+        assert trend == (-1.0 if weeks >= 4 else 0.0)
+        assert (volatility > 0) == (weeks >= 4)
 
 
 class TestSeasonalEncoding:

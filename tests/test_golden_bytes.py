@@ -3,7 +3,8 @@
 `golden_bytes.json` holds the SHA-256 of every run's `history.csv` and
 `metrics.json` in three tables:
 
-- `desk`: the desk preset of A, C and F, whose learners never pass warm-up;
+- `desk`: the desk preset of every config A-H, whose learners never pass
+  warm-up;
 - `training`: B, C and F at 2 episodes x 52 weeks, where every learner takes
   gradient steps, so the bytes also pin the nets, Adam and the target updates;
 - `long`: A, D, E, G and H at 1 episode x 104 weeks, which reaches the
@@ -30,7 +31,7 @@ from pricebench.harness import CONFIG_MATRIX, desk_spec, run_experiment
 GOLDEN = Path(__file__).with_name("golden_bytes.json")
 ARTIFACTS = ("history.csv", "metrics.json")
 SCALES = {
-    "desk": (("A", "C", "F"), {}),
+    "desk": (tuple(CONFIG_MATRIX), {}),
     "training": (("B", "C", "F"), {"episodes": 2, "weeks_per_episode": 52}),
     "long": (("A", "D", "E", "G", "H"), {"episodes": 1, "weeks_per_episode": 104}),
 }

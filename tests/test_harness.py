@@ -1,10 +1,13 @@
+import gc
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pricebench import harness
 from pricebench.harness import (
     CONFIG_MATRIX,
     ExperimentSpec,
@@ -116,6 +119,31 @@ class TestExecuteRun:
         assert len(ckpts) == 8  # 4 agents x 2 episodes
         payload = json.loads(ckpts[0].read_text())
         assert payload["kind"] == "madqn"
+
+    @pytest.mark.parametrize("config_id", ["B", "F", "H"])
+    def test_finished_team_run_freed_by_refcounting(self, config_id, tmp_path, monkeypatch):
+        """No reference cycle keeps a team alive: with the cyclic collector off,
+        each coordinator and member net is gone once execute_run returns."""
+        refs = []
+        build_agents = harness.build_agents
+
+        def recording(config):
+            agents = build_agents(config)
+            for agent in agents:
+                refs.append(weakref.ref(agent.coordinator))
+                refs.append(weakref.ref(getattr(agent, "actor", None) or agent.net))
+            return agents
+
+        monkeypatch.setattr(harness, "build_agents", recording)
+        gc.collect()
+        gc.disable()
+        try:
+            execute_run(desk_spec(config_id), 0, tmp_path)
+            alive = [ref for ref in refs if ref() is not None]
+        finally:
+            gc.enable()
+        assert len(refs) == 8
+        assert alive == []
 
 
 class TestWilcoxon:

@@ -136,6 +136,84 @@ class TestEncodeState:
                 assert np.all(np.isfinite(encode_state(agent, obs)))
 
 
+class _Short(ValueError):
+    """The reference encoder's "not enough history" signal."""
+
+
+def _reference_encode_state(agent, observation):
+    """The encoder as it was before `features.demand_features`: one helper per entry."""
+    import math
+
+    from pricebench.features import seasonal_encoding
+    from pricebench.market import month_of_week
+
+    def qrm(history, k):
+        if len(history) < k:
+            raise _Short
+        return sum(history[-k:]) / k
+
+    def trend(history):
+        if len(history) < 4:
+            raise _Short
+        return qrm(history, 4) - qrm(history, 2)
+
+    def rolling_volatility(history, k):
+        if len(history) < k:
+            raise _Short
+        window = history[-k:]
+        mean = sum(window) / k
+        return math.sqrt(sum((q - mean) ** 2 for q in window) / k)
+
+    week_sin, week_cos, _, _ = seasonal_encoding(
+        observation.week_number, month_of_week(observation.week_number)
+    )
+    holiday = 1.0 if observation.is_holiday else 0.0
+    share = observation.market_share[agent.agent_id]
+    slots = []
+    for spec in agent.product_specs:
+        product = agent.portfolio[spec.product_id]
+        baseline = spec.baseline_demand
+        history = product.demand_history
+
+        def ratio_or(fn, default, *args):
+            try:
+                return fn(history, *args) / baseline
+            except _Short:
+                return default
+
+        price = product.current_price
+        slots.extend([
+            price / observation.cluster_avg_price[observation.slots[(agent.agent_id, spec.product_id)]],
+            (price - spec.unit_cost) / price,
+            (history[-1] / baseline) if history else 1.0,
+            ratio_or(qrm, 1.0, 2),
+            ratio_or(qrm, 1.0, 4),
+            ratio_or(trend, 0.0),
+            ratio_or(rolling_volatility, 0.0, 4),
+            week_sin,
+            week_cos,
+            holiday,
+            share,
+            product.last_relative_change(),
+        ])
+    return np.asarray(slots, dtype=float)
+
+
+class TestEncodeStateMatchesReference:
+    """Bit for bit the per-entry encoder, through every cold-start window."""
+
+    @pytest.mark.parametrize("weeks", range(6))
+    def test_equal_after_weeks_of_history(self, weeks):
+        config, agents, env = _madqn_setup(n_products=3, seed=23)
+        obs = env.bootstrap_observation()
+        for _ in range(weeks):
+            submitted = {a.agent_id: a.propose_prices(obs) for a in agents}
+            _, obs = env.step(submitted)
+        for agent in agents:
+            assert len(next(iter(agent.portfolio.values())).demand_history) == weeks
+            assert np.array_equal(encode_state(agent, obs), _reference_encode_state(agent, obs))
+
+
 class TestStateEncodedOncePerWeek:
     """feedback() encodes next_state; the next propose_prices() reuses it."""
 

@@ -1,9 +1,11 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pricebench.metrics import (
+    CONVERGENCE_WINDOW_WEEKS,
     MetricsReport,
     adjustment_frequency,
     adjustment_magnitude,
@@ -308,3 +310,112 @@ class TestComputeReport:
     def test_json_is_stable(self):
         report = compute_report(_toy_episodes())
         assert report.to_json() == compute_report(_toy_episodes()).to_json()
+
+
+# one entry per price-series metric; each reduces over the last axis
+PRICE_METRICS = {
+    "adjustment_magnitude": adjustment_magnitude,
+    "adjustment_frequency": adjustment_frequency,
+    "price_stability": price_stability,
+    "price_cv": price_cv,
+    "mean_abs_change": lambda prices: price_volatility(prices)["mean_abs_change"],
+    "std_change": lambda prices: price_volatility(prices)["std_change"],
+    "max_change": lambda prices: price_volatility(prices)["max_change"],
+}
+CHANGE_METRICS = sorted(set(PRICE_METRICS) - {"price_cv"})
+
+
+def _random_prices(shape, seed):
+    """Random-walk prices around 10 with one constant series."""
+    rng = np.random.default_rng(seed)
+    prices = 10.0 * np.exp(np.cumsum(rng.normal(0.0, 0.03, size=shape), axis=-1))
+    prices[(0,) * (len(shape) - 1)] = 12.5
+    return prices
+
+
+class TestBatchedPriceMetrics:
+    @pytest.mark.parametrize("weeks", [2, 3, 9, 19, 20, 104])
+    @pytest.mark.parametrize("name", sorted(PRICE_METRICS))
+    def test_rows_equal_series_calls(self, name, weeks):
+        metric = PRICE_METRICS[name]
+        prices = _random_prices((3, 20, weeks), seed=weeks)
+        batched = metric(prices)
+        assert batched.shape == (3, 20)
+        one_by_one = [[metric(list(series)) for series in episode] for episode in prices]
+        assert all(isinstance(v, float) for row in one_by_one for v in row)
+        assert np.array_equal(batched, np.array(one_by_one))
+
+    @pytest.mark.parametrize("name", sorted(PRICE_METRICS))
+    def test_non_contiguous_input_rows_equal_series_calls(self, name):
+        metric = PRICE_METRICS[name]
+        prices = np.asfortranarray(_random_prices((20, 37), seed=3))
+        assert np.array_equal(metric(prices), np.array([metric(list(s)) for s in prices]))
+
+    @pytest.mark.parametrize("name", CHANGE_METRICS)
+    def test_series_shorter_than_two_weeks_rejected(self, name):
+        with pytest.raises(ValueError):
+            PRICE_METRICS[name]([5.0])
+        with pytest.raises(ValueError):
+            PRICE_METRICS[name](np.full((3, 1), 5.0))
+
+
+def _random_episodes(n_agents=4, n_products=5, weeks=20, episodes=3, seed=11):
+    from pricebench.environment import WeeklyRecord
+
+    agent_ids = [f"ag{i}" for i in range(n_agents)]
+    slots = {(aid, f"p{j}"): i * n_products + j
+             for i, aid in enumerate(agent_ids) for j in range(n_products)}
+    rng = np.random.default_rng(seed)
+    eps = []
+    for e in range(episodes):
+        prices = _random_prices((len(slots), weeks), seed=seed + e).T.tolist()
+        records = []
+        for t in range(weeks):
+            demands = rng.uniform(1.0, 20.0, size=len(slots)).tolist()
+            revenues = [p * d for p, d in zip(prices[t], demands)]
+            agent_revenue = {aid: sum(revenues[i * n_products:(i + 1) * n_products])
+                             for i, aid in enumerate(agent_ids)}
+            total = sum(agent_revenue.values())
+            records.append(WeeklyRecord(
+                week_index=t + 1, year=1, week_number=t + 1, is_holiday=False, slots=slots,
+                price=prices[t], demand=demands, revenue=revenues,
+                profit=[(p - 6.0) * d for p, d in zip(prices[t], demands)],
+                agent_revenue=agent_revenue,
+                market_share={a: agent_revenue[a] / total for a in agent_ids},
+            ))
+        eps.append(records)
+    return eps
+
+
+class TestComputeReportMatchesSeriesCalls:
+    """The batched report equals one metric call per slot series, bit for bit."""
+
+    @pytest.mark.parametrize("weeks", [2, 20, 52])
+    def test_agent_and_market_price_metrics(self, weeks):
+        episodes = _random_episodes(weeks=weeks)
+        report = compute_report(episodes)
+        series = [
+            {key: [r.price[i] for r in ep] for key, i in ep[0].slots.items()} for ep in episodes
+        ]
+        for aid, got in report.agents.items():
+            own = [prices for ep in series for (a, _), prices in ep.items() if a == aid]
+            vols = [price_volatility(p) for p in own]
+            assert got.adjustment_magnitude == float(np.mean([adjustment_magnitude(p) for p in own]))
+            assert got.adjustment_frequency == float(np.mean([adjustment_frequency(p) for p in own]))
+            assert got.price_stability == float(np.mean([price_stability(p) for p in own]))
+            assert got.price_volatility_mean_abs == float(np.mean([v["mean_abs_change"] for v in vols]))
+            assert got.price_volatility_std == float(np.mean([v["std_change"] for v in vols]))
+            assert got.price_volatility_max == float(np.mean([v["max_change"] for v in vols]))
+            assert got.price_cv == float(np.mean([price_cv(p) for p in own]))
+        final = series[-1]
+        changes = [
+            abs(c) for prices in final.values()
+            for c in np.diff(prices[-13:]) / np.asarray(prices[-13:-1])
+        ]
+        assert report.nash_proximity == 1.0 - min(1.0, 10.0 * sum(changes) / len(changes))
+        pooled = {}
+        for (_, pid), prices in final.items():
+            pooled.setdefault(pid, []).extend(prices[-CONVERGENCE_WINDOW_WEEKS:])
+        assert report.price_convergence == float(
+            np.mean([price_convergence(pooled[pid]) for pid in sorted(pooled)])
+        )

@@ -110,24 +110,28 @@ class _FakeMember:
         self.coordinator = None
 
 
-def _coordinator(n_agents=2, state_size=2, n_bins=3, seed=6, **hyper_kw) -> QmixCoordinator:
+def _team(n_agents=2, state_size=2, n_bins=3, seed=6, **hyper_kw):
+    """A coordinator and its fake members (the coordinator keeps only their nets)."""
     config = MarketConfig(
         agent_roster=[AgentSpec(f"x{i}", "qmix") for i in range(n_agents)], seed=seed,
         products_per_agent=1, clusters=(1,), weeks_per_episode=4, episodes=1,
     ).validate()
     hyper = QmixHyper(**{"warm_up": 16, "batch_size": 16, **hyper_kw})
     coord = QmixCoordinator(config, hyper, n_agents, state_size)
-    for i in range(n_agents):
-        member = _FakeMember(f"x{i}", state_size, n_bins, seed)
+    members = [_FakeMember(f"x{i}", state_size, n_bins, seed) for i in range(n_agents)]
+    for member in members:
         coord.register(member)
         member.coordinator = coord
-    return coord
+    return coord, members
+
+
+def _coordinator(**kwargs) -> QmixCoordinator:
+    return _team(**kwargs)[0]
 
 
 class TestCoordinator:
     def test_double_registration_rejected(self):
-        coord_a = _coordinator()
-        member = coord_a.members[0]
+        _, (member, _) = _team()
         coord_b = _coordinator()
         with pytest.raises(ConfigError):
             coord_b.register(member)
@@ -166,10 +170,10 @@ def _fill(coord, n=32, seed=7):
     for _ in range(n):
         coord.buffer.push(
             JointTransition(
-                [rng.normal(size=2) for _ in coord.members],
-                [[int(rng.integers(3))] for _ in coord.members],
-                [float(rng.normal())] * len(coord.members),
-                [rng.normal(size=2) for _ in coord.members],
+                [rng.normal(size=2) for _ in coord.member_ids],
+                [[int(rng.integers(3))] for _ in coord.member_ids],
+                [float(rng.normal())] * len(coord.member_ids),
+                [rng.normal(size=2) for _ in coord.member_ids],
                 bool(rng.integers(2)),
             )
         )
@@ -216,17 +220,17 @@ def _reference_learn(coord, nets, targets, mixer, target_mixer, opt, rng, step):
 
 class TestTeamStep:
     def test_team_step_equals_per_member_reference(self):
-        coord = _coordinator(n_agents=3, lr=0.02, target_update_every=2)
+        coord, members = _team(n_agents=3, lr=0.02, target_update_every=2)
         _fill(coord)
-        nets = [m.net.clone() for m in coord.members]
-        targets = [m.target.clone() for m in coord.members]
+        nets = [m.net.clone() for m in members]
+        targets = [m.target.clone() for m in members]
         mixer, target_mixer = coord.mixer.clone(), coord.target_mixer.clone()
         opt = Adam([p for net in nets for p in net.params()] + mixer.params())
         rng = copy.deepcopy(coord.rng)
         for step in range(1, 6):
             coord.learn()
             _reference_learn(coord, nets, targets, mixer, target_mixer, opt, rng, step)
-        for member, net, target in zip(coord.members, nets, targets):
+        for member, net, target in zip(members, nets, targets):
             assert np.array_equal(member.net.flat, net.flat)
             assert np.array_equal(member.target.flat, target.flat)
         assert np.array_equal(coord.mixer.flat, mixer.flat)
@@ -255,7 +259,7 @@ class TestMatrixGame:
         payoff = r1[:, None] + r2[None, :]
         oracle = np.unravel_index(payoff.argmax(), payoff.shape)
 
-        coord = _coordinator(n_agents=2, state_size=1, n_bins=3, lr=0.01, seed=12)
+        coord, members = _team(n_agents=2, state_size=1, n_bins=3, lr=0.01, seed=12)
         state = [np.ones(1), np.ones(1)]
         for a1 in range(3):
             for a2 in range(3):
@@ -266,7 +270,7 @@ class TestMatrixGame:
         for _ in range(2500):
             coord.learn()
         greedy = [
-            int(np.argmax(m.net.forward(np.ones(1)))) for m in coord.members
+            int(np.argmax(m.net.forward(np.ones(1)))) for m in members
         ]
         assert tuple(greedy) == oracle
 
