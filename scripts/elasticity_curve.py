@@ -8,6 +8,7 @@ report the fitted elasticity alongside the smoothed curve.
 import argparse
 import sys
 
+import pricebench  # noqa: F401  (first: it pins the BLAS threads before numpy loads)
 import numpy as np
 
 from pricebench.demand import (

@@ -10,6 +10,7 @@ import sys
 from datetime import datetime, timedelta
 from pathlib import Path
 
+import pricebench  # noqa: F401  (first: it pins the BLAS threads before numpy loads)
 import numpy as np
 
 from pricebench.market import derive_rng

@@ -241,6 +241,9 @@ def execute_run(
         episodes.append(run_episode(run_config, agents, model, ep))
         if spec.checkpoint_every and (ep + 1) % spec.checkpoint_every == 0:
             _write_checkpoints(agents, out, run_id, ep + 1)
+    # the report and the artifacts read only the episode records: free the
+    # agents' nets, buffers and replay before the history CSV is built
+    del agents
     report = compute_report(episodes)
 
     write_history_csv(episodes, run_dir / "history.csv")

@@ -20,6 +20,7 @@ from ..nn import (
     ExplorationSchedule,
     ReplayBuffer,
     ShapeError,
+    Workspace,
     soft_update,
 )
 from .common import MarlAgentBase, encode_state, state_dim
@@ -103,6 +104,7 @@ class MaddpgCoordinator:
         # team nets and their optimizers, stacked from the members by the first learn step
         self.actors = self.critics = self.target_actors = self.target_critics = None
         self.actor_opt = self.critic_opt = None
+        self._work = Workspace()  # the learn step's batch arrays, refilled every step
 
     def register(self, member: "MaddpgAgent") -> None:
         if self.actors is not None:
@@ -146,21 +148,30 @@ class MaddpgCoordinator:
             self.critic_opt = Adam([self.critics.flat])
         batch = self.buffer.sample(hp.batch_size, self.rng)
         b, n = len(batch), len(self.member_ids)
-        states = np.stack([t.states for t in batch])  # (B, members, local state)
-        actions = np.stack([t.actions for t in batch])  # (B, members, products)
-        next_states = np.stack([t.next_states for t in batch])
+        work = self._work
+        state_shape = (b, *np.shape(batch[0].states))  # (B, members, local state)
+        action_shape = (b, *np.shape(batch[0].actions))  # (B, members, products)
+        states = np.stack([t.states for t in batch], out=work.get("states", state_shape))
+        actions = np.stack([t.actions for t in batch], out=work.get("actions", action_shape))
+        next_states = np.stack([t.next_states for t in batch], out=work.get("next_states", state_shape))
         rewards = np.asarray([t.rewards for t in batch]).T  # (members, B)
         done = np.asarray([t.done for t in batch], dtype=float)
         max_change = self.config.max_weekly_change
 
         # every critic reads the joint state and action: member-major blocks
         joint_dim = states[0].size
+        critic_dim = joint_dim + actions[0].size
         target_next_actions = self.target_actors.forward(next_states.transpose(1, 0, 2)) * max_change
         critic_next_in = np.concatenate(
             [next_states.reshape(b, -1), target_next_actions.transpose(1, 0, 2).reshape(b, -1)],
             axis=1,
+            out=work.get("critic_next_in", (b, critic_dim)),
         )
-        critic_in = np.concatenate([states.reshape(b, -1), actions.reshape(b, -1)], axis=1)
+        critic_in = np.concatenate(
+            [states.reshape(b, -1), actions.reshape(b, -1)],
+            axis=1,
+            out=work.get("critic_in", (b, critic_dim)),
+        )
 
         q_next = self.target_critics.forward(critic_next_in)[..., 0]  # (members, B)
         y = rewards + hp.gamma * (1.0 - done) * q_next
@@ -172,7 +183,8 @@ class MaddpgCoordinator:
 
         # actors: ascend Q with each member's own action replaced by its policy output
         actor_out, actor_cache = self.actors.forward_cached(states.transpose(1, 0, 2))
-        replaced = np.repeat(critic_in[None], n, axis=0)  # (members, B, critic input)
+        replaced = work.get("replaced", (n, b, critic_dim))  # (members, B, critic input)
+        replaced[...] = critic_in
         own = np.arange(n)
         replaced[:, :, joint_dim:].reshape(n, b, n, -1)[own, :, own] = actor_out * max_change
         q_pi, critic_cache = self.critics.forward_cached(replaced)

@@ -21,6 +21,7 @@ from ..nn import (
     ReplayBuffer,
     TrainingError,
     Transition,
+    Workspace,
     hard_update,
     soft_update,
 )
@@ -89,6 +90,7 @@ class DqnCore:
         self.optimizer = Adam([self.net.flat])
         self.buffer = ReplayBuffer(hyper.buffer_capacity, hyper.recency_decay)
         self.learn_calls = 0
+        self._work = Workspace()  # the learn step's upstream gradient, refilled every step
 
     def q_values(self, state: np.ndarray) -> np.ndarray:
         return self.net.forward(state).reshape(self.n_heads, self.n_bins)
@@ -136,7 +138,8 @@ class DqnCore:
                 f"q range [{q.min()}, {q.max()}]"
             )
 
-        upstream = np.zeros_like(q)
+        upstream = self._work.get("upstream", q.shape)
+        upstream.fill(0.0)
         upstream[rows, heads, actions] = 2.0 * err / err.size
         self.net.backward(cache, upstream.reshape(b, -1), inputs=False)
         self.optimizer.step([self.net.flat], [self.net.grad], self.hyper.lr)

@@ -22,6 +22,7 @@ from ..nn import (
     ExplorationSchedule,
     ReplayBuffer,
     ShapeError,
+    Workspace,
     hard_update,
 )
 from .common import MarlAgentBase, N_PRICE_BINS, discretize_action, encode_state, state_dim
@@ -238,6 +239,7 @@ class QmixCoordinator:
         self.learn_calls = 0
         self.last_loss: float | None = None
         self._pending: dict[str, tuple] = {}
+        self._work = Workspace()  # the learn step's batch arrays, refilled every step
 
     def register(self, member: "QmixAgent") -> None:
         if member.coordinator is not None and member.coordinator is not self:
@@ -286,14 +288,16 @@ class QmixCoordinator:
         n_heads, n_bins = self._q_shape
         rewards = np.asarray([t.rewards[0] for t in batch])
         done = np.asarray([t.done for t in batch], dtype=float)
-        states = np.stack([t.states for t in batch])  # (B, members, local state)
-        next_states = np.stack([t.next_states for t in batch])
+        work, shape = self._work, (b, *np.shape(batch[0].states))  # (B, members, local state)
+        states = np.stack([t.states for t in batch], out=work.get("states", shape))
+        next_states = np.stack([t.next_states for t in batch], out=work.get("next_states", shape))
         actions = np.asarray(np.stack([t.actions for t in batch]), dtype=int).transpose(1, 0, 2)
         global_state = states.reshape(b, -1)
         next_global_state = next_states.reshape(b, -1)
 
-        # target utilities: per-member greedy on the target nets
-        tq = self.target_nets.forward(next_states.transpose(1, 0, 2)).reshape(n, b, n_heads, n_bins)
+        # target utilities: per-member greedy on the target nets, read from their buffers
+        tq, _ = self.target_nets.forward_cached(next_states.transpose(1, 0, 2))
+        tq = tq.reshape(n, b, n_heads, n_bins)
         target_qs = np.ascontiguousarray(tq.max(axis=3).mean(axis=2).T)  # (B, members)
         q_tot_next = self.target_mixer.forward(target_qs, next_global_state)
         y = rewards + hp.gamma * (1.0 - done) * q_tot_next
@@ -315,7 +319,8 @@ class QmixCoordinator:
         upstream = 2.0 * err / b
         _, d_qs = self.mixer.backward(mix_cache, upstream)
 
-        net_upstream = np.zeros(q.shape)
+        net_upstream = work.get("net_upstream", q.shape)
+        net_upstream.fill(0.0)
         net_upstream[taken] = (d_qs.T / n_heads)[:, :, None]
         self.nets.backward(cache, net_upstream.reshape(n, b, -1), inputs=False)
         self.optimizer.step([self.nets.flat, self.mixer.flat], [self.nets.grad, self.mixer.grad], hp.lr)

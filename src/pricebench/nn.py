@@ -8,6 +8,19 @@ nets can be stacked into one team net (`DenseNet.team`) with a leading
 members axis: each member's parameters stay one contiguous slice of the
 team's `flat`, and the member nets become views of that slice, so a team
 trains in one batched pass while each member still acts on its own.
+
+Buffers. A net keeps its activations and backward intermediates in scratch
+arrays (`Workspace`) that it reuses from call to call, one per layer and
+shape, so a training step allocates almost nothing once warm. One rule says
+which arrays a caller may keep:
+
+- `DenseNet.forward` returns an array the caller owns.
+- The cache and output of `forward_cached` and the `input_grad` of
+  `backward` are views of the net's buffers. Each stays valid until the
+  same net's next pass of the same kind (forward or backward) whose output
+  has the same shape; a pass of another shape leaves it alone.
+- The `grads` of `backward` are views of `net.grad`, which the net's next
+  backward with `params=True` overwrites.
 """
 
 from __future__ import annotations
@@ -33,20 +46,35 @@ class TrainingError(RuntimeError):
     """Non-finite values encountered during optimization."""
 
 
-def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "tanh":
-        return np.tanh(z)
-    return z
+class Workspace:
+    """Scratch arrays reused between calls, one per (name, shape).
 
+    The first `get` of a name at a shape allocates an uninitialized array;
+    every later `get` of that name and shape returns the same array, so a
+    loop that asks for the same shapes allocates nothing after its first
+    pass. The caller overwrites what the array held before.
+    """
 
-def _activation_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return (z > 0).astype(z.dtype)
-    if name == "tanh":
-        return 1.0 - a * a
-    return np.ones_like(z)
+    def __init__(self):
+        self._arrays: dict[tuple, np.ndarray | list[np.ndarray]] = {}
+
+    def get(self, name, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        key = (name, shape)
+        array = self._arrays.get(key)
+        if array is None:
+            array = self._arrays[key] = np.empty(shape, dtype)
+        return array
+
+    def layers(self, name, lead: tuple[int, ...], widths: Sequence[int]) -> list[np.ndarray]:
+        """One float array of shape `lead + (width,)` per width, kept like get()'s.
+
+        Its names are its own: a name passed here is not also passed to get().
+        """
+        key = (name, lead)
+        arrays = self._arrays.get(key)
+        if arrays is None:
+            arrays = self._arrays[key] = [np.empty(lead + (w,)) for w in widths]
+        return arrays
 
 
 def _layer_views(layer_sizes: Sequence[int], flat: np.ndarray, members: int | None):
@@ -105,7 +133,11 @@ class DenseNet:
         self.flat = flat
         self.members = members
         self.weights, self.biases = _layer_views(self.layer_sizes, flat, members)
+        # the forward pass's operands: W^T and the bias as one row, views of flat
+        self._weights_t = [w.swapaxes(-1, -2) for w in self.weights]
+        self._bias_rows = [b[..., None, :] for b in self.biases]
         self.grad: np.ndarray | None = None  # allocated by the first backward that needs it
+        self._work = Workspace()
 
     @classmethod
     def team(cls, nets: Sequence["DenseNet"]) -> "DenseNet":
@@ -137,15 +169,19 @@ class DenseNet:
         self.biases[-1] *= factor
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        """The net's output for `x`, as an array the caller owns."""
         y, _ = self.forward_cached(x)
-        return y
+        return y.copy()
 
     def forward_cached(self, x: np.ndarray):
-        """Forward pass keeping pre/post activations for backward().
+        """Forward pass keeping each layer's output for backward().
 
         `x` is one sample `(in,)` or a batch `(B, in)`, shared by every member
         of a team, or, for a team, one batch per member `(members, B, in)`.
-        A team's outputs carry a leading members axis.
+        A team's outputs carry a leading members axis. The output and the
+        cache are views of the net's buffers for this output shape (see the
+        module docstring); only post-activations are kept, because relu's
+        mask `post > 0` equals `pre > 0` and tanh's derivative reads `post`.
         """
         x = np.asarray(x, dtype=float)
         squeeze = x.ndim == 1
@@ -154,49 +190,69 @@ class DenseNet:
             raise ShapeError(
                 f"input dim {a.shape[-1]} != expected {self.layer_sizes[0]}"
             )
-        if a.ndim == 3 and a.shape[0] != self.members:
+        if a.ndim > 3 or (a.ndim == 3 and a.shape[0] != self.members):
             raise ShapeError(f"{a.shape[0]} input batches for {self.members} members")
-        pre, post = [], [a]
-        for w, b, act in zip(self.weights, self.biases, self.activations):
-            z = post[-1] @ w.swapaxes(-1, -2) + b[..., None, :]
-            pre.append(z)
-            post.append(_apply_activation(act, z))
+        lead = (self.members, a.shape[-2]) if self.members else a.shape[:-1]
+        outs = self._work.layers("post", lead, self.layer_sizes[1:])
+        post = [a]
+        for w_t, b, act, z in zip(self._weights_t, self._bias_rows, self.activations, outs):
+            np.matmul(post[-1], w_t, out=z)
+            z += b
+            if act == "relu":
+                np.maximum(z, 0.0, out=z)
+            elif act == "tanh":
+                np.tanh(z, out=z)
+            post.append(z)
         y = post[-1][..., 0, :] if squeeze else post[-1]
-        return y, {"pre": pre, "post": post, "squeeze": squeeze}
+        return y, {"post": post, "squeeze": squeeze}
 
     def backward(self, cache, upstream: np.ndarray, params: bool = True, inputs: bool = True):
         """Exact gradients of sum(output * upstream) w.r.t. params and input.
 
         Returns (grads, input_grad). `grads` is [dW1, db1, dW2, db2, ...],
         aligned with params(): views of `self.grad`, which the next backward
-        overwrites. A team's input gradient has one batch per member. With
-        `params=False` no weight gradient is computed and `grads` is None;
-        with `inputs=False` the first layer's input product is skipped and
-        `input_grad` is None.
+        overwrites. A team's input gradient has one batch per member; it is a
+        view of the net's buffers, valid until the next backward whose output
+        has its shape. With `params=False` no weight gradient is computed and
+        `grads` is None; with `inputs=False` the first layer's input product
+        is neither computed nor given a buffer, and `input_grad` is None.
         """
         if cache is None:
             raise RuntimeError("backward() called without a cached forward pass")
-        upstream = np.asarray(upstream, dtype=float)
+        upstream = np.ascontiguousarray(upstream, dtype=float)
         if cache["squeeze"]:
             upstream = upstream[..., None, :]
-        pre, post = cache["pre"], cache["post"]
-        if upstream.shape != pre[-1].shape:
+        post = cache["post"]
+        if upstream.shape != post[-1].shape:
             raise ShapeError(
-                f"upstream shape {upstream.shape} != output shape {pre[-1].shape}"
+                f"upstream shape {upstream.shape} != output shape {post[-1].shape}"
             )
         if params and self.grad is None:
             self.grad = np.zeros_like(self.flat)
             self._grad_weights, self._grad_biases = _layer_views(
                 self.layer_sizes, self.grad, self.members
             )
+        work, lead = self._work, upstream.shape[:-1]
         g = upstream
         for layer in reversed(range(len(self.weights))):
-            dz = g * _activation_grad(self.activations[layer], pre[layer], post[layer + 1])
+            act, out = self.activations[layer], post[layer + 1]
+            dz = g  # linear: the activation's derivative is 1
+            if act != "linear":
+                if act == "relu":
+                    d_act = np.greater(out, 0.0, out=work.get(("relu'", layer), out.shape, bool))
+                else:  # tanh: 1 - tanh^2, read from the output
+                    d_act = np.multiply(out, out, out=work.get(("tanh'", layer), out.shape))
+                    np.subtract(1.0, d_act, out=d_act)
+                # over g when it is this pass's own input product, never over the caller's upstream
+                if g is upstream:
+                    dz = work.get(("dz", layer), out.shape)
+                np.multiply(g, d_act, out=dz)
             if params:
                 np.matmul(dz.swapaxes(-1, -2), post[layer], out=self._grad_weights[layer])
                 np.sum(dz, axis=-2, out=self._grad_biases[layer])
             if layer or inputs:
-                g = dz @ self.weights[layer]
+                buf = work.get(("input_grad", layer), lead + (self.layer_sizes[layer],))
+                g = np.matmul(dz, self.weights[layer], out=buf)
         grads = _interleave(self._grad_weights, self._grad_biases) if params else None
         input_grad = None
         if inputs:
@@ -215,7 +271,7 @@ def soft_update(target: DenseNet, online: DenseNet, tau: float) -> None:
     """Polyak update: target <- (1 - tau) * target + tau * online."""
     if target.layer_sizes != online.layer_sizes or target.flat.shape != online.flat.shape:
         raise ShapeError("target/online architectures differ")
-    scratch = np.empty(min(CHUNK, target.flat.size))
+    scratch = target._work.get("update", (min(CHUNK, target.flat.size),))
     for lo in range(0, target.flat.size, CHUNK):
         t = target.flat[lo : lo + CHUNK]
         tau_online = np.multiply(online.flat[lo : lo + CHUNK], tau, out=scratch[: t.size])

@@ -11,6 +11,8 @@
   holiday weeks 47-52 with rule agents, crosses into a second year and pins
   the mixed rosters (every learner among them takes gradient steps).
 
+The hashes are those of one BLAS thread, which importing pricebench pins
+(the last bits of a float64 matrix product depend on the thread count).
 A refactor that keeps these hashes keeps the simulator's numbers; a change
 that alters them on purpose re-captures the file with
 
@@ -21,13 +23,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from pricebench import nn
+from pricebench import BLAS_THREAD_VARS, nn
 from pricebench.harness import CONFIG_MATRIX, desk_spec, run_experiment
 
+ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).with_name("golden_bytes.json")
 ARTIFACTS = ("history.csv", "metrics.json")
 SCALES = {
@@ -87,6 +93,30 @@ def test_long_artifacts_match_golden(config_id, tmp_path, monkeypatch):
     if set(CONFIG_MATRIX[config_id]) != {"rule"}:
         assert steps > 0, "the long runs' learners took no optimizer step"
     assert hashes == _golden("long", config_id)
+
+
+# long/H is the table entry whose bytes moved with the BLAS thread count
+# before importing pricebench pinned it.
+HASHES_IN_FRESH_PROCESS = """
+import json, tempfile
+from pathlib import Path
+from tests.test_golden_bytes import _spec, artifact_hashes
+with tempfile.TemporaryDirectory() as tmp:
+    print(json.dumps(artifact_hashes(_spec("long", "H"), Path(tmp))))
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_blas_thread_count_set_outside_does_not_change_bytes(threads):
+    env = dict(os.environ, **{var: str(threads) for var in BLAS_THREAD_VARS})
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    run = subprocess.run(
+        [sys.executable, "-c", HASHES_IN_FRESH_PROCESS],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == _golden("long", "H")
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from pricebench.nn import (
     ShapeError,
     TrainingError,
     Transition,
+    _layer_views,
     hard_update,
     load_weights,
     save_weights,
@@ -305,6 +306,145 @@ class TestTeamNets:
         rng = derive_rng(5, "team")
         with pytest.raises(ShapeError):
             DenseNet.team([DenseNet([3, 2], ["linear"], rng), DenseNet([3, 4], ["linear"], rng)])
+
+
+def _reference_forward(net, x):
+    """The allocating forward pass that the buffered one replaced, kept verbatim."""
+    x = np.asarray(x, dtype=float)
+    squeeze = x.ndim == 1
+    a = x[None, :] if squeeze else x
+    pre, post = [], [a]
+    for w, b, act in zip(net.weights, net.biases, net.activations):
+        z = post[-1] @ w.swapaxes(-1, -2) + b[..., None, :]
+        pre.append(z)
+        post.append(np.maximum(z, 0.0) if act == "relu" else np.tanh(z) if act == "tanh" else z)
+    y = post[-1][..., 0, :] if squeeze else post[-1]
+    return y, {"pre": pre, "post": post, "squeeze": squeeze}
+
+
+def _reference_backward(net, cache, upstream, params=True, inputs=True):
+    """The allocating backward pass that the buffered one replaced, into its own grad vector."""
+    upstream = np.asarray(upstream, dtype=float)
+    if cache["squeeze"]:
+        upstream = upstream[..., None, :]
+    pre, post = cache["pre"], cache["post"]
+    grad = np.zeros_like(net.flat)
+    grad_weights, grad_biases = _layer_views(net.layer_sizes, grad, net.members)
+    g = upstream
+    for layer in reversed(range(len(net.weights))):
+        act, z, a = net.activations[layer], pre[layer], post[layer + 1]
+        if act == "relu":
+            dz = g * (z > 0).astype(z.dtype)
+        elif act == "tanh":
+            dz = g * (1.0 - a * a)
+        else:
+            dz = g * np.ones_like(z)
+        if params:
+            np.matmul(dz.swapaxes(-1, -2), post[layer], out=grad_weights[layer])
+            np.sum(dz, axis=-2, out=grad_biases[layer])
+        if layer or inputs:
+            g = dz @ net.weights[layer]
+    grads = [a for pair in zip(grad_weights, grad_biases) for a in pair] if params else None
+    input_grad = (g[..., 0, :] if cache["squeeze"] else g) if inputs else None
+    return grads, input_grad
+
+
+def _same_bits(a, b) -> bool:
+    """Equal shape and equal bytes: stricter than array_equal (signed zeros, NaN payloads)."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# every activation in every position, plus the production team shapes
+BUFFER_NETS = {
+    "relu-tanh-linear": ([5, 7, 6, 3], ["relu", "tanh", "linear"]),
+    "tanh-linear-relu": ([5, 7, 6, 3], ["tanh", "linear", "relu"]),
+    "linear-relu-tanh": ([5, 7, 6, 3], ["linear", "relu", "tanh"]),
+    **{name: (sizes, acts) for name, (sizes, acts, _) in TEAM_SHAPES.items()},
+}
+# (members, input shape after the feature axis is appended)
+BUFFER_INPUTS = {
+    "single-1d": (None, ()),
+    "single-batch": (None, (16,)),
+    "team-1d": (3, ()),
+    "team-shared": (3, (16,)),
+    "team-per-member": (3, (3, 16)),
+}
+
+
+class TestBufferedPasses:
+    """The buffered passes equal the allocating ones bit for bit, and keep the ownership rule."""
+
+    @pytest.mark.parametrize("net_name", BUFFER_NETS)
+    @pytest.mark.parametrize("input_name", BUFFER_INPUTS)
+    @pytest.mark.parametrize("params", [True, False])
+    @pytest.mark.parametrize("inputs", [True, False])
+    def test_equals_allocating_reference(self, net_name, input_name, params, inputs):
+        sizes, acts = BUFFER_NETS[net_name]
+        members, lead = BUFFER_INPUTS[input_name]
+        rng = derive_rng(11, "buffers", net_name, input_name)
+        net = DenseNet(sizes, acts, rng) if members is None else _team(sizes, acts, members)[0]
+        x = rng.normal(size=lead + (sizes[0],)) * 2.0
+        y_ref, cache_ref = _reference_forward(net, x)
+        up = rng.normal(size=y_ref.shape)
+        up[..., 0] = -0.0  # a signed zero meets dead relu units and linear layers
+        grads_ref, input_grad_ref = _reference_backward(net, cache_ref, up, params, inputs)
+
+        y, cache = net.forward_cached(x)
+        assert _same_bits(y, y_ref)
+        assert all(_same_bits(a, b) for a, b in zip(cache["post"], cache_ref["post"]))
+        for _ in range(2):  # a second backward on the same cache gives the same again
+            grads, input_grad = net.backward(cache, up, params=params, inputs=inputs)
+            assert (grads is None) == (not params) and (input_grad is None) == (not inputs)
+            if params:
+                assert all(_same_bits(g, g_ref) for g, g_ref in zip(grads, grads_ref))
+            if inputs:
+                assert _same_bits(input_grad, input_grad_ref)
+        assert _same_bits(net.forward(x), y_ref)
+
+    def test_successive_forward_outputs_stay_distinct(self):
+        rng = derive_rng(12, "owned")
+        net = DenseNet([4, 8, 2], ["relu", "tanh"], rng)
+        x1, x2 = rng.normal(size=(2, 5, 4))
+        y1 = net.forward(x1)
+        kept = y1.copy()
+        y2 = net.forward(x2)
+        assert not np.shares_memory(y1, y2)
+        assert _same_bits(y1, kept) and not np.array_equal(y1, y2)
+
+    def test_same_shape_pass_reuses_buffers(self):
+        net = DenseNet([4, 8, 2], ["relu", "tanh"], derive_rng(13, "reuse"))
+        y1, _ = net.forward_cached(np.ones((5, 4)))
+        y2, _ = net.forward_cached(np.zeros((5, 4)))
+        assert np.shares_memory(y1, y2)
+
+    def test_cache_survives_a_pass_of_another_shape(self):
+        rng = derive_rng(14, "survive")
+        team = _team([6, 5, 2], ["relu", "tanh"], members=3)[0]
+        x, up = rng.normal(size=(3, 7, 6)), rng.normal(size=(3, 7, 2))
+        y, cache = team.forward_cached(x)
+        kept_y = y.copy()
+        grads, input_grad = team.backward(cache, up)
+        kept = [g.copy() for g in grads], input_grad.copy()
+        # a pass at another batch size, and a single-sample one, in between
+        for other in (rng.normal(size=(3, 4, 6)), rng.normal(size=6)):
+            _, other_cache = team.forward_cached(other)
+            team.backward(other_cache, np.ones((3, 4, 2) if other.ndim == 3 else (3, 2)))
+        assert _same_bits(y, kept_y)
+        assert _same_bits(input_grad, kept[1])
+        grads, input_grad = team.backward(cache, up)
+        assert all(_same_bits(g, k) for g, k in zip(grads, kept[0]))
+        assert _same_bits(input_grad, kept[1])
+
+    def test_soft_update_across_chunks_equals_formula(self):
+        rng = derive_rng(15, "soft-chunks")
+        target, online = (DenseNet([300, 200], ["linear"], rng) for _ in range(2))
+        assert target.flat.size > CHUNK
+        tau = 0.3
+        for _ in range(2):
+            expected = target.flat * (1.0 - tau) + online.flat * tau
+            soft_update(target, online, tau)
+            assert _same_bits(target.flat, expected)
 
 
 class TestReplayBuffer:
