@@ -95,6 +95,8 @@ class ExperimentSpec:
             raise ConfigError(f"unknown config_id {self.config_id!r}")
         if self.n_runs < 1:
             raise ConfigError("n_runs must be >= 1")
+        if self.checkpoint_every < 0:
+            raise ConfigError("checkpoint_every must be >= 0 (0 disables checkpoints)")
         self.market.validate()
         return self
 
@@ -282,6 +284,8 @@ def run_experiment(
 ) -> list[tuple[RunManifest, MetricsReport]]:
     """Execute n_runs independent runs (seeds = base + index); return all results."""
     spec.validate()
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     probe = out / ".write-probe"

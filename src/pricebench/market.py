@@ -71,14 +71,13 @@ class ProductSpec:
 class ProductState:
     """One product instance inside a simulation: current price plus histories.
 
-    All three histories stay aligned: one entry per completed week.
+    Both histories stay aligned: one entry per completed week.
     """
 
     spec: ProductSpec
     current_price: float
     price_history: list[float] = field(default_factory=list)
     demand_history: list[float] = field(default_factory=list)
-    revenue_history: list[float] = field(default_factory=list)
 
     @classmethod
     def fresh(cls, spec: ProductSpec) -> "ProductState":
@@ -87,7 +86,6 @@ class ProductState:
     def record_week(self, price: float, demand: float) -> None:
         self.price_history.append(price)
         self.demand_history.append(demand)
-        self.revenue_history.append(price * demand)
 
     def last_relative_change(self) -> float:
         if not self.price_history:

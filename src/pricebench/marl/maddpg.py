@@ -67,22 +67,12 @@ class MaddpgHyper:
         )
 
 
-@dataclass
-class JointTransition:
-    """One aligned team step: per-member local views plus a shared done flag.
-
-    `states`, `actions` and `next_states` hold one row per member.
-    """
-
-    states: np.ndarray
-    actions: np.ndarray  # applied relative changes, one row per member
-    rewards: list[float]
-    next_states: np.ndarray
-    done: bool
-
-
 class MaddpgCoordinator:
     """Owns the joint replay buffer and runs the centralized training step.
+
+    A replay row is one team step: the joint critic input (every member's
+    state, then every member's applied action), the joint next state, the
+    members' rewards and the shared done flag.
 
     It knows its members by id and by their nets, never as agents: the
     members own the coordinator, and with no reference back a finished run
@@ -97,7 +87,8 @@ class MaddpgCoordinator:
         self.hyper = hyper
         self.member_ids: list[str] = []
         self._member_nets: list[tuple[DenseNet, DenseNet, DenseNet, DenseNet]] = []
-        self.buffer = ReplayBuffer(hyper.buffer_capacity, hyper.recency_decay)
+        rows = config.episodes * config.weeks_per_episode  # the pushes a run makes
+        self.buffer = ReplayBuffer(hyper.buffer_capacity, hyper.recency_decay, rows=rows)
         self.rng = derive_rng(config.seed, "team", "maddpg")
         self._pending: dict[str, tuple] = {}
         self.last_losses: list[tuple[float, float]] = []
@@ -121,18 +112,23 @@ class MaddpgCoordinator:
         self._pending[agent_id] = (state, action, reward, next_state)
         if len(self._pending) < len(self.member_ids):
             return
-        parts = [self._pending[aid] for aid in self.member_ids]
+        states, actions, rewards, next_states = zip(*(self._pending[a] for a in self.member_ids))
         self._pending = {}
-        self.buffer.push(
-            JointTransition(
-                states=np.stack([p[0] for p in parts]),
-                actions=np.stack([p[1] for p in parts]),
-                rewards=[p[2] for p in parts],
-                next_states=np.stack([p[3] for p in parts]),
-                done=done,
-            )
-        )
+        # the row's critic input is every member's state, then every member's action
+        self.buffer.push(np.concatenate(states + actions), np.concatenate(next_states), rewards, done)
         self.learn()
+
+    def _batch(self, rows: np.ndarray):
+        """The replay rows as the learn step reads them, in the learner's kept buffers.
+
+        Returns states (B, members, local state), a view of the critic input
+        (B, critic input), next states (B, members, local state), rewards
+        (members, B) and done (B,).
+        """
+        critic_in, next_states, rewards, done = self.buffer.gather(rows, self._work)
+        b, n = len(rows), len(self.member_ids)
+        states = critic_in[:, : next_states.shape[1]].reshape(b, n, -1)
+        return states, critic_in, next_states.reshape(b, n, -1), rewards.T, done
 
     def learn(self) -> None:
         hp = self.hyper
@@ -146,31 +142,19 @@ class MaddpgCoordinator:
             self.target_critics = DenseNet.team(target_critics)
             self.actor_opt = Adam([self.actors.flat])
             self.critic_opt = Adam([self.critics.flat])
-        batch = self.buffer.sample(hp.batch_size, self.rng)
-        b, n = len(batch), len(self.member_ids)
+        rows = self.buffer.sample(hp.batch_size, self.rng)
+        states, critic_in, next_states, rewards, done = self._batch(rows)
+        (b, n, _), critic_dim = states.shape, critic_in.shape[1]
         work = self._work
-        state_shape = (b, *np.shape(batch[0].states))  # (B, members, local state)
-        action_shape = (b, *np.shape(batch[0].actions))  # (B, members, products)
-        states = np.stack([t.states for t in batch], out=work.get("states", state_shape))
-        actions = np.stack([t.actions for t in batch], out=work.get("actions", action_shape))
-        next_states = np.stack([t.next_states for t in batch], out=work.get("next_states", state_shape))
-        rewards = np.asarray([t.rewards for t in batch]).T  # (members, B)
-        done = np.asarray([t.done for t in batch], dtype=float)
         max_change = self.config.max_weekly_change
 
         # every critic reads the joint state and action: member-major blocks
         joint_dim = states[0].size
-        critic_dim = joint_dim + actions[0].size
         target_next_actions = self.target_actors.forward(next_states.transpose(1, 0, 2)) * max_change
         critic_next_in = np.concatenate(
             [next_states.reshape(b, -1), target_next_actions.transpose(1, 0, 2).reshape(b, -1)],
             axis=1,
             out=work.get("critic_next_in", (b, critic_dim)),
-        )
-        critic_in = np.concatenate(
-            [states.reshape(b, -1), actions.reshape(b, -1)],
-            axis=1,
-            out=work.get("critic_in", (b, critic_dim)),
         )
 
         q_next = self.target_critics.forward(critic_next_in)[..., 0]  # (members, B)

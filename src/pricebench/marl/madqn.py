@@ -19,8 +19,8 @@ from ..nn import (
     EPSILON_GREEDY_DEFAULT,
     ExplorationSchedule,
     ReplayBuffer,
+    ShapeError,
     TrainingError,
-    Transition,
     Workspace,
     hard_update,
     soft_update,
@@ -77,6 +77,7 @@ class DqnCore:
         n_bins: int,
         hyper: DqnHyper,
         rng: np.random.Generator,
+        rows: int = 1,
     ):
         self.state_size = state_size
         self.n_heads = n_heads
@@ -88,9 +89,10 @@ class DqnCore:
         self.net = DenseNet(sizes, acts, rng)
         self.target = self.net.clone()
         self.optimizer = Adam([self.net.flat])
-        self.buffer = ReplayBuffer(hyper.buffer_capacity, hyper.recency_decay)
+        # replay fields: state, bins, reward, next state, done; the first push allocates `rows` rows
+        self.buffer = ReplayBuffer(hyper.buffer_capacity, hyper.recency_decay, rows=rows)
         self.learn_calls = 0
-        self._work = Workspace()  # the learn step's upstream gradient, refilled every step
+        self._work = Workspace()  # the learn step's batch arrays, refilled every step
 
     def q_values(self, state: np.ndarray) -> np.ndarray:
         return self.net.forward(state).reshape(self.n_heads, self.n_bins)
@@ -106,21 +108,19 @@ class DqnCore:
         random_bins = self.rng.integers(0, self.n_bins, size=self.n_heads)
         return np.where(explore, random_bins, bins)
 
-    def store(self, transition: Transition) -> None:
-        self.buffer.push(transition)
+    def store(self, state, bins, reward: float, next_state, done: bool) -> None:
+        if np.shape(state) != np.shape(next_state):
+            raise ShapeError("state and next_state dimensions differ")
+        self.buffer.push(state, bins, reward, next_state, done)
 
     def learn(self) -> float | None:
         """One TD step on a recency-sampled batch; None while warming up."""
         if len(self.buffer) < max(self.hyper.warm_up, 1):
             return None
-        batch = self.buffer.sample(self.hyper.batch_size, self.rng)
-        states = np.stack([t.state for t in batch])
-        actions = np.stack([np.asarray(t.action, dtype=int) for t in batch])
-        rewards = np.asarray([t.reward for t in batch])
-        next_states = np.stack([t.next_state for t in batch])
-        done = np.asarray([t.done for t in batch], dtype=float)
+        sampled = self.buffer.sample(self.hyper.batch_size, self.rng)
+        states, actions, rewards, next_states, done = self.buffer.gather(sampled, self._work)
 
-        b = len(batch)
+        b = len(sampled)
         target_q = self.target.forward(next_states).reshape(b, self.n_heads, self.n_bins)
         bootstrap = target_q.max(axis=2)  # (B, H)
         y = rewards[:, None] + self.hyper.gamma * (1.0 - done)[:, None] * bootstrap
@@ -170,6 +170,7 @@ class MadqnAgent(MarlAgentBase):
             n_bins=N_PRICE_BINS,
             hyper=self.hyper,
             rng=derive_rng(config.seed, "agent", agent_id),
+            rows=config.episodes * config.weeks_per_episode,
         )
         self._pending: tuple[np.ndarray, np.ndarray] | None = None
         self.last_loss: float | None = None
@@ -193,7 +194,7 @@ class MadqnAgent(MarlAgentBase):
         self._pending = None
         reward = self._reward_from(observation, prev_observation)
         next_state = self._encode(observation, encode_state)
-        self.core.store(Transition(state, bins, reward, next_state, done))
+        self.core.store(state, bins, reward, next_state, done)
         for _ in range(self.hyper.updates_per_step):
             self.last_loss = self.core.learn()
 

@@ -26,7 +26,7 @@ from ..nn import (
     hard_update,
 )
 from .common import MarlAgentBase, N_PRICE_BINS, discretize_action, encode_state, state_dim
-from .maddpg import ACTION_SMOOTHING, JointTransition
+from .maddpg import ACTION_SMOOTHING
 
 
 @dataclass(frozen=True)
@@ -68,14 +68,6 @@ class QmixHyper:
         )
 
 
-def _elu(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0, x, np.exp(np.minimum(x, 0.0)) - 1.0)
-
-
-def _elu_grad(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
-
-
 MIXER_PARAMS = (
     "w1_hyper", "w1_bias", "b1_hyper", "b1_bias", "w2_hyper", "w2_bias", "b2_hyper", "b2_bias",
 )
@@ -108,6 +100,7 @@ class MonotonicMixer:
     def _bind(self, flat: np.ndarray) -> None:
         self.flat = flat
         self.grad: np.ndarray | None = None  # allocated by the first backward
+        self._work = Workspace()
         for name, view in zip(MIXER_PARAMS, self._views(flat)):
             setattr(self, name, view)
 
@@ -136,6 +129,11 @@ class MonotonicMixer:
         self.flat[...] = other.flat
 
     def forward_cached(self, qs: np.ndarray, states: np.ndarray):
+        """Q_tot for each row of `qs` (B, agents) and `states` (B, state).
+
+        Q_tot and the cache are views of the mixer's buffers for this batch
+        size, valid until its next forward_cached at that size.
+        """
         qs = np.atleast_2d(np.asarray(qs, dtype=float))
         states = np.atleast_2d(np.asarray(states, dtype=float))
         if qs.shape[1] != self.n_agents:
@@ -143,31 +141,48 @@ class MonotonicMixer:
         if states.shape[1] != self.state_size:
             raise ShapeError(f"expected state dim {self.state_size}, got {states.shape[1]}")
         b, n, m = qs.shape[0], self.n_agents, self.mixing_dim
-        u1 = states @ self.w1_hyper.T + self.w1_bias  # (B, n*m)
-        w1 = np.abs(u1).reshape(b, n, m)
-        b1 = states @ self.b1_hyper.T + self.b1_bias  # (B, m)
-        h_pre = np.einsum("bn,bnm->bm", qs, w1) + b1
-        h = _elu(h_pre)
-        u2 = states @ self.w2_hyper.T + self.w2_bias  # (B, m)
-        w2 = np.abs(u2)
-        b2 = states @ self.b2_hyper.T + self.b2_bias  # (B, 1)
-        q_tot = np.sum(h * w2, axis=1) + b2[:, 0]
+        work = self._work
+
+        def hyper(name, weights, bias, rows):
+            out = np.matmul(states, weights.T, out=work.get(name, (b, rows)))
+            out += bias
+            return out
+
+        u1 = hyper("u1", self.w1_hyper, self.w1_bias, n * m)
+        w1 = np.abs(u1, out=work.get("w1", (b, n * m))).reshape(b, n, m)
+        b1 = hyper("b1", self.b1_hyper, self.b1_bias, m)
+        h_pre = np.einsum("bn,bnm->bm", qs, w1, out=work.get("h_pre", (b, m)))
+        h_pre += b1
+        # elu: h_pre where positive, else exp(min(h_pre, 0)) - 1
+        h = np.minimum(h_pre, 0.0, out=work.get("h", (b, m)))
+        np.exp(h, out=h)
+        h -= 1.0
+        np.copyto(h, h_pre, where=np.greater(h_pre, 0, out=work.get("h_pre>0", (b, m), bool)))
+        u2 = hyper("u2", self.w2_hyper, self.w2_bias, m)
+        w2 = np.abs(u2, out=work.get("w2", (b, m)))
+        b2 = hyper("b2", self.b2_hyper, self.b2_bias, 1)
+        hw2 = np.multiply(h, w2, out=work.get("hw2", (b, m)))
+        q_tot = np.sum(hw2, axis=1, out=work.get("q_tot", (b,)))
+        q_tot += b2[:, 0]
         cache = {"qs": qs, "states": states, "u1": u1, "w1": w1, "h_pre": h_pre,
                  "h": h, "u2": u2, "w2": w2}
         return q_tot, cache
 
     def forward(self, qs: np.ndarray, states: np.ndarray) -> np.ndarray:
-        return self.forward_cached(qs, states)[0]
+        """Q_tot as an array the caller owns."""
+        return self.forward_cached(qs, states)[0].copy()
 
     def backward(self, cache, upstream: np.ndarray):
         """Gradients of sum(upstream * Q_tot) w.r.t. params and agent utilities.
 
         The parameter gradients are views of `self.grad`, in params() order;
-        the next backward overwrites them.
+        the next backward overwrites them. The utilities' gradient is a view
+        of the mixer's buffers, valid until its next backward at this batch size.
         """
         g = np.asarray(upstream, dtype=float)
         qs, states = cache["qs"], cache["states"]
         b, n, m = qs.shape[0], self.n_agents, self.mixing_dim
+        work = self._work
         if self.grad is None:
             self.grad = np.zeros_like(self.flat)
             self._grads = self._views(self.grad)
@@ -179,23 +194,35 @@ class MonotonicMixer:
         np.matmul(d_b2.T, states, out=d_b2_hyper)
         np.sum(d_b2, axis=0, out=d_b2_bias)
 
-        d_w2 = g[:, None] * cache["h"]  # (B, m)
-        d_u2 = d_w2 * np.sign(cache["u2"])
+        d_u2 = np.multiply(g[:, None], cache["h"], out=work.get("d_u2", (b, m)))  # d_w2
+        d_u2 *= np.sign(cache["u2"], out=work.get("sign_u2", (b, m)))
         np.matmul(d_u2.T, states, out=d_w2_hyper)
         np.sum(d_u2, axis=0, out=d_w2_bias)
 
-        d_h = g[:, None] * cache["w2"]  # (B, m)
-        d_h_pre = d_h * _elu_grad(cache["h_pre"])
+        # d_h times elu's derivative: 1 where h_pre > 0, else exp(min(h_pre, 0))
+        h_pre = cache["h_pre"]
+        elu_grad = np.minimum(h_pre, 0.0, out=work.get("elu'", (b, m)))
+        np.exp(elu_grad, out=elu_grad)
+        np.copyto(elu_grad, 1.0, where=np.greater(h_pre, 0, out=work.get("h_pre>0", (b, m), bool)))
+        d_h_pre = np.multiply(g[:, None], cache["w2"], out=work.get("d_h_pre", (b, m)))  # d_h
+        d_h_pre *= elu_grad
 
         np.matmul(d_h_pre.T, states, out=d_b1_hyper)
         np.sum(d_h_pre, axis=0, out=d_b1_bias)
 
-        d_w1 = qs[:, :, None] * d_h_pre[:, None, :]  # (B, n, m)
-        d_u1 = (d_w1 * np.sign(cache["u1"]).reshape(b, n, m)).reshape(b, n * m)
+        # d_w1 = qs[:, :, None] * d_h_pre[:, None, :], from full-shape copies: a broadcast
+        # ufunc operand costs a temporary buffer per call, a broadcast copyto does not
+        qs_rep = work.get("qs_rep", (b, n, m))
+        np.copyto(qs_rep, qs[:, :, None])
+        d_w1 = work.get("d_w1", (b, n, m))
+        np.copyto(d_w1, d_h_pre[:, None, :])
+        np.multiply(qs_rep, d_w1, out=d_w1)
+        d_w1 *= np.sign(cache["u1"], out=work.get("sign_u1", (b, n * m))).reshape(b, n, m)
+        d_u1 = d_w1.reshape(b, n * m)
         np.matmul(d_u1.T, states, out=d_w1_hyper)
         np.sum(d_u1, axis=0, out=d_w1_bias)
 
-        d_qs = np.einsum("bm,bnm->bn", d_h_pre, cache["w1"])
+        d_qs = np.einsum("bm,bnm->bn", d_h_pre, cache["w1"], out=work.get("d_qs", (b, n)))
         return self._grads, d_qs
 
 
@@ -231,7 +258,8 @@ class QmixCoordinator:
         rng = derive_rng(config.seed, "team", "qmix")
         self.mixer = MonotonicMixer(n_agents, n_agents * local_state_size, hyper.mixing_dim, rng)
         self.target_mixer = self.mixer.clone()
-        self.buffer = ReplayBuffer(hyper.buffer_capacity, hyper.recency_decay)
+        rows = config.episodes * config.weeks_per_episode  # the pushes a run makes
+        self.buffer = ReplayBuffer(hyper.buffer_capacity, hyper.recency_decay, rows=rows)
         self.rng = rng
         self.nets: DenseNet | None = None
         self.target_nets: DenseNet | None = None
@@ -240,6 +268,8 @@ class QmixCoordinator:
         self.last_loss: float | None = None
         self._pending: dict[str, tuple] = {}
         self._work = Workspace()  # the learn step's batch arrays, refilled every step
+        # each (member, row, head)'s first bin in the team's flat output, set by the first step
+        self._offsets: np.ndarray | None = None
 
     def register(self, member: "QmixAgent") -> None:
         if member.coordinator is not None and member.coordinator is not self:
@@ -258,18 +288,9 @@ class QmixCoordinator:
         self._pending[agent_id] = (state, action, reward, next_state)
         if len(self._pending) < len(self.member_ids):
             return
-        parts = [self._pending[aid] for aid in self.member_ids]
+        states, bins, rewards, next_states = zip(*(self._pending[aid] for aid in self.member_ids))
         self._pending = {}
-        shared_reward = float(np.mean([p[2] for p in parts]))
-        self.buffer.push(
-            JointTransition(
-                states=np.stack([p[0] for p in parts]),
-                actions=np.stack([p[1] for p in parts]),
-                rewards=[shared_reward] * len(parts),
-                next_states=np.stack([p[3] for p in parts]),
-                done=done,
-            )
-        )
+        self.buffer.push(states, bins, next_states, float(np.mean(rewards)), done)
         for _ in range(self.hyper.updates_per_step):
             self.learn()
 
@@ -282,36 +303,32 @@ class QmixCoordinator:
             self.nets = DenseNet.team(nets)
             self.target_nets = DenseNet.team(targets)
             self.optimizer = Adam([self.nets.flat, self.mixer.flat])
-        batch = self.buffer.sample(hp.batch_size, self.rng)
-        b = len(batch)
-        n = len(self.member_ids)
+        rows = self.buffer.sample(hp.batch_size, self.rng)
+        # (B, members, local state), (B, members, heads), (B, members, local state), (B,), (B,)
+        states, actions, next_states, rewards, done = self.buffer.gather(rows, self._work)
+        b, n = len(rows), len(self.member_ids)
         n_heads, n_bins = self._q_shape
-        rewards = np.asarray([t.rewards[0] for t in batch])
-        done = np.asarray([t.done for t in batch], dtype=float)
-        work, shape = self._work, (b, *np.shape(batch[0].states))  # (B, members, local state)
-        states = np.stack([t.states for t in batch], out=work.get("states", shape))
-        next_states = np.stack([t.next_states for t in batch], out=work.get("next_states", shape))
-        actions = np.asarray(np.stack([t.actions for t in batch]), dtype=int).transpose(1, 0, 2)
+        work = self._work
         global_state = states.reshape(b, -1)
         next_global_state = next_states.reshape(b, -1)
 
         # target utilities: per-member greedy on the target nets, read from their buffers
         tq, _ = self.target_nets.forward_cached(next_states.transpose(1, 0, 2))
         tq = tq.reshape(n, b, n_heads, n_bins)
-        target_qs = np.ascontiguousarray(tq.max(axis=3).mean(axis=2).T)  # (B, members)
+        best = np.max(tq, axis=3, out=work.get("best", (n, b, n_heads)))
+        per_member = np.mean(best, axis=2, out=work.get("per_member", (n, b)))
+        target_qs = self._by_row(per_member, "target_qs")
         q_tot_next = self.target_mixer.forward(target_qs, next_global_state)
         y = rewards + hp.gamma * (1.0 - done) * q_tot_next
 
-        # online utilities at the taken actions
+        # online utilities at the taken actions, by flat index into the (members, B, heads, bins) output
         out, cache = self.nets.forward_cached(states.transpose(1, 0, 2))
-        q = out.reshape(n, b, n_heads, n_bins)
-        taken = (
-            np.arange(n)[:, None, None],
-            np.arange(b)[None, :, None],
-            np.arange(n_heads)[None, None, :],
-            actions,
-        )
-        qs = np.ascontiguousarray(q[taken].mean(axis=2).T)  # (B, members)
+        if self._offsets is None or self._offsets.shape != (n, b, n_heads):
+            self._offsets = np.arange(0, n * b * n_heads * n_bins, n_bins).reshape(n, b, n_heads)
+        taken = work.get("taken", (n, b, n_heads), np.intp)
+        np.add(self._offsets, actions.transpose(1, 0, 2), out=taken)
+        chosen = np.take(out.reshape(-1), taken, out=work.get("chosen", taken.shape), mode="clip")
+        qs = self._by_row(np.mean(chosen, axis=2, out=per_member), "qs")
         q_tot, mix_cache = self.mixer.forward_cached(qs, global_state)
 
         err = q_tot - y
@@ -319,10 +336,11 @@ class QmixCoordinator:
         upstream = 2.0 * err / b
         _, d_qs = self.mixer.backward(mix_cache, upstream)
 
-        net_upstream = work.get("net_upstream", q.shape)
+        net_upstream = work.get("net_upstream", out.shape)
         net_upstream.fill(0.0)
-        net_upstream[taken] = (d_qs.T / n_heads)[:, :, None]
-        self.nets.backward(cache, net_upstream.reshape(n, b, -1), inputs=False)
+        share = np.divide(d_qs.T, n_heads, out=per_member)
+        net_upstream.reshape(-1)[taken] = share[:, :, None]
+        self.nets.backward(cache, net_upstream, inputs=False)
         self.optimizer.step([self.nets.flat, self.mixer.flat], [self.nets.grad, self.mixer.grad], hp.lr)
 
         self.learn_calls += 1
@@ -331,6 +349,12 @@ class QmixCoordinator:
             self.target_mixer.copy_from(self.mixer)
         self.last_loss = loss
         return loss
+
+    def _by_row(self, per_member: np.ndarray, name: str) -> np.ndarray:
+        """A kept (B, members) copy of a (members, B) array."""
+        rows = self._work.get(name, per_member.shape[::-1])
+        np.copyto(rows, per_member.T)
+        return rows
 
 
 class QmixAgent(MarlAgentBase):

@@ -21,6 +21,15 @@ which arrays a caller may keep:
   has the same shape; a pass of another shape leaves it alone.
 - The `grads` of `backward` are views of `net.grad`, which the net's next
   backward with `params=True` overwrites.
+
+Replay. A `ReplayBuffer` keeps one array per transition field (the learners
+choose the fields), row i of each holding transition i of the ring. Its first
+push allocates the rows a run will push, `min(capacity, rows)`; a learner
+passes episodes x weeks_per_episode, so a run never grows them, and a buffer
+pushed past its rows doubles them up to `capacity`. `sample` returns ring
+rows, an array the caller owns; `gather` writes each field's rows into
+arrays kept in the caller's `Workspace`, so a gathered batch belongs to the
+learner and stays valid until its next gather.
 """
 
 from __future__ import annotations
@@ -339,59 +348,78 @@ class Adam:
                 p[chunk] -= step
 
 
-@dataclass
-class Transition:
-    state: np.ndarray
-    action: object  # int bin array (value-based) or float vector (policy-based)
-    reward: float
-    next_state: np.ndarray
-    done: bool
-
-    def __post_init__(self):
-        if np.shape(self.state) != np.shape(self.next_state):
-            raise ShapeError("state and next_state dimensions differ")
-
-
 class ReplayBuffer:
-    """Ring buffer sampling with probability proportional to decay^age."""
+    """Ring of transitions, one array per field, sampled by decay^age.
 
-    def __init__(self, capacity: int, recency_decay: float = 0.999):
+    A transition is a fixed tuple of fields (say state, action, reward, next
+    state, done), and row i of every array in `fields` holds the same
+    transition. The first push fixes each field's row shape and dtype and
+    allocates `rows` rows (at most `capacity`); pushes past them double the
+    rows, up to `capacity`. Once full, a push overwrites the oldest row.
+    """
+
+    def __init__(self, capacity: int, recency_decay: float = 0.999, rows: int = 1):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         if not 0 < recency_decay <= 1:
             raise ValueError("recency_decay must be in (0, 1]")
         self.capacity = capacity
         self.recency_decay = recency_decay
-        self._entries: list = []
+        self.fields: tuple[np.ndarray, ...] = ()
+        self._rows = min(max(rows, 1), capacity)
+        self._size = 0
         self._next = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._size
 
-    def push(self, item) -> None:
-        if len(self._entries) < self.capacity:
-            self._entries.append(item)
-        else:
-            self._entries[self._next] = item
-        self._next = (self._next + 1) % self.capacity
+    def push(self, *row) -> None:
+        """Write one transition, one value per field, into the next ring row."""
+        values = [np.asarray(v) for v in row]
+        if not self.fields:
+            self.fields = tuple(np.empty((self._rows, *v.shape), v.dtype) for v in values)
+        if len(values) != len(self.fields):
+            raise ShapeError(f"{len(values)} fields pushed to a buffer of {len(self.fields)}")
+        for field, value in zip(self.fields, values):
+            if value.shape != field.shape[1:]:
+                raise ShapeError(f"field row shape {value.shape} != {field.shape[1:]}")
+        slot = self._next
+        if slot == len(self.fields[0]):  # every row in use and fewer than capacity
+            rows = min(2 * slot, self.capacity)
+            grown = [np.empty((rows, *f.shape[1:]), f.dtype) for f in self.fields]
+            for new, old in zip(grown, self.fields):
+                new[:slot] = old
+            self.fields = tuple(grown)
+        for field, value in zip(self.fields, values):
+            field[slot] = value
+        self._next = (slot + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
 
-    def snapshot(self) -> list:
-        """Entries ordered oldest to newest."""
-        if len(self._entries) < self.capacity:
-            return list(self._entries)
-        return self._entries[self._next :] + self._entries[: self._next]
+    def sample(self, batch_size: int, rng: np.random.Generator) -> np.ndarray:
+        """Ring rows of batch_size draws with replacement, newest entries most likely.
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> list:
-        """batch_size draws with replacement, newest entries most likely."""
-        if not self._entries:
+        The rows index every array in `fields`; the caller owns the returned array.
+        """
+        n = self._size
+        if not n:
             raise ValueError("cannot sample from an empty buffer")
-        ordered = self.snapshot()
-        n = len(ordered)
         ages = np.arange(n - 1, -1, -1, dtype=float)  # newest has age 0
         weights = self.recency_decay**ages
         probs = weights / weights.sum()
         idx = rng.choice(n, size=batch_size, replace=True, p=probs)
-        return [ordered[i] for i in idx]
+        if n == self.capacity and self._next:  # full: the oldest row is the next to overwrite
+            idx += self._next
+            idx %= n
+        return idx
+
+    def gather(self, rows: np.ndarray, work: Workspace) -> list[np.ndarray]:
+        """Each field's `rows`, in order, written into arrays kept in `work`."""
+        return [
+            # mode="clip" writes straight into `out`; "raise" would buffer it (rows are in range)
+            np.take(f, rows, axis=0, out=work.get(("batch", i), (len(rows), *f.shape[1:]), f.dtype),
+                    mode="clip")
+            for i, f in enumerate(self.fields)
+        ]
 
 
 @dataclass(frozen=True)

@@ -273,7 +273,7 @@ def test_criterion_10_replay_recency_bias():
         buffer = ReplayBuffer(capacity=3, recency_decay=0.9)
         for i in range(3):
             buffer.push(i)
-        draws = buffer.sample(100_000, derive_rng(0, "accept-replay"))
+        draws = buffer.fields[0][buffer.sample(100_000, derive_rng(0, "accept-replay"))]
         freqs = np.bincount(draws, minlength=3) / len(draws)
         weights = np.array([0.9**2, 0.9, 1.0])
         expected = weights / weights.sum()

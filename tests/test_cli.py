@@ -80,6 +80,25 @@ class TestSimulate:
             for name in ("history.csv", "metrics.json"):
                 assert (run_dir / name).read_bytes() == (twin / name).read_bytes()
 
+    def test_negative_checkpoint_every_exits_1(self, tmp_path, capsys):
+        # with a learner config, (ep + 1) % -1 == 0 would checkpoint every episode
+        config = _experiment_file(tmp_path, config_id="C", weeks=4)
+        spec = json.loads(config.read_text())
+        spec["checkpoint_every"] = -1
+        config.write_text(json.dumps(spec))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        assert "checkpoint_every" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exits_1(self, tmp_path, capsys, jobs):
+        config = _experiment_file(tmp_path, weeks=4)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(config), "--out", str(out), "--jobs", jobs]) == 1
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_demand_overflow_exits_1(self, tmp_path, capsys):
         # a log demand past math.exp's range is the same model error as a NaN one
         config = _experiment_file(tmp_path, weeks=4)

@@ -6,7 +6,7 @@ import pytest
 from pricebench.demand import ParametricDemandModel
 from pricebench.environment import run_episode
 from pricebench.market import AgentSpec, ConfigError, MarketConfig, derive_rng, make_default_portfolio
-from pricebench.marl.maddpg import ACTION_SMOOTHING, JointTransition, build_team
+from pricebench.marl.maddpg import ACTION_SMOOTHING, build_team
 from pricebench.nn import Adam, soft_update
 
 
@@ -80,8 +80,9 @@ def _fill_buffer(team, reward_fn, n=80, rng=None):
         states = [rng.normal(size=d) for _ in team]
         actions = [rng.uniform(-0.1, 0.1, size=p) for _ in team]
         rewards = [reward_fn(s, a) for s, a in zip(states, actions)]
+        next_states = [rng.normal(size=d) for _ in team]
         coord.buffer.push(
-            JointTransition(states, actions, rewards, [rng.normal(size=d) for _ in team], True)
+            np.concatenate(states + actions), np.concatenate(next_states), rewards, True
         )
     return coord
 
@@ -142,7 +143,7 @@ class TestLearning:
         _fill_buffer(team, lambda s, a: 0.0, n=64, rng=rng)
 
         d = agent.actor.layer_sizes[0]
-        states = np.stack([t.states[0] for t in coord.buffer.snapshot()])
+        states = coord.buffer.fields[0][: len(coord.buffer), :d].copy()
 
         def mean_q():
             acts = agent.actor.forward(states) * config.max_weekly_change
@@ -170,13 +171,15 @@ ROLES = ("actor", "critic", "target_actor", "target_critic")
 def _reference_learn(coord, nets, opts, rng):
     """One MADDPG step as a loop over members, each with its own nets and Adams."""
     hp = coord.hyper
-    batch = coord.buffer.sample(hp.batch_size, rng)
-    b, n = len(batch), len(nets)
-    states = [np.stack([t.states[i] for t in batch]) for i in range(n)]
-    actions = [np.stack([t.actions[i] for t in batch]) for i in range(n)]
-    next_states = [np.stack([t.next_states[i] for t in batch]) for i in range(n)]
-    rewards = [np.asarray([t.rewards[i] for t in batch]) for i in range(n)]
-    done = np.asarray([t.done for t in batch], dtype=float)
+    rows = coord.buffer.sample(hp.batch_size, rng)
+    b, n = len(rows), len(nets)
+    d, p = nets[0]["actor"].layer_sizes[0], nets[0]["actor"].layer_sizes[-1]
+    critic_ring, next_ring, reward_ring, done_ring = (f[rows] for f in coord.buffer.fields)
+    states = [critic_ring[:, i * d : (i + 1) * d] for i in range(n)]
+    actions = [critic_ring[:, n * d + i * p : n * d + (i + 1) * p] for i in range(n)]
+    next_states = [next_ring[:, i * d : (i + 1) * d] for i in range(n)]
+    rewards = [reward_ring[:, i] for i in range(n)]
+    done = done_ring.astype(float)
     max_change = coord.config.max_weekly_change
     joint_state = np.concatenate(states, axis=1)
     target_actions = [r["target_actor"].forward(s) * max_change for r, s in zip(nets, next_states)]
@@ -234,6 +237,8 @@ class TestJointAlignment:
         run_episode(config, team, model)
         coord = team[0].coordinator
         assert len(coord.buffer) == 6
-        joint = coord.buffer.snapshot()[0]
-        assert len(joint.states) == 2
-        assert len(joint.actions) == 2
+        d, p = team[0].actor.layer_sizes[0], team[0].actor.layer_sizes[-1]
+        critic_in, next_states, rewards, done = (f[0] for f in coord.buffer.fields)
+        assert critic_in.shape == (2 * (d + p),)  # both members' states, then both actions
+        assert next_states.shape == (2 * d,)
+        assert rewards.shape == (2,)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pricebench.market import derive_rng
-from pricebench.nn import ExplorationSchedule, Transition
+from pricebench.nn import ExplorationSchedule
 from pricebench.marl.madqn import DqnCore, DqnHyper
 
 
@@ -45,20 +45,20 @@ class TestAct:
 
 def _fill(core, transitions):
     for t in transitions:
-        core.store(t)
+        core.store(*t)
 
 
 class TestLearn:
     def test_warm_up_returns_none(self):
         core = _core()
-        core.store(Transition(np.zeros(3), [0], 1.0, np.zeros(3), False))
+        core.store(np.zeros(3), [0], 1.0, np.zeros(3), False)
         assert core.learn() is None
 
     def test_terminal_targets_equal_reward(self):
         # gamma irrelevant when done; loss should regress toward r exactly
         core = _core(n_bins=2, lr=0.05)
         s = np.zeros(3)
-        _fill(core, [Transition(s, [i % 2], float(i % 2), s, True) for i in range(16)])
+        _fill(core, [(s, [i % 2], float(i % 2), s, True) for i in range(16)])
         for _ in range(300):
             loss = core.learn()
         q = core.q_values(s)[0]
@@ -68,7 +68,7 @@ class TestLearn:
     def test_gamma_zero_equals_terminal(self):
         core = _core(n_bins=2, gamma=0.0, lr=0.05)
         s = np.zeros(3)
-        _fill(core, [Transition(s, [i % 2], float(i % 2), s, False) for i in range(16)])
+        _fill(core, [(s, [i % 2], float(i % 2), s, False) for i in range(16)])
         for _ in range(300):
             core.learn()
         q = core.q_values(s)[0]
@@ -78,8 +78,8 @@ class TestLearn:
         core = _core(n_bins=3, lr=0.01)
         rng = derive_rng(3, "batch")
         transitions = [
-            Transition(rng.normal(size=3), [int(rng.integers(3))], float(rng.normal()),
-                       rng.normal(size=3), True)
+            (rng.normal(size=3), [int(rng.integers(3))], float(rng.normal()),
+             rng.normal(size=3), True)
             for _ in range(8)
         ]
         _fill(core, transitions)
@@ -90,7 +90,7 @@ class TestLearn:
     def test_target_hard_copy_every_five(self):
         core = _core(target_update_every=5, lr=0.01)
         s = np.ones(3)
-        _fill(core, [Transition(s, [0], 1.0, s, True) for _ in range(8)])
+        _fill(core, [(s, [0], 1.0, s, True) for _ in range(8)])
         for i in range(4):
             core.learn()
         # four learns: target still the initial clone
@@ -139,7 +139,7 @@ def run_toy_mdp(seed, steps=4000):
         episode = step // 100  # schedule decays every 100 steps
         a = int(core.act(mdp.encode(s), episode)[0])
         s2, r = mdp.dynamics[s][a]
-        core.store(Transition(mdp.encode(s), [a], r, mdp.encode(s2), False))
+        core.store(mdp.encode(s), [a], r, mdp.encode(s2), False)
         core.learn()
         s = s2
     greedy = [int(core.greedy_bins(mdp.encode(s))[0]) for s in (0, 1)]

@@ -82,12 +82,6 @@ class TestProductState:
             n = week + 1
             assert len(state.price_history) == n
             assert len(state.demand_history) == n
-            assert len(state.revenue_history) == n
-
-    def test_revenue_is_price_times_demand(self):
-        state = ProductState.fresh(ProductSpec("p", 1, 10.0, 6.0, 20.0))
-        state.record_week(8.0, 3.0)
-        assert state.revenue_history[-1] == 24.0
 
     def test_first_week_change_relative_to_initial(self):
         state = ProductState.fresh(ProductSpec("p", 1, 10.0, 6.0, 20.0))

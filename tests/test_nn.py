@@ -13,7 +13,7 @@ from pricebench.nn import (
     ReplayBuffer,
     ShapeError,
     TrainingError,
-    Transition,
+    Workspace,
     _layer_views,
     hard_update,
     load_weights,
@@ -452,20 +452,21 @@ class TestReplayBuffer:
         buf = ReplayBuffer(capacity=5)
         for i in range(8):
             buf.push(i)
-        assert buf.snapshot() == [3, 4, 5, 6, 7]
+        assert len(buf) == 5
+        assert buf.fields[0].tolist() == [5, 6, 7, 3, 4]  # 0, 1, 2 overwritten in place
 
     def test_single_entry_always_sampled(self):
         buf = ReplayBuffer(capacity=4)
         buf.push("only")
         rng = derive_rng(0, "buf")
-        assert set(buf.sample(16, rng)) == {"only"}
+        assert set(buf.fields[0][buf.sample(16, rng)]) == {"only"}
 
     def test_uniform_when_decay_one(self):
         buf = ReplayBuffer(capacity=4, recency_decay=1.0)
         for i in range(4):
             buf.push(i)
         rng = derive_rng(1, "buf")
-        draws = buf.sample(100_000, rng)
+        draws = buf.fields[0][buf.sample(100_000, rng)]
         freqs = np.bincount(draws, minlength=4) / len(draws)
         assert np.all(np.abs(freqs - 0.25) < 0.02)
 
@@ -474,7 +475,7 @@ class TestReplayBuffer:
         for i in range(3):
             buf.push(i)  # entry 2 newest (age 0), 0 oldest (age 2)
         rng = derive_rng(2, "buf")
-        draws = buf.sample(100_000, rng)
+        draws = buf.fields[0][buf.sample(100_000, rng)]
         freqs = np.bincount(draws, minlength=3) / len(draws)
         weights = np.array([0.81, 0.9, 1.0])
         expected = weights / weights.sum()
@@ -483,6 +484,34 @@ class TestReplayBuffer:
     def test_empty_buffer_unavailable(self):
         with pytest.raises(ValueError):
             ReplayBuffer(capacity=2).sample(1, derive_rng(0, "buf"))
+
+    def test_rows_double_up_to_capacity_keeping_order(self):
+        buf = ReplayBuffer(capacity=10, rows=3)
+        sizes = []
+        for i in range(12):
+            buf.push(np.full(2, i), float(i), i % 2 == 0)
+            sizes.append(len(buf.fields[0]))
+        assert sizes == [3, 3, 3, 6, 6, 6, 10, 10, 10, 10, 10, 10]
+        states, rewards, done = buf.fields
+        assert states.shape == (10, 2) and rewards.dtype == float and done.dtype == bool
+        assert rewards.tolist() == [10.0, 11.0, *range(2, 10)]
+        assert states[:, 0].tolist() == rewards.tolist()
+
+    def test_rows_capped_at_capacity(self):
+        buf = ReplayBuffer(capacity=4, rows=100)
+        buf.push(0.0)
+        assert len(buf.fields[0]) == 4
+
+    def test_gather_writes_kept_arrays(self):
+        buf = ReplayBuffer(capacity=8)
+        for i in range(8):
+            buf.push(np.arange(3.0) + i, i)
+        work = Workspace()
+        rows = buf.sample(5, derive_rng(3, "buf"))
+        states, bins = buf.gather(rows, work)
+        assert np.array_equal(states, buf.fields[0][rows]) and np.array_equal(bins, rows)
+        again = buf.gather(buf.sample(5, derive_rng(4, "buf")), work)
+        assert again[0] is states and again[1] is bins
 
 
 class TestSoftUpdate:
@@ -558,8 +587,15 @@ class TestSchedules:
 
 class TestTransitionAndIO:
     def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            Transition(np.zeros(3), 0, 0.0, np.zeros(4), False)
+        buf = ReplayBuffer(capacity=4)
+        buf.push(np.zeros(3), 0, 0.0, np.zeros(3), False)
+        with pytest.raises(ShapeError):  # a field row of another shape
+            buf.push(np.zeros(3), 0, 0.0, np.zeros(4), False)
+        with pytest.raises(ShapeError):  # a scalar would broadcast over the row
+            buf.push(np.zeros(3), 0, 0.0, 1.0, False)
+        with pytest.raises(ShapeError):  # a field missing
+            buf.push(np.zeros(3), 0, 0.0, np.zeros(3))
+        assert len(buf) == 1
 
     def test_save_load_round_trip(self, tmp_path):
         rng = derive_rng(5, "io")

@@ -7,7 +7,6 @@ from pricebench.demand import ParametricDemandModel
 from pricebench.environment import run_episode
 from pricebench.market import AgentSpec, ConfigError, MarketConfig, derive_rng, make_default_portfolio
 from pricebench.nn import Adam, DenseNet, TrainingError, hard_update
-from pricebench.marl.maddpg import JointTransition
 from pricebench.marl.qmix import (
     MonotonicMixer,
     QmixCoordinator,
@@ -142,10 +141,7 @@ class TestCoordinator:
         for _ in range(32):
             states = [rng.normal(size=2) for _ in range(2)]
             actions = [[int(rng.integers(3))] for _ in range(2)]
-            coord.buffer.push(
-                JointTransition(states, actions, [0.75, 0.75],
-                                [rng.normal(size=2) for _ in range(2)], True)
-            )
+            coord.buffer.push(states, actions, [rng.normal(size=2) for _ in range(2)], 0.75, True)
         for _ in range(1500):
             loss = coord.learn()
         assert loss < 1e-3
@@ -156,10 +152,7 @@ class TestCoordinator:
         for _ in range(32):
             states = [rng.normal(size=2) for _ in range(2)]
             actions = [[int(rng.integers(3))] for _ in range(2)]
-            coord.buffer.push(
-                JointTransition(states, actions, [0.4, 0.4],
-                                [rng.normal(size=2) for _ in range(2)], False)
-            )
+            coord.buffer.push(states, actions, [rng.normal(size=2) for _ in range(2)], 0.4, False)
         for _ in range(2500):
             loss = coord.learn()
         assert loss < 1e-3
@@ -168,29 +161,28 @@ class TestCoordinator:
 def _fill(coord, n=32, seed=7):
     rng = derive_rng(seed, "fill")
     for _ in range(n):
-        coord.buffer.push(
-            JointTransition(
-                [rng.normal(size=2) for _ in coord.member_ids],
-                [[int(rng.integers(3))] for _ in coord.member_ids],
-                [float(rng.normal())] * len(coord.member_ids),
-                [rng.normal(size=2) for _ in coord.member_ids],
-                bool(rng.integers(2)),
-            )
-        )
+        states = [rng.normal(size=2) for _ in coord.member_ids]
+        actions = [[int(rng.integers(3))] for _ in coord.member_ids]
+        reward = float(rng.normal())
+        next_states = [rng.normal(size=2) for _ in coord.member_ids]
+        coord.buffer.push(states, actions, next_states, reward, bool(rng.integers(2)))
 
 
 def _reference_learn(coord, nets, targets, mixer, target_mixer, opt, rng, step):
     """One QMIX step as a loop over members: per-member nets, one Adam over every array."""
     hp = coord.hyper
-    batch = coord.buffer.sample(hp.batch_size, rng)
-    b, n = len(batch), len(nets)
+    sampled = coord.buffer.sample(hp.batch_size, rng)
+    b, n = len(sampled), len(nets)
     rows = np.arange(b)[:, None]
     heads = np.arange(1)[None, :]
-    rewards = np.asarray([t.rewards[0] for t in batch])
-    done = np.asarray([t.done for t in batch], dtype=float)
-    states = [np.stack([np.asarray(t.states[i]) for t in batch]) for i in range(n)]
-    next_states = [np.stack([np.asarray(t.next_states[i]) for t in batch]) for i in range(n)]
-    actions = [np.stack([np.asarray(t.actions[i], dtype=int) for t in batch]) for i in range(n)]
+    state_ring, action_ring, next_ring, reward_ring, done_ring = (
+        f[sampled] for f in coord.buffer.fields
+    )
+    rewards = reward_ring
+    done = done_ring.astype(float)
+    states = [state_ring[:, i] for i in range(n)]
+    next_states = [next_ring[:, i] for i in range(n)]
+    actions = [action_ring[:, i] for i in range(n)]
     target_qs = np.empty((b, n))
     for i, target in enumerate(targets):
         target_qs[:, i] = target.forward(next_states[i]).reshape(b, 1, -1).max(axis=2).mean(axis=1)
@@ -240,8 +232,7 @@ class TestTeamStep:
         coord = _coordinator(lr=0.02)
         _fill(coord)
         coord.learn()
-        for t in coord.buffer.snapshot():
-            t.rewards = [np.nan] * len(t.rewards)
+        coord.buffer.fields[3][:] = np.nan  # the shared rewards
         opt = coord.optimizer
         before = [a.copy() for a in [coord.nets.flat, coord.mixer.flat, *opt.m, *opt.v]]
         with pytest.raises(TrainingError):
@@ -264,9 +255,7 @@ class TestMatrixGame:
         for a1 in range(3):
             for a2 in range(3):
                 for _ in range(4):
-                    coord.buffer.push(
-                        JointTransition(state, [[a1], [a2]], [payoff[a1, a2]] * 2, state, True)
-                    )
+                    coord.buffer.push(state, [[a1], [a2]], state, payoff[a1, a2], True)
         for _ in range(2500):
             coord.learn()
         greedy = [
@@ -300,5 +289,4 @@ class TestQmixTeamInMarket:
         coord.contribute("x0", np.zeros(2), [0], 1.0, np.zeros(2), False)
         assert len(coord.buffer) == 0  # waits for the team
         coord.contribute("x1", np.zeros(2), [0], 3.0, np.zeros(2), False)
-        joint = coord.buffer.snapshot()[0]
-        assert joint.rewards == [2.0, 2.0]
+        assert coord.buffer.fields[3][0] == 2.0  # the shared reward
