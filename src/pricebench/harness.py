@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, nn
 from .demand import ParametricDemandModel, elasticity_sweep, neutral_query, price_multipliers
 from .environment import PricingAgentBase, run_episode, write_history_csv
 from .market import (
@@ -301,7 +301,10 @@ def run_experiment(
             results.append(execute_run(spec, i, out))
     else:
         payloads = [(spec.to_dict(), i, str(out)) for i in range(spec.n_runs)]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the jobs fill the CPUs, so no job splits its passes over a second thread
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=jobs, initializer=nn.use_one_thread
+        ) as pool:
             for manifest_d, report_d in pool.map(_execute_run_payload, payloads):
                 results.append(
                     (

@@ -30,13 +30,36 @@ pushed past its rows doubles them up to `capacity`. `sample` returns ring
 rows, an array the caller owns; `gather` writes each field's rows into
 arrays kept in the caller's `Workspace`, so a gathered batch belongs to the
 learner and stays valid until its next gather.
+
+Two threads. When the process may run on two or more CPUs
+(`os.sched_getaffinity`), a large pass runs in two halves at once, the
+caller's and one worker thread's (`_Worker`, started by the first such
+pass). A team pass (`forward_cached`, `backward`) splits by members,
+`[0, n//2)` and `[n//2, n)`, for a shared `(B, in)` input as for a
+`(members, B, in)` one; an Adam step and a target update split each vector
+at its middle element, which for a team of an even size is a member
+boundary. A member's rows are computed by the same BLAS call on the same
+operands, and an elementwise update by the same ufunc on the same elements,
+whichever thread runs them, so the bytes equal the serial pass's. The
+buffers, the `grad` views and the scratch of each half are fetched by the
+caller before the split; the worker runs only private closures, never a
+public name, so a tracer that wraps those sees every call on the caller's
+stack. A pass below its threshold (`SPLIT_MIN_PASS` rows x parameters,
+`SPLIT_MIN_ADAM` or `SPLIT_MIN_TARGET` elements) stays serial: at those
+sizes the hand-off cost more than the second CPU saved. `use_one_thread()`
+makes every pass serial; a process pool whose jobs fill the CPUs calls it in
+each job. A forked child drops the parent's worker and starts its own.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import threading
+import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,6 +68,19 @@ WEIGHTS_FORMAT_VERSION = 1
 # Elements per pass of the elementwise optimizer and target-update loops: the
 # scratch stays in cache and is bounded however large the parameter vector.
 CHUNK = 32_768
+# The smallest work that runs faster split between two threads than on one
+# (see the module docstring): a team pass in rows x parameters summed over
+# the members, an Adam step and a target update in elements. Measured within
+# learn steps on a 2-vCPU VM, split/serial speed: team passes of 5.5 M (the
+# QMIX nets at batch 64) 0.93-1.10x, of 10.7 M (the MADDPG critics)
+# 1.15-1.40x; Adam at 133 k elements 1.09x, at 167 k 1.35x; a target update
+# at 162 k elements 0.84-0.90x, at 643 k 1.37-1.43x.
+SPLIT_MIN_PASS = 6_000_000
+SPLIT_MIN_ADAM = 100_000
+SPLIT_MIN_TARGET = 400_000
+
+# CPUs this process may run on; the split needs two. Read once, here.
+_cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 class ShapeError(ValueError):
@@ -53,6 +89,132 @@ class ShapeError(ValueError):
 
 class TrainingError(RuntimeError):
     """Non-finite values encountered during optimization."""
+
+
+class _Worker:
+    """One daemon thread, kept on one CPU, that takes the second of two closures.
+
+    `run(mine, theirs)` queues theirs(), runs mine() and then waits for the
+    thread if it took theirs(), or runs theirs() itself if the thread had not
+    started it by then (its CPU was busy with something else).
+
+    What keeps the halves apart and prompt was measured on a 2-vCPU VM:
+    - Left to the scheduler, a thread woken by another tends to be placed on
+      its waker's CPU (an idle virtual CPU reads as unavailable), and the two
+      halves then share one CPU. So the thread stays on the last CPU the
+      process may use, and the caller keeps off it while its half runs.
+    - Waking a thread from a plain blocking wait took 0.1-0.7 ms, as long as
+      a half. So both sides wait for the other in `WAIT_S` timed waits, and
+      the thread keeps waiting so for `POLL_S` after each job before it blocks.
+    - Over whole 20 s runs the second CPU was at times busy with other work.
+      When most of the thread's recent halves (a running mean over about 8)
+      end later than the caller could have run both, run() runs both itself
+      for `BACKOFF_S`. In other runs 4 % of the halves ended that late.
+    """
+
+    POLL_S = 0.003  # longer than the gaps between the passes of one learn step
+    WAIT_S = 5e-5
+    BACKOFF_S = 0.5
+
+    def __init__(self, cpus: set[int]):
+        self._cpu = max(cpus)
+        self._jobs: deque[Callable[[], None]] = deque()  # the queued closure, until taken
+        self._wake, self._done, self._busy = threading.Lock(), threading.Lock(), threading.Lock()
+        self._wake.acquire()
+        self._done.acquire()
+        self._error: BaseException | None = None
+        self._late = 0.0  # running share of the thread's halves that ended late
+        self._serial_until = 0.0
+        threading.Thread(target=self._serve, name="pricebench-nn", daemon=True).start()
+
+    def _serve(self) -> None:
+        os.sched_setaffinity(0, {self._cpu})  # this thread only
+        while True:
+            idle_until = time.perf_counter() + self.POLL_S
+            while not self._wake.acquire(timeout=self.WAIT_S):
+                if time.perf_counter() > idle_until:
+                    self._wake.acquire()
+                    break
+            try:
+                job = self._jobs.pop()
+            except IndexError:  # the caller ran it
+                continue
+            try:
+                job()
+            except BaseException as exc:  # noqa: BLE001 - run() re-raises it on the caller
+                self._error = exc
+            self._done.release()
+
+    def run(self, mine: Callable[[], None], theirs: Callable[[], None]) -> None:
+        """mine() and theirs(), in either thread; returns once both have.
+
+        An error of either is raised here, after both returned. During a
+        back-off, or while another caller thread has the worker, the caller
+        runs both itself.
+        """
+        if time.perf_counter() < self._serial_until or not self._busy.acquire(blocking=False):
+            mine()
+            theirs()
+            return
+        cpus = os.sched_getaffinity(0)
+        try:
+            os.sched_setaffinity(0, cpus - {self._cpu} or cpus)
+            self._jobs.append(theirs)
+            if self._wake.locked():  # else a wake is pending and the thread will find the job
+                self._wake.release()
+            start = time.perf_counter()
+            try:
+                mine()
+            finally:
+                mine_s = time.perf_counter() - start
+                try:
+                    left = self._jobs.pop()
+                except IndexError:  # the thread took it
+                    left = None
+                    while not self._done.acquire(timeout=self.WAIT_S):
+                        pass
+                    self._late += (float(time.perf_counter() - start > 2 * mine_s) - self._late) / 8
+                    if self._late > 0.5:
+                        self._late, self._serial_until = 0.0, time.perf_counter() + self.BACKOFF_S
+                error, self._error = self._error, None
+        finally:
+            os.sched_setaffinity(0, cpus)
+            self._busy.release()
+        if error is not None:
+            raise error
+        if left is not None:
+            left()
+
+
+_worker: _Worker | None = None
+
+
+def _in_halves(mine: Callable[[], None], theirs: Callable[[], None]) -> None:
+    global _worker
+    if _worker is None:
+        _worker = _Worker(os.sched_getaffinity(0))
+    _worker.run(mine, theirs)
+
+
+def _forget_worker() -> None:
+    global _worker
+    _worker = None
+
+
+def use_one_thread() -> None:
+    """Run every pass of this process serially: its siblings fill the other CPUs."""
+    global _cpus
+    _cpus = 1
+
+
+def _splits(work: int, minimum: int) -> bool:
+    """Whether a pass of this size may run on two threads."""
+    return _cpus >= 2 and work >= minimum
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has no copy of the parent's worker thread; it starts its own
+    os.register_at_fork(after_in_child=_forget_worker)
 
 
 class Workspace:
@@ -107,6 +269,53 @@ def _layer_views(layer_sizes: Sequence[int], flat: np.ndarray, members: int | No
 
 def _interleave(weights: list[np.ndarray], biases: list[np.ndarray]) -> list[np.ndarray]:
     return [a for pair in zip(weights, biases) for a in pair]
+
+
+def _forward_layers(a: np.ndarray, layers) -> None:
+    """Run `a` through (W^T, bias row, activation, output buffer) layers."""
+    for w_t, b, act, z in layers:
+        np.matmul(a, w_t, out=z)
+        z += b
+        if act == "relu":
+            np.maximum(z, 0.0, out=z)
+        elif act == "tanh":
+            np.tanh(z, out=z)
+        a = z
+
+
+def _backward_layers(g: np.ndarray, layers) -> None:
+    """Backpropagate `g` through the layers of DenseNet.backward, top layer first."""
+    for act, out, d_act, dz, weight, x, grad_w, grad_b, input_grad in layers:
+        if act == "linear":  # the derivative is 1
+            dz = g
+        else:
+            if act == "relu":
+                np.greater(out, 0.0, out=d_act)
+            else:  # tanh: 1 - tanh^2, read from the output
+                np.multiply(out, out, out=d_act)
+                np.subtract(1.0, d_act, out=d_act)
+            if dz is None:
+                dz = g
+            np.multiply(g, d_act, out=dz)
+        if grad_w is not None:
+            np.matmul(dz.swapaxes(-1, -2), x, out=grad_w)
+            np.sum(dz, axis=-2, out=grad_b)
+        if input_grad is not None:
+            g = np.matmul(dz, weight, out=input_grad)
+
+
+def _member_halves(layers, h: int, shared: np.ndarray | None = None):
+    """The layers' team arrays cut at member h: members [0, h), then [h, n).
+
+    Names, None and the `shared` team input `(B, in)`, which has no members
+    axis, stay as they are.
+    """
+    def cut(part: slice):
+        return [
+            tuple(a if a is None or a is shared or isinstance(a, str) else a[part] for a in layer)
+            for layer in layers
+        ]
+    return cut(slice(0, h)), cut(slice(h, None))
 
 
 class DenseNet:
@@ -203,15 +412,17 @@ class DenseNet:
             raise ShapeError(f"{a.shape[0]} input batches for {self.members} members")
         lead = (self.members, a.shape[-2]) if self.members else a.shape[:-1]
         outs = self._work.layers("post", lead, self.layer_sizes[1:])
-        post = [a]
-        for w_t, b, act, z in zip(self._weights_t, self._bias_rows, self.activations, outs):
-            np.matmul(post[-1], w_t, out=z)
-            z += b
-            if act == "relu":
-                np.maximum(z, 0.0, out=z)
-            elif act == "tanh":
-                np.tanh(z, out=z)
-            post.append(z)
+        layers = list(zip(self._weights_t, self._bias_rows, self.activations, outs))
+        if self._splits(a.shape[-2]):
+            h, shared = self.members // 2, a.ndim == 2
+            first, second = _member_halves(layers, h)
+            _in_halves(
+                lambda: _forward_layers(a if shared else a[:h], first),
+                lambda: _forward_layers(a if shared else a[h:], second),
+            )
+        else:
+            _forward_layers(a, layers)
+        post = [a, *outs]
         y = post[-1][..., 0, :] if squeeze else post[-1]
         return y, {"post": post, "squeeze": squeeze}
 
@@ -241,32 +452,43 @@ class DenseNet:
             self._grad_weights, self._grad_biases = _layer_views(
                 self.layer_sizes, self.grad, self.members
             )
-        work, lead = self._work, upstream.shape[:-1]
-        g = upstream
-        for layer in reversed(range(len(self.weights))):
+        # every buffer of the pass, top layer first: (activation, output,
+        # derivative, dz, weight, layer input, weight grad, bias grad, input grad)
+        work, lead, top = self._work, upstream.shape[:-1], len(self.weights) - 1
+        layers = []
+        for layer in reversed(range(top + 1)):
             act, out = self.activations[layer], post[layer + 1]
-            dz = g  # linear: the activation's derivative is 1
+            d_act = dz = None
             if act != "linear":
-                if act == "relu":
-                    d_act = np.greater(out, 0.0, out=work.get(("relu'", layer), out.shape, bool))
-                else:  # tanh: 1 - tanh^2, read from the output
-                    d_act = np.multiply(out, out, out=work.get(("tanh'", layer), out.shape))
-                    np.subtract(1.0, d_act, out=d_act)
-                # over g when it is this pass's own input product, never over the caller's upstream
-                if g is upstream:
+                d_act = work.get((act + "'", layer), out.shape, bool if act == "relu" else float)
+                # the top layer's dz may not overwrite the caller's upstream; below it
+                # dz overwrites the pass's own input product
+                if layer == top:
                     dz = work.get(("dz", layer), out.shape)
-                np.multiply(g, d_act, out=dz)
+            grad_w = grad_b = input_grad = None
             if params:
-                np.matmul(dz.swapaxes(-1, -2), post[layer], out=self._grad_weights[layer])
-                np.sum(dz, axis=-2, out=self._grad_biases[layer])
+                grad_w, grad_b = self._grad_weights[layer], self._grad_biases[layer]
             if layer or inputs:
-                buf = work.get(("input_grad", layer), lead + (self.layer_sizes[layer],))
-                g = np.matmul(dz, self.weights[layer], out=buf)
+                input_grad = work.get(("input_grad", layer), lead + (self.layer_sizes[layer],))
+            layers.append((act, out, d_act, dz, self.weights[layer], post[layer], grad_w, grad_b, input_grad))
+        if self._splits(lead[-1]):
+            h = self.members // 2
+            first, second = _member_halves(layers, h, post[0] if post[0].ndim == 2 else None)
+            _in_halves(
+                lambda: _backward_layers(upstream[:h], first),
+                lambda: _backward_layers(upstream[h:], second),
+            )
+        else:
+            _backward_layers(upstream, layers)
         grads = _interleave(self._grad_weights, self._grad_biases) if params else None
         input_grad = None
         if inputs:
+            g = layers[-1][-1]
             input_grad = g[..., 0, :] if cache["squeeze"] else g
         return grads, input_grad
+
+    def _splits(self, rows: int) -> bool:
+        return (self.members or 0) >= 2 and _splits(rows * self.flat.size, SPLIT_MIN_PASS)
 
     def clone(self) -> "DenseNet":
         twin = DenseNet.__new__(DenseNet)
@@ -280,10 +502,23 @@ def soft_update(target: DenseNet, online: DenseNet, tau: float) -> None:
     """Polyak update: target <- (1 - tau) * target + tau * online."""
     if target.layer_sizes != online.layer_sizes or target.flat.shape != online.flat.shape:
         raise ShapeError("target/online architectures differ")
-    scratch = target._work.get("update", (min(CHUNK, target.flat.size),))
-    for lo in range(0, target.flat.size, CHUNK):
-        t = target.flat[lo : lo + CHUNK]
-        tau_online = np.multiply(online.flat[lo : lo + CHUNK], tau, out=scratch[: t.size])
+    size = target.flat.size
+    scratch = (min(CHUNK, size),)
+    if _splits(size, SPLIT_MIN_TARGET):
+        h = size // 2
+        mine, theirs = (target._work.get(("update", i), scratch) for i in (0, 1))
+        _in_halves(
+            lambda: _polyak(target.flat[:h], online.flat[:h], tau, mine),
+            lambda: _polyak(target.flat[h:], online.flat[h:], tau, theirs),
+        )
+    else:
+        _polyak(target.flat, online.flat, tau, target._work.get(("update", 0), scratch))
+
+
+def _polyak(target: np.ndarray, online: np.ndarray, tau: float, scratch: np.ndarray) -> None:
+    for lo in range(0, target.size, CHUNK):
+        t = target[lo : lo + CHUNK]
+        tau_online = np.multiply(online[lo : lo + CHUNK], tau, out=scratch[: t.size])
         t *= 1.0 - tau
         t += tau_online
 
@@ -297,7 +532,8 @@ class Adam:
 
     The learners pass flat parameter vectors, so one step is a few passes
     over a vector rather than a Python loop over layers and members. The
-    scratch is two chunk-sized buffers, allocated by the first step.
+    scratch is two chunk-sized buffers per thread, allocated by the first
+    step that uses the thread.
     """
 
     beta1 = 0.9
@@ -308,30 +544,45 @@ class Adam:
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
-        self._scratch: np.ndarray | None = None
+        self._work = Workspace()
 
     def step(self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray], lr: float) -> None:
         if len(params) != len(self.m):
             raise ShapeError("parameter list length changed under the optimizer")
         if not all(p.flags.c_contiguous for p in params):
             raise ShapeError("Adam updates contiguous arrays in place")
+        # checked before either half writes, so a failed step leaves every array as it was
         for i, g in enumerate(grads):
             # min and max propagate NaN and reach +-inf, without a mask the size of g
             if not (np.isfinite(g.min()) and np.isfinite(g.max())):
                 raise TrainingError(
                     f"non-finite gradient in parameter {i} (shape {g.shape})"
                 )
-        if self._scratch is None:
-            self._scratch = np.empty((2, min(CHUNK, max(p.size for p in params))))
         self.t += 1
-        correct1 = 1.0 - self.beta1**self.t
-        correct2 = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            p, g, m, v = p.reshape(-1), np.ravel(g), m.reshape(-1), v.reshape(-1)
+        correct = (1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t)
+        vectors = [
+            (p.reshape(-1), np.ravel(g), m.reshape(-1), v.reshape(-1))
+            for p, g, m, v in zip(params, grads, self.m, self.v)
+        ]
+        chunk = (2, min(CHUNK, max(p.size for p in params)))
+        if _splits(sum(p.size for p in params), SPLIT_MIN_ADAM):
+            first = [tuple(a[: a.size // 2] for a in vector) for vector in vectors]
+            second = [tuple(a[a.size // 2 :] for a in vector) for vector in vectors]
+            mine, theirs = (self._work.get(("scratch", i), chunk) for i in (0, 1))
+            _in_halves(
+                lambda: self._update(first, lr, correct, mine),
+                lambda: self._update(second, lr, correct, theirs),
+            )
+        else:
+            self._update(vectors, lr, correct, self._work.get(("scratch", 0), chunk))
+
+    def _update(self, vectors, lr: float, correct: tuple[float, float], scratch: np.ndarray) -> None:
+        correct1, correct2 = correct
+        for p, g, m, v in vectors:
             for lo in range(0, p.size, CHUNK):
                 chunk = slice(lo, lo + CHUNK)
                 gc, mc, vc = g[chunk], m[chunk], v[chunk]
-                step, denom = self._scratch[:, : gc.size]
+                step, denom = scratch[:, : gc.size]
                 # m <- beta1 m + (1 - beta1) g;  v <- beta2 v + (1 - beta2) g g
                 mc *= self.beta1
                 mc += np.multiply(gc, 1.0 - self.beta1, out=step)

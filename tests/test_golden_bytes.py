@@ -43,10 +43,10 @@ SCALES = {
 }
 
 
-def artifact_hashes(spec, out: Path) -> dict[str, str]:
+def artifact_hashes(spec, out: Path, jobs: int = 1) -> dict[str, str]:
     """SHA-256 of each artifact of the spec's runs, keyed run_id/name."""
     hashes = {}
-    for manifest, _ in run_experiment(spec, out):
+    for manifest, _ in run_experiment(spec, out, jobs=jobs):
         for name in ARTIFACTS:
             data = (out / manifest.run_id / name).read_bytes()
             hashes[f"{manifest.run_id}/{name}"] = hashlib.sha256(data).hexdigest()
