@@ -36,23 +36,27 @@ Two threads. When the process may run on two or more CPUs
 caller's and one worker thread's (`_Worker`, started by the first such
 pass). A team pass (`forward_cached`, `backward`) splits by members,
 `[0, n//2)` and `[n//2, n)`, for a shared `(B, in)` input as for a
-`(members, B, in)` one; an Adam step and a target update split each vector
-at its middle element, which for a team of an even size is a member
-boundary. A member's rows are computed by the same BLAS call on the same
-operands, and an elementwise update by the same ufunc on the same elements,
-whichever thread runs them, so the bytes equal the serial pass's. The
-buffers, the `grad` views and the scratch of each half are fetched by the
-caller before the split; the worker runs only private closures, never a
-public name, so a tracer that wraps those sees every call on the caller's
-stack. A pass below its threshold (`SPLIT_MIN_PASS` rows x parameters,
-`SPLIT_MIN_ADAM` or `SPLIT_MIN_TARGET` elements) stays serial: at those
-sizes the hand-off cost more than the second CPU saved. `use_one_thread()`
-makes every pass serial; a process pool whose jobs fill the CPUs calls it in
-each job. A forked child drops the parent's worker and starts its own.
+`(members, B, in)` one; an Adam step splits each vector at its middle
+element, which for a team of an even size is a member boundary. A member's
+rows are computed by the same BLAS call on the same operands, and an
+elementwise update by the same ufunc on the same elements, whichever thread
+runs them, so the bytes equal the serial pass's. The buffers, the `grad`
+views and the scratch of each half are fetched by the caller before the
+split; the worker runs only private closures, never a public name, so a
+tracer that wraps those sees every call on the caller's stack. A pass below
+its threshold (`SPLIT_MIN_PASS` rows x parameters, `SPLIT_MIN_ADAM`
+elements) stays serial: at those sizes the hand-off cost more than the
+second CPU saved. Target updates always run serially. When splits stop
+saving time (another process on the worker's CPU, or more threads than
+CPUs), the passes run serially for a while (see `_Worker`).
+`use_one_thread()` makes every pass serial; a process pool whose jobs fill
+the CPUs calls it in each job. A forked child drops the parent's worker and
+starts its own.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 import threading
@@ -70,17 +74,22 @@ WEIGHTS_FORMAT_VERSION = 1
 CHUNK = 32_768
 # The smallest work that runs faster split between two threads than on one
 # (see the module docstring): a team pass in rows x parameters summed over
-# the members, an Adam step and a target update in elements. Measured within
-# learn steps on a 2-vCPU VM, split/serial speed: team passes of 5.5 M (the
-# QMIX nets at batch 64) 0.93-1.10x, of 10.7 M (the MADDPG critics)
-# 1.15-1.40x; Adam at 133 k elements 1.09x, at 167 k 1.35x; a target update
-# at 162 k elements 0.84-0.90x, at 643 k 1.37-1.43x.
+# the members, an Adam step in elements. Measured within learn steps on a
+# 2-vCPU VM, split/serial speed: team passes of 5.5 M (the QMIX nets at
+# batch 64) 0.93-1.10x, of 10.7 M (the MADDPG critics) 1.15-1.40x; Adam at
+# 133 k elements (QMIX's nets and mixer) 1.09x, at 167 k (the MADDPG
+# critics) 1.35x. The thresholds sit between, so at the default sizes only
+# MADDPG's critic passes and critic Adam step split.
 SPLIT_MIN_PASS = 6_000_000
-SPLIT_MIN_ADAM = 100_000
-SPLIT_MIN_TARGET = 400_000
+SPLIT_MIN_ADAM = 150_000
 
-# CPUs this process may run on; the split needs two. Read once, here.
-_cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+# CPUs this process may run on; the split needs two, and `sched_getcpu` to
+# keep its halves apart (see _Worker). Read once, here.
+try:
+    _sched_getcpu = ctypes.CDLL(None).sched_getcpu
+except (AttributeError, OSError):  # no C library that reports the running CPU
+    _sched_getcpu = None
+_cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") and _sched_getcpu else 1
 
 
 class ShapeError(ValueError):
@@ -92,43 +101,57 @@ class TrainingError(RuntimeError):
 
 
 class _Worker:
-    """One daemon thread, kept on one CPU, that takes the second of two closures.
+    """One daemon thread that takes the second of two closures.
 
     `run(mine, theirs)` queues theirs(), runs mine() and then waits for the
     thread if it took theirs(), or runs theirs() itself if the thread had not
-    started it by then (its CPU was busy with something else).
+    started it by then.
 
     What keeps the halves apart and prompt was measured on a 2-vCPU VM:
     - Left to the scheduler, a thread woken by another tends to be placed on
       its waker's CPU (an idle virtual CPU reads as unavailable), and the two
-      halves then share one CPU. So the thread stays on the last CPU the
-      process may use, and the caller keeps off it while its half runs.
+      halves then share one CPU. So for each split the caller stays on the
+      CPU it is running on and the thread is kept to the others. No CPU is
+      fixed: the caller runs anywhere between splits, and each split places
+      the thread anew.
     - Waking a thread from a plain blocking wait took 0.1-0.7 ms, as long as
       a half. So both sides wait for the other in `WAIT_S` timed waits, and
       the thread keeps waiting so for `POLL_S` after each job before it blocks.
-    - Over whole 20 s runs the second CPU was at times busy with other work.
-      When most of the thread's recent halves (a running mean over about 8)
-      end later than the caller could have run both, run() runs both itself
-      for `BACKOFF_S`. In other runs 4 % of the halves ended that late.
+    - The CPUs may be busy: another process, another pricebench run, the
+      host. A half the thread has taken cannot be taken back, so the caller
+      waits for it however long it runs, and on a shared CPU some of the
+      thread's halves stall for a whole time slice (3-6 ms against 0.5 ms).
+      When every CPU has more work than it can run, as with two split runs
+      on two CPUs, each half also runs at part speed. A split saved time if
+      it ended before the caller could have run both halves on a CPU of its
+      own, twice the CPU time of its own half (`time.thread_time`). When the
+      mean saving over about the last 64 splits, and at least 32 since the
+      last back-off, is negative, the passes run serially (`_splits`) for
+      `BACKOFF_S`, twice as long as the last back-off when it comes within
+      128 splits of it, up to `BACKOFF_MAX_S`.
     """
 
     POLL_S = 0.003  # longer than the gaps between the passes of one learn step
     WAIT_S = 5e-5
     BACKOFF_S = 0.5
+    BACKOFF_MAX_S = 8.0
 
-    def __init__(self, cpus: set[int]):
-        self._cpu = max(cpus)
+    def __init__(self):
         self._jobs: deque[Callable[[], None]] = deque()  # the queued closure, until taken
         self._wake, self._done, self._busy = threading.Lock(), threading.Lock(), threading.Lock()
         self._wake.acquire()
         self._done.acquire()
         self._error: BaseException | None = None
-        self._late = 0.0  # running share of the thread's halves that ended late
+        self._saving = 0.0  # running mean of the seconds each recent split saved
+        self._judged = 0  # splits since the last back-off
+        self._backoff_s = 0.0  # the last back-off's length
         self._serial_until = 0.0
-        threading.Thread(target=self._serve, name="pricebench-nn", daemon=True).start()
+        self._placed: set[int] | None = None  # the CPUs the thread is kept to
+        thread = threading.Thread(target=self._serve, name="pricebench-nn", daemon=True)
+        thread.start()
+        self._tid = thread.native_id
 
     def _serve(self) -> None:
-        os.sched_setaffinity(0, {self._cpu})  # this thread only
         while True:
             idle_until = time.perf_counter() + self.POLL_S
             while not self._wake.acquire(timeout=self.WAIT_S):
@@ -145,37 +168,48 @@ class _Worker:
                 self._error = exc
             self._done.release()
 
+    def backing_off(self) -> bool:
+        """Whether the passes run serially now, after splits that saved no time."""
+        return time.perf_counter() < self._serial_until
+
     def run(self, mine: Callable[[], None], theirs: Callable[[], None]) -> None:
         """mine() and theirs(), in either thread; returns once both have.
 
-        An error of either is raised here, after both returned. During a
-        back-off, or while another caller thread has the worker, the caller
-        runs both itself.
+        An error of either is raised here, after both returned. While another
+        caller thread has the worker, or when this thread may run on one CPU
+        only, the caller runs both itself.
         """
-        if time.perf_counter() < self._serial_until or not self._busy.acquire(blocking=False):
+        if not self._busy.acquire(blocking=False):
             mine()
             theirs()
             return
         cpus = os.sched_getaffinity(0)
+        here = _sched_getcpu()
+        if here not in cpus or len(cpus) < 2:
+            self._busy.release()
+            mine()
+            theirs()
+            return
         try:
-            os.sched_setaffinity(0, cpus - {self._cpu} or cpus)
+            os.sched_setaffinity(0, {here})
+            if self._placed != cpus - {here}:
+                self._placed = cpus - {here}
+                os.sched_setaffinity(self._tid, self._placed)
             self._jobs.append(theirs)
             if self._wake.locked():  # else a wake is pending and the thread will find the job
                 self._wake.release()
-            start = time.perf_counter()
+            start, start_cpu = time.perf_counter(), time.thread_time()
             try:
                 mine()
             finally:
-                mine_s = time.perf_counter() - start
+                mine_cpu = time.thread_time() - start_cpu
                 try:
                     left = self._jobs.pop()
                 except IndexError:  # the thread took it
                     left = None
                     while not self._done.acquire(timeout=self.WAIT_S):
                         pass
-                    self._late += (float(time.perf_counter() - start > 2 * mine_s) - self._late) / 8
-                    if self._late > 0.5:
-                        self._late, self._serial_until = 0.0, time.perf_counter() + self.BACKOFF_S
+                    self._judge(2 * mine_cpu - (time.perf_counter() - start))
                 error, self._error = self._error, None
         finally:
             os.sched_setaffinity(0, cpus)
@@ -185,20 +219,34 @@ class _Worker:
         if left is not None:
             left()
 
+    def _judge(self, saved_s: float) -> None:
+        self._saving += (saved_s - self._saving) / 64
+        self._judged += 1
+        if self._saving < 0 and self._judged >= 32:
+            again = self._backoff_s > 0 and self._judged < 128
+            self._backoff_s = min(2 * self._backoff_s, self.BACKOFF_MAX_S) if again else self.BACKOFF_S
+            self._serial_until = time.perf_counter() + self._backoff_s
+            self._saving, self._judged = 0.0, 0
+
 
 _worker: _Worker | None = None
+_worker_lock = threading.Lock()
 
 
 def _in_halves(mine: Callable[[], None], theirs: Callable[[], None]) -> None:
     global _worker
-    if _worker is None:
-        _worker = _Worker(os.sched_getaffinity(0))
-    _worker.run(mine, theirs)
+    worker = _worker
+    if worker is None:
+        with _worker_lock:
+            if _worker is None:
+                _worker = _Worker()
+            worker = _worker
+    worker.run(mine, theirs)
 
 
 def _forget_worker() -> None:
-    global _worker
-    _worker = None
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
 
 
 def use_one_thread() -> None:
@@ -208,8 +256,8 @@ def use_one_thread() -> None:
 
 
 def _splits(work: int, minimum: int) -> bool:
-    """Whether a pass of this size may run on two threads."""
-    return _cpus >= 2 and work >= minimum
+    """Whether a pass of this size runs on two threads now."""
+    return _cpus >= 2 and work >= minimum and not (_worker and _worker.backing_off())
 
 
 if hasattr(os, "register_at_fork"):
@@ -502,23 +550,10 @@ def soft_update(target: DenseNet, online: DenseNet, tau: float) -> None:
     """Polyak update: target <- (1 - tau) * target + tau * online."""
     if target.layer_sizes != online.layer_sizes or target.flat.shape != online.flat.shape:
         raise ShapeError("target/online architectures differ")
-    size = target.flat.size
-    scratch = (min(CHUNK, size),)
-    if _splits(size, SPLIT_MIN_TARGET):
-        h = size // 2
-        mine, theirs = (target._work.get(("update", i), scratch) for i in (0, 1))
-        _in_halves(
-            lambda: _polyak(target.flat[:h], online.flat[:h], tau, mine),
-            lambda: _polyak(target.flat[h:], online.flat[h:], tau, theirs),
-        )
-    else:
-        _polyak(target.flat, online.flat, tau, target._work.get(("update", 0), scratch))
-
-
-def _polyak(target: np.ndarray, online: np.ndarray, tau: float, scratch: np.ndarray) -> None:
-    for lo in range(0, target.size, CHUNK):
-        t = target[lo : lo + CHUNK]
-        tau_online = np.multiply(online[lo : lo + CHUNK], tau, out=scratch[: t.size])
+    scratch = target._work.get("update", (min(CHUNK, target.flat.size),))
+    for lo in range(0, target.flat.size, CHUNK):
+        t = target.flat[lo : lo + CHUNK]
+        tau_online = np.multiply(online.flat[lo : lo + CHUNK], tau, out=scratch[: t.size])
         t *= 1.0 - tau
         t += tau_online
 

@@ -1,7 +1,7 @@
-"""Team passes, Adam and target updates split over two threads give the serial bytes.
+"""Team passes and Adam steps split over two threads give the serial bytes.
 
-`nn` splits a large team pass by member halves, and a large Adam step or
-target update by element halves, between the caller and one worker thread.
+`nn` splits a large team pass by member halves, and a large Adam step by
+element halves, between the caller and one worker thread.
 Each half issues the same BLAS calls and ufuncs on the same data as the
 serial pass, so every test here compares the two paths bit for bit. The
 split is forced on or off through the module's CPU count and thresholds.
@@ -22,7 +22,7 @@ import pytest
 
 from pricebench import nn
 from pricebench.market import derive_rng
-from pricebench.nn import CHUNK, Adam, DenseNet, TrainingError, hard_update, soft_update
+from pricebench.nn import CHUNK, Adam, DenseNet, TrainingError
 from tests.test_golden_bytes import _golden, _spec, artifact_hashes
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,8 +31,33 @@ ROOT = Path(__file__).resolve().parent.parent
 def _force(monkeypatch, split: bool) -> None:
     """Every pass that can split splits (split=True), or none does."""
     monkeypatch.setattr(nn, "_cpus", 2 if split else 1)
-    for name in ("SPLIT_MIN_PASS", "SPLIT_MIN_ADAM", "SPLIT_MIN_TARGET"):
+    for name in ("SPLIT_MIN_PASS", "SPLIT_MIN_ADAM"):
         monkeypatch.setattr(nn, name, 0)
+
+
+def _compute(seconds: float) -> None:
+    """Keep this thread's CPU busy for `seconds`, mostly outside the interpreter lock."""
+    a = np.ones((96, 96))
+    end = time.perf_counter() + seconds
+    while time.perf_counter() < end:
+        a @ a
+
+
+def _pass(mine, theirs) -> None:
+    """One pass as the nets run it: in halves on two threads when nn says so."""
+    if nn._splits(1, 0):
+        nn._in_halves(mine, theirs)
+    else:
+        mine()
+        theirs()
+
+
+def _use_fresh_worker(monkeypatch) -> None:
+    """A fresh worker that the nets' passes use, its back-offs a minute long."""
+    worker = nn._Worker()
+    monkeypatch.setattr(worker, "BACKOFF_S", 60.0)
+    monkeypatch.setattr(nn, "_worker", worker)
+    monkeypatch.setattr(nn, "_cpus", 2)
 
 
 def _same_bits(a, b) -> bool:
@@ -108,21 +133,6 @@ def test_adam_split_equals_serial(monkeypatch, sizes):
     assert all(_same_bits(a, b) for a, b in zip(serial, split))
 
 
-@pytest.mark.parametrize("update", ["soft", "hard"])
-@pytest.mark.parametrize("members", [4, 3])
-def test_target_update_split_equals_serial(monkeypatch, update, members):
-    results = []
-    for split in (False, True):
-        _force(monkeypatch, split)
-        online = _team([301, 97, 5], ["relu", "linear"], members, seed=1)  # > CHUNK, odd
-        target = _team([301, 97, 5], ["relu", "linear"], members, seed=2)
-        for _ in range(3):
-            soft_update(target, online, 0.01) if update == "soft" else hard_update(target, online)
-            online.flat *= 1.01
-        results.append(target.flat.copy())
-    assert _same_bits(*results)
-
-
 @pytest.mark.parametrize("config_id", ["B", "C", "F"])
 @pytest.mark.parametrize("split", [False, True], ids=["split-off", "split-on"])
 def test_training_bytes_with_split_off_and_on(monkeypatch, tmp_path, config_id, split):
@@ -151,27 +161,83 @@ class TestWorker:
         assert sorted(ran) == [1, 2]
 
     def test_a_lagging_worker_is_left_out_for_a_while(self, monkeypatch):
-        worker = nn._Worker(os.sched_getaffinity(0))
-        monkeypatch.setattr(worker, "BACKOFF_S", 60.0)
+        _use_fresh_worker(monkeypatch)
         on_caller = []
 
         def theirs():  # ends later than the caller could have run both halves
-            time.sleep(0.03)
+            time.sleep(0.006)
             on_caller.append(threading.current_thread() is threading.main_thread())
 
-        for _ in range(30):
-            worker.run(lambda: time.sleep(0.01), theirs)
-        assert on_caller.count(False) >= 6, "the worker took too few halves to show its lag"
+        for _ in range(48):
+            _pass(lambda: _compute(0.002), theirs)
+        assert on_caller.count(False) >= 32, "the worker took too few halves to show its lag"
         assert all(on_caller[-10:]), "the caller kept handing halves to a lagging worker"
 
-    def test_every_half_runs_once_under_contention(self):
-        worker = nn._Worker(os.sched_getaffinity(0))
+    def test_a_worker_on_a_shared_cpu_costs_no_time(self, monkeypatch):
+        # On a CPU it shares, the thread runs most halves at full speed and
+        # stalls for a time slice now and then: here every fourth of its
+        # halves takes 8x as long. Most of its halves still end before the
+        # caller's, so only the time they cost shows the stalls.
+        _use_fresh_worker(monkeypatch)
+        half_s, taken = 0.002, []
+
+        def mine():
+            _compute(half_s)
+
+        def theirs():
+            on_worker = threading.current_thread() is not threading.main_thread()
+            taken.append(on_worker)
+            stalled = on_worker and taken.count(True) % 4 == 0
+            time.sleep(half_s * (8 if stalled else 1))
+
+        start = time.perf_counter()
+        for _ in range(256):
+            mine()
+            theirs()
+        serial_s = time.perf_counter() - start
+        taken.clear()
+        start = time.perf_counter()
+        for _ in range(256):
+            _pass(mine, theirs)
+        split_s = time.perf_counter() - start
+        assert taken.count(True) >= 32, "the worker took too few halves to show its stalls"
+        assert not any(taken[-64:]), "the caller kept the split on"
+        # the 32 splits the rule needs before it may back off cost about 6 %;
+        # kept on, the split would take about 1.4x the serial time
+        assert split_s < 1.15 * serial_s, f"split {split_s:.3f} s against serial {serial_s:.3f} s"
+
+    def test_a_caller_on_a_shared_cpu_is_left_serial(self, monkeypatch):
+        # When every CPU is oversubscribed (two split runs on two CPUs), the
+        # caller's half runs at part speed too, and the halves end together.
+        # Here the caller computes for half of its half's wall time.
+        _use_fresh_worker(monkeypatch)
+        taken = []
+
+        def mine():
+            _compute(0.001)
+            time.sleep(0.001)
+
+        def theirs():
+            taken.append(threading.current_thread() is not threading.main_thread())
+            time.sleep(0.002)
+
+        for _ in range(96):
+            _pass(mine, theirs)
+        assert taken.count(True) >= 32, "the worker took too few halves to show the sharing"
+        assert not any(taken[-32:]), "the caller kept the split on"
+
+    def test_every_half_runs_once_under_contention(self, monkeypatch):
+        monkeypatch.setattr(nn, "_worker", None)  # the callers race to start the worker
         ran = []  # list.append is atomic, so a lost or doubled half shows in the tally
 
         def caller(k):
             for i in range(300):
-                worker.run(lambda: ran.append((k, i, 0)), lambda: ran.append((k, i, 1)))
+                nn._in_halves(lambda: ran.append((k, i, 0)), lambda: ran.append((k, i, 1)))
 
+        def workers():
+            return sum(thread.name == "pricebench-nn" for thread in threading.enumerate())
+
+        before = workers()
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -184,6 +250,7 @@ class TestWorker:
         finally:
             sys.setswitchinterval(previous)
         assert sorted(ran) == sorted((k, i, half) for k in range(4) for i in range(300) for half in (0, 1))
+        assert workers() == before + 1, "racing callers started more than one worker"
 
     def test_non_finite_gradient_in_the_second_half(self, monkeypatch):
         _force(monkeypatch, True)
