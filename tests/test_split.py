@@ -26,6 +26,8 @@ from pricebench.nn import CHUNK, Adam, DenseNet, TrainingError
 from tests.test_golden_bytes import _golden, _spec, artifact_hashes
 
 ROOT = Path(__file__).resolve().parent.parent
+# the back-off tests need the worker to take halves, which it does only on a second CPU
+needs_two_cpus = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
 
 
 def _force(monkeypatch, split: bool) -> None:
@@ -160,6 +162,7 @@ class TestWorker:
         nn._in_halves(lambda: ran.append(1), lambda: ran.append(2))
         assert sorted(ran) == [1, 2]
 
+    @needs_two_cpus
     def test_a_lagging_worker_is_left_out_for_a_while(self, monkeypatch):
         _use_fresh_worker(monkeypatch)
         on_caller = []
@@ -173,6 +176,7 @@ class TestWorker:
         assert on_caller.count(False) >= 32, "the worker took too few halves to show its lag"
         assert all(on_caller[-10:]), "the caller kept handing halves to a lagging worker"
 
+    @needs_two_cpus
     def test_a_worker_on_a_shared_cpu_costs_no_time(self, monkeypatch):
         # On a CPU it shares, the thread runs most halves at full speed and
         # stalls for a time slice now and then: here every fourth of its
@@ -206,6 +210,7 @@ class TestWorker:
         # kept on, the split would take about 1.4x the serial time
         assert split_s < 1.15 * serial_s, f"split {split_s:.3f} s against serial {serial_s:.3f} s"
 
+    @needs_two_cpus
     def test_a_caller_on_a_shared_cpu_is_left_serial(self, monkeypatch):
         # When every CPU is oversubscribed (two split runs on two CPUs), the
         # caller's half runs at part speed too, and the halves end together.
