@@ -2,7 +2,7 @@
 """Run the full A-H configuration matrix and print the summary tables.
 
 Desk scale by default (fast); pass --full-scale for the full-size runs
-(30 episodes x 104 weeks x 8 runs per configuration; hours of compute).
+(30 episodes x 104 weeks x 8 runs per configuration).
 
     python scripts/run_matrix.py --out results/matrix --seed 2024 [--jobs 4]
 """

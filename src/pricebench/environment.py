@@ -29,7 +29,6 @@ from .market import (
     ProductState,
     derive_rng,
     holiday_flag,
-    month_of_week,
 )
 
 log = logging.getLogger(__name__)
@@ -60,6 +59,7 @@ class PricingAgentBase:
         self.config = config
         self.portfolio: dict[str, ProductState] = {}
         self.episode_index = 0
+        self.nets: dict = {}  # a learner's online nets by role, which checkpoints save
         self.begin_episode(0)
 
     def begin_episode(self, episode_index: int) -> None:
@@ -77,9 +77,6 @@ class PricingAgentBase:
         done: bool,
     ) -> None:
         """Post-step hook; learning agents store transitions and train here."""
-
-    def end_of_episode(self) -> None:
-        """Optional hook after the final week of an episode."""
 
 
 @dataclass
@@ -207,7 +204,7 @@ class MarketEnvironment:
         week = state.week_number
         year = state.year
         is_holiday = holiday_flag(week)
-        week_sin = seasonal_encoding(week, month_of_week(week))[0]
+        week_sin = seasonal_encoding(week)[0]
 
         # validate every submission and apply the market rule to it
         allowed_price = self.config.allowed_price
@@ -290,8 +287,6 @@ def run_episode(
             agent.feedback(new_observation, observation, done)
         observation = new_observation
         records.append(record)
-    for agent in env.agents:
-        agent.end_of_episode()
     return records
 
 

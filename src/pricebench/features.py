@@ -41,12 +41,9 @@ def demand_features(
     return lag, mean2 / baseline, mean4 / baseline, (mean4 - mean2) / baseline, volatility / baseline
 
 
-def seasonal_encoding(week: int, month: int) -> tuple[float, float, float, float]:
-    """Sine/cosine decomposition of the calendar week (period 52) and month (period 12)."""
+def seasonal_encoding(week: int) -> tuple[float, float]:
+    """Sine/cosine decomposition of the calendar week (period 52)."""
     if not 1 <= week <= 53:
         raise ValueError(f"week must be in 1..53, got {week}")
-    if not 1 <= month <= 12:
-        raise ValueError(f"month must be in 1..12, got {month}")
     wa = 2.0 * math.pi * week / 52.0
-    ma = 2.0 * math.pi * month / 12.0
-    return math.sin(wa), math.cos(wa), math.sin(ma), math.cos(ma)
+    return math.sin(wa), math.cos(wa)

@@ -21,7 +21,7 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -37,8 +37,8 @@ from .market import (
     ProductSpec,
     make_default_portfolio,
 )
-from .marl import MadqnAgent, build_maddpg_team, build_qmix_team
-from .marl.madqn import DqnHyper
+from .marl import DqnHyper, MadqnAgent, build_maddpg_team, build_qmix_team
+from .marl.common import parse_hyper
 from .metrics import MetricsReport, compute_report
 from .rule_agents import DIVERSE_STRATEGIES, RuleAgent, RuleStrategy
 
@@ -177,6 +177,17 @@ def config_hash(config_dict: dict) -> str:
     ).hexdigest()
 
 
+def rule_strategy(params: dict) -> RuleStrategy:
+    """A rule agent's strategy from its roster `params`: `strategy` names the
+    kind, and each other key a RuleStrategy field. Any other key raises ConfigError."""
+    accepted = {f.name for f in fields(RuleStrategy)} - {"kind"} | {"strategy"}
+    unknown = sorted(params.keys() - accepted)
+    if unknown:
+        raise ConfigError(f"unknown rule params {unknown}; accepted: {sorted(accepted)}")
+    settings = {k: v for k, v in params.items() if k != "strategy"}
+    return RuleStrategy(kind=params.get("strategy", "static_markup"), **settings)
+
+
 def build_agents(config: MarketConfig) -> list[PricingAgentBase]:
     """Instantiate the roster. Team-based kinds share one coordinator per config."""
     portfolio = make_default_portfolio(config.products_per_agent, config.clusters, config.seed)
@@ -186,43 +197,24 @@ def build_agents(config: MarketConfig) -> list[PricingAgentBase]:
 
     built: dict[str, PricingAgentBase] = {}
     for spec in by_kind.get("rule", []):
-        strategy_kind = spec.params.get("strategy", "static_markup")
-        strategy = RuleStrategy(
-            kind=strategy_kind,
-            **{
-                k: spec.params[k]
-                for k in ("markup", "undercut_fraction", "anchor_window",
-                          "response_step", "seasonal_uplift")
-                if k in spec.params
-            },
-        )
-        built[spec.agent_id] = RuleAgent(spec.agent_id, portfolio, config, strategy)
+        built[spec.agent_id] = RuleAgent(spec.agent_id, portfolio, config, rule_strategy(spec.params))
     for spec in by_kind.get("madqn", []):
-        built[spec.agent_id] = MadqnAgent(
-            spec.agent_id, portfolio, config, DqnHyper.from_params(spec.params)
-        )
-    if "maddpg" in by_kind:
-        specs = by_kind["maddpg"]
-        team = build_maddpg_team(
-            [s.agent_id for s in specs], portfolio, config, specs[0].params
-        )
-        built.update({a.agent_id: a for a in team})
-    if "qmix" in by_kind:
-        specs = by_kind["qmix"]
-        team = build_qmix_team([s.agent_id for s in specs], portfolio, config, specs[0].params)
+        hyper = parse_hyper(DqnHyper, spec.params, "epsilon")
+        built[spec.agent_id] = MadqnAgent(spec.agent_id, portfolio, config, hyper)
+    for kind, build_team in (("maddpg", build_maddpg_team), ("qmix", build_qmix_team)):
+        specs = by_kind.get(kind)
+        if not specs:
+            continue
+        params = specs[0].params
+        differ = [s.agent_id for s in specs if s.params != params]
+        if differ:
+            raise ConfigError(
+                f"a {kind} team trains under one params dict, but {differ} differ from "
+                f"{specs[0].agent_id}'s"
+            )
+        team = build_team([s.agent_id for s in specs], portfolio, config, params)
         built.update({a.agent_id: a for a in team})
     return [built[spec.agent_id] for spec in config.agent_roster]
-
-
-def _write_checkpoints(agents, out_dir: Path, run_id: str, episode: int) -> None:
-    for agent in agents:
-        state = getattr(agent, "checkpoint_state", None)
-        if state is None:
-            continue
-        target = out_dir / run_id / agent.agent_id
-        target.mkdir(parents=True, exist_ok=True)
-        with open(target / f"ep{episode}.ckpt", "w", encoding="utf-8") as fh:
-            json.dump(state(), fh)
 
 
 def execute_run(
@@ -242,7 +234,9 @@ def execute_run(
     for ep in range(run_config.episodes):
         episodes.append(run_episode(run_config, agents, model, ep))
         if spec.checkpoint_every and (ep + 1) % spec.checkpoint_every == 0:
-            _write_checkpoints(agents, out, run_id, ep + 1)
+            # every learner's online nets, each one's `flat` keyed <agent_id>.<role>
+            nets = {f"{a.agent_id}.{role}": net.flat for a in agents for role, net in a.nets.items()}
+            np.savez(run_dir / f"ep{ep + 1}.npz", **nets)
     # the report and the artifacts read only the episode records: free the
     # agents' nets, buffers and replay before the history CSV is built
     del agents

@@ -25,13 +25,6 @@ def holiday_flag(week_number: int) -> bool:
     return week_number in HOLIDAY_WEEKS
 
 
-def month_of_week(week_number: int) -> int:
-    """Map a calendar week (1..53) onto a month (1..12), proportionally."""
-    if not 1 <= week_number <= 53:
-        raise ConfigError(f"week_number must be in 1..53, got {week_number}")
-    return min(12, (week_number - 1) * 12 // 52 + 1)
-
-
 def derive_rng(*parts: Any) -> np.random.Generator:
     """Deterministic, process-independent RNG stream keyed by the given parts.
 

@@ -17,7 +17,6 @@ from .qmix import (
     QmixCoordinator,
     QmixHyper,
     build_team as build_qmix_team,
-    qmix_mix,
 )
 
 __all__ = [
@@ -39,5 +38,4 @@ __all__ = [
     "QmixCoordinator",
     "QmixHyper",
     "build_qmix_team",
-    "qmix_mix",
 ]

@@ -4,16 +4,52 @@ learning agents."""
 from __future__ import annotations
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 
 from ..environment import PricingAgentBase
 from ..features import demand_features, seasonal_encoding
-from ..market import MarketConfig, MarketObservation, ProductSpec, month_of_week
+from ..market import ConfigError, MarketConfig, MarketObservation, ProductSpec
 
 STATE_SLOTS_PER_PRODUCT = 12
 
 N_PRICE_BINS = 21
+
+ACTION_SMOOTHING = 0.5  # EMA weight on the previous applied change
+
+
+def parse_hyper(cls, params: dict, schedule_prefix: str):
+    """A `cls` hyper-parameter set from a roster entry's `params`.
+
+    Each key names a field of `cls` and is cast to the type of the field's
+    default; `<schedule_prefix>_start`, `_decay` and `_floor` override the
+    default exploration schedule's. Any other key raises ConfigError.
+    """
+    defaults = {f.name: f.default for f in fields(cls) if f.name != "schedule"}
+    schedule_keys = {f"{schedule_prefix}_{k}": k for k in ("start", "decay", "floor")}
+    unknown = sorted(params.keys() - defaults.keys() - schedule_keys.keys())
+    if unknown:
+        raise ConfigError(
+            f"unknown {cls.__name__} params {unknown}; "
+            f"accepted: {sorted(defaults.keys() | schedule_keys.keys())}"
+        )
+    schedule = {schedule_keys[k]: float(v) for k, v in params.items() if k in schedule_keys}
+    return cls(
+        **{k: type(defaults[k])(v) for k, v in params.items() if k in defaults},
+        schedule=replace(cls.schedule, **schedule),
+    )
+
+
+def epsilon_greedy(q: np.ndarray, epsilon: float, rng: np.random.Generator) -> np.ndarray:
+    """Each head's greedy bin of `q` (heads, bins), replaced by a uniform
+    random bin with probability `epsilon`; np.argmax breaks ties toward the
+    lowest bin index."""
+    n_heads, n_bins = q.shape
+    greedy = np.argmax(q, axis=1)
+    explore = rng.random(n_heads) < epsilon
+    random_bins = rng.integers(0, n_bins, size=n_heads)
+    return np.where(explore, random_bins, greedy)
 
 
 def discretize_action(bin_index: int, n_bins: int = N_PRICE_BINS, max_change: float = 0.10) -> float:
@@ -45,9 +81,7 @@ def encode_state(agent: PricingAgentBase, observation: MarketObservation) -> np.
     The five demand entries come from `features.demand_features`, with its
     cold-start substitutes until enough history exists.
     """
-    week_sin, week_cos, _, _ = seasonal_encoding(
-        observation.week_number, month_of_week(observation.week_number)
-    )
+    week_sin, week_cos = seasonal_encoding(observation.week_number)
     holiday = 1.0 if observation.is_holiday else 0.0
     share = observation.market_share[agent.agent_id]
     cluster_avg = observation.cluster_avg_price
@@ -103,6 +137,14 @@ class MarlAgentBase(PricingAgentBase):
             state = encode(self, observation)
             self._encoded = (observation, state)
         return state
+
+    def _smoothed(self, raw) -> dict[str, float]:
+        """Each product's change: an EMA of its `raw` change with its previous one."""
+        return {
+            spec.product_id: ACTION_SMOOTHING * self._prev_changes[spec.product_id]
+            + (1.0 - ACTION_SMOOTHING) * r
+            for spec, r in zip(self.product_specs, raw)
+        }
 
     def _apply_changes(self, changes: dict[str, float]) -> dict[str, float]:
         """Prices after each relative change; the environment enforces the market rules."""

@@ -23,9 +23,7 @@ from ..nn import (
     Workspace,
     soft_update,
 )
-from .common import MarlAgentBase, encode_state, state_dim
-
-ACTION_SMOOTHING = 0.5  # EMA weight on the previous applied change
+from .common import MarlAgentBase, encode_state, parse_hyper, state_dim
 
 
 @dataclass(frozen=True)
@@ -41,30 +39,6 @@ class MaddpgHyper:
     actor_hidden: tuple[int, ...] = (64, 64)
     critic_hidden: tuple[int, ...] = (128, 64)
     schedule: ExplorationSchedule = GAUSSIAN_NOISE_DEFAULT
-
-    @classmethod
-    def from_params(cls, params: dict) -> "MaddpgHyper":
-        sched = GAUSSIAN_NOISE_DEFAULT
-        if any(k in params for k in ("noise_start", "noise_decay", "noise_floor")):
-            sched = ExplorationSchedule(
-                "gaussian_noise",
-                start=float(params.get("noise_start", sched.start)),
-                decay=float(params.get("noise_decay", sched.decay)),
-                floor=float(params.get("noise_floor", sched.floor)),
-            )
-        return cls(
-            actor_lr=float(params.get("actor_lr", cls.actor_lr)),
-            critic_lr=float(params.get("critic_lr", cls.critic_lr)),
-            gamma=float(params.get("gamma", cls.gamma)),
-            tau=float(params.get("tau", cls.tau)),
-            batch_size=int(params.get("batch_size", cls.batch_size)),
-            buffer_capacity=int(params.get("buffer_capacity", cls.buffer_capacity)),
-            recency_decay=float(params.get("recency_decay", cls.recency_decay)),
-            warm_up=int(params.get("warm_up", cls.warm_up)),
-            actor_hidden=tuple(params.get("actor_hidden", cls.actor_hidden)),
-            critic_hidden=tuple(params.get("critic_hidden", cls.critic_hidden)),
-            schedule=sched,
-        )
 
 
 class MaddpgCoordinator:
@@ -216,6 +190,7 @@ class MaddpgAgent(MarlAgentBase):
         )
         self.target_actor = self.actor.clone()
         self.target_critic = self.critic.clone()
+        self.nets = {"actor": self.actor, "critic": self.critic}
         self.noise_rng = rng
         self.coordinator = coordinator
         coordinator.register(self)
@@ -230,11 +205,7 @@ class MaddpgAgent(MarlAgentBase):
 
     def propose_prices(self, observation: MarketObservation) -> dict[str, float]:
         state = self._encode(observation, encode_state)
-        raw = self.act_raw(state, self.episode_index)
-        changes = {}
-        for spec, r in zip(self.product_specs, raw):
-            prev = self._prev_changes[spec.product_id]
-            changes[spec.product_id] = ACTION_SMOOTHING * prev + (1.0 - ACTION_SMOOTHING) * r
+        changes = self._smoothed(self.act_raw(state, self.episode_index))
         applied = np.asarray([changes[s.product_id] for s in self.product_specs])
         self._pending = (state, applied)
         return self._apply_changes(changes)
@@ -248,21 +219,6 @@ class MaddpgAgent(MarlAgentBase):
         next_state = self._encode(observation, encode_state)
         self.coordinator.contribute(self.agent_id, state, action, reward, next_state, done)
 
-    def checkpoint_state(self) -> dict:
-        return {
-            "kind": "maddpg",
-            "actor": {
-                "layer_sizes": self.actor.layer_sizes,
-                "weights": [w.tolist() for w in self.actor.weights],
-                "biases": [b.tolist() for b in self.actor.biases],
-            },
-            "critic": {
-                "layer_sizes": self.critic.layer_sizes,
-                "weights": [w.tolist() for w in self.critic.weights],
-                "biases": [b.tolist() for b in self.critic.biases],
-            },
-        }
-
 
 def build_team(
     agent_ids: list[str],
@@ -270,7 +226,7 @@ def build_team(
     config: MarketConfig,
     params: dict | None = None,
 ) -> list[MaddpgAgent]:
-    hyper = MaddpgHyper.from_params(params or {})
+    hyper = parse_hyper(MaddpgHyper, params or {}, "noise")
     coordinator = MaddpgCoordinator(config, hyper)
     if not agent_ids:
         raise ShapeError("a team needs at least one member")

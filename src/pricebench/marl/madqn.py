@@ -23,9 +23,15 @@ from ..nn import (
     TrainingError,
     Workspace,
     hard_update,
-    soft_update,
 )
-from .common import MarlAgentBase, N_PRICE_BINS, discretize_action, encode_state, state_dim
+from .common import (
+    MarlAgentBase,
+    N_PRICE_BINS,
+    discretize_action,
+    encode_state,
+    epsilon_greedy,
+    state_dim,
+)
 
 
 @dataclass(frozen=True)
@@ -37,34 +43,8 @@ class DqnHyper:
     recency_decay: float = 0.999
     warm_up: int = 64
     target_update_every: int = 5
-    soft_tau: float = 0.0  # > 0 switches to Polyak target updates every learn call
     hidden: tuple[int, ...] = (128, 64, 32)
     schedule: ExplorationSchedule = EPSILON_GREEDY_DEFAULT
-    updates_per_step: int = 1
-
-    @classmethod
-    def from_params(cls, params: dict) -> "DqnHyper":
-        sched = EPSILON_GREEDY_DEFAULT
-        if "epsilon_start" in params or "epsilon_decay" in params or "epsilon_floor" in params:
-            sched = ExplorationSchedule(
-                "epsilon_greedy",
-                start=float(params.get("epsilon_start", sched.start)),
-                decay=float(params.get("epsilon_decay", sched.decay)),
-                floor=float(params.get("epsilon_floor", sched.floor)),
-            )
-        return cls(
-            lr=float(params.get("lr", cls.lr)),
-            gamma=float(params.get("gamma", cls.gamma)),
-            batch_size=int(params.get("batch_size", cls.batch_size)),
-            buffer_capacity=int(params.get("buffer_capacity", cls.buffer_capacity)),
-            recency_decay=float(params.get("recency_decay", cls.recency_decay)),
-            warm_up=int(params.get("warm_up", cls.warm_up)),
-            target_update_every=int(params.get("target_update_every", cls.target_update_every)),
-            soft_tau=float(params.get("soft_tau", cls.soft_tau)),
-            hidden=tuple(params.get("hidden", cls.hidden)),
-            schedule=sched,
-            updates_per_step=int(params.get("updates_per_step", cls.updates_per_step)),
-        )
 
 
 class DqnCore:
@@ -102,11 +82,7 @@ class DqnCore:
         return np.argmax(self.q_values(state), axis=1)
 
     def act(self, state: np.ndarray, episode: int) -> np.ndarray:
-        epsilon = self.hyper.schedule.value(episode)
-        bins = self.greedy_bins(state)
-        explore = self.rng.random(self.n_heads) < epsilon
-        random_bins = self.rng.integers(0, self.n_bins, size=self.n_heads)
-        return np.where(explore, random_bins, bins)
+        return epsilon_greedy(self.q_values(state), self.hyper.schedule.value(episode), self.rng)
 
     def store(self, state, bins, reward: float, next_state, done: bool) -> None:
         if np.shape(state) != np.shape(next_state):
@@ -145,9 +121,7 @@ class DqnCore:
         self.optimizer.step([self.net.flat], [self.net.grad], self.hyper.lr)
 
         self.learn_calls += 1
-        if self.hyper.soft_tau > 0:
-            soft_update(self.target, self.net, self.hyper.soft_tau)
-        elif self.learn_calls % self.hyper.target_update_every == 0:
+        if self.learn_calls % self.hyper.target_update_every == 0:
             hard_update(self.target, self.net)
         return loss
 
@@ -163,15 +137,15 @@ class MadqnAgent(MarlAgentBase):
         hyper: DqnHyper | None = None,
     ):
         super().__init__(agent_id, product_specs, config)
-        self.hyper = hyper or DqnHyper()
         self.core = DqnCore(
             state_size=state_dim(len(product_specs)),
             n_heads=len(product_specs),
             n_bins=N_PRICE_BINS,
-            hyper=self.hyper,
+            hyper=hyper or DqnHyper(),
             rng=derive_rng(config.seed, "agent", agent_id),
             rows=config.episodes * config.weeks_per_episode,
         )
+        self.nets = {"q": self.core.net}
         self._pending: tuple[np.ndarray, np.ndarray] | None = None
         self.last_loss: float | None = None
 
@@ -195,14 +169,4 @@ class MadqnAgent(MarlAgentBase):
         reward = self._reward_from(observation, prev_observation)
         next_state = self._encode(observation, encode_state)
         self.core.store(state, bins, reward, next_state, done)
-        for _ in range(self.hyper.updates_per_step):
-            self.last_loss = self.core.learn()
-
-    def checkpoint_state(self) -> dict:
-        return {
-            "kind": "madqn",
-            "layer_sizes": self.core.net.layer_sizes,
-            "activations": self.core.net.activations,
-            "weights": [w.tolist() for w in self.core.net.weights],
-            "biases": [b.tolist() for b in self.core.net.biases],
-        }
+        self.last_loss = self.core.learn()

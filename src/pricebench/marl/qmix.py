@@ -25,8 +25,15 @@ from ..nn import (
     Workspace,
     hard_update,
 )
-from .common import MarlAgentBase, N_PRICE_BINS, discretize_action, encode_state, state_dim
-from .maddpg import ACTION_SMOOTHING
+from .common import (
+    MarlAgentBase,
+    N_PRICE_BINS,
+    discretize_action,
+    encode_state,
+    epsilon_greedy,
+    parse_hyper,
+    state_dim,
+)
 
 
 @dataclass(frozen=True)
@@ -41,31 +48,6 @@ class QmixHyper:
     hidden: tuple[int, ...] = (128, 64, 32)
     mixing_dim: int = 32
     schedule: ExplorationSchedule = EPSILON_GREEDY_DEFAULT
-    updates_per_step: int = 1
-
-    @classmethod
-    def from_params(cls, params: dict) -> "QmixHyper":
-        sched = EPSILON_GREEDY_DEFAULT
-        if any(k in params for k in ("epsilon_start", "epsilon_decay", "epsilon_floor")):
-            sched = ExplorationSchedule(
-                "epsilon_greedy",
-                start=float(params.get("epsilon_start", sched.start)),
-                decay=float(params.get("epsilon_decay", sched.decay)),
-                floor=float(params.get("epsilon_floor", sched.floor)),
-            )
-        return cls(
-            lr=float(params.get("lr", cls.lr)),
-            gamma=float(params.get("gamma", cls.gamma)),
-            batch_size=int(params.get("batch_size", cls.batch_size)),
-            buffer_capacity=int(params.get("buffer_capacity", cls.buffer_capacity)),
-            recency_decay=float(params.get("recency_decay", cls.recency_decay)),
-            warm_up=int(params.get("warm_up", cls.warm_up)),
-            target_update_every=int(params.get("target_update_every", cls.target_update_every)),
-            hidden=tuple(params.get("hidden", cls.hidden)),
-            mixing_dim=int(params.get("mixing_dim", cls.mixing_dim)),
-            schedule=sched,
-            updates_per_step=int(params.get("updates_per_step", cls.updates_per_step)),
-        )
 
 
 MIXER_PARAMS = (
@@ -226,11 +208,6 @@ class MonotonicMixer:
         return self._grads, d_qs
 
 
-def qmix_mix(agent_qs, global_state, mixer: MonotonicMixer) -> float:
-    """Single-sample mixing: combine per-agent chosen-action utilities."""
-    return float(mixer.forward(np.asarray(agent_qs), np.asarray(global_state))[0])
-
-
 class QmixCoordinator:
     """Joint trainer for the member Q-networks and the mixing network.
 
@@ -291,8 +268,7 @@ class QmixCoordinator:
         states, bins, rewards, next_states = zip(*(self._pending[aid] for aid in self.member_ids))
         self._pending = {}
         self.buffer.push(states, bins, next_states, float(np.mean(rewards)), done)
-        for _ in range(self.hyper.updates_per_step):
-            self.learn()
+        self.learn()
 
     def learn(self) -> float | None:
         hp = self.hyper
@@ -376,6 +352,7 @@ class QmixAgent(MarlAgentBase):
         acts = ["relu"] * len(hp.hidden) + ["linear"]
         self.net = DenseNet(sizes, acts, rng)
         self.target = self.net.clone()
+        self.nets = {"q": self.net}
         self.rng = rng
         self.coordinator: QmixCoordinator | None = None
         coordinator.register(self)
@@ -383,22 +360,15 @@ class QmixAgent(MarlAgentBase):
         self._pending: tuple[np.ndarray, np.ndarray] | None = None
 
     def act_bins(self, state: np.ndarray, episode: int) -> np.ndarray:
-        epsilon = self.coordinator.hyper.schedule.value(episode)
         q = self.net.forward(state).reshape(self.n_heads, self.n_bins)
-        greedy = np.argmax(q, axis=1)
-        explore = self.rng.random(self.n_heads) < epsilon
-        random_bins = self.rng.integers(0, self.n_bins, size=self.n_heads)
-        return np.where(explore, random_bins, greedy)
+        return epsilon_greedy(q, self.coordinator.hyper.schedule.value(episode), self.rng)
 
     def propose_prices(self, observation: MarketObservation) -> dict[str, float]:
         state = self._encode(observation, encode_state)
         bins = self.act_bins(state, self.episode_index)
         self._pending = (state, bins)
-        changes = {}
-        for spec, b in zip(self.product_specs, bins):
-            nominal = discretize_action(int(b), self.n_bins, self.config.max_weekly_change)
-            prev = self._prev_changes[spec.product_id]
-            changes[spec.product_id] = ACTION_SMOOTHING * prev + (1.0 - ACTION_SMOOTHING) * nominal
+        max_change = self.config.max_weekly_change
+        changes = self._smoothed(discretize_action(int(b), self.n_bins, max_change) for b in bins)
         return self._apply_changes(changes)
 
     def feedback(self, observation, prev_observation, done: bool) -> None:
@@ -410,15 +380,6 @@ class QmixAgent(MarlAgentBase):
         next_state = self._encode(observation, encode_state)
         self.coordinator.contribute(self.agent_id, state, bins, reward, next_state, done)
 
-    def checkpoint_state(self) -> dict:
-        return {
-            "kind": "qmix",
-            "layer_sizes": self.net.layer_sizes,
-            "activations": self.net.activations,
-            "weights": [w.tolist() for w in self.net.weights],
-            "biases": [b.tolist() for b in self.net.biases],
-        }
-
 
 def build_team(
     agent_ids: list[str],
@@ -426,7 +387,7 @@ def build_team(
     config: MarketConfig,
     params: dict | None = None,
 ) -> list[QmixAgent]:
-    hyper = QmixHyper.from_params(params or {})
+    hyper = parse_hyper(QmixHyper, params or {}, "epsilon")
     coordinator = QmixCoordinator(
         config, hyper, n_agents=len(agent_ids), local_state_size=state_dim(len(product_specs))
     )

@@ -17,7 +17,7 @@ bit for bit that series' own.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -206,18 +206,7 @@ class AgentMetrics:
     optimality_gap: float
 
     def to_dict(self) -> dict:
-        return {
-            "total_revenue": self.total_revenue,
-            "mean_return": self.mean_return,
-            "adjustment_magnitude": self.adjustment_magnitude,
-            "adjustment_frequency": self.adjustment_frequency,
-            "price_stability": self.price_stability,
-            "price_volatility_mean_abs": self.price_volatility_mean_abs,
-            "price_volatility_std": self.price_volatility_std,
-            "price_volatility_max": self.price_volatility_max,
-            "price_cv": self.price_cv,
-            "optimality_gap": self.optimality_gap,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -256,21 +245,7 @@ class MetricsReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsReport":
-        agents = {
-            aid: AgentMetrics(
-                total_revenue=m["total_revenue"],
-                mean_return=m["mean_return"],
-                adjustment_magnitude=m["adjustment_magnitude"],
-                adjustment_frequency=m["adjustment_frequency"],
-                price_stability=m["price_stability"],
-                price_volatility_mean_abs=m["price_volatility_mean_abs"],
-                price_volatility_std=m["price_volatility_std"],
-                price_volatility_max=m["price_volatility_max"],
-                price_cv=m["price_cv"],
-                optimality_gap=m["optimality_gap"],
-            )
-            for aid, m in d["agents"].items()
-        }
+        agents = {aid: AgentMetrics(**m) for aid, m in d["agents"].items()}
         market = d["market"]
         return cls(
             agents=agents,

@@ -57,7 +57,6 @@ starts its own.
 from __future__ import annotations
 
 import ctypes
-import json
 import os
 import threading
 import time
@@ -68,7 +67,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 ACTIVATIONS = ("relu", "tanh", "linear")
-WEIGHTS_FORMAT_VERSION = 1
 # Elements per pass of the elementwise optimizer and target-update loops: the
 # scratch stays in cache and is bounded however large the parameter vector.
 CHUNK = 32_768
@@ -730,31 +728,3 @@ class ExplorationSchedule:
 EPSILON_GREEDY_DEFAULT = ExplorationSchedule("epsilon_greedy", start=1.0, decay=0.995, floor=0.05)
 GAUSSIAN_NOISE_DEFAULT = ExplorationSchedule("gaussian_noise", start=0.2, decay=0.9995, floor=0.05)
 
-
-def save_weights(net: DenseNet, path) -> None:
-    payload = {
-        "version": WEIGHTS_FORMAT_VERSION,
-        "layer_sizes": net.layer_sizes,
-        "activations": net.activations,
-        "weights": [w.tolist() for w in net.weights],
-        "biases": [b.tolist() for b in net.biases],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-
-
-def load_weights(path) -> DenseNet:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("version") != WEIGHTS_FORMAT_VERSION:
-        raise ValueError(f"unsupported weights format version {payload.get('version')}")
-    net = DenseNet.__new__(DenseNet)
-    net.layer_sizes = list(payload["layer_sizes"])
-    net.activations = list(payload["activations"])
-    weights = [np.asarray(w, dtype=float) for w in payload["weights"]]
-    biases = [np.asarray(b, dtype=float) for b in payload["biases"]]
-    for w, (fan_out, fan_in) in zip(weights, zip(net.layer_sizes[1:], net.layer_sizes[:-1])):
-        if w.shape != (fan_out, fan_in):
-            raise ShapeError(f"weight shape {w.shape} != ({fan_out}, {fan_in})")
-    net._bind(np.concatenate([a.ravel() for a in _interleave(weights, biases)]), None)
-    return net

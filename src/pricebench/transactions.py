@@ -19,7 +19,7 @@ import numpy as np
 
 from .demand import DemandParams
 from .features import seasonal_encoding
-from .market import holiday_flag, month_of_week
+from .market import holiday_flag
 
 log = logging.getLogger(__name__)
 
@@ -189,7 +189,7 @@ def calibrate(
             if cur.total_quantity <= 0 or prev.total_quantity <= 0 or cur.mean_price <= 0:
                 continue
             dummies = [1.0 if p == q else 0.0 for q in products]
-            week_sin = seasonal_encoding(cur.week, month_of_week(cur.week))[0]
+            week_sin = seasonal_encoding(cur.week)[0]
             rows_x.append(
                 dummies
                 + [

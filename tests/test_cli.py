@@ -99,6 +99,31 @@ class TestSimulate:
         assert "jobs must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind,config_id", [
+        ("maddpg", "B"), ("madqn", "C"), ("qmix", "F"), ("rule", "A"),
+    ])
+    def test_unknown_params_key_exits_1(self, tmp_path, capsys, kind, config_id):
+        config = _experiment_file(tmp_path, config_id=config_id, weeks=4)
+        spec = json.loads(config.read_text())
+        spec["roster_params"] = {kind: {"learning_rate": 0.01}}  # a misspelt key
+        config.write_text(json.dumps(spec))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        assert "unknown" in capsys.readouterr().err
+
+    def test_team_members_with_different_params_exit_1(self, tmp_path, capsys):
+        # a team trains under one params dict: a second member's must not be dropped
+        roster = [
+            {"agent_id": "m0", "agent_kind": "maddpg", "params": {"actor_lr": 0.001}},
+            {"agent_id": "m1", "agent_kind": "maddpg", "params": {"actor_lr": 0.002}},
+        ]
+        config = tmp_path / "experiment.json"
+        config.write_text(json.dumps({
+            "config_id": "custom", "n_runs": 1,
+            "market": {"agent_roster": roster, "episodes": 1, "weeks_per_episode": 4},
+        }))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        assert "['m1']" in capsys.readouterr().err
+
     def test_demand_overflow_exits_1(self, tmp_path, capsys):
         # a log demand past math.exp's range is the same model error as a NaN one
         config = _experiment_file(tmp_path, weeks=4)

@@ -89,22 +89,16 @@ class TestColdStart:
 
 class TestSeasonalEncoding:
     def test_full_period(self):
-        ws, wc, _, _ = seasonal_encoding(52, 12)
+        ws, wc = seasonal_encoding(52)
         assert ws == pytest.approx(0.0, abs=1e-9)
         assert wc == pytest.approx(1.0, abs=1e-9)
 
     def test_quarter_period(self):
-        ws, wc, _, _ = seasonal_encoding(13, 3)
+        ws, wc = seasonal_encoding(13)
         assert ws == pytest.approx(1.0, abs=1e-9)
         assert wc == pytest.approx(0.0, abs=1e-9)
 
-    def test_half_year(self):
-        _, _, ms, mc = seasonal_encoding(26, 6)
-        assert ms == pytest.approx(0.0, abs=1e-9)
-        assert mc == pytest.approx(-1.0, abs=1e-9)
-
-    @given(st.integers(min_value=1, max_value=53), st.integers(min_value=1, max_value=12))
-    def test_unit_circle(self, week, month):
-        ws, wc, ms, mc = seasonal_encoding(week, month)
+    @given(st.integers(min_value=1, max_value=53))
+    def test_unit_circle(self, week):
+        ws, wc = seasonal_encoding(week)
         assert ws * ws + wc * wc == pytest.approx(1.0, abs=1e-9)
-        assert ms * ms + mc * mc == pytest.approx(1.0, abs=1e-9)

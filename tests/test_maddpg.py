@@ -6,7 +6,8 @@ import pytest
 from pricebench.demand import ParametricDemandModel
 from pricebench.environment import run_episode
 from pricebench.market import AgentSpec, ConfigError, MarketConfig, derive_rng, make_default_portfolio
-from pricebench.marl.maddpg import ACTION_SMOOTHING, build_team
+from pricebench.marl.common import ACTION_SMOOTHING
+from pricebench.marl.maddpg import build_team
 from pricebench.nn import Adam, soft_update
 
 

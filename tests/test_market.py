@@ -10,7 +10,6 @@ from pricebench.market import (
     derive_rng,
     holiday_flag,
     make_default_portfolio,
-    month_of_week,
 )
 
 
@@ -33,11 +32,6 @@ class TestHolidayFlag:
     def test_matches_interval(self, week):
         assert holiday_flag(week) == (47 <= week <= 52)
 
-
-def test_month_of_week_endpoints():
-    assert month_of_week(1) == 1
-    assert month_of_week(52) == 12
-    assert month_of_week(53) == 12
 
 
 class TestPortfolio:

@@ -7,10 +7,39 @@ from hypothesis import given, settings, strategies as st
 from pricebench.demand import ParametricDemandModel
 from pricebench.environment import MarketEnvironment, run_episode
 from pricebench.harness import build_agents, desk_spec
-from pricebench.market import AgentSpec, MarketConfig, ProductSpec, make_default_portfolio
+from pricebench.market import AgentSpec, ConfigError, MarketConfig, ProductSpec, make_default_portfolio
 from pricebench.marl import compute_reward, discretize_action, encode_state, state_dim
-from pricebench.marl.common import N_PRICE_BINS, STATE_SLOTS_PER_PRODUCT, MarlAgentBase
-from pricebench.marl.madqn import MadqnAgent
+from pricebench.marl.common import (
+    N_PRICE_BINS,
+    STATE_SLOTS_PER_PRODUCT,
+    MarlAgentBase,
+    parse_hyper,
+)
+from pricebench.marl.madqn import DqnHyper, MadqnAgent
+from pricebench.marl.maddpg import MaddpgHyper
+from pricebench.nn import EPSILON_GREEDY_DEFAULT, GAUSSIAN_NOISE_DEFAULT, ExplorationSchedule
+
+
+class TestParseHyper:
+    def test_keys_cast_to_the_default_types(self):
+        hyper = parse_hyper(
+            DqnHyper, {"batch_size": 32.0, "lr": "0.01", "hidden": [8, 4], "epsilon_floor": 0}, "epsilon"
+        )
+        assert hyper.batch_size == 32 and type(hyper.batch_size) is int
+        assert hyper.lr == 0.01 and hyper.hidden == (8, 4)
+        assert hyper.schedule == ExplorationSchedule(
+            "epsilon_greedy", EPSILON_GREEDY_DEFAULT.start, EPSILON_GREEDY_DEFAULT.decay, 0.0
+        )
+
+    def test_schedule_prefix_follows_the_learner(self):
+        hyper = parse_hyper(MaddpgHyper, {"noise_start": 0.3}, "noise")
+        assert hyper.schedule.kind == GAUSSIAN_NOISE_DEFAULT.kind
+        assert (hyper.schedule.start, hyper.schedule.floor) == (0.3, GAUSSIAN_NOISE_DEFAULT.floor)
+
+    @pytest.mark.parametrize("key", ["noise_start", "schedule", "soft_tau", "updates_per_step"])
+    def test_unknown_key_rejected(self, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_hyper(DqnHyper, {key: 1}, "epsilon")
 
 
 class TestDiscretize:
@@ -145,7 +174,6 @@ def _reference_encode_state(agent, observation):
     import math
 
     from pricebench.features import seasonal_encoding
-    from pricebench.market import month_of_week
 
     def qrm(history, k):
         if len(history) < k:
@@ -164,9 +192,7 @@ def _reference_encode_state(agent, observation):
         mean = sum(window) / k
         return math.sqrt(sum((q - mean) ** 2 for q in window) / k)
 
-    week_sin, week_cos, _, _ = seasonal_encoding(
-        observation.week_number, month_of_week(observation.week_number)
-    )
+    week_sin, week_cos = seasonal_encoding(observation.week_number)
     holiday = 1.0 if observation.is_holiday else 0.0
     share = observation.market_share[agent.agent_id]
     slots = []
@@ -254,7 +280,7 @@ class TestLearningPersistence:
 class TestActionRangeSafety:
     def test_ten_thousand_random_states_stay_in_band(self):
         from pricebench.harness import build_agents, desk_spec
-        from pricebench.marl.maddpg import ACTION_SMOOTHING
+        from pricebench.marl.common import ACTION_SMOOTHING
 
         rng = np.random.default_rng(99)
         for config_id in ("B", "C", "F"):

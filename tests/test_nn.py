@@ -16,8 +16,6 @@ from pricebench.nn import (
     Workspace,
     _layer_views,
     hard_update,
-    load_weights,
-    save_weights,
     soft_update,
 )
 
@@ -596,12 +594,3 @@ class TestTransitionAndIO:
         with pytest.raises(ShapeError):  # a field missing
             buf.push(np.zeros(3), 0, 0.0, np.zeros(3))
         assert len(buf) == 1
-
-    def test_save_load_round_trip(self, tmp_path):
-        rng = derive_rng(5, "io")
-        net = DenseNet([3, 5, 2], ["relu", "tanh"], rng)
-        path = tmp_path / "weights.json"
-        save_weights(net, path)
-        loaded = load_weights(path)
-        x = rng.normal(size=3)
-        assert np.allclose(net.forward(x), loaded.forward(x))

@@ -12,7 +12,6 @@ from pricebench.marl.qmix import (
     QmixCoordinator,
     QmixHyper,
     build_team,
-    qmix_mix,
 )
 
 
@@ -49,8 +48,8 @@ class TestMixerForward:
 
     def test_qmix_mix_single_sample(self):
         mixer = _mixer()
-        value = qmix_mix([1.0, 2.0], np.ones(4), mixer)
-        assert isinstance(value, float)
+        value = mixer.forward(np.array([1.0, 2.0]), np.ones(4))  # one sample, unbatched
+        assert value.shape == (1,) and np.isfinite(value[0])
 
 
 class TestMonotonicity:

@@ -5,7 +5,7 @@ import pytest
 
 from pricebench.demand import DemandParams
 from pricebench.features import seasonal_encoding
-from pricebench.market import holiday_flag, month_of_week
+from pricebench.market import holiday_flag
 from pricebench.transactions import (
     CalibrationError,
     SchemaError,
@@ -134,7 +134,7 @@ def synthetic_records(
     for t in range(weeks):
         date = start + timedelta(weeks=t)
         year, week, _ = date.isocalendar()
-        week_sin = seasonal_encoding(week, month_of_week(week))[0]
+        week_sin = seasonal_encoding(week)[0]
         log_q = (
             math.log(baseline)
             + elasticity * math.log(prices[t] / mean_price)
