@@ -19,6 +19,7 @@ from .harness import (
     FULL_EPISODES,
     FULL_RUNS,
     FULL_WEEKS,
+    RunManifest,
     emit_plotdata,
     run_experiment,
     summarize,
@@ -121,7 +122,7 @@ def cmd_simulate(args) -> int:
     results = run_experiment(spec, args.out, jobs=args.jobs)
     for manifest, report in results:
         mean_return = sum(a.mean_return for a in report.agents.values()) / len(report.agents)
-        print(f"{manifest.run_id}: mean return {mean_return:.2f}, jain {report.jain:.4f}")
+        print(f"{manifest.run_id}: mean return {mean_return:.2f}, jain {report.jain_index:.4f}")
     print(f"wrote {len(results)} run(s) under {args.out}")
     return EXIT_OK
 
@@ -163,17 +164,17 @@ def cmd_report(args) -> int:
     demand_params = None
     for path in manifests:
         with open(path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
+            manifest = RunManifest.from_dict(json.load(fh))
         metrics_path = path.parent / "metrics.json"
         if not metrics_path.exists():
             log.warning("skipping %s: no metrics.json", path.parent)
             continue
         with open(metrics_path, encoding="utf-8") as fh:
             report = MetricsReport.from_dict(json.load(fh))
-        cid = manifest["config"]["config_id"]
+        cid = manifest.config["config_id"]
         reports_by_config.setdefault(cid, []).append(report)
         if demand_params is None:
-            dp = manifest["config"]["market"].get("demand_params")
+            dp = manifest.config["market"].get("demand_params")
             if dp:
                 demand_params = DemandParams.from_dict(dp)
     tables = summarize(reports_by_config)

@@ -8,76 +8,22 @@ optional lognormal noise (standard-normal shocks scaled by `noise_sigma`). A
 one per week, so any oracle returning one demand per slot from
 `expected_demand` / `sample_demand` can be swapped in. The kernel is scalar:
 numpy's log and exp round differently from `math`'s, which changes the bytes.
+The coefficients, `DemandParams`, are part of the run configuration in `market`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .market import ConfigError, ProductSpec
+from .market import ConfigError, DemandParams, ProductSpec
 
 ELASTICITY_SWEEP_POINTS = 41
 ELASTICITY_SWEEP_RANGE = (0.5, 2.5)
 SMOOTHING_WINDOW = 5
-
-
-@dataclass(frozen=True)
-class DemandParams:
-    """Coefficients of the reference demand model."""
-
-    elasticity: float = -0.072
-    holiday_uplift: float = 1.35
-    cluster_base: dict[int, float] = field(default_factory=dict)
-    seasonal_amp: float = 0.15
-    lag_weight: float = 0.3
-    noise_sigma: float = 0.05  # std-dev of log-space noise
-    competitor_weight: float = 0.5
-
-    def __post_init__(self):
-        if self.elasticity > 0:
-            raise ConfigError(f"elasticity must be <= 0, got {self.elasticity}")
-        if self.holiday_uplift < 1:
-            raise ConfigError(f"holiday_uplift must be >= 1, got {self.holiday_uplift}")
-        if not 0 <= self.lag_weight < 1:
-            raise ConfigError(f"lag_weight must be in [0, 1), got {self.lag_weight}")
-        if self.noise_sigma < 0 or self.seasonal_amp < 0 or self.competitor_weight < 0:
-            raise ConfigError("noise_sigma, seasonal_amp and competitor_weight must be >= 0")
-        if any(v <= 0 for v in self.cluster_base.values()):
-            raise ConfigError("cluster_base multipliers must be > 0")
-
-    def with_clusters(self, clusters: Sequence[int]) -> "DemandParams":
-        """Copy with a multiplier entry (default 1.0) for every cluster in use."""
-        base = dict(self.cluster_base)
-        for c in clusters:
-            base.setdefault(int(c), 1.0)
-        return replace(self, cluster_base=base)
-
-    def to_dict(self) -> dict:
-        return {
-            "elasticity": self.elasticity,
-            "holiday_uplift": self.holiday_uplift,
-            "cluster_base": {str(k): v for k, v in sorted(self.cluster_base.items())},
-            "seasonal_amp": self.seasonal_amp,
-            "lag_weight": self.lag_weight,
-            "noise_sigma": self.noise_sigma,
-            "competitor_weight": self.competitor_weight,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DemandParams":
-        return cls(
-            elasticity=float(d.get("elasticity", -0.072)),
-            holiday_uplift=float(d.get("holiday_uplift", 1.35)),
-            cluster_base={int(k): float(v) for k, v in d.get("cluster_base", {}).items()},
-            seasonal_amp=float(d.get("seasonal_amp", 0.15)),
-            lag_weight=float(d.get("lag_weight", 0.3)),
-            noise_sigma=float(d.get("noise_sigma", 0.05)),
-            competitor_weight=float(d.get("competitor_weight", 0.5)),
-        )
 
 
 @dataclass

@@ -2,15 +2,23 @@
 multi-run execution with per-run artifact directories, exact small-sample
 Wilcoxon testing, and summary/plot-data emission.
 
-Experiment JSON schema (all fields optional except when config_id is
-"custom", which requires an explicit market.agent_roster):
+Experiment JSON schema. Every key names a field of `ExperimentSpec`, every
+`market` key a field of `market.MarketConfig`, every `market.agent_roster`
+entry's key a field of `AgentSpec` and every `market.demand_params` key a
+field of `DemandParams` (see `market.from_fields`); any other key is a
+ConfigError (exit code 1):
 
     {
-      "config_id": "A".."H" | "custom",
-      "n_runs": 2,
+      "config_id": "A".."H" | "custom",      default "custom"
+      "n_runs": 8,
       "checkpoint_every": 0,
-      "market": { MarketConfig fields, see market.MarketConfig.to_dict() }
+      "roster_params": {"<kind>": {...}},   a matrix letter's params per agent kind
+      "market": {"agent_roster": [...], "clusters": [1, 2, 3, 5, 10], ...}
     }
+
+A matrix letter builds its roster unless `market.agent_roster` is given;
+"custom" requires `market.agent_roster`, and `roster_params` goes only with
+a letter's roster.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -33,11 +41,20 @@ from .environment import PricingAgentBase, run_episode, write_history_csv
 from .market import (
     AgentSpec,
     ConfigError,
+    JsonFields,
     MarketConfig,
     ProductSpec,
+    from_fields,
     make_default_portfolio,
 )
-from .marl import DqnHyper, MadqnAgent, build_maddpg_team, build_qmix_team
+from .marl import (
+    DqnHyper,
+    MaddpgHyper,
+    MadqnAgent,
+    QmixHyper,
+    build_maddpg_team,
+    build_qmix_team,
+)
 from .marl.common import parse_hyper
 from .metrics import MetricsReport, compute_report
 from .rule_agents import DIVERSE_STRATEGIES, RuleAgent, RuleStrategy
@@ -71,6 +88,13 @@ def roster_for_config(config_id: str, shared_params: dict | None = None) -> list
         raise ConfigError(f"unknown config_id {config_id!r} (expected A..H or custom)")
     kinds = CONFIG_MATRIX[config_id]
     shared = shared_params or {}
+    if not isinstance(shared, dict) or not all(isinstance(p, dict) for p in shared.values()):
+        raise ConfigError("roster_params must map agent kinds to params objects")
+    unknown = sorted(shared.keys() - set(AgentSpec.KNOWN_KINDS))
+    if unknown:
+        raise ConfigError(
+            f"unknown roster_params kinds {unknown}; accepted: {list(AgentSpec.KNOWN_KINDS)}"
+        )
     roster = []
     rule_cycle = list(DIVERSE_STRATEGIES)
     rule_i = 0
@@ -84,7 +108,7 @@ def roster_for_config(config_id: str, shared_params: dict | None = None) -> list
 
 
 @dataclass
-class ExperimentSpec:
+class ExperimentSpec(JsonFields):
     config_id: str
     market: MarketConfig
     n_runs: int = 8
@@ -98,35 +122,26 @@ class ExperimentSpec:
         if self.checkpoint_every < 0:
             raise ConfigError("checkpoint_every must be >= 0 (0 disables checkpoints)")
         self.market.validate()
+        roster_settings(self.market.agent_roster)
         return self
-
-    def to_dict(self) -> dict:
-        return {
-            "config_id": self.config_id,
-            "n_runs": self.n_runs,
-            "checkpoint_every": self.checkpoint_every,
-            "market": self.market.to_dict(),
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
-        config_id = d.get("config_id", "custom")
-        market_dict = dict(d.get("market", {}))
-        if "agent_roster" not in market_dict:
-            if config_id == "custom":
-                raise ConfigError("custom experiments must define market.agent_roster")
-            roster = roster_for_config(config_id, d.get("roster_params"))
-            market_dict["agent_roster"] = [
-                {"agent_id": a.agent_id, "agent_kind": a.agent_kind, "params": a.params}
-                for a in roster
-            ]
-        spec = cls(
-            config_id=config_id,
-            market=MarketConfig.from_dict(market_dict),
-            n_runs=int(d.get("n_runs", 8)),
-            checkpoint_every=int(d.get("checkpoint_every", 0)),
-        )
-        return spec.validate()
+        if not isinstance(d, dict) or not isinstance(d.get("market", {}), dict):
+            raise ConfigError("an experiment and its market must be JSON objects")
+        d = dict(d)
+        config_id = d.setdefault("config_id", "custom")
+        roster_params = d.pop("roster_params", None)
+        market = d["market"] = dict(d.get("market", {}))
+        if "agent_roster" in market:
+            if roster_params is not None:
+                raise ConfigError("roster_params sets a matrix letter's roster; "
+                                  "market.agent_roster entries carry their own params")
+        elif config_id == "custom":
+            raise ConfigError("custom experiments must define market.agent_roster")
+        else:
+            market["agent_roster"] = roster_for_config(config_id, roster_params)
+        return from_fields(cls, d).validate()
 
     @classmethod
     def from_file(cls, path) -> "ExperimentSpec":
@@ -148,7 +163,7 @@ def desk_spec(config_id: str, seed: int = 12345, **market_overrides) -> Experime
 
 
 @dataclass
-class RunManifest:
+class RunManifest(JsonFields):
     run_id: str
     seed: int
     config_hash: str
@@ -157,18 +172,6 @@ class RunManifest:
     artifacts: dict[str, str]
     version: str
     config: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "created_at": self.created_at,
-            "completed_at": self.completed_at,
-            "artifacts": dict(self.artifacts),
-            "version": self.version,
-            "config": self.config,
-        }
 
 
 def config_hash(config_dict: dict) -> str:
@@ -179,41 +182,54 @@ def config_hash(config_dict: dict) -> str:
 
 def rule_strategy(params: dict) -> RuleStrategy:
     """A rule agent's strategy from its roster `params`: `strategy` names the
-    kind, and each other key a RuleStrategy field. Any other key raises ConfigError."""
-    accepted = {f.name for f in fields(RuleStrategy)} - {"kind"} | {"strategy"}
-    unknown = sorted(params.keys() - accepted)
-    if unknown:
-        raise ConfigError(f"unknown rule params {unknown}; accepted: {sorted(accepted)}")
+    kind, and each other key a RuleStrategy field."""
     settings = {k: v for k, v in params.items() if k != "strategy"}
-    return RuleStrategy(kind=params.get("strategy", "static_markup"), **settings)
+    return from_fields(RuleStrategy, settings, "rule params (besides 'strategy')",
+                       kind=params.get("strategy", "static_markup"))
+
+
+SETTINGS_BY_KIND = {
+    "rule": rule_strategy,
+    "madqn": lambda params: parse_hyper(DqnHyper, params, "epsilon"),
+    "maddpg": lambda params: parse_hyper(MaddpgHyper, params, "noise"),
+    "qmix": lambda params: parse_hyper(QmixHyper, params, "epsilon"),
+}
+
+
+def roster_settings(roster: list[AgentSpec]) -> dict:
+    """Each roster entry's settings by agent id, parsed from its `params`: a
+    RuleStrategy or the learner's hyper-parameters. A MADDPG or QMIX team
+    trains under one set, so its members' `params` must agree. Any bad key
+    or a team whose members' `params` differ raises ConfigError."""
+    for kind in ("maddpg", "qmix"):
+        team = [s for s in roster if s.agent_kind == kind]
+        differ = [s.agent_id for s in team if s.params != team[0].params]
+        if differ:
+            raise ConfigError(
+                f"a {kind} team trains under one params dict, but {differ} differ from "
+                f"{team[0].agent_id}'s"
+            )
+    return {s.agent_id: SETTINGS_BY_KIND[s.agent_kind](s.params) for s in roster}
 
 
 def build_agents(config: MarketConfig) -> list[PricingAgentBase]:
     """Instantiate the roster. Team-based kinds share one coordinator per config."""
-    portfolio = make_default_portfolio(config.products_per_agent, config.clusters, config.seed)
-    by_kind: dict[str, list[AgentSpec]] = {}
+    settings = roster_settings(config.agent_roster)
+    portfolio = make_default_portfolio(config.clusters, config.seed)
+    by_kind: dict[str, list[str]] = {}
     for spec in config.agent_roster:
-        by_kind.setdefault(spec.agent_kind, []).append(spec)
+        by_kind.setdefault(spec.agent_kind, []).append(spec.agent_id)
 
     built: dict[str, PricingAgentBase] = {}
-    for spec in by_kind.get("rule", []):
-        built[spec.agent_id] = RuleAgent(spec.agent_id, portfolio, config, rule_strategy(spec.params))
-    for spec in by_kind.get("madqn", []):
-        hyper = parse_hyper(DqnHyper, spec.params, "epsilon")
-        built[spec.agent_id] = MadqnAgent(spec.agent_id, portfolio, config, hyper)
+    for aid in by_kind.get("rule", []):
+        built[aid] = RuleAgent(aid, portfolio, config, settings[aid])
+    for aid in by_kind.get("madqn", []):
+        built[aid] = MadqnAgent(aid, portfolio, config, settings[aid])
     for kind, build_team in (("maddpg", build_maddpg_team), ("qmix", build_qmix_team)):
-        specs = by_kind.get(kind)
-        if not specs:
-            continue
-        params = specs[0].params
-        differ = [s.agent_id for s in specs if s.params != params]
-        if differ:
-            raise ConfigError(
-                f"a {kind} team trains under one params dict, but {differ} differ from "
-                f"{specs[0].agent_id}'s"
-            )
-        team = build_team([s.agent_id for s in specs], portfolio, config, params)
-        built.update({a.agent_id: a for a in team})
+        ids = by_kind.get(kind)
+        if ids:
+            team = build_team(ids, portfolio, config, settings[ids[0]])
+            built.update({a.agent_id: a for a in team})
     return [built[spec.agent_id] for spec in config.agent_roster]
 
 
@@ -250,6 +266,8 @@ def execute_run(
         "metrics_json": str(run_dir / "metrics.json"),
     }
 
+    # to_dict is the JSON form (int keys as strings): the hash is the one of the
+    # config that manifest.json reads back
     config_dict = {"config_id": spec.config_id, "market": run_config.to_dict()}
     manifest = RunManifest(
         run_id=run_id,
@@ -301,10 +319,7 @@ def run_experiment(
         ) as pool:
             for manifest_d, report_d in pool.map(_execute_run_payload, payloads):
                 results.append(
-                    (
-                        RunManifest(**manifest_d),
-                        MetricsReport.from_dict(report_d),
-                    )
+                    (RunManifest.from_dict(manifest_d), MetricsReport.from_dict(report_d))
                 )
     return results
 
@@ -449,7 +464,7 @@ def summarize(reports_by_config: dict[str, list[MetricsReport]]) -> dict[str, li
 
     dynamics_rows = []
     for cid, reports in sorted(reports_by_config.items()):
-        jain_m, jain_s = _mean_std([r.jain for r in reports])
+        jain_m, jain_s = _mean_std([r.jain_index for r in reports])
         mv_m, mv_s = _mean_std([r.market_share_volatility_pp for r in reports])
         dynamics_rows.append(
             {

@@ -1,10 +1,13 @@
-"""Core market domain types: products, per-slot observations, run configuration."""
+"""Core market domain types: products, per-slot observations, run configuration,
+and `from_fields`, the one parser that builds a settings dataclass from JSON."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
-from dataclasses import dataclass, field, replace
-from typing import Any
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -23,6 +26,73 @@ def holiday_flag(week_number: int) -> bool:
     if not 1 <= week_number <= 53:
         raise ConfigError(f"week_number must be in 1..53, got {week_number}")
     return week_number in HOLIDAY_WEEKS
+
+
+def from_fields(cls, d: dict, what: str | None = None, **fixed):
+    """A `cls` dataclass built from `d`, one key per field.
+
+    Each value is cast to its field's type: a nested dataclass is built from
+    its own fields, a dict, list or tuple item by item, and a scalar by calling
+    its type. Fields in `fixed` are the caller's and are not read from `d`.
+    A key that names no other field, a missing field without a default and a
+    value that does not cast raise ConfigError.
+    """
+    types, required = _fields_of(cls)
+    if not isinstance(d, dict):
+        raise ConfigError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
+    accepted = types.keys() - fixed.keys()
+    unknown = sorted(d.keys() - accepted)
+    if unknown:
+        raise ConfigError(f"unknown {what or cls.__name__ + ' keys'} {unknown}; "
+                          f"accepted: {sorted(accepted)}")
+    missing = sorted(required - d.keys() - fixed.keys())
+    if missing:
+        raise ConfigError(f"{cls.__name__} needs {missing}")
+    values = {}
+    for name, value in d.items():
+        try:
+            values[name] = _cast(types[name], value)
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
+    return cls(**values, **fixed)
+
+
+@functools.cache
+def _fields_of(cls) -> tuple[dict[str, Any], frozenset[str]]:
+    """`cls`'s init fields with their resolved types, and those without a default."""
+    hints = typing.get_type_hints(cls)
+    init = [f for f in fields(cls) if f.init]
+    required = {f.name for f in init if f.default is MISSING and f.default_factory is MISSING}
+    return {f.name: hints[f.name] for f in init}, frozenset(required)
+
+
+def _cast(tp, value):
+    if is_dataclass(tp):
+        return value if isinstance(value, tp) else from_fields(tp, value)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is dict:
+        return {_cast(args[0], k): _cast(args[1], v) for k, v in value.items()}
+    if origin in (list, tuple):
+        return origin(_cast(args[0], v) for v in value)
+    return value if tp is Any else tp(value)
+
+
+def _json_keys(items) -> dict:
+    # a dict field's keys as JSON writes them: cluster_base's ints become strings
+    return {k: {str(i): x for i, x in v.items()} if isinstance(v, dict) else v for k, v in items}
+
+
+class JsonFields:
+    """A dataclass that JSON holds by its fields (see `from_fields`)."""
+
+    def to_dict(self) -> dict:
+        """The fields as JSON holds them: `dataclasses.asdict`, with each dict
+        field's keys as strings, so that a hash of it matches the file's."""
+        return asdict(self, dict_factory=_json_keys)
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        return from_fields(cls, d)
 
 
 def derive_rng(*parts: Any) -> np.random.Generator:
@@ -127,19 +197,16 @@ class AgentSpec:
             raise ConfigError(f"unknown agent_kind {self.agent_kind!r}")
 
 
-def make_default_portfolio(
-    n_products: int, clusters: list[int] | tuple[int, ...], seed: int
-) -> list[ProductSpec]:
+def make_default_portfolio(clusters: Sequence[int], seed: int) -> list[ProductSpec]:
     """Build the standard portfolio every agent starts from.
 
     Initial prices are cluster-differentiated (5.0 + cluster), unit costs are a
     fixed fraction of the initial price, and baseline demand is drawn once from
     the seeded stream so repeated calls with the same seed agree field-for-field.
+    One product per cluster in the list.
     """
     if not clusters:
         raise ConfigError("cluster list must be non-empty")
-    if n_products != len(clusters):
-        raise ConfigError(f"n_products {n_products} != len(clusters) {len(clusters)}")
     rng = derive_rng(seed, "portfolio")
     specs = []
     for i, cluster in enumerate(clusters):
@@ -157,12 +224,44 @@ def make_default_portfolio(
     return specs
 
 
+@dataclass(frozen=True)
+class DemandParams(JsonFields):
+    """Coefficients of the reference demand model."""
+
+    elasticity: float = -0.072
+    holiday_uplift: float = 1.35
+    cluster_base: dict[int, float] = field(default_factory=dict)
+    seasonal_amp: float = 0.15
+    lag_weight: float = 0.3
+    noise_sigma: float = 0.05  # std-dev of log-space noise
+    competitor_weight: float = 0.5
+
+    def __post_init__(self):
+        if self.elasticity > 0:
+            raise ConfigError(f"elasticity must be <= 0, got {self.elasticity}")
+        if self.holiday_uplift < 1:
+            raise ConfigError(f"holiday_uplift must be >= 1, got {self.holiday_uplift}")
+        if not 0 <= self.lag_weight < 1:
+            raise ConfigError(f"lag_weight must be in [0, 1), got {self.lag_weight}")
+        if self.noise_sigma < 0 or self.seasonal_amp < 0 or self.competitor_weight < 0:
+            raise ConfigError("noise_sigma, seasonal_amp and competitor_weight must be >= 0")
+        if any(v <= 0 for v in self.cluster_base.values()):
+            raise ConfigError("cluster_base multipliers must be > 0")
+
+    def with_clusters(self, clusters: Sequence[int]) -> "DemandParams":
+        """Copy with a multiplier entry (default 1.0) for every cluster in use."""
+        base = dict(self.cluster_base)
+        for c in clusters:
+            base.setdefault(int(c), 1.0)
+        return replace(self, cluster_base=base)
+
+
 @dataclass
-class MarketConfig:
-    """Full description of one simulated market experiment."""
+class MarketConfig(JsonFields):
+    """Full description of one simulated market experiment: one product per
+    entry of `clusters` for every agent."""
 
     agent_roster: list[AgentSpec]
-    products_per_agent: int = 5
     clusters: tuple[int, ...] = DEFAULT_CLUSTERS
     weeks_per_episode: int = 104
     episodes: int = 30
@@ -170,11 +269,9 @@ class MarketConfig:
     min_margin: float = 0.05
     max_weekly_change: float = 0.10
     reward_penalty_lambda: float = 1.0
-    demand_params: "DemandParams | None" = None  # filled by validate()
+    demand_params: DemandParams = field(default_factory=DemandParams)
 
     def validate(self) -> "MarketConfig":
-        from .demand import DemandParams
-
         if not self.agent_roster:
             raise ConfigError("agent_roster must be non-empty")
         ids = [a.agent_id for a in self.agent_roster]
@@ -190,10 +287,8 @@ class MarketConfig:
             raise ConfigError("min_margin must be >= 0")
         if self.reward_penalty_lambda < 0:
             raise ConfigError("reward_penalty_lambda must be >= 0")
-        if self.products_per_agent != len(self.clusters):
-            raise ConfigError("products_per_agent must match the cluster list length")
-        if self.demand_params is None:
-            self.demand_params = DemandParams()
+        if not self.clusters:
+            raise ConfigError("clusters must be non-empty")
         self.demand_params = self.demand_params.with_clusters(self.clusters)
         return self
 
@@ -206,49 +301,6 @@ class MarketConfig:
         span = self.max_weekly_change
         capped = min(max(price, last_price * (1.0 - span)), last_price * (1.0 + span))
         return max(capped, floor)
-
-    # -- JSON round-trip -------------------------------------------------
-
-    def to_dict(self) -> dict:
-        d = {
-            "agent_roster": [
-                {"agent_id": a.agent_id, "agent_kind": a.agent_kind, "params": dict(a.params)}
-                for a in self.agent_roster
-            ],
-            "products_per_agent": self.products_per_agent,
-            "clusters": list(self.clusters),
-            "weeks_per_episode": self.weeks_per_episode,
-            "episodes": self.episodes,
-            "seed": self.seed,
-            "min_margin": self.min_margin,
-            "max_weekly_change": self.max_weekly_change,
-            "reward_penalty_lambda": self.reward_penalty_lambda,
-        }
-        if self.demand_params is not None:
-            d["demand_params"] = self.demand_params.to_dict()
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MarketConfig":
-        from .demand import DemandParams
-
-        roster = [
-            AgentSpec(e["agent_id"], e["agent_kind"], dict(e.get("params", {})))
-            for e in d["agent_roster"]
-        ]
-        params = d.get("demand_params")
-        return cls(
-            agent_roster=roster,
-            products_per_agent=int(d.get("products_per_agent", 5)),
-            clusters=tuple(d.get("clusters", DEFAULT_CLUSTERS)),
-            weeks_per_episode=int(d.get("weeks_per_episode", 104)),
-            episodes=int(d.get("episodes", 30)),
-            seed=int(d.get("seed", 12345)),
-            min_margin=float(d.get("min_margin", 0.05)),
-            max_weekly_change=float(d.get("max_weekly_change", 0.10)),
-            reward_penalty_lambda=float(d.get("reward_penalty_lambda", 1.0)),
-            demand_params=DemandParams.from_dict(params) if params else None,
-        ).validate()
 
     def copy_with(self, **kwargs) -> "MarketConfig":
         return replace(self, **kwargs)

@@ -4,13 +4,13 @@ learning agents."""
 from __future__ import annotations
 
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 
 from ..environment import PricingAgentBase
 from ..features import demand_features, seasonal_encoding
-from ..market import ConfigError, MarketConfig, MarketObservation, ProductSpec
+from ..market import MarketConfig, MarketObservation, ProductSpec, from_fields
 
 STATE_SLOTS_PER_PRODUCT = 12
 
@@ -22,23 +22,15 @@ ACTION_SMOOTHING = 0.5  # EMA weight on the previous applied change
 def parse_hyper(cls, params: dict, schedule_prefix: str):
     """A `cls` hyper-parameter set from a roster entry's `params`.
 
-    Each key names a field of `cls` and is cast to the type of the field's
-    default; `<schedule_prefix>_start`, `_decay` and `_floor` override the
-    default exploration schedule's. Any other key raises ConfigError.
+    `<schedule_prefix>_start`, `_decay` and `_floor` override the default
+    exploration schedule's; every other key names a field of `cls` (see
+    `market.from_fields`).
     """
-    defaults = {f.name: f.default for f in fields(cls) if f.name != "schedule"}
     schedule_keys = {f"{schedule_prefix}_{k}": k for k in ("start", "decay", "floor")}
-    unknown = sorted(params.keys() - defaults.keys() - schedule_keys.keys())
-    if unknown:
-        raise ConfigError(
-            f"unknown {cls.__name__} params {unknown}; "
-            f"accepted: {sorted(defaults.keys() | schedule_keys.keys())}"
-        )
     schedule = {schedule_keys[k]: float(v) for k, v in params.items() if k in schedule_keys}
-    return cls(
-        **{k: type(defaults[k])(v) for k, v in params.items() if k in defaults},
-        schedule=replace(cls.schedule, **schedule),
-    )
+    settings = {k: v for k, v in params.items() if k not in schedule_keys}
+    return from_fields(cls, settings, f"{cls.__name__} params (besides {sorted(schedule_keys)})",
+                       schedule=replace(cls.schedule, **schedule))
 
 
 def epsilon_greedy(q: np.ndarray, epsilon: float, rng: np.random.Generator) -> np.ndarray:

@@ -23,7 +23,7 @@ from ..nn import (
     Workspace,
     soft_update,
 )
-from .common import MarlAgentBase, encode_state, parse_hyper, state_dim
+from .common import MarlAgentBase, encode_state, state_dim
 
 
 @dataclass(frozen=True)
@@ -224,10 +224,9 @@ def build_team(
     agent_ids: list[str],
     product_specs: list[ProductSpec],
     config: MarketConfig,
-    params: dict | None = None,
+    hyper: MaddpgHyper | None = None,
 ) -> list[MaddpgAgent]:
-    hyper = parse_hyper(MaddpgHyper, params or {}, "noise")
-    coordinator = MaddpgCoordinator(config, hyper)
+    coordinator = MaddpgCoordinator(config, hyper or MaddpgHyper())
     if not agent_ids:
         raise ShapeError("a team needs at least one member")
     return [

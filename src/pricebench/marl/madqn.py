@@ -77,10 +77,6 @@ class DqnCore:
     def q_values(self, state: np.ndarray) -> np.ndarray:
         return self.net.forward(state).reshape(self.n_heads, self.n_bins)
 
-    def greedy_bins(self, state: np.ndarray) -> np.ndarray:
-        # np.argmax breaks ties toward the lowest bin index
-        return np.argmax(self.q_values(state), axis=1)
-
     def act(self, state: np.ndarray, episode: int) -> np.ndarray:
         return epsilon_greedy(self.q_values(state), self.hyper.schedule.value(episode), self.rng)
 

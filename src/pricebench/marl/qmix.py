@@ -31,7 +31,6 @@ from .common import (
     discretize_action,
     encode_state,
     epsilon_greedy,
-    parse_hyper,
     state_dim,
 )
 
@@ -385,10 +384,10 @@ def build_team(
     agent_ids: list[str],
     product_specs: list[ProductSpec],
     config: MarketConfig,
-    params: dict | None = None,
+    hyper: QmixHyper | None = None,
 ) -> list[QmixAgent]:
-    hyper = parse_hyper(QmixHyper, params or {}, "epsilon")
     coordinator = QmixCoordinator(
-        config, hyper, n_agents=len(agent_ids), local_state_size=state_dim(len(product_specs))
+        config, hyper or QmixHyper(), n_agents=len(agent_ids),
+        local_state_size=state_dim(len(product_specs)),
     )
     return [QmixAgent(aid, product_specs, config, coordinator) for aid in agent_ids]

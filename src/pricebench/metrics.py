@@ -17,12 +17,13 @@ bit for bit that series' own.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .environment import WeeklyRecord
+from .market import JsonFields, from_fields
 
 NASH_WINDOW_WEEKS = 12
 CONVERGENCE_WINDOW_WEEKS = 8
@@ -46,12 +47,6 @@ def _relative_changes(prices) -> np.ndarray:
     if arr.shape[-1] < 2:
         raise ValueError("need at least 2 weeks of prices")
     return (arr[..., 1:] - arr[..., :-1]) / arr[..., :-1]
-
-
-def revenue_per_agent(weekly_revenues: Sequence[float]) -> float:
-    if len(weekly_revenues) == 0:
-        raise ValueError("history must be non-empty")
-    return float(sum(weekly_revenues))
 
 
 def jain_index(revenues: Sequence[float]) -> float:
@@ -205,14 +200,14 @@ class AgentMetrics:
     price_cv: float
     optimality_gap: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
-class MetricsReport:
+class MetricsReport(JsonFields):
+    """One run's metrics. metrics.json holds `agents`, `flags` and, in its
+    `market` block, every other field."""
+
     agents: dict[str, AgentMetrics]
-    jain: float
+    jain_index: float
     gini: float
     social_welfare: float
     welfare_fairness: float
@@ -224,42 +219,16 @@ class MetricsReport:
     flags: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "agents": {aid: m.to_dict() for aid, m in sorted(self.agents.items())},
-            "market": {
-                "jain_index": self.jain,
-                "gini": self.gini,
-                "social_welfare": self.social_welfare,
-                "welfare_fairness": self.welfare_fairness,
-                "nash_proximity": self.nash_proximity,
-                "mean_optimality_gap": self.mean_optimality_gap,
-                "price_convergence": self.price_convergence,
-                "market_share_volatility_pp": self.market_share_volatility_pp,
-                "final_market_share": dict(sorted(self.final_market_share.items())),
-            },
-            "flags": list(self.flags),
-        }
+        d = super().to_dict()
+        return {"agents": d.pop("agents"), "flags": d.pop("flags"), "market": d}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsReport":
-        agents = {aid: AgentMetrics(**m) for aid, m in d["agents"].items()}
-        market = d["market"]
-        return cls(
-            agents=agents,
-            jain=market["jain_index"],
-            gini=market["gini"],
-            social_welfare=market["social_welfare"],
-            welfare_fairness=market["welfare_fairness"],
-            nash_proximity=market["nash_proximity"],
-            mean_optimality_gap=market["mean_optimality_gap"],
-            price_convergence=market["price_convergence"],
-            market_share_volatility_pp=market["market_share_volatility_pp"],
-            final_market_share=market["final_market_share"],
-            flags=list(d.get("flags", [])),
-        )
+        d = dict(d)
+        return from_fields(cls, {**d.pop("market", {}), **d})
 
 
 def _agent_ids(records: list[WeeklyRecord]) -> list[str]:
@@ -357,7 +326,7 @@ def compute_report(episodes: list[list[WeeklyRecord]]) -> MetricsReport:
 
     return MetricsReport(
         agents=agents,
-        jain=jain_index(returns_vector),
+        jain_index=jain_index(returns_vector),
         gini=gini(returns_vector),
         social_welfare=social_welfare(returns_vector),
         welfare_fairness=welfare_fairness(returns_vector),

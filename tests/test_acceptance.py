@@ -205,7 +205,7 @@ def test_criterion_05_rule_market_stability():
     with _Timer("criterion 5: rule-market stability", 10.0):
         report = _run_config("A", seed=12345, episodes=1, weeks=40)
         assert report.market_share_volatility_pp < 0.5
-        assert report.jain > 0.95
+        assert report.jain_index > 0.95
 
 
 def test_criterion_06_adaptability_ordering():

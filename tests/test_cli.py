@@ -109,6 +109,7 @@ class TestSimulate:
         config.write_text(json.dumps(spec))
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
         assert "unknown" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()  # rejected before any run directory is made
 
     def test_team_members_with_different_params_exit_1(self, tmp_path, capsys):
         # a team trains under one params dict: a second member's must not be dropped
@@ -123,6 +124,7 @@ class TestSimulate:
         }))
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
         assert "['m1']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_demand_overflow_exits_1(self, tmp_path, capsys):
         # a log demand past math.exp's range is the same model error as a NaN one
@@ -132,6 +134,80 @@ class TestSimulate:
         config.write_text(json.dumps(spec))
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
         assert "non-finite demand for product" in capsys.readouterr().err
+
+
+def _simulate_edited(tmp_path, edit):
+    config = _experiment_file(tmp_path, weeks=4)
+    spec = json.loads(config.read_text())
+    edit(spec)
+    config.write_text(json.dumps(spec))
+    return ["simulate", "--config", str(config), "--out", str(tmp_path / "o")]
+
+
+def _custom_roster(spec):
+    spec["config_id"] = "custom"
+    spec["market"]["agent_roster"] = [{"agent_id": "r0", "agent_kind": "rule", "param": {}}]
+
+
+def _report_of_edited_metrics(tmp_path):
+    runs = tmp_path / "runs"
+    config = _experiment_file(tmp_path, weeks=4)
+    assert main(["simulate", "--config", str(config), "--out", str(runs)]) == 0
+    (metrics,) = runs.glob("*/metrics.json")
+    report = json.loads(metrics.read_text())
+    report["market"]["jain"] = report["market"]["jain_index"]
+    metrics.write_text(json.dumps(report))
+    return ["report", "--in", str(runs), "--out", str(tmp_path / "report")]
+
+
+def _elasticity_of_edited_params(tmp_path):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"elasticity": -0.072, "noise_sigmaa": 0.0}))
+    return ["elasticity", "--params", str(params), "--out", str(tmp_path / "curve.csv")]
+
+
+MISSPELT_KEYS = {
+    "n_run": lambda t: _simulate_edited(t, lambda s: s.update(n_run=2)),
+    "weeks": lambda t: _simulate_edited(t, lambda s: s["market"].update(weeks=20)),
+    "elasticty": lambda t: _simulate_edited(
+        t, lambda s: s["market"].update(demand_params={"elasticty": -2.0})
+    ),
+    "param": lambda t: _simulate_edited(t, _custom_roster),
+    "madqnn": lambda t: _simulate_edited(t, lambda s: s.update(roster_params={"madqnn": {}})),
+    "jain": _report_of_edited_metrics,
+    "noise_sigmaa": _elasticity_of_edited_params,
+}
+
+
+class TestMisspeltKeys:
+    @pytest.mark.parametrize("key", MISSPELT_KEYS)
+    def test_exits_1_and_names_the_key(self, tmp_path, capsys, key):
+        argv = MISSPELT_KEYS[key](tmp_path)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("spec", [
+        [{"config_id": "A"}],
+        {"config_id": "A", "market": [1]},
+        {"config_id": "A", "roster_params": {"rule": 5}},
+        {"config_id": "A", "roster_params": ["rule"]},
+    ])
+    def test_objects_of_the_wrong_shape_exit_1(self, tmp_path, spec):
+        config = tmp_path / "experiment.json"
+        config.write_text(json.dumps(spec))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_roster_params_beside_an_explicit_roster_exit_1(self, tmp_path, capsys):
+        def edit(spec):
+            spec["market"]["agent_roster"] = [{"agent_id": "q0", "agent_kind": "madqn"}]
+            spec["roster_params"] = {"madqn": {"lr": 0.01}}
+
+        assert main(_simulate_edited(tmp_path, edit)) == 1
+        assert "roster_params" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestCalibrate:

@@ -62,7 +62,6 @@ def _config(n_agents=2, weeks=4, seed=11, noise=0.0, **kw):
     roster = [AgentSpec(f"a{i}", "rule") for i in range(n_agents)]
     config = MarketConfig(
         agent_roster=roster,
-        products_per_agent=1,
         clusters=(1,),
         weeks_per_episode=weeks,
         episodes=1,
@@ -76,7 +75,7 @@ def _config(n_agents=2, weeks=4, seed=11, noise=0.0, **kw):
 
 
 def _agents(config, cls=FixedPriceAgent, **kw):
-    portfolio = make_default_portfolio(config.products_per_agent, list(config.clusters), config.seed)
+    portfolio = make_default_portfolio(config.clusters, config.seed)
     return [cls(spec.agent_id, portfolio, config, **kw) for spec in config.agent_roster]
 
 
@@ -181,7 +180,7 @@ class TestMarketRules:
     def test_cap_limits_rule_strategy(self):
         # markup 1.0 prices at twice the cost, 20 % above the initial price
         config = _config(n_agents=1)
-        portfolio = make_default_portfolio(1, [1], config.seed)
+        portfolio = make_default_portfolio([1], config.seed)
         agent = RuleAgent("a0", portfolio, config, RuleStrategy("static_markup", markup=1.0))
         env = MarketEnvironment(config, [agent], StubOracle())
         obs = env.bootstrap_observation()
@@ -279,7 +278,7 @@ class TestDemandInputs:
     def test_one_query_per_week_in_roster_order(self):
         roster = [AgentSpec(f"a{i}", "rule") for i in range(4)]
         config = MarketConfig(agent_roster=roster, weeks_per_episode=3, episodes=1).validate()
-        portfolio = make_default_portfolio(5, list(config.clusters), config.seed)
+        portfolio = make_default_portfolio(config.clusters, config.seed)
         agents = [FixedPriceAgent(s.agent_id, portfolio, config) for s in roster]
         oracle = RecordingOracle()
         records = run_episode(config, agents, oracle)
@@ -344,13 +343,12 @@ class TestRunEpisode:
             roster = [AgentSpec("a0", "rule"), AgentSpec("a1", "rule"), AgentSpec("a2", "rule")]
             config = MarketConfig(
                 agent_roster=list(reversed(roster)) if reverse else roster,
-                products_per_agent=2,
                 clusters=(1, 2),
                 weeks_per_episode=5,
                 episodes=1,
                 seed=21,
             ).validate()
-            portfolio = make_default_portfolio(2, [1, 2], config.seed)
+            portfolio = make_default_portfolio([1, 2], config.seed)
             strategies = {
                 "a0": RuleStrategy("competitor_match"),
                 "a1": RuleStrategy("demand_responsive"),

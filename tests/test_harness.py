@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import weakref
@@ -25,7 +26,7 @@ from pricebench.harness import (
     write_sweep_csv,
     emit_plotdata,
 )
-from pricebench.market import ConfigError
+from pricebench.market import AgentSpec, ConfigError
 from pricebench.metrics import MetricsReport
 from pricebench.rule_agents import RuleStrategy
 from tests.test_golden_bytes import _spec as _golden_spec
@@ -63,10 +64,43 @@ class TestSpecRoundTrip:
         assert clone.to_dict() == spec.to_dict()
         assert clone.market == spec.market
 
+    @pytest.mark.parametrize("config_id", sorted(CONFIG_MATRIX))
+    def test_desk_spec_from_its_dict(self, config_id):
+        spec = desk_spec(config_id, seed=7)
+        assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+
+    def test_to_dict_has_the_json_keys(self):
+        d = desk_spec("A").to_dict()
+        assert list(d["market"]["demand_params"]["cluster_base"]) == ["1", "2", "3", "5", "10"]
+        assert config_hash(d) == config_hash(json.loads(json.dumps(d)))
+
     def test_config_hash_stable(self):
         spec = desk_spec("A")
         d = {"config_id": spec.config_id, "market": spec.market.to_dict()}
         assert config_hash(d) == config_hash(json.loads(json.dumps(d)))
+
+
+class TestRosterParams:
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ConfigError, match="'madqnn'"):
+            ExperimentSpec.from_dict({"config_id": "C", "roster_params": {"madqnn": {}}})
+
+    def test_known_kind_absent_from_the_roster_accepted(self):
+        spec = ExperimentSpec.from_dict({"config_id": "A", "roster_params": {"qmix": {"lr": 0.01}}})
+        assert {a.agent_kind for a in spec.market.agent_roster} == {"rule"}
+
+    def test_rejected_beside_an_explicit_roster(self):
+        roster = [{"agent_id": "q0", "agent_kind": "madqn"}]
+        with pytest.raises(ConfigError, match="roster_params"):
+            ExperimentSpec.from_dict({
+                "config_id": "C", "roster_params": {"madqn": {}}, "market": {"agent_roster": roster},
+            })
+
+    def test_checked_when_the_spec_is_validated(self):
+        spec = desk_spec("C")
+        spec.market.agent_roster[0] = AgentSpec("madqn-0", "madqn", {"learning_rate": 0.01})
+        with pytest.raises(ConfigError, match="learning_rate"):
+            spec.validate()
 
 
 class TestRuleParams:
@@ -92,6 +126,20 @@ class TestExecuteRun:
         assert (run_dir / "metrics.json").exists()
         stored = json.loads((run_dir / "manifest.json").read_text())
         assert stored["config_hash"] == config_hash(stored["config"])
+
+    def test_manifest_hash_is_the_hash_of_its_config_on_disk(self, tmp_path):
+        # the benchmark's check: cluster_base's int keys must be strings when hashed
+        manifest, _ = execute_run(desk_spec("B", seed=5), 0, tmp_path)
+        stored = json.loads((tmp_path / manifest.run_id / "manifest.json").read_text())
+        canonical = json.dumps(stored["config"], sort_keys=True, separators=(",", ":"))
+        assert stored["config_hash"] == hashlib.sha256(canonical.encode()).hexdigest()
+        assert stored == json.loads(json.dumps(manifest.to_dict()))
+
+    def test_clusters_alone_set_the_portfolio(self, tmp_path):
+        manifest, _ = execute_run(desk_spec("A", clusters=[1, 2]), 0, tmp_path)
+        with open(tmp_path / manifest.run_id / "history.csv") as fh:
+            products = {row.split(",")[3] for row in list(fh)[1:]}
+        assert products == {"prod1", "prod2"}
 
     def test_seeds_offset_by_run_index(self, tmp_path):
         spec = desk_spec("A", seed=100)
@@ -264,7 +312,7 @@ def _fake_report(mean_return, jain=0.9, share=0.25):
         for i in range(4)
     }
     return MetricsReport(
-        agents=agents, jain=jain, gini=1 - jain, social_welfare=mean_return,
+        agents=agents, jain_index=jain, gini=1 - jain, social_welfare=mean_return,
         welfare_fairness=jain, nash_proximity=0.8, mean_optimality_gap=0.1,
         price_convergence=0.7, market_share_volatility_pp=1.0,
         final_market_share={f"a{i}": share for i in range(4)},

@@ -6,8 +6,8 @@ import pytest
 from pricebench.demand import ParametricDemandModel
 from pricebench.environment import run_episode
 from pricebench.market import AgentSpec, ConfigError, MarketConfig, derive_rng, make_default_portfolio
-from pricebench.marl.common import ACTION_SMOOTHING
-from pricebench.marl.maddpg import build_team
+from pricebench.marl.common import ACTION_SMOOTHING, parse_hyper
+from pricebench.marl.maddpg import MaddpgHyper, build_team
 from pricebench.nn import Adam, soft_update
 
 
@@ -16,7 +16,6 @@ def _config(n_agents=2, n_products=2, seed=23, weeks=10):
     clusters = tuple(range(1, n_products + 1))
     config = MarketConfig(
         agent_roster=roster,
-        products_per_agent=n_products,
         clusters=clusters,
         weeks_per_episode=weeks,
         episodes=1,
@@ -29,11 +28,9 @@ def _config(n_agents=2, n_products=2, seed=23, weeks=10):
 
 
 def _team(config, **params):
-    portfolio = make_default_portfolio(
-        config.products_per_agent, list(config.clusters), config.seed
-    )
+    portfolio = make_default_portfolio(config.clusters, config.seed)
     ids = [s.agent_id for s in config.agent_roster]
-    return build_team(ids, portfolio, config, params)
+    return build_team(ids, portfolio, config, parse_hyper(MaddpgHyper, params, "noise"))
 
 
 class TestActing:

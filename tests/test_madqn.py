@@ -33,14 +33,14 @@ class TestAct:
             w[:] = 0.0
         for b in core.net.biases:
             b[:] = 0.0
-        assert np.array_equal(core.greedy_bins(np.ones(3)), [0])
+        assert np.array_equal(np.argmax(core.q_values(np.ones(3)), axis=1), [0])
 
     def test_argmax_invariant_under_constant_shift(self):
         core = _core(epsilon=0.0)
         state = derive_rng(2, "s").normal(size=3)
-        before = core.greedy_bins(state)
+        before = np.argmax(core.q_values(state), axis=1)
         core.net.biases[-1] += 7.5  # shifts every Q-value equally
-        assert np.array_equal(core.greedy_bins(state), before)
+        assert np.array_equal(np.argmax(core.q_values(state), axis=1), before)
 
 
 def _fill(core, transitions):
@@ -142,7 +142,7 @@ def run_toy_mdp(seed, steps=4000):
         core.store(mdp.encode(s), [a], r, mdp.encode(s2), False)
         core.learn()
         s = s2
-    greedy = [int(core.greedy_bins(mdp.encode(s))[0]) for s in (0, 1)]
+    greedy = [int(np.argmax(core.q_values(mdp.encode(s)), axis=1)[0]) for s in (0, 1)]
     return greedy, mdp.optimal_policy()[0]
 
 

@@ -4,10 +4,12 @@ from hypothesis import given, strategies as st
 from pricebench.market import (
     AgentSpec,
     ConfigError,
+    DemandParams,
     MarketConfig,
     ProductSpec,
     ProductState,
     derive_rng,
+    from_fields,
     holiday_flag,
     make_default_portfolio,
 )
@@ -36,26 +38,22 @@ class TestHolidayFlag:
 
 class TestPortfolio:
     def test_default_cluster_set(self):
-        specs = make_default_portfolio(5, [1, 2, 3, 5, 10], seed=42)
+        specs = make_default_portfolio([1, 2, 3, 5, 10], seed=42)
         assert [s.cluster_id for s in specs] == [1, 2, 3, 5, 10]
         assert len(specs) == 5
 
     def test_margin_positive(self):
-        (spec,) = make_default_portfolio(1, [1], seed=0)
+        (spec,) = make_default_portfolio([1], seed=0)
         assert spec.initial_price > spec.unit_cost
 
     def test_deterministic(self):
-        a = make_default_portfolio(5, [1, 2, 3, 5, 10], seed=9)
-        b = make_default_portfolio(5, [1, 2, 3, 5, 10], seed=9)
+        a = make_default_portfolio([1, 2, 3, 5, 10], seed=9)
+        b = make_default_portfolio([1, 2, 3, 5, 10], seed=9)
         assert a == b
 
     def test_empty_clusters_rejected(self):
         with pytest.raises(ConfigError):
-            make_default_portfolio(0, [], seed=1)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            make_default_portfolio(3, [1, 2], seed=1)
+            make_default_portfolio([], seed=1)
 
 
 class TestProductSpec:
@@ -106,6 +104,10 @@ class TestMarketConfig:
         with pytest.raises(ConfigError):
             MarketConfig(agent_roster=_roster(), weeks_per_episode=0).validate()
 
+    def test_empty_clusters_rejected(self):
+        with pytest.raises(ConfigError, match="clusters"):
+            MarketConfig(agent_roster=_roster(), clusters=()).validate()
+
     def test_round_trip(self):
         config = MarketConfig(agent_roster=_roster(), seed=77).validate()
         assert MarketConfig.from_dict(config.to_dict()) == config
@@ -113,6 +115,42 @@ class TestMarketConfig:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             AgentSpec("a", "zealot")
+
+
+class TestFromFields:
+    def test_nested_values_cast_by_field_type(self):
+        config = from_fields(MarketConfig, {
+            "agent_roster": [{"agent_id": "a", "agent_kind": "rule"}],
+            "clusters": [1, 2.0],
+            "seed": "7",
+            "demand_params": {"cluster_base": {"2": 3}},
+        })
+        assert config.agent_roster == [AgentSpec("a", "rule")]
+        assert config.clusters == (1, 2) and config.seed == 7
+        assert config.demand_params == DemandParams(cluster_base={2: 3.0})
+
+    def test_unknown_key_named(self):
+        with pytest.raises(ConfigError, match=r"unknown DemandParams keys \['elasticty'\]"):
+            from_fields(DemandParams, {"elasticty": -1.0})
+
+    def test_nested_unknown_key_named_with_its_field(self):
+        roster = [{"agent_id": "a", "agent_kind": "rule", "kind": "rule"}]
+        with pytest.raises(ConfigError, match=r"agent_roster: unknown AgentSpec keys \['kind'\]"):
+            from_fields(MarketConfig, {"agent_roster": roster})
+
+    def test_missing_required_field(self):
+        with pytest.raises(ConfigError, match="agent_kind"):
+            from_fields(AgentSpec, {"agent_id": "a"})
+
+    @pytest.mark.parametrize("d", [{"seed": "x"}, {"clusters": 5}, {"demand_params": [1]}])
+    def test_value_that_does_not_cast(self, d):
+        with pytest.raises(ConfigError, match=next(iter(d))):
+            from_fields(MarketConfig, {"agent_roster": [], **d})
+
+    def test_fixed_fields_are_not_read(self):
+        assert from_fields(DemandParams, {}, elasticity=-1.0).elasticity == -1.0
+        with pytest.raises(ConfigError, match="elasticity"):
+            from_fields(DemandParams, {"elasticity": -2.0}, elasticity=-1.0)
 
 
 def test_derive_rng_stable_and_distinct():

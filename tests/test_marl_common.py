@@ -69,7 +69,7 @@ class TestApplyAction:
 
     def _agent(self, price=10.0, cost=6.0):
         config = MarketConfig(
-            agent_roster=[AgentSpec("q0", "madqn")], products_per_agent=1, clusters=(1,)
+            agent_roster=[AgentSpec("q0", "madqn")], clusters=(1,)
         ).validate()
         return MadqnAgent("q0", [ProductSpec("p", 1, price, cost, 10.0)], config, None)
 
@@ -119,13 +119,12 @@ def _madqn_setup(n_products=2, seed=5):
     clusters = tuple(range(1, n_products + 1))
     config = MarketConfig(
         agent_roster=roster,
-        products_per_agent=n_products,
         clusters=clusters,
         weeks_per_episode=10,
         episodes=1,
         seed=seed,
     ).validate()
-    portfolio = make_default_portfolio(n_products, list(clusters), config.seed)
+    portfolio = make_default_portfolio(clusters, config.seed)
     agents = [MadqnAgent(s.agent_id, portfolio, config, None) for s in config.agent_roster]
     env = MarketEnvironment(config, agents, ParametricDemandModel(config.demand_params))
     return config, agents, env
@@ -288,7 +287,7 @@ class TestActionRangeSafety:
             config = spec.market
             agents = build_agents(config)
             agent = agents[0]
-            dim = state_dim(config.products_per_agent)
+            dim = state_dim(len(config.clusters))
             band = config.max_weekly_change
             for _ in range(10_000 // 3 + 1):
                 state = rng.normal(size=dim) * 5.0

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from pricebench.metrics import (
     price_cv,
     price_stability,
     price_volatility,
-    revenue_per_agent,
     social_welfare,
     welfare_fairness,
 )
@@ -34,17 +34,6 @@ def brute_force_gini(values):
     total = sum(values)
     pairs = sum(abs(a - b) for a, b in itertools.product(values, values))
     return pairs / (2 * len(values) * total)
-
-
-class TestRevenue:
-    def test_one_week(self):
-        assert revenue_per_agent([50.0]) == 50.0
-
-    def test_additivity(self):
-        assert revenue_per_agent([50.0, 30.0]) == 80.0
-
-    def test_zero_demand(self):
-        assert revenue_per_agent([0.0, 0.0]) == 0.0
 
 
 class TestJain:
@@ -294,12 +283,21 @@ class TestComputeReport:
         clone = MetricsReport.from_dict(report.to_dict())
         assert clone.to_dict() == report.to_dict()
 
+    def test_trained_run_report_from_its_metrics_json(self, tmp_path):
+        from pricebench.harness import execute_run
+        from tests.test_golden_bytes import _spec
+
+        manifest, report = execute_run(_spec("training", "F"), 0, tmp_path)
+        assert MetricsReport.from_dict(report.to_dict()) == report
+        with open(tmp_path / manifest.run_id / "metrics.json") as fh:
+            assert MetricsReport.from_dict(json.load(fh)) == report
+
     def test_agent_permutation_equivariance(self):
         fwd = compute_report(_toy_episodes(agent_ids=("a", "b")))
         rev = compute_report(_toy_episodes(agent_ids=("b", "a")))
         # a earns less than b in both runs; per-agent metrics must follow the id
         assert fwd.agents["a"].mean_return == pytest.approx(rev.agents["a"].mean_return)
-        assert fwd.jain == pytest.approx(rev.jain)
+        assert fwd.jain_index == pytest.approx(rev.jain_index)
         assert fwd.gini == pytest.approx(rev.gini)
 
     def test_best_agent_has_zero_gap(self):

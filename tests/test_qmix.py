@@ -112,7 +112,7 @@ def _team(n_agents=2, state_size=2, n_bins=3, seed=6, **hyper_kw):
     """A coordinator and its fake members (the coordinator keeps only their nets)."""
     config = MarketConfig(
         agent_roster=[AgentSpec(f"x{i}", "qmix") for i in range(n_agents)], seed=seed,
-        products_per_agent=1, clusters=(1,), weeks_per_episode=4, episodes=1,
+        clusters=(1,), weeks_per_episode=4, episodes=1,
     ).validate()
     hyper = QmixHyper(**{"warm_up": 16, "batch_size": 16, **hyper_kw})
     coord = QmixCoordinator(config, hyper, n_agents, state_size)
@@ -267,10 +267,10 @@ class TestQmixTeamInMarket:
     def test_episode_respects_bounds_and_stores_joint(self):
         roster = [AgentSpec(f"m{i}", "qmix") for i in range(2)]
         config = MarketConfig(
-            agent_roster=roster, products_per_agent=2, clusters=(1, 2),
+            agent_roster=roster, clusters=(1, 2),
             weeks_per_episode=8, episodes=1, seed=33,
         ).validate()
-        portfolio = make_default_portfolio(2, [1, 2], config.seed)
+        portfolio = make_default_portfolio([1, 2], config.seed)
         team = build_team([s.agent_id for s in roster], portfolio, config)
         model = ParametricDemandModel(config.demand_params)
         run_episode(config, team, model)

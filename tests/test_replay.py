@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from pricebench.market import AgentSpec, MarketConfig, derive_rng, make_default_portfolio
-from pricebench.marl import build_maddpg_team, build_qmix_team
+from pricebench.marl import MaddpgHyper, QmixHyper, build_maddpg_team, build_qmix_team
 from pricebench.marl.madqn import DqnCore, DqnHyper
 from pricebench.nn import ReplayBuffer
 
@@ -88,7 +88,6 @@ def test_sample_picks_the_list_buffers_entries(capacity, rows, decay):
 def _config(kind: str, seed: int = 3) -> MarketConfig:
     return MarketConfig(
         agent_roster=[AgentSpec(f"{kind}{i}", kind) for i in range(3)],
-        products_per_agent=2,
         clusters=(1, 2),
         weeks_per_episode=10,
         episodes=1,
@@ -118,7 +117,8 @@ def _random_steps(team, kind, n_steps, rng):
 def test_maddpg_batch_equals_stacked_joint_transitions():
     config = _config("maddpg")
     team = build_maddpg_team([s.agent_id for s in config.agent_roster],
-                             make_default_portfolio(2, [1, 2], config.seed), config, NO_TRAINING)
+                             make_default_portfolio([1, 2], config.seed), config,
+                             MaddpgHyper(**NO_TRAINING))
     coord = team[0].coordinator
     reference = ListReplayBuffer(coord.buffer.capacity, coord.buffer.recency_decay)
     for parts, done in _random_steps(team, "maddpg", 40, derive_rng(5, "steps")):
@@ -146,7 +146,8 @@ def test_maddpg_batch_equals_stacked_joint_transitions():
 def test_qmix_batch_equals_stacked_joint_transitions():
     config = _config("qmix")
     team = build_qmix_team([s.agent_id for s in config.agent_roster],
-                           make_default_portfolio(2, [1, 2], config.seed), config, NO_TRAINING)
+                           make_default_portfolio([1, 2], config.seed), config,
+                           QmixHyper(**NO_TRAINING))
     coord = team[0].coordinator
     reference = ListReplayBuffer(coord.buffer.capacity, coord.buffer.recency_decay)
     for parts, done in _random_steps(team, "qmix", 40, derive_rng(7, "steps")):

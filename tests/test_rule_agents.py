@@ -30,7 +30,6 @@ def _product(price=10.0, cost=6.0, baseline=20.0):
 def _one_product_config(n_agents, weeks=4):
     return MarketConfig(
         agent_roster=[AgentSpec(f"rule-{i}", "rule") for i in range(n_agents)],
-        products_per_agent=1,
         clusters=(1,),
         weeks_per_episode=weeks,
         episodes=1,
@@ -109,7 +108,7 @@ class TestCompetitorMatch:
         roster = [AgentSpec(f"a{i}", "rule") for i in range(3)]
         clusters = (1, 1, 2, 3, 5)
         config = MarketConfig(agent_roster=roster, clusters=clusters, episodes=1).validate()
-        portfolio = make_default_portfolio(5, clusters, config.seed)
+        portfolio = make_default_portfolio(clusters, config.seed)
         agents = [RuleAgent(s.agent_id, portfolio, config, RuleStrategy("static_markup"))
                   for s in roster]
         env = MarketEnvironment(config, agents, ParametricDemandModel(config.demand_params))
@@ -212,7 +211,6 @@ def _rule_market(weeks=40, seed=31, noise=0.0):
     roster = [AgentSpec(f"rule-{i}", "rule") for i in range(4)]
     config = MarketConfig(
         agent_roster=roster,
-        products_per_agent=2,
         clusters=(1, 2),
         weeks_per_episode=weeks,
         episodes=1,
@@ -221,7 +219,7 @@ def _rule_market(weeks=40, seed=31, noise=0.0):
     from dataclasses import replace
 
     config.demand_params = replace(config.demand_params, noise_sigma=noise)
-    portfolio = make_default_portfolio(2, [1, 2], config.seed)
+    portfolio = make_default_portfolio([1, 2], config.seed)
     agents = [
         RuleAgent(s.agent_id, portfolio, config, RuleStrategy(DIVERSE_STRATEGIES[i]))
         for i, s in enumerate(config.agent_roster)
