@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, nn
+from . import __version__
 from .demand import ParametricDemandModel, elasticity_sweep, neutral_query, price_multipliers
 from .environment import PricingAgentBase, run_episode, write_history_csv
 from .market import (
@@ -313,10 +313,8 @@ def run_experiment(
             results.append(execute_run(spec, i, out))
     else:
         payloads = [(spec.to_dict(), i, str(out)) for i in range(spec.n_runs)]
-        # the jobs fill the CPUs, so no job splits its passes over a second thread
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=jobs, initializer=nn.use_one_thread
-        ) as pool:
+        # every run is single-threaded, so one job per CPU fills the machine
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             for manifest_d, report_d in pool.map(_execute_run_payload, payloads):
                 results.append(
                     (RunManifest.from_dict(manifest_d), MetricsReport.from_dict(report_d))

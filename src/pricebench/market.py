@@ -35,7 +35,8 @@ def from_fields(cls, d: dict, what: str | None = None, **fixed):
     its own fields, a dict, list or tuple item by item, and a scalar by calling
     its type. Fields in `fixed` are the caller's and are not read from `d`.
     A key that names no other field, a missing field without a default and a
-    value that does not cast raise ConfigError.
+    value that does not cast, a fractional number for an int field among
+    them, raise ConfigError.
     """
     types, required = _fields_of(cls)
     if not isinstance(d, dict):
@@ -74,6 +75,8 @@ def _cast(tp, value):
         return {_cast(args[0], k): _cast(args[1], v) for k, v in value.items()}
     if origin in (list, tuple):
         return origin(_cast(args[0], v) for v in value)
+    if tp is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")  # int() would truncate it
     return value if tp is Any else tp(value)
 
 

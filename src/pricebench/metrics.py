@@ -56,6 +56,9 @@ def jain_index(revenues: Sequence[float]) -> float:
         raise ValueError("need at least one revenue")
     if np.any(arr < 0):
         raise ValueError("revenues must be >= 0")
+    top = float(arr.max())
+    if 0 < top < 1e-100:  # squared, revenues this small are subnormal and lose bits
+        arr = arr / top
     denom = arr.size * float(np.sum(arr**2))
     if denom == 0:
         return 1.0

@@ -31,38 +31,15 @@ rows, an array the caller owns; `gather` writes each field's rows into
 arrays kept in the caller's `Workspace`, so a gathered batch belongs to the
 learner and stays valid until its next gather.
 
-Two threads. When the process may run on two or more CPUs
-(`os.sched_getaffinity`), a large pass runs in two halves at once, the
-caller's and one worker thread's (`_Worker`, started by the first such
-pass). A team pass (`forward_cached`, `backward`) splits by members,
-`[0, n//2)` and `[n//2, n)`, for a shared `(B, in)` input as for a
-`(members, B, in)` one; an Adam step splits each vector at its middle
-element, which for a team of an even size is a member boundary. A member's
-rows are computed by the same BLAS call on the same operands, and an
-elementwise update by the same ufunc on the same elements, whichever thread
-runs them, so the bytes equal the serial pass's. The buffers, the `grad`
-views and the scratch of each half are fetched by the caller before the
-split; the worker runs only private closures, never a public name, so a
-tracer that wraps those sees every call on the caller's stack. A pass below
-its threshold (`SPLIT_MIN_PASS` rows x parameters, `SPLIT_MIN_ADAM`
-elements) stays serial: at those sizes the hand-off cost more than the
-second CPU saved. Target updates always run serially. When splits stop
-saving time (another process on the worker's CPU, or more threads than
-CPUs), the passes run serially for a while (see `_Worker`).
-`use_one_thread()` makes every pass serial; a process pool whose jobs fill
-the CPUs calls it in each job. A forked child drops the parent's worker and
-starts its own.
+Threads. Every pass runs on the calling thread, and the module starts no
+thread of its own. Runs use more CPUs side by side, one process each
+(`harness.run_experiment(..., jobs=J)`).
 """
 
 from __future__ import annotations
 
-import ctypes
-import os
-import threading
-import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,24 +47,6 @@ ACTIVATIONS = ("relu", "tanh", "linear")
 # Elements per pass of the elementwise optimizer and target-update loops: the
 # scratch stays in cache and is bounded however large the parameter vector.
 CHUNK = 32_768
-# The smallest work that runs faster split between two threads than on one
-# (see the module docstring): a team pass in rows x parameters summed over
-# the members, an Adam step in elements. Measured within learn steps on a
-# 2-vCPU VM, split/serial speed: team passes of 5.5 M (the QMIX nets at
-# batch 64) 0.93-1.10x, of 10.7 M (the MADDPG critics) 1.15-1.40x; Adam at
-# 133 k elements (QMIX's nets and mixer) 1.09x, at 167 k (the MADDPG
-# critics) 1.35x. The thresholds sit between, so at the default sizes only
-# MADDPG's critic passes and critic Adam step split.
-SPLIT_MIN_PASS = 6_000_000
-SPLIT_MIN_ADAM = 150_000
-
-# CPUs this process may run on; the split needs two, and `sched_getcpu` to
-# keep its halves apart (see _Worker). Read once, here.
-try:
-    _sched_getcpu = ctypes.CDLL(None).sched_getcpu
-except (AttributeError, OSError):  # no C library that reports the running CPU
-    _sched_getcpu = None
-_cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") and _sched_getcpu else 1
 
 
 class ShapeError(ValueError):
@@ -96,171 +55,6 @@ class ShapeError(ValueError):
 
 class TrainingError(RuntimeError):
     """Non-finite values encountered during optimization."""
-
-
-class _Worker:
-    """One daemon thread that takes the second of two closures.
-
-    `run(mine, theirs)` queues theirs(), runs mine() and then waits for the
-    thread if it took theirs(), or runs theirs() itself if the thread had not
-    started it by then.
-
-    What keeps the halves apart and prompt was measured on a 2-vCPU VM:
-    - Left to the scheduler, a thread woken by another tends to be placed on
-      its waker's CPU (an idle virtual CPU reads as unavailable), and the two
-      halves then share one CPU. So for each split the caller stays on the
-      CPU it is running on and the thread is kept to the others. No CPU is
-      fixed: the caller runs anywhere between splits, and each split places
-      the thread anew.
-    - Waking a thread from a plain blocking wait took 0.1-0.7 ms, as long as
-      a half. So both sides wait for the other in `WAIT_S` timed waits, and
-      the thread keeps waiting so for `POLL_S` after each job before it blocks.
-    - The CPUs may be busy: another process, another pricebench run, the
-      host. A half the thread has taken cannot be taken back, so the caller
-      waits for it however long it runs, and on a shared CPU some of the
-      thread's halves stall for a whole time slice (3-6 ms against 0.5 ms).
-      When every CPU has more work than it can run, as with two split runs
-      on two CPUs, each half also runs at part speed. A split saved time if
-      it ended before the caller could have run both halves on a CPU of its
-      own, twice the CPU time of its own half (`time.thread_time`). When the
-      mean saving over about the last 64 splits, and at least 32 since the
-      last back-off, is negative, the passes run serially (`_splits`) for
-      `BACKOFF_S`, twice as long as the last back-off when it comes within
-      128 splits of it, up to `BACKOFF_MAX_S`.
-    """
-
-    POLL_S = 0.003  # longer than the gaps between the passes of one learn step
-    WAIT_S = 5e-5
-    BACKOFF_S = 0.5
-    BACKOFF_MAX_S = 8.0
-
-    def __init__(self):
-        self._jobs: deque[Callable[[], None]] = deque()  # the queued closure, until taken
-        self._wake, self._done, self._busy = threading.Lock(), threading.Lock(), threading.Lock()
-        self._wake.acquire()
-        self._done.acquire()
-        self._error: BaseException | None = None
-        self._saving = 0.0  # running mean of the seconds each recent split saved
-        self._judged = 0  # splits since the last back-off
-        self._backoff_s = 0.0  # the last back-off's length
-        self._serial_until = 0.0
-        self._placed: set[int] | None = None  # the CPUs the thread is kept to
-        thread = threading.Thread(target=self._serve, name="pricebench-nn", daemon=True)
-        thread.start()
-        self._tid = thread.native_id
-
-    def _serve(self) -> None:
-        while True:
-            idle_until = time.perf_counter() + self.POLL_S
-            while not self._wake.acquire(timeout=self.WAIT_S):
-                if time.perf_counter() > idle_until:
-                    self._wake.acquire()
-                    break
-            try:
-                job = self._jobs.pop()
-            except IndexError:  # the caller ran it
-                continue
-            try:
-                job()
-            except BaseException as exc:  # noqa: BLE001 - run() re-raises it on the caller
-                self._error = exc
-            self._done.release()
-
-    def backing_off(self) -> bool:
-        """Whether the passes run serially now, after splits that saved no time."""
-        return time.perf_counter() < self._serial_until
-
-    def run(self, mine: Callable[[], None], theirs: Callable[[], None]) -> None:
-        """mine() and theirs(), in either thread; returns once both have.
-
-        An error of either is raised here, after both returned. While another
-        caller thread has the worker, or when this thread may run on one CPU
-        only, the caller runs both itself.
-        """
-        if not self._busy.acquire(blocking=False):
-            mine()
-            theirs()
-            return
-        cpus = os.sched_getaffinity(0)
-        here = _sched_getcpu()
-        if here not in cpus or len(cpus) < 2:
-            self._busy.release()
-            mine()
-            theirs()
-            return
-        try:
-            os.sched_setaffinity(0, {here})
-            if self._placed != cpus - {here}:
-                self._placed = cpus - {here}
-                os.sched_setaffinity(self._tid, self._placed)
-            self._jobs.append(theirs)
-            if self._wake.locked():  # else a wake is pending and the thread will find the job
-                self._wake.release()
-            start, start_cpu = time.perf_counter(), time.thread_time()
-            try:
-                mine()
-            finally:
-                mine_cpu = time.thread_time() - start_cpu
-                try:
-                    left = self._jobs.pop()
-                except IndexError:  # the thread took it
-                    left = None
-                    while not self._done.acquire(timeout=self.WAIT_S):
-                        pass
-                    self._judge(2 * mine_cpu - (time.perf_counter() - start))
-                error, self._error = self._error, None
-        finally:
-            os.sched_setaffinity(0, cpus)
-            self._busy.release()
-        if error is not None:
-            raise error
-        if left is not None:
-            left()
-
-    def _judge(self, saved_s: float) -> None:
-        self._saving += (saved_s - self._saving) / 64
-        self._judged += 1
-        if self._saving < 0 and self._judged >= 32:
-            again = self._backoff_s > 0 and self._judged < 128
-            self._backoff_s = min(2 * self._backoff_s, self.BACKOFF_MAX_S) if again else self.BACKOFF_S
-            self._serial_until = time.perf_counter() + self._backoff_s
-            self._saving, self._judged = 0.0, 0
-
-
-_worker: _Worker | None = None
-_worker_lock = threading.Lock()
-
-
-def _in_halves(mine: Callable[[], None], theirs: Callable[[], None]) -> None:
-    global _worker
-    worker = _worker
-    if worker is None:
-        with _worker_lock:
-            if _worker is None:
-                _worker = _Worker()
-            worker = _worker
-    worker.run(mine, theirs)
-
-
-def _forget_worker() -> None:
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
-
-
-def use_one_thread() -> None:
-    """Run every pass of this process serially: its siblings fill the other CPUs."""
-    global _cpus
-    _cpus = 1
-
-
-def _splits(work: int, minimum: int) -> bool:
-    """Whether a pass of this size runs on two threads now."""
-    return _cpus >= 2 and work >= minimum and not (_worker and _worker.backing_off())
-
-
-if hasattr(os, "register_at_fork"):
-    # a forked child has no copy of the parent's worker thread; it starts its own
-    os.register_at_fork(after_in_child=_forget_worker)
 
 
 class Workspace:
@@ -315,53 +109,6 @@ def _layer_views(layer_sizes: Sequence[int], flat: np.ndarray, members: int | No
 
 def _interleave(weights: list[np.ndarray], biases: list[np.ndarray]) -> list[np.ndarray]:
     return [a for pair in zip(weights, biases) for a in pair]
-
-
-def _forward_layers(a: np.ndarray, layers) -> None:
-    """Run `a` through (W^T, bias row, activation, output buffer) layers."""
-    for w_t, b, act, z in layers:
-        np.matmul(a, w_t, out=z)
-        z += b
-        if act == "relu":
-            np.maximum(z, 0.0, out=z)
-        elif act == "tanh":
-            np.tanh(z, out=z)
-        a = z
-
-
-def _backward_layers(g: np.ndarray, layers) -> None:
-    """Backpropagate `g` through the layers of DenseNet.backward, top layer first."""
-    for act, out, d_act, dz, weight, x, grad_w, grad_b, input_grad in layers:
-        if act == "linear":  # the derivative is 1
-            dz = g
-        else:
-            if act == "relu":
-                np.greater(out, 0.0, out=d_act)
-            else:  # tanh: 1 - tanh^2, read from the output
-                np.multiply(out, out, out=d_act)
-                np.subtract(1.0, d_act, out=d_act)
-            if dz is None:
-                dz = g
-            np.multiply(g, d_act, out=dz)
-        if grad_w is not None:
-            np.matmul(dz.swapaxes(-1, -2), x, out=grad_w)
-            np.sum(dz, axis=-2, out=grad_b)
-        if input_grad is not None:
-            g = np.matmul(dz, weight, out=input_grad)
-
-
-def _member_halves(layers, h: int, shared: np.ndarray | None = None):
-    """The layers' team arrays cut at member h: members [0, h), then [h, n).
-
-    Names, None and the `shared` team input `(B, in)`, which has no members
-    axis, stay as they are.
-    """
-    def cut(part: slice):
-        return [
-            tuple(a if a is None or a is shared or isinstance(a, str) else a[part] for a in layer)
-            for layer in layers
-        ]
-    return cut(slice(0, h)), cut(slice(h, None))
 
 
 class DenseNet:
@@ -458,16 +205,15 @@ class DenseNet:
             raise ShapeError(f"{a.shape[0]} input batches for {self.members} members")
         lead = (self.members, a.shape[-2]) if self.members else a.shape[:-1]
         outs = self._work.layers("post", lead, self.layer_sizes[1:])
-        layers = list(zip(self._weights_t, self._bias_rows, self.activations, outs))
-        if self._splits(a.shape[-2]):
-            h, shared = self.members // 2, a.ndim == 2
-            first, second = _member_halves(layers, h)
-            _in_halves(
-                lambda: _forward_layers(a if shared else a[:h], first),
-                lambda: _forward_layers(a if shared else a[h:], second),
-            )
-        else:
-            _forward_layers(a, layers)
+        h = a
+        for w_t, b, act, z in zip(self._weights_t, self._bias_rows, self.activations, outs):
+            np.matmul(h, w_t, out=z)
+            z += b
+            if act == "relu":
+                np.maximum(z, 0.0, out=z)
+            elif act == "tanh":
+                np.tanh(z, out=z)
+            h = z
         post = [a, *outs]
         y = post[-1][..., 0, :] if squeeze else post[-1]
         return y, {"post": post, "squeeze": squeeze}
@@ -498,43 +244,34 @@ class DenseNet:
             self._grad_weights, self._grad_biases = _layer_views(
                 self.layer_sizes, self.grad, self.members
             )
-        # every buffer of the pass, top layer first: (activation, output,
-        # derivative, dz, weight, layer input, weight grad, bias grad, input grad)
         work, lead, top = self._work, upstream.shape[:-1], len(self.weights) - 1
-        layers = []
+        g = upstream
         for layer in reversed(range(top + 1)):
             act, out = self.activations[layer], post[layer + 1]
-            d_act = dz = None
-            if act != "linear":
+            if act == "linear":  # the derivative is 1
+                dz = g
+            else:
                 d_act = work.get((act + "'", layer), out.shape, bool if act == "relu" else float)
+                if act == "relu":
+                    np.greater(out, 0.0, out=d_act)
+                else:  # tanh: 1 - tanh^2, read from the output
+                    np.multiply(out, out, out=d_act)
+                    np.subtract(1.0, d_act, out=d_act)
                 # the top layer's dz may not overwrite the caller's upstream; below it
                 # dz overwrites the pass's own input product
-                if layer == top:
-                    dz = work.get(("dz", layer), out.shape)
-            grad_w = grad_b = input_grad = None
+                dz = work.get(("dz", layer), out.shape) if layer == top else g
+                np.multiply(g, d_act, out=dz)
             if params:
-                grad_w, grad_b = self._grad_weights[layer], self._grad_biases[layer]
+                np.matmul(dz.swapaxes(-1, -2), post[layer], out=self._grad_weights[layer])
+                np.sum(dz, axis=-2, out=self._grad_biases[layer])
             if layer or inputs:
                 input_grad = work.get(("input_grad", layer), lead + (self.layer_sizes[layer],))
-            layers.append((act, out, d_act, dz, self.weights[layer], post[layer], grad_w, grad_b, input_grad))
-        if self._splits(lead[-1]):
-            h = self.members // 2
-            first, second = _member_halves(layers, h, post[0] if post[0].ndim == 2 else None)
-            _in_halves(
-                lambda: _backward_layers(upstream[:h], first),
-                lambda: _backward_layers(upstream[h:], second),
-            )
-        else:
-            _backward_layers(upstream, layers)
+                g = np.matmul(dz, self.weights[layer], out=input_grad)
         grads = _interleave(self._grad_weights, self._grad_biases) if params else None
         input_grad = None
         if inputs:
-            g = layers[-1][-1]
             input_grad = g[..., 0, :] if cache["squeeze"] else g
         return grads, input_grad
-
-    def _splits(self, rows: int) -> bool:
-        return (self.members or 0) >= 2 and _splits(rows * self.flat.size, SPLIT_MIN_PASS)
 
     def clone(self) -> "DenseNet":
         twin = DenseNet.__new__(DenseNet)
@@ -565,8 +302,7 @@ class Adam:
 
     The learners pass flat parameter vectors, so one step is a few passes
     over a vector rather than a Python loop over layers and members. The
-    scratch is two chunk-sized buffers per thread, allocated by the first
-    step that uses the thread.
+    scratch is two chunk-sized buffers, allocated by the first step.
     """
 
     beta1 = 0.9
@@ -584,7 +320,7 @@ class Adam:
             raise ShapeError("parameter list length changed under the optimizer")
         if not all(p.flags.c_contiguous for p in params):
             raise ShapeError("Adam updates contiguous arrays in place")
-        # checked before either half writes, so a failed step leaves every array as it was
+        # checked before any array is written, so a failed step leaves every array as it was
         for i, g in enumerate(grads):
             # min and max propagate NaN and reach +-inf, without a mask the size of g
             if not (np.isfinite(g.min()) and np.isfinite(g.max())):
@@ -592,26 +328,10 @@ class Adam:
                     f"non-finite gradient in parameter {i} (shape {g.shape})"
                 )
         self.t += 1
-        correct = (1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t)
-        vectors = [
-            (p.reshape(-1), np.ravel(g), m.reshape(-1), v.reshape(-1))
-            for p, g, m, v in zip(params, grads, self.m, self.v)
-        ]
-        chunk = (2, min(CHUNK, max(p.size for p in params)))
-        if _splits(sum(p.size for p in params), SPLIT_MIN_ADAM):
-            first = [tuple(a[: a.size // 2] for a in vector) for vector in vectors]
-            second = [tuple(a[a.size // 2 :] for a in vector) for vector in vectors]
-            mine, theirs = (self._work.get(("scratch", i), chunk) for i in (0, 1))
-            _in_halves(
-                lambda: self._update(first, lr, correct, mine),
-                lambda: self._update(second, lr, correct, theirs),
-            )
-        else:
-            self._update(vectors, lr, correct, self._work.get(("scratch", 0), chunk))
-
-    def _update(self, vectors, lr: float, correct: tuple[float, float], scratch: np.ndarray) -> None:
-        correct1, correct2 = correct
-        for p, g, m, v in vectors:
+        correct1, correct2 = 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t
+        scratch = self._work.get("scratch", (2, min(CHUNK, max(p.size for p in params))))
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            p, g, m, v = p.reshape(-1), np.ravel(g), m.reshape(-1), v.reshape(-1)
             for lo in range(0, p.size, CHUNK):
                 chunk = slice(lo, lo + CHUNK)
                 gc, mc, vc = g[chunk], m[chunk], v[chunk]

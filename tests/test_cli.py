@@ -210,6 +210,35 @@ class TestMisspeltKeys:
         assert not (tmp_path / "o").exists()
 
 
+def _learner_param(spec):
+    spec["config_id"] = "C"
+    spec["roster_params"] = {"madqn": {"batch_size": 64.5}}
+
+
+FRACTIONAL_INTS = {
+    "n_runs": lambda s: s.update(n_runs=2.9),
+    "weeks_per_episode": lambda s: s["market"].update(weeks_per_episode=4.7),
+    "episodes": lambda s: s["market"].update(episodes=1.5),
+    "seed": lambda s: s["market"].update(seed=9.5),
+    "batch_size": _learner_param,
+}
+
+
+class TestFractionalInts:
+    @pytest.mark.parametrize("field", FRACTIONAL_INTS)
+    def test_exits_1_and_names_the_field(self, tmp_path, capsys, field):
+        capsys.readouterr()
+        assert main(_simulate_edited(tmp_path, FRACTIONAL_INTS[field])) == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_integral_float_runs(self, tmp_path):
+        argv = _simulate_edited(tmp_path, lambda s: s["market"].update(weeks_per_episode=4.0))
+        assert main(argv) == 0
+        (history,) = (tmp_path / "o").glob("*/history.csv")
+        assert len(history.read_text().splitlines()) == 1 + 4 * 20  # header, 4 weeks of 20 slots
+
+
 class TestCalibrate:
     def test_fit_from_csv(self, tmp_path, capsys):
         # one transaction per week, dated to match the synthetic aggregates

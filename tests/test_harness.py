@@ -2,6 +2,9 @@ import gc
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -236,6 +239,66 @@ class TestExecuteRun:
             gc.enable()
         assert len(refs) == 8
         assert alive == []
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run_python(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    """Run python with `args` in a fresh process that imports pricebench from src/."""
+    paths = [str(ROOT / "src"), str(ROOT), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+RUNS_THREADS = """
+import os
+before = len(os.listdir("/proc/self/task"))
+import tempfile
+from pathlib import Path
+from pricebench.harness import CONFIG_MATRIX, desk_spec, run_experiment
+from tests.test_golden_bytes import _spec
+with tempfile.TemporaryDirectory() as tmp:
+    for config_id in CONFIG_MATRIX:
+        run_experiment(desk_spec(config_id), Path(tmp) / config_id)
+    run_experiment(_spec("training", "B"), Path(tmp) / "training-B")
+print(before, len(os.listdir("/proc/self/task")))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts the threads in /proc")
+def test_import_and_runs_start_no_thread():
+    """Importing pricebench, the desk preset of A-H and B at the training scale,
+    whose learn steps run the largest team passes, start no thread (Python's,
+    numpy's or the BLAS's)."""
+    run = _run_python(["-c", RUNS_THREADS], ROOT)
+    assert run.returncode == 0, run.stderr
+    before, after = map(int, run.stdout.split())
+    assert after == before
+
+
+def test_run_matrix_script_jobs_match_serial(tmp_path):
+    """scripts/run_matrix.py writes its summaries, and its runs' bytes do not
+    depend on --jobs."""
+    outs = {}
+    for jobs in ("1", "2"):
+        outs[jobs] = tmp_path / f"jobs{jobs}"
+        run = _run_python(
+            [str(ROOT / "scripts" / "run_matrix.py"), "--configs", "AB", "--runs", "2",
+             "--episodes", "1", "--weeks", "4", "--out", str(outs[jobs]), "--jobs", jobs],
+            tmp_path,
+        )
+        assert run.returncode == 0, run.stderr
+        assert list(outs[jobs].glob("summary_*.csv")), "no summary CSV written"
+    artifacts = sorted(
+        p.relative_to(outs["1"]) for name in ("history.csv", "metrics.json")
+        for p in outs["1"].glob(f"*/*/{name}")
+    )
+    assert len(artifacts) == 2 * 2 * 2  # configs x runs x artifacts
+    for rel in artifacts:
+        assert (outs["2"] / rel).read_bytes() == (outs["1"] / rel).read_bytes(), rel
 
 
 class TestWilcoxon:

@@ -18,11 +18,14 @@ import pytest
 from pricebench.harness import build_agents, desk_spec
 from pricebench.marl.common import N_PRICE_BINS, state_dim
 
-PEAK_LIMIT = 512 * 1024  # bytes; an allocating step peaks at about 4.1 MiB (B) and 2.6 MiB (F)
-# a warm F step peaks at about 69 KiB; a mixer that allocates its
-# intermediates every pass brings it to about 472 KiB, and a target copy
-# that allocates its 256 KiB chunk scratch every time to about 260 KiB
-QMIX_PEAK_LIMIT = 128 * 1024
+# bytes. A warm step peaks at about 94 KiB (B) and 69 KiB (F). An allocating
+# step peaks at about 4.1 MiB (B) and 2.6 MiB (F); in F, a mixer that
+# allocates its intermediates every pass brings it to about 472 KiB, and a
+# target copy that allocates its 256 KiB chunk scratch every time to about
+# 260 KiB. B's warm peak includes one of numpy's 64 KiB broadcast buffers
+# (for a bias row or a bool mask); a step that holds two at once, as a team
+# pass run in two concurrent halves did, peaks at about 158 KiB.
+PEAK_LIMIT = 128 * 1024
 WARM_UP_STEPS = 6
 
 
@@ -70,5 +73,3 @@ def test_steady_state_learn_step_peak_allocation(config_id):
         tracemalloc.stop()
     assert not np.array_equal(trained.flat, before), "the measured steps trained nothing"
     assert max(peaks) <= PEAK_LIMIT, f"a learn step peaked at {max(peaks) / 1024:.0f} KiB"
-    if config_id == "F":
-        assert max(peaks) <= QMIX_PEAK_LIMIT, f"a QMIX step peaked at {max(peaks) / 1024:.0f} KiB"

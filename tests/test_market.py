@@ -147,6 +147,12 @@ class TestFromFields:
         with pytest.raises(ConfigError, match=next(iter(d))):
             from_fields(MarketConfig, {"agent_roster": [], **d})
 
+    @pytest.mark.parametrize("d", [{"seed": 7.5}, {"clusters": [1, 2.5]},
+                                   {"weeks_per_episode": float("nan")}])
+    def test_fractional_number_for_an_int_field(self, d):
+        with pytest.raises(ConfigError, match=f"{next(iter(d))}: .* is not an integer"):
+            from_fields(MarketConfig, {"agent_roster": [], **d})
+
     def test_fixed_fields_are_not_read(self):
         assert from_fields(DemandParams, {}, elasticity=-1.0).elasticity == -1.0
         with pytest.raises(ConfigError, match="elasticity"):

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pricebench.metrics import (
     CONVERGENCE_WINDOW_WEEKS,
@@ -50,6 +50,7 @@ class TestJain:
         assert jain_index([0, 0]) == 1.0
 
     @given(revenue_vectors)
+    @example([5.06e-160, 5.06e-160])  # squared, these are subnormal floats
     def test_bounds(self, v):
         j = jain_index(v)
         assert 1.0 / len(v) - 1e-9 <= j <= 1.0 + 1e-9
