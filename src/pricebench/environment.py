@@ -59,7 +59,6 @@ class PricingAgentBase:
         self.config = config
         self.portfolio: dict[str, ProductState] = {}
         self.episode_index = 0
-        self.nets: dict = {}  # a learner's online nets by role, which checkpoints save
         self.begin_episode(0)
 
     def begin_episode(self, episode_index: int) -> None:
@@ -290,24 +289,36 @@ def run_episode(
     return records
 
 
-def history_csv_lines(episodes: list[list[WeeklyRecord]]) -> list[str]:
-    """Flatten run history into CSV lines (header included, floats at 6 dp)."""
-    lines = [",".join(HISTORY_COLUMNS)]
-    row = "%d,%d,%s,%s,%.6f,%.6f,%.6f,%.6f,%.6f"
-    for ep_idx, records in enumerate(episodes, start=1):
-        for record in records:
-            week = record.week_index
-            shares = record.market_share
-            for (agent_id, product_id), price, demand, revenue, profit in zip(
-                record.slots, record.price, record.demand, record.revenue, record.profit
-            ):
-                lines.append(row % (
-                    ep_idx, week, agent_id, product_id, price, demand, revenue, profit,
-                    shares[agent_id],
-                ))
-    return lines
+def _episode_rows(ep_idx: int, records: list[WeeklyRecord]) -> list[str]:
+    """One episode's history rows, one per slot and week.
+
+    A slot's `agent_id,product_id,` is formatted once per slot table (one per
+    episode), and `episode,week,` and each agent's share once per week.
+    """
+    rows: list[str] = []
+    slots = None
+    for record in records:
+        if record.slots is not slots:
+            slots = record.slots
+            prefixes = [f"{agent_id},{product_id}," for agent_id, product_id in slots]
+            owners = [agent_id for agent_id, _ in slots]
+        head = "%d,%d," % (ep_idx, record.week_index)
+        shares = {agent_id: "%.6f" % share for agent_id, share in record.market_share.items()}
+        rows += [
+            "%s%s%.6f,%.6f,%.6f,%.6f,%s" % (head, prefix, price, demand, revenue, profit, shares[owner])
+            for prefix, owner, price, demand, revenue, profit in zip(
+                prefixes, owners, record.price, record.demand, record.revenue, record.profit
+            )
+        ]
+    return rows
 
 
 def write_history_csv(episodes: list[list[WeeklyRecord]], path) -> None:
+    """The run's history as CSV: the header, then one row per slot and week
+    (floats at 6 dp), written episode by episode as each one's rows are formatted."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(history_csv_lines(episodes)) + "\n")
+        fh.write(",".join(HISTORY_COLUMNS) + "\n")
+        for ep_idx, records in enumerate(episodes, start=1):
+            rows = _episode_rows(ep_idx, records)
+            if rows:
+                fh.write("\n".join(rows) + "\n")

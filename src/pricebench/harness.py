@@ -11,7 +11,6 @@ ConfigError (exit code 1):
     {
       "config_id": "A".."H" | "custom",      default "custom"
       "n_runs": 8,
-      "checkpoint_every": 0,
       "roster_params": {"<kind>": {...}},   a matrix letter's params per agent kind
       "market": {"agent_roster": [...], "clusters": [1, 2, 3, 5, 10], ...}
     }
@@ -112,15 +111,12 @@ class ExperimentSpec(JsonFields):
     config_id: str
     market: MarketConfig
     n_runs: int = 8
-    checkpoint_every: int = 0
 
     def validate(self) -> "ExperimentSpec":
         if self.config_id != "custom" and self.config_id not in CONFIG_MATRIX:
             raise ConfigError(f"unknown config_id {self.config_id!r}")
         if self.n_runs < 1:
             raise ConfigError("n_runs must be >= 1")
-        if self.checkpoint_every < 0:
-            raise ConfigError("checkpoint_every must be >= 0 (0 disables checkpoints)")
         self.market.validate()
         roster_settings(self.market.agent_roster)
         return self
@@ -246,13 +242,7 @@ def execute_run(
 
     agents = build_agents(run_config)
     model = ParametricDemandModel(run_config.demand_params)
-    episodes = []
-    for ep in range(run_config.episodes):
-        episodes.append(run_episode(run_config, agents, model, ep))
-        if spec.checkpoint_every and (ep + 1) % spec.checkpoint_every == 0:
-            # every learner's online nets, each one's `flat` keyed <agent_id>.<role>
-            nets = {f"{a.agent_id}.{role}": net.flat for a in agents for role, net in a.nets.items()}
-            np.savez(run_dir / f"ep{ep + 1}.npz", **nets)
+    episodes = [run_episode(run_config, agents, model, ep) for ep in range(run_config.episodes)]
     # the report and the artifacts read only the episode records: free the
     # agents' nets, buffers and replay before the history CSV is built
     del agents

@@ -6,7 +6,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -80,18 +80,32 @@ def _cast(tp, value):
     return value if tp is Any else tp(value)
 
 
-def _json_keys(items) -> dict:
-    # a dict field's keys as JSON writes them: cluster_base's ints become strings
-    return {k: {str(i): x for i, x in v.items()} if isinstance(v, dict) else v for k, v in items}
+def _json_form(value, string_keys: bool = False):
+    """`value` as JSON holds it: a dataclass as its fields, a dict field with
+    string keys (cluster_base's ints), and containers item by item."""
+    names = _field_names(type(value))
+    if names:
+        return {name: _json_form(getattr(value, name), True) for name in names}
+    if isinstance(value, dict):
+        return {str(k) if string_keys else k: _json_form(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_form(v) for v in value]
+    return value
+
+
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    """A dataclass's field names; () for any other class."""
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else ()
 
 
 class JsonFields:
     """A dataclass that JSON holds by its fields (see `from_fields`)."""
 
     def to_dict(self) -> dict:
-        """The fields as JSON holds them: `dataclasses.asdict`, with each dict
-        field's keys as strings, so that a hash of it matches the file's."""
-        return asdict(self, dict_factory=_json_keys)
+        """The fields as JSON holds them, each dict field's keys as strings,
+        so that a hash of it matches the file's."""
+        return _json_form(self)
 
     @classmethod
     def from_dict(cls, d: dict):
@@ -198,6 +212,10 @@ class AgentSpec:
     def __post_init__(self):
         if self.agent_kind not in self.KNOWN_KINDS:
             raise ConfigError(f"unknown agent_kind {self.agent_kind!r}")
+        # history.csv writes the id unquoted between commas, one row per line
+        if not self.agent_id or any(c in self.agent_id for c in ',"\r\n'):
+            raise ConfigError(f"agent_id {self.agent_id!r} must be non-empty and hold "
+                              "no comma, double quote, CR or LF")
 
 
 def make_default_portfolio(clusters: Sequence[int], seed: int) -> list[ProductSpec]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from typing import Callable
 
 import numpy as np
 
@@ -33,15 +34,22 @@ def parse_hyper(cls, params: dict, schedule_prefix: str):
                        schedule=replace(cls.schedule, **schedule))
 
 
-def epsilon_greedy(q: np.ndarray, epsilon: float, rng: np.random.Generator) -> np.ndarray:
-    """Each head's greedy bin of `q` (heads, bins), replaced by a uniform
-    random bin with probability `epsilon`; np.argmax breaks ties toward the
-    lowest bin index."""
-    n_heads, n_bins = q.shape
-    greedy = np.argmax(q, axis=1)
+def epsilon_greedy(
+    q: Callable[[], np.ndarray], n_heads: int, n_bins: int, epsilon: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """One bin per head: a uniform random bin with probability `epsilon`,
+    else the head's greedy bin of `q()`, a (heads, bins) array.
+
+    Every act draws the exploration mask and then the random bins, so the
+    generator advances the same way whether or not a head exploits; `q` is
+    called only when one does. np.argmax breaks ties toward the lowest bin.
+    """
     explore = rng.random(n_heads) < epsilon
     random_bins = rng.integers(0, n_bins, size=n_heads)
-    return np.where(explore, random_bins, greedy)
+    if explore.all():
+        return random_bins
+    return np.where(explore, random_bins, np.argmax(q(), axis=1))
 
 
 def discretize_action(bin_index: int, n_bins: int = N_PRICE_BINS, max_change: float = 0.10) -> float:
@@ -93,7 +101,7 @@ def encode_state(agent: PricingAgentBase, observation: MarketObservation) -> np.
             product.last_relative_change(),
         )
     state = np.asarray(slots, dtype=float)
-    if not np.all(np.isfinite(state)):
+    if not np.isfinite(state).all():
         raise ValueError(f"non-finite state entries for agent {agent.agent_id}")
     return state
 

@@ -190,7 +190,6 @@ class MaddpgAgent(MarlAgentBase):
         )
         self.target_actor = self.actor.clone()
         self.target_critic = self.critic.clone()
-        self.nets = {"actor": self.actor, "critic": self.critic}
         self.noise_rng = rng
         self.coordinator = coordinator
         coordinator.register(self)

@@ -78,7 +78,10 @@ class DqnCore:
         return self.net.forward(state).reshape(self.n_heads, self.n_bins)
 
     def act(self, state: np.ndarray, episode: int) -> np.ndarray:
-        return epsilon_greedy(self.q_values(state), self.hyper.schedule.value(episode), self.rng)
+        return epsilon_greedy(
+            lambda: self.q_values(state), self.n_heads, self.n_bins,
+            self.hyper.schedule.value(episode), self.rng,
+        )
 
     def store(self, state, bins, reward: float, next_state, done: bool) -> None:
         if np.shape(state) != np.shape(next_state):
@@ -141,7 +144,6 @@ class MadqnAgent(MarlAgentBase):
             rng=derive_rng(config.seed, "agent", agent_id),
             rows=config.episodes * config.weeks_per_episode,
         )
-        self.nets = {"q": self.core.net}
         self._pending: tuple[np.ndarray, np.ndarray] | None = None
         self.last_loss: float | None = None
 

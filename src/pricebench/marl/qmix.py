@@ -351,7 +351,6 @@ class QmixAgent(MarlAgentBase):
         acts = ["relu"] * len(hp.hidden) + ["linear"]
         self.net = DenseNet(sizes, acts, rng)
         self.target = self.net.clone()
-        self.nets = {"q": self.net}
         self.rng = rng
         self.coordinator: QmixCoordinator | None = None
         coordinator.register(self)
@@ -359,8 +358,10 @@ class QmixAgent(MarlAgentBase):
         self._pending: tuple[np.ndarray, np.ndarray] | None = None
 
     def act_bins(self, state: np.ndarray, episode: int) -> np.ndarray:
-        q = self.net.forward(state).reshape(self.n_heads, self.n_bins)
-        return epsilon_greedy(q, self.coordinator.hyper.schedule.value(episode), self.rng)
+        return epsilon_greedy(
+            lambda: self.net.forward(state).reshape(self.n_heads, self.n_bins),
+            self.n_heads, self.n_bins, self.coordinator.hyper.schedule.value(episode), self.rng,
+        )
 
     def propose_prices(self, observation: MarketObservation) -> dict[str, float]:
         state = self._encode(observation, encode_state)

@@ -80,15 +80,15 @@ class TestSimulate:
             for name in ("history.csv", "metrics.json"):
                 assert (run_dir / name).read_bytes() == (twin / name).read_bytes()
 
-    def test_negative_checkpoint_every_exits_1(self, tmp_path, capsys):
-        # with a learner config, (ep + 1) % -1 == 0 would checkpoint every episode
+    def test_checkpoint_every_is_an_unknown_key_exits_1(self, tmp_path, capsys):
+        # runs write no checkpoints, so the key that asked for them names no field
         config = _experiment_file(tmp_path, config_id="C", weeks=4)
         spec = json.loads(config.read_text())
-        spec["checkpoint_every"] = -1
+        spec["checkpoint_every"] = 1
         config.write_text(json.dumps(spec))
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
-        assert "checkpoint_every" in capsys.readouterr().err
+        assert "unknown" in (err := capsys.readouterr().err) and "'checkpoint_every'" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
@@ -237,6 +237,34 @@ class TestFractionalInts:
         assert main(argv) == 0
         (history,) = (tmp_path / "o").glob("*/history.csv")
         assert len(history.read_text().splitlines()) == 1 + 4 * 20  # header, 4 weeks of 20 slots
+
+
+def _two_rule_agents(first_id):
+    def edit(spec):
+        spec["config_id"] = "custom"
+        spec["market"]["agent_roster"] = [
+            {"agent_id": first_id, "agent_kind": "rule"},
+            {"agent_id": "shop-south", "agent_kind": "rule"},
+        ]
+    return edit
+
+
+class TestAgentIds:
+    @pytest.mark.parametrize("agent_id", ["shop,north", 'shop"north', "shop\rnorth", "shop\nnorth", ""])
+    def test_id_that_breaks_a_history_row_exits_1(self, tmp_path, capsys, agent_id):
+        capsys.readouterr()
+        assert main(_simulate_edited(tmp_path, _two_rule_agents(agent_id))) == 1
+        assert "agent_id" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("agent_id", ["shop north.1", "rule-0", "maddpg-1"])
+    def test_other_ids_write_one_field_per_column(self, tmp_path, agent_id):
+        assert main(_simulate_edited(tmp_path, _two_rule_agents(agent_id))) == 0
+        (history,) = (tmp_path / "o").glob("*/history.csv")
+        header, *rows = history.read_text().splitlines()
+        assert len(rows) == 4 * 2 * 5  # 4 weeks of 2 agents x 5 products
+        assert {len(line.split(",")) for line in [header, *rows]} == {len(header.split(","))}
+        assert sum(line.split(",")[2] == agent_id for line in rows) == 4 * 5
 
 
 class TestCalibrate:

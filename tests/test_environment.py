@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +11,8 @@ from pricebench.environment import (
     PricingAgentBase,
     ProtocolError,
     WeeklyRecord,
-    history_csv_lines,
     run_episode,
+    write_history_csv,
 )
 from pricebench.market import (
     AgentSpec,
@@ -384,11 +385,12 @@ class TestRunEpisode:
 
 
 class TestHistoryCsv:
-    def test_layout_and_precision(self):
+    def test_layout_and_precision(self, tmp_path):
         config = _config(n_agents=1, weeks=2)
         agents = _agents(config)
         records = run_episode(config, agents, StubOracle(1.5))
-        lines = history_csv_lines([records])
+        write_history_csv([records], tmp_path / "history.csv")
+        lines = (tmp_path / "history.csv").read_text().splitlines()
         assert lines[0] == ",".join(HISTORY_COLUMNS)
         first = lines[1].split(",")
         assert first[0] == "1" and first[1] == "1"
@@ -399,7 +401,7 @@ class TestHistoryCsv:
             assert len(cell.split(".")[1]) == 6
 
     @pytest.mark.parametrize("value", [-0.0, 1e-7, 1e9, 0.1234565, 2.5e-7, -3.75])
-    def test_template_matches_fstring(self, value):
+    def test_template_matches_fstring(self, value, tmp_path):
         record = WeeklyRecord(
             week_index=3, year=1, week_number=3, is_holiday=False,
             slots={("a0", "p1"): 0, ("a1", "p1"): 1},
@@ -407,11 +409,18 @@ class TestHistoryCsv:
             profit=[value, -value], agent_revenue={"a0": value, "a1": 1.0},
             market_share={"a0": value, "a1": 0.5},
         )
+        # the next episode's slot table holds other slots
+        other = replace(record, week_index=1, slots={("a1", "p2"): 0, ("a0", "p2"): 1},
+                        market_share={"a0": 0.25, "a1": value})
         expected = [
-            f"2,3,{aid},p1,{price:.6f},{demand:.6f},{revenue:.6f},{profit:.6f},{share:.6f}"
-            for aid, price, demand, revenue, profit, share in [
-                ("a0", value, 1.0, value, value, value),
-                ("a1", 6.0, value, value, -value, 0.5),
+            f"{ep},{week},{aid},{pid},{price:.6f},{demand:.6f},{revenue:.6f},{profit:.6f},{share:.6f}"
+            for ep, week, aid, pid, price, demand, revenue, profit, share in [
+                (2, 3, "a0", "p1", value, 1.0, value, value, value),
+                (2, 3, "a1", "p1", 6.0, value, value, -value, 0.5),
+                (3, 1, "a1", "p2", value, 1.0, value, value, value),
+                (3, 1, "a0", "p2", 6.0, value, value, -value, 0.25),
             ]
         ]
-        assert history_csv_lines([[], [record]])[1:] == expected
+        write_history_csv([[], [record], [other]], tmp_path / "history.csv")
+        text = (tmp_path / "history.csv").read_text()
+        assert text == "\n".join([",".join(HISTORY_COLUMNS), *expected]) + "\n"

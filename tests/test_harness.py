@@ -32,7 +32,6 @@ from pricebench.harness import (
 from pricebench.market import AgentSpec, ConfigError
 from pricebench.metrics import MetricsReport
 from pricebench.rule_agents import RuleStrategy
-from tests.test_golden_bytes import _spec as _golden_spec
 
 
 class TestConfigMatrix:
@@ -177,43 +176,6 @@ class TestExecuteRun:
         blocker.write_text("occupied")
         with pytest.raises(OSError):
             run_experiment(spec, blocker / "runs")
-
-    def test_checkpoints_written(self, tmp_path, monkeypatch):
-        """At the training scale, where every learner takes gradient steps, each
-        ep<N>.npz holds every learner's online nets exactly as they stood after
-        episode N."""
-        online_nets = {
-            "B": {"actor": lambda a: a.actor, "critic": lambda a: a.critic},
-            "C": {"q": lambda a: a.core.net},
-            "F": {"q": lambda a: a.net},
-        }
-        snapshots = []
-        run_episode = harness.run_episode
-
-        def snapshotting(config, agents, *args):
-            records = run_episode(config, agents, *args)
-            snapshots.append({
-                f"{a.agent_id}.{role}": net_of(a).flat.copy()
-                for a in agents for role, net_of in roles.items()
-            })
-            return records
-
-        monkeypatch.setattr(harness, "run_episode", snapshotting)
-        for config_id, roles in online_nets.items():
-            snapshots.clear()
-            spec = _golden_spec("training", config_id)
-            spec.checkpoint_every = 1
-            manifest, _ = execute_run(spec, 0, tmp_path / config_id)
-            run_dir = tmp_path / config_id / manifest.run_id
-            assert sorted(p.name for p in run_dir.glob("*.npz")) == ["ep1.npz", "ep2.npz"]
-            assert len(snapshots) == 2
-            for episode, expected in enumerate(snapshots, start=1):
-                with np.load(run_dir / f"ep{episode}.npz") as saved:
-                    assert sorted(saved.files) == sorted(expected)
-                    for key, flat in expected.items():
-                        assert np.array_equal(saved[key], flat), (config_id, episode, key)
-            # the second episode trained the nets past the first checkpoint
-            assert not any(np.array_equal(snapshots[0][k], snapshots[1][k]) for k in snapshots[0])
 
     @pytest.mark.parametrize("config_id", ["B", "F", "H"])
     def test_finished_team_run_freed_by_refcounting(self, config_id, tmp_path, monkeypatch):

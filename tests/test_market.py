@@ -1,10 +1,15 @@
+import json
+from dataclasses import asdict
+
 import pytest
 from hypothesis import given, strategies as st
 
+from pricebench.harness import desk_spec, execute_run
 from pricebench.market import (
     AgentSpec,
     ConfigError,
     DemandParams,
+    JsonFields,
     MarketConfig,
     ProductSpec,
     ProductState,
@@ -115,6 +120,42 @@ class TestMarketConfig:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             AgentSpec("a", "zealot")
+
+
+def _asdict_json(x) -> str:
+    """The reference JSON form: `dataclasses.asdict`, each dict field's keys as strings."""
+    def string_keys(items):
+        return {k: {str(i): v for i, v in value.items()} if isinstance(value, dict) else value
+                for k, value in items}
+    return json.dumps(asdict(x, dict_factory=string_keys), sort_keys=True)
+
+
+class TestJsonForm:
+    def test_market_config_with_int_cluster_keys(self):
+        roster = [AgentSpec("a0", "rule", {"strategy": "undercut"}),
+                  AgentSpec("a1", "madqn", {"hidden": [8, 4], "lr": 0.01})]
+        config = MarketConfig(
+            agent_roster=roster, clusters=(1, 3, 10),
+            demand_params=DemandParams(cluster_base={3: 1.2, 10: 0.8}),
+        ).validate()
+        assert set(config.demand_params.cluster_base) == {1, 3, 10}
+        d = config.to_dict()
+        assert d["demand_params"]["cluster_base"] == {"1": 1.0, "3": 1.2, "10": 0.8}
+        assert json.dumps(d, sort_keys=True) == _asdict_json(config)
+
+    def test_manifest_and_report(self, tmp_path):
+        manifest, report = execute_run(desk_spec("D"), 0, tmp_path)
+        assert manifest.config and report.agents
+        for x in (manifest, report):
+            assert json.dumps(JsonFields.to_dict(x), sort_keys=True) == _asdict_json(x)
+
+    def test_editing_the_form_leaves_the_config_alone(self):
+        config = MarketConfig(agent_roster=_roster()).validate()
+        d = config.to_dict()
+        d["agent_roster"][0]["params"]["strategy"] = "undercut"
+        d["demand_params"]["cluster_base"]["1"] = 9.0
+        assert config.agent_roster[0].params == {}
+        assert config.demand_params.cluster_base[1] == 1.0
 
 
 class TestFromFields:

@@ -1,18 +1,21 @@
+import copy
 import importlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pricebench import nn
 from pricebench.demand import ParametricDemandModel
 from pricebench.environment import MarketEnvironment, run_episode
-from pricebench.harness import build_agents, desk_spec
+from pricebench.harness import ExperimentSpec, build_agents, desk_spec, run_experiment
 from pricebench.market import AgentSpec, ConfigError, MarketConfig, ProductSpec, make_default_portfolio
-from pricebench.marl import compute_reward, discretize_action, encode_state, state_dim
+from pricebench.marl import compute_reward, discretize_action, encode_state, madqn, qmix, state_dim
 from pricebench.marl.common import (
     N_PRICE_BINS,
     STATE_SLOTS_PER_PRODUCT,
     MarlAgentBase,
+    epsilon_greedy,
     parse_hyper,
 )
 from pricebench.marl.madqn import DqnHyper, MadqnAgent
@@ -162,6 +165,86 @@ class TestEncodeState:
             _, obs = env.step(submitted)
             for agent in agents:
                 assert np.all(np.isfinite(encode_state(agent, obs)))
+
+
+def _eager_epsilon_greedy(q: np.ndarray, epsilon: float, rng: np.random.Generator) -> np.ndarray:
+    """The reference act: every head's greedy bin of `q` (heads, bins), each
+    replaced by a uniform random bin with probability `epsilon`."""
+    n_heads, n_bins = q.shape
+    greedy = np.argmax(q, axis=1)
+    explore = rng.random(n_heads) < epsilon
+    random_bins = rng.integers(0, n_bins, size=n_heads)
+    return np.where(explore, random_bins, greedy)
+
+
+class TestLazyEpsilonGreedy:
+    """`epsilon_greedy` computes the Q-values only when some head exploits."""
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
+    def test_bins_and_draws_equal_the_eager_act(self, epsilon):
+        source = np.random.default_rng(3)
+        lazy, eager = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(1_000):
+            q = source.integers(0, 4, size=(5, N_PRICE_BINS)).astype(float)  # ties too
+            bins = epsilon_greedy(lambda: q, 5, N_PRICE_BINS, epsilon, lazy)
+            expected = _eager_epsilon_greedy(q, epsilon, eager)
+            assert bins.dtype == expected.dtype and np.array_equal(bins, expected)
+        assert lazy.random() == eager.random()
+
+    def test_q_called_once_unless_every_head_explores(self):
+        rng = np.random.default_rng(5)
+        q = np.arange(2 * N_PRICE_BINS, dtype=float).reshape(2, N_PRICE_BINS)
+        seen = set()
+        for _ in range(200):
+            mirror = copy.deepcopy(rng)
+            every_head_explores = bool((mirror.random(2) < 0.5).all())
+            calls = []
+            epsilon_greedy(lambda: calls.append(1) or q, 2, N_PRICE_BINS, 0.5, rng)
+            assert len(calls) == (0 if every_head_explores else 1)
+            seen.add(every_head_explores)
+        assert seen == {True, False}
+
+
+def _low_epsilon_run(config_id: str, out) -> dict[str, bytes]:
+    """Artifact bytes of one run at 2 x 52 weeks with epsilon_start 0.3."""
+    kind = {"C": "madqn", "F": "qmix"}[config_id]
+    spec = ExperimentSpec.from_dict({
+        "config_id": config_id, "n_runs": 1,
+        "roster_params": {kind: {"epsilon_start": 0.3}},
+        "market": {"episodes": 2, "weeks_per_episode": 52, "seed": 12345},
+    })
+    (manifest, _), = run_experiment(spec, out)
+    return {name: (out / manifest.run_id / name).read_bytes() for name in ("history.csv", "metrics.json")}
+
+
+class TestLazyActKeepsTrainedBytes:
+    """At epsilon 0.3 most acts exploit, so the greedy branch and the learn
+    steps it feeds are pinned here (the golden tables run at epsilon near 1)."""
+
+    @pytest.mark.parametrize("config_id", ["C", "F"])
+    def test_same_bytes_as_the_eager_act(self, config_id, tmp_path, monkeypatch):
+        steps, acts = [], []
+        adam_step = nn.Adam.step
+        monkeypatch.setattr(nn.Adam, "step", lambda opt, *a, **k: steps.append(1) or adam_step(opt, *a, **k))
+
+        def counted(q, n_heads, n_bins, epsilon, rng):
+            calls = []
+            bins = epsilon_greedy(lambda: calls.append(1) or q(), n_heads, n_bins, epsilon, rng)
+            acts.append(len(calls))
+            return bins
+
+        def eager(q, n_heads, n_bins, epsilon, rng):
+            return _eager_epsilon_greedy(q(), epsilon, rng)
+
+        learner = madqn if config_id == "C" else qmix
+        monkeypatch.setattr(learner, "epsilon_greedy", counted)
+        lazy = _low_epsilon_run(config_id, tmp_path / "lazy")
+        lazy_steps = len(steps)
+        assert lazy_steps > 0
+        assert sum(acts) > len(acts) / 2  # most acts computed the Q-values
+        monkeypatch.setattr(learner, "epsilon_greedy", eager)
+        assert _low_epsilon_run(config_id, tmp_path / "eager") == lazy
+        assert len(steps) == 2 * lazy_steps
 
 
 class _Short(ValueError):
