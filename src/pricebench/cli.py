@@ -177,6 +177,8 @@ def cmd_report(args) -> int:
             dp = manifest.config["market"].get("demand_params")
             if dp:
                 demand_params = DemandParams.from_dict(dp)
+    if not reports_by_config:
+        raise ValueError(f"no run under {in_dir} has a metrics.json")
     tables = summarize(reports_by_config)
     written = write_summary_csvs(tables, args.out)
     written += emit_plotdata(reports_by_config, args.out, demand_params=demand_params)

@@ -328,12 +328,17 @@ def wilcoxon_signed_rank(paired_a, paired_b) -> WilcoxonResult:
 
     Zero differences are dropped. Ties get midranks. The p-value is exact:
     the rank-sum distribution is expanded by dynamic programming, which
-    enumerates the same space as all 2^n assignments.
+    enumerates the same space as all 2^n assignments. A NaN or infinite
+    value in either sample raises ValueError: it has no rank.
     """
     a = np.asarray(paired_a, dtype=float)
     b = np.asarray(paired_b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("paired samples must be equal-length 1-D sequences")
+    for name, sample in (("a", a), ("b", b)):
+        bad = np.flatnonzero(~np.isfinite(sample))
+        if bad.size:
+            raise ValueError(f"sample {name} has a non-finite value {sample[bad[0]]} at pair {bad[0]}")
     diffs = a - b
     diffs = diffs[diffs != 0]
     n = len(diffs)

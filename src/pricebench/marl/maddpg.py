@@ -69,6 +69,7 @@ class MaddpgCoordinator:
         # team nets and their optimizers, stacked from the members by the first learn step
         self.actors = self.critics = self.target_actors = self.target_critics = None
         self.actor_opt = self.critic_opt = None
+        self._own_action_columns = None
         self._work = Workspace()  # the learn step's batch arrays, refilled every step
 
     def register(self, member: "MaddpgAgent") -> None:
@@ -116,6 +117,11 @@ class MaddpgCoordinator:
             self.target_critics = DenseNet.team(target_critics)
             self.actor_opt = Adam([self.actors.flat])
             self.critic_opt = Adam([self.critics.flat])
+            # each member's own action columns of W1: all the actor update reads of a critic's
+            # input gradient (the critic input is every state, then every member's action)
+            width = self.actors.layer_sizes[-1]
+            joint_dim = self.critics.layer_sizes[0] - len(actors) * width
+            self._own_action_columns = self.critics.input_columns(joint_dim, width, shift=width)
         rows = self.buffer.sample(hp.batch_size, self.rng)
         states, critic_in, next_states, rewards, done = self._batch(rows)
         (b, n, _), critic_dim = states.shape, critic_in.shape[1]
@@ -147,11 +153,11 @@ class MaddpgCoordinator:
         replaced[:, :, joint_dim:].reshape(n, b, n, -1)[own, :, own] = actor_out * max_change
         q_pi, critic_cache = self.critics.forward_cached(replaced)
         actor_loss = -np.mean(q_pi[..., 0], axis=1)
-        _, input_grad = self.critics.backward(
-            critic_cache, np.full((n, b, 1), -1.0 / b), params=False
+        _, own_action_grad = self.critics.backward(
+            critic_cache, np.full((n, b, 1), -1.0 / b), params=False,
+            inputs=self._own_action_columns,
         )
-        upstream_actor = input_grad[:, :, joint_dim:].reshape(n, b, n, -1)[own, :, own] * max_change
-        self.actors.backward(actor_cache, upstream_actor, inputs=False)
+        self.actors.backward(actor_cache, own_action_grad * max_change, inputs=False)
         self.actor_opt.step([self.actors.flat], [self.actors.grad], hp.actor_lr)
 
         soft_update(self.target_actors, self.actors, hp.tau)

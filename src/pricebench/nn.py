@@ -9,6 +9,13 @@ members axis: each member's parameters stay one contiguous slice of the
 team's `flat`, and the member nets become views of that slice, so a team
 trains in one batched pass while each member still acts on its own.
 
+Two passes skip work that the learners would throw away. A backward pass
+can limit the first layer's input product to given columns of W1 per member
+(`DenseNet.input_columns`), for a caller that reads the gradient of a few
+inputs only, as MADDPG's actor update reads each member's own action. Adam
+keeps the textbook moments `m` and `v` and folds both bias corrections into
+a step size alpha_t and an eps_hat, so its update divides once per element.
+
 Buffers. A net keeps its activations and backward intermediates in scratch
 arrays (`Workspace`) that it reuses from call to call, one per layer and
 shape, so a training step allocates almost nothing once warm. One rule says
@@ -218,7 +225,30 @@ class DenseNet:
         y = post[-1][..., 0, :] if squeeze else post[-1]
         return y, {"post": post, "squeeze": squeeze}
 
-    def backward(self, cache, upstream: np.ndarray, params: bool = True, inputs: bool = True):
+    def input_columns(self, start: int, width: int, shift: int = 0) -> np.ndarray:
+        """`width` columns of W1 per member, as a read-only view for backward().
+
+        Member i's columns are start + i * shift to start + i * shift + width;
+        a single net's are start to start + width. The view reads `flat`, so
+        it follows every later write to the weights and is built once.
+        """
+        fan_in, w1 = self.layer_sizes[0], self.weights[0]
+        last = start + ((self.members or 1) - 1) * shift + width
+        if start < 0 or width < 1 or shift < 0 or last > fan_in:
+            raise ShapeError(f"columns {start}..{last} of a {fan_in}-input layer")
+        if self.members is None:
+            return w1[:, start : start + width]
+        member, row, col = w1.strides
+        return np.lib.stride_tricks.as_strided(
+            w1[0, :, start:],
+            shape=(self.members, self.layer_sizes[1], width),
+            strides=(member + shift * col, row, col),
+            writeable=False,
+        )
+
+    def backward(
+        self, cache, upstream: np.ndarray, params: bool = True, inputs: bool | np.ndarray = True
+    ):
         """Exact gradients of sum(output * upstream) w.r.t. params and input.
 
         Returns (grads, input_grad). `grads` is [dW1, db1, dW2, db2, ...],
@@ -228,9 +258,16 @@ class DenseNet:
         has its shape. With `params=False` no weight gradient is computed and
         `grads` is None; with `inputs=False` the first layer's input product
         is neither computed nor given a buffer, and `input_grad` is None.
+        `inputs` may also be a view from `input_columns`: the first layer's
+        input product then reads only those columns of W1, and `input_grad`
+        holds the gradient of those inputs alone, `width` per row.
         """
         if cache is None:
             raise RuntimeError("backward() called without a cached forward pass")
+        columns = inputs if isinstance(inputs, np.ndarray) else None
+        if columns is not None and columns.shape[:-1] != self.weights[0].shape[:-1]:
+            raise ShapeError(f"input columns {columns.shape} for first layer {self.weights[0].shape}")
+        inputs = columns is not None or bool(inputs)
         upstream = np.ascontiguousarray(upstream, dtype=float)
         if cache["squeeze"]:
             upstream = upstream[..., None, :]
@@ -265,8 +302,9 @@ class DenseNet:
                 np.matmul(dz.swapaxes(-1, -2), post[layer], out=self._grad_weights[layer])
                 np.sum(dz, axis=-2, out=self._grad_biases[layer])
             if layer or inputs:
-                input_grad = work.get(("input_grad", layer), lead + (self.layer_sizes[layer],))
-                g = np.matmul(dz, self.weights[layer], out=input_grad)
+                w = columns if columns is not None and not layer else self.weights[layer]
+                input_grad = work.get(("input_grad", layer), lead + (w.shape[-1],))
+                g = np.matmul(dz, w, out=input_grad)
         grads = _interleave(self._grad_weights, self._grad_biases) if params else None
         input_grad = None
         if inputs:
@@ -300,6 +338,12 @@ def hard_update(target: DenseNet, online: DenseNet) -> None:
 class Adam:
     """Adam over a list of contiguous parameter arrays, updated in place.
 
+    `m` and `v` are the textbook moment estimates. The parameter update is
+    Kingma & Ba's form with the bias corrections folded into two scalars,
+    p <- p - alpha_t m / (sqrt(v) + eps_hat), where alpha_t = lr sqrt(1 -
+    beta2^t) / (1 - beta1^t) and eps_hat = eps sqrt(1 - beta2^t): the
+    textbook step up to rounding, with one division per element.
+
     The learners pass flat parameter vectors, so one step is a few passes
     over a vector rather than a Python loop over layers and members. The
     scratch is two chunk-sized buffers, allocated by the first step.
@@ -328,7 +372,8 @@ class Adam:
                     f"non-finite gradient in parameter {i} (shape {g.shape})"
                 )
         self.t += 1
-        correct1, correct2 = 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t
+        root2 = np.sqrt(1.0 - self.beta2**self.t)
+        alpha, eps_hat = lr * root2 / (1.0 - self.beta1**self.t), self.eps * root2
         scratch = self._work.get("scratch", (2, min(CHUNK, max(p.size for p in params))))
         for p, g, m, v in zip(params, grads, self.m, self.v):
             p, g, m, v = p.reshape(-1), np.ravel(g), m.reshape(-1), v.reshape(-1)
@@ -342,12 +387,10 @@ class Adam:
                 vc *= self.beta2
                 np.multiply(gc, 1.0 - self.beta2, out=step)
                 vc += np.multiply(step, gc, out=step)
-                # p <- p - lr (m / c1) / (sqrt(v / c2) + eps)
-                np.divide(mc, correct1, out=step)
-                step *= lr
-                np.divide(vc, correct2, out=denom)
-                np.sqrt(denom, out=denom)
-                denom += self.eps
+                # p <- p - alpha_t m / (sqrt(v) + eps_hat)
+                np.sqrt(vc, out=denom)
+                denom += eps_hat
+                np.multiply(mc, alpha, out=step)
                 step /= denom
                 p[chunk] -= step
 

@@ -316,6 +316,20 @@ class TestReport:
     def test_empty_dir_exits_1(self, tmp_path):
         assert main(["report", "--in", str(tmp_path), "--out", str(tmp_path / "o")]) == 1
 
+    def test_runs_without_metrics_exit_1_and_write_nothing(self, tmp_path, capsys):
+        config = _experiment_file(tmp_path, weeks=5)
+        runs = tmp_path / "runs"
+        assert main(["simulate", "--config", str(config), "--out", str(runs), "--runs", "2"]) == 0
+        metrics = sorted(runs.glob("*/metrics.json"))
+        assert len(metrics) == 2 and len(list(runs.glob("*/manifest.json"))) == 2
+        for path in metrics:
+            path.unlink()
+        capsys.readouterr()
+        out = tmp_path / "report"
+        assert main(["report", "--in", str(runs), "--out", str(out)]) == 1
+        assert str(runs) in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestWilcoxonCommand:
     def test_paired_files(self, tmp_path, capsys):
@@ -325,6 +339,17 @@ class TestWilcoxonCommand:
         b.write_text("value\n0\n1\n2\n3\n")
         assert main(["wilcoxon", "--a", str(a), "--b", str(b)]) == 0
         assert "p=0.125" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_exits_1(self, tmp_path, capsys, bad):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text(f"1\n{bad}\n3\n4\n")
+        b.write_text("2\n2\n2\n2\n")
+        assert main(["wilcoxon", "--a", str(a), "--b", str(b)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
 
     def test_unknown_subcommand_exits_1(self):
         assert main(["frobnicate"]) == 1

@@ -303,6 +303,20 @@ class TestWilcoxon:
         with pytest.raises(ValueError):
             wilcoxon_signed_rank(list(range(30)), [0] * 30)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_non_finite_value_rejected(self, bad, side):
+        # a NaN difference has no rank: it must not be counted in n or ranked
+        sample, other = [1.0, bad, 3.0, 4.0], [2.0, 2.0, 2.0, 2.0]
+        pair = (sample, other) if side == "a" else (other, sample)
+        with pytest.raises(ValueError, match=f"sample {side} .*at pair 1"):
+            wilcoxon_signed_rank(*pair)
+
+    def test_non_finite_value_in_both_samples_rejected(self):
+        # the same infinity on both sides would have been dropped as a zero difference
+        with pytest.raises(ValueError):
+            wilcoxon_signed_rank([1.0, math.inf], [2.0, math.inf])
+
     def test_vs_baseline_excludes_mixed_configs(self):
         reports = {
             "A": [_fake_report(100.0)],

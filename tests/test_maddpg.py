@@ -195,8 +195,12 @@ def _reference_learn(coord, nets, opts, rng):
         lo = joint_state.shape[1] + i * width
         replaced[:, lo : lo + width] = actor_out * max_change
         _, critic_cache = r["critic"].forward_cached(replaced)
-        _, input_grad = r["critic"].backward(critic_cache, np.full((b, 1), -1.0 / b))
-        actor_grads, _ = r["actor"].backward(actor_cache, input_grad[:, lo : lo + width] * max_change)
+        # the gradient of the member's own action columns only, as the team step takes it
+        _, own_grad = r["critic"].backward(
+            critic_cache, np.full((b, 1), -1.0 / b), params=False,
+            inputs=r["critic"].input_columns(lo, width),
+        )
+        actor_grads, _ = r["actor"].backward(actor_cache, own_grad * max_change)
         actor_opt.step(r["actor"].params(), actor_grads, hp.actor_lr)
         soft_update(r["target_actor"], r["actor"], hp.tau)
         soft_update(r["target_critic"], r["critic"], hp.tau)

@@ -173,14 +173,47 @@ class TestAdam:
         for t in range(1, 6):
             grads = [rng.normal(size=n) for n in sizes]
             opt.step(params, grads, lr)
+            # Kingma & Ba's folded form: alpha_t = lr sqrt(c2) / c1, eps_hat = eps sqrt(c2)
+            root2 = np.sqrt(1.0 - b2**t)
+            alpha, eps_hat = lr * root2 / (1.0 - b1**t), eps * root2
             for p, m, v, g in zip(ref, ref_m, ref_v, grads):
                 m *= b1
                 m += (1.0 - b1) * g
                 v *= b2
                 v += (1.0 - b2) * g * g
-                p -= lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+                p -= m * alpha / (np.sqrt(v) + eps_hat)
             for mine, theirs in zip(params + opt.m + opt.v, ref + ref_m + ref_v):
                 assert np.array_equal(mine, theirs)
+
+    def test_tracks_textbook_update_past_the_bias_correction(self):
+        # 1 - beta1**t rounds to 1.0 from t ~ 349 on; the folded step must keep tracking
+        # the textbook p <- p - lr (m / c1) / (sqrt(v / c2) + eps) there as well
+        rng = derive_rng(5, "adam-textbook")
+        sizes = (CHUNK + 5, 9)
+        params = [rng.uniform(1.0, 2.0, size=n) * rng.choice([-1.0, 1.0], size=n) for n in sizes]
+        ref = [p.copy() for p in params]
+        ref_m = [np.zeros(n) for n in sizes]
+        ref_v = [np.zeros(n) for n in sizes]
+        opt = Adam(params)
+        b1, b2, eps, lr = Adam.beta1, Adam.beta2, Adam.eps, 1e-3
+        saturated, worst = 0, 0.0
+        for t in range(1, 1001):
+            grads = [rng.normal(size=n) for n in sizes]
+            opt.step(params, grads, lr)
+            correct1, correct2 = 1.0 - b1**t, 1.0 - b2**t
+            saturated += correct1 == 1.0
+            for p, m, v, g in zip(ref, ref_m, ref_v, grads):
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * g * g
+                p -= lr * (m / correct1) / (np.sqrt(v / correct2) + eps)
+            for mine, theirs in zip(opt.m + opt.v, ref_m + ref_v):
+                assert np.array_equal(mine, theirs)
+            for mine, theirs in zip(params, ref):
+                worst = max(worst, float(np.max(np.abs(mine - theirs) / np.abs(theirs))))
+        assert saturated > 600
+        assert worst < 1e-12
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_gradient_leaves_state_untouched(self, bad):
@@ -304,6 +337,75 @@ class TestTeamNets:
         rng = derive_rng(5, "team")
         with pytest.raises(ShapeError):
             DenseNet.team([DenseNet([3, 2], ["linear"], rng), DenseNet([3, 4], ["linear"], rng)])
+
+
+def _critic(members):
+    """A MADDPG critic for a team of `members` (a single net for None), and its action columns.
+
+    The critic input is every member's 60-wide state, then every member's 5 actions.
+    """
+    n, width = members or 1, 5
+    sizes, acts, _ = TEAM_SHAPES["maddpg_critic"]
+    sizes = [n * (60 + width), *sizes[1:]]
+    if members is None:
+        return DenseNet(sizes, acts, derive_rng(6, "critic")), n * 60, width
+    return _team(sizes, acts, members=members, seed=6)[0], n * 60, width
+
+
+class TestInputColumns:
+    """backward(inputs=net.input_columns(...)) gives only some columns of the input gradient."""
+
+    @pytest.mark.parametrize("members", [None, 1, 3, 4])
+    @pytest.mark.parametrize("batch", [(), (64,)])
+    def test_matches_the_columns_of_the_full_input_gradient(self, members, batch):
+        net, joint_dim, width = _critic(members)
+        rng = derive_rng(7, "columns", members, batch)
+        lead = (members,) if members else ()
+        x = rng.normal(size=batch + (net.layer_sizes[0],))
+        y, cache = net.forward_cached(x)
+        up = rng.normal(size=y.shape)
+        _, full = net.backward(cache, up, params=False)
+        full = full.copy()
+        columns = net.input_columns(joint_dim, width, shift=width)
+        assert columns.shape == lead + (net.layer_sizes[1], width)
+        grads, own = net.backward(cache, up, params=True, inputs=columns)
+        assert own.shape == lead + batch + (width,)
+        if members is None:
+            expected = full[..., joint_dim : joint_dim + width]
+        else:
+            expected = np.stack([
+                full[i, ..., joint_dim + i * width : joint_dim + (i + 1) * width]
+                for i in range(members)
+            ])
+        assert np.abs(own - expected).max() <= 1e-12 * np.abs(expected).max()
+        # the weight gradients do not depend on which inputs are asked for
+        full_grads, _ = net.backward(cache, up)
+        assert all(np.array_equal(a, b) for a, b in zip(grads, full_grads))
+
+    def test_view_follows_the_weights_and_is_read_only(self):
+        net, joint_dim, width = _critic(3)
+        columns = net.input_columns(joint_dim, width, shift=width)
+        net.flat += 1.0
+        for i in range(3):
+            lo = joint_dim + i * width
+            assert np.array_equal(columns[i], net.weights[0][i, :, lo : lo + width])
+        with pytest.raises(ValueError):
+            columns[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("start, width, shift", [(-1, 5, 0), (0, 0, 0), (191, 5, 0), (181, 5, 5), (0, 5, -5)])
+    def test_columns_outside_the_first_layer_rejected(self, start, width, shift):
+        net, _, _ = _critic(3)  # 195 inputs
+        with pytest.raises(ShapeError):
+            net.input_columns(start, width, shift=shift)
+        # the last columns themselves are in range
+        assert net.input_columns(190, 5).shape == net.input_columns(180, 5, shift=5).shape
+
+    def test_columns_of_another_net_rejected(self):
+        net, joint_dim, width = _critic(3)
+        other, _, _ = _critic(4)
+        _, cache = net.forward_cached(np.zeros(net.layer_sizes[0]))
+        with pytest.raises(ShapeError):
+            net.backward(cache, np.ones((3, 1)), inputs=other.input_columns(0, width))
 
 
 def _reference_forward(net, x):
