@@ -87,19 +87,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_number_column(path) -> list[float]:
+def _read_number_column(path) -> tuple[list[float], int]:
+    """The first field of each line of `path` as a number, in line order, and
+    the line number of the first.
+
+    One leading line that is not a number is a header and is skipped; any
+    other line without a number raises ValueError naming the file and line.
+    """
     values = []
-    with open(path, encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
+    first_line = 1
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
             try:
                 values.append(float(row[0]))
-            except ValueError:
-                continue  # header or junk line
+            except (IndexError, ValueError):
+                if reader.line_num == 1:
+                    first_line = 2
+                    continue
+                field = row[0] if row else ""
+                raise ValueError(f"{path}, line {reader.line_num}: {field!r} is not a number") from None
     if not values:
         raise ValueError(f"no numeric values found in {path}")
-    return values
+    return values, first_line
 
 
 def cmd_simulate(args) -> int:
@@ -188,8 +198,11 @@ def cmd_report(args) -> int:
 
 
 def cmd_wilcoxon(args) -> int:
-    a = _read_number_column(args.a)
-    b = _read_number_column(args.b)
+    """Pairs the files' values row by row, after each file's optional header line."""
+    (a, a_first), (b, b_first) = _read_number_column(args.a), _read_number_column(args.b)
+    if len(a) != len(b):
+        path, first, n = (args.a, a_first, len(a)) if len(a) < len(b) else (args.b, b_first, len(b))
+        raise ValueError(f"{path}, line {first + n}: no value to pair with the other file's")
     result = wilcoxon_signed_rank(a, b)
     if result.flags:
         print(f"W undefined ({', '.join(result.flags)}); n_effective={result.n_effective}")

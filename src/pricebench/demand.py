@@ -48,22 +48,28 @@ def predict_demand(query: DemandQuery, params: DemandParams) -> list[float]:
         raise ValueError("noise_sigma > 0 requires query shocks")
     season = params.seasonal_amp * query.week_sin
     holiday = math.log(params.holiday_uplift) * query.holiday
+    elasticity, competitor_weight, lag_weight = (
+        params.elasticity, params.competitor_weight, params.lag_weight
+    )
+    cluster_base = params.cluster_base
+    log = math.log
     demands = []
     for i, (spec, price, relative, lag1) in enumerate(
         zip(query.specs, query.prices, query.relative_prices, query.lag1_demands, strict=True)
     ):
         if price <= 0:
             raise ValueError(f"price must be > 0, got {price}")
-        cluster_mult = params.cluster_base.get(spec.cluster_id)
+        cluster_mult = cluster_base.get(spec.cluster_id)
         if cluster_mult is None:
             raise ConfigError(f"no cluster_base entry for cluster {spec.cluster_id}")
+        baseline = spec.baseline_demand
         log_q = (
-            math.log(spec.baseline_demand * cluster_mult)
-            + params.elasticity * math.log(price / spec.initial_price)
-            - params.competitor_weight * math.log(relative)
+            log(baseline * cluster_mult)
+            + elasticity * log(price / spec.initial_price)
+            - competitor_weight * log(relative)
             + season
             + holiday
-            + params.lag_weight * math.log(max(lag1, 1e-9) / spec.baseline_demand)
+            + lag_weight * log(max(lag1, 1e-9) / baseline)
         )
         if sigma > 0:
             log_q += sigma * shocks[i]

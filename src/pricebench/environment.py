@@ -29,6 +29,7 @@ from .market import (
     ProductState,
     derive_rng,
     holiday_flag,
+    left_sum,
 )
 
 log = logging.getLogger(__name__)
@@ -133,7 +134,10 @@ class MarketEnvironment:
         self._products = [p for _, _, p in pairs]
         self._specs = [p.spec for p in self._products]
         self._by_agent = [
-            (a.agent_id, [(pid, p, config.price_floor(p.spec)) for pid, p in a.portfolio.items()])
+            (a.agent_id, [
+                (pid, p, config.price_floor(p.spec), p.spec.unit_cost)
+                for pid, p in a.portfolio.items()
+            ])
             for a in self.agents
         ]
         cluster_ids = [spec.cluster_id for spec in self._specs]
@@ -184,7 +188,7 @@ class MarketEnvironment:
         """Week-zero snapshot: initial prices, baseline demand, baseline revenue."""
         prices = [p.current_price for p in self._products]
         agent_revenue = {
-            a.agent_id: sum(
+            a.agent_id: left_sum(
                 p.spec.initial_price * p.spec.baseline_demand for p in a.portfolio.values()
             )
             for a in self.agents
@@ -212,7 +216,7 @@ class MarketEnvironment:
             agent_prices = submitted_prices.get(agent_id)
             if agent_prices is None:
                 raise ProtocolError(f"agent {agent_id} submitted no prices")
-            for pid, product, floor in members:
+            for pid, product, floor, _ in members:
                 if pid not in agent_prices:
                     raise ProtocolError(f"agent {agent_id} submitted no price for product {pid}")
                 submitted = float(agent_prices[pid])
@@ -239,15 +243,17 @@ class MarketEnvironment:
         revenues = []
         profits = []
         agent_revenue = {}
+        i = 0
         for agent_id, members in self._by_agent:
             revenue_total = 0.0
-            for _, product, _ in members:
-                i = len(revenues)
+            for _, product, _, unit_cost in members:
                 price, demand = prices[i], demands[i]
                 product.record_week(price, demand)
-                revenues.append(price * demand)
-                profits.append((price - product.spec.unit_cost) * demand)
-                revenue_total += revenues[i]
+                revenue = price * demand
+                revenues.append(revenue)
+                profits.append((price - unit_cost) * demand)
+                revenue_total += revenue
+                i += 1
             agent_revenue[agent_id] = revenue_total
         self._last_demand = demands
 

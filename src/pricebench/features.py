@@ -24,21 +24,30 @@ def demand_features(
 
     Trend is the 4-week mean minus the 2-week mean (negative when demand is
     rising); volatility is the population (1/4) standard deviation of the
-    last four demands.
+    last four demands. The last four demands are read by index and every sum
+    adds them oldest first. Each squared deviation is a float pow, `** 2`,
+    which the C library can round differently from `d * d`, so it stays a pow.
     """
     n = len(history)
     if n == 0:
         return 1.0, 1.0, 1.0, 0.0, 0.0
-    lag = history[-1] / baseline
+    q1 = history[-1]
     if n < 2:
-        return lag, 1.0, 1.0, 0.0, 0.0
-    mean2 = sum(history[-2:]) / 2
+        return q1 / baseline, 1.0, 1.0, 0.0, 0.0
+    q2 = history[-2]
+    mean2 = (q2 + q1) / 2
     if n < DEMAND_WINDOW:
-        return lag, mean2 / baseline, 1.0, 0.0, 0.0
-    window = history[-DEMAND_WINDOW:]
-    mean4 = sum(window) / DEMAND_WINDOW
-    volatility = math.sqrt(sum((q - mean4) ** 2 for q in window) / DEMAND_WINDOW)
-    return lag, mean2 / baseline, mean4 / baseline, (mean4 - mean2) / baseline, volatility / baseline
+        return q1 / baseline, mean2 / baseline, 1.0, 0.0, 0.0
+    q4, q3 = history[-4], history[-3]
+    mean4 = (q4 + q3 + q2 + q1) / DEMAND_WINDOW
+    volatility = math.sqrt(
+        ((q4 - mean4) ** 2 + (q3 - mean4) ** 2 + (q2 - mean4) ** 2 + (q1 - mean4) ** 2)
+        / DEMAND_WINDOW
+    )
+    return (
+        q1 / baseline, mean2 / baseline, mean4 / baseline, (mean4 - mean2) / baseline,
+        volatility / baseline,
+    )
 
 
 def seasonal_encoding(week: int) -> tuple[float, float]:

@@ -7,7 +7,7 @@ import functools
 import hashlib
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -110,6 +110,20 @@ class JsonFields:
     @classmethod
     def from_dict(cls, d: dict):
         return from_fields(cls, d)
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """The sum of `values`, added left to right in float arithmetic.
+
+    CPython 3.11's builtin `sum` adds floats this way, but 3.12's compensates
+    the rounding (`sum([0.1] * 10)` is 0.9999999999999999 on 3.11 and 1.0 on
+    3.12), so the seeded path sums with this helper to write the same bytes
+    on every supported interpreter.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def derive_rng(*parts: Any) -> np.random.Generator:

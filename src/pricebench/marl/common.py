@@ -11,7 +11,7 @@ import numpy as np
 
 from ..environment import PricingAgentBase
 from ..features import demand_features, seasonal_encoding
-from ..market import MarketConfig, MarketObservation, ProductSpec, from_fields
+from ..market import MarketObservation, from_fields
 
 STATE_SLOTS_PER_PRODUCT = 12
 
@@ -79,19 +79,24 @@ def encode_state(agent: PricingAgentBase, observation: MarketObservation) -> np.
     2-week mean ratio, 4-week mean ratio, trend ratio, volatility ratio,
     week sin, week cos, holiday, own market share, last relative price change].
     The five demand entries come from `features.demand_features`, with its
-    cold-start substitutes until enough history exists.
+    cold-start substitutes until enough history exists. The week's entries
+    are looked up once, then each product is visited once; a non-finite
+    entry raises ValueError.
     """
     week_sin, week_cos = seasonal_encoding(observation.week_number)
     holiday = 1.0 if observation.is_holiday else 0.0
-    share = observation.market_share[agent.agent_id]
+    agent_id = agent.agent_id
+    share = observation.market_share[agent_id]
     cluster_avg = observation.cluster_avg_price
     slot_of = observation.slots
+    portfolio = agent.portfolio
     slots: list[float] = []
     for spec in agent.product_specs:
-        product = agent.portfolio[spec.product_id]
+        product_id = spec.product_id
+        product = portfolio[product_id]
         price = product.current_price
         slots += (
-            price / cluster_avg[slot_of[(agent.agent_id, spec.product_id)]],
+            price / cluster_avg[slot_of[(agent_id, product_id)]],
             (price - spec.unit_cost) / price,
             *demand_features(product.demand_history, spec.baseline_demand),
             week_sin,
@@ -100,10 +105,9 @@ def encode_state(agent: PricingAgentBase, observation: MarketObservation) -> np.
             share,
             product.last_relative_change(),
         )
-    state = np.asarray(slots, dtype=float)
-    if not np.isfinite(state).all():
-        raise ValueError(f"non-finite state entries for agent {agent.agent_id}")
-    return state
+    if not all(map(math.isfinite, slots)):
+        raise ValueError(f"non-finite state entries for agent {agent_id}")
+    return np.fromiter(slots, float, len(slots))
 
 
 def state_dim(n_products: int) -> int:
@@ -113,14 +117,11 @@ def state_dim(n_products: int) -> int:
 class MarlAgentBase(PricingAgentBase):
     """Reward bookkeeping and action application shared by the learning agents."""
 
-    def __init__(self, agent_id: str, product_specs: list[ProductSpec], config: MarketConfig):
-        self._revenue_samples: list[float] = []
-        self._prev_changes: dict[str, float] = {}
-        super().__init__(agent_id, product_specs, config)
-
     def begin_episode(self, episode_index: int) -> None:
         super().begin_episode(episode_index)
-        self._revenue_samples = []
+        self._products = [self.portfolio[s.product_id] for s in self.product_specs]
+        self._revenue_total = 0.0  # the episode's revenue samples, added in order
+        self._revenue_count = 0
         self._prev_changes = {s.product_id: 0.0 for s in self.product_specs}
         self._encoded: tuple[MarketObservation | None, np.ndarray | None] = (None, None)
 
@@ -140,29 +141,42 @@ class MarlAgentBase(PricingAgentBase):
 
     def _smoothed(self, raw) -> dict[str, float]:
         """Each product's change: an EMA of its `raw` change with its previous one."""
+        prev = self._prev_changes
+        keep = 1.0 - ACTION_SMOOTHING
         return {
-            spec.product_id: ACTION_SMOOTHING * self._prev_changes[spec.product_id]
-            + (1.0 - ACTION_SMOOTHING) * r
+            spec.product_id: ACTION_SMOOTHING * prev[spec.product_id] + keep * r
             for spec, r in zip(self.product_specs, raw)
         }
 
     def _apply_changes(self, changes: dict[str, float]) -> dict[str, float]:
         """Prices after each relative change; the environment enforces the market rules."""
         self._prev_changes.update(changes)
-        return {pid: self.portfolio[pid].current_price * (1.0 + r) for pid, r in changes.items()}
+        portfolio = self.portfolio
+        return {pid: portfolio[pid].current_price * (1.0 + r) for pid, r in changes.items()}
 
     def _reward_from(
         self, observation: MarketObservation, prev_observation: MarketObservation
     ) -> float:
+        """`compute_reward` for the week just settled.
+
+        The running mean is over the episode's revenues so far, opened by the
+        week before the first; the instability term is the RMS of the
+        products' last relative price changes. Both sums add left to right.
+        """
         revenue = observation.agent_revenue[self.agent_id]
         prev_revenue = prev_observation.agent_revenue[self.agent_id]
-        if not self._revenue_samples:
-            self._revenue_samples.append(prev_revenue)
-        running_mean = sum(self._revenue_samples) / len(self._revenue_samples)
-        changes = [self.portfolio[s.product_id].last_relative_change() for s in self.product_specs]
-        change_rms = math.sqrt(sum(c * c for c in changes) / len(changes))
+        if not self._revenue_count:
+            self._revenue_total = prev_revenue
+            self._revenue_count = 1
+        running_mean = self._revenue_total / self._revenue_count
+        squares = 0.0
+        for product in self._products:
+            change = product.last_relative_change()
+            squares += change * change
+        change_rms = math.sqrt(squares / len(self._products))
         reward = compute_reward(
             prev_revenue, revenue, change_rms, self.config.reward_penalty_lambda, running_mean
         )
-        self._revenue_samples.append(revenue)
+        self._revenue_total += revenue
+        self._revenue_count += 1
         return reward

@@ -205,13 +205,16 @@ class MaddpgAgent(MarlAgentBase):
         """Noisy tanh policy output scaled to a relative change, pre-smoothing."""
         out = self.actor.forward(state)
         sigma = self.coordinator.hyper.schedule.value(episode)
-        noisy = np.clip(out + self.noise_rng.normal(0.0, sigma, size=out.shape), -1.0, 1.0)
-        return noisy * self.config.max_weekly_change
+        noisy = out + self.noise_rng.normal(0.0, sigma, size=out.shape)
+        np.maximum(noisy, -1.0, out=noisy)  # np.clip's bounds, without its dispatch
+        np.minimum(noisy, 1.0, out=noisy)
+        noisy *= self.config.max_weekly_change
+        return noisy
 
     def propose_prices(self, observation: MarketObservation) -> dict[str, float]:
         state = self._encode(observation, encode_state)
-        changes = self._smoothed(self.act_raw(state, self.episode_index))
-        applied = np.asarray([changes[s.product_id] for s in self.product_specs])
+        changes = self._smoothed(self.act_raw(state, self.episode_index).tolist())
+        applied = np.fromiter(changes.values(), float, len(changes))
         self._pending = (state, applied)
         return self._apply_changes(changes)
 

@@ -151,11 +151,10 @@ class MadqnAgent(MarlAgentBase):
         state = self._encode(observation, encode_state)
         bins = self.core.act(state, self.episode_index)
         self._pending = (state, bins)
+        max_change = self.config.max_weekly_change
         changes = {
-            spec.product_id: discretize_action(
-                int(b), N_PRICE_BINS, self.config.max_weekly_change
-            )
-            for spec, b in zip(self.product_specs, bins)
+            spec.product_id: discretize_action(b, N_PRICE_BINS, max_change)
+            for spec, b in zip(self.product_specs, bins.tolist())
         }
         return self._apply_changes(changes)
 

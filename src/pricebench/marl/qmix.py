@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..market import ConfigError, MarketConfig, MarketObservation, ProductSpec, derive_rng
+from ..market import (
+    ConfigError,
+    MarketConfig,
+    MarketObservation,
+    ProductSpec,
+    derive_rng,
+    left_sum,
+)
 from ..nn import (
     Adam,
     DenseNet,
@@ -266,7 +273,7 @@ class QmixCoordinator:
             return
         states, bins, rewards, next_states = zip(*(self._pending[aid] for aid in self.member_ids))
         self._pending = {}
-        self.buffer.push(states, bins, next_states, float(np.mean(rewards)), done)
+        self.buffer.push(states, bins, next_states, left_sum(rewards) / len(rewards), done)
         self.learn()
 
     def learn(self) -> float | None:
@@ -368,7 +375,7 @@ class QmixAgent(MarlAgentBase):
         bins = self.act_bins(state, self.episode_index)
         self._pending = (state, bins)
         max_change = self.config.max_weekly_change
-        changes = self._smoothed(discretize_action(int(b), self.n_bins, max_change) for b in bins)
+        changes = self._smoothed([discretize_action(b, self.n_bins, max_change) for b in bins.tolist()])
         return self._apply_changes(changes)
 
     def feedback(self, observation, prev_observation, done: bool) -> None:

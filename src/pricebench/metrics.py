@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .environment import WeeklyRecord
-from .market import JsonFields, from_fields
+from .market import JsonFields, from_fields, left_sum
 
 NASH_WINDOW_WEEKS = 12
 CONVERGENCE_WINDOW_WEEKS = 8
@@ -80,7 +80,7 @@ def gini(revenues: Sequence[float]) -> float:
 
 
 def social_welfare(revenues: Sequence[float]) -> float:
-    return float(sum(revenues)) * (1.0 - gini(revenues))
+    return float(left_sum(revenues)) * (1.0 - gini(revenues))
 
 
 def welfare_fairness(revenues: Sequence[float]) -> float:
@@ -101,7 +101,7 @@ def nash_proximity(price_series, window: int | None = NASH_WINDOW_WEEKS) -> floa
     if prices.size == 0 or prices.shape[-1] < 2:
         raise ValueError("need at least 2 weeks in the window")
     changes = np.abs(_relative_changes(prices)).ravel().tolist()
-    mean_change = sum(changes) / len(changes)
+    mean_change = left_sum(changes) / len(changes)
     return 1.0 - min(1.0, 10.0 * mean_change)
 
 
@@ -123,7 +123,7 @@ def market_share_series(
     shares: dict[str, list[float]] = {a: [] for a in agents}
     flagged: list[int] = []
     for t in range(n_weeks):
-        total = sum(weekly_revenues[a][t] for a in agents)
+        total = left_sum(weekly_revenues[a][t] for a in agents)
         if total <= 0:
             flagged.append(t)
             for a in agents:
@@ -273,7 +273,7 @@ def compute_report(episodes: list[list[WeeklyRecord]]) -> MetricsReport:
     flags: list[str] = []
 
     episode_returns = {
-        aid: [sum(r.agent_revenue[aid] for r in ep) for ep in episodes] for aid in agent_ids
+        aid: [left_sum(r.agent_revenue[aid] for r in ep) for ep in episodes] for aid in agent_ids
     }
     mean_returns = {aid: float(np.mean(v)) for aid, v in episode_returns.items()}
     totals = {aid: float(np.sum(v)) for aid, v in episode_returns.items()}

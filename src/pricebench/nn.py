@@ -413,6 +413,7 @@ class ReplayBuffer:
         self.capacity = capacity
         self.recency_decay = recency_decay
         self.fields: tuple[np.ndarray, ...] = ()
+        self._row_shapes: list[tuple[int, ...]] = []  # each field's row shape, set by the first push
         self._rows = min(max(rows, 1), capacity)
         self._size = 0
         self._next = 0
@@ -421,15 +422,17 @@ class ReplayBuffer:
         return self._size
 
     def push(self, *row) -> None:
-        """Write one transition, one value per field, into the next ring row."""
+        """Write one transition, one value per field, into the next ring row.
+
+        Every value is checked against its field's row shape before any is written.
+        """
         values = [np.asarray(v) for v in row]
         if not self.fields:
             self.fields = tuple(np.empty((self._rows, *v.shape), v.dtype) for v in values)
-        if len(values) != len(self.fields):
-            raise ShapeError(f"{len(values)} fields pushed to a buffer of {len(self.fields)}")
-        for field, value in zip(self.fields, values):
-            if value.shape != field.shape[1:]:
-                raise ShapeError(f"field row shape {value.shape} != {field.shape[1:]}")
+            self._row_shapes = [v.shape for v in values]
+        shapes = [v.shape for v in values]
+        if shapes != self._row_shapes:
+            raise ShapeError(f"pushed row shapes {shapes} != the fields' {self._row_shapes}")
         slot = self._next
         if slot == len(self.fields[0]):  # every row in use and fewer than capacity
             rows = min(2 * slot, self.capacity)

@@ -14,7 +14,14 @@ import math
 from dataclasses import dataclass
 
 from .environment import PricingAgentBase
-from .market import ConfigError, MarketConfig, MarketObservation, ProductSpec, ProductState
+from .market import (
+    ConfigError,
+    MarketConfig,
+    MarketObservation,
+    ProductSpec,
+    ProductState,
+    left_sum,
+)
 
 log = logging.getLogger(__name__)
 
@@ -96,7 +103,7 @@ def historical_anchor_price(product: ProductState, anchor_window: int = 8) -> fl
     if not history:
         return product.spec.initial_price
     window = history[-anchor_window:]
-    return sum(window) / len(window)
+    return left_sum(window) / len(window)
 
 
 def demand_responsive_price(product: ProductState, response_step: float = 0.02) -> float:

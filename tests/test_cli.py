@@ -351,5 +351,41 @@ class TestWilcoxonCommand:
         assert captured.out == ""
         assert "non-finite" in captured.err
 
+    def test_non_numeric_line_exits_1_and_names_it(self, tmp_path, capsys):
+        # dropping each file's bad line on its own would pair a's line 3 with b's line 2
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("1\nN/A\n3\n4\n5\n")
+        b.write_text("2\n2\nN/A\n2\n2\n")
+        assert main(["wilcoxon", "--a", str(a), "--b", str(b)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{a}, line 2" in captured.err
+
+    @pytest.mark.parametrize("text", ["1\n2\n\n4\n", "value\n1\nvalue\n3\n"])
+    def test_blank_or_second_header_line_exits_1(self, tmp_path, capsys, text):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text(text)
+        b.write_text("0\n0\n0\n0\n")
+        assert main(["wilcoxon", "--a", str(a), "--b", str(b)]) == 1
+        assert f"{a}, line 3" in capsys.readouterr().err
+
+    def test_missing_row_exits_1_and_names_the_short_file(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("value\n1\n2\n3\n4\n")
+        b.write_text("value\n0\n1\n2\n")
+        assert main(["wilcoxon", "--a", str(a), "--b", str(b)]) == 1
+        assert f"{b}, line 5" in capsys.readouterr().err
+
+    def test_one_header_line_in_either_file_pairs_rows_in_order(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("value\n1\n2\n3\n4\n")
+        b.write_text("0\n1\n2\n3\n")
+        assert main(["wilcoxon", "--a", str(a), "--b", str(b)]) == 0
+        assert "W=0 n=4 p=0.125" in capsys.readouterr().out
+
     def test_unknown_subcommand_exits_1(self):
         assert main(["frobnicate"]) == 1

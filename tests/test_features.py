@@ -75,6 +75,24 @@ class TestVolatility:
         assert _stats(history)["volatility"] >= 0
 
 
+class TestVolatilityPow:
+    """Volatility squares each deviation with a float pow, as the seeded bytes
+    were written; in this window the C library's pow(d, 2) and the correctly
+    rounded d * d differ in the last bit for d = 13.892 - mean."""
+
+    WINDOW = [38.868, 26.957, 13.892, 39.768]
+
+    def test_keeps_the_pow_value(self):
+        mean = (self.WINDOW[0] + self.WINDOW[1] + self.WINDOW[2] + self.WINDOW[3]) / 4
+        d = [q - mean for q in self.WINDOW]
+        by_pow = math.sqrt((d[0] ** 2 + d[1] ** 2 + d[2] ** 2 + d[3] ** 2) / 4)
+        by_product = math.sqrt((d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + d[3] * d[3]) / 4)
+        if by_pow == by_product:
+            pytest.skip("this C library's pow rounds the window's squares like d * d")
+        assert d[2] ** 2 != d[2] * d[2]
+        assert _stats([1.0, *self.WINDOW])["volatility"] == by_pow
+
+
 class TestColdStart:
     @pytest.mark.parametrize("weeks", range(DEMAND_WINDOW + 2))
     def test_substitutes_until_each_window_fills(self, weeks):

@@ -17,6 +17,9 @@ A refactor that keeps these hashes keeps the simulator's numbers; a change
 that alters them on purpose re-captures the file with
 
     PYTHONPATH=src python -m tests.test_golden_bytes
+
+which first prints each hash that moved (scale/run/artifact, old -> new) and
+the count of those that did not.
 """
 
 from __future__ import annotations
@@ -119,6 +122,32 @@ def test_blas_thread_count_set_outside_does_not_change_bytes(threads):
     assert json.loads(run.stdout) == _golden("long", "H")
 
 
+def hash_moves(old: dict, new: dict) -> tuple[list[str], int]:
+    """Lines naming each hash of `new` that differs from `old`'s (one that
+    `old` lacks reads "none", as does one that `new` dropped), and the count
+    of hashes that did not move."""
+    moved, unchanged = [], 0
+    for scale in sorted(old.keys() | new.keys()):
+        before = {k: h for table in old.get(scale, {}).values() for k, h in table.items()}
+        after = {k: h for table in new.get(scale, {}).values() for k, h in table.items()}
+        for key in sorted(before.keys() | after.keys()):
+            if before.get(key) == after.get(key):
+                unchanged += 1
+            else:
+                moved.append(f"{scale}/{key}: {before.get(key, 'none')} -> {after.get(key, 'none')}")
+    return moved, unchanged
+
+
+def test_hash_moves_names_each_moved_hash():
+    old = {"desk": {"A": {"A-run00/history.csv": "1", "A-run00/metrics.json": "2"}}}
+    new = {"desk": {"A": {"A-run00/history.csv": "1", "A-run00/metrics.json": "3"}},
+           "long": {"H": {"H-run00/history.csv": "4"}}}
+    assert hash_moves(old, new) == (
+        ["desk/A-run00/metrics.json: 2 -> 3", "long/H-run00/history.csv: none -> 4"], 1
+    )
+    assert hash_moves(new, new) == ([], 3)
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -127,5 +156,10 @@ if __name__ == "__main__":
             scale: {cid: artifact_hashes(_spec(scale, cid), Path(tmp) / scale / cid) for cid in configs}
             for scale, (configs, _) in SCALES.items()
         }
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    moved, unchanged = hash_moves(old, table)
+    for line in moved:
+        print(f"moved {line}")
+    print(f"{len(moved)} moved, {unchanged} unchanged")
     GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}")

@@ -16,8 +16,19 @@ from pricebench.market import (
     derive_rng,
     from_fields,
     holiday_flag,
+    left_sum,
     make_default_portfolio,
 )
+
+
+class TestLeftSum:
+    """`left_sum` adds in order, without the compensation of CPython 3.12's `sum`."""
+
+    def test_tenths_keep_their_rounding(self):
+        assert left_sum([0.1] * 10) == 0.9999999999999999
+
+    def test_empty_is_a_float_zero(self):
+        assert left_sum([]) == 0.0 and type(left_sum([])) is float
 
 
 class TestHolidayFlag:

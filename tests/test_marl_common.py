@@ -1,5 +1,6 @@
 import copy
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -7,9 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from pricebench import nn
 from pricebench.demand import ParametricDemandModel
-from pricebench.environment import MarketEnvironment, run_episode
+from pricebench.environment import MarketEnvironment, SimulationState, run_episode
 from pricebench.harness import ExperimentSpec, build_agents, desk_spec, run_experiment
-from pricebench.market import AgentSpec, ConfigError, MarketConfig, ProductSpec, make_default_portfolio
+from pricebench.market import (
+    AgentSpec,
+    ConfigError,
+    MarketConfig,
+    ProductSpec,
+    left_sum,
+    make_default_portfolio,
+)
 from pricebench.marl import compute_reward, discretize_action, encode_state, madqn, qmix, state_dim
 from pricebench.marl.common import (
     N_PRICE_BINS,
@@ -117,13 +125,13 @@ class TestReward:
         assert fwd == pytest.approx(-rev, abs=1e-9)
 
 
-def _madqn_setup(n_products=2, seed=5):
+def _madqn_setup(n_products=2, seed=5, weeks=10):
     roster = [AgentSpec("q0", "madqn"), AgentSpec("q1", "madqn")]
     clusters = tuple(range(1, n_products + 1))
     config = MarketConfig(
         agent_roster=roster,
         clusters=clusters,
-        weeks_per_episode=10,
+        weeks_per_episode=weeks,
         episodes=1,
         seed=seed,
     ).validate()
@@ -253,14 +261,12 @@ class _Short(ValueError):
 
 def _reference_encode_state(agent, observation):
     """The encoder as it was before `features.demand_features`: one helper per entry."""
-    import math
-
     from pricebench.features import seasonal_encoding
 
     def qrm(history, k):
         if len(history) < k:
             raise _Short
-        return sum(history[-k:]) / k
+        return left_sum(history[-k:]) / k
 
     def trend(history):
         if len(history) < 4:
@@ -271,8 +277,8 @@ def _reference_encode_state(agent, observation):
         if len(history) < k:
             raise _Short
         window = history[-k:]
-        mean = sum(window) / k
-        return math.sqrt(sum((q - mean) ** 2 for q in window) / k)
+        mean = left_sum(window) / k
+        return math.sqrt(left_sum((q - mean) ** 2 for q in window) / k)
 
     week_sin, week_cos = seasonal_encoding(observation.week_number)
     holiday = 1.0 if observation.is_holiday else 0.0
@@ -320,6 +326,70 @@ class TestEncodeStateMatchesReference:
         for agent in agents:
             assert len(next(iter(agent.portfolio.values())).demand_history) == weeks
             assert np.array_equal(encode_state(agent, obs), _reference_encode_state(agent, obs))
+
+    def test_equal_every_week_through_the_holidays_and_a_year_wrap(self):
+        config, agents, env = _madqn_setup(n_products=3, seed=23, weeks=30)
+        env.state = SimulationState(week_number=36)  # weeks 36..52, then 1..13 of year 2
+        obs = env.bootstrap_observation()
+        calendar = []
+        for _ in range(30):
+            submitted = {a.agent_id: a.propose_prices(obs) for a in agents}
+            _, obs = env.step(submitted)
+            calendar.append((obs.week_number, obs.is_holiday))
+            for agent in agents:
+                assert np.array_equal(encode_state(agent, obs), _reference_encode_state(agent, obs))
+        assert (47, True) in calendar and (52, True) in calendar and (1, False) in calendar
+        assert env.state.year == 2
+
+
+def _reference_reward(agent, observation, prev_observation, samples: list[float]) -> float:
+    """`_reward_from` as it was: a list of the episode's revenues and a
+    generator over the products' changes, each summed left to right."""
+    revenue = observation.agent_revenue[agent.agent_id]
+    prev_revenue = prev_observation.agent_revenue[agent.agent_id]
+    if not samples:
+        samples.append(prev_revenue)
+    running_mean = left_sum(samples) / len(samples)
+    changes = [agent.portfolio[s.product_id].last_relative_change() for s in agent.product_specs]
+    change_rms = math.sqrt(left_sum(c * c for c in changes) / len(changes))
+    reward = compute_reward(
+        prev_revenue, revenue, change_rms, agent.config.reward_penalty_lambda, running_mean
+    )
+    samples.append(revenue)
+    return reward
+
+
+class TestRewardMatchesReference:
+    """Bit for bit the list-and-generator reward, on runs whose learners train."""
+
+    @pytest.mark.parametrize("config_id", ["B", "C", "F"])
+    def test_equal_every_week_at_2x52(self, config_id, monkeypatch):
+        steps = []
+        adam_step = nn.Adam.step
+        monkeypatch.setattr(nn.Adam, "step", lambda opt, *a, **k: steps.append(1) or adam_step(opt, *a, **k))
+        samples: dict[tuple, list[float]] = {}
+        rewards = []
+        reward_from = MarlAgentBase._reward_from
+
+        def checked(agent, observation, prev_observation):
+            reward = reward_from(agent, observation, prev_observation)
+            episode_samples = samples.setdefault((agent, agent.episode_index), [])
+            expected = _reference_reward(agent, observation, prev_observation, episode_samples)
+            assert reward.hex() == expected.hex()
+            rewards.append(reward)
+            return reward
+
+        monkeypatch.setattr(MarlAgentBase, "_reward_from", checked)
+        config = desk_spec(config_id, seed=31).market.copy_with(
+            episodes=2, weeks_per_episode=52
+        ).validate()
+        agents = build_agents(config)
+        model = ParametricDemandModel(config.demand_params)
+        for episode in range(config.episodes):
+            run_episode(config, agents, model, episode)
+        assert len(rewards) == 4 * 2 * 52
+        assert len(steps) > 0
+        assert len(set(rewards)) > 100  # the weeks' rewards differ
 
 
 class TestStateEncodedOncePerWeek:

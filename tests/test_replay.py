@@ -17,7 +17,7 @@ import pytest
 from pricebench.market import AgentSpec, MarketConfig, derive_rng, make_default_portfolio
 from pricebench.marl import MaddpgHyper, QmixHyper, build_maddpg_team, build_qmix_team
 from pricebench.marl.madqn import DqnCore, DqnHyper
-from pricebench.nn import ReplayBuffer
+from pricebench.nn import ReplayBuffer, ShapeError
 
 
 class ListReplayBuffer:
@@ -83,6 +83,19 @@ def test_sample_picks_the_list_buffers_entries(capacity, rows, decay):
                 assert ring.fields[0][rows_drawn].tolist() == reference.sample(batch, reference_rng)
                 assert np.array_equal(ring.fields[1][rows_drawn], ring.fields[0][rows_drawn])
         assert len(ring) == len(reference) == capacity
+
+
+@pytest.mark.parametrize("row", [(np.ones(2), 2.0), (np.ones(3),), (np.ones(3), (2.0, 3.0))])
+def test_push_of_a_wrong_row_shape_writes_nothing(row):
+    ring = ReplayBuffer(4, rows=4)
+    ring.push(np.zeros(3), 1.0)
+    states, rewards = ring.fields
+    states[1], rewards[1] = 7.0, 7.0
+    with pytest.raises(ShapeError):
+        ring.push(*row)
+    assert len(ring) == 1 and np.all(states[1] == 7.0) and rewards[1] == 7.0
+    ring.push(np.ones(3), 2.0)
+    assert len(ring) == 2 and np.all(states[1] == 1.0) and rewards[1] == 2.0
 
 
 def _config(kind: str, seed: int = 3) -> MarketConfig:
