@@ -274,13 +274,6 @@ def execute_run(
     return manifest, report
 
 
-def _execute_run_payload(payload: tuple[dict, int, str]) -> tuple[dict, dict]:
-    spec_dict, run_index, output_dir = payload
-    spec = ExperimentSpec.from_dict(spec_dict)
-    manifest, report = execute_run(spec, run_index, output_dir)
-    return manifest.to_dict(), report.to_dict()
-
-
 def run_experiment(
     spec: ExperimentSpec, output_dir, jobs: int = 1
 ) -> list[tuple[RunManifest, MetricsReport]]:
@@ -297,19 +290,12 @@ def run_experiment(
     except OSError as exc:
         raise OSError(f"output directory {out} is not writable: {exc}") from exc
 
-    results: list[tuple[RunManifest, MetricsReport]] = []
+    runs = range(spec.n_runs)
     if jobs <= 1:
-        for i in range(spec.n_runs):
-            results.append(execute_run(spec, i, out))
-    else:
-        payloads = [(spec.to_dict(), i, str(out)) for i in range(spec.n_runs)]
-        # every run is single-threaded, so one job per CPU fills the machine
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            for manifest_d, report_d in pool.map(_execute_run_payload, payloads):
-                results.append(
-                    (RunManifest.from_dict(manifest_d), MetricsReport.from_dict(report_d))
-                )
-    return results
+        return [execute_run(spec, i, out) for i in runs]
+    # every run is single-threaded, so one job per CPU fills the machine
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(execute_run, [spec] * len(runs), runs, [out] * len(runs)))
 
 
 # -- statistics --------------------------------------------------------------

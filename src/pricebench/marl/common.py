@@ -1,5 +1,5 @@
-"""State encoding, reward shaping and action application shared by the
-learning agents."""
+"""The learning agents' shared week: state encoding, reward shaping, action
+application, and the team learner that MADDPG and QMIX build on."""
 
 from __future__ import annotations
 
@@ -11,7 +11,8 @@ import numpy as np
 
 from ..environment import PricingAgentBase
 from ..features import demand_features, seasonal_encoding
-from ..market import MarketObservation, from_fields
+from ..market import MarketConfig, MarketObservation, derive_rng, from_fields
+from ..nn import ReplayBuffer, ShapeError, Workspace
 
 STATE_SLOTS_PER_PRODUCT = 12
 
@@ -115,27 +116,59 @@ def state_dim(n_products: int) -> int:
 
 
 class MarlAgentBase(PricingAgentBase):
-    """Reward bookkeeping and action application shared by the learning agents."""
+    """The week every learning agent runs.
+
+    propose_prices() encodes the state, lets the agent choose its replay
+    action and price changes (`_choose`) and applies the changes. feedback()
+    encodes the next state, rewards the week just settled and hands the
+    transition to the agent's `learner`, whose contribute(agent_id, state,
+    action, reward, next_state, done) stores it and learns. Each kind sets
+    `learner` and supplies `_choose` and `_state`, a call of its own module's
+    `encode_state`, where callers look that name up.
+    """
+
+    learner: "TeamLearner"  # or a madqn.DqnCore
 
     def begin_episode(self, episode_index: int) -> None:
         super().begin_episode(episode_index)
-        self._products = [self.portfolio[s.product_id] for s in self.product_specs]
         self._revenue_total = 0.0  # the episode's revenue samples, added in order
         self._revenue_count = 0
         self._prev_changes = {s.product_id: 0.0 for s in self.product_specs}
         self._encoded: tuple[MarketObservation | None, np.ndarray | None] = (None, None)
+        self._pending: tuple[np.ndarray, np.ndarray] | None = None  # (state, action) of the week
 
-    def _encode(self, observation: MarketObservation, encode) -> np.ndarray:
-        """encode(self, observation), computed once per observation.
+    def _state(self, observation: MarketObservation) -> np.ndarray:
+        raise NotImplementedError
+
+    def _choose(self, state: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
+        """The replay action and each product's relative price change."""
+        raise NotImplementedError
+
+    def propose_prices(self, observation: MarketObservation) -> dict[str, float]:
+        state = self._encode(observation)
+        action, changes = self._choose(state)
+        self._pending = (state, action)
+        return self._apply_changes(changes)
+
+    def feedback(self, observation, prev_observation, done: bool) -> None:
+        if self._pending is None:
+            return
+        state, action = self._pending
+        self._pending = None
+        next_state = self._encode(observation)
+        reward = self._reward_from(observation, prev_observation, next_state)
+        self.learner.contribute(self.agent_id, state, action, reward, next_state, done)
+
+    def _encode(self, observation: MarketObservation) -> np.ndarray:
+        """self._state(observation), computed once per observation.
 
         feedback() encodes next_state from the same observation object that
         the next propose_prices() receives, and the portfolio does not change
-        in between, so the second call reuses the first's state. Each learner
-        passes its module's `encode_state`, where callers look that name up.
+        in between, so the second call reuses the first's state.
         """
         seen, state = self._encoded
         if observation is not seen:
-            state = encode(self, observation)
+            state = self._state(observation)
             self._encoded = (observation, state)
         return state
 
@@ -155,13 +188,15 @@ class MarlAgentBase(PricingAgentBase):
         return {pid: portfolio[pid].current_price * (1.0 + r) for pid, r in changes.items()}
 
     def _reward_from(
-        self, observation: MarketObservation, prev_observation: MarketObservation
+        self, observation: MarketObservation, prev_observation: MarketObservation,
+        state: np.ndarray,
     ) -> float:
-        """`compute_reward` for the week just settled.
+        """`compute_reward` for the week just settled, whose encoded state is `state`.
 
         The running mean is over the episode's revenues so far, opened by the
         week before the first; the instability term is the RMS of the
-        products' last relative price changes. Both sums add left to right.
+        products' last relative price changes, read from the state's last
+        slot per product. Both sums add left to right.
         """
         revenue = observation.agent_revenue[self.agent_id]
         prev_revenue = prev_observation.agent_revenue[self.agent_id]
@@ -169,14 +204,55 @@ class MarlAgentBase(PricingAgentBase):
             self._revenue_total = prev_revenue
             self._revenue_count = 1
         running_mean = self._revenue_total / self._revenue_count
+        changes = state[STATE_SLOTS_PER_PRODUCT - 1 :: STATE_SLOTS_PER_PRODUCT].tolist()
         squares = 0.0
-        for product in self._products:
-            change = product.last_relative_change()
+        for change in changes:
             squares += change * change
-        change_rms = math.sqrt(squares / len(self._products))
+        change_rms = math.sqrt(squares / len(changes))
         reward = compute_reward(
             prev_revenue, revenue, change_rms, self.config.reward_penalty_lambda, running_mean
         )
         self._revenue_total += revenue
         self._revenue_count += 1
         return reward
+
+
+class TeamLearner:
+    """A centralized team's learner: its members' generators, its joint
+    replay buffer, and the wait for every member's step.
+
+    It knows its members by id, never as agents: the members own it, and
+    with no reference back a finished run is freed by reference counting
+    alone. Member i's generator is `derive_rng(seed, "agent", id)`; a
+    subclass draws the member's nets from it in __init__, and the member
+    explores with what is left. A subclass supplies `_row`, the replay row
+    of one team step, and defines `learn` on itself.
+    """
+
+    def __init__(self, config: MarketConfig, hyper, member_ids: list[str]):
+        if not member_ids:
+            raise ShapeError("a team needs at least one member")
+        self.config = config
+        self.hyper = hyper
+        self.member_ids = list(member_ids)
+        self.rngs = [derive_rng(config.seed, "agent", aid) for aid in member_ids]
+        rows = config.episodes * config.weeks_per_episode  # the pushes a run makes
+        self.buffer = ReplayBuffer(hyper.buffer_capacity, hyper.recency_decay, rows=rows)
+        self._pending: dict[str, tuple] = {}
+        self._work = Workspace()  # the learn step's batch arrays, refilled every step
+
+    def contribute(self, agent_id, state, action, reward, next_state, done) -> None:
+        """Collect one member's step; once every member's is in, push the team's row and learn."""
+        if agent_id not in self.member_ids:
+            raise ValueError(f"agent {agent_id!r} is not a member of this team")
+        self._pending[agent_id] = (state, action, reward, next_state)
+        if len(self._pending) < len(self.member_ids):
+            return
+        steps = zip(*(self._pending[aid] for aid in self.member_ids))
+        self._pending = {}
+        self.buffer.push(*self._row(*steps, done))
+        self.learn()
+
+    def _row(self, states, actions, rewards, next_states, done) -> tuple:
+        """The replay row of one team step, from the members' tuples in member order."""
+        raise NotImplementedError

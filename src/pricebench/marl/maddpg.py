@@ -2,8 +2,9 @@
 
 Actors map local state to one continuous price change per product (tanh
 output scaled by the weekly cap). Critics score the JOINT state and action of
-the whole team, so members share a coordinator that owns one aligned replay
-buffer; each member still acts from purely local observations.
+the whole team, so members share a coordinator that owns the team's nets and
+one aligned replay buffer; each member still acts from purely local
+observations, through a view of its own actor.
 """
 
 from __future__ import annotations
@@ -12,18 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..market import ConfigError, MarketConfig, MarketObservation, ProductSpec, derive_rng
-from ..nn import (
-    Adam,
-    DenseNet,
-    GAUSSIAN_NOISE_DEFAULT,
-    ExplorationSchedule,
-    ReplayBuffer,
-    ShapeError,
-    Workspace,
-    soft_update,
-)
-from .common import MarlAgentBase, encode_state, state_dim
+from ..market import MarketConfig, MarketObservation, ProductSpec, derive_rng
+from ..nn import Adam, DenseNet, GAUSSIAN_NOISE_DEFAULT, ExplorationSchedule, soft_update
+from .common import MarlAgentBase, TeamLearner, encode_state, state_dim
 
 
 @dataclass(frozen=True)
@@ -41,57 +33,53 @@ class MaddpgHyper:
     schedule: ExplorationSchedule = GAUSSIAN_NOISE_DEFAULT
 
 
-class MaddpgCoordinator:
-    """Owns the joint replay buffer and runs the centralized training step.
+class MaddpgCoordinator(TeamLearner):
+    """Owns the team's nets and joint replay buffer, and runs the centralized
+    training step.
 
     A replay row is one team step: the joint critic input (every member's
     state, then every member's applied action), the joint next state, the
     members' rewards and the shared done flag.
 
-    It knows its members by id and by their nets, never as agents: the
-    members own the coordinator, and with no reference back a finished run
-    is freed by reference counting alone. At its first learn step it stacks
-    the members' actors, critics and their targets into four team nets (the
-    member nets become views of them) and trains each team in one batched
-    pass under one Adam per role.
+    It builds the team whole: four team nets (actors, critics and their
+    targets) with a leading members axis, member i's actor then critic drawn
+    from its generator, and one Adam per role. Each member acts on its view
+    of the team actor (`DenseNet.member`), and each team trains in one
+    batched pass.
     """
 
-    def __init__(self, config: MarketConfig, hyper: MaddpgHyper):
-        self.config = config
-        self.hyper = hyper
-        self.member_ids: list[str] = []
-        self._member_nets: list[tuple[DenseNet, DenseNet, DenseNet, DenseNet]] = []
-        rows = config.episodes * config.weeks_per_episode  # the pushes a run makes
-        self.buffer = ReplayBuffer(hyper.buffer_capacity, hyper.recency_decay, rows=rows)
-        self.rng = derive_rng(config.seed, "team", "maddpg")
-        self._pending: dict[str, tuple] = {}
-        self.last_losses: list[tuple[float, float]] = []
-        # team nets and their optimizers, stacked from the members by the first learn step
-        self.actors = self.critics = self.target_actors = self.target_critics = None
-        self.actor_opt = self.critic_opt = None
-        self._own_action_columns = None
-        self._work = Workspace()  # the learn step's batch arrays, refilled every step
-
-    def register(self, member: "MaddpgAgent") -> None:
-        if self.actors is not None:
-            raise ConfigError("the team has started training; no member can join")
-        self.member_ids.append(member.agent_id)
-        self._member_nets.append(
-            (member.actor, member.critic, member.target_actor, member.target_critic)
+    def __init__(
+        self, config: MarketConfig, hyper: MaddpgHyper, member_ids: list[str], n_products: int
+    ):
+        super().__init__(config, hyper, member_ids)
+        n, local_dim = len(self.member_ids), state_dim(n_products)
+        self.actors = DenseNet(
+            [local_dim, *hyper.actor_hidden, n_products],
+            ["relu"] * len(hyper.actor_hidden) + ["tanh"],
+            self.rngs,
         )
+        # near-hold initial policy: standard small final-layer init for DDPG actors
+        self.actors.scale_output_layer(0.01)
+        self.critics = DenseNet(
+            [n * (local_dim + n_products), *hyper.critic_hidden, 1],
+            ["relu"] * len(hyper.critic_hidden) + ["linear"],
+            self.rngs,
+        )
+        self.target_actors = self.actors.clone()
+        self.target_critics = self.critics.clone()
+        self.actor_opt = Adam([self.actors.flat])
+        self.critic_opt = Adam([self.critics.flat])
+        # each member's own action columns of W1: all the actor update reads of a critic's
+        # input gradient (the critic input is every state, then every member's action)
+        self._own_action_columns = self.critics.input_columns(
+            n * local_dim, n_products, shift=n_products
+        )
+        self.rng = derive_rng(config.seed, "team", "maddpg")
+        self.last_losses: list[tuple[float, float]] = []
 
-    def contribute(self, agent_id, state, action, reward, next_state, done) -> None:
-        """Collect one member's step; store and learn once the team is complete."""
-        if agent_id not in self.member_ids:
-            raise ValueError(f"agent {agent_id!r} is not a member of this team")
-        self._pending[agent_id] = (state, action, reward, next_state)
-        if len(self._pending) < len(self.member_ids):
-            return
-        states, actions, rewards, next_states = zip(*(self._pending[a] for a in self.member_ids))
-        self._pending = {}
+    def _row(self, states, actions, rewards, next_states, done) -> tuple:
         # the row's critic input is every member's state, then every member's action
-        self.buffer.push(np.concatenate(states + actions), np.concatenate(next_states), rewards, done)
-        self.learn()
+        return np.concatenate(states + actions), np.concatenate(next_states), rewards, done
 
     def _batch(self, rows: np.ndarray):
         """The replay rows as the learn step reads them, in the learner's kept buffers.
@@ -109,19 +97,6 @@ class MaddpgCoordinator:
         hp = self.hyper
         if len(self.buffer) < max(hp.warm_up, hp.batch_size):
             return
-        if self.actors is None:
-            actors, critics, target_actors, target_critics = zip(*self._member_nets)
-            self.actors = DenseNet.team(actors)
-            self.critics = DenseNet.team(critics)
-            self.target_actors = DenseNet.team(target_actors)
-            self.target_critics = DenseNet.team(target_critics)
-            self.actor_opt = Adam([self.actors.flat])
-            self.critic_opt = Adam([self.critics.flat])
-            # each member's own action columns of W1: all the actor update reads of a critic's
-            # input gradient (the critic input is every state, then every member's action)
-            width = self.actors.layer_sizes[-1]
-            joint_dim = self.critics.layer_sizes[0] - len(actors) * width
-            self._own_action_columns = self.critics.input_columns(joint_dim, width, shift=width)
         rows = self.buffer.sample(hp.batch_size, self.rng)
         states, critic_in, next_states, rewards, done = self._batch(rows)
         (b, n, _), critic_dim = states.shape, critic_in.shape[1]
@@ -166,7 +141,7 @@ class MaddpgCoordinator:
 
 
 class MaddpgAgent(MarlAgentBase):
-    """One team member: local tanh actor plus a centralized critic."""
+    """One team member: its views of the team's actor and centralized critic."""
 
     def __init__(
         self,
@@ -174,58 +149,33 @@ class MaddpgAgent(MarlAgentBase):
         product_specs: list[ProductSpec],
         config: MarketConfig,
         coordinator: MaddpgCoordinator,
-        team_size: int,
     ):
         super().__init__(agent_id, product_specs, config)
-        hp = coordinator.hyper
-        n_products = len(product_specs)
-        local_dim = state_dim(n_products)
-        joint_dim = team_size * (local_dim + n_products)
-        rng = derive_rng(config.seed, "agent", agent_id)
-        self.actor = DenseNet(
-            [local_dim, *hp.actor_hidden, n_products],
-            ["relu"] * len(hp.actor_hidden) + ["tanh"],
-            rng,
+        i = coordinator.member_ids.index(agent_id)
+        self.actor, self.critic, self.target_actor, self.target_critic = (
+            team.member(i)
+            for team in (coordinator.actors, coordinator.critics,
+                         coordinator.target_actors, coordinator.target_critics)
         )
-        # near-hold initial policy: standard small final-layer init for DDPG actors
-        self.actor.scale_output_layer(0.01)
-        self.critic = DenseNet(
-            [joint_dim, *hp.critic_hidden, 1],
-            ["relu"] * len(hp.critic_hidden) + ["linear"],
-            rng,
-        )
-        self.target_actor = self.actor.clone()
-        self.target_critic = self.critic.clone()
-        self.noise_rng = rng
-        self.coordinator = coordinator
-        coordinator.register(self)
-        self._pending: tuple[np.ndarray, np.ndarray] | None = None
+        self.noise_rng = coordinator.rngs[i]
+        self.learner = coordinator
 
     def act_raw(self, state: np.ndarray, episode: int) -> np.ndarray:
         """Noisy tanh policy output scaled to a relative change, pre-smoothing."""
         out = self.actor.forward(state)
-        sigma = self.coordinator.hyper.schedule.value(episode)
+        sigma = self.learner.hyper.schedule.value(episode)
         noisy = out + self.noise_rng.normal(0.0, sigma, size=out.shape)
         np.maximum(noisy, -1.0, out=noisy)  # np.clip's bounds, without its dispatch
         np.minimum(noisy, 1.0, out=noisy)
         noisy *= self.config.max_weekly_change
         return noisy
 
-    def propose_prices(self, observation: MarketObservation) -> dict[str, float]:
-        state = self._encode(observation, encode_state)
-        changes = self._smoothed(self.act_raw(state, self.episode_index).tolist())
-        applied = np.fromiter(changes.values(), float, len(changes))
-        self._pending = (state, applied)
-        return self._apply_changes(changes)
+    def _state(self, observation: MarketObservation) -> np.ndarray:
+        return encode_state(self, observation)
 
-    def feedback(self, observation, prev_observation, done: bool) -> None:
-        if self._pending is None:
-            return
-        state, action = self._pending
-        self._pending = None
-        reward = self._reward_from(observation, prev_observation)
-        next_state = self._encode(observation, encode_state)
-        self.coordinator.contribute(self.agent_id, state, action, reward, next_state, done)
+    def _choose(self, state: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
+        changes = self._smoothed(self.act_raw(state, self.episode_index).tolist())
+        return np.fromiter(changes.values(), float, len(changes)), changes
 
 
 def build_team(
@@ -234,10 +184,5 @@ def build_team(
     config: MarketConfig,
     hyper: MaddpgHyper | None = None,
 ) -> list[MaddpgAgent]:
-    coordinator = MaddpgCoordinator(config, hyper or MaddpgHyper())
-    if not agent_ids:
-        raise ShapeError("a team needs at least one member")
-    return [
-        MaddpgAgent(aid, product_specs, config, coordinator, team_size=len(agent_ids))
-        for aid in agent_ids
-    ]
+    coordinator = MaddpgCoordinator(config, hyper or MaddpgHyper(), agent_ids, len(product_specs))
+    return [MaddpgAgent(aid, product_specs, config, coordinator) for aid in agent_ids]

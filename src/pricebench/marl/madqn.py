@@ -88,6 +88,11 @@ class DqnCore:
             raise ShapeError("state and next_state dimensions differ")
         self.buffer.push(state, bins, reward, next_state, done)
 
+    def contribute(self, agent_id, state, bins, reward: float, next_state, done: bool) -> None:
+        """Store the agent's step, then learn: the learner of one agent."""
+        self.store(state, bins, reward, next_state, done)
+        self.learn()
+
     def learn(self) -> float | None:
         """One TD step on a recency-sampled batch; None while warming up."""
         if len(self.buffer) < max(self.hyper.warm_up, 1):
@@ -136,7 +141,7 @@ class MadqnAgent(MarlAgentBase):
         hyper: DqnHyper | None = None,
     ):
         super().__init__(agent_id, product_specs, config)
-        self.core = DqnCore(
+        self.learner = DqnCore(
             state_size=state_dim(len(product_specs)),
             n_heads=len(product_specs),
             n_bins=N_PRICE_BINS,
@@ -144,26 +149,14 @@ class MadqnAgent(MarlAgentBase):
             rng=derive_rng(config.seed, "agent", agent_id),
             rows=config.episodes * config.weeks_per_episode,
         )
-        self._pending: tuple[np.ndarray, np.ndarray] | None = None
-        self.last_loss: float | None = None
 
-    def propose_prices(self, observation: MarketObservation) -> dict[str, float]:
-        state = self._encode(observation, encode_state)
-        bins = self.core.act(state, self.episode_index)
-        self._pending = (state, bins)
+    def _state(self, observation: MarketObservation) -> np.ndarray:
+        return encode_state(self, observation)
+
+    def _choose(self, state: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
+        bins = self.learner.act(state, self.episode_index)
         max_change = self.config.max_weekly_change
-        changes = {
+        return bins, {
             spec.product_id: discretize_action(b, N_PRICE_BINS, max_change)
             for spec, b in zip(self.product_specs, bins.tolist())
         }
-        return self._apply_changes(changes)
-
-    def feedback(self, observation, prev_observation, done: bool) -> None:
-        if self._pending is None:
-            return
-        state, bins = self._pending
-        self._pending = None
-        reward = self._reward_from(observation, prev_observation)
-        next_state = self._encode(observation, encode_state)
-        self.core.store(state, bins, reward, next_state, done)
-        self.last_loss = self.core.learn()

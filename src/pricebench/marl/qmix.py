@@ -14,20 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..market import (
-    ConfigError,
-    MarketConfig,
-    MarketObservation,
-    ProductSpec,
-    derive_rng,
-    left_sum,
-)
+from ..market import MarketConfig, MarketObservation, ProductSpec, derive_rng, left_sum
 from ..nn import (
     Adam,
     DenseNet,
     EPSILON_GREEDY_DEFAULT,
     ExplorationSchedule,
-    ReplayBuffer,
     ShapeError,
     Workspace,
     hard_update,
@@ -35,6 +27,7 @@ from ..nn import (
 from .common import (
     MarlAgentBase,
     N_PRICE_BINS,
+    TeamLearner,
     discretize_action,
     encode_state,
     epsilon_greedy,
@@ -214,82 +207,57 @@ class MonotonicMixer:
         return self._grads, d_qs
 
 
-class QmixCoordinator:
+class QmixCoordinator(TeamLearner):
     """Joint trainer for the member Q-networks and the mixing network.
 
-    It knows its members by id and by their nets, never as agents: the
-    members own the coordinator, and with no reference back a finished run
-    is freed by reference counting alone. At its first learn step it stacks
-    the member nets and their targets into two team nets (the member nets
-    become views of them), and trains the team and the mixer in one batched
-    pass under a single Adam.
+    It builds the team whole: a team net of the member Q-networks (member
+    i's drawn from its generator, `n_heads` heads of `n_bins` bins each), its
+    target, the mixer and its target, and a single Adam over the team and
+    the mixer. Each member acts on its view of the team net
+    (`DenseNet.member`), and the team and the mixer train in one batched
+    pass.
     """
 
     def __init__(
         self,
         config: MarketConfig,
         hyper: QmixHyper,
-        n_agents: int,
+        member_ids: list[str],
         local_state_size: int,
+        n_heads: int,
+        n_bins: int = N_PRICE_BINS,
     ):
-        self.config = config
-        self.hyper = hyper
-        self.n_agents = n_agents
-        self.member_ids: list[str] = []
-        self._member_nets: list[tuple[DenseNet, DenseNet]] = []  # (net, target) per member
-        self._q_shape: tuple[int, int] | None = None  # (heads, bins) of the first member
+        super().__init__(config, hyper, member_ids)
+        n = len(self.member_ids)
+        self.n_heads, self.n_bins = n_heads, n_bins
         rng = derive_rng(config.seed, "team", "qmix")
-        self.mixer = MonotonicMixer(n_agents, n_agents * local_state_size, hyper.mixing_dim, rng)
+        self.mixer = MonotonicMixer(n, n * local_state_size, hyper.mixing_dim, rng)
         self.target_mixer = self.mixer.clone()
-        rows = config.episodes * config.weeks_per_episode  # the pushes a run makes
-        self.buffer = ReplayBuffer(hyper.buffer_capacity, hyper.recency_decay, rows=rows)
         self.rng = rng
-        self.nets: DenseNet | None = None
-        self.target_nets: DenseNet | None = None
-        self.optimizer: Adam | None = None
+        self.nets = DenseNet(
+            [local_state_size, *hyper.hidden, n_heads * n_bins],
+            ["relu"] * len(hyper.hidden) + ["linear"],
+            self.rngs,
+        )
+        self.target_nets = self.nets.clone()
+        self.optimizer = Adam([self.nets.flat, self.mixer.flat])
         self.learn_calls = 0
         self.last_loss: float | None = None
-        self._pending: dict[str, tuple] = {}
-        self._work = Workspace()  # the learn step's batch arrays, refilled every step
         # each (member, row, head)'s first bin in the team's flat output, set by the first step
         self._offsets: np.ndarray | None = None
 
-    def register(self, member: "QmixAgent") -> None:
-        if member.coordinator is not None and member.coordinator is not self:
-            raise ConfigError(f"agent {member.agent_id} already has a coordinator")
-        if self.nets is not None:
-            raise ConfigError("the team has started training; no member can join")
-        if len(self.member_ids) == self.n_agents:
-            raise ConfigError("more members registered than the coordinator was sized for")
-        self.member_ids.append(member.agent_id)
-        self._member_nets.append((member.net, member.target))
-        self._q_shape = self._q_shape or (member.n_heads, member.n_bins)
-
-    def contribute(self, agent_id, state, action, reward, next_state, done) -> None:
-        if agent_id not in self.member_ids:
-            raise ValueError(f"agent {agent_id!r} is not a member of this team")
-        self._pending[agent_id] = (state, action, reward, next_state)
-        if len(self._pending) < len(self.member_ids):
-            return
-        states, bins, rewards, next_states = zip(*(self._pending[aid] for aid in self.member_ids))
-        self._pending = {}
-        self.buffer.push(states, bins, next_states, left_sum(rewards) / len(rewards), done)
-        self.learn()
+    def _row(self, states, actions, rewards, next_states, done) -> tuple:
+        return states, actions, next_states, left_sum(rewards) / len(rewards), done
 
     def learn(self) -> float | None:
         hp = self.hyper
         if len(self.buffer) < max(hp.warm_up, 1):
             return None
-        if self.nets is None:
-            nets, targets = zip(*self._member_nets)
-            self.nets = DenseNet.team(nets)
-            self.target_nets = DenseNet.team(targets)
-            self.optimizer = Adam([self.nets.flat, self.mixer.flat])
         rows = self.buffer.sample(hp.batch_size, self.rng)
         # (B, members, local state), (B, members, heads), (B, members, local state), (B,), (B,)
         states, actions, next_states, rewards, done = self.buffer.gather(rows, self._work)
         b, n = len(rows), len(self.member_ids)
-        n_heads, n_bins = self._q_shape
+        n_heads, n_bins = self.n_heads, self.n_bins
         work = self._work
         global_state = states.reshape(b, -1)
         next_global_state = next_states.reshape(b, -1)
@@ -340,7 +308,7 @@ class QmixCoordinator:
 
 
 class QmixAgent(MarlAgentBase):
-    """Member agent: local discrete Q-network, coordinator-driven learning."""
+    """Member agent: its view of the team's Q-networks, coordinator-driven learning."""
 
     def __init__(
         self,
@@ -350,42 +318,26 @@ class QmixAgent(MarlAgentBase):
         coordinator: QmixCoordinator,
     ):
         super().__init__(agent_id, product_specs, config)
-        hp = coordinator.hyper
-        self.n_heads = len(product_specs)
-        self.n_bins = N_PRICE_BINS
-        rng = derive_rng(config.seed, "agent", agent_id)
-        sizes = [state_dim(self.n_heads), *hp.hidden, self.n_heads * self.n_bins]
-        acts = ["relu"] * len(hp.hidden) + ["linear"]
-        self.net = DenseNet(sizes, acts, rng)
-        self.target = self.net.clone()
-        self.rng = rng
-        self.coordinator: QmixCoordinator | None = None
-        coordinator.register(self)
-        self.coordinator = coordinator
-        self._pending: tuple[np.ndarray, np.ndarray] | None = None
+        i = coordinator.member_ids.index(agent_id)
+        self.net = coordinator.nets.member(i)
+        self.target = coordinator.target_nets.member(i)
+        self.rng = coordinator.rngs[i]
+        self.learner = coordinator
 
     def act_bins(self, state: np.ndarray, episode: int) -> np.ndarray:
+        n_heads, n_bins = self.learner.n_heads, self.learner.n_bins
         return epsilon_greedy(
-            lambda: self.net.forward(state).reshape(self.n_heads, self.n_bins),
-            self.n_heads, self.n_bins, self.coordinator.hyper.schedule.value(episode), self.rng,
+            lambda: self.net.forward(state).reshape(n_heads, n_bins),
+            n_heads, n_bins, self.learner.hyper.schedule.value(episode), self.rng,
         )
 
-    def propose_prices(self, observation: MarketObservation) -> dict[str, float]:
-        state = self._encode(observation, encode_state)
-        bins = self.act_bins(state, self.episode_index)
-        self._pending = (state, bins)
-        max_change = self.config.max_weekly_change
-        changes = self._smoothed([discretize_action(b, self.n_bins, max_change) for b in bins.tolist()])
-        return self._apply_changes(changes)
+    def _state(self, observation: MarketObservation) -> np.ndarray:
+        return encode_state(self, observation)
 
-    def feedback(self, observation, prev_observation, done: bool) -> None:
-        if self._pending is None:
-            return
-        state, bins = self._pending
-        self._pending = None
-        reward = self._reward_from(observation, prev_observation)
-        next_state = self._encode(observation, encode_state)
-        self.coordinator.contribute(self.agent_id, state, bins, reward, next_state, done)
+    def _choose(self, state: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
+        bins = self.act_bins(state, self.episode_index)
+        max_change, n_bins = self.config.max_weekly_change, self.learner.n_bins
+        return bins, self._smoothed([discretize_action(b, n_bins, max_change) for b in bins.tolist()])
 
 
 def build_team(
@@ -394,8 +346,8 @@ def build_team(
     config: MarketConfig,
     hyper: QmixHyper | None = None,
 ) -> list[QmixAgent]:
+    n_products = len(product_specs)
     coordinator = QmixCoordinator(
-        config, hyper or QmixHyper(), n_agents=len(agent_ids),
-        local_state_size=state_dim(len(product_specs)),
+        config, hyper or QmixHyper(), agent_ids, state_dim(n_products), n_products
     )
     return [QmixAgent(aid, product_specs, config, coordinator) for aid in agent_ids]

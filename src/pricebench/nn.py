@@ -3,11 +3,12 @@ recency-biased replay, Polyak target updates, and exploration schedules.
 
 Everything is plain numpy. A network's parameters live in one contiguous
 `flat` vector; its `weights`/`biases` lists are views of it, so Adam, target
-updates and writes through either name change the same memory. Same-shaped
-nets can be stacked into one team net (`DenseNet.team`) with a leading
-members axis: each member's parameters stay one contiguous slice of the
-team's `flat`, and the member nets become views of that slice, so a team
-trains in one batched pass while each member still acts on its own.
+updates and writes through either name change the same memory. A team net,
+built from one generator per member, has a leading members axis: each
+member's parameters are one contiguous slice of the team's `flat`, drawn
+from that member's generator, and `member(i)` is a single net viewing that
+slice, so a team trains in one batched pass while each member acts on its
+own, in one memory layout from construction on.
 
 Two passes skip work that the learners would throw away. A backward pass
 can limit the first layer's input product to given columns of W1 per member
@@ -121,15 +122,17 @@ def _interleave(weights: list[np.ndarray], biases: list[np.ndarray]) -> list[np.
 class DenseNet:
     """Fully-connected network with per-layer activations and cached backprop.
 
-    `members` is None for a single net, or the size of the leading members
-    axis of a team net built by `DenseNet.team`.
+    `rng` is one generator for a single net, or a sequence of generators, one
+    per member, for a team net; `members` is None or the team's size. Each
+    member draws its layers (W1, b1, W2, b2, ...) from its own generator, as
+    a single net built from that generator would.
     """
 
     def __init__(
         self,
         layer_sizes: Sequence[int],
         activations: Sequence[str],
-        rng: np.random.Generator,
+        rng: np.random.Generator | Sequence[np.random.Generator],
     ):
         if len(layer_sizes) < 2:
             raise ShapeError("need at least an input and an output layer")
@@ -140,12 +143,21 @@ class DenseNet:
                 raise ShapeError(f"unknown activation {act!r}")
         self.layer_sizes = list(layer_sizes)
         self.activations = list(activations)
-        arrays = []
+        single = isinstance(rng, np.random.Generator)
+        rngs = [rng] if single else list(rng)
+        if not rngs:
+            raise ShapeError("a team net needs at least one member")
+        draws = []  # (size, init bound) of W1, b1, W2, b2, ... in flat order
         for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
             bound = 1.0 / np.sqrt(fan_in)
-            arrays.append(rng.uniform(-bound, bound, size=fan_out * fan_in))
-            arrays.append(rng.uniform(-bound, bound, size=fan_out))
-        self._bind(np.concatenate(arrays), None)
+            draws += [(fan_out * fan_in, bound), (fan_out, bound)]
+        flat = np.empty(len(rngs) * sum(n for n, _ in draws))
+        offset = 0
+        for member_rng in rngs:
+            for n, bound in draws:
+                flat[offset : offset + n] = member_rng.uniform(-bound, bound, size=n)
+                offset += n
+        self._bind(flat, None if single else len(rngs))
 
     def _bind(self, flat: np.ndarray, members: int | None) -> None:
         self.flat = flat
@@ -157,27 +169,21 @@ class DenseNet:
         self.grad: np.ndarray | None = None  # allocated by the first backward that needs it
         self._work = Workspace()
 
-    @classmethod
-    def team(cls, nets: Sequence["DenseNet"]) -> "DenseNet":
-        """One net with a leading members axis holding copies of `nets`.
+    def _like(self, flat: np.ndarray, members: int | None) -> "DenseNet":
+        """A net of this architecture over `flat`."""
+        net = DenseNet.__new__(DenseNet)
+        net.layer_sizes = list(self.layer_sizes)
+        net.activations = list(self.activations)
+        net._bind(flat, members)
+        return net
 
-        Each of `nets` is rebound to its slice of the team's `flat`, so from
-        then on member and team read and write the same parameters.
-        """
-        first = nets[0]
-        for net in nets:
-            if net.members is not None:
-                raise ShapeError("a team member must be a single net")
-            if net.layer_sizes != first.layer_sizes or net.activations != first.activations:
-                raise ShapeError("team members must share one architecture")
-        team = cls.__new__(cls)
-        team.layer_sizes = list(first.layer_sizes)
-        team.activations = list(first.activations)
-        team._bind(np.concatenate([net.flat for net in nets]), len(nets))
-        size = first.flat.size
-        for i, net in enumerate(nets):
-            net._bind(team.flat[i * size : (i + 1) * size], None)
-        return team
+    def member(self, i: int) -> "DenseNet":
+        """Member i of a team net: a single net whose `flat` is a view of
+        member i's slice of the team's, so either one's writes reach the other."""
+        if self.members is None or not 0 <= i < self.members:
+            raise ShapeError(f"no member {i} in a team of {self.members}")
+        size = self.flat.size // self.members
+        return self._like(self.flat[i * size : (i + 1) * size], None)
 
     def params(self) -> list[np.ndarray]:
         return _interleave(self.weights, self.biases)
@@ -312,11 +318,7 @@ class DenseNet:
         return grads, input_grad
 
     def clone(self) -> "DenseNet":
-        twin = DenseNet.__new__(DenseNet)
-        twin.layer_sizes = list(self.layer_sizes)
-        twin.activations = list(self.activations)
-        twin._bind(self.flat.copy(), self.members)
-        return twin
+        return self._like(self.flat.copy(), self.members)
 
 
 def soft_update(target: DenseNet, online: DenseNet, tau: float) -> None:
@@ -346,7 +348,8 @@ class Adam:
 
     The learners pass flat parameter vectors, so one step is a few passes
     over a vector rather than a Python loop over layers and members. The
-    scratch is two chunk-sized buffers, allocated by the first step.
+    moments and the scratch (two chunk-sized buffers) are allocated by the
+    first step, so an optimizer that never steps holds none of them.
     """
 
     beta1 = 0.9
@@ -354,13 +357,14 @@ class Adam:
     eps = 1e-8
 
     def __init__(self, params: Sequence[np.ndarray]):
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self._n_params = len(params)
+        self.m: list[np.ndarray] = []
+        self.v: list[np.ndarray] = []
         self.t = 0
         self._work = Workspace()
 
     def step(self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray], lr: float) -> None:
-        if len(params) != len(self.m):
+        if len(params) != self._n_params:
             raise ShapeError("parameter list length changed under the optimizer")
         if not all(p.flags.c_contiguous for p in params):
             raise ShapeError("Adam updates contiguous arrays in place")
@@ -371,6 +375,9 @@ class Adam:
                 raise TrainingError(
                     f"non-finite gradient in parameter {i} (shape {g.shape})"
                 )
+        if not self.t:
+            self.m = [np.zeros_like(p) for p in params]
+            self.v = [np.zeros_like(p) for p in params]
         self.t += 1
         root2 = np.sqrt(1.0 - self.beta2**self.t)
         alpha, eps_hat = lr * root2 / (1.0 - self.beta1**self.t), self.eps * root2
@@ -480,7 +487,6 @@ class ExplorationSchedule:
     step-derived index instead, the schedule is unit-agnostic.
     """
 
-    kind: str  # "gaussian_noise" | "epsilon_greedy"
     start: float
     decay: float
     floor: float
@@ -491,6 +497,6 @@ class ExplorationSchedule:
         return max(self.floor, self.start * self.decay**episode)
 
 
-EPSILON_GREEDY_DEFAULT = ExplorationSchedule("epsilon_greedy", start=1.0, decay=0.995, floor=0.05)
-GAUSSIAN_NOISE_DEFAULT = ExplorationSchedule("gaussian_noise", start=0.2, decay=0.9995, floor=0.05)
+EPSILON_GREEDY_DEFAULT = ExplorationSchedule(start=1.0, decay=0.995, floor=0.05)
+GAUSSIAN_NOISE_DEFAULT = ExplorationSchedule(start=0.2, decay=0.9995, floor=0.05)
 

@@ -259,8 +259,8 @@ def test_criterion_08_wilcoxon_exactness():
 def test_criterion_09_exploration_schedules():
     """Schedule values equal the closed form at episodes {0, 1, 100, 1e6}."""
     with _Timer("criterion 9: exploration schedules", 1.0):
-        greedy = ExplorationSchedule("epsilon_greedy", 1.0, 0.995, 0.05)
-        noise = ExplorationSchedule("gaussian_noise", 0.2, 0.9995, 0.05)
+        greedy = ExplorationSchedule(1.0, 0.995, 0.05)
+        noise = ExplorationSchedule(0.2, 0.9995, 0.05)
         for schedule in (greedy, noise):
             for episode in (0, 1, 100, 10**6):
                 expected = max(schedule.floor, schedule.start * schedule.decay**episode)

@@ -170,6 +170,16 @@ class TestExecuteRun:
         assert len(results) == 2
         assert {m.seed for m, _ in results} == {1, 2}
 
+    def test_parallel_runs_return_the_serial_results(self, tmp_path):
+        spec = desk_spec("D", seed=3, weeks_per_episode=6, episodes=2)
+        serial = run_experiment(spec, tmp_path / "serial")
+        parallel = run_experiment(spec, tmp_path / "parallel", jobs=2)
+        assert [r.to_dict() for _, r in parallel] == [r.to_dict() for _, r in serial]
+        for (m_par, _), (m_ser, _) in zip(parallel, serial, strict=True):
+            assert (m_par.run_id, m_par.config_hash, m_par.config) == (
+                m_ser.run_id, m_ser.config_hash, m_ser.config
+            )
+
     def test_unwritable_directory_fails_before_simulating(self, tmp_path):
         spec = desk_spec("A")
         blocker = tmp_path / "not-a-dir"
@@ -187,7 +197,7 @@ class TestExecuteRun:
         def recording(config):
             agents = build_agents(config)
             for agent in agents:
-                refs.append(weakref.ref(agent.coordinator))
+                refs.append(weakref.ref(agent.learner))
                 refs.append(weakref.ref(getattr(agent, "actor", None) or agent.net))
             return agents
 

@@ -32,7 +32,7 @@ WARM_UP_STEPS = 6
 def _coordinator(config_id: str):
     """The config's team coordinator with two batches of random joint steps stored."""
     agents = build_agents(desk_spec(config_id).market.validate())
-    coord = agents[0].coordinator
+    coord = agents[0].learner
     n, products = len(coord.member_ids), len(agents[0].product_specs)
     shape = (n, state_dim(products))
     rng = np.random.default_rng(0)
@@ -54,7 +54,7 @@ def _coordinator(config_id: str):
 @pytest.mark.parametrize("config_id", ["B", "F"])
 def test_steady_state_learn_step_peak_allocation(config_id):
     coord = _coordinator(config_id)
-    # stacks the teams and allocates the buffers and the optimizer state; F's
+    # allocates the buffers and the optimizer's moments; F's
     # first hard target copy (learn call target_update_every = 5) allocates
     # the target update's scratch
     for _ in range(WARM_UP_STEPS):

@@ -5,10 +5,10 @@ import pytest
 
 from pricebench.demand import ParametricDemandModel
 from pricebench.environment import run_episode
-from pricebench.market import AgentSpec, ConfigError, MarketConfig, derive_rng, make_default_portfolio
-from pricebench.marl.common import ACTION_SMOOTHING, parse_hyper
+from pricebench.market import AgentSpec, MarketConfig, derive_rng, make_default_portfolio
+from pricebench.marl.common import ACTION_SMOOTHING, parse_hyper, state_dim
 from pricebench.marl.maddpg import MaddpgHyper, build_team
-from pricebench.nn import Adam, soft_update
+from pricebench.nn import Adam, DenseNet, soft_update
 
 
 def _config(n_agents=2, n_products=2, seed=23, weeks=10):
@@ -71,7 +71,7 @@ class TestActing:
 
 def _fill_buffer(team, reward_fn, n=80, rng=None):
     rng = rng or derive_rng(7, "fill")
-    coord = team[0].coordinator
+    coord = team[0].learner
     d = team[0].actor.layer_sizes[0]
     p = team[0].actor.layer_sizes[-1]
     for _ in range(n):
@@ -136,7 +136,7 @@ class TestLearning:
         team = _team(config, gamma=0.0, critic_lr=0.0, actor_lr=0.01, warm_up=16,
                      noise_start=0.0, noise_decay=1.0, noise_floor=0.0)
         (agent,) = team
-        coord = agent.coordinator
+        coord = agent.learner
         rng = derive_rng(9, "actor")
         _fill_buffer(team, lambda s, a: 0.0, n=64, rng=rng)
 
@@ -156,7 +156,7 @@ class TestLearning:
     def test_warm_up_defers_learning(self):
         config = _config(n_agents=2)
         team = _team(config, warm_up=500)
-        coord = team[0].coordinator
+        coord = team[0].learner
         _fill_buffer(team, lambda s, a: 0.0, n=10)
         before = [w.copy() for w in team[0].critic.weights]
         coord.learn()
@@ -222,13 +222,32 @@ class TestTeamStep:
                 assert np.array_equal(getattr(member, role).flat, r[role].flat), role
         assert not np.array_equal(team[0].actor.flat, team[0].target_actor.flat)
 
-    def test_no_member_joins_after_training_starts(self):
-        config = _config(n_agents=2)
-        team = _team(config, warm_up=16, batch_size=16)
-        coord = _fill_buffer(team, lambda s, a: 0.0, n=16)
-        coord.learn()
-        with pytest.raises(ConfigError):
-            coord.register(team[0])
+
+class TestTeamConstruction:
+    def test_members_view_the_team_nets_before_any_learn_step(self):
+        team = _team(_config(n_agents=3))
+        coord = team[0].learner
+        for i, agent in enumerate(team):
+            for role in ROLES:
+                assert np.shares_memory(getattr(agent, role).flat, getattr(coord, role + "s").flat)
+            agent.actor.biases[-1][0] = float(i)
+            assert coord.actors.biases[-1][i, 0] == float(i)
+        assert coord.actor_opt.m == [] and coord.critic_opt.m == []  # no moments before a step
+
+    def test_team_equals_nets_drawn_from_each_members_generator(self):
+        config = _config(n_agents=3, n_products=2)
+        team = _team(config)
+        coord, hp, local = team[0].learner, MaddpgHyper(), state_dim(2)
+        for i, agent in enumerate(team):
+            # each member draws its actor, then its critic, from its own generator
+            rng = derive_rng(config.seed, "agent", agent.agent_id)
+            actor = DenseNet([local, *hp.actor_hidden, 2], ["relu", "relu", "tanh"], rng)
+            actor.scale_output_layer(0.01)
+            critic = DenseNet([3 * (local + 2), *hp.critic_hidden, 1], ["relu", "relu", "linear"], rng)
+            for role, single in (("actor", actor), ("critic", critic)):
+                assert np.array_equal(getattr(coord, role + "s").member(i).flat, single.flat)
+                assert np.array_equal(getattr(coord, "target_" + role + "s").member(i).flat, single.flat)
+            assert agent.noise_rng.random() == rng.random()  # the member explores with what is left
 
 
 class TestJointAlignment:
@@ -237,7 +256,7 @@ class TestJointAlignment:
         team = _team(config)
         model = ParametricDemandModel(config.demand_params)
         run_episode(config, team, model)
-        coord = team[0].coordinator
+        coord = team[0].learner
         assert len(coord.buffer) == 6
         d, p = team[0].actor.layer_sizes[0], team[0].actor.layer_sizes[-1]
         critic_in, next_states, rewards, done = (f[0] for f in coord.buffer.fields)

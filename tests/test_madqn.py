@@ -7,7 +7,7 @@ from pricebench.marl.madqn import DqnCore, DqnHyper
 
 
 def _core(n_heads=1, n_bins=5, state=3, epsilon=0.0, seed=1, **hyper_kw):
-    schedule = ExplorationSchedule("epsilon_greedy", epsilon, 1.0, epsilon)
+    schedule = ExplorationSchedule(epsilon, 1.0, epsilon)
     hyper = DqnHyper(schedule=schedule, hidden=(16, 16), warm_up=4, batch_size=8, **hyper_kw)
     return DqnCore(state, n_heads, n_bins, hyper, derive_rng(seed, "dqn"))
 
@@ -129,7 +129,7 @@ class ToyMdp:
 
 def run_toy_mdp(seed, steps=4000):
     mdp = ToyMdp()
-    schedule = ExplorationSchedule("epsilon_greedy", 1.0, 0.9, 0.05)
+    schedule = ExplorationSchedule(1.0, 0.9, 0.05)
     hyper = DqnHyper(
         lr=0.003, gamma=0.95, batch_size=32, warm_up=32, hidden=(32, 32), schedule=schedule
     )

@@ -39,13 +39,14 @@ class TestParseHyper:
         assert hyper.batch_size == 32 and type(hyper.batch_size) is int
         assert hyper.lr == 0.01 and hyper.hidden == (8, 4)
         assert hyper.schedule == ExplorationSchedule(
-            "epsilon_greedy", EPSILON_GREEDY_DEFAULT.start, EPSILON_GREEDY_DEFAULT.decay, 0.0
+            EPSILON_GREEDY_DEFAULT.start, EPSILON_GREEDY_DEFAULT.decay, 0.0
         )
 
     def test_schedule_prefix_follows_the_learner(self):
         hyper = parse_hyper(MaddpgHyper, {"noise_start": 0.3}, "noise")
-        assert hyper.schedule.kind == GAUSSIAN_NOISE_DEFAULT.kind
-        assert (hyper.schedule.start, hyper.schedule.floor) == (0.3, GAUSSIAN_NOISE_DEFAULT.floor)
+        assert hyper.schedule == ExplorationSchedule(
+            0.3, GAUSSIAN_NOISE_DEFAULT.decay, GAUSSIAN_NOISE_DEFAULT.floor
+        )
 
     @pytest.mark.parametrize("key", ["noise_start", "schedule", "soft_tau", "updates_per_step"])
     def test_unknown_key_rejected(self, key):
@@ -344,7 +345,8 @@ class TestEncodeStateMatchesReference:
 
 def _reference_reward(agent, observation, prev_observation, samples: list[float]) -> float:
     """`_reward_from` as it was: a list of the episode's revenues and a
-    generator over the products' changes, each summed left to right."""
+    generator over the products' changes, read from the portfolio, each
+    summed left to right."""
     revenue = observation.agent_revenue[agent.agent_id]
     prev_revenue = prev_observation.agent_revenue[agent.agent_id]
     if not samples:
@@ -371,8 +373,8 @@ class TestRewardMatchesReference:
         rewards = []
         reward_from = MarlAgentBase._reward_from
 
-        def checked(agent, observation, prev_observation):
-            reward = reward_from(agent, observation, prev_observation)
+        def checked(agent, observation, prev_observation, state):
+            reward = reward_from(agent, observation, prev_observation, state)
             episode_samples = samples.setdefault((agent, agent.episode_index), [])
             expected = _reference_reward(agent, observation, prev_observation, episode_samples)
             assert reward.hex() == expected.hex()
@@ -420,11 +422,11 @@ class TestLearningPersistence:
     def test_weights_and_buffer_survive_episode_reset(self):
         config, agents, env = _madqn_setup()
         agent = agents[0]
-        agent.core.buffer.push("sentinel")
-        weights_before = agent.core.net.weights
+        agent.learner.buffer.push("sentinel")
+        weights_before = agent.learner.net.weights
         agent.begin_episode(1)
-        assert agent.core.net.weights is weights_before  # learning state persists
-        assert len(agent.core.buffer) == 1
+        assert agent.learner.net.weights is weights_before  # learning state persists
+        assert len(agent.learner.buffer) == 1
         assert agent.portfolio["prod1"].price_history == []  # histories reset
         assert agent.episode_index == 1
 
@@ -447,7 +449,7 @@ class TestActionRangeSafety:
                 if config_id == "B":
                     raw = agent.act_raw(state, episode=0)
                 elif config_id == "C":
-                    bins = agent.core.act(state, episode=0)
+                    bins = agent.learner.act(state, episode=0)
                     raw = np.array([
                         discretize_action(int(b), N_PRICE_BINS, band) for b in bins
                     ])

@@ -215,6 +215,17 @@ class TestAdam:
         assert saturated > 600
         assert worst < 1e-12
 
+    def test_moments_allocated_by_the_first_step(self):
+        params = [np.ones(5), np.ones(3)]
+        opt = Adam(params)
+        assert opt.m == [] and opt.v == [] and opt.t == 0
+        with pytest.raises(TrainingError):  # a non-finite first step allocates nothing
+            opt.step(params, [np.zeros(5), np.full(3, np.nan)], lr=0.01)
+        assert opt.m == [] and opt.v == [] and opt.t == 0
+        assert all(np.array_equal(p, np.ones(p.size)) for p in params)
+        opt.step(params, [np.ones(5), np.ones(3)], lr=0.01)
+        assert opt.t == 1 and [m.shape for m in opt.m] == [v.shape for v in opt.v] == [(5,), (3,)]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_gradient_leaves_state_untouched(self, bad):
         rng = derive_rng(4, "adam-bad")
@@ -230,7 +241,7 @@ class TestAdam:
         assert all(np.array_equal(b, a) for b, a in zip(before, params + opt.m + opt.v))
 
     def test_strided_parameters_rejected(self):
-        team = DenseNet.team([DenseNet([3, 2], ["linear"], derive_rng(i, "adam")) for i in range(2)])
+        team = DenseNet([3, 2], ["linear"], [derive_rng(i, "adam") for i in range(2)])
         params = team.params()
         with pytest.raises(ShapeError):
             Adam(params).step(params, [np.zeros(p.shape) for p in params], lr=0.01)
@@ -245,11 +256,15 @@ TEAM_SHAPES = {
 
 
 def _team(sizes, acts, members=4, seed=0):
-    """A team net, its member nets (now views of it), and independent copies of them."""
+    """A team net, its member views, and single nets drawn as its members are.
+
+    The members share one generator, so member i draws right after member
+    i - 1, as the i-th of a row of single nets drawn from that generator does.
+    """
+    team = DenseNet(sizes, acts, [derive_rng(seed, "team")] * members)
     rng = derive_rng(seed, "team")
-    nets = [DenseNet(sizes, acts, rng) for _ in range(members)]
-    copies = [net.clone() for net in nets]
-    return DenseNet.team(nets), nets, copies
+    singles = [DenseNet(sizes, acts, rng) for _ in range(members)]
+    return team, [team.member(i) for i in range(members)], singles
 
 
 class TestTeamNets:
@@ -302,6 +317,7 @@ class TestTeamNets:
     def test_member_and_team_views_alias_both_ways(self):
         team, nets, copies = _team([6, 5, 2], ["relu", "linear"], members=3)
         assert all(np.array_equal(net.flat, copy.flat) for net, copy in zip(nets, copies))
+        assert all(np.shares_memory(net.flat, team.flat) and net.members is None for net in nets)
         nets[1].weights[0][2, 3] = 7.0
         assert team.weights[0][1, 2, 3] == 7.0
         team.biases[1][2, 0] = -4.0
@@ -333,10 +349,24 @@ class TestTeamNets:
         with pytest.raises(ShapeError):
             team.forward(np.zeros((2, 4, 6)))
 
-    def test_team_of_mixed_architectures_rejected(self):
-        rng = derive_rng(5, "team")
+    @pytest.mark.parametrize("name", TEAM_SHAPES)
+    def test_members_draw_from_their_own_generators(self, name):
+        # member i's parameters are those of a single net drawn from generator i alone,
+        # whatever the other members draw
+        sizes, acts, _ = TEAM_SHAPES[name]
+        team = DenseNet(sizes, acts, [derive_rng(8, "member", i) for i in range(3)])
+        for i in range(3):
+            single = DenseNet(sizes, acts, derive_rng(8, "member", i))
+            assert np.array_equal(team.member(i).flat, single.flat)
+            assert all(np.array_equal(w[i], w_i) for w, w_i in zip(team.weights, single.weights))
+
+    def test_member_outside_the_team_rejected(self):
+        team, _, singles = _team([3, 2], ["linear"], members=2)
+        for net, i in ((team, 2), (team, -1), (singles[0], 0)):
+            with pytest.raises(ShapeError):
+                net.member(i)
         with pytest.raises(ShapeError):
-            DenseNet.team([DenseNet([3, 2], ["linear"], rng), DenseNet([3, 4], ["linear"], rng)])
+            DenseNet([3, 2], ["linear"], [])
 
 
 def _critic(members):
@@ -680,7 +710,7 @@ class TestSchedules:
     @given(st.integers(min_value=0, max_value=5000))
     @settings(max_examples=50)
     def test_monotone_and_floored(self, e):
-        s = ExplorationSchedule("epsilon_greedy", 1.0, 0.99, 0.03)
+        s = ExplorationSchedule(1.0, 0.99, 0.03)
         assert s.value(e + 1) <= s.value(e)
         assert s.value(e) >= 0.03
 

@@ -5,7 +5,8 @@ import pytest
 
 from pricebench.demand import ParametricDemandModel
 from pricebench.environment import run_episode
-from pricebench.market import AgentSpec, ConfigError, MarketConfig, derive_rng, make_default_portfolio
+from pricebench.market import AgentSpec, MarketConfig, derive_rng, make_default_portfolio
+from pricebench.marl.common import N_PRICE_BINS, state_dim
 from pricebench.nn import Adam, DenseNet, TrainingError, hard_update
 from pricebench.marl.qmix import (
     MonotonicMixer,
@@ -95,45 +96,18 @@ class TestMonotonicity:
                 assert fd == pytest.approx(flat_g[i], rel=1e-4, abs=1e-7)
 
 
-class _FakeMember:
-    """Minimal duck-typed member for coordinator-level tests."""
-
-    def __init__(self, agent_id, state_size, n_bins, seed):
-        self.agent_id = agent_id
-        self.n_heads = 1
-        self.n_bins = n_bins
-        rng = derive_rng(seed, "fake", agent_id)
-        self.net = DenseNet([state_size, 32, n_bins], ["relu", "linear"], rng)
-        self.target = self.net.clone()
-        self.coordinator = None
-
-
-def _team(n_agents=2, state_size=2, n_bins=3, seed=6, **hyper_kw):
-    """A coordinator and its fake members (the coordinator keeps only their nets)."""
+def _coordinator(n_agents=2, state_size=2, n_bins=3, seed=6, **hyper_kw) -> QmixCoordinator:
+    """A coordinator of one-head members x0, x1, ... and their team nets."""
     config = MarketConfig(
         agent_roster=[AgentSpec(f"x{i}", "qmix") for i in range(n_agents)], seed=seed,
         clusters=(1,), weeks_per_episode=4, episodes=1,
     ).validate()
-    hyper = QmixHyper(**{"warm_up": 16, "batch_size": 16, **hyper_kw})
-    coord = QmixCoordinator(config, hyper, n_agents, state_size)
-    members = [_FakeMember(f"x{i}", state_size, n_bins, seed) for i in range(n_agents)]
-    for member in members:
-        coord.register(member)
-        member.coordinator = coord
-    return coord, members
-
-
-def _coordinator(**kwargs) -> QmixCoordinator:
-    return _team(**kwargs)[0]
+    hyper = QmixHyper(**{"warm_up": 16, "batch_size": 16, "hidden": (32,), **hyper_kw})
+    ids = [f"x{i}" for i in range(n_agents)]
+    return QmixCoordinator(config, hyper, ids, state_size, n_heads=1, n_bins=n_bins)
 
 
 class TestCoordinator:
-    def test_double_registration_rejected(self):
-        _, (member, _) = _team()
-        coord_b = _coordinator()
-        with pytest.raises(ConfigError):
-            coord_b.register(member)
-
     def test_done_targets_equal_shared_reward(self):
         coord = _coordinator(gamma=0.99, lr=0.02)
         rng = derive_rng(7, "fill")
@@ -211,19 +185,20 @@ def _reference_learn(coord, nets, targets, mixer, target_mixer, opt, rng, step):
 
 class TestTeamStep:
     def test_team_step_equals_per_member_reference(self):
-        coord, members = _team(n_agents=3, lr=0.02, target_update_every=2)
+        coord = _coordinator(n_agents=3, lr=0.02, target_update_every=2)
         _fill(coord)
-        nets = [m.net.clone() for m in members]
-        targets = [m.target.clone() for m in members]
+        members = [(coord.nets.member(i), coord.target_nets.member(i)) for i in range(3)]
+        nets = [net.clone() for net, _ in members]
+        targets = [target.clone() for _, target in members]
         mixer, target_mixer = coord.mixer.clone(), coord.target_mixer.clone()
         opt = Adam([p for net in nets for p in net.params()] + mixer.params())
         rng = copy.deepcopy(coord.rng)
         for step in range(1, 6):
             coord.learn()
             _reference_learn(coord, nets, targets, mixer, target_mixer, opt, rng, step)
-        for member, net, target in zip(members, nets, targets):
-            assert np.array_equal(member.net.flat, net.flat)
-            assert np.array_equal(member.target.flat, target.flat)
+        for (member_net, member_target), net, target in zip(members, nets, targets):
+            assert np.array_equal(member_net.flat, net.flat)
+            assert np.array_equal(member_target.flat, target.flat)
         assert np.array_equal(coord.mixer.flat, mixer.flat)
         assert np.array_equal(coord.target_mixer.flat, target_mixer.flat)
 
@@ -249,7 +224,7 @@ class TestMatrixGame:
         payoff = r1[:, None] + r2[None, :]
         oracle = np.unravel_index(payoff.argmax(), payoff.shape)
 
-        coord, members = _team(n_agents=2, state_size=1, n_bins=3, lr=0.01, seed=12)
+        coord = _coordinator(n_agents=2, state_size=1, n_bins=3, lr=0.01, seed=12)
         state = [np.ones(1), np.ones(1)]
         for a1 in range(3):
             for a2 in range(3):
@@ -257,24 +232,51 @@ class TestMatrixGame:
                     coord.buffer.push(state, [[a1], [a2]], state, payoff[a1, a2], True)
         for _ in range(2500):
             coord.learn()
-        greedy = [
-            int(np.argmax(m.net.forward(np.ones(1)))) for m in members
-        ]
+        greedy = [int(np.argmax(coord.nets.member(i).forward(np.ones(1)))) for i in range(2)]
         assert tuple(greedy) == oracle
+
+
+def _market_team(n_agents=2, seed=33):
+    """A market config and its QMIX team of members m0, m1, ... over two products."""
+    roster = [AgentSpec(f"m{i}", "qmix") for i in range(n_agents)]
+    config = MarketConfig(
+        agent_roster=roster, clusters=(1, 2),
+        weeks_per_episode=8, episodes=1, seed=seed,
+    ).validate()
+    portfolio = make_default_portfolio([1, 2], config.seed)
+    return config, build_team([s.agent_id for s in roster], portfolio, config)
+
+
+class TestTeamConstruction:
+    def test_members_view_the_team_nets_before_any_learn_step(self):
+        _, team = _market_team(n_agents=3)
+        coord = team[0].learner
+        for i, agent in enumerate(team):
+            assert np.shares_memory(agent.net.flat, coord.nets.flat)
+            assert np.shares_memory(agent.target.flat, coord.target_nets.flat)
+            agent.net.biases[-1][0] = float(i)
+            assert coord.nets.biases[-1][i, 0] == float(i)
+        assert coord.optimizer.t == 0 and coord.optimizer.m == []  # no moments before a step
+
+    def test_team_equals_nets_drawn_from_each_members_generator(self):
+        config, team = _market_team(n_agents=3, seed=41)
+        coord, hp = team[0].learner, QmixHyper()
+        sizes = [state_dim(2), *hp.hidden, 2 * N_PRICE_BINS]
+        acts = ["relu"] * len(hp.hidden) + ["linear"]
+        for i, agent in enumerate(team):
+            rng = derive_rng(config.seed, "agent", agent.agent_id)
+            single = DenseNet(sizes, acts, rng)
+            assert np.array_equal(coord.nets.member(i).flat, single.flat)
+            assert np.array_equal(coord.target_nets.member(i).flat, single.flat)
+            assert agent.rng.random() == rng.random()  # the member explores with what is left
 
 
 class TestQmixTeamInMarket:
     def test_episode_respects_bounds_and_stores_joint(self):
-        roster = [AgentSpec(f"m{i}", "qmix") for i in range(2)]
-        config = MarketConfig(
-            agent_roster=roster, clusters=(1, 2),
-            weeks_per_episode=8, episodes=1, seed=33,
-        ).validate()
-        portfolio = make_default_portfolio([1, 2], config.seed)
-        team = build_team([s.agent_id for s in roster], portfolio, config)
+        config, team = _market_team()
         model = ParametricDemandModel(config.demand_params)
         run_episode(config, team, model)
-        coord = team[0].coordinator
+        coord = team[0].learner
         assert len(coord.buffer) == 8
         for agent in team:
             for product in agent.portfolio.values():

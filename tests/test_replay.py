@@ -122,7 +122,7 @@ def _random_steps(team, kind, n_steps, rng):
             if kind == "maddpg":
                 action = rng.uniform(-0.1, 0.1, size=products)
             else:
-                action = rng.integers(0, team[0].n_bins, size=products)
+                action = rng.integers(0, team[0].learner.n_bins, size=products)
             parts.append((rng.normal(size=d), action, float(rng.normal()), rng.normal(size=d)))
         yield parts, step % 7 == 6
 
@@ -132,7 +132,7 @@ def test_maddpg_batch_equals_stacked_joint_transitions():
     team = build_maddpg_team([s.agent_id for s in config.agent_roster],
                              make_default_portfolio([1, 2], config.seed), config,
                              MaddpgHyper(**NO_TRAINING))
-    coord = team[0].coordinator
+    coord = team[0].learner
     reference = ListReplayBuffer(coord.buffer.capacity, coord.buffer.recency_decay)
     for parts, done in _random_steps(team, "maddpg", 40, derive_rng(5, "steps")):
         for member, (state, action, reward, next_state) in zip(team, parts):
@@ -161,7 +161,7 @@ def test_qmix_batch_equals_stacked_joint_transitions():
     team = build_qmix_team([s.agent_id for s in config.agent_roster],
                            make_default_portfolio([1, 2], config.seed), config,
                            QmixHyper(**NO_TRAINING))
-    coord = team[0].coordinator
+    coord = team[0].learner
     reference = ListReplayBuffer(coord.buffer.capacity, coord.buffer.recency_decay)
     for parts, done in _random_steps(team, "qmix", 40, derive_rng(7, "steps")):
         for member, (state, bins, reward, next_state) in zip(team, parts):

@@ -23,9 +23,12 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def _members(sizes, acts, members, seed=0):
+def _team(sizes, acts, members, skip=0, seed=0):
+    """Members skip to skip + members of a team whose members draw in turn from one generator."""
     rng = derive_rng(seed, "split-team")
-    return [DenseNet(sizes, acts, rng) for _ in range(members)]
+    if skip:
+        DenseNet(sizes, acts, [rng] * skip)  # draws the members before the wanted ones
+    return DenseNet(sizes, acts, [rng] * members)
 
 
 NETS = {
@@ -56,11 +59,12 @@ def test_team_passes_split_equal_serial(net_name, members, shared, params, input
     x = rng.normal(size=(batch, sizes[0]) if shared else (members, batch, sizes[0])) * 2.0
     up = rng.normal(size=(members, batch, sizes[-1]))
     up[..., 0] = -0.0  # a signed zero meets dead relu units and linear layers
-    whole = _passes(DenseNet.team(_members(sizes, acts, members)), x, up, params, inputs)
+    whole = _passes(_team(sizes, acts, members), x, up, params, inputs)
 
-    nets, h = _members(sizes, acts, members), members // 2
+    h = members // 2
     halves = [
-        _passes(DenseNet.team(nets[part]), x if shared else x[part], up[part], params, inputs)
+        _passes(_team(sizes, acts, part.stop - part.start, skip=part.start),
+                x if shared else x[part], up[part], params, inputs)
         for part in (slice(0, h), slice(h, members))
     ]
     y, post, grad, input_grad = whole
