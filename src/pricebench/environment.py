@@ -14,8 +14,10 @@ a week is one pass over per-slot lists and one demand-oracle call.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -295,36 +297,134 @@ def run_episode(
     return records
 
 
-def _episode_rows(ep_idx: int, records: list[WeeklyRecord]) -> list[str]:
-    """One episode's history rows, one per slot and week.
+# `'%.6f' % x` is computed in vector form for |x| < FIXED6_LIMIT, that is
+# |x|·10⁶ < 2⁵², where every half-integer is a double; any other value (NaN
+# and inf too) is formatted one by one.
+FIXED6_LIMIT = 2.0**52 / 1e6
+_VELTKAMP = 134217729.0  # 2**27 + 1
 
-    A slot's `agent_id,product_id,` is formatted once per slot table (one per
-    episode), and `episode,week,` and each agent's share once per week.
+
+def _digits(v: np.ndarray, out: np.ndarray) -> None:
+    """Write the last `len(out)` decimal digits of the non-negative ints `v`
+    into `out` (shape `(count, *v.shape)`), most significant first, as ASCII."""
+    for j in range(len(out) - 1, -1, -1):
+        rest = v // 10
+        out[j] = v - rest * 10
+        v = rest
+    out += ord("0")
+
+
+def _product_error(a: np.ndarray) -> np.ndarray:
+    """The exact a·10⁶ − fl(a·10⁶), a double for every |a| < FIXED6_LIMIT.
+
+    A Veltkamp split gives a = a_hi + a_lo with at most 26 significant bits
+    each, so a_hi·10⁶ and a_lo·10⁶ are exact; Fast2Sum of the two yields the
+    rounded product and its error.
     """
-    rows: list[str] = []
-    slots = None
-    for record in records:
-        if record.slots is not slots:
-            slots = record.slots
-            prefixes = [f"{agent_id},{product_id}," for agent_id, product_id in slots]
-            owners = [agent_id for agent_id, _ in slots]
-        head = "%d,%d," % (ep_idx, record.week_index)
-        shares = {agent_id: "%.6f" % share for agent_id, share in record.market_share.items()}
-        rows += [
-            "%s%s%.6f,%.6f,%.6f,%.6f,%s" % (head, prefix, price, demand, revenue, profit, shares[owner])
-            for prefix, owner, price, demand, revenue, profit in zip(
-                prefixes, owners, record.price, record.demand, record.revenue, record.profit
-            )
-        ]
-    return rows
+    c = a * _VELTKAMP
+    a_hi = c - (c - a)
+    p1 = a_hi * 1e6
+    p2 = (a - a_hi) * 1e6
+    return p2 - ((p1 + p2) - p1)
+
+
+def fixed6_text(values: np.ndarray) -> np.ndarray:
+    """`'%.6f' % v` of every float in `values`, as a uint8 array of shape
+    `(width, *values.shape)`: byte j of each value's text, padded with NULs
+    (one width for all; drop the NULs to read the text).
+
+    The text is exact. hi = fl(|v|·10⁶) is correctly rounded, so below 2⁵²,
+    where every half-integer is a double, rint(hi) rounds |v|·10⁶ to its
+    nearest integer unless hi is itself a half-integer. There the exact
+    product's error lo (`_product_error`) breaks the tie: rint's choice moves
+    one unit toward the exact value when lo points that way, and stays
+    (round half to even, as CPython's dtoa) when lo is 0. The sign comes from
+    `signbit`, so -0.0 and negatives that round to zero keep their '-'.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    a = np.abs(values)
+    fast = a < FIXED6_LIMIT
+    slow = [] if fast.all() else [tuple(i) for i in np.argwhere(~fast)]
+    if slow:
+        a[~fast] = 0.0
+    hi = a * 1e6
+    q = np.rint(hi)
+    off = np.subtract(hi, q, out=hi)
+    ties = np.flatnonzero(np.abs(off) == 0.5)
+    if ties.size:
+        off = off.ravel()[ties]
+        lo = _product_error(a.ravel()[ties])
+        q.ravel()[ties] += np.where(off * lo > 0, 2 * off, 0.0)
+    int_part = np.floor(q / 1e6)
+    frac = np.subtract(q, int_part * 1e6, out=q).astype(np.int32)
+    top = int(int_part.max(initial=0.0))
+    int_part = int_part.astype(np.int32 if top < 2**31 else np.int64)
+    n_int = len(str(top))
+    fallback = [(i, b"%.6f" % values[i]) for i in slow]
+    width = max([n_int + 8] + [len(text) for _, text in fallback])
+
+    text = np.zeros((width, *values.shape), dtype=np.uint8)
+    np.signbit(values, out=text[0], casting="unsafe")
+    text[0] *= ord("-")
+    point = width - 7
+    digits = text[point - n_int:point]
+    _digits(int_part, digits)
+    for j in range(n_int - 1):  # leading zeros stay NUL
+        digits[j] *= int_part >= 10 ** (n_int - 1 - j)
+    text[point] = ord(".")
+    _digits(frac, text[point + 1:])
+    for i, value_text in fallback:
+        cell = text[(slice(None), *i)]
+        cell[:] = 0
+        cell[:len(value_text)] = np.frombuffer(value_text, dtype=np.uint8)
+    return text
+
+
+def _text_rows(strings: list[bytes]) -> np.ndarray:
+    """`(width, len(strings))` uint8: each string down its column, NUL-padded."""
+    return np.array(strings, dtype=bytes).view(np.uint8).reshape(len(strings), -1).T
+
+
+def _rows_bytes(ep_idx: int, records: list[WeeklyRecord]) -> bytes:
+    """The history rows of an episode's records that share one slot table:
+    one row per slot and week, in slot order within each week.
+
+    The rows are laid out in a `(bytes per row, rows)` uint8 buffer: each
+    week's `episode,week,`, each slot's `agent_id,product_id,`, then each
+    float column's `fixed6_text` and its separator, every field NUL-padded
+    to its widest entry. One transpose makes the row bytes, and dropping the
+    NULs leaves the CSV text.
+    """
+    slots = records[0].slots
+    owners = [agent_id for agent_id, _ in slots]
+    floats = []
+    for column in ("price", "demand", "revenue", "profit"):
+        for r in records:
+            floats += getattr(r, column)
+    for r in records:
+        floats += map(r.market_share.__getitem__, owners)
+    # struct.pack turns the list into doubles about 3x faster than np.array does
+    values = np.frombuffer(struct.pack(f"{len(floats)}d", *floats)).reshape(5, -1)
+    fields = fixed6_text(values).transpose(1, 0, 2)  # (5, width, rows)
+
+    heads = _text_rows([b"%d,%d," % (ep_idx, r.week_index) for r in records])
+    prefixes = _text_rows([f"{agent_id},{product_id},".encode() for agent_id, product_id in slots])
+    start = len(heads) + len(prefixes)
+    buffer = np.empty((start + 5 * (fields.shape[1] + 1), len(records), len(slots)), dtype=np.uint8)
+    buffer[:len(heads)] = heads[:, :, None]
+    buffer[len(heads):start] = prefixes[:, None, :]
+    columns = buffer[start:].reshape(5, -1, values.shape[1])
+    columns[:, :-1] = fields
+    columns[:, -1] = ord(",")
+    columns[4, -1] = ord("\n")
+    return buffer.reshape(len(buffer), -1).T.tobytes().translate(None, b"\0")
 
 
 def write_history_csv(episodes: list[list[WeeklyRecord]], path) -> None:
     """The run's history as CSV: the header, then one row per slot and week
-    (floats at 6 dp), written episode by episode as each one's rows are formatted."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(HISTORY_COLUMNS) + "\n")
+    (floats as `'%.6f'`), written episode by episode."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(HISTORY_COLUMNS) + "\n").encode())
         for ep_idx, records in enumerate(episodes, start=1):
-            rows = _episode_rows(ep_idx, records)
-            if rows:
-                fh.write("\n".join(rows) + "\n")
+            for _, run in itertools.groupby(records, key=lambda r: id(r.slots)):
+                fh.write(_rows_bytes(ep_idx, list(run)))

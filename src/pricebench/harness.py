@@ -28,6 +28,7 @@ import hashlib
 import json
 import logging
 import math
+import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -168,6 +169,8 @@ class RunManifest(JsonFields):
     artifacts: dict[str, str]
     version: str
     config: dict = field(default_factory=dict)
+    # wall seconds of each phase of the run, by name (see `execute_run`)
+    timings: dict[str, float] = field(default_factory=dict)
 
 
 def config_hash(config_dict: dict) -> str:
@@ -240,17 +243,30 @@ def execute_run(
     run_dir = out / run_id
     run_dir.mkdir(parents=True, exist_ok=True)
 
+    timings = {}
+    clock = time.perf_counter()
+
+    def lap(phase: str) -> None:
+        nonlocal clock
+        now = time.perf_counter()
+        timings[phase] = now - clock
+        clock = now
+
     agents = build_agents(run_config)
+    lap("build_agents")
     model = ParametricDemandModel(run_config.demand_params)
     episodes = [run_episode(run_config, agents, model, ep) for ep in range(run_config.episodes)]
     # the report and the artifacts read only the episode records: free the
     # agents' nets, buffers and replay before the history CSV is built
     del agents
+    lap("simulate")
     report = compute_report(episodes)
-
+    lap("compute_report")
     write_history_csv(episodes, run_dir / "history.csv")
+    lap("history_csv")
     with open(run_dir / "metrics.json", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(report.to_json() + "\n")
+    lap("metrics_json")
     artifacts = {
         "history_csv": str(run_dir / "history.csv"),
         "metrics_json": str(run_dir / "metrics.json"),
@@ -268,6 +284,7 @@ def execute_run(
         artifacts=artifacts,
         version=__version__,
         config=config_dict,
+        timings=timings,
     )
     with open(run_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest.to_dict(), fh, indent=2, sort_keys=True)
@@ -379,23 +396,28 @@ def wilcoxon_vs_baseline(
     """Paired signed-rank tests of each homogeneous MARL config against the
     all-rule baseline.
 
-    Pairs are per agent slot: each agent's mean return averaged over runs,
-    matched against the same slot in the baseline (n = roster size). Mixed
-    configs are excluded: their per-slot returns mix agent kinds and are not
-    comparable pairs.
+    Pairs are seed-matched runs: each config's reports are in run order (run
+    i has seed base + i, one base for all configs), and run i of a config
+    meets run i of the baseline, each scored as its mean return over its
+    agents. So n = n_runs, and 8 runs can reach p = 2/2⁸ ≈ 0.0078. Mixed
+    configs are excluded: their runs mix agent kinds. A config whose run
+    count differs from the baseline's raises ValueError.
     """
     if baseline not in reports_by_config:
         return {}
 
-    def slot_means(reports: list[MetricsReport]) -> list[float]:
-        ids = sorted(reports[0].agents)
-        return [float(np.mean([r.agents[a].mean_return for r in reports])) for a in ids]
+    def run_means(reports: list[MetricsReport]) -> list[float]:
+        return [float(np.mean([a.mean_return for a in r.agents.values()])) for r in reports]
 
-    base = slot_means(reports_by_config[baseline])
+    base = run_means(reports_by_config[baseline])
     results = {}
     for cid in MARL_ONLY_CONFIGS:
         if cid in reports_by_config:
-            results[cid] = wilcoxon_signed_rank(slot_means(reports_by_config[cid]), base)
+            runs = run_means(reports_by_config[cid])
+            if len(runs) != len(base):
+                raise ValueError(f"config {cid} has {len(runs)} runs and {baseline} "
+                                 f"{len(base)}: seed-matched pairs need equal run counts")
+            results[cid] = wilcoxon_signed_rank(runs, base)
     return results
 
 

@@ -226,10 +226,11 @@ class AgentSpec:
     def __post_init__(self):
         if self.agent_kind not in self.KNOWN_KINDS:
             raise ConfigError(f"unknown agent_kind {self.agent_kind!r}")
-        # history.csv writes the id unquoted between commas, one row per line
-        if not self.agent_id or any(c in self.agent_id for c in ',"\r\n'):
+        # history.csv writes the id unquoted between commas, one row per line,
+        # and its writer drops NUL bytes
+        if not self.agent_id or any(c in self.agent_id for c in ',"\r\n\0'):
             raise ConfigError(f"agent_id {self.agent_id!r} must be non-empty and hold "
-                              "no comma, double quote, CR or LF")
+                              "no comma, double quote, CR, LF or NUL")
 
 
 def make_default_portfolio(clusters: Sequence[int], seed: int) -> list[ProductSpec]:

@@ -91,6 +91,10 @@ def welfare_fairness(revenues: Sequence[float]) -> float:
 def nash_proximity(price_series, window: int | None = NASH_WINDOW_WEEKS) -> float:
     """1 - min(1, 10 * mean |relative weekly change|) over the trailing window.
 
+    Despite its name this scores price stability, not the distance to any
+    equilibrium: the parametric demand model has no interior revenue
+    optimum to be near, and prices held still score 1 at any level.
+
     `price_series` holds one equally long price sequence per agent-product
     pair (a `(slots, weeks)` array); pass window=None to use every week. The
     mean is a sequential sum, series by series.

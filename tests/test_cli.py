@@ -250,7 +250,9 @@ def _two_rule_agents(first_id):
 
 
 class TestAgentIds:
-    @pytest.mark.parametrize("agent_id", ["shop,north", 'shop"north', "shop\rnorth", "shop\nnorth", ""])
+    @pytest.mark.parametrize(
+        "agent_id", ["shop,north", 'shop"north', "shop\rnorth", "shop\nnorth", "shop\0north", ""]
+    )
     def test_id_that_breaks_a_history_row_exits_1(self, tmp_path, capsys, agent_id):
         capsys.readouterr()
         assert main(_simulate_edited(tmp_path, _two_rule_agents(agent_id))) == 1

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +11,9 @@ from pricebench.environment import (
     MarketEnvironment,
     PricingAgentBase,
     ProtocolError,
+    FIXED6_LIMIT,
     WeeklyRecord,
+    fixed6_text,
     run_episode,
     write_history_csv,
 )
@@ -424,3 +427,71 @@ class TestHistoryCsv:
         write_history_csv([[], [record], [other]], tmp_path / "history.csv")
         text = (tmp_path / "history.csv").read_text()
         assert text == "\n".join([",".join(HISTORY_COLUMNS), *expected]) + "\n"
+
+
+def _fixed6_strings(values) -> list[str]:
+    """Each value's text from `fixed6_text`, NULs dropped."""
+    text = fixed6_text(np.asarray(values, dtype=float).ravel())
+    lines = np.full((len(text) + 1, text.shape[1]), ord("\n"), dtype=np.uint8)
+    lines[:-1] = text
+    return lines.T.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
+
+
+def _percent_f6(values) -> list[str]:
+    return ["%.6f" % v for v in np.asarray(values, dtype=float).ravel().tolist()]
+
+
+def _half_micro_neighbours(rng, n: int) -> np.ndarray:
+    """Doubles at and next to (k + 1/2)·1e-6 across the vector range: exact
+    ties k/2⁷ (k odd, the only doubles whose value·10⁶ is a half-integer),
+    the rounded quotients (k + 1/2)/10⁶ and both nextafter neighbours of each."""
+    exponents = rng.integers(0, 52, n)
+    k = np.floor(rng.random(n) * 2.0**exponents)
+    ties = (2 * np.floor(rng.random(n) * 2.0**exponents) + 1) / 2**7
+    quotients = (k + 0.5) / 1e6
+    centres = np.concatenate([ties, quotients])
+    centres = centres[centres < FIXED6_LIMIT]
+    return np.concatenate([centres, np.nextafter(centres, 0), np.nextafter(centres, np.inf)])
+
+
+class TestFixed6Text:
+    """`fixed6_text` is `'%.6f' % v`, byte for byte, for every double."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8))
+    def test_matches_percent_format(self, values):
+        assert _fixed6_strings(values) == _percent_f6(values)
+
+    def test_million_values_match_percent_format(self):
+        rng = np.random.default_rng(20260)
+        dyadic = (2 * rng.integers(0, 2**20, 50_000) + 1) / 2.0 ** rng.integers(1, 61, 50_000)
+        subnormal = rng.integers(1, 2**52, 20_000) * 5e-324
+        values = np.concatenate([
+            _half_micro_neighbours(rng, 110_000),
+            dyadic,
+            rng.uniform(0, 1, 100_000),
+            rng.normal(0, 1e3, 100_000),
+            rng.uniform(-1, 1, 50_000) * 10.0 ** rng.integers(-12, 10, 50_000),
+            subnormal,
+            [0.0, 5e-324, 2.5e-7, 0.1234565, 1e9, 2.0**31 / 1e6, np.nextafter(FIXED6_LIMIT, 0)],
+        ])
+        values = np.concatenate([values, -values])
+        assert len(values) >= 1_000_000
+        got, expected = _fixed6_strings(values), _percent_f6(values)
+        mismatched = [(v, g, e) for v, g, e in zip(values.tolist(), got, expected) if g != e]
+        assert mismatched == []
+
+    def test_values_at_and_beyond_the_limit_use_the_fallback(self):
+        big = [FIXED6_LIMIT, np.nextafter(FIXED6_LIMIT, np.inf), 2.0**52, 1e10, 1e15, 2.0**53 + 2,
+               1e22, 1e300, np.finfo(float).max, math.inf, math.nan]
+        values = np.array([*big, *(-v for v in big), 1.5, -0.0, 0.0078125, 1e-300])
+        assert _fixed6_strings(values) == _percent_f6(values)
+        # one width for all: a short value is NUL-padded to the widest one's
+        assert fixed6_text(values).shape == (len("%.6f" % -np.finfo(float).max), len(values))
+
+    def test_shape_and_signs(self):
+        text = fixed6_text(np.array([[-0.0, 1.0], [-1e-9, 12.5]]))
+        assert text.shape == (len("12.500000") + 1, 2, 2)
+        assert _fixed6_strings([-0.0, 1.0, -1e-9, 12.5]) == [
+            "-0.000000", "1.000000", "-0.000000", "12.500000"
+        ]

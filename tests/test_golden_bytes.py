@@ -19,7 +19,8 @@ that alters them on purpose re-captures the file with
     PYTHONPATH=src python -m tests.test_golden_bytes
 
 which first prints each hash that moved (scale/run/artifact, old -> new) and
-the count of those that did not.
+the count of those that did not. With `--check` it prints the same lines,
+leaves the file as it is and exits 1 if any hash moved.
 """
 
 from __future__ import annotations
@@ -148,9 +149,33 @@ def test_hash_moves_names_each_moved_hash():
     assert hash_moves(new, new) == ([], 3)
 
 
-if __name__ == "__main__":
+def test_check_mode_reports_a_moved_hash_and_leaves_the_file(tmp_path, monkeypatch, capsys):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    table = {"desk": {"A": dict(golden["desk"]["A"])}}
+    key = sorted(table["desk"]["A"])[0]
+    table["desk"]["A"][key] = "0" * 64
+    stale = tmp_path / "golden_bytes.json"
+    stale.write_text(json.dumps(table), encoding="utf-8")
+    monkeypatch.setitem(globals(), "GOLDEN", stale)
+    monkeypatch.setitem(globals(), "SCALES", {"desk": (("A",), {})})
+    before = stale.read_bytes()
+    assert main(["--check"]) == 1
+    assert stale.read_bytes() == before
+    out = capsys.readouterr().out
+    assert f"moved desk/{key}: {'0' * 64} -> " in out
+    assert f"1 moved, {len(table['desk']['A']) - 1} unchanged" in out
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Compute every table and print each hash that moved; rewrite the file,
+    or with --check leave it and exit 1 if any hash moved."""
+    import argparse
     import tempfile
 
+    parser = argparse.ArgumentParser(description="Re-capture or check golden_bytes.json.")
+    parser.add_argument("--check", action="store_true",
+                        help="compare only: leave the file as it is, exit 1 if a hash moved")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         table = {
             scale: {cid: artifact_hashes(_spec(scale, cid), Path(tmp) / scale / cid) for cid in configs}
@@ -161,5 +186,12 @@ if __name__ == "__main__":
     for line in moved:
         print(f"moved {line}")
     print(f"{len(moved)} moved, {unchanged} unchanged")
+    if args.check:
+        return 1 if moved else 0
     GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

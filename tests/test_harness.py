@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from pricebench import harness
 from pricebench.harness import (
     CONFIG_MATRIX,
     ExperimentSpec,
+    RunManifest,
     confidence_interval,
     config_hash,
     desk_spec,
@@ -136,6 +138,25 @@ class TestExecuteRun:
         canonical = json.dumps(stored["config"], sort_keys=True, separators=(",", ":"))
         assert stored["config_hash"] == hashlib.sha256(canonical.encode()).hexdigest()
         assert stored == json.loads(json.dumps(manifest.to_dict()))
+
+    def test_manifest_times_each_phase_within_the_run(self, tmp_path):
+        started = time.perf_counter()
+        manifest, _ = execute_run(desk_spec("C", seed=5), 0, tmp_path)
+        wall = time.perf_counter() - started
+        timings = manifest.timings
+        assert list(timings) == [
+            "build_agents", "simulate", "compute_report", "history_csv", "metrics_json"
+        ]
+        assert all(seconds >= 0 for seconds in timings.values())
+        assert sum(timings.values()) <= wall
+        stored = json.loads((tmp_path / manifest.run_id / "manifest.json").read_text())
+        assert stored["timings"] == timings
+
+    def test_manifest_without_timings_still_parses(self, tmp_path):
+        manifest, _ = execute_run(desk_spec("A", seed=5), 0, tmp_path)
+        stored = json.loads((tmp_path / manifest.run_id / "manifest.json").read_text())
+        del stored["timings"]
+        assert RunManifest.from_dict(stored).timings == {}
 
     def test_clusters_alone_set_the_portfolio(self, tmp_path):
         manifest, _ = execute_run(desk_spec("A", clusters=[1, 2]), 0, tmp_path)
@@ -329,14 +350,31 @@ class TestWilcoxon:
 
     def test_vs_baseline_excludes_mixed_configs(self):
         reports = {
-            "A": [_fake_report(100.0)],
-            "C": [_fake_report(400.0)],
-            "D": [_fake_report(300.0)],  # mixed: must not be tested
+            "A": [_fake_report(100.0 + i) for i in range(8)],
+            "C": [_fake_report(400.0 - i) for i in range(8)],
+            "D": [_fake_report(300.0) for _ in range(8)],  # mixed: must not be tested
         }
         results = wilcoxon_vs_baseline(reports)
         assert set(results) == {"C"}
-        # four agent slots, all improved -> the n=4 same-sign exact p
-        assert results["C"].p_value == pytest.approx(0.125, abs=1e-12)
+        # eight seed-matched runs, all improved -> the n=8 same-sign exact p
+        assert results["C"].n_effective == 8
+        assert results["C"].p_value == pytest.approx(2 / 2**8, abs=1e-12)
+
+    def test_vs_baseline_pairs_run_i_with_run_i(self):
+        # every run beats its own seed's baseline run, though not every other run
+        base = [100.0, 90.0, 120.0, 80.0, 110.0]
+        marl = [101.0, 92.0, 123.0, 84.0, 115.0]
+        results = wilcoxon_vs_baseline({
+            "A": [_fake_report(v) for v in base],
+            "B": [_fake_report(v) for v in marl],
+        })
+        assert results["B"] == wilcoxon_signed_rank(marl, base)
+        assert results["B"].p_value == pytest.approx(0.0625, abs=1e-12)
+
+    def test_vs_baseline_unequal_run_counts_rejected(self):
+        reports = {"A": [_fake_report(1.0)] * 8, "F": [_fake_report(2.0)] * 7}
+        with pytest.raises(ValueError, match="F has 7 runs and A 8"):
+            wilcoxon_vs_baseline(reports)
 
     def test_vs_baseline_without_baseline(self):
         assert wilcoxon_vs_baseline({"C": [_fake_report(1.0)]}) == {}
