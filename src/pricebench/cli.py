@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: simulate, calibrate, elasticity, report, wilcoxon.
+Subcommands: simulate, matrix, calibrate, elasticity, report, wilcoxon.
 Exit codes: 0 success, 1 validation error, 2 runtime error.
 """
 
@@ -15,15 +15,20 @@ from pathlib import Path
 
 from .demand import DemandParams, ParametricDemandModel, estimate_elasticity, neutral_query
 from .harness import (
+    CONFIG_MATRIX,
     ExperimentSpec,
     FULL_EPISODES,
     FULL_RUNS,
     FULL_WEEKS,
     RunManifest,
+    WilcoxonResult,
+    desk_spec,
     emit_plotdata,
     run_experiment,
+    run_experiments,
     summarize,
     wilcoxon_signed_rank,
+    wilcoxon_vs_baseline,
     write_summary_csvs,
     write_sweep_csv,
 )
@@ -69,6 +74,16 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"force {FULL_EPISODES} episodes x {FULL_WEEKS} weeks x {FULL_RUNS} runs")
     sim.add_argument("--out", required=True)
 
+    mat = sub.add_parser("matrix", help="run configuration letters side by side and summarize them")
+    mat.add_argument("--configs", default="".join(CONFIG_MATRIX),
+                     help="matrix letters, each at most once, e.g. ACF")
+    mat.add_argument("--seed", type=int, default=2024)
+    mat.add_argument("--jobs", type=int, default=1)
+    mat.add_argument("--out", required=True)
+    mat.add_argument("--full-scale", action="store_true",
+                     help=f"{FULL_EPISODES} episodes x {FULL_WEEKS} weeks x {FULL_RUNS} runs "
+                          "instead of the desk preset")
+
     cal = sub.add_parser("calibrate", help="fit demand parameters from a transaction CSV")
     cal.add_argument("--csv", required=True)
     cal.add_argument("--out", required=True, help="output params JSON path")
@@ -112,12 +127,51 @@ def _read_number_column(path) -> tuple[list[float], int]:
     return values, first_line
 
 
+def _full_scale(spec: ExperimentSpec) -> None:
+    spec.market = spec.market.copy_with(episodes=FULL_EPISODES, weeks_per_episode=FULL_WEEKS)
+    spec.n_runs = FULL_RUNS
+
+
+def _signed_rank_line(result: WilcoxonResult) -> str:
+    """One test's result, with the smallest two-sided p its n can reach (2/2^n)."""
+    if result.flags:
+        return f"W undefined ({', '.join(result.flags)}); n_effective={result.n_effective}"
+    n = result.n_effective
+    return f"W={result.w_statistic:g} n={n} p={result.p_value:.6g} p_floor={2.0 ** (1 - n):.6g}"
+
+
+def _write_report(reports_by_config: dict[str, list[MetricsReport]], out, demand_params) -> None:
+    """Write the summary tables and plot data of each config's runs under
+    `out`, and print the tables."""
+    tables = summarize(reports_by_config)
+    written = write_summary_csvs(tables, out)
+    written += emit_plotdata(reports_by_config, out, demand_params=demand_params)
+    for path in written:
+        print(f"wrote {path}")
+
+    print("\nmean return by configuration:")
+    for row in tables["returns"]:
+        delta = row.get("delta_vs_A_pct")
+        suffix = f"  ({delta:+.1f}% vs A)" if delta is not None else ""
+        print(f"  {row['config_id']}: {row['mean_return']:12.1f}{suffix}")
+    print("\nadaptability (mean over agents and runs):")
+    for row in tables["adaptability"]:
+        print(f"  {row['config_id']}: adj_mag={row['adjustment_magnitude']:.4f} "
+              f"adj_freq={row['adjustment_frequency']:.3f} "
+              f"stability={row['price_stability']:.3f}")
+    print("\nmarket dynamics:")
+    for row in tables["dynamics"]:
+        print(f"  {row['config_id']}: jain={row['jain_mean']:.4f} "
+              f"MV={row['market_volatility_pp_mean']:.1f}pp "
+              f"NEP={row['nash_proximity']:.4f} PC={row['price_convergence']:.4f} "
+              f"WF={row['welfare_fairness']:.4f}")
+
+
 def cmd_simulate(args) -> int:
     spec = ExperimentSpec.from_file(args.config)
-    market = spec.market
     if args.full_scale:
-        market = market.copy_with(episodes=FULL_EPISODES, weeks_per_episode=FULL_WEEKS)
-        spec.n_runs = FULL_RUNS
+        _full_scale(spec)
+    market = spec.market
     if args.episodes is not None:
         market = market.copy_with(episodes=args.episodes)
     if args.weeks is not None:
@@ -134,6 +188,30 @@ def cmd_simulate(args) -> int:
         mean_return = sum(a.mean_return for a in report.agents.values()) / len(report.agents)
         print(f"{manifest.run_id}: mean return {mean_return:.2f}, jain {report.jain_index:.4f}")
     print(f"wrote {len(results)} run(s) under {args.out}")
+    return EXIT_OK
+
+
+def cmd_matrix(args) -> int:
+    """Every run of every config goes to one pool and into `<out>/<run_id>/`,
+    the layout `report --in` reads."""
+    if not args.configs or len(set(args.configs)) < len(args.configs):
+        raise ConfigError(f"--configs must name each matrix letter at most once, got {args.configs!r}")
+    specs = [desk_spec(config_id, seed=args.seed) for config_id in args.configs]
+    for spec in specs:
+        if args.full_scale:
+            _full_scale(spec)
+        print(f"config {spec.config_id}: {spec.n_runs} run(s) x {spec.market.episodes} "
+              f"episode(s) x {spec.market.weeks_per_episode} week(s)")
+    results = run_experiments(specs, args.out, jobs=args.jobs)
+    reports_by_config = {
+        spec.config_id: [report for _, report in runs] for spec, runs in zip(specs, results)
+    }
+    _write_report(reports_by_config, args.out, specs[0].market.demand_params)
+    tests = wilcoxon_vs_baseline(reports_by_config)
+    if tests:
+        print("\npaired signed-rank vs A (homogeneous MARL configs only):")
+        for config_id, result in sorted(tests.items()):
+            print(f"  {config_id} vs A: {_signed_rank_line(result)}")
     return EXIT_OK
 
 
@@ -189,11 +267,7 @@ def cmd_report(args) -> int:
                 demand_params = DemandParams.from_dict(dp)
     if not reports_by_config:
         raise ValueError(f"no run under {in_dir} has a metrics.json")
-    tables = summarize(reports_by_config)
-    written = write_summary_csvs(tables, args.out)
-    written += emit_plotdata(reports_by_config, args.out, demand_params=demand_params)
-    for path in written:
-        print(f"wrote {path}")
+    _write_report(reports_by_config, args.out, demand_params)
     return EXIT_OK
 
 
@@ -203,11 +277,7 @@ def cmd_wilcoxon(args) -> int:
     if len(a) != len(b):
         path, first, n = (args.a, a_first, len(a)) if len(a) < len(b) else (args.b, b_first, len(b))
         raise ValueError(f"{path}, line {first + n}: no value to pair with the other file's")
-    result = wilcoxon_signed_rank(a, b)
-    if result.flags:
-        print(f"W undefined ({', '.join(result.flags)}); n_effective={result.n_effective}")
-    else:
-        print(f"W={result.w_statistic:g} n={result.n_effective} p={result.p_value:.6g}")
+    print(_signed_rank_line(wilcoxon_signed_rank(a, b)))
     return EXIT_OK
 
 
@@ -220,6 +290,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     handlers = {
         "simulate": cmd_simulate,
+        "matrix": cmd_matrix,
         "calibrate": cmd_calibrate,
         "elasticity": cmd_elasticity,
         "report": cmd_report,

@@ -295,7 +295,21 @@ def run_experiment(
     spec: ExperimentSpec, output_dir, jobs: int = 1
 ) -> list[tuple[RunManifest, MetricsReport]]:
     """Execute n_runs independent runs (seeds = base + index); return all results."""
-    spec.validate()
+    return run_experiments([spec], output_dir, jobs)[0]
+
+
+def run_experiments(
+    specs: list[ExperimentSpec], output_dir, jobs: int = 1
+) -> list[list[tuple[RunManifest, MetricsReport]]]:
+    """Execute every run of every spec, each into `output_dir/<run_id>/`; return
+    each spec's results in run order.
+
+    At `jobs` > 1 all the runs go to one process pool of at most `jobs`
+    workers, and never more workers than runs. The specs' run ids must differ:
+    a matrix letter starts each of its run ids.
+    """
+    for spec in specs:
+        spec.validate()
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     out = Path(output_dir)
@@ -307,12 +321,17 @@ def run_experiment(
     except OSError as exc:
         raise OSError(f"output directory {out} is not writable: {exc}") from exc
 
-    runs = range(spec.n_runs)
-    if jobs <= 1:
-        return [execute_run(spec, i, out) for i in runs]
-    # every run is single-threaded, so one job per CPU fills the machine
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(execute_run, [spec] * len(runs), runs, [out] * len(runs)))
+    tasks = [(spec, i) for spec in specs for i in range(spec.n_runs)]
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        results = [execute_run(spec, i, out) for spec, i in tasks]
+    else:
+        # every run is single-threaded, so one job per CPU fills the machine
+        specs_in, runs = zip(*tasks)
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(execute_run, specs_in, runs, [out] * len(tasks)))
+    ordered = iter(results)
+    return [[next(ordered) for _ in range(spec.n_runs)] for spec in specs]
 
 
 # -- statistics --------------------------------------------------------------
@@ -384,7 +403,7 @@ def wilcoxon_signed_rank(paired_a, paired_b) -> WilcoxonResult:
     w2 = int(round(2 * w_plus))
     cdf = counts[: w2 + 1].sum() / total
     sf = counts[w2:].sum() / total
-    p = min(1.0, 2.0 * min(cdf, sf))
+    p = float(min(1.0, 2.0 * min(cdf, sf)))
     return WilcoxonResult(
         w_statistic=min(w_plus, w_minus), p_value=p, n_effective=n
     )

@@ -1,9 +1,12 @@
+import concurrent.futures
 import json
 
 import pytest
 
 from pricebench.cli import main
+from pricebench.demand import DemandParams
 from pricebench.harness import desk_spec
+from tests.test_harness import ROOT, _run_python
 from tests.test_transactions import HEADER, synthetic_records
 
 
@@ -134,6 +137,96 @@ class TestSimulate:
         config.write_text(json.dumps(spec))
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
         assert "non-finite demand for product" in capsys.readouterr().err
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records each pool's `max_workers` and
+    runs the pool's work in this process, so no worker is started."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: _RecordingPool(sizes, max_workers))
+    return sizes
+
+
+class TestPoolSize:
+    def test_simulate_starts_no_more_workers_than_runs(self, tmp_path, pool_sizes):
+        config = _experiment_file(tmp_path, weeks=4)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(config), "--out", str(out), "--runs", "2",
+                     "--jobs", "8"]) == 0
+        assert pool_sizes == [2]
+        assert len(list(out.glob("*/metrics.json"))) == 2
+
+    def test_matrix_builds_one_pool_for_every_config(self, tmp_path, pool_sizes):
+        assert main(["matrix", "--configs", "ACF", "--jobs", "2", "--out", str(tmp_path)]) == 0
+        assert pool_sizes == [2]
+        assert len(list(tmp_path.glob("*/metrics.json"))) == 3 * 2
+
+    @pytest.mark.parametrize("runs,jobs", [("2", "1"), ("1", "9")])
+    def test_one_job_or_one_run_starts_no_pool(self, tmp_path, pool_sizes, runs, jobs):
+        config = _experiment_file(tmp_path, weeks=4)
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o"),
+                     "--runs", runs, "--jobs", jobs]) == 0
+        assert pool_sizes == []
+
+
+def _matrix(out, *flags) -> None:
+    assert main(["matrix", "--configs", "AB", "--out", str(out), *flags]) == 0
+
+
+class TestMatrix:
+    def test_jobs_match_serial(self, tmp_path):
+        """matrix writes its summaries, and its runs' bytes do not depend on --jobs."""
+        outs = {jobs: tmp_path / f"jobs{jobs}" for jobs in ("1", "2")}
+        for jobs, out in outs.items():
+            _matrix(out, "--jobs", jobs)
+            assert list(out.glob("summary_*.csv")), "no summary CSV written"
+        artifacts = sorted(
+            p.relative_to(outs["1"]) for name in ("history.csv", "metrics.json")
+            for p in outs["1"].glob(f"*/{name}")
+        )
+        assert len(artifacts) == 2 * 2 * 2  # configs x runs x artifacts
+        for rel in artifacts:
+            assert (outs["2"] / rel).read_bytes() == (outs["1"] / rel).read_bytes(), rel
+
+    def test_report_over_its_out_writes_the_same_tables(self, tmp_path):
+        runs = tmp_path / "runs"
+        _matrix(runs)
+        assert main(["report", "--in", str(runs), "--out", str(tmp_path / "report")]) == 0
+        tables = sorted(runs.glob("*.csv"))
+        assert len(tables) == 5  # three summaries, final shares and the demand curve
+        for path in tables:
+            assert (tmp_path / "report" / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_prints_each_p_with_its_floor(self, tmp_path, capsys):
+        # the desk preset's 2 seed-matched pairs cannot go below p = 2/2^2
+        _matrix(tmp_path)
+        assert "B vs A: W=0 n=2 p=0.5 p_floor=0.5" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [
+        ["--configs", "AA"], ["--configs", ""], ["--configs", "AZ"], ["--runs", "2"],
+        ["--weeks", "4"], ["--episodes", "1"],
+    ])
+    def test_bad_flags_exit_1_and_run_nothing(self, tmp_path, flags):
+        out = tmp_path / "o"
+        assert main(["matrix", "--out", str(out), *flags]) == 1
+        assert not out.exists()
 
 
 def _simulate_edited(tmp_path, edit):
@@ -289,6 +382,16 @@ class TestCalibrate:
         params = json.loads(out.read_text())
         assert params["elasticity"] == pytest.approx(-0.3, abs=0.01)
 
+    def test_fit_from_make_transactions_script(self, tmp_path):
+        csv_path = tmp_path / "tx.csv"
+        run = _run_python([str(ROOT / "scripts" / "make_transactions.py"), "--out", str(csv_path)],
+                          tmp_path)
+        assert run.returncode == 0, run.stderr
+        out = tmp_path / "params.json"
+        assert main(["calibrate", "--csv", str(csv_path), "--out", str(out)]) == 0
+        params = DemandParams.from_dict(json.loads(out.read_text()))
+        assert params.elasticity < 0  # the script draws its demand at elasticity -0.25
+
     def test_missing_column_exits_1(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("InvoiceNo,StockCode\n1,2\n")
@@ -387,7 +490,7 @@ class TestWilcoxonCommand:
         a.write_text("value\n1\n2\n3\n4\n")
         b.write_text("0\n1\n2\n3\n")
         assert main(["wilcoxon", "--a", str(a), "--b", str(b)]) == 0
-        assert "W=0 n=4 p=0.125" in capsys.readouterr().out
+        assert "W=0 n=4 p=0.125 p_floor=0.125" in capsys.readouterr().out
 
     def test_unknown_subcommand_exits_1(self):
         assert main(["frobnicate"]) == 1
