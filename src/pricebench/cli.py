@@ -13,7 +13,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .demand import DemandParams, ParametricDemandModel, estimate_elasticity, neutral_query
+from .demand import DemandParams, estimate_elasticity, sweep_reference
 from .harness import (
     CONFIG_MATRIX,
     ExperimentSpec,
@@ -32,7 +32,7 @@ from .harness import (
     write_summary_csvs,
     write_sweep_csv,
 )
-from .market import ConfigError, ProductSpec
+from .market import ConfigError
 from .metrics import MetricsReport
 from .transactions import (
     CalibrationError,
@@ -185,8 +185,8 @@ def cmd_simulate(args) -> int:
 
     results = run_experiment(spec, args.out, jobs=args.jobs)
     for manifest, report in results:
-        mean_return = sum(a.mean_return for a in report.agents.values()) / len(report.agents)
-        print(f"{manifest.run_id}: mean return {mean_return:.2f}, jain {report.jain_index:.4f}")
+        print(f"{manifest.run_id}: mean return {report.mean_return():.2f}, "
+              f"jain {report.jain_index:.4f}")
     print(f"wrote {len(results)} run(s) under {args.out}")
     return EXIT_OK
 
@@ -233,12 +233,7 @@ def cmd_elasticity(args) -> int:
     with open(args.params, encoding="utf-8") as fh:
         params = DemandParams.from_dict(json.load(fh))
     write_sweep_csv(params, args.out)
-    spec = ProductSpec(
-        product_id="sweep", cluster_id=0, initial_price=10.0, unit_cost=6.0,
-        baseline_demand=100.0,
-    )
-    model = ParametricDemandModel(params.with_clusters([0]))
-    epsilon = estimate_elasticity(model, neutral_query(spec))
+    epsilon = estimate_elasticity(*sweep_reference(params))
     print(f"elasticity over the sweep: {epsilon:.4f} -> curve at {args.out}")
     return EXIT_OK
 

@@ -184,3 +184,14 @@ def neutral_query(spec: ProductSpec) -> DemandQuery:
         specs=[spec], prices=[spec.initial_price], relative_prices=[1.0],
         lag1_demands=[spec.baseline_demand],
     )
+
+
+SWEEP_PRODUCT = ProductSpec(
+    product_id="sweep", cluster_id=0, initial_price=10.0, unit_cost=6.0, baseline_demand=100.0
+)
+
+
+def sweep_reference(params: DemandParams) -> tuple[ParametricDemandModel, DemandQuery]:
+    """The reference model of `params` and its neutral query on SWEEP_PRODUCT,
+    alone in cluster 0: what `pricebench elasticity` sweeps."""
+    return ParametricDemandModel(params.with_clusters([0])), neutral_query(SWEEP_PRODUCT)

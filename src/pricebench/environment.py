@@ -180,9 +180,8 @@ class MarketEnvironment:
         }
         week = self.state.week_number
         return MarketObservation(
-            week_number=week, year=self.state.year, is_holiday=holiday_flag(week),
-            slots=self.slots, competitor_slots=self.competitor_slots, price=prices,
-            cluster_avg_price=cluster_avg, last_demand=self._last_demand,
+            week_number=week, is_holiday=holiday_flag(week), slots=self.slots,
+            competitor_slots=self.competitor_slots, price=prices, cluster_avg_price=cluster_avg,
             agent_revenue=agent_revenue, market_share=shares, zero_revenue=zero_revenue,
         )
 

@@ -36,23 +36,22 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .demand import ParametricDemandModel, elasticity_sweep, neutral_query, price_multipliers
+from .demand import ParametricDemandModel, elasticity_sweep, price_multipliers, sweep_reference
 from .environment import PricingAgentBase, run_episode, write_history_csv
 from .market import (
     AgentSpec,
     ConfigError,
     JsonFields,
     MarketConfig,
-    ProductSpec,
     from_fields,
     make_default_portfolio,
 )
 from .marl import (
     DqnHyper,
     MaddpgHyper,
-    MadqnAgent,
     QmixHyper,
     build_maddpg_team,
+    build_madqn_team,
     build_qmix_team,
 )
 from .marl.common import parse_hyper
@@ -211,24 +210,25 @@ def roster_settings(roster: list[AgentSpec]) -> dict:
     return {s.agent_id: SETTINGS_BY_KIND[s.agent_kind](s.params) for s in roster}
 
 
+TEAM_BUILDERS = {"madqn": build_madqn_team, "maddpg": build_maddpg_team, "qmix": build_qmix_team}
+
+
 def build_agents(config: MarketConfig) -> list[PricingAgentBase]:
-    """Instantiate the roster. Team-based kinds share one coordinator per config."""
+    """Instantiate the roster: one learner team per (kind, settings) group,
+    in roster order. MADDPG and QMIX teams have one settings object each (see
+    `roster_settings`); MADQN agents form one team per distinct `DqnHyper`."""
     settings = roster_settings(config.agent_roster)
     portfolio = make_default_portfolio(config.clusters, config.seed)
-    by_kind: dict[str, list[str]] = {}
-    for spec in config.agent_roster:
-        by_kind.setdefault(spec.agent_kind, []).append(spec.agent_id)
-
     built: dict[str, PricingAgentBase] = {}
-    for aid in by_kind.get("rule", []):
-        built[aid] = RuleAgent(aid, portfolio, config, settings[aid])
-    for aid in by_kind.get("madqn", []):
-        built[aid] = MadqnAgent(aid, portfolio, config, settings[aid])
-    for kind, build_team in (("maddpg", build_maddpg_team), ("qmix", build_qmix_team)):
-        ids = by_kind.get(kind)
-        if ids:
-            team = build_team(ids, portfolio, config, settings[ids[0]])
-            built.update({a.agent_id: a for a in team})
+    teams: dict[tuple, list[str]] = {}
+    for spec in config.agent_roster:
+        aid, kind = spec.agent_id, spec.agent_kind
+        if kind == "rule":
+            built[aid] = RuleAgent(aid, portfolio, config, settings[aid])
+        else:
+            teams.setdefault((kind, settings[aid]), []).append(aid)
+    for (kind, hyper), ids in teams.items():
+        built.update((a.agent_id, a) for a in TEAM_BUILDERS[kind](ids, portfolio, config, hyper))
     return [built[spec.agent_id] for spec in config.agent_roster]
 
 
@@ -426,7 +426,7 @@ def wilcoxon_vs_baseline(
         return {}
 
     def run_means(reports: list[MetricsReport]) -> list[float]:
-        return [float(np.mean([a.mean_return for a in r.agents.values()])) for r in reports]
+        return [float(r.mean_return()) for r in reports]
 
     base = run_means(reports_by_config[baseline])
     results = {}
@@ -451,7 +451,7 @@ def _mean_std(values) -> tuple[float, float]:
 def summarize(reports_by_config: dict[str, list[MetricsReport]]) -> dict[str, list[dict]]:
     """Cross-run tables: returns vs the all-rule baseline, adaptability, dynamics."""
     per_config = {
-        cid: _mean_std([np.mean([a.mean_return for a in r.agents.values()]) for r in reports])
+        cid: _mean_std([r.mean_return() for r in reports])
         for cid, reports in reports_by_config.items()
     }
     baseline = per_config.get("A", (None,))[0]
@@ -573,12 +573,7 @@ def emit_plotdata(
 
 def write_sweep_csv(demand_params, path) -> str:
     """Counterfactual price sweep of the reference model (one row per multiplier)."""
-    spec = ProductSpec(
-        product_id="sweep", cluster_id=0, initial_price=10.0, unit_cost=6.0, baseline_demand=100.0
-    )
-    params = demand_params.with_clusters([0])
-    model = ParametricDemandModel(params)
-    query = neutral_query(spec)
+    model, query = sweep_reference(demand_params)
     scales = price_multipliers()
     prices, demands = elasticity_sweep(model, query, scales)
     with open(path, "w", encoding="utf-8", newline="") as fh:

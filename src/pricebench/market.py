@@ -192,8 +192,8 @@ class ProductState:
 class MarketObservation:
     """Shared weekly snapshot broadcast to every agent.
 
-    Market quantities (prices, demands, revenues, shares) describe the last
-    completed week; the calendar fields describe the week agents price next.
+    Market quantities (prices, revenues, shares) describe the last completed
+    week; the calendar fields describe the week agents price next.
     Per-product quantities are per-slot lists: a slot is one (agent_id,
     product_id) pair, and `slots` maps each pair to its position, in roster x
     portfolio order. `slots` and `competitor_slots` are built once per episode
@@ -201,13 +201,11 @@ class MarketObservation:
     """
 
     week_number: int
-    year: int
     is_holiday: bool
     slots: dict[tuple[str, str], int]
     competitor_slots: tuple[tuple[int, ...], ...]  # other agents' same-cluster slots, roster order
     price: list[float]
     cluster_avg_price: list[float]  # the slot's cluster mean, its own price included
-    last_demand: list[float]
     agent_revenue: dict[str, float]  # last week's revenue per agent, roster order
     market_share: dict[str, float]
     zero_revenue: bool = False

@@ -9,7 +9,7 @@ from .common import (
     encode_state,
     state_dim,
 )
-from .madqn import DqnCore, DqnHyper, MadqnAgent
+from .madqn import DqnCore, DqnHyper, MadqnAgent, build_team as build_madqn_team
 from .maddpg import MaddpgAgent, MaddpgCoordinator, MaddpgHyper, build_team as build_maddpg_team
 from .qmix import (
     MonotonicMixer,
@@ -29,6 +29,7 @@ __all__ = [
     "DqnCore",
     "DqnHyper",
     "MadqnAgent",
+    "build_madqn_team",
     "MaddpgAgent",
     "MaddpgCoordinator",
     "MaddpgHyper",

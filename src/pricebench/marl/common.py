@@ -1,5 +1,6 @@
 """The learning agents' shared week: state encoding, reward shaping, action
-application, and the team learner that MADDPG and QMIX build on."""
+application, the team learner that every learner kind builds on, and the
+ε-greedy member that MADQN and QMIX act through."""
 
 from __future__ import annotations
 
@@ -11,8 +12,8 @@ import numpy as np
 
 from ..environment import PricingAgentBase
 from ..features import demand_features, seasonal_encoding
-from ..market import MarketConfig, MarketObservation, derive_rng, from_fields
-from ..nn import ReplayBuffer, ShapeError, Workspace
+from ..market import MarketConfig, MarketObservation, ProductSpec, derive_rng, from_fields
+from ..nn import DenseNet, ReplayBuffer, ShapeError, Workspace
 
 STATE_SLOTS_PER_PRODUCT = 12
 
@@ -127,7 +128,7 @@ class MarlAgentBase(PricingAgentBase):
     `encode_state`, where callers look that name up.
     """
 
-    learner: "TeamLearner"  # or a madqn.DqnCore
+    learner: "TeamLearner"
 
     def begin_episode(self, episode_index: int) -> None:
         super().begin_episode(episode_index)
@@ -218,8 +219,8 @@ class MarlAgentBase(PricingAgentBase):
 
 
 class TeamLearner:
-    """A centralized team's learner: its members' generators, its joint
-    replay buffer, and the wait for every member's step.
+    """A team's learner: its members' generators, its replay ring of team
+    steps, and the wait for every member's step.
 
     It knows its members by id, never as agents: the members own it, and
     with no reference back a finished run is freed by reference counting
@@ -256,3 +257,91 @@ class TeamLearner:
     def _row(self, states, actions, rewards, next_states, done) -> tuple:
         """The replay row of one team step, from the members' tuples in member order."""
         raise NotImplementedError
+
+
+class QTeamLearner(TeamLearner):
+    """A team of Q-networks, `n_heads` heads of `n_bins` bins each: the team
+    net `nets` (member i's drawn from its generator, as a single net built
+    from that generator would be) and its target. A subclass adds its
+    optimizer and `learn`, which reads the nets through the helpers below.
+    """
+
+    def __init__(
+        self, config: MarketConfig, hyper, member_ids: list[str], local_state_size: int,
+        n_heads: int, n_bins: int = N_PRICE_BINS,
+    ):
+        super().__init__(config, hyper, member_ids)
+        self.n_heads, self.n_bins = n_heads, n_bins
+        self.nets = DenseNet(
+            [local_state_size, *hyper.hidden, n_heads * n_bins],
+            ["relu"] * len(hyper.hidden) + ["linear"],
+            self.rngs,
+        )
+        self.target_nets = self.nets.clone()
+        self.learn_calls = 0
+        # each (member, row, head)'s first bin in the team's flat output, set by the first step
+        self._offsets: np.ndarray | None = None
+
+    def _greedy_targets(self, next_states: np.ndarray) -> np.ndarray:
+        """Each (member, row, head)'s best target-net value for (members, B,
+        state) next states, in a kept array."""
+        tq, _ = self.target_nets.forward_cached(next_states)
+        n, b, _ = tq.shape
+        return np.max(tq.reshape(n, b, self.n_heads, self.n_bins), axis=3,
+                      out=self._work.get("greedy", (n, b, self.n_heads)))
+
+    def _taken_q(self, states: np.ndarray, actions: np.ndarray):
+        """The online pass over (members, B, state) states: each (member, row,
+        head)'s Q-value at its bin in `actions` (members, B, heads), the pass's
+        cache, and the bins' flat indices into its output."""
+        out, cache = self.nets.forward_cached(states)
+        if self._offsets is None or self._offsets.shape != actions.shape:
+            self._offsets = np.arange(0, out.size, self.n_bins).reshape(actions.shape)
+        work = self._work
+        taken = np.add(self._offsets, actions, out=work.get("taken", actions.shape, np.intp))
+        chosen = np.take(out.reshape(-1), taken, out=work.get("chosen", taken.shape), mode="clip")
+        return chosen, cache, taken
+
+    def _backward_taken(self, cache, taken: np.ndarray, grad) -> None:
+        """The online pass's backward with `grad` at the taken bins and 0 elsewhere."""
+        n, b, n_heads = taken.shape
+        upstream = self._work.get("upstream", (n, b, n_heads * self.n_bins))
+        upstream.fill(0.0)
+        upstream.reshape(-1)[taken] = grad
+        self.nets.backward(cache, upstream, inputs=False)
+
+
+class QTeamMember(MarlAgentBase):
+    """A member of a Q-learning team (MADQN or QMIX): ε-greedy over its view
+    of the team's Q-nets, exploring with its generator. A kind sets
+    `smooths`: whether a price change is an EMA with the previous one
+    (`_smoothed`) or the bin's own.
+    """
+
+    smooths: bool
+
+    def __init__(
+        self, agent_id: str, product_specs: list[ProductSpec], config: MarketConfig,
+        learner: QTeamLearner,
+    ):
+        super().__init__(agent_id, product_specs, config)
+        i = learner.member_ids.index(agent_id)
+        self.net = learner.nets.member(i)
+        self.target = learner.target_nets.member(i)
+        self.rng = learner.rngs[i]
+        self.learner = learner
+
+    def act_bins(self, state: np.ndarray, episode: int) -> np.ndarray:
+        n_heads, n_bins = self.learner.n_heads, self.learner.n_bins
+        return epsilon_greedy(
+            lambda: self.net.forward(state).reshape(n_heads, n_bins),
+            n_heads, n_bins, self.learner.hyper.schedule.value(episode), self.rng,
+        )
+
+    def _choose(self, state: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
+        bins = self.act_bins(state, self.episode_index)
+        max_change, n_bins = self.config.max_weekly_change, self.learner.n_bins
+        raw = [discretize_action(b, n_bins, max_change) for b in bins.tolist()]
+        if self.smooths:
+            return bins, self._smoothed(raw)
+        return bins, {spec.product_id: r for spec, r in zip(self.product_specs, raw)}

@@ -1,9 +1,12 @@
 """Independent deep Q-learning over discrete price-change bins.
 
-Each agent owns a Q-network with one 21-bin head per product, a hard-copied
-target network, and a recency-biased replay buffer. No information is shared
-between agents: act and learn consume only the agent's own state, action and
-reward (there is deliberately no joint-batch surface here).
+Each agent learns alone: a Q-network with one 21-bin head per product, a
+hard-copied target network, its own generator, and its own column of a
+recency-biased replay ring. The agents of a roster that share one set of
+hyper-parameters are built as one team (`DqnCore`) so that their learn
+steps run as one batched pass, but only the arithmetic is batched: each
+member samples its own rows, gathers only its own column of them and
+regresses on its own TD target, so no member ever reads another's data.
 """
 
 from __future__ import annotations
@@ -12,26 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..market import MarketConfig, MarketObservation, ProductSpec, derive_rng
-from ..nn import (
-    Adam,
-    DenseNet,
-    EPSILON_GREEDY_DEFAULT,
-    ExplorationSchedule,
-    ReplayBuffer,
-    ShapeError,
-    TrainingError,
-    Workspace,
-    hard_update,
-)
-from .common import (
-    MarlAgentBase,
-    N_PRICE_BINS,
-    discretize_action,
-    encode_state,
-    epsilon_greedy,
-    state_dim,
-)
+from ..market import MarketConfig, MarketObservation, ProductSpec
+from ..nn import Adam, EPSILON_GREEDY_DEFAULT, ExplorationSchedule, TrainingError, hard_update
+from .common import N_PRICE_BINS, QTeamLearner, QTeamMember, encode_state, state_dim
 
 
 @dataclass(frozen=True)
@@ -47,116 +33,94 @@ class DqnHyper:
     schedule: ExplorationSchedule = EPSILON_GREEDY_DEFAULT
 
 
-class DqnCore:
-    """Q-learning engine over `n_heads` independent discrete action heads."""
+class DqnCore(QTeamLearner):
+    """A team of independent Q-learners.
+
+    It builds the team whole: the members' Q-nets and targets
+    (`QTeamLearner`) and one Adam over the team's flat vector, which updates
+    each member's slice as a per-member Adam would. A ring row holds every
+    member's state, bins, reward and next state, plus the shared done. The
+    members push, warm up and hard-copy their targets in lockstep, so a team
+    step is the members' steps stacked.
+    """
 
     def __init__(
-        self,
-        state_size: int,
-        n_heads: int,
-        n_bins: int,
-        hyper: DqnHyper,
-        rng: np.random.Generator,
-        rows: int = 1,
+        self, config: MarketConfig, hyper: DqnHyper, member_ids: list[str], local_state_size: int,
+        n_heads: int, n_bins: int = N_PRICE_BINS,
     ):
-        self.state_size = state_size
-        self.n_heads = n_heads
-        self.n_bins = n_bins
-        self.hyper = hyper
-        self.rng = rng
-        sizes = [state_size, *hyper.hidden, n_heads * n_bins]
-        acts = ["relu"] * len(hyper.hidden) + ["linear"]
-        self.net = DenseNet(sizes, acts, rng)
-        self.target = self.net.clone()
-        self.optimizer = Adam([self.net.flat])
-        # replay fields: state, bins, reward, next state, done; the first push allocates `rows` rows
-        self.buffer = ReplayBuffer(hyper.buffer_capacity, hyper.recency_decay, rows=rows)
-        self.learn_calls = 0
-        self._work = Workspace()  # the learn step's batch arrays, refilled every step
+        super().__init__(config, hyper, member_ids, local_state_size, n_heads, n_bins)
+        self.optimizer = Adam([self.nets.flat])
+        self._columns = np.arange(len(self.member_ids))[:, None]  # each member's column of a row
 
-    def q_values(self, state: np.ndarray) -> np.ndarray:
-        return self.net.forward(state).reshape(self.n_heads, self.n_bins)
+    def _row(self, states, actions, rewards, next_states, done) -> tuple:
+        return states, actions, rewards, next_states, done
 
-    def act(self, state: np.ndarray, episode: int) -> np.ndarray:
-        return epsilon_greedy(
-            lambda: self.q_values(state), self.n_heads, self.n_bins,
-            self.hyper.schedule.value(episode), self.rng,
-        )
+    def _batch(self, rows: np.ndarray):
+        """Each member's own column of its own ring rows, in the learner's kept buffers.
 
-    def store(self, state, bins, reward: float, next_state, done: bool) -> None:
-        if np.shape(state) != np.shape(next_state):
-            raise ShapeError("state and next_state dimensions differ")
-        self.buffer.push(state, bins, reward, next_state, done)
+        `rows` is (members, B), member i's sampled ring rows in row i. Returns
+        states (members, B, state), bins (members, B, heads), rewards
+        (members, B), next states (members, B, state) and done (members, B).
+        """
+        work, n = self._work, len(self.member_ids)
+        cells = np.multiply(rows, n, out=work.get("cells", rows.shape, np.intp))
+        cells += self._columns  # member i's cell of ring row r is r * members + i
+        *per_member, done = self.buffer.fields
+        batch = [
+            # mode="clip" writes straight into `out`; "raise" would buffer it (cells are in range)
+            np.take(f.reshape(-1, *f.shape[2:]), cells, axis=0, mode="clip",
+                    out=work.get(("batch", k), (*rows.shape, *f.shape[2:]), f.dtype))
+            for k, f in enumerate(per_member)
+        ]
+        done = np.take(done, rows, mode="clip", out=work.get("done", rows.shape, done.dtype))
+        return (*batch, done)
 
-    def contribute(self, agent_id, state, bins, reward: float, next_state, done: bool) -> None:
-        """Store the agent's step, then learn: the learner of one agent."""
-        self.store(state, bins, reward, next_state, done)
-        self.learn()
-
-    def learn(self) -> float | None:
-        """One TD step on a recency-sampled batch; None while warming up."""
-        if len(self.buffer) < max(self.hyper.warm_up, 1):
+    def learn(self) -> list[float] | None:
+        """One TD step per member on its own recency-sampled batch: each
+        member's loss, or None while warming up."""
+        hp = self.hyper
+        if len(self.buffer) < max(hp.warm_up, 1):
             return None
-        sampled = self.buffer.sample(self.hyper.batch_size, self.rng)
-        states, actions, rewards, next_states, done = self.buffer.gather(sampled, self._work)
+        rows = self._work.get("rows", (len(self.member_ids), hp.batch_size), np.intp)
+        for i, rng in enumerate(self.rngs):
+            rows[i] = self.buffer.sample(hp.batch_size, rng)
+        states, actions, rewards, next_states, done = self._batch(rows)
 
-        b = len(sampled)
-        target_q = self.target.forward(next_states).reshape(b, self.n_heads, self.n_bins)
-        bootstrap = target_q.max(axis=2)  # (B, H)
-        y = rewards[:, None] + self.hyper.gamma * (1.0 - done)[:, None] * bootstrap
-
-        out, cache = self.net.forward_cached(states)
-        q = out.reshape(b, self.n_heads, self.n_bins)
-        rows = np.arange(b)[:, None]
-        heads = np.arange(self.n_heads)[None, :]
-        chosen = q[rows, heads, actions]
-        err = chosen - y
-        loss = float(np.mean(err**2))
-        if not np.isfinite(loss):
+        bootstrap = self._greedy_targets(next_states)
+        y = rewards[..., None] + hp.gamma * (1.0 - done)[..., None] * bootstrap
+        chosen, cache, taken = self._taken_q(states, actions)
+        err = np.subtract(chosen, y, out=y)
+        losses = np.mean(np.square(err).reshape(len(err), -1), axis=1)
+        if not np.isfinite(losses).all():
+            i = int(np.flatnonzero(~np.isfinite(losses))[0])
             raise TrainingError(
-                f"non-finite TD loss; batch rewards {rewards.tolist()}, "
-                f"q range [{q.min()}, {q.max()}]"
+                f"non-finite TD loss of member {self.member_ids[i]!r}; batch rewards "
+                f"{rewards[i].tolist()}, taken q range [{chosen[i].min()}, {chosen[i].max()}]"
             )
-
-        upstream = self._work.get("upstream", q.shape)
-        upstream.fill(0.0)
-        upstream[rows, heads, actions] = 2.0 * err / err.size
-        self.net.backward(cache, upstream.reshape(b, -1), inputs=False)
-        self.optimizer.step([self.net.flat], [self.net.grad], self.hyper.lr)
+        self._backward_taken(cache, taken, 2.0 * err / err[0].size)
+        self.optimizer.step([self.nets.flat], [self.nets.grad], hp.lr)
 
         self.learn_calls += 1
-        if self.learn_calls % self.hyper.target_update_every == 0:
-            hard_update(self.target, self.net)
-        return loss
+        if self.learn_calls % hp.target_update_every == 0:
+            hard_update(self.target_nets, self.nets)
+        return losses.tolist()
 
 
-class MadqnAgent(MarlAgentBase):
-    """Pricing wrapper: encode market state, pick one bin per product, learn locally."""
+class MadqnAgent(QTeamMember):
+    """Pricing wrapper: encode market state, pick one bin per product, learn alone."""
 
-    def __init__(
-        self,
-        agent_id: str,
-        product_specs: list[ProductSpec],
-        config: MarketConfig,
-        hyper: DqnHyper | None = None,
-    ):
-        super().__init__(agent_id, product_specs, config)
-        self.learner = DqnCore(
-            state_size=state_dim(len(product_specs)),
-            n_heads=len(product_specs),
-            n_bins=N_PRICE_BINS,
-            hyper=hyper or DqnHyper(),
-            rng=derive_rng(config.seed, "agent", agent_id),
-            rows=config.episodes * config.weeks_per_episode,
-        )
+    smooths = False
 
     def _state(self, observation: MarketObservation) -> np.ndarray:
         return encode_state(self, observation)
 
-    def _choose(self, state: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
-        bins = self.learner.act(state, self.episode_index)
-        max_change = self.config.max_weekly_change
-        return bins, {
-            spec.product_id: discretize_action(b, N_PRICE_BINS, max_change)
-            for spec, b in zip(self.product_specs, bins.tolist())
-        }
+
+def build_team(
+    agent_ids: list[str],
+    product_specs: list[ProductSpec],
+    config: MarketConfig,
+    hyper: DqnHyper | None = None,
+) -> list[MadqnAgent]:
+    n_products = len(product_specs)
+    team = DqnCore(config, hyper or DqnHyper(), agent_ids, state_dim(n_products), n_products)
+    return [MadqnAgent(aid, product_specs, config, team) for aid in agent_ids]

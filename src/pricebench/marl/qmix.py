@@ -15,38 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..market import MarketConfig, MarketObservation, ProductSpec, derive_rng, left_sum
-from ..nn import (
-    Adam,
-    DenseNet,
-    EPSILON_GREEDY_DEFAULT,
-    ExplorationSchedule,
-    ShapeError,
-    Workspace,
-    hard_update,
-)
-from .common import (
-    MarlAgentBase,
-    N_PRICE_BINS,
-    TeamLearner,
-    discretize_action,
-    encode_state,
-    epsilon_greedy,
-    state_dim,
-)
+from ..nn import Adam, ShapeError, Workspace, hard_update
+from .common import N_PRICE_BINS, QTeamLearner, QTeamMember, encode_state, state_dim
+from .madqn import DqnHyper
 
 
 @dataclass(frozen=True)
-class QmixHyper:
-    lr: float = 0.001
-    gamma: float = 0.95
-    batch_size: int = 64
-    buffer_capacity: int = 50_000
-    recency_decay: float = 0.999
-    warm_up: int = 64
-    target_update_every: int = 5
-    hidden: tuple[int, ...] = (128, 64, 32)
+class QmixHyper(DqnHyper):
     mixing_dim: int = 32
-    schedule: ExplorationSchedule = EPSILON_GREEDY_DEFAULT
 
 
 MIXER_PARAMS = (
@@ -207,44 +183,27 @@ class MonotonicMixer:
         return self._grads, d_qs
 
 
-class QmixCoordinator(TeamLearner):
+class QmixCoordinator(QTeamLearner):
     """Joint trainer for the member Q-networks and the mixing network.
 
-    It builds the team whole: a team net of the member Q-networks (member
-    i's drawn from its generator, `n_heads` heads of `n_bins` bins each), its
-    target, the mixer and its target, and a single Adam over the team and
-    the mixer. Each member acts on its view of the team net
+    It builds the team whole: the member Q-networks and their targets
+    (`QTeamLearner`), the mixer and its target, and a single Adam over the
+    team and the mixer. Each member acts on its view of the team net
     (`DenseNet.member`), and the team and the mixer train in one batched
     pass.
     """
 
     def __init__(
-        self,
-        config: MarketConfig,
-        hyper: QmixHyper,
-        member_ids: list[str],
-        local_state_size: int,
-        n_heads: int,
-        n_bins: int = N_PRICE_BINS,
+        self, config: MarketConfig, hyper: QmixHyper, member_ids: list[str], local_state_size: int,
+        n_heads: int, n_bins: int = N_PRICE_BINS,
     ):
-        super().__init__(config, hyper, member_ids)
+        super().__init__(config, hyper, member_ids, local_state_size, n_heads, n_bins)
         n = len(self.member_ids)
-        self.n_heads, self.n_bins = n_heads, n_bins
-        rng = derive_rng(config.seed, "team", "qmix")
-        self.mixer = MonotonicMixer(n, n * local_state_size, hyper.mixing_dim, rng)
+        self.rng = derive_rng(config.seed, "team", "qmix")
+        self.mixer = MonotonicMixer(n, n * local_state_size, hyper.mixing_dim, self.rng)
         self.target_mixer = self.mixer.clone()
-        self.rng = rng
-        self.nets = DenseNet(
-            [local_state_size, *hyper.hidden, n_heads * n_bins],
-            ["relu"] * len(hyper.hidden) + ["linear"],
-            self.rngs,
-        )
-        self.target_nets = self.nets.clone()
         self.optimizer = Adam([self.nets.flat, self.mixer.flat])
-        self.learn_calls = 0
         self.last_loss: float | None = None
-        # each (member, row, head)'s first bin in the team's flat output, set by the first step
-        self._offsets: np.ndarray | None = None
 
     def _row(self, states, actions, rewards, next_states, done) -> tuple:
         return states, actions, next_states, left_sum(rewards) / len(rewards), done
@@ -257,27 +216,19 @@ class QmixCoordinator(TeamLearner):
         # (B, members, local state), (B, members, heads), (B, members, local state), (B,), (B,)
         states, actions, next_states, rewards, done = self.buffer.gather(rows, self._work)
         b, n = len(rows), len(self.member_ids)
-        n_heads, n_bins = self.n_heads, self.n_bins
         work = self._work
         global_state = states.reshape(b, -1)
         next_global_state = next_states.reshape(b, -1)
 
-        # target utilities: per-member greedy on the target nets, read from their buffers
-        tq, _ = self.target_nets.forward_cached(next_states.transpose(1, 0, 2))
-        tq = tq.reshape(n, b, n_heads, n_bins)
-        best = np.max(tq, axis=3, out=work.get("best", (n, b, n_heads)))
+        # target utilities: per-member greedy on the target nets
+        best = self._greedy_targets(next_states.transpose(1, 0, 2))
         per_member = np.mean(best, axis=2, out=work.get("per_member", (n, b)))
         target_qs = self._by_row(per_member, "target_qs")
         q_tot_next = self.target_mixer.forward(target_qs, next_global_state)
         y = rewards + hp.gamma * (1.0 - done) * q_tot_next
 
-        # online utilities at the taken actions, by flat index into the (members, B, heads, bins) output
-        out, cache = self.nets.forward_cached(states.transpose(1, 0, 2))
-        if self._offsets is None or self._offsets.shape != (n, b, n_heads):
-            self._offsets = np.arange(0, n * b * n_heads * n_bins, n_bins).reshape(n, b, n_heads)
-        taken = work.get("taken", (n, b, n_heads), np.intp)
-        np.add(self._offsets, actions.transpose(1, 0, 2), out=taken)
-        chosen = np.take(out.reshape(-1), taken, out=work.get("chosen", taken.shape), mode="clip")
+        # online utilities at the taken actions
+        chosen, cache, taken = self._taken_q(states.transpose(1, 0, 2), actions.transpose(1, 0, 2))
         qs = self._by_row(np.mean(chosen, axis=2, out=per_member), "qs")
         q_tot, mix_cache = self.mixer.forward_cached(qs, global_state)
 
@@ -286,11 +237,8 @@ class QmixCoordinator(TeamLearner):
         upstream = 2.0 * err / b
         _, d_qs = self.mixer.backward(mix_cache, upstream)
 
-        net_upstream = work.get("net_upstream", out.shape)
-        net_upstream.fill(0.0)
-        share = np.divide(d_qs.T, n_heads, out=per_member)
-        net_upstream.reshape(-1)[taken] = share[:, :, None]
-        self.nets.backward(cache, net_upstream, inputs=False)
+        share = np.divide(d_qs.T, self.n_heads, out=per_member)
+        self._backward_taken(cache, taken, share[:, :, None])
         self.optimizer.step([self.nets.flat, self.mixer.flat], [self.nets.grad, self.mixer.grad], hp.lr)
 
         self.learn_calls += 1
@@ -307,37 +255,13 @@ class QmixCoordinator(TeamLearner):
         return rows
 
 
-class QmixAgent(MarlAgentBase):
+class QmixAgent(QTeamMember):
     """Member agent: its view of the team's Q-networks, coordinator-driven learning."""
 
-    def __init__(
-        self,
-        agent_id: str,
-        product_specs: list[ProductSpec],
-        config: MarketConfig,
-        coordinator: QmixCoordinator,
-    ):
-        super().__init__(agent_id, product_specs, config)
-        i = coordinator.member_ids.index(agent_id)
-        self.net = coordinator.nets.member(i)
-        self.target = coordinator.target_nets.member(i)
-        self.rng = coordinator.rngs[i]
-        self.learner = coordinator
-
-    def act_bins(self, state: np.ndarray, episode: int) -> np.ndarray:
-        n_heads, n_bins = self.learner.n_heads, self.learner.n_bins
-        return epsilon_greedy(
-            lambda: self.net.forward(state).reshape(n_heads, n_bins),
-            n_heads, n_bins, self.learner.hyper.schedule.value(episode), self.rng,
-        )
+    smooths = True
 
     def _state(self, observation: MarketObservation) -> np.ndarray:
         return encode_state(self, observation)
-
-    def _choose(self, state: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
-        bins = self.act_bins(state, self.episode_index)
-        max_change, n_bins = self.config.max_weekly_change, self.learner.n_bins
-        return bins, self._smoothed([discretize_action(b, n_bins, max_change) for b in bins.tolist()])
 
 
 def build_team(

@@ -225,6 +225,10 @@ class MetricsReport(JsonFields):
     final_market_share: dict[str, float]
     flags: list[str] = field(default_factory=list)
 
+    def mean_return(self) -> float:
+        """The run's mean return: the mean of its agents' mean returns."""
+        return np.mean([a.mean_return for a in self.agents.values()])
+
     def to_dict(self) -> dict:
         d = super().to_dict()
         return {"agents": d.pop("agents"), "flags": d.pop("flags"), "market": d}

@@ -162,7 +162,7 @@ class TestStep:
         record, obs = env.step({agent.agent_id: {pid: 6.5}})
         i = obs.slots[(agent.agent_id, pid)]
         assert obs.price[i] == 6.5
-        assert obs.last_demand[i] == 7.0
+        assert record.demand[i] == 7.0
         assert obs.agent_revenue[agent.agent_id] == pytest.approx(45.5)
         # calendar in the observation points at the week to be priced next
         assert obs.week_number == record.week_number + 1

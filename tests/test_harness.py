@@ -208,7 +208,7 @@ class TestExecuteRun:
         with pytest.raises(OSError):
             run_experiment(spec, blocker / "runs")
 
-    @pytest.mark.parametrize("config_id", ["B", "F", "H"])
+    @pytest.mark.parametrize("config_id", ["B", "C", "F", "H"])
     def test_finished_team_run_freed_by_refcounting(self, config_id, tmp_path, monkeypatch):
         """No reference cycle keeps a team alive: with the cyclic collector off,
         each coordinator and member net is gone once execute_run returns."""

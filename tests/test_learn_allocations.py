@@ -1,11 +1,12 @@
 """Steady-state learn steps allocate almost nothing.
 
-Once warm, a MADDPG (config B) or QMIX (config F) learn step writes into
-buffers it keeps: the nets' activations and gradients, the target-update
-scratch, the learner's batch arrays gathered from the replay rings and the
-QMIX mixer's (B, members x mixing) intermediates. What it still allocates
-is small per-step bookkeeping (the sampled ring rows, targets, losses) and
-numpy's buffer for a broadcast ufunc operand, at most 64 KiB a call.
+Once warm, a MADDPG (config B), MADQN (config C) or QMIX (config F) learn
+step writes into buffers it keeps: the nets' activations and gradients, the
+target-update scratch, the learner's batch arrays gathered from the replay
+rings and the QMIX mixer's (B, members x mixing) intermediates. What it
+still allocates is small per-step bookkeeping (the sampled ring rows,
+targets, losses) and numpy's buffer for a broadcast ufunc operand, at most
+64 KiB a call.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import pytest
 from pricebench.harness import build_agents, desk_spec
 from pricebench.marl.common import N_PRICE_BINS, state_dim
 
-# bytes. A warm step peaks at about 94 KiB (B) and 69 KiB (F). An allocating
-# step peaks at about 4.1 MiB (B) and 2.6 MiB (F); in F, a mixer that
+# bytes. A warm step peaks at about 94 KiB (B), 76 KiB (C) and 69 KiB (F). An
+# allocating step peaks at about 4.1 MiB (B) and 2.6 MiB (F); in F, a mixer that
 # allocates its intermediates every pass brings it to about 472 KiB, and a
 # target copy that allocates its 256 KiB chunk scratch every time to about
 # 260 KiB. B's warm peak includes one of numpy's 64 KiB broadcast buffers
@@ -37,13 +38,15 @@ def _coordinator(config_id: str):
     shape = (n, state_dim(products))
     rng = np.random.default_rng(0)
     for _ in range(2 * coord.hyper.batch_size):
-        if config_id == "F":
+        if config_id in ("C", "F"):
             actions = rng.integers(0, N_PRICE_BINS, size=(n, products))
         else:
             actions = rng.uniform(-0.1, 0.1, size=(n, products))
         rewards = rng.normal(size=n)
         states, next_states = rng.normal(size=shape), rng.normal(size=shape)
-        if config_id == "F":
+        if config_id == "C":  # each member's state, bins, reward and next state
+            coord.buffer.push(states, actions, rewards, next_states, False)
+        elif config_id == "F":
             coord.buffer.push(states, actions, next_states, rewards.mean(), False)
         else:  # the joint critic input (states, then actions) and the joint next state
             critic_in = np.concatenate([states.ravel(), actions.ravel()])
@@ -51,10 +54,10 @@ def _coordinator(config_id: str):
     return coord
 
 
-@pytest.mark.parametrize("config_id", ["B", "F"])
+@pytest.mark.parametrize("config_id", ["B", "C", "F"])
 def test_steady_state_learn_step_peak_allocation(config_id):
     coord = _coordinator(config_id)
-    # allocates the buffers and the optimizer's moments; F's
+    # allocates the buffers and the optimizer's moments; C's and F's
     # first hard target copy (learn call target_update_every = 5) allocates
     # the target update's scratch
     for _ in range(WARM_UP_STEPS):

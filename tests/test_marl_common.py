@@ -18,7 +18,7 @@ from pricebench.market import (
     left_sum,
     make_default_portfolio,
 )
-from pricebench.marl import compute_reward, discretize_action, encode_state, madqn, qmix, state_dim
+from pricebench.marl import common, compute_reward, discretize_action, encode_state, madqn, state_dim
 from pricebench.marl.common import (
     N_PRICE_BINS,
     STATE_SLOTS_PER_PRODUCT,
@@ -26,7 +26,7 @@ from pricebench.marl.common import (
     epsilon_greedy,
     parse_hyper,
 )
-from pricebench.marl.madqn import DqnHyper, MadqnAgent
+from pricebench.marl.madqn import DqnHyper
 from pricebench.marl.maddpg import MaddpgHyper
 from pricebench.nn import EPSILON_GREEDY_DEFAULT, GAUSSIAN_NOISE_DEFAULT, ExplorationSchedule
 
@@ -83,7 +83,7 @@ class TestApplyAction:
         config = MarketConfig(
             agent_roster=[AgentSpec("q0", "madqn")], clusters=(1,)
         ).validate()
-        return MadqnAgent("q0", [ProductSpec("p", 1, price, cost, 10.0)], config, None)
+        return madqn.build_team(["q0"], [ProductSpec("p", 1, price, cost, 10.0)], config)[0]
 
     def test_zero_change(self):
         assert self._agent()._apply_changes({"p": 0.0}) == {"p": pytest.approx(10.0)}
@@ -137,7 +137,7 @@ def _madqn_setup(n_products=2, seed=5, weeks=10):
         seed=seed,
     ).validate()
     portfolio = make_default_portfolio(clusters, config.seed)
-    agents = [MadqnAgent(s.agent_id, portfolio, config, None) for s in config.agent_roster]
+    agents = madqn.build_team([s.agent_id for s in config.agent_roster], portfolio, config)
     env = MarketEnvironment(config, agents, ParametricDemandModel(config.demand_params))
     return config, agents, env
 
@@ -245,13 +245,13 @@ class TestLazyActKeepsTrainedBytes:
         def eager(q, n_heads, n_bins, epsilon, rng):
             return _eager_epsilon_greedy(q(), epsilon, rng)
 
-        learner = madqn if config_id == "C" else qmix
-        monkeypatch.setattr(learner, "epsilon_greedy", counted)
+        # both Q-learner kinds act through common's epsilon_greedy
+        monkeypatch.setattr(common, "epsilon_greedy", counted)
         lazy = _low_epsilon_run(config_id, tmp_path / "lazy")
         lazy_steps = len(steps)
         assert lazy_steps > 0
         assert sum(acts) > len(acts) / 2  # most acts computed the Q-values
-        monkeypatch.setattr(learner, "epsilon_greedy", eager)
+        monkeypatch.setattr(common, "epsilon_greedy", eager)
         assert _low_epsilon_run(config_id, tmp_path / "eager") == lazy
         assert len(steps) == 2 * lazy_steps
 
@@ -423,9 +423,9 @@ class TestLearningPersistence:
         config, agents, env = _madqn_setup()
         agent = agents[0]
         agent.learner.buffer.push("sentinel")
-        weights_before = agent.learner.net.weights
+        weights_before = agent.learner.nets.weights
         agent.begin_episode(1)
-        assert agent.learner.net.weights is weights_before  # learning state persists
+        assert agent.learner.nets.weights is weights_before  # learning state persists
         assert len(agent.learner.buffer) == 1
         assert agent.portfolio["prod1"].price_history == []  # histories reset
         assert agent.episode_index == 1
@@ -448,11 +448,6 @@ class TestActionRangeSafety:
                 state = rng.normal(size=dim) * 5.0
                 if config_id == "B":
                     raw = agent.act_raw(state, episode=0)
-                elif config_id == "C":
-                    bins = agent.learner.act(state, episode=0)
-                    raw = np.array([
-                        discretize_action(int(b), N_PRICE_BINS, band) for b in bins
-                    ])
                 else:
                     bins = agent.act_bins(state, episode=0)
                     raw = np.array([

@@ -182,22 +182,27 @@ def test_qmix_batch_equals_stacked_joint_transitions():
 
 
 def test_madqn_batch_equals_stacked_transitions():
-    hyper = DqnHyper(buffer_capacity=16, hidden=(8,))
-    core = DqnCore(6, 2, 21, hyper, derive_rng(9, "dqn"), rows=10)
-    reference = ListReplayBuffer(hyper.buffer_capacity, hyper.recency_decay)
+    """Each member's batch is its own transitions, as its own ring would hold them."""
+    config = _config("madqn")
+    ids = [s.agent_id for s in config.agent_roster]
+    core = DqnCore(config, DqnHyper(buffer_capacity=16, hidden=(8,), warm_up=10**6), ids, 6, 2)
+    references = [ListReplayBuffer(16, core.hyper.recency_decay) for _ in ids]
     rng = derive_rng(10, "steps")
     for step in range(40):
-        t = (rng.normal(size=6), rng.integers(0, 21, size=2), float(rng.normal()),
-             rng.normal(size=6), step % 5 == 4)
-        core.store(*t)
-        reference.push(t)  # the old Transition's fields, in its order
-    sample_rng = derive_rng(11, "sample")
-    rows = core.buffer.sample(64, copy.deepcopy(sample_rng))
-    batch = reference.sample(64, sample_rng)
-    states, actions, rewards, next_states, done = core.buffer.gather(rows, core._work)
+        done = step % 5 == 4
+        for aid, reference in zip(ids, references):
+            t = (rng.normal(size=6), rng.integers(0, 21, size=2), float(rng.normal()),
+                 rng.normal(size=6), done)
+            core.contribute(aid, *t)  # stores; warm_up is never reached
+            reference.push(t)  # the old Transition's fields, in its order
+    sample_rngs = [derive_rng(11, "sample", aid) for aid in ids]
+    rows = np.stack([core.buffer.sample(64, copy.deepcopy(r)) for r in sample_rngs])
+    states, actions, rewards, next_states, done = core._batch(rows)
 
-    assert _same_bits(states, np.stack([t[0] for t in batch]))
-    assert _same_bits(actions, np.stack([np.asarray(t[1], dtype=int) for t in batch]))
-    assert _same_bits(rewards, np.asarray([t[2] for t in batch]))
-    assert _same_bits(next_states, np.stack([t[3] for t in batch]))
-    assert _same_bits(1.0 - done, 1.0 - np.asarray([t[4] for t in batch], dtype=float))
+    for i, (reference, sample_rng) in enumerate(zip(references, sample_rngs)):
+        batch = reference.sample(64, sample_rng)
+        assert _same_bits(states[i], np.stack([t[0] for t in batch]))
+        assert _same_bits(actions[i], np.stack([np.asarray(t[1], dtype=int) for t in batch]))
+        assert _same_bits(rewards[i], np.asarray([t[2] for t in batch]))
+        assert _same_bits(next_states[i], np.stack([t[3] for t in batch]))
+        assert _same_bits(1.0 - done[i], 1.0 - np.asarray([t[4] for t in batch], dtype=float))

@@ -58,13 +58,11 @@ def _observation(week=20, competitor_prices=(), holiday=False, price=10.0):
     n = len(pool)
     return MarketObservation(
         week_number=week,
-        year=1,
         is_holiday=holiday,
         slots={(aid, "p"): i for i, aid in enumerate(ids)},
         competitor_slots=tuple(tuple(j for j in range(n) if j != i) for i in range(n)),
         price=pool,
         cluster_avg_price=[sum(pool) / n] * n,
-        last_demand=[20.0] * n,
         agent_revenue={aid: 200.0 for aid in ids},
         market_share={aid: 1.0 / n for aid in ids},
     )
