@@ -6,15 +6,22 @@ sinusoidal seasonality, a holiday uplift, an AR(1) demand carry-over, and
 optional lognormal noise (standard-normal shocks scaled by `noise_sigma`). A
 `DemandQuery` is a batch of per-slot inputs; `MarketEnvironment.step` sends
 one per week, so any oracle returning one demand per slot from
-`expected_demand` / `sample_demand` can be swapped in. The kernel is scalar:
-numpy's log and exp round differently from `math`'s, which changes the bytes.
-The coefficients, `DemandParams`, are part of the run configuration in `market`.
+`expected_demand` / `sample_demand` can be swapped in.
+
+The terms fixed by a slot's spec, its level log(baseline x cluster
+multiplier), initial price and baseline (`slot_constants`), are computed once
+per slot table: `ParametricDemandModel` keeps them while the query's specs
+and the cluster multipliers stay equal, so the environment's weekly query
+reuses them for the whole episode. The kernel stays scalar: numpy's log and
+exp round differently from `math`'s, which changes the bytes. The
+coefficients, `DemandParams`, are part of the run configuration in `market`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -40,50 +47,77 @@ class DemandQuery:
     holiday: bool = False
 
 
-def predict_demand(query: DemandQuery, params: DemandParams) -> list[float]:
-    """Weekly units per slot, with lognormal noise (sigma * shock) when noise_sigma > 0."""
-    sigma = params.noise_sigma
+def slot_constants(
+    specs: Sequence[ProductSpec], cluster_base: dict[int, float]
+) -> tuple[list[float], list[float], list[float]]:
+    """Each slot's demand level log(baseline x cluster multiplier), initial
+    price and baseline demand: the terms that stay fixed while its spec does."""
+    levels, initial_prices, baselines = [], [], []
+    for spec in specs:
+        cluster_mult = cluster_base.get(spec.cluster_id)
+        if cluster_mult is None:
+            raise ConfigError(f"no cluster_base entry for cluster {spec.cluster_id}")
+        levels.append(math.log(spec.baseline_demand * cluster_mult))
+        initial_prices.append(spec.initial_price)
+        baselines.append(spec.baseline_demand)
+    return levels, initial_prices, baselines
+
+
+def _log_linear(
+    query: DemandQuery,
+    params: DemandParams,
+    constants: tuple[list[float], list[float], list[float]],
+    sigma: float,
+) -> list[float]:
+    """The kernel: weekly units per slot of `query`, given its `slot_constants`,
+    with lognormal noise (sigma * shock) when sigma > 0."""
     shocks = query.shocks
-    if sigma > 0 and shocks is None:
+    if sigma <= 0:
+        shocks = repeat(0.0, len(query.prices))  # adding sigma * 0.0 leaves exp(log_q) as is
+    elif shocks is None:
         raise ValueError("noise_sigma > 0 requires query shocks")
     season = params.seasonal_amp * query.week_sin
     holiday = math.log(params.holiday_uplift) * query.holiday
     elasticity, competitor_weight, lag_weight = (
         params.elasticity, params.competitor_weight, params.lag_weight
     )
-    cluster_base = params.cluster_base
-    log = math.log
+    log, exp, inf = math.log, math.exp, math.inf
+    levels, initial_prices, baselines = constants
     demands = []
-    for i, (spec, price, relative, lag1) in enumerate(
-        zip(query.specs, query.prices, query.relative_prices, query.lag1_demands, strict=True)
-    ):
-        if price <= 0:
-            raise ValueError(f"price must be > 0, got {price}")
-        cluster_mult = cluster_base.get(spec.cluster_id)
-        if cluster_mult is None:
-            raise ConfigError(f"no cluster_base entry for cluster {spec.cluster_id}")
-        baseline = spec.baseline_demand
-        log_q = (
-            log(baseline * cluster_mult)
-            + elasticity * log(price / spec.initial_price)
-            - competitor_weight * log(relative)
-            + season
-            + holiday
-            + lag_weight * log(max(lag1, 1e-9) / baseline)
-        )
-        if sigma > 0:
-            log_q += sigma * shocks[i]
-        try:
-            q = math.exp(log_q)
-        except OverflowError:
-            q = math.inf
-        if not math.isfinite(q):
-            raise ValueError(
-                f"demand model produced a non-finite demand for product {spec.product_id} "
-                f"(log_q={log_q})"
-            )
-        demands.append(q)
-    return demands
+    try:
+        for level, initial, baseline, price, relative, lag1, shock in zip(
+            levels, initial_prices, baselines, query.prices, query.relative_prices,
+            query.lag1_demands, shocks, strict=True,
+        ):
+            if price <= 0:
+                raise ValueError(f"price must be > 0, got {price}")
+            # the lag term's max(lag1, 1e-9), without the builtin call (a NaN lag stays NaN)
+            log_q = (
+                level
+                + elasticity * log(price / initial)
+                - competitor_weight * log(relative)
+                + season
+                + holiday
+                + lag_weight * log((1e-9 if 1e-9 > lag1 else lag1) / baseline)
+            ) + sigma * shock
+            q = exp(log_q)
+            if not q < inf:  # inf or NaN
+                break
+            demands.append(q)
+        else:
+            return demands
+    except OverflowError:  # exp(log_q) past the float range
+        pass
+    raise ValueError(
+        f"demand model produced a non-finite demand for product "
+        f"{query.specs[len(demands)].product_id} (log_q={log_q})"
+    )
+
+
+def predict_demand(query: DemandQuery, params: DemandParams) -> list[float]:
+    """Weekly units per slot, with lognormal noise (sigma * shock) when noise_sigma > 0."""
+    constants = slot_constants(query.specs, params.cluster_base)
+    return _log_linear(query, params, constants, params.noise_sigma)
 
 
 class DemandOracle(Protocol):
@@ -93,16 +127,33 @@ class DemandOracle(Protocol):
 
 
 class ParametricDemandModel:
-    """Reference oracle wrapping `predict_demand` over a fixed parameter set."""
+    """Reference oracle: `predict_demand` over a fixed parameter set.
+
+    It keeps the `slot_constants` of the last slot table it was asked about,
+    with the specs and cluster multipliers they came from, and rebuilds them
+    when either compares unequal: an environment sends the same spec list
+    every week, so the constants are built once per episode.
+    """
 
     def __init__(self, params: DemandParams):
         self.params = params
+        self._table = None  # (specs, cluster_base, their slot_constants)
+
+    def _constants(self, specs: Sequence[ProductSpec]) -> tuple[list[float], ...]:
+        cluster_base = self.params.cluster_base
+        table = self._table
+        # list == list compares items by identity first: 20 pointer checks a week
+        if table is None or table[0] != specs or table[1] != cluster_base:
+            constants = slot_constants(specs, cluster_base)
+            table = self._table = (list(specs), dict(cluster_base), constants)
+        return table[2]
 
     def expected_demand(self, query: DemandQuery) -> list[float]:
-        return predict_demand(query, replace(self.params, noise_sigma=0.0))
+        return _log_linear(query, self.params, self._constants(query.specs), 0.0)
 
     def sample_demand(self, query: DemandQuery) -> list[float]:
-        return predict_demand(query, self.params)
+        params = self.params
+        return _log_linear(query, params, self._constants(query.specs), params.noise_sigma)
 
 
 def price_multipliers(

@@ -3,13 +3,16 @@
 All agents submit prices for the week before any demand is computed
 (simultaneous-move). The step alone enforces the market rules: every
 submission is capped at +/-max_weekly_change of last week's price and then
-raised to the margin floor (`MarketConfig.allowed_price`), and each changed
+raised to the margin floor (`MarketConfig.allowed_prices`), and each changed
 submission is counted in `clamp_events`.
 
-A slot is one (agent, product) pair, in roster x portfolio order. Slot tables,
-with every slot's demand shocks for the episode (one draw per (agent, product,
-episode) stream, so roster order does not matter), are built once per episode;
-a week is one pass over per-slot lists and one demand-oracle call.
+A slot is one (agent, product) pair, in roster x portfolio order. Slot tables
+hold what an episode cannot change: each slot's product state, margin floor,
+unit cost, cluster and demand shocks (one draw per (agent, product, episode)
+stream, so roster order does not matter). They are built once per episode.
+A week is a few passes over per-slot lists: one validates the submissions,
+one applies the market rule, one demand-oracle call prices every slot, and
+one settles them. The week's calendar terms come from a 53-week table.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -49,8 +53,11 @@ HISTORY_COLUMNS = (
 )
 
 
+_current_price = operator.attrgetter("current_price")
+
+
 class ProtocolError(RuntimeError):
-    """An agent violated the step contract (a missing or non-finite price)."""
+    """An agent violated the step contract (a missing, non-numeric or non-finite price)."""
 
 
 class PricingAgentBase:
@@ -109,13 +116,24 @@ class SimulationState:
     week_number: int = 1
 
 
+# Each calendar week's (holiday flag, seasonal sine), weeks 1..53.
+_CALENDAR = {week: (holiday_flag(week), seasonal_encoding(week)[0]) for week in range(1, 54)}
+
+
+def _calendar_terms(week: int) -> tuple[bool, float]:
+    """`_CALENDAR[week]`, or computed for a week it does not hold (a week
+    outside 1..53 raises `holiday_flag`'s ConfigError)."""
+    terms = _CALENDAR.get(week)
+    return terms if terms is not None else (holiday_flag(week), seasonal_encoding(week)[0])
+
+
 class MarketEnvironment:
     """One episode's market. Construct fresh per episode.
 
-    The slot tables are built here once: per slot, its agent, product state,
-    margin floor, cluster and the episode's demand shocks, one
+    The slot tables are built here once: per slot, its product state, margin
+    floor, unit cost, cluster and the episode's demand shocks, one
     `standard_normal(weeks_per_episode)` draw per (agent, product, episode)
-    stream.
+    stream; per agent, its product ids and its span of slots.
     """
 
     def __init__(
@@ -135,13 +153,14 @@ class MarketEnvironment:
         self.slots = {(aid, pid): i for i, (aid, pid, _) in enumerate(pairs)}
         self._products = [p for _, _, p in pairs]
         self._specs = [p.spec for p in self._products]
-        self._by_agent = [
-            (a.agent_id, [
-                (pid, p, config.price_floor(p.spec), p.spec.unit_cost)
-                for pid, p in a.portfolio.items()
-            ])
-            for a in self.agents
-        ]
+        self._floors = [config.price_floor(spec) for spec in self._specs]
+        self._unit_costs = [spec.unit_cost for spec in self._specs]
+        self._portfolios = [(a.agent_id, list(a.portfolio)) for a in self.agents]
+        self._agent_spans = []
+        start = 0
+        for agent_id, pids in self._portfolios:
+            self._agent_spans.append((agent_id, start, start + len(pids)))
+            start += len(pids)
         cluster_ids = [spec.cluster_id for spec in self._specs]
         clusters = list(dict.fromkeys(cluster_ids))
         self._slot_cluster = [clusters.index(c) for c in cluster_ids]
@@ -163,24 +182,22 @@ class MarketEnvironment:
 
     def _cluster_avg(self, prices: list[float]) -> list[float]:
         """Each slot's cluster mean price, its own price included."""
-        means = [
-            math.fsum([prices[i] for i in members]) / len(members)
-            for members in self._cluster_members
-        ]
-        return [means[c] for c in self._slot_cluster]
+        fsum, price_at = math.fsum, prices.__getitem__
+        means = [fsum(map(price_at, members)) / len(members) for members in self._cluster_members]
+        return list(map(means.__getitem__, self._slot_cluster))
 
     def _observe(
         self, prices: list[float], cluster_avg: list[float], agent_revenue: dict[str, float]
     ) -> MarketObservation:
         total = math.fsum(agent_revenue.values())
         zero_revenue = total <= 0
-        shares = {
-            aid: (rev / total) if not zero_revenue else 1.0 / len(agent_revenue)
-            for aid, rev in agent_revenue.items()
-        }
+        if zero_revenue:
+            shares = dict.fromkeys(agent_revenue, 1.0 / len(agent_revenue))
+        else:
+            shares = {aid: rev / total for aid, rev in agent_revenue.items()}
         week = self.state.week_number
         return MarketObservation(
-            week_number=week, is_holiday=holiday_flag(week), slots=self.slots,
+            week_number=week, is_holiday=_calendar_terms(week)[0], slots=self.slots,
             competitor_slots=self.competitor_slots, price=prices, cluster_avg_price=cluster_avg,
             agent_revenue=agent_revenue, market_share=shares, zero_revenue=zero_revenue,
         )
@@ -198,6 +215,36 @@ class MarketEnvironment:
 
     # -- stepping -----------------------------------------------------------
 
+    def _submissions(self, submitted_prices: dict[str, dict[str, float]]) -> list[float]:
+        """Every slot's submitted price as a float, in slot order. A missing
+        agent or product, or a price that is not a finite number, is a
+        ProtocolError naming the agent and the product."""
+        isfinite = math.isfinite
+        submitted = []
+        for agent_id, pids in self._portfolios:
+            agent_prices = submitted_prices.get(agent_id)
+            if agent_prices is None:
+                raise ProtocolError(f"agent {agent_id} submitted no prices")
+            for pid in pids:
+                try:
+                    value = agent_prices[pid]
+                except (LookupError, TypeError):  # TypeError: not a mapping
+                    raise ProtocolError(
+                        f"agent {agent_id} submitted no price for product {pid}"
+                    ) from None
+                try:
+                    price = float(value)
+                except (TypeError, ValueError) as exc:
+                    raise ProtocolError(
+                        f"agent {agent_id} submitted non-numeric price {value!r} for product {pid}"
+                    ) from exc
+                if not isfinite(price):
+                    raise ProtocolError(
+                        f"agent {agent_id} submitted non-finite price {price} for product {pid}"
+                    )
+                submitted.append(price)
+        return submitted
+
     def step(
         self, submitted_prices: dict[str, dict[str, float]]
     ) -> tuple[WeeklyRecord, MarketObservation]:
@@ -207,55 +254,38 @@ class MarketEnvironment:
             raise ProtocolError(f"the episode's {self.config.weeks_per_episode} weeks are over")
         week = state.week_number
         year = state.year
-        is_holiday = holiday_flag(week)
-        week_sin = seasonal_encoding(week)[0]
+        is_holiday, week_sin = _calendar_terms(week)
 
-        # validate every submission and apply the market rule to it
-        allowed_price = self.config.allowed_price
-        prices = []
-        for agent_id, members in self._by_agent:
-            agent_prices = submitted_prices.get(agent_id)
-            if agent_prices is None:
-                raise ProtocolError(f"agent {agent_id} submitted no prices")
-            for pid, product, floor, _ in members:
-                if pid not in agent_prices:
-                    raise ProtocolError(f"agent {agent_id} submitted no price for product {pid}")
-                submitted = float(agent_prices[pid])
-                if not math.isfinite(submitted):
-                    raise ProtocolError(
-                        f"agent {agent_id} submitted non-finite price {submitted} "
-                        f"for product {pid}"
-                    )
-                price = allowed_price(product.current_price, submitted, floor)
-                if price != submitted:
-                    log.debug("clamping %s/%s price %.4f to %.4f", agent_id, pid, submitted, price)
-                    self.clamp_events += 1
-                product.current_price = price
-                prices.append(price)
+        # validate every submission, then apply the market rule to each
+        submitted = self._submissions(submitted_prices)
+        products = self._products
+        prices = self.config.allowed_prices(
+            map(_current_price, products), submitted, self._floors
+        )
+        clamped = sum(map(operator.ne, prices, submitted))
+        if clamped:
+            self.clamp_events += clamped
+            if log.isEnabledFor(logging.DEBUG):
+                for (agent_id, pid), was, price in zip(self.slots, submitted, prices):
+                    if price != was:
+                        log.debug("clamping %s/%s price %.4f to %.4f", agent_id, pid, was, price)
 
         # one demand call for every slot, then settle each agent in portfolio order
         cluster_avg = self._cluster_avg(prices)
         demands = self.demand_model.sample_demand(DemandQuery(
             specs=self._specs, prices=prices,
-            relative_prices=[p / m for p, m in zip(prices, cluster_avg)],
+            relative_prices=list(map(operator.truediv, prices, cluster_avg)),
             lag1_demands=self._last_demand, shocks=self._shocks[t],
             week_sin=week_sin, holiday=is_holiday,
         ))
-        revenues = []
-        profits = []
-        agent_revenue = {}
-        i = 0
-        for agent_id, members in self._by_agent:
-            revenue_total = 0.0
-            for _, product, _, unit_cost in members:
-                price, demand = prices[i], demands[i]
-                product.record_week(price, demand)
-                revenue = price * demand
-                revenues.append(revenue)
-                profits.append((price - unit_cost) * demand)
-                revenue_total += revenue
-                i += 1
-            agent_revenue[agent_id] = revenue_total
+        for product, price, demand in zip(products, prices, demands):
+            product.current_price = price
+            product.record_week(price, demand)
+        revenues = list(map(operator.mul, prices, demands))
+        profits = list(map(operator.mul, map(operator.sub, prices, self._unit_costs), demands))
+        agent_revenue = {
+            agent_id: left_sum(revenues[start:stop]) for agent_id, start, stop in self._agent_spans
+        }
         self._last_demand = demands
 
         state.current_week_index += 1

@@ -329,12 +329,34 @@ class MarketConfig(JsonFields):
     def price_floor(self, spec: ProductSpec) -> float:
         return spec.unit_cost * (1.0 + self.min_margin)
 
+    def allowed_prices(
+        self, last_prices: Iterable[float], prices: Iterable[float], floors: Iterable[float]
+    ) -> list[float]:
+        """The market rule, slot by slot: cap a move at +/-max_weekly_change
+        of last week's price, then raise the result to the margin floor
+        (`price_floor`).
+
+        Each comparison picks what `max(min(max(price, last * (1 - span)),
+        last * (1 + span)), floor)` picks, without its three builtin calls.
+        """
+        down = 1.0 - self.max_weekly_change
+        up = 1.0 + self.max_weekly_change
+        allowed = []
+        for last, price, floor in zip(last_prices, prices, floors):
+            lo = last * down
+            hi = last * up
+            if lo > price:
+                price = lo
+            if hi < price:
+                price = hi
+            if floor > price:
+                price = floor
+            allowed.append(price)
+        return allowed
+
     def allowed_price(self, last_price: float, price: float, floor: float) -> float:
-        """The market rule: cap a move at +/-max_weekly_change of last week's
-        price, then raise the result to the margin floor (`price_floor`)."""
-        span = self.max_weekly_change
-        capped = min(max(price, last_price * (1.0 - span)), last_price * (1.0 + span))
-        return max(capped, floor)
+        """`allowed_prices` for one slot."""
+        return self.allowed_prices((last_price,), (price,), (floor,))[0]
 
     def copy_with(self, **kwargs) -> "MarketConfig":
         return replace(self, **kwargs)

@@ -424,6 +424,8 @@ class ReplayBuffer:
         self._rows = min(max(rows, 1), capacity)
         self._size = 0
         self._next = 0
+        # (length, decay, cumulative draw table) of the last sample
+        self._draws: tuple[int, float, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return self._size
@@ -460,10 +462,15 @@ class ReplayBuffer:
         n = self._size
         if not n:
             raise ValueError("cannot sample from an empty buffer")
-        ages = np.arange(n - 1, -1, -1, dtype=float)  # newest has age 0
-        weights = self.recency_decay**ages
-        probs = weights / weights.sum()
-        idx = rng.choice(n, size=batch_size, replace=True, p=probs)
+        draws = self._draws
+        if draws is None or draws[0] != n or draws[1] != self.recency_decay:
+            ages = np.arange(n - 1, -1, -1, dtype=float)  # newest has age 0
+            weights = self.recency_decay**ages
+            cdf = (weights / weights.sum()).cumsum()
+            cdf /= cdf[-1]
+            draws = self._draws = (n, self.recency_decay, cdf)
+        # what rng.choice(n, batch_size, p=weights / weights.sum()) does with its table
+        idx = draws[2].searchsorted(rng.random(batch_size), side="right")
         if n == self.capacity and self._next:  # full: the oldest row is the next to overwrite
             idx += self._next
             idx %= n

@@ -72,10 +72,15 @@ def competitor_prices(
 ) -> list[float]:
     """Prices of the same-cluster slots of other agents, in roster order
     (empty when the observation has no such slot)."""
+    return [observation.price[j] for j in competitor_slots(observation, agent_id, product_id)]
+
+
+def competitor_slots(
+    observation: MarketObservation, agent_id: str, product_id: str
+) -> tuple[int, ...]:
+    """The slots `competitor_prices` reads."""
     slot = observation.slots.get((agent_id, product_id))
-    if slot is None:
-        return []
-    return [observation.price[j] for j in observation.competitor_slots[slot]]
+    return () if slot is None else observation.competitor_slots[slot]
 
 
 def competitor_match_price(
@@ -91,10 +96,19 @@ def competitor_match_price(
     """
     competitors = competitor_prices(observation, agent_id, product.spec.product_id)
     if not competitors:
-        log.debug("%s/%s: no competitors in cluster, using static markup",
-                  agent_id, product.spec.product_id)
-        return static_markup_price(product, markup)
+        return _no_competitors(product, agent_id, markup)
+    return undercut_price(competitors, undercut_fraction)
+
+
+def undercut_price(competitors: list[float], undercut_fraction: float) -> float:
+    """The competitors' mean price less `undercut_fraction` of it."""
     return (math.fsum(competitors) / len(competitors)) * (1.0 - undercut_fraction)
+
+
+def _no_competitors(product: ProductState, agent_id: str, markup: float) -> float:
+    log.debug("%s/%s: no competitors in cluster, using static markup",
+              agent_id, product.spec.product_id)
+    return static_markup_price(product, markup)
 
 
 def historical_anchor_price(product: ProductState, anchor_window: int = 8) -> float:
@@ -133,7 +147,14 @@ def seasonal_price(
 
 
 class RuleAgent(PricingAgentBase):
-    """Applies one fixed strategy to every product."""
+    """Applies one fixed strategy to every product.
+
+    The agent picks its strategy's portfolio method when it is built. Each
+    episode keeps the prices that depend only on the specs (the static markup,
+    and the seasonal price per holiday flag), and a competitor-matching agent
+    resolves its products' competitor slots at the episode's first
+    observation.
+    """
 
     def __init__(
         self,
@@ -145,24 +166,62 @@ class RuleAgent(PricingAgentBase):
         if strategy.response_step > config.max_weekly_change:
             raise ConfigError("response_step must not exceed max_weekly_change")
         self.strategy = strategy
+        # the class's function, not a bound method: that would make a reference
+        # cycle, and the agent would outlive its run until the cyclic collector ran
+        self._price_portfolio = getattr(type(self), f"_{strategy.kind}")
         super().__init__(agent_id, product_specs, config)
 
-    def _raw_price(self, product: ProductState, observation: MarketObservation) -> float:
-        s = self.strategy
-        if s.kind == "static_markup":
-            return static_markup_price(product, s.markup)
-        if s.kind == "competitor_match":
-            return competitor_match_price(
-                product, observation, self.agent_id, s.undercut_fraction, s.markup
-            )
-        if s.kind == "historical_anchor":
-            return historical_anchor_price(product, s.anchor_window)
-        if s.kind == "demand_responsive":
-            return demand_responsive_price(product, s.response_step)
-        return seasonal_price(product, observation, s.seasonal_uplift, s.markup)
+    def begin_episode(self, episode_index: int) -> None:
+        super().begin_episode(episode_index)
+        self._products = list(self.portfolio.items())
+        self._markup_prices = {
+            pid: static_markup_price(product, self.strategy.markup)
+            for pid, product in self._products
+        }
+        self._seasonal_prices: dict[bool, dict[str, float]] = {}
+        # each product's competitor slots, read from the episode's slot tables
+        self._rivals: list[tuple[str, ProductState, tuple[int, ...]]] = []
+        self._rivals_of: tuple | None = None  # (slots, competitor_slots) they were read from
 
     def propose_prices(self, observation: MarketObservation) -> dict[str, float]:
+        return self._price_portfolio(self, observation)
+
+    def _static_markup(self, observation: MarketObservation) -> dict[str, float]:
+        return dict(self._markup_prices)
+
+    def _competitor_match(self, observation: MarketObservation) -> dict[str, float]:
+        tables = (observation.slots, observation.competitor_slots)
+        seen = self._rivals_of
+        if seen is None or seen[0] is not tables[0] or seen[1] is not tables[1]:
+            self._rivals_of = tables
+            self._rivals = [
+                (pid, product, competitor_slots(observation, self.agent_id, pid))
+                for pid, product in self._products
+            ]
+        price_at = observation.price.__getitem__
+        s = self.strategy
         return {
-            pid: self._raw_price(product, observation)
-            for pid, product in self.portfolio.items()
+            pid: undercut_price(list(map(price_at, competitors)), s.undercut_fraction)
+            if competitors else _no_competitors(product, self.agent_id, s.markup)
+            for pid, product, competitors in self._rivals
         }
+
+    def _historical_anchor(self, observation: MarketObservation) -> dict[str, float]:
+        window = self.strategy.anchor_window
+        return {pid: historical_anchor_price(product, window) for pid, product in self._products}
+
+    def _demand_responsive(self, observation: MarketObservation) -> dict[str, float]:
+        step = self.strategy.response_step
+        return {pid: demand_responsive_price(product, step) for pid, product in self._products}
+
+    def _seasonal(self, observation: MarketObservation) -> dict[str, float]:
+        # seasonal_price reads only the spec and the holiday flag
+        holiday = observation.is_holiday
+        prices = self._seasonal_prices.get(holiday)
+        if prices is None:
+            s = self.strategy
+            prices = self._seasonal_prices[holiday] = {
+                pid: seasonal_price(product, observation, s.seasonal_uplift, s.markup)
+                for pid, product in self._products
+            }
+        return dict(prices)

@@ -15,7 +15,16 @@ from pricebench.demand import (
     predict_demand,
     price_multipliers,
 )
-from pricebench.market import ConfigError, ProductSpec, derive_rng
+from pricebench.environment import MarketEnvironment
+from pricebench.market import (
+    AgentSpec,
+    ConfigError,
+    MarketConfig,
+    ProductSpec,
+    derive_rng,
+    make_default_portfolio,
+)
+from pricebench.rule_agents import DIVERSE_STRATEGIES, RuleAgent, RuleStrategy
 
 
 def _spec(price=10.0, baseline=100.0, cluster=1):
@@ -199,3 +208,67 @@ class TestElasticity:
         _, second = elasticity_sweep(model, q)
         assert np.array_equal(first, second)
         assert len(prices) == 41
+
+
+class CheckedOracle:
+    """Answers from one shared model and checks each answer against a model
+    built for the query alone."""
+
+    def __init__(self, shared: ParametricDemandModel):
+        self.shared = shared
+        self.checked = 0
+
+    def sample_demand(self, query: DemandQuery) -> list[float]:
+        fresh = ParametricDemandModel(self.shared.params)
+        demands = self.shared.sample_demand(query)
+        assert demands == fresh.sample_demand(query)
+        assert self.shared.expected_demand(query) == fresh.expected_demand(query)
+        self.checked += 1
+        return demands
+
+    expected_demand = sample_demand
+
+
+class TestSlotConstants:
+    """`ParametricDemandModel` keeps each slot table's constants, and a model
+    shared by markets with other products never answers from stale ones."""
+
+    PARAMS = DemandParams(cluster_base={1: 0.8, 2: 1.3, 3: 1.1, 5: 0.7, 10: 1.6})
+
+    def _market(self, clusters, seed, oracle):
+        roster = [AgentSpec(f"r{i}", "rule") for i in range(4)]
+        config = MarketConfig(agent_roster=roster, clusters=clusters, weeks_per_episode=12,
+                              episodes=1, seed=seed).validate()
+        portfolio = make_default_portfolio(clusters, seed)
+        agents = [RuleAgent(s.agent_id, portfolio, config, RuleStrategy(kind))
+                  for s, kind in zip(roster, DIVERSE_STRATEGIES)]
+        return agents, MarketEnvironment(config, agents, oracle)
+
+    def test_shared_model_matches_a_fresh_one(self):
+        oracle = CheckedOracle(ParametricDemandModel(self.PARAMS))
+        markets = [self._market((1, 2, 3), 5, oracle), self._market((2, 5, 10, 10), 9, oracle)]
+        observations = [env.bootstrap_observation() for _, env in markets]
+        for _ in range(12):  # the two markets take turns, so the model's table flips each week
+            for i, (agents, env) in enumerate(markets):
+                submitted = {a.agent_id: a.propose_prices(observations[i]) for a in agents}
+                _, observations[i] = env.step(submitted)
+        assert oracle.checked == 24
+
+        # then a sweep of a product neither market holds
+        query = neutral_query(_spec(price=8.0, baseline=40.0, cluster=5))
+        _, swept = elasticity_sweep(oracle.shared, query)
+        _, fresh = elasticity_sweep(ParametricDemandModel(self.PARAMS), query)
+        assert np.array_equal(swept, fresh)
+
+    def test_a_changed_spec_or_multiplier_rebuilds_them(self):
+        model = ParametricDemandModel(self.PARAMS)
+        specs = [_spec(), _spec(price=7.0, baseline=30.0, cluster=2)]
+        query = DemandQuery(specs=specs, prices=[9.0, 7.5], relative_prices=[0.9, 1.1],
+                            lag1_demands=[90.0, 20.0], shocks=[0.3, -1.2], week_sin=0.4)
+        checked = CheckedOracle(model)
+        first = checked.sample_demand(query)
+        specs[1] = _spec(price=7.0, baseline=35.0, cluster=2)  # the same list, one spec replaced
+        assert checked.sample_demand(query) != first
+        model.params = replace(self.PARAMS, cluster_base={**self.PARAMS.cluster_base, 2: 2.0})
+        assert checked.sample_demand(query)[1] != first[1]
+        assert checked.checked == 3

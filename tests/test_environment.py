@@ -1,3 +1,4 @@
+import copy
 import math
 from dataclasses import replace
 
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pricebench.demand import DemandQuery, ParametricDemandModel
+from pricebench.features import seasonal_encoding
+from pricebench.harness import build_agents, desk_spec
 from pricebench.environment import (
     HISTORY_COLUMNS,
     MarketEnvironment,
@@ -20,8 +23,10 @@ from pricebench.environment import (
 from pricebench.market import (
     AgentSpec,
     MarketConfig,
+    MarketObservation,
     ProductSpec,
     derive_rng,
+    holiday_flag,
     make_default_portfolio,
 )
 from pricebench.rule_agents import RuleAgent, RuleStrategy
@@ -132,6 +137,15 @@ class TestStep:
         with pytest.raises(ProtocolError, match="a1"):
             env.step({"a0": {pid: 6.0}, "a1": {}})
 
+    @pytest.mark.parametrize("prices", [[6.0], 6.0], ids=["list", "float"])
+    def test_prices_not_by_product_id_are_protocol_error(self, prices):
+        config = _config(n_agents=2)
+        agents = _agents(config)
+        env = MarketEnvironment(config, agents, StubOracle())
+        pid = next(iter(agents[0].portfolio))
+        with pytest.raises(ProtocolError, match=f"a1.*{pid}"):
+            env.step({"a0": {pid: 6.0}, "a1": prices})
+
     def test_floor_clamp_applies_and_logs(self):
         # 0.01 each week: capped at -10 % a week until the margin floor binds
         config = _config(n_agents=1, weeks=8)
@@ -168,7 +182,27 @@ class TestStep:
         assert obs.week_number == record.week_number + 1
 
 
+_RULE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 0.9, 1.1, 6.3]),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+
+
 class TestMarketRules:
+    @given(st.lists(st.tuples(_RULE_FLOATS, _RULE_FLOATS, _RULE_FLOATS), max_size=8),
+           st.sampled_from([0.1, 0.25, 1.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_allowed_prices_pick_what_min_max_picks(self, rows, span):
+        """Bit for bit, -0.0 and ties included, as the rule's min/max form."""
+        config = _config(max_weekly_change=span)
+        expected = [max(min(max(price, last * (1.0 - span)), last * (1.0 + span)), floor)
+                    for last, price, floor in rows]
+        lasts, prices, floors = zip(*rows) if rows else ((), (), ())
+        allowed = config.allowed_prices(lasts, prices, floors)
+        assert np.array(allowed).tobytes() == np.array(expected).tobytes()
+        singles = [config.allowed_price(*row) for row in rows]
+        assert np.array(singles).tobytes() == np.array(expected).tobytes()
+
     def test_cap_limits_submitted_price(self):
         config = _config(n_agents=2)
         agents = _agents(config)
@@ -196,7 +230,7 @@ class TestMarketRules:
         )
         assert env.clamp_events == 1
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, None, "cheap"])
     def test_non_finite_price_is_protocol_error(self, bad):
         config = _config(n_agents=2)
         agents = _agents(config)
@@ -315,6 +349,168 @@ class TestDemandInputs:
             env.step({"a0": {"prod1": 6.0}})
         with pytest.raises(ProtocolError, match="2 weeks"):
             env.step({"a0": {"prod1": 6.0}})
+
+
+def _reference_demands(specs, prices, relative_prices, lag1_demands, shocks, week_sin,
+                       holiday, params):
+    """The log-linear demand of each slot, computed from its spec every week."""
+    season = params.seasonal_amp * week_sin
+    uplift = math.log(params.holiday_uplift) * holiday
+    demands = []
+    for i, (spec, price, relative, lag1) in enumerate(
+        zip(specs, prices, relative_prices, lag1_demands, strict=True)
+    ):
+        baseline = spec.baseline_demand
+        log_q = (
+            math.log(baseline * params.cluster_base[spec.cluster_id])
+            + params.elasticity * math.log(price / spec.initial_price)
+            - params.competitor_weight * math.log(relative)
+            + season
+            + uplift
+            + params.lag_weight * math.log(max(lag1, 1e-9) / baseline)
+        )
+        if params.noise_sigma > 0:
+            log_q += params.noise_sigma * shocks[i]
+        demands.append(math.exp(log_q))
+    return demands
+
+
+def _reference_week(env, submitted):
+    """The week `env.step(submitted)` should settle, slot by slot from the
+    agents' product states: the market rule as min/max of each price, the
+    demand above and `ProductState.record_week` on copies of the states.
+    Returns the record, the observation, the clamp count and the states after
+    the week."""
+    config, state = env.config, env.state
+    agents = {a.agent_id: a for a in env.agents}
+    slots = list(env.slots)
+    states = [copy.deepcopy(agents[aid].portfolio[pid]) for aid, pid in slots]
+    week, t = state.week_number, state.current_week_index
+
+    span = config.max_weekly_change
+    prices, clamps = [], 0
+    for (aid, pid), product in zip(slots, states):
+        asked, last = float(submitted[aid][pid]), product.current_price
+        capped = min(max(asked, last * (1.0 - span)), last * (1.0 + span))
+        price = max(capped, config.price_floor(product.spec))
+        clamps += price != asked
+        product.current_price = price
+        prices.append(price)
+    clusters = [p.spec.cluster_id for p in states]
+    cluster_avg = []
+    for c in clusters:
+        members = [price for price, k in zip(prices, clusters) if k == c]
+        cluster_avg.append(math.fsum(members) / len(members))
+    lag1 = [p.demand_history[-1] if p.demand_history else p.spec.baseline_demand for p in states]
+    shocks = [
+        derive_rng(config.seed, "demand", aid, pid, env.episode_index)
+        .standard_normal(config.weeks_per_episode)[t]
+        for aid, pid in slots
+    ]
+    demands = _reference_demands(
+        [p.spec for p in states], prices, [p / m for p, m in zip(prices, cluster_avg)], lag1,
+        shocks, seasonal_encoding(week)[0], holiday_flag(week), config.demand_params,
+    )
+
+    revenues, profits, agent_revenue = [], [], {}
+    for (aid, _), product, price, demand in zip(slots, states, prices, demands):
+        product.record_week(price, demand)
+        revenues.append(price * demand)
+        profits.append((price - product.spec.unit_cost) * demand)
+        agent_revenue[aid] = agent_revenue.get(aid, 0.0) + price * demand
+    total = math.fsum(agent_revenue.values())
+    zero_revenue = total <= 0
+    shares = {aid: 1.0 / len(agent_revenue) if zero_revenue else rev / total
+              for aid, rev in agent_revenue.items()}
+    next_week = week % 52 + 1
+    competitor_slots = tuple(
+        tuple(j for j, (other, _) in enumerate(slots) if other != aid and clusters[j] == c)
+        for (aid, _), c in zip(slots, clusters)
+    )
+    observation = MarketObservation(
+        week_number=next_week, is_holiday=holiday_flag(next_week), slots=env.slots,
+        competitor_slots=competitor_slots, price=prices, cluster_avg_price=cluster_avg,
+        agent_revenue=agent_revenue, market_share=shares, zero_revenue=zero_revenue,
+    )
+    record = WeeklyRecord(
+        week_index=t + 1, year=state.year, week_number=week, is_holiday=holiday_flag(week),
+        slots=env.slots, price=prices, demand=demands, revenue=revenues, profit=profits,
+        agent_revenue=agent_revenue, market_share=shares, zero_revenue=zero_revenue,
+    )
+    return record, observation, clamps, states
+
+
+class RandomPriceAgent(PricingAgentBase):
+    """Submits a random multiple of each current price: inside the weekly
+    cap, past it either way, and far below the margin floor."""
+
+    MULTIPLIERS = (0.01, 0.5, 0.85, 0.93, 0.97, 1.0, 1.04, 1.2, 4.0)
+
+    def __init__(self, agent_id, specs, config, rng):
+        super().__init__(agent_id, specs, config)
+        self.rng = rng
+
+    def propose_prices(self, observation):
+        return {pid: p.current_price * float(self.rng.choice(self.MULTIPLIERS))
+                for pid, p in self.portfolio.items()}
+
+
+def _rule_hits(env, submitted):
+    """Which of the cap and the floor each slot's submission meets."""
+    config = env.config
+    hits = set()
+    for (aid, pid), i in env.slots.items():
+        product = next(a for a in env.agents if a.agent_id == aid).portfolio[pid]
+        last, asked = product.current_price, submitted[aid][pid]
+        span = config.max_weekly_change
+        capped = min(max(asked, last * (1 - span)), last * (1 + span))
+        hits.add((capped != asked, config.price_floor(product.spec) > capped))
+    return hits
+
+
+class TestReferenceWeek:
+    """`MarketEnvironment.step` settles every week exactly as the slot-by-slot
+    reference above: the same floats, clamp counts and observations."""
+
+    def _drive(self, config, agents, model, episodes):
+        hits = set()
+        for ep in range(episodes):
+            for agent in agents:
+                agent.begin_episode(ep)
+            env = MarketEnvironment(config, agents, model, ep)
+            observation = env.bootstrap_observation()
+            for week in range(1, config.weeks_per_episode + 1):
+                submitted = {a.agent_id: a.propose_prices(observation) for a in agents}
+                hits |= _rule_hits(env, submitted)
+                expected, expected_obs, clamps, states = _reference_week(env, submitted)
+                before = env.clamp_events
+                record, new_observation = env.step(submitted)
+                assert record == expected
+                assert new_observation == expected_obs
+                assert env.clamp_events - before == clamps
+                assert [a.portfolio[pid] for a in agents for pid in a.portfolio] == states
+                for agent in agents:
+                    agent.feedback(new_observation, observation, week == config.weeks_per_episode)
+                observation = new_observation
+        return hits
+
+    @pytest.mark.parametrize("config_id", ["A", "E", "G"])
+    def test_seeded_episodes(self, config_id):
+        config = desk_spec(config_id, seed=404).market
+        agents = build_agents(config)
+        self._drive(config, agents, ParametricDemandModel(config.demand_params), episodes=2)
+
+    def test_random_submissions_hit_the_cap_and_the_floor(self):
+        roster = [AgentSpec(f"r{i}", "rule") for i in range(4)]
+        config = MarketConfig(agent_roster=roster, weeks_per_episode=40, episodes=1,
+                              seed=505).validate()
+        portfolio = make_default_portfolio(config.clusters, config.seed)
+        rng = derive_rng(505, "submissions")
+        agents = [RandomPriceAgent(s.agent_id, portfolio, config, rng) for s in roster]
+        hits = self._drive(config, agents, ParametricDemandModel(config.demand_params),
+                           episodes=2)
+        # the cap alone, the floor alone, and a capped price raised to the floor
+        assert {(True, False), (False, True), (True, True)} <= hits
 
 
 def _outcomes(record):

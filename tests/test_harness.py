@@ -233,6 +233,27 @@ class TestExecuteRun:
         assert len(refs) == 8
         assert alive == []
 
+    def test_finished_rule_run_freed_by_refcounting(self, tmp_path, monkeypatch):
+        """No reference cycle keeps a rule agent alive past its run."""
+        refs = []
+        build_agents = harness.build_agents
+
+        def recording(config):
+            agents = build_agents(config)
+            refs.extend(weakref.ref(agent) for agent in agents)
+            return agents
+
+        monkeypatch.setattr(harness, "build_agents", recording)
+        gc.collect()
+        gc.disable()
+        try:
+            execute_run(desk_spec("A"), 0, tmp_path)
+            alive = [ref for ref in refs if ref() is not None]
+        finally:
+            gc.enable()
+        assert len(refs) == 4
+        assert alive == []
+
 
 ROOT = Path(__file__).resolve().parent.parent
 

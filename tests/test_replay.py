@@ -68,8 +68,18 @@ def _same_bits(a, b) -> bool:
 
 
 @pytest.mark.parametrize("decay", [1.0, 0.9])
-@pytest.mark.parametrize("capacity,rows", [(1, 1), (3, 1), (7, 2), (16, 16), (50, 5)])
-def test_sample_picks_the_list_buffers_entries(capacity, rows, decay):
+@pytest.mark.parametrize("capacity,rows,draws", [
+    *(pytest.param(c, r, (0, 2), id=f"{c}-{r}")
+      for c, r in [(1, 1), (3, 1), (7, 2), (16, 16), (50, 5)]),
+    # the learners' length at benchmark scale, one draw or none between pushes
+    pytest.param(1040, 1040, (0, 1), id="1040-1040"),
+    # several draws at every length, as a MADQN team's members make them
+    pytest.param(16, 16, (4, 4), id="16-16-back-to-back"),
+])
+def test_sample_picks_the_list_buffers_entries(capacity, rows, draws, decay):
+    """The ring's draws are the list buffer's `rng.choice` draws, and leave its
+    generator where `rng.choice` leaves it."""
+    low, high = draws
     for seed in range(4):
         pushes = derive_rng(seed, "replay-pushes")
         ring, reference = ReplayBuffer(capacity, decay, rows=rows), ListReplayBuffer(capacity, decay)
@@ -77,12 +87,13 @@ def test_sample_picks_the_list_buffers_entries(capacity, rows, decay):
         for i in range(3 * capacity + 5):  # fills, then wraps at least twice
             ring.push(i, float(i))
             reference.push(i)
-            for _ in range(int(pushes.integers(0, 3))):  # zero to two samples between pushes
+            for _ in range(int(pushes.integers(low, high + 1))):  # samples between pushes
                 batch = int(pushes.integers(1, 65))
                 rows_drawn = ring.sample(batch, ring_rng)
                 assert ring.fields[0][rows_drawn].tolist() == reference.sample(batch, reference_rng)
                 assert np.array_equal(ring.fields[1][rows_drawn], ring.fields[0][rows_drawn])
         assert len(ring) == len(reference) == capacity
+        assert ring_rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("row", [(np.ones(2), 2.0), (np.ones(3),), (np.ones(3), (2.0, 3.0))])

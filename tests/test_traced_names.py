@@ -1,17 +1,19 @@
-"""Every learner-side name that the benchmark's tracer wraps is where the
-tracer looks it up: in its owner's own `__dict__`.
+"""Every name that the benchmark's tracer wraps is where the tracer looks it
+up: in its owner's own `__dict__`.
 
 `perfbench/tracer.py` patches each name at its owner, a module global or a
 class attribute, and a name it does not find there reads 0 in the per-layer
 metrics. So `learn` stays on each learner class rather than in a shared base,
-and each learner module calls `encode_state` through its own global.
+each learner module calls `encode_state` through its own global, the market
+core keeps its traced methods on their own classes, and `harness` calls the
+run's phases through its own globals.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from pricebench import nn
+from pricebench import demand, environment, harness, metrics, nn, rule_agents
 from pricebench.marl import common, maddpg, madqn, qmix
 
 TRACED = [
@@ -31,6 +33,14 @@ TRACED = [
     (nn.Adam, "step"),
     (nn.DenseNet, "forward_cached"),
     (nn.DenseNet, "backward"),
+    (environment.MarketEnvironment, "step"),
+    (demand.ParametricDemandModel, "sample_demand"),
+    (rule_agents.RuleAgent, "propose_prices"),
+    (harness, "build_agents"),
+    (harness, "execute_run"),
+    (harness, "run_episode"),
+    (harness, "write_history_csv"),
+    (harness, "compute_report"),
 ]
 
 
@@ -42,3 +52,13 @@ def test_traced_name_is_in_its_owners_dict(owner, name):
 @pytest.mark.parametrize("module", [maddpg, qmix, madqn], ids=lambda m: m.__name__)
 def test_learner_modules_encode_with_the_shared_encoder(module):
     assert module.__dict__["encode_state"] is common.encode_state
+
+
+@pytest.mark.parametrize("name, home", [
+    ("run_episode", environment),
+    ("write_history_csv", environment),
+    ("compute_report", metrics),
+], ids=lambda v: v if isinstance(v, str) else v.__name__)
+def test_harness_runs_the_phases_it_imports(name, home):
+    """The functions the tracer wraps in `harness` are the ones their modules define."""
+    assert harness.__dict__[name] is home.__dict__[name]
