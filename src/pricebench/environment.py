@@ -12,7 +12,7 @@ unit cost, cluster and demand shocks (one draw per (agent, product, episode)
 stream, so roster order does not matter). They are built once per episode.
 A week is a few passes over per-slot lists: one validates the submissions,
 one applies the market rule, one demand-oracle call prices every slot, and
-one settles them. The week's calendar terms come from a 53-week table.
+one settles them. The week's calendar terms come from a 52-week table.
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ _current_price = operator.attrgetter("current_price")
 
 
 class ProtocolError(RuntimeError):
-    """An agent violated the step contract (a missing, non-numeric or non-finite price)."""
+    """An agent violated the step contract (a missing, non-numeric or non-finite
+    price), or the demand oracle returned other than one demand per slot."""
 
 
 class PricingAgentBase:
@@ -116,15 +117,8 @@ class SimulationState:
     week_number: int = 1
 
 
-# Each calendar week's (holiday flag, seasonal sine), weeks 1..53.
-_CALENDAR = {week: (holiday_flag(week), seasonal_encoding(week)[0]) for week in range(1, 54)}
-
-
-def _calendar_terms(week: int) -> tuple[bool, float]:
-    """`_CALENDAR[week]`, or computed for a week it does not hold (a week
-    outside 1..53 raises `holiday_flag`'s ConfigError)."""
-    terms = _CALENDAR.get(week)
-    return terms if terms is not None else (holiday_flag(week), seasonal_encoding(week)[0])
+# Each calendar week's (holiday flag, seasonal sine); `step` wraps week 52 to 1.
+_CALENDAR = {week: (holiday_flag(week), seasonal_encoding(week)[0]) for week in range(1, 53)}
 
 
 class MarketEnvironment:
@@ -197,7 +191,7 @@ class MarketEnvironment:
             shares = {aid: rev / total for aid, rev in agent_revenue.items()}
         week = self.state.week_number
         return MarketObservation(
-            week_number=week, is_holiday=_calendar_terms(week)[0], slots=self.slots,
+            week_number=week, is_holiday=_CALENDAR[week][0], slots=self.slots,
             competitor_slots=self.competitor_slots, price=prices, cluster_avg_price=cluster_avg,
             agent_revenue=agent_revenue, market_share=shares, zero_revenue=zero_revenue,
         )
@@ -254,7 +248,7 @@ class MarketEnvironment:
             raise ProtocolError(f"the episode's {self.config.weeks_per_episode} weeks are over")
         week = state.week_number
         year = state.year
-        is_holiday, week_sin = _calendar_terms(week)
+        is_holiday, week_sin = _CALENDAR[week]
 
         # validate every submission, then apply the market rule to each
         submitted = self._submissions(submitted_prices)
@@ -278,6 +272,10 @@ class MarketEnvironment:
             lag1_demands=self._last_demand, shocks=self._shocks[t],
             week_sin=week_sin, holiday=is_holiday,
         ))
+        if len(demands) != len(prices):
+            raise ProtocolError(
+                f"the demand oracle returned {len(demands)} demands for {len(prices)} slots"
+            )
         for product, price, demand in zip(products, prices, demands):
             product.current_price = price
             product.record_week(price, demand)

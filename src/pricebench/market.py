@@ -354,9 +354,5 @@ class MarketConfig(JsonFields):
             allowed.append(price)
         return allowed
 
-    def allowed_price(self, last_price: float, price: float, floor: float) -> float:
-        """`allowed_prices` for one slot."""
-        return self.allowed_prices((last_price,), (price,), (floor,))[0]
-
     def copy_with(self, **kwargs) -> "MarketConfig":
         return replace(self, **kwargs)

@@ -67,48 +67,32 @@ def static_markup_price(product: ProductState, markup: float = 0.5) -> float:
     return product.spec.unit_cost * (1.0 + markup)
 
 
-def competitor_prices(
-    observation: MarketObservation, agent_id: str, product_id: str
-) -> list[float]:
-    """Prices of the same-cluster slots of other agents, in roster order
-    (empty when the observation has no such slot)."""
-    return [observation.price[j] for j in competitor_slots(observation, agent_id, product_id)]
-
-
 def competitor_slots(
     observation: MarketObservation, agent_id: str, product_id: str
 ) -> tuple[int, ...]:
-    """The slots `competitor_prices` reads."""
+    """The same-cluster slots of other agents, in roster order (empty when
+    the observation has no slot for the agent's product)."""
     slot = observation.slots.get((agent_id, product_id))
     return () if slot is None else observation.competitor_slots[slot]
 
 
 def competitor_match_price(
     product: ProductState,
-    observation: MarketObservation,
+    competitors: list[float],
     agent_id: str,
     undercut_fraction: float = 0.03,
     markup: float = 0.5,
 ) -> float:
     """Mean competitor cluster price minus a small undercut.
 
-    Falls back to the static markup when the cluster has no competitors.
+    `competitors` holds the prices at the product's `competitor_slots`. Falls
+    back to the static markup when the cluster has no competitors.
     """
-    competitors = competitor_prices(observation, agent_id, product.spec.product_id)
     if not competitors:
-        return _no_competitors(product, agent_id, markup)
-    return undercut_price(competitors, undercut_fraction)
-
-
-def undercut_price(competitors: list[float], undercut_fraction: float) -> float:
-    """The competitors' mean price less `undercut_fraction` of it."""
+        log.debug("%s/%s: no competitors in cluster, using static markup",
+                  agent_id, product.spec.product_id)
+        return static_markup_price(product, markup)
     return (math.fsum(competitors) / len(competitors)) * (1.0 - undercut_fraction)
-
-
-def _no_competitors(product: ProductState, agent_id: str, markup: float) -> float:
-    log.debug("%s/%s: no competitors in cluster, using static markup",
-              agent_id, product.spec.product_id)
-    return static_markup_price(product, markup)
 
 
 def historical_anchor_price(product: ProductState, anchor_window: int = 8) -> float:
@@ -199,10 +183,11 @@ class RuleAgent(PricingAgentBase):
                 for pid, product in self._products
             ]
         price_at = observation.price.__getitem__
-        s = self.strategy
+        agent_id, s = self.agent_id, self.strategy
         return {
-            pid: undercut_price(list(map(price_at, competitors)), s.undercut_fraction)
-            if competitors else _no_competitors(product, self.agent_id, s.markup)
+            pid: competitor_match_price(
+                product, list(map(price_at, competitors)), agent_id, s.undercut_fraction, s.markup
+            )
             for pid, product, competitors in self._rivals
         }
 

@@ -200,7 +200,7 @@ class TestMarketRules:
         lasts, prices, floors = zip(*rows) if rows else ((), (), ())
         allowed = config.allowed_prices(lasts, prices, floors)
         assert np.array(allowed).tobytes() == np.array(expected).tobytes()
-        singles = [config.allowed_price(*row) for row in rows]
+        singles = [config.allowed_prices(*zip(row))[0] for row in rows]
         assert np.array(singles).tobytes() == np.array(expected).tobytes()
 
     def test_cap_limits_submitted_price(self):
@@ -349,6 +349,23 @@ class TestDemandInputs:
             env.step({"a0": {"prod1": 6.0}})
         with pytest.raises(ProtocolError, match="2 weeks"):
             env.step({"a0": {"prod1": 6.0}})
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_oracle_without_one_demand_per_slot_is_protocol_error(self, extra):
+        class MiscountingOracle(StubOracle):
+            def sample_demand(self, query):
+                return [self.value] * (len(query.prices) + extra)
+
+        config = _config(n_agents=3)
+        agents = _agents(config)
+        env = MarketEnvironment(config, agents, MiscountingOracle())
+        with pytest.raises(ProtocolError, match=f"{3 + extra} demands for 3 slots"):
+            env.step({a.agent_id: {"prod1": 6.0} for a in agents})
+        # no slot was settled
+        for agent in agents:
+            product = agent.portfolio["prod1"]
+            assert product.current_price == product.spec.initial_price
+            assert product.price_history == [] and product.demand_history == []
 
 
 def _reference_demands(specs, prices, relative_prices, lag1_demands, shocks, week_sin,

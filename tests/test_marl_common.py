@@ -98,7 +98,7 @@ class TestApplyAction:
         submitted = agent._apply_changes({"p": -0.10})["p"]
         assert submitted == pytest.approx(5.85)
         floor = agent.config.price_floor(agent.portfolio["p"].spec)
-        assert agent.config.allowed_price(6.5, submitted, floor) == pytest.approx(6.30)
+        assert agent.config.allowed_prices((6.5,), (submitted,), (floor,)) == [pytest.approx(6.30)]
 
 
 class TestReward:

@@ -15,7 +15,7 @@ from pricebench.rule_agents import (
     RuleAgent,
     RuleStrategy,
     competitor_match_price,
-    competitor_prices,
+    competitor_slots,
     demand_responsive_price,
     historical_anchor_price,
     seasonal_price,
@@ -80,11 +80,22 @@ class TestStaticMarkup:
         assert static_markup_price(product) == static_markup_price(product)
 
 
+def _matcher(agent_id="me", cost=6.0, **strategy):
+    """A competitor-matching agent with `_product`'s spec."""
+    spec = ProductSpec("p", 1, 10.0, cost, 20.0)
+    return RuleAgent(agent_id, [spec], _one_product_config(1),
+                     RuleStrategy("competitor_match", **strategy))
+
+
+def _rival_prices(observation, agent_id, product_id):
+    return [observation.price[j] for j in competitor_slots(observation, agent_id, product_id)]
+
+
 class TestCompetitorMatch:
     def test_undercuts_mean(self):
-        obs = _observation(competitor_prices=(10.0, 10.0))
-        price = competitor_match_price(_product(), obs, "me", undercut_fraction=0.03)
-        assert price == pytest.approx(9.70)
+        obs = _observation(competitor_prices=(9.0, 11.0))
+        assert _matcher(undercut_fraction=0.03).propose_prices(obs) == {"p": pytest.approx(9.70)}
+        assert competitor_match_price(_product(), [9.0, 11.0], "me", 0.03) == pytest.approx(9.70)
 
     def test_floor_binds(self):
         # undercutting a rival priced just above the floor lands below it;
@@ -123,17 +134,26 @@ class TestCompetitorMatch:
                     for other in agents if other is not agent
                     for s in portfolio if s.cluster_id == spec.cluster_id
                 ]
-                assert competitor_prices(obs, agent.agent_id, spec.product_id) == expected
-        assert competitor_prices(obs, "a0", "prod1") == [
+                assert _rival_prices(obs, agent.agent_id, spec.product_id) == expected
+            # a matcher in the agent's place undercuts exactly those prices
+            matcher = RuleAgent(agent.agent_id, portfolio, config, RuleStrategy("competitor_match"))
+            assert matcher.propose_prices(obs) == {
+                spec.product_id: competitor_match_price(
+                    matcher.portfolio[spec.product_id],
+                    _rival_prices(obs, agent.agent_id, spec.product_id), agent.agent_id,
+                )
+                for spec in portfolio
+            }
+        assert _rival_prices(obs, "a0", "prod1") == [
             6.0 * 1.02, 6.0 * 1.021, 6.0 * 1.03, 6.0 * 1.031
         ]
-        assert competitor_prices(obs, "a0", "prod3") == [7.0 * 1.022, 7.0 * 1.032]
-        assert competitor_prices(obs, "nobody", "prod1") == []
+        assert _rival_prices(obs, "a0", "prod3") == [7.0 * 1.022, 7.0 * 1.032]
+        assert _rival_prices(obs, "nobody", "prod1") == []
 
     def test_no_competitors_falls_back_to_markup(self):
         obs = _observation(competitor_prices=())
-        price = competitor_match_price(_product(cost=6.0), obs, "me", markup=0.5)
-        assert price == pytest.approx(9.0)
+        assert _matcher(cost=6.0, markup=0.5).propose_prices(obs) == {"p": pytest.approx(9.0)}
+        assert competitor_match_price(_product(cost=6.0), [], "me", markup=0.5) == pytest.approx(9.0)
 
 
 class TestHistoricalAnchor:
