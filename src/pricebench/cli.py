@@ -11,6 +11,7 @@ import csv
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .demand import DemandParams, estimate_elasticity, sweep_reference
@@ -127,9 +128,13 @@ def _read_number_column(path) -> tuple[list[float], int]:
     return values, first_line
 
 
-def _full_scale(spec: ExperimentSpec) -> None:
-    spec.market = spec.market.copy_with(episodes=FULL_EPISODES, weeks_per_episode=FULL_WEEKS)
-    spec.n_runs = FULL_RUNS
+FULL_SCALE = {"n_runs": FULL_RUNS, "episodes": FULL_EPISODES, "weeks_per_episode": FULL_WEEKS}
+
+
+def _resized(spec: ExperimentSpec, n_runs: int | None = None, **market) -> ExperimentSpec:
+    """`spec` with `n_runs` and the given market fields replaced, and checked again."""
+    return replace(spec, n_runs=spec.n_runs if n_runs is None else n_runs,
+                   market=replace(spec.market, **market))
 
 
 def _signed_rank_line(result: WilcoxonResult) -> str:
@@ -168,20 +173,13 @@ def _write_report(reports_by_config: dict[str, list[MetricsReport]], out, demand
 
 
 def cmd_simulate(args) -> int:
-    spec = ExperimentSpec.from_file(args.config)
-    if args.full_scale:
-        _full_scale(spec)
-    market = spec.market
-    if args.episodes is not None:
-        market = market.copy_with(episodes=args.episodes)
-    if args.weeks is not None:
-        market = market.copy_with(weeks_per_episode=args.weeks)
-    if args.seed is not None:
-        market = market.copy_with(seed=args.seed)
-    if args.runs is not None:
-        spec.n_runs = args.runs
-    spec.market = market.validate()
-    spec.validate()
+    """Each of --runs, --episodes, --weeks and --seed given overrides the
+    file's value, and --full-scale's."""
+    flags = {"n_runs": args.runs, "episodes": args.episodes, "weeks_per_episode": args.weeks,
+             "seed": args.seed}
+    sizes = dict(FULL_SCALE if args.full_scale else {},
+                 **{name: value for name, value in flags.items() if value is not None})
+    spec = _resized(ExperimentSpec.from_file(args.config), **sizes)
 
     results = run_experiment(spec, args.out, jobs=args.jobs)
     for manifest, report in results:
@@ -196,10 +194,9 @@ def cmd_matrix(args) -> int:
     the layout `report --in` reads."""
     if not args.configs or len(set(args.configs)) < len(args.configs):
         raise ConfigError(f"--configs must name each matrix letter at most once, got {args.configs!r}")
-    specs = [desk_spec(config_id, seed=args.seed) for config_id in args.configs]
+    sizes = FULL_SCALE if args.full_scale else {}
+    specs = [_resized(desk_spec(config_id, seed=args.seed), **sizes) for config_id in args.configs]
     for spec in specs:
-        if args.full_scale:
-            _full_scale(spec)
         print(f"config {spec.config_id}: {spec.n_runs} run(s) x {spec.market.episodes} "
               f"episode(s) x {spec.market.weeks_per_episode} week(s)")
     results = run_experiments(specs, args.out, jobs=args.jobs)

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from .demand import ParametricDemandModel, elasticity_sweep, price_multipliers, sweep_reference
-from .environment import PricingAgentBase, run_episode, write_history_csv
+from .environment import PricingAgentBase, WeeklyRecord, run_episode, write_history_csv
 from .market import (
     AgentSpec,
     ConfigError,
@@ -106,20 +106,20 @@ def roster_for_config(config_id: str, shared_params: dict | None = None) -> list
     return roster
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec(JsonFields):
+    """`n_runs` seeded runs of `market`, checked when built, roster params included."""
+
     config_id: str
     market: MarketConfig
     n_runs: int = 8
 
-    def validate(self) -> "ExperimentSpec":
+    def __post_init__(self):
         if self.config_id != "custom" and self.config_id not in CONFIG_MATRIX:
             raise ConfigError(f"unknown config_id {self.config_id!r}")
-        if self.n_runs < 1:
+        if not self.n_runs >= 1:
             raise ConfigError("n_runs must be >= 1")
-        self.market.validate()
         roster_settings(self.market.agent_roster)
-        return self
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
@@ -137,7 +137,7 @@ class ExperimentSpec(JsonFields):
             raise ConfigError("custom experiments must define market.agent_roster")
         else:
             market["agent_roster"] = roster_for_config(config_id, roster_params)
-        return from_fields(cls, d).validate()
+        return from_fields(cls, d)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentSpec":
@@ -232,12 +232,19 @@ def build_agents(config: MarketConfig) -> list[PricingAgentBase]:
     return [built[spec.agent_id] for spec in config.agent_roster]
 
 
+def simulate(config: MarketConfig, agents: list[PricingAgentBase]) -> list[list[WeeklyRecord]]:
+    """The config's episodes, `agents` pricing against the run's demand oracle:
+    the one place that picks the oracle and runs a market's episodes."""
+    model = ParametricDemandModel(config.demand_params)
+    return [run_episode(config, agents, model, ep) for ep in range(config.episodes)]
+
+
 def execute_run(
     spec: ExperimentSpec, run_index: int, output_dir
 ) -> tuple[RunManifest, MetricsReport]:
     """One isolated simulation run: seeded, simulated, measured, persisted."""
     started = datetime.now(timezone.utc).isoformat()
-    run_config = spec.market.copy_with(seed=spec.market.seed + run_index).validate()
+    run_config = spec.market.copy_with(seed=spec.market.seed + run_index)
     run_id = f"{spec.config_id}-seed{run_config.seed}-run{run_index:02d}"
     out = Path(output_dir)
     run_dir = out / run_id
@@ -254,8 +261,7 @@ def execute_run(
 
     agents = build_agents(run_config)
     lap("build_agents")
-    model = ParametricDemandModel(run_config.demand_params)
-    episodes = [run_episode(run_config, agents, model, ep) for ep in range(run_config.episodes)]
+    episodes = simulate(run_config, agents)
     # the report and the artifacts read only the episode records: free the
     # agents' nets, buffers and replay before the history CSV is built
     del agents
@@ -308,8 +314,6 @@ def run_experiments(
     workers, and never more workers than runs. The specs' run ids must differ:
     a matrix letter starts each of its run ids.
     """
-    for spec in specs:
-        spec.validate()
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     out = Path(output_dir)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import Any, Iterable, Sequence
@@ -270,17 +271,18 @@ class DemandParams(JsonFields):
     noise_sigma: float = 0.05  # std-dev of log-space noise
     competitor_weight: float = 0.5
 
-    def __post_init__(self):
-        if self.elasticity > 0:
-            raise ConfigError(f"elasticity must be <= 0, got {self.elasticity}")
-        if self.holiday_uplift < 1:
-            raise ConfigError(f"holiday_uplift must be >= 1, got {self.holiday_uplift}")
+    def __post_init__(self):  # each check is written so that NaN fails it
+        if not -math.inf < self.elasticity <= 0:
+            raise ConfigError(f"elasticity must be finite and <= 0, got {self.elasticity}")
+        if not 1 <= self.holiday_uplift < math.inf:
+            raise ConfigError(f"holiday_uplift must be finite and >= 1, got {self.holiday_uplift}")
         if not 0 <= self.lag_weight < 1:
             raise ConfigError(f"lag_weight must be in [0, 1), got {self.lag_weight}")
-        if self.noise_sigma < 0 or self.seasonal_amp < 0 or self.competitor_weight < 0:
-            raise ConfigError("noise_sigma, seasonal_amp and competitor_weight must be >= 0")
-        if any(v <= 0 for v in self.cluster_base.values()):
-            raise ConfigError("cluster_base multipliers must be > 0")
+        for name in ("seasonal_amp", "noise_sigma", "competitor_weight"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if not all(0 < v < math.inf for v in self.cluster_base.values()):
+            raise ConfigError("cluster_base multipliers must be finite and > 0")
 
     def with_clusters(self, clusters: Sequence[int]) -> "DemandParams":
         """Copy with a multiplier entry (default 1.0) for every cluster in use."""
@@ -290,10 +292,10 @@ class DemandParams(JsonFields):
         return replace(self, cluster_base=base)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MarketConfig(JsonFields):
-    """Full description of one simulated market experiment: one product per
-    entry of `clusters` for every agent."""
+    """One simulated market experiment, checked when built: one product per
+    entry of `clusters` for every agent, each with a `demand_params` multiplier."""
 
     agent_roster: list[AgentSpec]
     clusters: tuple[int, ...] = DEFAULT_CLUSTERS
@@ -305,26 +307,24 @@ class MarketConfig(JsonFields):
     reward_penalty_lambda: float = 1.0
     demand_params: DemandParams = field(default_factory=DemandParams)
 
-    def validate(self) -> "MarketConfig":
+    def __post_init__(self):  # each check is written so that NaN fails it
         if not self.agent_roster:
             raise ConfigError("agent_roster must be non-empty")
         ids = [a.agent_id for a in self.agent_roster]
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate agent ids in roster: {ids}")
         if not 0 < self.max_weekly_change <= 1:
-            raise ConfigError("max_weekly_change must be in (0, 1]")
-        if self.weeks_per_episode < 2:
+            raise ConfigError(f"max_weekly_change must be in (0, 1], got {self.max_weekly_change}")
+        if not self.weeks_per_episode >= 2:
             raise ConfigError("weeks_per_episode must be >= 2")
-        if self.episodes < 1:
+        if not self.episodes >= 1:
             raise ConfigError("episodes must be >= 1")
-        if self.min_margin < 0:
-            raise ConfigError("min_margin must be >= 0")
-        if self.reward_penalty_lambda < 0:
-            raise ConfigError("reward_penalty_lambda must be >= 0")
+        for name in ("min_margin", "reward_penalty_lambda"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if not self.clusters:
             raise ConfigError("clusters must be non-empty")
-        self.demand_params = self.demand_params.with_clusters(self.clusters)
-        return self
+        object.__setattr__(self, "demand_params", self.demand_params.with_clusters(self.clusters))
 
     def price_floor(self, spec: ProductSpec) -> float:
         return spec.unit_cost * (1.0 + self.min_margin)

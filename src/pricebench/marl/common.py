@@ -227,7 +227,7 @@ class TeamLearner:
     alone. Member i's generator is `derive_rng(seed, "agent", id)`; a
     subclass draws the member's nets from it in __init__, and the member
     explores with what is left. A subclass supplies `_row`, the replay row
-    of one team step, and defines `learn` on itself.
+    of one team step, and `learn`: None while warming up, else the step's losses.
     """
 
     def __init__(self, config: MarketConfig, hyper, member_ids: list[str]):

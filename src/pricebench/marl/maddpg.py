@@ -75,7 +75,6 @@ class MaddpgCoordinator(TeamLearner):
             n * local_dim, n_products, shift=n_products
         )
         self.rng = derive_rng(config.seed, "team", "maddpg")
-        self.last_losses: list[tuple[float, float]] = []
 
     def _row(self, states, actions, rewards, next_states, done) -> tuple:
         # the row's critic input is every member's state, then every member's action
@@ -93,10 +92,12 @@ class MaddpgCoordinator(TeamLearner):
         states = critic_in[:, : next_states.shape[1]].reshape(b, n, -1)
         return states, critic_in, next_states.reshape(b, n, -1), rewards.T, done
 
-    def learn(self) -> None:
+    def learn(self) -> list[tuple[float, float]] | None:
+        """One critic and actor step for every member: each member's (critic,
+        actor) loss, or None while warming up."""
         hp = self.hyper
         if len(self.buffer) < max(hp.warm_up, hp.batch_size):
-            return
+            return None
         rows = self.buffer.sample(hp.batch_size, self.rng)
         states, critic_in, next_states, rewards, done = self._batch(rows)
         (b, n, _), critic_dim = states.shape, critic_in.shape[1]
@@ -137,7 +138,7 @@ class MaddpgCoordinator(TeamLearner):
 
         soft_update(self.target_actors, self.actors, hp.tau)
         soft_update(self.target_critics, self.critics, hp.tau)
-        self.last_losses = list(zip(critic_loss.tolist(), actor_loss.tolist()))
+        return list(zip(critic_loss.tolist(), actor_loss.tolist()))
 
 
 class MaddpgAgent(MarlAgentBase):

@@ -203,7 +203,6 @@ class QmixCoordinator(QTeamLearner):
         self.mixer = MonotonicMixer(n, n * local_state_size, hyper.mixing_dim, self.rng)
         self.target_mixer = self.mixer.clone()
         self.optimizer = Adam([self.nets.flat, self.mixer.flat])
-        self.last_loss: float | None = None
 
     def _row(self, states, actions, rewards, next_states, done) -> tuple:
         return states, actions, next_states, left_sum(rewards) / len(rewards), done
@@ -245,7 +244,6 @@ class QmixCoordinator(QTeamLearner):
         if self.learn_calls % hp.target_update_every == 0:
             hard_update(self.target_nets, self.nets)
             self.target_mixer.copy_from(self.mixer)
-        self.last_loss = loss
         return loss
 
     def _by_row(self, per_member: np.ndarray, name: str) -> np.ndarray:

@@ -13,8 +13,9 @@ from pricebench.demand import (
     estimate_elasticity,
     neutral_query,
 )
-from pricebench.environment import run_episode
-from pricebench.harness import ExperimentSpec, build_agents, execute_run, wilcoxon_signed_rank
+from pricebench.harness import (
+    ExperimentSpec, build_agents, execute_run, simulate, wilcoxon_signed_rank,
+)
 from pricebench.market import ProductSpec, derive_rng
 from pricebench.metrics import (
     adjustment_frequency,
@@ -61,11 +62,7 @@ def _run_config(config_id, seed, episodes, weeks, roster_params=None):
             },
         }
     )
-    config = spec.market
-    agents = build_agents(config)
-    model = ParametricDemandModel(config.demand_params)
-    episodes_run = [run_episode(config, agents, model, e) for e in range(config.episodes)]
-    return compute_report(episodes_run)
+    return compute_report(simulate(spec.market, build_agents(spec.market)))
 
 
 def test_criterion_01_metric_oracles():

@@ -43,6 +43,16 @@ class TestSimulate:
         assert code == 0
         assert len(list(out.glob("*/metrics.json"))) == 2
 
+    def test_size_flags_override_full_scale(self, tmp_path):
+        config = _experiment_file(tmp_path, episodes=2, weeks=6, seed=9)
+        out = tmp_path / "runs"
+        code = main(["simulate", "--config", str(config), "--out", str(out), "--full-scale",
+                     "--runs", "1", "--episodes", "1", "--seed", "77"])
+        assert code == 0
+        (manifest,) = out.glob("*/manifest.json")
+        market = json.loads(manifest.read_text())["config"]["market"]
+        assert (market["episodes"], market["weeks_per_episode"], market["seed"]) == (1, 104, 77)
+
     def test_invalid_config_id_exits_1(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"config_id": "Z"}))
@@ -100,6 +110,25 @@ class TestSimulate:
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(config), "--out", str(out), "--jobs", jobs]) == 1
         assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", [
+        "min_margin", "reward_penalty_lambda", "elasticity", "holiday_uplift", "seasonal_amp",
+        "noise_sigma", "competitor_weight", "cluster_base",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_market_number_exits_1(self, tmp_path, capsys, key, value):
+        # json writes these as NaN, Infinity and -Infinity, and its reader takes them
+        config = _experiment_file(tmp_path, weeks=4)
+        spec = json.loads(config.read_text())
+        if key in ("min_margin", "reward_penalty_lambda"):
+            spec["market"][key] = value
+        else:
+            spec["market"]["demand_params"] = {key: {"1": value} if key == "cluster_base" else value}
+        config.write_text(json.dumps(spec))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        assert key in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("kind,config_id", [

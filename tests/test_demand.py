@@ -238,7 +238,7 @@ class TestSlotConstants:
     def _market(self, clusters, seed, oracle):
         roster = [AgentSpec(f"r{i}", "rule") for i in range(4)]
         config = MarketConfig(agent_roster=roster, clusters=clusters, weeks_per_episode=12,
-                              episodes=1, seed=seed).validate()
+                              episodes=1, seed=seed)
         portfolio = make_default_portfolio(clusters, seed)
         agents = [RuleAgent(s.agent_id, portfolio, config, RuleStrategy(kind))
                   for s, kind in zip(roster, DIVERSE_STRATEGIES)]

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from pricebench.demand import DemandQuery, ParametricDemandModel
 from pricebench.features import seasonal_encoding
-from pricebench.harness import build_agents, desk_spec
+from pricebench.harness import build_agents, desk_spec, simulate
 from pricebench.environment import (
     HISTORY_COLUMNS,
     MarketEnvironment,
@@ -76,11 +76,8 @@ def _config(n_agents=2, weeks=4, seed=11, noise=0.0, **kw):
         episodes=1,
         seed=seed,
         **kw,
-    ).validate()
-    from dataclasses import replace
-
-    config.demand_params = replace(config.demand_params, noise_sigma=noise)
-    return config
+    )
+    return config.copy_with(demand_params=replace(config.demand_params, noise_sigma=noise))
 
 
 def _agents(config, cls=FixedPriceAgent, **kw):
@@ -161,9 +158,7 @@ class TestStep:
 
     def test_conservation(self):
         config = _config(n_agents=3, weeks=6)
-        agents = _agents(config)
-        model = ParametricDemandModel(config.demand_params)
-        records = run_episode(config, agents, model)
+        (records,) = simulate(config, _agents(config))
         for record in records:
             total = sum(record.revenue)
             assert sum(record.agent_revenue.values()) == pytest.approx(total, abs=1e-9)
@@ -315,7 +310,7 @@ class TestDemandInputs:
 
     def test_one_query_per_week_in_roster_order(self):
         roster = [AgentSpec(f"a{i}", "rule") for i in range(4)]
-        config = MarketConfig(agent_roster=roster, weeks_per_episode=3, episodes=1).validate()
+        config = MarketConfig(agent_roster=roster, weeks_per_episode=3, episodes=1)
         portfolio = make_default_portfolio(config.clusters, config.seed)
         agents = [FixedPriceAgent(s.agent_id, portfolio, config) for s in roster]
         oracle = RecordingOracle()
@@ -520,7 +515,7 @@ class TestReferenceWeek:
     def test_random_submissions_hit_the_cap_and_the_floor(self):
         roster = [AgentSpec(f"r{i}", "rule") for i in range(4)]
         config = MarketConfig(agent_roster=roster, weeks_per_episode=40, episodes=1,
-                              seed=505).validate()
+                              seed=505)
         portfolio = make_default_portfolio(config.clusters, config.seed)
         rng = derive_rng(505, "submissions")
         agents = [RandomPriceAgent(s.agent_id, portfolio, config, rng) for s in roster]
@@ -548,9 +543,7 @@ class TestRunEpisode:
         runs = []
         for _ in range(2):
             config = _config(n_agents=2, weeks=6, noise=0.05)
-            agents = _agents(config)
-            model = ParametricDemandModel(config.demand_params)
-            runs.append(run_episode(config, agents, model))
+            runs.extend(simulate(config, _agents(config)))
         for r1, r2 in zip(*runs):
             assert _outcomes(r1) == _outcomes(r2)
             assert r1.agent_revenue == r2.agent_revenue
@@ -564,7 +557,7 @@ class TestRunEpisode:
                 weeks_per_episode=5,
                 episodes=1,
                 seed=21,
-            ).validate()
+            )
             portfolio = make_default_portfolio([1, 2], config.seed)
             strategies = {
                 "a0": RuleStrategy("competitor_match"),
@@ -575,8 +568,8 @@ class TestRunEpisode:
                 RuleAgent(s.agent_id, portfolio, config, strategies[s.agent_id])
                 for s in config.agent_roster
             ]
-            model = ParametricDemandModel(config.demand_params)
-            return run_episode(config, agents, model)
+            (records,) = simulate(config, agents)
+            return records
 
         forward = run_with_order(False)
         backward = run_with_order(True)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import json
@@ -60,6 +61,20 @@ class TestConfigMatrix:
         with pytest.raises(ConfigError):
             ExperimentSpec.from_dict({"config_id": "custom"})
 
+    def test_spec_and_its_market_are_frozen(self):
+        spec = desk_spec("A")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.n_runs = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.market.episodes = 3
+
+    def test_copies_are_checked_as_they_are_built(self):
+        spec = desk_spec("A")
+        with pytest.raises(ConfigError, match="n_runs"):
+            dataclasses.replace(spec, n_runs=0)
+        with pytest.raises(ConfigError, match="weeks_per_episode"):
+            spec.market.copy_with(weeks_per_episode=1)
+
 
 class TestSpecRoundTrip:
     def test_identity(self):
@@ -100,11 +115,11 @@ class TestRosterParams:
                 "config_id": "C", "roster_params": {"madqn": {}}, "market": {"agent_roster": roster},
             })
 
-    def test_checked_when_the_spec_is_validated(self):
-        spec = desk_spec("C")
-        spec.market.agent_roster[0] = AgentSpec("madqn-0", "madqn", {"learning_rate": 0.01})
+    def test_checked_when_the_spec_is_built(self):
+        market = desk_spec("C").market
+        roster = [AgentSpec("madqn-0", "madqn", {"learning_rate": 0.01}), *market.agent_roster[1:]]
         with pytest.raises(ConfigError, match="learning_rate"):
-            spec.validate()
+            ExperimentSpec("C", market.copy_with(agent_roster=roster))
 
 
 class TestRuleParams:
@@ -173,8 +188,7 @@ class TestExecuteRun:
         assert m0.run_id != m1.run_id
 
     def test_byte_reproducibility(self, tmp_path):
-        spec = desk_spec("C", seed=42)
-        spec.market = spec.market.copy_with(weeks_per_episode=10, episodes=2).validate()
+        spec = desk_spec("C", seed=42, weeks_per_episode=10, episodes=2)
         m1, _ = execute_run(spec, 0, tmp_path / "first")
         m2, _ = execute_run(spec, 0, tmp_path / "second")
         h1 = (tmp_path / "first" / m1.run_id / "history.csv").read_bytes()
@@ -185,8 +199,7 @@ class TestExecuteRun:
         assert j1 == j2
 
     def test_run_experiment_returns_all_runs(self, tmp_path):
-        spec = desk_spec("A", seed=1)
-        spec.n_runs = 2
+        spec = dataclasses.replace(desk_spec("A", seed=1), n_runs=2)
         results = run_experiment(spec, tmp_path)
         assert len(results) == 2
         assert {m.seed for m, _ in results} == {1, 2}
@@ -208,51 +221,55 @@ class TestExecuteRun:
         with pytest.raises(OSError):
             run_experiment(spec, blocker / "runs")
 
-    @pytest.mark.parametrize("config_id", ["B", "C", "F", "H"])
-    def test_finished_team_run_freed_by_refcounting(self, config_id, tmp_path, monkeypatch):
-        """No reference cycle keeps a team alive: with the cyclic collector off,
-        each coordinator and member net is gone once execute_run returns."""
-        refs = []
-        build_agents = harness.build_agents
+    @staticmethod
+    def _alive_at_report_and_after(config_id, refs_of, tmp_path, monkeypatch):
+        """Run `config_id` once with the cyclic collector off, holding weak
+        references to `refs_of(agent)` for each agent built. Returns them, the
+        ones alive when compute_report is called, and the ones alive once
+        execute_run returns."""
+        refs, at_report = [], []
+        build_agents, compute_report = harness.build_agents, harness.compute_report
 
         def recording(config):
             agents = build_agents(config)
-            for agent in agents:
-                refs.append(weakref.ref(agent.learner))
-                refs.append(weakref.ref(getattr(agent, "actor", None) or agent.net))
+            refs.extend(weakref.ref(obj) for agent in agents for obj in refs_of(agent))
             return agents
 
+        def checking(episodes):
+            at_report.append([ref for ref in refs if ref() is not None])
+            return compute_report(episodes)
+
         monkeypatch.setattr(harness, "build_agents", recording)
+        monkeypatch.setattr(harness, "compute_report", checking)
         gc.collect()
         gc.disable()
         try:
             execute_run(desk_spec(config_id), 0, tmp_path)
-            alive = [ref for ref in refs if ref() is not None]
+            after = [ref for ref in refs if ref() is not None]
         finally:
             gc.enable()
+        return refs, at_report, after
+
+    @pytest.mark.parametrize("config_id", ["B", "C", "F", "H"])
+    def test_finished_team_run_freed_by_refcounting(self, config_id, tmp_path, monkeypatch):
+        """No reference cycle keeps a team alive: with the cyclic collector off,
+        each coordinator and member net is gone before the report is computed."""
+        refs, at_report, after = self._alive_at_report_and_after(
+            config_id, lambda agent: (agent.learner, getattr(agent, "actor", None) or agent.net),
+            tmp_path, monkeypatch,
+        )
         assert len(refs) == 8
-        assert alive == []
+        assert at_report == [[]]
+        assert after == []
 
     def test_finished_rule_run_freed_by_refcounting(self, tmp_path, monkeypatch):
-        """No reference cycle keeps a rule agent alive past its run."""
-        refs = []
-        build_agents = harness.build_agents
-
-        def recording(config):
-            agents = build_agents(config)
-            refs.extend(weakref.ref(agent) for agent in agents)
-            return agents
-
-        monkeypatch.setattr(harness, "build_agents", recording)
-        gc.collect()
-        gc.disable()
-        try:
-            execute_run(desk_spec("A"), 0, tmp_path)
-            alive = [ref for ref in refs if ref() is not None]
-        finally:
-            gc.enable()
+        """No reference cycle keeps a rule agent alive past its run's simulation."""
+        refs, at_report, after = self._alive_at_report_and_after(
+            "A", lambda agent: (agent,), tmp_path, monkeypatch
+        )
         assert len(refs) == 4
-        assert alive == []
+        assert at_report == [[]]
+        assert after == []
 
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -32,7 +32,7 @@ WARM_UP_STEPS = 6
 
 def _coordinator(config_id: str):
     """The config's team coordinator with two batches of random joint steps stored."""
-    agents = build_agents(desk_spec(config_id).market.validate())
+    agents = build_agents(desk_spec(config_id).market)
     coord = agents[0].learner
     n, products = len(coord.member_ids), len(agents[0].product_specs)
     shape = (n, state_dim(products))

@@ -1,5 +1,5 @@
 import json
-from dataclasses import asdict
+from dataclasses import FrozenInstanceError, asdict
 
 import pytest
 from hypothesis import given, strategies as st
@@ -102,31 +102,49 @@ def _roster():
 
 
 class TestMarketConfig:
-    def test_validate_fills_demand_params(self):
-        config = MarketConfig(agent_roster=_roster()).validate()
+    def test_construction_fills_demand_params(self):
+        config = MarketConfig(agent_roster=_roster())
         assert config.demand_params is not None
         assert set(config.clusters) <= set(config.demand_params.cluster_base)
 
     def test_duplicate_ids_rejected(self):
         roster = [AgentSpec("a", "rule"), AgentSpec("a", "rule")]
         with pytest.raises(ConfigError):
-            MarketConfig(agent_roster=roster).validate()
+            MarketConfig(agent_roster=roster)
 
     def test_empty_roster_rejected(self):
         with pytest.raises(ConfigError):
-            MarketConfig(agent_roster=[]).validate()
+            MarketConfig(agent_roster=[])
 
     def test_zero_weeks_rejected(self):
         with pytest.raises(ConfigError):
-            MarketConfig(agent_roster=_roster(), weeks_per_episode=0).validate()
+            MarketConfig(agent_roster=_roster(), weeks_per_episode=0)
 
     def test_empty_clusters_rejected(self):
         with pytest.raises(ConfigError, match="clusters"):
-            MarketConfig(agent_roster=_roster(), clusters=()).validate()
+            MarketConfig(agent_roster=_roster(), clusters=())
 
     def test_round_trip(self):
-        config = MarketConfig(agent_roster=_roster(), seed=77).validate()
+        config = MarketConfig(agent_roster=_roster(), seed=77)
         assert MarketConfig.from_dict(config.to_dict()) == config
+
+    def test_frozen(self):
+        config = MarketConfig(agent_roster=_roster())
+        with pytest.raises(FrozenInstanceError):
+            config.min_margin = 0.2
+        with pytest.raises(FrozenInstanceError):
+            config.demand_params.noise_sigma = 0.0
+
+    def test_copy_checked_as_it_is_built(self):
+        config = MarketConfig(agent_roster=_roster())
+        with pytest.raises(ConfigError, match="weeks_per_episode"):
+            config.copy_with(weeks_per_episode=1)
+
+    @pytest.mark.parametrize("key", ["min_margin", "max_weekly_change", "reward_penalty_lambda"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_number_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            MarketConfig(agent_roster=_roster(), **{key: value})
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -148,7 +166,7 @@ class TestJsonForm:
         config = MarketConfig(
             agent_roster=roster, clusters=(1, 3, 10),
             demand_params=DemandParams(cluster_base={3: 1.2, 10: 0.8}),
-        ).validate()
+        )
         assert set(config.demand_params.cluster_base) == {1, 3, 10}
         d = config.to_dict()
         assert d["demand_params"]["cluster_base"] == {"1": 1.0, "3": 1.2, "10": 0.8}
@@ -161,7 +179,7 @@ class TestJsonForm:
             assert json.dumps(JsonFields.to_dict(x), sort_keys=True) == _asdict_json(x)
 
     def test_editing_the_form_leaves_the_config_alone(self):
-        config = MarketConfig(agent_roster=_roster()).validate()
+        config = MarketConfig(agent_roster=_roster())
         d = config.to_dict()
         d["agent_roster"][0]["params"]["strategy"] = "undercut"
         d["demand_params"]["cluster_base"]["1"] = 9.0
@@ -179,7 +197,7 @@ class TestFromFields:
         })
         assert config.agent_roster == [AgentSpec("a", "rule")]
         assert config.clusters == (1, 2) and config.seed == 7
-        assert config.demand_params == DemandParams(cluster_base={2: 3.0})
+        assert config.demand_params == DemandParams(cluster_base={1: 1.0, 2: 3.0})
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match=r"unknown DemandParams keys \['elasticty'\]"):

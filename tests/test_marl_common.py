@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from pricebench import nn
 from pricebench.demand import ParametricDemandModel
-from pricebench.environment import MarketEnvironment, SimulationState, run_episode
-from pricebench.harness import ExperimentSpec, build_agents, desk_spec, run_experiment
+from pricebench.environment import MarketEnvironment, SimulationState
+from pricebench.harness import ExperimentSpec, build_agents, desk_spec, run_experiment, simulate
 from pricebench.market import (
     AgentSpec,
     ConfigError,
@@ -82,7 +82,7 @@ class TestApplyAction:
     def _agent(self, price=10.0, cost=6.0):
         config = MarketConfig(
             agent_roster=[AgentSpec("q0", "madqn")], clusters=(1,)
-        ).validate()
+        )
         return madqn.build_team(["q0"], [ProductSpec("p", 1, price, cost, 10.0)], config)[0]
 
     def test_zero_change(self):
@@ -135,7 +135,7 @@ def _madqn_setup(n_products=2, seed=5, weeks=10):
         weeks_per_episode=weeks,
         episodes=1,
         seed=seed,
-    ).validate()
+    )
     portfolio = make_default_portfolio(clusters, config.seed)
     agents = madqn.build_team([s.agent_id for s in config.agent_roster], portfolio, config)
     env = MarketEnvironment(config, agents, ParametricDemandModel(config.demand_params))
@@ -382,13 +382,8 @@ class TestRewardMatchesReference:
             return reward
 
         monkeypatch.setattr(MarlAgentBase, "_reward_from", checked)
-        config = desk_spec(config_id, seed=31).market.copy_with(
-            episodes=2, weeks_per_episode=52
-        ).validate()
-        agents = build_agents(config)
-        model = ParametricDemandModel(config.demand_params)
-        for episode in range(config.episodes):
-            run_episode(config, agents, model, episode)
+        config = desk_spec(config_id, seed=31, episodes=2, weeks_per_episode=52).market
+        simulate(config, build_agents(config))
         assert len(rewards) == 4 * 2 * 52
         assert len(steps) > 0
         assert len(set(rewards)) > 100  # the weeks' rewards differ
@@ -408,11 +403,9 @@ class TestStateEncodedOncePerWeek:
 
         monkeypatch.setattr(learner, "encode_state", counting)
         weeks, episodes = 6, 2
-        config = desk_spec(config_id, seed=17).market.copy_with(weeks_per_episode=weeks).validate()
+        config = desk_spec(config_id, seed=17, episodes=episodes, weeks_per_episode=weeks).market
         agents = build_agents(config)
-        model = ParametricDemandModel(config.demand_params)
-        for episode in range(episodes):
-            run_episode(config, agents, model, episode)
+        simulate(config, agents)
         learners = [a for a in agents if isinstance(a, MarlAgentBase)]
         # each episode: one encoding of the opening observation, then one per week
         assert len(calls) == len(learners) * episodes * (weeks + 1)
@@ -459,14 +452,9 @@ class TestActionRangeSafety:
 
     @pytest.mark.parametrize("config_id", ["B", "C", "F"])
     def test_fuzzed_episode_respects_bounds(self, config_id):
-        from pricebench.harness import build_agents, desk_spec
-        from pricebench.environment import run_episode
-
-        spec = desk_spec(config_id, seed=17)
-        config = spec.market.copy_with(weeks_per_episode=30, episodes=1).validate()
+        config = desk_spec(config_id, seed=17, weeks_per_episode=30, episodes=1).market
         agents = build_agents(config)
-        model = ParametricDemandModel(config.demand_params)
-        run_episode(config, agents, model, 0)
+        simulate(config, agents)
         for agent in agents:
             for product in agent.portfolio.values():
                 floor = config.price_floor(product.spec)

@@ -3,8 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from pricebench.demand import ParametricDemandModel
-from pricebench.environment import run_episode
+from pricebench.harness import simulate
 from pricebench.market import AgentSpec, MarketConfig, derive_rng, make_default_portfolio
 from pricebench.marl.common import N_PRICE_BINS, state_dim
 from pricebench.nn import Adam, DenseNet, TrainingError, hard_update
@@ -101,7 +100,7 @@ def _coordinator(n_agents=2, state_size=2, n_bins=3, seed=6, **hyper_kw) -> Qmix
     config = MarketConfig(
         agent_roster=[AgentSpec(f"x{i}", "qmix") for i in range(n_agents)], seed=seed,
         clusters=(1,), weeks_per_episode=4, episodes=1,
-    ).validate()
+    )
     hyper = QmixHyper(**{"warm_up": 16, "batch_size": 16, "hidden": (32,), **hyper_kw})
     ids = [f"x{i}" for i in range(n_agents)]
     return QmixCoordinator(config, hyper, ids, state_size, n_heads=1, n_bins=n_bins)
@@ -242,7 +241,7 @@ def _market_team(n_agents=2, seed=33):
     config = MarketConfig(
         agent_roster=roster, clusters=(1, 2),
         weeks_per_episode=8, episodes=1, seed=seed,
-    ).validate()
+    )
     portfolio = make_default_portfolio([1, 2], config.seed)
     return config, build_team([s.agent_id for s in roster], portfolio, config)
 
@@ -274,8 +273,7 @@ class TestTeamConstruction:
 class TestQmixTeamInMarket:
     def test_episode_respects_bounds_and_stores_joint(self):
         config, team = _market_team()
-        model = ParametricDemandModel(config.demand_params)
-        run_episode(config, team, model)
+        simulate(config, team)
         coord = team[0].learner
         assert len(coord.buffer) == 8
         for agent in team:

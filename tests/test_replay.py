@@ -116,7 +116,7 @@ def _config(kind: str, seed: int = 3) -> MarketConfig:
         weeks_per_episode=10,
         episodes=1,
         seed=seed,
-    ).validate()
+    )
 
 
 # warm_up past every push: contribute() stores and never trains, so the team's rng is untouched

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 from pricebench.demand import ParametricDemandModel
 from pricebench.environment import MarketEnvironment, run_episode
+from pricebench.harness import simulate
 from pricebench.market import (
     AgentSpec,
     ConfigError,
@@ -33,7 +36,7 @@ def _one_product_config(n_agents, weeks=4):
         clusters=(1,),
         weeks_per_episode=weeks,
         episodes=1,
-    ).validate()
+    )
 
 
 class FallingDemand:
@@ -116,7 +119,7 @@ class TestCompetitorMatch:
         # cluster-1 product is not its competitor
         roster = [AgentSpec(f"a{i}", "rule") for i in range(3)]
         clusters = (1, 1, 2, 3, 5)
-        config = MarketConfig(agent_roster=roster, clusters=clusters, episodes=1).validate()
+        config = MarketConfig(agent_roster=roster, clusters=clusters, episodes=1)
         portfolio = make_default_portfolio(clusters, config.seed)
         agents = [RuleAgent(s.agent_id, portfolio, config, RuleStrategy("static_markup"))
                   for s in roster]
@@ -233,10 +236,8 @@ def _rule_market(weeks=40, seed=31, noise=0.0):
         weeks_per_episode=weeks,
         episodes=1,
         seed=seed,
-    ).validate()
-    from dataclasses import replace
-
-    config.demand_params = replace(config.demand_params, noise_sigma=noise)
+    )
+    config = config.copy_with(demand_params=replace(config.demand_params, noise_sigma=noise))
     portfolio = make_default_portfolio([1, 2], config.seed)
     agents = [
         RuleAgent(s.agent_id, portfolio, config, RuleStrategy(DIVERSE_STRATEGIES[i]))
@@ -249,16 +250,13 @@ class TestRuleAgentProperties:
     def test_deterministic(self):
         results = []
         for _ in range(2):
-            config, agents = _rule_market(weeks=10)
-            model = ParametricDemandModel(config.demand_params)
-            records = run_episode(config, agents, model)
+            (records,) = simulate(*_rule_market(weeks=10))
             results.append([(r.price, r.demand, r.revenue, r.profit) for r in records])
         assert results[0] == results[1]
 
     def test_constraints_respected(self):
         config, agents = _rule_market(weeks=30, noise=0.05)
-        model = ParametricDemandModel(config.demand_params)
-        records = run_episode(config, agents, model)
+        simulate(config, agents)
         for agent in agents:
             for product in agent.portfolio.values():
                 floor = config.price_floor(product.spec)
@@ -272,8 +270,7 @@ class TestRuleAgentProperties:
         from pricebench.metrics import market_share_series, market_share_volatility_pp
 
         config, agents = _rule_market(weeks=40)
-        model = ParametricDemandModel(config.demand_params)
-        records = run_episode(config, agents, model)
+        (records,) = simulate(config, agents)
         revenues = {
             a.agent_id: [r.agent_revenue[a.agent_id] for r in records] for a in agents
         }
