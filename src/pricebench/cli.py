@@ -168,8 +168,7 @@ def _write_report(reports_by_config: dict[str, list[MetricsReport]], out, demand
     for row in tables["dynamics"]:
         print(f"  {row['config_id']}: jain={row['jain_mean']:.4f} "
               f"MV={row['market_volatility_pp_mean']:.1f}pp "
-              f"NEP={row['nash_proximity']:.4f} PC={row['price_convergence']:.4f} "
-              f"WF={row['welfare_fairness']:.4f}")
+              f"NEP={row['nash_proximity']:.4f} PC={row['price_convergence']:.4f}")
 
 
 def cmd_simulate(args) -> int:

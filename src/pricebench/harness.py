@@ -469,20 +469,20 @@ def summarize(reports_by_config: dict[str, list[MetricsReport]]) -> dict[str, li
 
     adaptability_rows = []
     for cid, reports in sorted(reports_by_config.items()):
-        mags, freqs, stabs, vols = [], [], [], []
+        mags, freqs, stabs, cvs = [], [], [], []
         for r in reports:
             for a in r.agents.values():
                 mags.append(a.adjustment_magnitude)
                 freqs.append(a.adjustment_frequency)
                 stabs.append(a.price_stability)
-                vols.append(a.price_cv)
+                cvs.append(a.price_cv)
         adaptability_rows.append(
             {
                 "config_id": cid,
                 "adjustment_magnitude": float(np.mean(mags)),
                 "adjustment_frequency": float(np.mean(freqs)),
                 "price_stability": float(np.mean(stabs)),
-                "price_volatility": float(np.mean(vols)),
+                "price_cv": float(np.mean(cvs)),
             }
         )
 
@@ -499,8 +499,6 @@ def summarize(reports_by_config: dict[str, list[MetricsReport]]) -> dict[str, li
                 "market_volatility_pp_std": mv_s,
                 "nash_proximity": float(np.mean([r.nash_proximity for r in reports])),
                 "price_convergence": float(np.mean([r.price_convergence for r in reports])),
-                "mean_optimality_gap": float(np.mean([r.mean_optimality_gap for r in reports])),
-                "welfare_fairness": float(np.mean([r.welfare_fairness for r in reports])),
             }
         )
     return {

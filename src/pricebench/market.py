@@ -59,6 +59,12 @@ def from_fields(cls, d: dict, what: str | None = None, **fixed):
     return cls(**values, **fixed)
 
 
+def require_finite(name: str, value: float) -> None:
+    """Raise ConfigError naming `name` when `value` is NaN or infinite."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+
+
 @functools.cache
 def _fields_of(cls) -> tuple[dict[str, Any], frozenset[str]]:
     """`cls`'s init fields with their resolved types, and those without a default."""

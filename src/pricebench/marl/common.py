@@ -12,7 +12,9 @@ import numpy as np
 
 from ..environment import PricingAgentBase
 from ..features import demand_features, seasonal_encoding
-from ..market import MarketConfig, MarketObservation, ProductSpec, derive_rng, from_fields
+from ..market import (
+    MarketConfig, MarketObservation, ProductSpec, derive_rng, from_fields, require_finite,
+)
 from ..nn import DenseNet, ReplayBuffer, ShapeError, Workspace
 
 STATE_SLOTS_PER_PRODUCT = 12
@@ -27,13 +29,19 @@ def parse_hyper(cls, params: dict, schedule_prefix: str):
 
     `<schedule_prefix>_start`, `_decay` and `_floor` override the default
     exploration schedule's; every other key names a field of `cls` (see
-    `market.from_fields`).
+    `market.from_fields`). Every number given must be finite.
     """
     schedule_keys = {f"{schedule_prefix}_{k}": k for k in ("start", "decay", "floor")}
-    schedule = {schedule_keys[k]: float(v) for k, v in params.items() if k in schedule_keys}
+    schedule = {k: float(v) for k, v in params.items() if k in schedule_keys}
     settings = {k: v for k, v in params.items() if k not in schedule_keys}
-    return from_fields(cls, settings, f"{cls.__name__} params (besides {sorted(schedule_keys)})",
-                       schedule=replace(cls.schedule, **schedule))
+    hyper = from_fields(
+        cls, settings, f"{cls.__name__} params (besides {sorted(schedule_keys)})",
+        schedule=replace(cls.schedule, **{schedule_keys[k]: v for k, v in schedule.items()}),
+    )
+    for name, value in [*schedule.items(), *((k, getattr(hyper, k)) for k in settings)]:
+        if isinstance(value, float):
+            require_finite(name, value)
+    return hyper
 
 
 def epsilon_greedy(

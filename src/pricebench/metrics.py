@@ -83,11 +83,6 @@ def social_welfare(revenues: Sequence[float]) -> float:
     return float(left_sum(revenues)) * (1.0 - gini(revenues))
 
 
-def welfare_fairness(revenues: Sequence[float]) -> float:
-    """1 - gini: the welfare-retention share of total revenue."""
-    return 1.0 - gini(revenues)
-
-
 def nash_proximity(price_series, window: int | None = NASH_WINDOW_WEEKS) -> float:
     """1 - min(1, 10 * mean |relative weekly change|) over the trailing window.
 
@@ -109,35 +104,6 @@ def nash_proximity(price_series, window: int | None = NASH_WINDOW_WEEKS) -> floa
     return 1.0 - min(1.0, 10.0 * mean_change)
 
 
-def optimality_gap(agent_revenue: float, max_revenue: float) -> float:
-    if max_revenue <= 0:
-        raise ValueError("max_revenue must be > 0")
-    return (max_revenue - agent_revenue) / max_revenue
-
-
-def market_share_series(
-    weekly_revenues: dict[str, Sequence[float]],
-) -> tuple[dict[str, list[float]], list[int]]:
-    """Per-agent weekly share sequences; zero-total weeks get uniform shares.
-
-    Returns (series, indices of flagged zero-revenue weeks).
-    """
-    agents = list(weekly_revenues)
-    n_weeks = len(next(iter(weekly_revenues.values())))
-    shares: dict[str, list[float]] = {a: [] for a in agents}
-    flagged: list[int] = []
-    for t in range(n_weeks):
-        total = left_sum(weekly_revenues[a][t] for a in agents)
-        if total <= 0:
-            flagged.append(t)
-            for a in agents:
-                shares[a].append(1.0 / len(agents))
-        else:
-            for a in agents:
-                shares[a].append(weekly_revenues[a][t] / total)
-    return shares, flagged
-
-
 def market_share_volatility_pp(share_series: dict[str, Sequence[float]]) -> float:
     """Mean over agents of the population std of weekly shares, in percentage points."""
     lengths = {len(s) for s in share_series.values()}
@@ -147,14 +113,10 @@ def market_share_volatility_pp(share_series: dict[str, Sequence[float]]) -> floa
 
 
 def price_volatility(prices) -> dict:
-    """Mean |relative weekly change|, std of the changes and max |change|, per series."""
+    """Population std of the relative weekly changes and their max |change|,
+    per series (their mean |change| is `adjustment_magnitude`)."""
     changes = _relative_changes(prices)
-    abs_changes = np.abs(changes)
-    return {
-        "mean_abs_change": _rows(abs_changes.mean(axis=-1)),
-        "std_change": _pop_std(changes),
-        "max_change": _rows(abs_changes.max(axis=-1)),
-    }
+    return {"std_change": _pop_std(changes), "max_change": _rows(np.abs(changes).max(axis=-1))}
 
 
 def price_cv(prices):
@@ -201,11 +163,9 @@ class AgentMetrics:
     adjustment_magnitude: float
     adjustment_frequency: float
     price_stability: float
-    price_volatility_mean_abs: float
     price_volatility_std: float
     price_volatility_max: float
     price_cv: float
-    optimality_gap: float
 
 
 @dataclass
@@ -217,9 +177,7 @@ class MetricsReport(JsonFields):
     jain_index: float
     gini: float
     social_welfare: float
-    welfare_fairness: float
     nash_proximity: float
-    mean_optimality_gap: float
     price_convergence: float
     market_share_volatility_pp: float
     final_market_share: dict[str, float]
@@ -252,13 +210,10 @@ def _slot_prices(records: list[WeeklyRecord]) -> np.ndarray:
 
 
 def _slot_metrics(prices: np.ndarray) -> dict[str, np.ndarray]:
-    """Per-slot AgentMetrics price fields of one episode's `(slots, weeks)` prices.
-
-    `price_volatility_mean_abs` is `adjustment_magnitude`'s mean |change|.
-    """
+    """Per-slot AgentMetrics price fields of one episode's `(slots, weeks)` prices."""
     volatility = price_volatility(prices)
     return {
-        "adjustment_magnitude": volatility["mean_abs_change"],
+        "adjustment_magnitude": adjustment_magnitude(prices),
         "adjustment_frequency": adjustment_frequency(prices),
         "price_stability": price_stability(prices),
         "price_volatility_std": volatility["std_change"],
@@ -289,7 +244,8 @@ def compute_report(episodes: list[list[WeeklyRecord]]) -> MetricsReport:
     # one metric call per episode over all slots; each agent's columns, episode by episode
     per_agent: dict[str, list[np.ndarray]] = {aid: [] for aid in agent_ids}
     for ep in episodes:
-        slot_metrics = _slot_metrics(_slot_prices(ep))
+        prices = _slot_prices(ep)
+        slot_metrics = _slot_metrics(prices)
         table = np.stack(list(slot_metrics.values()))  # (metrics, slots)
         columns: dict[str, list[int]] = {aid: [] for aid in agent_ids}
         for (aid, _pid), i in ep[0].slots.items():
@@ -297,33 +253,22 @@ def compute_report(episodes: list[list[WeeklyRecord]]) -> MetricsReport:
         for aid, cols in columns.items():
             per_agent[aid].append(table[:, cols])
 
-    max_return = max(mean_returns.values())
-    if max_return <= 0:
-        flags.append("non-positive-max-return")
     agents = {}
     for aid in agent_ids:
         # a C-contiguous copy: the column gathers are Fortran-ordered, and a row
         # mean sums pairwise (as np.mean of a list does) only along contiguous rows
         values = np.ascontiguousarray(np.concatenate(per_agent[aid], axis=1))
         means = dict(zip(slot_metrics, values.mean(axis=-1).tolist()))
-        agents[aid] = AgentMetrics(
-            total_revenue=totals[aid],
-            mean_return=mean_returns[aid],
-            price_volatility_mean_abs=means["adjustment_magnitude"],
-            **means,
-            optimality_gap=(
-                optimality_gap(mean_returns[aid], max_return) if max_return > 0 else float("nan")
-            ),
-        )
+        agents[aid] = AgentMetrics(total_revenue=totals[aid], mean_return=mean_returns[aid], **means)
 
+    # the final episode's weekly shares, as the environment settled them
     final = episodes[-1]
-    revenue_rows = {aid: [r.agent_revenue[aid] for r in final] for aid in agent_ids}
-    shares, flagged_weeks = market_share_series(revenue_rows)
-    if flagged_weeks:
-        flags.append(f"zero-revenue-weeks:{len(flagged_weeks)}")
+    shares = {aid: [r.market_share[aid] for r in final] for aid in agent_ids}
+    zero_weeks = sum(r.zero_revenue for r in final)
+    if zero_weeks:
+        flags.append(f"zero-revenue-weeks:{zero_weeks}")
 
-    final_prices = _slot_prices(final)
-    final_window = final_prices[:, -CONVERGENCE_WINDOW_WEEKS:]
+    final_window = prices[:, -CONVERGENCE_WINDOW_WEEKS:]  # the loop ends on the final episode
     slots_of: dict[str, list[int]] = {}
     for (_aid, pid), i in final[0].slots.items():
         slots_of.setdefault(pid, []).append(i)
@@ -340,9 +285,7 @@ def compute_report(episodes: list[list[WeeklyRecord]]) -> MetricsReport:
         jain_index=jain_index(returns_vector),
         gini=gini(returns_vector),
         social_welfare=social_welfare(returns_vector),
-        welfare_fairness=welfare_fairness(returns_vector),
-        nash_proximity=nash_proximity(final_prices),
-        mean_optimality_gap=float(np.mean([a.optimality_gap for a in agents.values()])),
+        nash_proximity=nash_proximity(prices),
         price_convergence=float(np.mean(convergence_values)),
         market_share_volatility_pp=market_share_volatility_pp(shares),
         final_market_share={aid: shares[aid][-1] for aid in agent_ids},

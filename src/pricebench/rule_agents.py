@@ -21,6 +21,7 @@ from .market import (
     ProductSpec,
     ProductState,
     left_sum,
+    require_finite,
 )
 
 log = logging.getLogger(__name__)
@@ -54,6 +55,8 @@ class RuleStrategy:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ConfigError(f"unknown rule strategy {self.kind!r}")
+        for name in ("markup", "response_step", "seasonal_uplift"):
+            require_finite(name, getattr(self, name))
         if not 0.01 <= self.undercut_fraction <= 0.05:
             raise ConfigError("undercut_fraction must be in [0.01, 0.05]")
         if self.response_step <= 0:

@@ -24,7 +24,6 @@ from pricebench.metrics import (
     gini,
     jain_index,
     nash_proximity,
-    optimality_gap,
     price_convergence,
     social_welfare,
 )
@@ -83,9 +82,6 @@ def test_criterion_01_metric_oracles():
         assert abs(nash_proximity([drift]) - 0.5) < tol
         runaway = [100 * 1.2**t for t in range(5)]
         assert abs(nash_proximity([runaway]) - 0.0) < tol
-        assert abs(optimality_gap(200.0, 200.0) - 0.0) < tol
-        assert abs(optimality_gap(0.0, 200.0) - 1.0) < tol
-        assert abs(optimality_gap(150.0, 200.0) - 0.25) < tol
         assert abs(price_convergence([7.0, 7.0, 7.0]) - 1.0) < tol
         assert abs(price_convergence([1.0, 3.0]) - (1 - 1 / 3)) < tol
         assert abs(price_convergence([2.0, 2.0, 8.0]) - (1 - math.sqrt(8.0) / 8.0)) < tol

@@ -143,6 +143,23 @@ class TestSimulate:
         assert "unknown" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()  # rejected before any run directory is made
 
+    @pytest.mark.parametrize("config_id,kind,key,value", [
+        ("B", "maddpg", "noise_start", float("nan")),
+        ("C", "madqn", "epsilon_start", float("nan")),
+        ("A", "rule", "seasonal_uplift", float("inf")),
+        ("A", "rule", "markup", float("nan")),
+        ("C", "madqn", "lr", float("nan")),
+        ("F", "qmix", "gamma", float("inf")),
+    ])
+    def test_non_finite_params_value_exits_1(self, tmp_path, capsys, config_id, kind, key, value):
+        config = _experiment_file(tmp_path, config_id=config_id, weeks=4)
+        spec = json.loads(config.read_text())
+        spec["roster_params"] = {kind: {key: value}}
+        config.write_text(json.dumps(spec))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_team_members_with_different_params_exit_1(self, tmp_path, capsys):
         # a team trains under one params dict: a second member's must not be dropped
         roster = [
@@ -462,6 +479,21 @@ class TestReport:
         out = tmp_path / "report"
         assert main(["report", "--in", str(runs), "--out", str(out)]) == 1
         assert str(runs) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_metrics_json_with_a_dropped_key_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        # metrics.json as runs wrote it while it still held the duplicate keys
+        config = _experiment_file(tmp_path, weeks=5)
+        runs = tmp_path / "runs"
+        assert main(["simulate", "--config", str(config), "--out", str(runs)]) == 0
+        (metrics,) = runs.glob("*/metrics.json")
+        report = json.loads(metrics.read_text())
+        report["market"]["welfare_fairness"] = 1.0 - report["market"]["gini"]
+        metrics.write_text(json.dumps(report))
+        capsys.readouterr()
+        out = tmp_path / "report"
+        assert main(["report", "--in", str(runs), "--out", str(out)]) == 1
+        assert "'welfare_fairness'" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -18,8 +18,9 @@ that alters them on purpose re-captures the file with
 
     PYTHONPATH=src python -m tests.test_golden_bytes
 
-which first prints each hash that moved (scale/run/artifact, old -> new) and
-the count of those that did not. With `--check` it prints the same lines,
+which first prints each hash that moved (scale/run/artifact, old -> new),
+one count line per artifact name (`history.csv: 0 moved, 32 unchanged`) and
+the total count. With `--check` it prints the same lines,
 leaves the file as it is and exits 1 if any hash moved.
 """
 
@@ -123,20 +124,23 @@ def test_blas_thread_count_set_outside_does_not_change_bytes(threads):
     assert json.loads(run.stdout) == _golden("long", "H")
 
 
-def hash_moves(old: dict, new: dict) -> tuple[list[str], int]:
+def hash_moves(old: dict, new: dict) -> tuple[list[str], int, dict[str, list[int]]]:
     """Lines naming each hash of `new` that differs from `old`'s (one that
-    `old` lacks reads "none", as does one that `new` dropped), and the count
-    of hashes that did not move."""
-    moved, unchanged = [], 0
+    `old` lacks reads "none", as does one that `new` dropped), the count of
+    hashes that did not move, and per artifact name its [moved, unchanged]
+    counts."""
+    moved, unchanged, by_name = [], 0, {}
     for scale in sorted(old.keys() | new.keys()):
         before = {k: h for table in old.get(scale, {}).values() for k, h in table.items()}
         after = {k: h for table in new.get(scale, {}).values() for k, h in table.items()}
         for key in sorted(before.keys() | after.keys()):
-            if before.get(key) == after.get(key):
+            same = before.get(key) == after.get(key)
+            by_name.setdefault(key.rsplit("/", 1)[-1], [0, 0])[same] += 1  # [moved, unchanged]
+            if same:
                 unchanged += 1
             else:
                 moved.append(f"{scale}/{key}: {before.get(key, 'none')} -> {after.get(key, 'none')}")
-    return moved, unchanged
+    return moved, unchanged, by_name
 
 
 def test_hash_moves_names_each_moved_hash():
@@ -144,9 +148,10 @@ def test_hash_moves_names_each_moved_hash():
     new = {"desk": {"A": {"A-run00/history.csv": "1", "A-run00/metrics.json": "3"}},
            "long": {"H": {"H-run00/history.csv": "4"}}}
     assert hash_moves(old, new) == (
-        ["desk/A-run00/metrics.json: 2 -> 3", "long/H-run00/history.csv: none -> 4"], 1
+        ["desk/A-run00/metrics.json: 2 -> 3", "long/H-run00/history.csv: none -> 4"], 1,
+        {"history.csv": [1, 1], "metrics.json": [1, 0]},
     )
-    assert hash_moves(new, new) == ([], 3)
+    assert hash_moves(new, new) == ([], 3, {"history.csv": [0, 2], "metrics.json": [0, 1]})
 
 
 def test_check_mode_reports_a_moved_hash_and_leaves_the_file(tmp_path, monkeypatch, capsys):
@@ -163,6 +168,7 @@ def test_check_mode_reports_a_moved_hash_and_leaves_the_file(tmp_path, monkeypat
     assert stale.read_bytes() == before
     out = capsys.readouterr().out
     assert f"moved desk/{key}: {'0' * 64} -> " in out
+    assert f"{key.rsplit('/', 1)[1]}: 1 moved, {len(table['desk']['A']) // 2 - 1} unchanged\n" in out
     assert f"1 moved, {len(table['desk']['A']) - 1} unchanged" in out
 
 
@@ -182,9 +188,11 @@ def main(argv: list[str] | None = None) -> int:
             for scale, (configs, _) in SCALES.items()
         }
     old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
-    moved, unchanged = hash_moves(old, table)
+    moved, unchanged, by_name = hash_moves(old, table)
     for line in moved:
         print(f"moved {line}")
+    for name, (name_moved, name_unchanged) in sorted(by_name.items()):
+        print(f"{name}: {name_moved} moved, {name_unchanged} unchanged")
     print(f"{len(moved)} moved, {unchanged} unchanged")
     if args.check:
         return 1 if moved else 0

@@ -407,18 +407,15 @@ def _fake_report(mean_return, jain=0.9, share=0.25):
             adjustment_magnitude=0.01,
             adjustment_frequency=0.3,
             price_stability=0.9,
-            price_volatility_mean_abs=0.01,
             price_volatility_std=0.005,
             price_volatility_max=0.05,
             price_cv=0.02,
-            optimality_gap=0.0,
         )
         for i in range(4)
     }
     return MetricsReport(
         agents=agents, jain_index=jain, gini=1 - jain, social_welfare=mean_return,
-        welfare_fairness=jain, nash_proximity=0.8, mean_optimality_gap=0.1,
-        price_convergence=0.7, market_share_volatility_pp=1.0,
+        nash_proximity=0.8, price_convergence=0.7, market_share_volatility_pp=1.0,
         final_market_share={f"a{i}": share for i in range(4)},
     )
 
@@ -440,6 +437,14 @@ class TestSummaries:
         assert len(written) == 3
         header = Path(written[0]).read_text().splitlines()[0]
         assert "config_id" in header
+        headers = {Path(p).name: Path(p).read_text().splitlines()[0] for p in written}
+        assert headers["summary_adaptability.csv"] == (
+            "config_id,adjustment_magnitude,adjustment_frequency,price_stability,price_cv"
+        )
+        assert headers["summary_dynamics.csv"] == (
+            "config_id,jain_mean,jain_std,market_volatility_pp_mean,market_volatility_pp_std,"
+            "nash_proximity,price_convergence"
+        )
 
     def test_ci_formula(self):
         # sample std of {.2,.3,.2,.3} = 0.057735; 1.96 * std / sqrt(4) = 0.0565805

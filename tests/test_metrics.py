@@ -13,16 +13,13 @@ from pricebench.metrics import (
     compute_report,
     gini,
     jain_index,
-    market_share_series,
     market_share_volatility_pp,
     nash_proximity,
-    optimality_gap,
     price_convergence,
     price_cv,
     price_stability,
     price_volatility,
     social_welfare,
-    welfare_fairness,
 )
 
 revenue_vectors = st.lists(
@@ -96,15 +93,9 @@ class TestWelfare:
     def test_all_zero(self):
         assert social_welfare([0, 0]) == 0.0
 
-    def test_welfare_fairness_values(self):
-        assert welfare_fairness([1, 1]) == pytest.approx(1.0, abs=1e-12)
-        assert welfare_fairness([0, 1]) == pytest.approx(0.5, abs=1e-12)
-        assert welfare_fairness([1, 2, 3]) == pytest.approx(1 - 8 / 36, abs=1e-12)
-
     @given(revenue_vectors)
     def test_identities(self, v):
-        assert welfare_fairness(v) == pytest.approx(1.0 - gini(v), abs=1e-12)
-        assert social_welfare(v) == pytest.approx(sum(v) * welfare_fairness(v), rel=1e-9)
+        assert social_welfare(v) == pytest.approx(sum(v) * (1.0 - gini(v)), rel=1e-9)
 
 
 class TestNashProximity:
@@ -134,36 +125,37 @@ class TestNashProximity:
         assert a == pytest.approx(b, abs=1e-9)
 
 
-class TestOptimalityGap:
-    def test_at_max(self):
-        assert optimality_gap(200.0, 200.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_at_zero(self):
-        assert optimality_gap(0.0, 200.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_hand_value(self):
-        assert optimality_gap(150.0, 200.0) == pytest.approx(0.25, abs=1e-12)
-
-    def test_nonpositive_max_rejected(self):
-        with pytest.raises(ValueError):
-            optimality_gap(1.0, 0.0)
-
-
 class TestMarketShare:
+    """The report reads each week's shares and zero-revenue flag from the
+    environment's records."""
+
     def test_share_definition(self):
-        shares, flagged = market_share_series({"a": [30.0], "b": [70.0]})
-        assert shares["a"] == [0.3]
-        assert shares["b"] == [0.7]
-        assert not flagged
+        from pricebench.harness import build_agents, desk_spec, simulate
+
+        spec = desk_spec("A")
+        config = spec.market.copy_with(seed=spec.market.seed + 1)  # run 1 of the desk preset
+        episodes = simulate(config, build_agents(config))
+        report = compute_report(episodes)
+        final = episodes[-1]
+        assert report.final_market_share == final[-1].market_share
+        shares = {aid: [r.market_share[aid] for r in final] for aid in final[0].market_share}
+        assert report.market_share_volatility_pp == 100.0 * float(
+            np.mean([np.std(s) for s in shares.values()])
+        )
 
     def test_single_agent(self):
-        shares, _ = market_share_series({"a": [5.0, 9.0]})
-        assert shares["a"] == [1.0, 1.0]
+        report = compute_report(_toy_episodes(agent_ids=("a",)))
+        assert report.final_market_share == {"a": 1.0}
+        assert report.market_share_volatility_pp == 0.0
 
     def test_zero_week_uniform_flagged(self):
-        shares, flagged = market_share_series({a: [0.0] for a in "abcd"})
-        assert flagged == [0]
-        assert all(s == [0.25] for s in shares.values())
+        episodes = _toy_episodes()
+        for record in (episodes[0][3], episodes[-1][2], episodes[-1][-1]):
+            record.zero_revenue = True
+            record.market_share = {"a": 0.5, "b": 0.5}
+        report = compute_report(episodes)
+        assert "zero-revenue-weeks:2" in report.flags  # the final episode's weeks only
+        assert report.final_market_share == {"a": 0.5, "b": 0.5}
 
     def test_volatility_alternating(self):
         # share alternating 0.4/0.6 -> population std 0.1 -> 10 pp
@@ -182,15 +174,15 @@ class TestMarketShare:
 class TestPriceVolatility:
     def test_constant(self):
         stats = price_volatility([10.0] * 5)
-        assert stats == {"mean_abs_change": 0.0, "std_change": 0.0, "max_change": 0.0}
+        assert stats == {"std_change": 0.0, "max_change": 0.0}
 
     def test_two_week(self):
         stats = price_volatility([100.0, 110.0])
-        assert stats["mean_abs_change"] == pytest.approx(0.10, abs=1e-12)
+        assert stats["max_change"] == pytest.approx(0.10, abs=1e-12)
 
     def test_three_week(self):
         stats = price_volatility([100.0, 110.0, 99.0])
-        assert stats["mean_abs_change"] == pytest.approx(0.10, abs=1e-12)
+        assert stats["std_change"] == pytest.approx(0.10, abs=1e-12)  # +10 %, then -10 %
         assert stats["max_change"] == pytest.approx(0.10, abs=1e-12)
 
     def test_cv(self):
@@ -301,11 +293,6 @@ class TestComputeReport:
         assert fwd.jain_index == pytest.approx(rev.jain_index)
         assert fwd.gini == pytest.approx(rev.gini)
 
-    def test_best_agent_has_zero_gap(self):
-        report = compute_report(_toy_episodes())
-        best = max(report.agents.values(), key=lambda a: a.mean_return)
-        assert best.optimality_gap == 0.0
-
     def test_json_is_stable(self):
         report = compute_report(_toy_episodes())
         assert report.to_json() == compute_report(_toy_episodes()).to_json()
@@ -317,7 +304,6 @@ PRICE_METRICS = {
     "adjustment_frequency": adjustment_frequency,
     "price_stability": price_stability,
     "price_cv": price_cv,
-    "mean_abs_change": lambda prices: price_volatility(prices)["mean_abs_change"],
     "std_change": lambda prices: price_volatility(prices)["std_change"],
     "max_change": lambda prices: price_volatility(prices)["max_change"],
 }
@@ -402,7 +388,6 @@ class TestComputeReportMatchesSeriesCalls:
             assert got.adjustment_magnitude == float(np.mean([adjustment_magnitude(p) for p in own]))
             assert got.adjustment_frequency == float(np.mean([adjustment_frequency(p) for p in own]))
             assert got.price_stability == float(np.mean([price_stability(p) for p in own]))
-            assert got.price_volatility_mean_abs == float(np.mean([v["mean_abs_change"] for v in vols]))
             assert got.price_volatility_std == float(np.mean([v["std_change"] for v in vols]))
             assert got.price_volatility_max == float(np.mean([v["max_change"] for v in vols]))
             assert got.price_cv == float(np.mean([price_cv(p) for p in own]))

@@ -267,12 +267,9 @@ class TestRuleAgentProperties:
                     prev = price
 
     def test_diverse_market_share_stability(self):
-        from pricebench.metrics import market_share_series, market_share_volatility_pp
+        from pricebench.metrics import market_share_volatility_pp
 
         config, agents = _rule_market(weeks=40)
         (records,) = simulate(config, agents)
-        revenues = {
-            a.agent_id: [r.agent_revenue[a.agent_id] for r in records] for a in agents
-        }
-        shares, _ = market_share_series(revenues)
+        shares = {a.agent_id: [r.market_share[a.agent_id] for r in records] for a in agents}
         assert market_share_volatility_pp(shares) < 0.5
