@@ -304,6 +304,8 @@ PRICE_METRICS = {
     "adjustment_frequency": adjustment_frequency,
     "price_stability": price_stability,
     "price_cv": price_cv,
+    # the mean |change| price_volatility once reported; adjustment_magnitude computes it
+    "mean_abs_change": adjustment_magnitude,
     "std_change": lambda prices: price_volatility(prices)["std_change"],
     "max_change": lambda prices: price_volatility(prices)["max_change"],
 }
