@@ -328,7 +328,6 @@ def run_episode(
 # |x|·10⁶ < 2⁵², where every half-integer is a double; any other value (NaN
 # and inf too) is formatted one by one.
 FIXED6_LIMIT = 2.0**52 / 1e6
-_VELTKAMP = 134217729.0  # 2**27 + 1
 
 
 def _digits(v: np.ndarray, out: np.ndarray) -> None:
@@ -341,20 +340,6 @@ def _digits(v: np.ndarray, out: np.ndarray) -> None:
     out += ord("0")
 
 
-def _product_error(a: np.ndarray) -> np.ndarray:
-    """The exact a·10⁶ − fl(a·10⁶), a double for every |a| < FIXED6_LIMIT.
-
-    A Veltkamp split gives a = a_hi + a_lo with at most 26 significant bits
-    each, so a_hi·10⁶ and a_lo·10⁶ are exact; Fast2Sum of the two yields the
-    rounded product and its error.
-    """
-    c = a * _VELTKAMP
-    a_hi = c - (c - a)
-    p1 = a_hi * 1e6
-    p2 = (a - a_hi) * 1e6
-    return p2 - ((p1 + p2) - p1)
-
-
 def fixed6_text(values: np.ndarray) -> np.ndarray:
     """`'%.6f' % v` of every float in `values`, as a uint8 array of shape
     `(width, *values.shape)`: byte j of each value's text, padded with NULs
@@ -362,26 +347,20 @@ def fixed6_text(values: np.ndarray) -> np.ndarray:
 
     The text is exact. hi = fl(|v|·10⁶) is correctly rounded, so below 2⁵²,
     where every half-integer is a double, rint(hi) rounds |v|·10⁶ to its
-    nearest integer unless hi is itself a half-integer. There the exact
-    product's error lo (`_product_error`) breaks the tie: rint's choice moves
-    one unit toward the exact value when lo points that way, and stays
-    (round half to even, as CPython's dtoa) when lo is 0. The sign comes from
-    `signbit`, so -0.0 and negatives that round to zero keep their '-'.
+    nearest integer unless hi is itself a half-integer. Such a tie hides
+    which side of it the exact product lies on, so it is formatted one by
+    one, as are the values beyond the limit. The sign comes from `signbit`,
+    so -0.0 and negatives that round to zero keep their '-'.
     """
     values = np.asarray(values, dtype=np.float64)
     a = np.abs(values)
     fast = a < FIXED6_LIMIT
-    slow = [] if fast.all() else [tuple(i) for i in np.argwhere(~fast)]
-    if slow:
+    if not fast.all():
         a[~fast] = 0.0
     hi = a * 1e6
     q = np.rint(hi)
-    off = np.subtract(hi, q, out=hi)
-    ties = np.flatnonzero(np.abs(off) == 0.5)
-    if ties.size:
-        off = off.ravel()[ties]
-        lo = _product_error(a.ravel()[ties])
-        q.ravel()[ties] += np.where(off * lo > 0, 2 * off, 0.0)
+    fast &= np.abs(np.subtract(hi, q, out=hi), out=hi) != 0.5
+    slow = [] if fast.all() else [tuple(i) for i in np.argwhere(~fast)]
     int_part = np.floor(q / 1e6)
     frac = np.subtract(q, int_part * 1e6, out=q).astype(np.int32)
     top = int(int_part.max(initial=0.0))

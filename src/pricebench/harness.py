@@ -532,14 +532,24 @@ def _fmt(v):
     return v
 
 
-def confidence_interval(values, z: float = 1.96) -> tuple[float, float]:
-    """Normal-approximation CI half-width over run means (sample std, ddof=1)."""
+# Two-sided 95 % Student-t quantiles t(0.975, df) for df = 1..30; beyond, z = 1.96.
+T_975 = (
+    12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
+    2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
+    2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
+)
+
+
+def confidence_interval(values) -> tuple[float, float]:
+    """Mean and 95 % CI half-width over run means: Student-t with n - 1
+    degrees of freedom on the sample std (ddof=1); 0 for a single run."""
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
-    if len(arr) < 2:
+    n = len(arr)
+    if n < 2:
         return mean, 0.0
-    half = z * float(arr.std(ddof=1)) / math.sqrt(len(arr))
-    return mean, half
+    quantile = T_975[n - 2] if n - 1 <= len(T_975) else 1.96
+    return mean, quantile * float(arr.std(ddof=1)) / math.sqrt(n)
 
 
 def emit_plotdata(

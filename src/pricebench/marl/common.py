@@ -5,7 +5,7 @@ application, the team learner that every learner kind builds on, and the
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import asdict
 from typing import Callable
 
 import numpy as np
@@ -13,9 +13,10 @@ import numpy as np
 from ..environment import PricingAgentBase
 from ..features import demand_features, seasonal_encoding
 from ..market import (
-    MarketConfig, MarketObservation, ProductSpec, derive_rng, from_fields, require_finite,
+    ConfigError, MarketConfig, MarketObservation, ProductSpec, derive_rng, from_fields,
+    require_finite,
 )
-from ..nn import DenseNet, ReplayBuffer, ShapeError, Workspace
+from ..nn import DenseNet, ExplorationSchedule, ReplayBuffer, ShapeError, Workspace
 
 STATE_SLOTS_PER_PRODUCT = 12
 
@@ -28,17 +29,24 @@ def parse_hyper(cls, params: dict, schedule_prefix: str):
     """A `cls` hyper-parameter set from a roster entry's `params`.
 
     `<schedule_prefix>_start`, `_decay` and `_floor` override the default
-    exploration schedule's; every other key names a field of `cls` (see
-    `market.from_fields`). Every number given must be finite.
+    exploration schedule's; every other key names a field of `cls`. Each
+    value is cast as `market.from_fields` casts a field, and every number
+    given must be finite.
     """
-    schedule_keys = {f"{schedule_prefix}_{k}": k for k in ("start", "decay", "floor")}
-    schedule = {k: float(v) for k, v in params.items() if k in schedule_keys}
-    settings = {k: v for k, v in params.items() if k not in schedule_keys}
+    fields = {f"{schedule_prefix}_{k}": k for k in ("start", "decay", "floor")}
+    given = {k: v for k, v in params.items() if k in fields}
+    settings = {k: v for k, v in params.items() if k not in fields}
+    try:
+        schedule = from_fields(
+            ExplorationSchedule, {**asdict(cls.schedule), **{fields[k]: v for k, v in given.items()}}
+        )
+    except ConfigError as exc:  # its message names the schedule's field; name the key
+        raise ConfigError(f"{schedule_prefix}_{exc}") from exc
     hyper = from_fields(
-        cls, settings, f"{cls.__name__} params (besides {sorted(schedule_keys)})",
-        schedule=replace(cls.schedule, **{schedule_keys[k]: v for k, v in schedule.items()}),
+        cls, settings, f"{cls.__name__} params (besides {sorted(fields)})", schedule=schedule
     )
-    for name, value in [*schedule.items(), *((k, getattr(hyper, k)) for k in settings)]:
+    for name in [*given, *settings]:
+        value = getattr(schedule, fields[name]) if name in fields else getattr(hyper, name)
         if isinstance(value, float):
             require_finite(name, value)
     return hyper
@@ -245,8 +253,8 @@ class TeamLearner:
         self.hyper = hyper
         self.member_ids = list(member_ids)
         self.rngs = [derive_rng(config.seed, "agent", aid) for aid in member_ids]
-        rows = config.episodes * config.weeks_per_episode  # the pushes a run makes
-        self.buffer = ReplayBuffer(hyper.buffer_capacity, hyper.recency_decay, rows=rows)
+        pushes = config.episodes * config.weeks_per_episode  # a run's pushes, one per week
+        self.buffer = ReplayBuffer(min(hyper.buffer_capacity, pushes), hyper.recency_decay)
         self._pending: dict[str, tuple] = {}
         self._work = Workspace()  # the learn step's batch arrays, refilled every step
 

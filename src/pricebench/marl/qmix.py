@@ -10,12 +10,13 @@ joint action decomposes into per-member argmaxes.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..market import MarketConfig, MarketObservation, ProductSpec, derive_rng, left_sum
-from ..nn import Adam, ShapeError, Workspace, hard_update
+from ..nn import Adam, DenseNet, ShapeError, Workspace, hard_update
 from .common import N_PRICE_BINS, QTeamLearner, QTeamMember, encode_state, state_dim
 from .madqn import DqnHyper
 
@@ -25,89 +26,49 @@ class QmixHyper(DqnHyper):
     mixing_dim: int = 32
 
 
-MIXER_PARAMS = (
-    "w1_hyper", "w1_bias", "b1_hyper", "b1_bias", "w2_hyper", "w2_bias", "b2_hyper", "b2_bias",
-)
-
-
 class MonotonicMixer:
     """Two-layer mixer with |hypernetwork| weights: Q_tot monotone in each q_i.
 
-    Its eight parameter arrays are views of one contiguous `flat` vector, in
-    MIXER_PARAMS order, and its gradients views of one `grad` vector.
+    Its `hypernets` are single-layer linear `DenseNet`s of the global state,
+    drawn from the mixer's generator in this order: the first mixing layer's
+    weights (agents x mixing) and biases (mixing), the second layer's weights
+    (mixing) and its bias (one). Each keeps its own parameters, gradient and
+    buffers; the mixer keeps the buffers of the monotone mixing between them.
     """
 
     def __init__(self, n_agents: int, state_size: int, mixing_dim: int, rng: np.random.Generator):
         self.n_agents = n_agents
-        self.state_size = state_size
         self.mixing_dim = mixing_dim
-        bound = 1.0 / np.sqrt(state_size)
-
-        def lin(rows):
-            return rng.uniform(-bound, bound, size=(rows, state_size)), rng.uniform(
-                -bound, bound, size=rows
-            )
-
-        arrays = [a for rows in self._hyper_rows() for a in lin(rows)]
-        self._bind(np.concatenate([a.ravel() for a in arrays]))
-
-    def _hyper_rows(self) -> tuple[int, ...]:
-        return (self.n_agents * self.mixing_dim, self.mixing_dim, self.mixing_dim, 1)
-
-    def _bind(self, flat: np.ndarray) -> None:
-        self.flat = flat
-        self.grad: np.ndarray | None = None  # allocated by the first backward
+        self.hypernets = [
+            DenseNet([state_size, rows], ["linear"], rng)
+            for rows in (n_agents * mixing_dim, mixing_dim, mixing_dim, 1)
+        ]
         self._work = Workspace()
-        for name, view in zip(MIXER_PARAMS, self._views(flat)):
-            setattr(self, name, view)
-
-    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
-        """Views of `flat` shaped like the parameters, in MIXER_PARAMS order."""
-        views, offset = [], 0
-        for rows in self._hyper_rows():
-            views.append(flat[offset : offset + rows * self.state_size].reshape(rows, self.state_size))
-            offset += rows * self.state_size
-            views.append(flat[offset : offset + rows])
-            offset += rows
-        return views
 
     def params(self) -> list[np.ndarray]:
-        return [getattr(self, name) for name in MIXER_PARAMS]
+        return [p for net in self.hypernets for p in net.params()]
 
     def clone(self) -> "MonotonicMixer":
-        twin = MonotonicMixer.__new__(MonotonicMixer)
-        twin.n_agents = self.n_agents
-        twin.state_size = self.state_size
-        twin.mixing_dim = self.mixing_dim
-        twin._bind(self.flat.copy())
+        twin = copy.copy(self)
+        twin.hypernets = [net.clone() for net in self.hypernets]
+        twin._work = Workspace()
         return twin
-
-    def copy_from(self, other: "MonotonicMixer") -> None:
-        self.flat[...] = other.flat
 
     def forward_cached(self, qs: np.ndarray, states: np.ndarray):
         """Q_tot for each row of `qs` (B, agents) and `states` (B, state).
 
-        Q_tot and the cache are views of the mixer's buffers for this batch
-        size, valid until its next forward_cached at that size.
+        Q_tot and the cache are views of the mixer's and its hypernetworks'
+        buffers for this batch size, valid until its next forward_cached at
+        that size.
         """
         qs = np.atleast_2d(np.asarray(qs, dtype=float))
         states = np.atleast_2d(np.asarray(states, dtype=float))
         if qs.shape[1] != self.n_agents:
             raise ShapeError(f"expected {self.n_agents} agent utilities, got {qs.shape[1]}")
-        if states.shape[1] != self.state_size:
-            raise ShapeError(f"expected state dim {self.state_size}, got {states.shape[1]}")
         b, n, m = qs.shape[0], self.n_agents, self.mixing_dim
         work = self._work
-
-        def hyper(name, weights, bias, rows):
-            out = np.matmul(states, weights.T, out=work.get(name, (b, rows)))
-            out += bias
-            return out
-
-        u1 = hyper("u1", self.w1_hyper, self.w1_bias, n * m)
+        (u1, b1, u2, b2), hyper_caches = zip(*(net.forward_cached(states) for net in self.hypernets))
         w1 = np.abs(u1, out=work.get("w1", (b, n * m))).reshape(b, n, m)
-        b1 = hyper("b1", self.b1_hyper, self.b1_bias, m)
         h_pre = np.einsum("bn,bnm->bm", qs, w1, out=work.get("h_pre", (b, m)))
         h_pre += b1
         # elu: h_pre where positive, else exp(min(h_pre, 0)) - 1
@@ -115,13 +76,11 @@ class MonotonicMixer:
         np.exp(h, out=h)
         h -= 1.0
         np.copyto(h, h_pre, where=np.greater(h_pre, 0, out=work.get("h_pre>0", (b, m), bool)))
-        u2 = hyper("u2", self.w2_hyper, self.w2_bias, m)
         w2 = np.abs(u2, out=work.get("w2", (b, m)))
-        b2 = hyper("b2", self.b2_hyper, self.b2_bias, 1)
         hw2 = np.multiply(h, w2, out=work.get("hw2", (b, m)))
         q_tot = np.sum(hw2, axis=1, out=work.get("q_tot", (b,)))
         q_tot += b2[:, 0]
-        cache = {"qs": qs, "states": states, "u1": u1, "w1": w1, "h_pre": h_pre,
+        cache = {"qs": qs, "hypernets": hyper_caches, "u1": u1, "w1": w1, "h_pre": h_pre,
                  "h": h, "u2": u2, "w2": w2}
         return q_tot, cache
 
@@ -132,29 +91,23 @@ class MonotonicMixer:
     def backward(self, cache, upstream: np.ndarray):
         """Gradients of sum(upstream * Q_tot) w.r.t. params and agent utilities.
 
-        The parameter gradients are views of `self.grad`, in params() order;
-        the next backward overwrites them. The utilities' gradient is a view
-        of the mixer's buffers, valid until its next backward at this batch size.
+        The parameter gradients, in params() order, are views of the
+        hypernetworks' `grad`, which their next backward overwrites. The
+        utilities' gradient is a view of the mixer's buffers, valid until its
+        next backward at this batch size.
         """
         g = np.asarray(upstream, dtype=float)
-        qs, states = cache["qs"], cache["states"]
+        qs = cache["qs"]
         b, n, m = qs.shape[0], self.n_agents, self.mixing_dim
         work = self._work
-        if self.grad is None:
-            self.grad = np.zeros_like(self.flat)
-            self._grads = self._views(self.grad)
-        d_w1_hyper, d_w1_bias, d_b1_hyper, d_b1_bias, d_w2_hyper, d_w2_bias, d_b2_hyper, d_b2_bias = (
-            self._grads
-        )
+        w1_net, b1_net, w2_net, b2_net = self.hypernets
+        w1_cache, b1_cache, w2_cache, b2_cache = cache["hypernets"]
 
-        d_b2 = g[:, None]  # (B, 1)
-        np.matmul(d_b2.T, states, out=d_b2_hyper)
-        np.sum(d_b2, axis=0, out=d_b2_bias)
+        b2_grads, _ = b2_net.backward(b2_cache, g[:, None], inputs=False)
 
         d_u2 = np.multiply(g[:, None], cache["h"], out=work.get("d_u2", (b, m)))  # d_w2
         d_u2 *= np.sign(cache["u2"], out=work.get("sign_u2", (b, m)))
-        np.matmul(d_u2.T, states, out=d_w2_hyper)
-        np.sum(d_u2, axis=0, out=d_w2_bias)
+        w2_grads, _ = w2_net.backward(w2_cache, d_u2, inputs=False)
 
         # d_h times elu's derivative: 1 where h_pre > 0, else exp(min(h_pre, 0))
         h_pre = cache["h_pre"]
@@ -163,9 +116,7 @@ class MonotonicMixer:
         np.copyto(elu_grad, 1.0, where=np.greater(h_pre, 0, out=work.get("h_pre>0", (b, m), bool)))
         d_h_pre = np.multiply(g[:, None], cache["w2"], out=work.get("d_h_pre", (b, m)))  # d_h
         d_h_pre *= elu_grad
-
-        np.matmul(d_h_pre.T, states, out=d_b1_hyper)
-        np.sum(d_h_pre, axis=0, out=d_b1_bias)
+        b1_grads, _ = b1_net.backward(b1_cache, d_h_pre, inputs=False)
 
         # d_w1 = qs[:, :, None] * d_h_pre[:, None, :], from full-shape copies: a broadcast
         # ufunc operand costs a temporary buffer per call, a broadcast copyto does not
@@ -175,12 +126,10 @@ class MonotonicMixer:
         np.copyto(d_w1, d_h_pre[:, None, :])
         np.multiply(qs_rep, d_w1, out=d_w1)
         d_w1 *= np.sign(cache["u1"], out=work.get("sign_u1", (b, n * m))).reshape(b, n, m)
-        d_u1 = d_w1.reshape(b, n * m)
-        np.matmul(d_u1.T, states, out=d_w1_hyper)
-        np.sum(d_u1, axis=0, out=d_w1_bias)
+        w1_grads, _ = w1_net.backward(w1_cache, d_w1.reshape(b, n * m), inputs=False)
 
         d_qs = np.einsum("bm,bnm->bn", d_h_pre, cache["w1"], out=work.get("d_qs", (b, n)))
-        return self._grads, d_qs
+        return [*w1_grads, *b1_grads, *w2_grads, *b2_grads], d_qs
 
 
 class QmixCoordinator(QTeamLearner):
@@ -202,7 +151,7 @@ class QmixCoordinator(QTeamLearner):
         self.rng = derive_rng(config.seed, "team", "qmix")
         self.mixer = MonotonicMixer(n, n * local_state_size, hyper.mixing_dim, self.rng)
         self.target_mixer = self.mixer.clone()
-        self.optimizer = Adam([self.nets.flat, self.mixer.flat])
+        self.optimizer = Adam([net.flat for net in self._trained()])
 
     def _row(self, states, actions, rewards, next_states, done) -> tuple:
         return states, actions, next_states, left_sum(rewards) / len(rewards), done
@@ -238,13 +187,18 @@ class QmixCoordinator(QTeamLearner):
 
         share = np.divide(d_qs.T, self.n_heads, out=per_member)
         self._backward_taken(cache, taken, share[:, :, None])
-        self.optimizer.step([self.nets.flat, self.mixer.flat], [self.nets.grad, self.mixer.grad], hp.lr)
+        trained = self._trained()
+        self.optimizer.step([net.flat for net in trained], [net.grad for net in trained], hp.lr)
 
         self.learn_calls += 1
         if self.learn_calls % hp.target_update_every == 0:
-            hard_update(self.target_nets, self.nets)
-            self.target_mixer.copy_from(self.mixer)
+            for target, net in zip([self.target_nets, *self.target_mixer.hypernets], trained):
+                hard_update(target, net)
         return loss
+
+    def _trained(self) -> list[DenseNet]:
+        """The nets the optimizer trains: the team net, then the mixer's hypernetworks."""
+        return [self.nets, *self.mixer.hypernets]
 
     def _by_row(self, per_member: np.ndarray, name: str) -> np.ndarray:
         """A kept (B, members) copy of a (members, B) array."""

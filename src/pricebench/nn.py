@@ -32,12 +32,11 @@ which arrays a caller may keep:
 
 Replay. A `ReplayBuffer` keeps one array per transition field (the learners
 choose the fields), row i of each holding transition i of the ring. Its first
-push allocates the rows a run will push, `min(capacity, rows)`; a learner
-passes episodes x weeks_per_episode, so a run never grows them, and a buffer
-pushed past its rows doubles them up to `capacity`. `sample` returns ring
-rows, an array the caller owns; `gather` writes each field's rows into
-arrays kept in the caller's `Workspace`, so a gathered batch belongs to the
-learner and stays valid until its next gather.
+push allocates all `capacity` rows; a learner's capacity is at most the
+pushes of its run, episodes x weeks_per_episode. `sample` returns ring rows,
+an array the caller owns; `gather` writes each field's rows into arrays kept
+in the caller's `Workspace`, so a gathered batch belongs to the learner and
+stays valid until its next gather.
 
 Threads. Every pass runs on the calling thread, and the module starts no
 thread of its own. Runs use more CPUs side by side, one process each
@@ -334,7 +333,10 @@ def soft_update(target: DenseNet, online: DenseNet, tau: float) -> None:
 
 
 def hard_update(target: DenseNet, online: DenseNet) -> None:
-    soft_update(target, online, 1.0)
+    """target <- online, copied in place."""
+    if target.layer_sizes != online.layer_sizes or target.flat.shape != online.flat.shape:
+        raise ShapeError("target/online architectures differ")
+    np.copyto(target.flat, online.flat)
 
 
 class Adam:
@@ -408,11 +410,10 @@ class ReplayBuffer:
     A transition is a fixed tuple of fields (say state, action, reward, next
     state, done), and row i of every array in `fields` holds the same
     transition. The first push fixes each field's row shape and dtype and
-    allocates `rows` rows (at most `capacity`); pushes past them double the
-    rows, up to `capacity`. Once full, a push overwrites the oldest row.
+    allocates `capacity` rows. Once full, a push overwrites the oldest row.
     """
 
-    def __init__(self, capacity: int, recency_decay: float = 0.999, rows: int = 1):
+    def __init__(self, capacity: int, recency_decay: float = 0.999):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         if not 0 < recency_decay <= 1:
@@ -421,7 +422,6 @@ class ReplayBuffer:
         self.recency_decay = recency_decay
         self.fields: tuple[np.ndarray, ...] = ()
         self._row_shapes: list[tuple[int, ...]] = []  # each field's row shape, set by the first push
-        self._rows = min(max(rows, 1), capacity)
         self._size = 0
         self._next = 0
         # (length, decay, cumulative draw table) of the last sample
@@ -437,21 +437,14 @@ class ReplayBuffer:
         """
         values = [np.asarray(v) for v in row]
         if not self.fields:
-            self.fields = tuple(np.empty((self._rows, *v.shape), v.dtype) for v in values)
+            self.fields = tuple(np.empty((self.capacity, *v.shape), v.dtype) for v in values)
             self._row_shapes = [v.shape for v in values]
         shapes = [v.shape for v in values]
         if shapes != self._row_shapes:
             raise ShapeError(f"pushed row shapes {shapes} != the fields' {self._row_shapes}")
-        slot = self._next
-        if slot == len(self.fields[0]):  # every row in use and fewer than capacity
-            rows = min(2 * slot, self.capacity)
-            grown = [np.empty((rows, *f.shape[1:]), f.dtype) for f in self.fields]
-            for new, old in zip(grown, self.fields):
-                new[:slot] = old
-            self.fields = tuple(grown)
         for field, value in zip(self.fields, values):
-            field[slot] = value
-        self._next = (slot + 1) % self.capacity
+            field[self._next] = value
+        self._next = (self._next + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> np.ndarray:

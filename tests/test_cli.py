@@ -160,6 +160,21 @@ class TestSimulate:
         assert f"{key} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("config_id,kind,key,value", [
+        ("B", "maddpg", "noise_start", [1]),
+        ("C", "madqn", "epsilon_floor", None),
+    ])
+    def test_schedule_value_that_is_not_a_number_exits_1(
+        self, tmp_path, capsys, config_id, kind, key, value
+    ):
+        config = _experiment_file(tmp_path, config_id=config_id, weeks=4)
+        spec = json.loads(config.read_text())
+        spec["roster_params"] = {kind: {key: value}}
+        config.write_text(json.dumps(spec))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        assert f"{key}: float() argument" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_team_members_with_different_params_exit_1(self, tmp_path, capsys):
         # a team trains under one params dict: a second member's must not be dropped
         roster = [

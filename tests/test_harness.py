@@ -447,11 +447,26 @@ class TestSummaries:
         )
 
     def test_ci_formula(self):
-        # sample std of {.2,.3,.2,.3} = 0.057735; 1.96 * std / sqrt(4) = 0.0565805
+        # sample std of {.2,.3,.2,.3} = 0.057735; t(0.975, 3) * std / sqrt(4) = 0.0918673
         mean, half = confidence_interval([0.2, 0.3, 0.2, 0.3])
         assert mean == pytest.approx(0.25)
-        assert half == pytest.approx(1.96 * np.std([0.2, 0.3, 0.2, 0.3], ddof=1) / 2)
-        assert half == pytest.approx(0.05658, abs=1e-4)
+        assert half == pytest.approx(3.182 * np.std([0.2, 0.3, 0.2, 0.3], ddof=1) / 2)
+        assert half == pytest.approx(0.09187, abs=1e-4)
+
+    def test_ci_of_two_runs_uses_t_with_one_degree_of_freedom(self):
+        # sample std of {.2,.3} = 0.0707107; 12.706 * std / sqrt(2) = 0.6353
+        mean, half = confidence_interval([0.2, 0.3])
+        assert mean == pytest.approx(0.25)
+        assert half == pytest.approx(0.6353, abs=1e-4)
+
+    def test_ci_quantiles_are_students_t_then_z(self):
+        t = pytest.importorskip("scipy.stats").t
+        for n in range(2, 32):
+            _, half = confidence_interval([0.0, 1.0] * (n // 2) + [0.5] * (n % 2))
+            std = np.std([0.0, 1.0] * (n // 2) + [0.5] * (n % 2), ddof=1)
+            assert half * np.sqrt(n) / std == pytest.approx(t.ppf(0.975, n - 1), abs=5e-4)
+        _, half = confidence_interval([0.0, 1.0] * 16)
+        assert half == pytest.approx(1.96 * np.std([0.0, 1.0] * 16, ddof=1) / np.sqrt(32))
 
     def test_single_run_ci_zero(self):
         _, half = confidence_interval([0.4])

@@ -31,8 +31,9 @@ WARM_UP_STEPS = 6
 
 
 def _coordinator(config_id: str):
-    """The config's team coordinator with two batches of random joint steps stored."""
-    agents = build_agents(desk_spec(config_id).market)
+    """The config's team coordinator with two batches of random joint steps
+    stored, in a run of 2 x 64 weeks: as many steps as its buffer holds."""
+    agents = build_agents(desk_spec(config_id, episodes=2, weeks_per_episode=64).market)
     coord = agents[0].learner
     n, products = len(coord.member_ids), len(agents[0].product_specs)
     shape = (n, state_dim(products))
@@ -57,9 +58,8 @@ def _coordinator(config_id: str):
 @pytest.mark.parametrize("config_id", ["B", "C", "F"])
 def test_steady_state_learn_step_peak_allocation(config_id):
     coord = _coordinator(config_id)
-    # allocates the buffers and the optimizer's moments; C's and F's
-    # first hard target copy (learn call target_update_every = 5) allocates
-    # the target update's scratch
+    # allocates the buffers and the optimizer's moments; a learn call past
+    # target_update_every = 5 also makes C's and F's first hard target copy
     for _ in range(WARM_UP_STEPS):
         coord.learn()
     trained = coord.critics if config_id == "B" else coord.nets

@@ -83,7 +83,7 @@ def _fill_buffer(team, reward_fn, n=80, rng=None):
 
 class TestLearning:
     def test_gamma_zero_critic_regresses_rewards(self):
-        config = _config(n_agents=1)
+        config = _config(n_agents=1, weeks=64)  # a run as long as the buffer's 64 pushes
         team = _team(config, gamma=0.0, critic_lr=0.003, actor_lr=0.0, warm_up=16)
         assert team[0].learner.learn() is None  # warming up on an empty buffer
         coord = _fill_buffer(team, lambda s, a: float(np.tanh(a.sum())), n=64)
@@ -130,7 +130,7 @@ class TestLearning:
         assert worst < 1e-4
 
     def test_actor_update_improves_critic_score(self):
-        config = _config(n_agents=1)
+        config = _config(n_agents=1, weeks=64)  # a run as long as the buffer's 64 pushes
         team = _team(config, gamma=0.0, critic_lr=0.0, actor_lr=0.01, warm_up=16,
                      noise_start=0.0, noise_decay=1.0, noise_floor=0.0)
         (agent,) = team
@@ -206,7 +206,7 @@ def _reference_learn(coord, nets, opts, rng):
 
 class TestTeamStep:
     def test_team_step_equals_per_member_reference(self):
-        config = _config(n_agents=3)
+        config = _config(n_agents=3, weeks=40)  # a run as long as the buffer's 40 pushes
         team = _team(config, warm_up=16, batch_size=16, actor_lr=0.01, critic_lr=0.01, tau=0.1)
         coord = _fill_buffer(team, lambda s, a: float(np.tanh(a.sum())), n=40)
         nets = [{role: getattr(m, role).clone() for role in ROLES} for m in team]

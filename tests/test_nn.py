@@ -615,22 +615,15 @@ class TestReplayBuffer:
         with pytest.raises(ValueError):
             ReplayBuffer(capacity=2).sample(1, derive_rng(0, "buf"))
 
-    def test_rows_double_up_to_capacity_keeping_order(self):
-        buf = ReplayBuffer(capacity=10, rows=3)
-        sizes = []
+    def test_first_push_allocates_every_row_keeping_order(self):
+        buf = ReplayBuffer(capacity=10)
         for i in range(12):
             buf.push(np.full(2, i), float(i), i % 2 == 0)
-            sizes.append(len(buf.fields[0]))
-        assert sizes == [3, 3, 3, 6, 6, 6, 10, 10, 10, 10, 10, 10]
+            assert len(buf.fields[0]) == 10
         states, rewards, done = buf.fields
         assert states.shape == (10, 2) and rewards.dtype == float and done.dtype == bool
         assert rewards.tolist() == [10.0, 11.0, *range(2, 10)]
         assert states[:, 0].tolist() == rewards.tolist()
-
-    def test_rows_capped_at_capacity(self):
-        buf = ReplayBuffer(capacity=4, rows=100)
-        buf.push(0.0)
-        assert len(buf.fields[0]) == 4
 
     def test_gather_writes_kept_arrays(self):
         buf = ReplayBuffer(capacity=8)
@@ -687,11 +680,14 @@ class TestSoftUpdate:
             soft_update(
                 DenseNet([2, 3], ["linear"], rng), DenseNet([2, 4], ["linear"], rng), 0.5
             )
+        with pytest.raises(ShapeError):
+            hard_update(DenseNet([2, 3], ["linear"], rng), DenseNet([2, 4], ["linear"], rng))
 
     def test_hard_update(self):
         target, online = self._pair()
         hard_update(target, online)
         assert all(np.allclose(t, o) for t, o in zip(target.params(), online.params()))
+        assert np.array_equal(target.flat, online.flat) and not np.shares_memory(target.flat, online.flat)
 
 
 class TestSchedules:

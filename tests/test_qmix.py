@@ -7,6 +7,7 @@ from pricebench.harness import simulate
 from pricebench.market import AgentSpec, MarketConfig, derive_rng, make_default_portfolio
 from pricebench.marl.common import N_PRICE_BINS, state_dim
 from pricebench.nn import Adam, DenseNet, TrainingError, hard_update
+from pricebench.marl import qmix
 from pricebench.marl.qmix import (
     MonotonicMixer,
     QmixCoordinator,
@@ -24,7 +25,7 @@ class TestMixerForward:
         mixer = _mixer()
         for p in mixer.params():
             p[:] = 0.0
-        mixer.b2_bias[:] = 3.25
+        mixer.hypernets[3].biases[0][:] = 3.25  # the second layer's bias
         qs = derive_rng(2, "q").normal(size=(6, 2))
         states = derive_rng(3, "s").normal(size=(6, 4))
         out = mixer.forward(qs, states)
@@ -34,12 +35,21 @@ class TestMixerForward:
         mixer = _mixer(n_agents=1, embed=4)
         for p in mixer.params():
             p[:] = 0.0
-        mixer.w1_bias[0] = 1.0  # first mixing unit weight 1 on the single agent
-        mixer.w2_bias[0] = 1.0
+        w1, _, w2, _ = mixer.hypernets
+        w1.biases[0][0] = 1.0  # first mixing unit weight 1 on the single agent
+        w2.biases[0][0] = 1.0
         qs = np.array([[0.7], [2.5], [0.01]])
         states = np.zeros((3, 4))
         out = mixer.forward(qs, states)
         assert np.allclose(out, qs[:, 0])  # elu is identity for positive inputs
+
+    def test_hypernets_are_successive_draws_of_the_mixers_generator(self):
+        n, state, m = 4, 240, 32
+        mixer = MonotonicMixer(n, state, m, derive_rng(11, "mixer"))
+        twin, bound = derive_rng(11, "mixer"), 1.0 / np.sqrt(state)
+        for net, rows in zip(mixer.hypernets, (n * m, m, m, 1), strict=True):
+            assert np.array_equal(net.weights[0], twin.uniform(-bound, bound, size=(rows, state)))
+            assert np.array_equal(net.biases[0], twin.uniform(-bound, bound, size=rows))
 
     def test_shape_errors(self):
         mixer = _mixer(n_agents=3)
@@ -96,10 +106,11 @@ class TestMonotonicity:
 
 
 def _coordinator(n_agents=2, state_size=2, n_bins=3, seed=6, **hyper_kw) -> QmixCoordinator:
-    """A coordinator of one-head members x0, x1, ... and their team nets."""
+    """A coordinator of one-head members x0, x1, ... and their team nets, in a
+    run of 64 weeks: its buffer holds up to 64 of the rows these tests push."""
     config = MarketConfig(
         agent_roster=[AgentSpec(f"x{i}", "qmix") for i in range(n_agents)], seed=seed,
-        clusters=(1,), weeks_per_episode=4, episodes=1,
+        clusters=(1,), weeks_per_episode=4, episodes=16,
     )
     hyper = QmixHyper(**{"warm_up": 16, "batch_size": 16, "hidden": (32,), **hyper_kw})
     ids = [f"x{i}" for i in range(n_agents)]
@@ -179,7 +190,8 @@ def _reference_learn(coord, nets, targets, mixer, target_mixer, opt, rng, step):
     if step % hp.target_update_every == 0:
         for target, net in zip(targets, nets):
             hard_update(target, net)
-        target_mixer.copy_from(mixer)
+        for target, net in zip(target_mixer.hypernets, mixer.hypernets):
+            hard_update(target, net)
 
 
 class TestTeamStep:
@@ -198,8 +210,27 @@ class TestTeamStep:
         for (member_net, member_target), net, target in zip(members, nets, targets):
             assert np.array_equal(member_net.flat, net.flat)
             assert np.array_equal(member_target.flat, target.flat)
-        assert np.array_equal(coord.mixer.flat, mixer.flat)
-        assert np.array_equal(coord.target_mixer.flat, target_mixer.flat)
+        for ours, theirs in [(coord.mixer, mixer), (coord.target_mixer, target_mixer)]:
+            for net, reference in zip(ours.hypernets, theirs.hypernets, strict=True):
+                assert np.array_equal(net.flat, reference.flat)
+
+    def test_target_refresh_hard_updates_the_team_and_each_hypernet(self, monkeypatch):
+        coord = _coordinator(lr=0.02, target_update_every=1)
+        _fill(coord)
+        calls = []
+
+        def counting(target, online):
+            calls.append((target, online))
+            hard_update(target, online)
+
+        monkeypatch.setattr(qmix, "hard_update", counting)
+        for _ in range(3):
+            coord.learn()
+        pairs = list(zip([coord.target_nets, *coord.target_mixer.hypernets],
+                         [coord.nets, *coord.mixer.hypernets]))
+        assert len(calls) == 3 * 5
+        assert all(a is c and b is d for (a, b), (c, d) in zip(calls, pairs * 3))
+        assert all(np.array_equal(target.flat, online.flat) for target, online in pairs)
 
     def test_non_finite_joint_step_leaves_team_and_mixer_untouched(self):
         coord = _coordinator(lr=0.02)
@@ -207,11 +238,12 @@ class TestTeamStep:
         coord.learn()
         coord.buffer.fields[3][:] = np.nan  # the shared rewards
         opt = coord.optimizer
-        before = [a.copy() for a in [coord.nets.flat, coord.mixer.flat, *opt.m, *opt.v]]
+        flats = [coord.nets.flat, *(net.flat for net in coord.mixer.hypernets)]
+        before = [a.copy() for a in [*flats, *opt.m, *opt.v]]
         with pytest.raises(TrainingError):
             coord.learn()
         assert opt.t == 1
-        after = [coord.nets.flat, coord.mixer.flat, *opt.m, *opt.v]
+        after = [*flats, *opt.m, *opt.v]
         assert all(np.array_equal(b, a) for b, a in zip(before, after))
 
 

@@ -68,25 +68,31 @@ def _same_bits(a, b) -> bool:
 
 
 @pytest.mark.parametrize("decay", [1.0, 0.9])
-@pytest.mark.parametrize("capacity,rows,draws", [
-    *(pytest.param(c, r, (0, 2), id=f"{c}-{r}")
-      for c, r in [(1, 1), (3, 1), (7, 2), (16, 16), (50, 5)]),
-    # the learners' length at benchmark scale, one draw or none between pushes
+@pytest.mark.parametrize("capacity,warm_up,draws", [
+    *(pytest.param(c, w, (0, 2), id=f"{c}-{w}")
+      for c, w in [(1, 1), (3, 1), (7, 2), (16, 16), (50, 5)]),
+    # the learners' length at benchmark scale, one draw or none between pushes,
+    # from the full ring on and from the learners' warm-up on
     pytest.param(1040, 1040, (0, 1), id="1040-1040"),
-    # several draws at every length, as a MADQN team's members make them
+    pytest.param(1040, 64, (0, 1), id="1040-64"),
+    # several draws at each length, as a MADQN team's members make them
     pytest.param(16, 16, (4, 4), id="16-16-back-to-back"),
+    pytest.param(16, 1, (4, 4), id="16-1-back-to-back"),
 ])
-def test_sample_picks_the_list_buffers_entries(capacity, rows, draws, decay):
+def test_sample_picks_the_list_buffers_entries(capacity, warm_up, draws, decay):
     """The ring's draws are the list buffer's `rng.choice` draws, and leave its
-    generator where `rng.choice` leaves it."""
+    generator where `rng.choice` leaves it. As a learner's, they start once
+    `warm_up` entries are in."""
     low, high = draws
     for seed in range(4):
         pushes = derive_rng(seed, "replay-pushes")
-        ring, reference = ReplayBuffer(capacity, decay, rows=rows), ListReplayBuffer(capacity, decay)
+        ring, reference = ReplayBuffer(capacity, decay), ListReplayBuffer(capacity, decay)
         ring_rng, reference_rng = derive_rng(seed, "replay"), derive_rng(seed, "replay")
         for i in range(3 * capacity + 5):  # fills, then wraps at least twice
             ring.push(i, float(i))
             reference.push(i)
+            if len(ring) < warm_up:
+                continue
             for _ in range(int(pushes.integers(low, high + 1))):  # samples between pushes
                 batch = int(pushes.integers(1, 65))
                 rows_drawn = ring.sample(batch, ring_rng)
@@ -98,7 +104,7 @@ def test_sample_picks_the_list_buffers_entries(capacity, rows, draws, decay):
 
 @pytest.mark.parametrize("row", [(np.ones(2), 2.0), (np.ones(3),), (np.ones(3), (2.0, 3.0))])
 def test_push_of_a_wrong_row_shape_writes_nothing(row):
-    ring = ReplayBuffer(4, rows=4)
+    ring = ReplayBuffer(4)
     ring.push(np.zeros(3), 1.0)
     states, rewards = ring.fields
     states[1], rewards[1] = 7.0, 7.0
@@ -113,7 +119,7 @@ def _config(kind: str, seed: int = 3) -> MarketConfig:
     return MarketConfig(
         agent_roster=[AgentSpec(f"{kind}{i}", kind) for i in range(3)],
         clusters=(1, 2),
-        weeks_per_episode=10,
+        weeks_per_episode=40,  # the 40 steps each test pushes
         episodes=1,
         seed=seed,
     )
@@ -217,3 +223,11 @@ def test_madqn_batch_equals_stacked_transitions():
         assert _same_bits(rewards[i], np.asarray([t[2] for t in batch]))
         assert _same_bits(next_states[i], np.stack([t[3] for t in batch]))
         assert _same_bits(1.0 - done[i], 1.0 - np.asarray([t[4] for t in batch], dtype=float))
+
+
+@pytest.mark.parametrize("weeks,capacity", [(10, 10), (40, 16)])
+def test_a_learners_ring_holds_at_most_its_runs_pushes(weeks, capacity):
+    config = _config("madqn").copy_with(weeks_per_episode=weeks)
+    ids = [s.agent_id for s in config.agent_roster]
+    core = DqnCore(config, DqnHyper(buffer_capacity=16, hidden=(8,)), ids, 6, 2)
+    assert core.buffer.capacity == capacity

@@ -96,7 +96,7 @@ def _adam_run(params, grads, lr=0.01):
 @pytest.mark.parametrize(
     "sizes",
     [
-        (4 * 21_609, 46_513),  # QMIX's [nets.flat, mixer.flat]
+        (4 * 21_609, 46_513),  # QMIX's team net and, in total, its mixer's hypernetworks
         (2 * CHUNK + 7, 3 * CHUNK + 1),  # odd, and not a multiple of CHUNK
         (5, 1),
     ],
