@@ -54,7 +54,6 @@ from .marl import (
     build_madqn_team,
     build_qmix_team,
 )
-from .marl.common import parse_hyper
 from .metrics import MetricsReport, compute_report
 from .rule_agents import DIVERSE_STRATEGIES, RuleAgent, RuleStrategy
 
@@ -178,27 +177,15 @@ def config_hash(config_dict: dict) -> str:
     ).hexdigest()
 
 
-def rule_strategy(params: dict) -> RuleStrategy:
-    """A rule agent's strategy from its roster `params`: `strategy` names the
-    kind, and each other key a RuleStrategy field."""
-    settings = {k: v for k, v in params.items() if k != "strategy"}
-    return from_fields(RuleStrategy, settings, "rule params (besides 'strategy')",
-                       kind=params.get("strategy", "static_markup"))
-
-
-SETTINGS_BY_KIND = {
-    "rule": rule_strategy,
-    "madqn": lambda params: parse_hyper(DqnHyper, params, "epsilon"),
-    "maddpg": lambda params: parse_hyper(MaddpgHyper, params, "noise"),
-    "qmix": lambda params: parse_hyper(QmixHyper, params, "epsilon"),
-}
+SETTINGS = {"rule": RuleStrategy, "madqn": DqnHyper, "maddpg": MaddpgHyper, "qmix": QmixHyper}
 
 
 def roster_settings(roster: list[AgentSpec]) -> dict:
-    """Each roster entry's settings by agent id, parsed from its `params`: a
-    RuleStrategy or the learner's hyper-parameters. A MADDPG or QMIX team
-    trains under one set, so its members' `params` must agree. Any bad key
-    or a team whose members' `params` differ raises ConfigError."""
+    """Each roster entry's settings by agent id: its kind's `SETTINGS` class,
+    whose fields are the keys of its `params`, checked when built. A MADDPG
+    or QMIX team trains under one set, so its members' `params` must agree.
+    Any bad key or value, or a team whose members' `params` differ, raises
+    ConfigError."""
     for kind in ("maddpg", "qmix"):
         team = [s for s in roster if s.agent_kind == kind]
         differ = [s.agent_id for s in team if s.params != team[0].params]
@@ -207,7 +194,10 @@ def roster_settings(roster: list[AgentSpec]) -> dict:
                 f"a {kind} team trains under one params dict, but {differ} differ from "
                 f"{team[0].agent_id}'s"
             )
-    return {s.agent_id: SETTINGS_BY_KIND[s.agent_kind](s.params) for s in roster}
+    return {
+        s.agent_id: from_fields(SETTINGS[s.agent_kind], s.params, f"{s.agent_kind} params")
+        for s in roster
+    }
 
 
 TEAM_BUILDERS = {"madqn": build_madqn_team, "maddpg": build_maddpg_team, "qmix": build_qmix_team}
@@ -376,21 +366,9 @@ def wilcoxon_signed_rank(paired_a, paired_b) -> WilcoxonResult:
     if n > 25:
         raise ValueError(f"exact enumeration supports n <= 25, got {n}")
 
-    abs_diffs = np.abs(diffs)
-    order = np.argsort(abs_diffs, kind="stable")
-    ranks = np.empty(n)
-    sorted_abs = abs_diffs[order]
-    i = 0
-    rank_pos = 1
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_abs[j + 1] == sorted_abs[i]:
-            j += 1
-        midrank = (rank_pos + (rank_pos + (j - i))) / 2.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = midrank
-        rank_pos += j - i + 1
-        i = j + 1
+    # a run of `count` equal |differences| ending at rank c shares the midrank c - (count - 1) / 2
+    _, inverse, counts = np.unique(np.abs(diffs), return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
     w_plus = float(ranks[diffs > 0].sum())
     w_minus = float(ranks[diffs < 0].sum())

@@ -59,10 +59,13 @@ def from_fields(cls, d: dict, what: str | None = None, **fixed):
     return cls(**values, **fixed)
 
 
-def require_finite(name: str, value: float) -> None:
-    """Raise ConfigError naming `name` when `value` is NaN or infinite."""
-    if not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value}")
+def require_finite(settings) -> None:
+    """Raise ConfigError naming the first float field of the dataclass
+    `settings` that is NaN or infinite."""
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
 
 
 @functools.cache

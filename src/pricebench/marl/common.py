@@ -5,7 +5,6 @@ application, the team learner that every learner kind builds on, and the
 from __future__ import annotations
 
 import math
-from dataclasses import asdict
 from typing import Callable
 
 import numpy as np
@@ -13,10 +12,9 @@ import numpy as np
 from ..environment import PricingAgentBase
 from ..features import demand_features, seasonal_encoding
 from ..market import (
-    ConfigError, MarketConfig, MarketObservation, ProductSpec, derive_rng, from_fields,
-    require_finite,
+    ConfigError, MarketConfig, MarketObservation, ProductSpec, derive_rng, require_finite,
 )
-from ..nn import DenseNet, ExplorationSchedule, ReplayBuffer, ShapeError, Workspace
+from ..nn import DenseNet, ReplayBuffer, ShapeError, Workspace, exploration_rate
 
 STATE_SLOTS_PER_PRODUCT = 12
 
@@ -25,31 +23,19 @@ N_PRICE_BINS = 21
 ACTION_SMOOTHING = 0.5  # EMA weight on the previous applied change
 
 
-def parse_hyper(cls, params: dict, schedule_prefix: str):
-    """A `cls` hyper-parameter set from a roster entry's `params`.
-
-    `<schedule_prefix>_start`, `_decay` and `_floor` override the default
-    exploration schedule's; every other key names a field of `cls`. Each
-    value is cast as `market.from_fields` casts a field, and every number
-    given must be finite.
-    """
-    fields = {f"{schedule_prefix}_{k}": k for k in ("start", "decay", "floor")}
-    given = {k: v for k, v in params.items() if k in fields}
-    settings = {k: v for k, v in params.items() if k not in fields}
-    try:
-        schedule = from_fields(
-            ExplorationSchedule, {**asdict(cls.schedule), **{fields[k]: v for k, v in given.items()}}
-        )
-    except ConfigError as exc:  # its message names the schedule's field; name the key
-        raise ConfigError(f"{schedule_prefix}_{exc}") from exc
-    hyper = from_fields(
-        cls, settings, f"{cls.__name__} params (besides {sorted(fields)})", schedule=schedule
-    )
-    for name in [*given, *settings]:
-        value = getattr(schedule, fields[name]) if name in fields else getattr(hyper, name)
-        if isinstance(value, float):
-            require_finite(name, value)
-    return hyper
+def check_hyper(hyper, counts: tuple[str, ...], widths: tuple[str, ...]) -> None:
+    """Check a learner's hyper-parameters when they are built: every float
+    finite, each field in `counts` and every layer width in `widths` at
+    least 1, and 0 < recency_decay <= 1. Raises ConfigError naming the field."""
+    require_finite(hyper)
+    for name in counts:
+        if not getattr(hyper, name) >= 1:
+            raise ConfigError(f"{name} must be >= 1, got {getattr(hyper, name)}")
+    for name in widths:
+        if not all(width >= 1 for width in getattr(hyper, name)):
+            raise ConfigError(f"every {name} width must be >= 1, got {getattr(hyper, name)}")
+    if not 0 < hyper.recency_decay <= 1:
+        raise ConfigError(f"recency_decay must be in (0, 1], got {hyper.recency_decay}")
 
 
 def epsilon_greedy(
@@ -343,15 +329,15 @@ class QTeamMember(MarlAgentBase):
         super().__init__(agent_id, product_specs, config)
         i = learner.member_ids.index(agent_id)
         self.net = learner.nets.member(i)
-        self.target = learner.target_nets.member(i)
         self.rng = learner.rngs[i]
         self.learner = learner
 
     def act_bins(self, state: np.ndarray, episode: int) -> np.ndarray:
-        n_heads, n_bins = self.learner.n_heads, self.learner.n_bins
+        n_heads, n_bins, hp = self.learner.n_heads, self.learner.n_bins, self.learner.hyper
+        epsilon = exploration_rate(hp.epsilon_start, hp.epsilon_decay, hp.epsilon_floor, episode)
         return epsilon_greedy(
             lambda: self.net.forward(state).reshape(n_heads, n_bins),
-            n_heads, n_bins, self.learner.hyper.schedule.value(episode), self.rng,
+            n_heads, n_bins, epsilon, self.rng,
         )
 
     def _choose(self, state: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:

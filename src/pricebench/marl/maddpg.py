@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..market import MarketConfig, MarketObservation, ProductSpec, derive_rng
-from ..nn import Adam, DenseNet, GAUSSIAN_NOISE_DEFAULT, ExplorationSchedule, soft_update
-from .common import MarlAgentBase, TeamLearner, encode_state, state_dim
+from ..nn import Adam, DenseNet, exploration_rate, soft_update
+from .common import MarlAgentBase, TeamLearner, check_hyper, encode_state, state_dim
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,12 @@ class MaddpgHyper:
     warm_up: int = 64
     actor_hidden: tuple[int, ...] = (64, 64)
     critic_hidden: tuple[int, ...] = (128, 64)
-    schedule: ExplorationSchedule = GAUSSIAN_NOISE_DEFAULT
+    noise_start: float = 0.2
+    noise_decay: float = 0.9995
+    noise_floor: float = 0.05
+
+    def __post_init__(self):
+        check_hyper(self, ("batch_size", "buffer_capacity"), ("actor_hidden", "critic_hidden"))
 
 
 class MaddpgCoordinator(TeamLearner):
@@ -142,7 +147,7 @@ class MaddpgCoordinator(TeamLearner):
 
 
 class MaddpgAgent(MarlAgentBase):
-    """One team member: its views of the team's actor and centralized critic."""
+    """One team member: its view of the team's actor."""
 
     def __init__(
         self,
@@ -153,18 +158,15 @@ class MaddpgAgent(MarlAgentBase):
     ):
         super().__init__(agent_id, product_specs, config)
         i = coordinator.member_ids.index(agent_id)
-        self.actor, self.critic, self.target_actor, self.target_critic = (
-            team.member(i)
-            for team in (coordinator.actors, coordinator.critics,
-                         coordinator.target_actors, coordinator.target_critics)
-        )
+        self.actor = coordinator.actors.member(i)
         self.noise_rng = coordinator.rngs[i]
         self.learner = coordinator
 
     def act_raw(self, state: np.ndarray, episode: int) -> np.ndarray:
         """Noisy tanh policy output scaled to a relative change, pre-smoothing."""
         out = self.actor.forward(state)
-        sigma = self.learner.hyper.schedule.value(episode)
+        hp = self.learner.hyper
+        sigma = exploration_rate(hp.noise_start, hp.noise_decay, hp.noise_floor, episode)
         noisy = out + self.noise_rng.normal(0.0, sigma, size=out.shape)
         np.maximum(noisy, -1.0, out=noisy)  # np.clip's bounds, without its dispatch
         np.minimum(noisy, 1.0, out=noisy)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..market import MarketConfig, MarketObservation, ProductSpec
-from ..nn import Adam, EPSILON_GREEDY_DEFAULT, ExplorationSchedule, TrainingError, hard_update
-from .common import N_PRICE_BINS, QTeamLearner, QTeamMember, encode_state, state_dim
+from ..nn import Adam, TrainingError, hard_update
+from .common import N_PRICE_BINS, QTeamLearner, QTeamMember, check_hyper, encode_state, state_dim
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,14 @@ class DqnHyper:
     warm_up: int = 64
     target_update_every: int = 5
     hidden: tuple[int, ...] = (128, 64, 32)
-    schedule: ExplorationSchedule = EPSILON_GREEDY_DEFAULT
+    epsilon_start: float = 1.0
+    epsilon_decay: float = 0.995
+    epsilon_floor: float = 0.05
+
+    COUNTS = ("batch_size", "buffer_capacity", "target_update_every")  # each at least 1
+
+    def __post_init__(self):
+        check_hyper(self, self.COUNTS, ("hidden",))
 
 
 class DqnCore(QTeamLearner):

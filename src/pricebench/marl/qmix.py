@@ -25,6 +25,8 @@ from .madqn import DqnHyper
 class QmixHyper(DqnHyper):
     mixing_dim: int = 32
 
+    COUNTS = (*DqnHyper.COUNTS, "mixing_dim")
+
 
 class MonotonicMixer:
     """Two-layer mixer with |hypernetwork| weights: Q_tot monotone in each q_i.

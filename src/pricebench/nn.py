@@ -1,5 +1,5 @@
 """Self-contained learning substrate: dense nets with exact backprop, Adam,
-recency-biased replay, Polyak target updates, and exploration schedules.
+recency-biased replay, Polyak target updates, and the exploration rate.
 
 Everything is plain numpy. A network's parameters live in one contiguous
 `flat` vector; its `weights`/`biases` lists are views of it, so Adam, target
@@ -45,7 +45,6 @@ thread of its own. Runs use more CPUs side by side, one process each
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -479,24 +478,12 @@ class ReplayBuffer:
         ]
 
 
-@dataclass(frozen=True)
-class ExplorationSchedule:
-    """Multiplicative decay with a floor: max(floor, start * decay^e).
+def exploration_rate(start: float, decay: float, floor: float, episode: int) -> float:
+    """Multiplicative decay with a floor: max(floor, start * decay^episode).
 
     Agents pass the episode index; callers wanting per-step decay can pass a
-    step-derived index instead, the schedule is unit-agnostic.
+    step-derived index instead, the rate is unit-agnostic.
     """
-
-    start: float
-    decay: float
-    floor: float
-
-    def value(self, episode: int) -> float:
-        if episode < 0:
-            raise ValueError("episode must be >= 0")
-        return max(self.floor, self.start * self.decay**episode)
-
-
-EPSILON_GREEDY_DEFAULT = ExplorationSchedule(start=1.0, decay=0.995, floor=0.05)
-GAUSSIAN_NOISE_DEFAULT = ExplorationSchedule(start=0.2, decay=0.9995, floor=0.05)
-
+    if episode < 0:
+        raise ValueError("episode must be >= 0")
+    return max(floor, start * decay**episode)

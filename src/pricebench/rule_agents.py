@@ -45,7 +45,7 @@ DIVERSE_STRATEGIES = (
 
 @dataclass(frozen=True)
 class RuleStrategy:
-    kind: str
+    strategy: str = "static_markup"
     markup: float = 0.5
     undercut_fraction: float = 0.03
     anchor_window: int = 8
@@ -53,10 +53,9 @@ class RuleStrategy:
     seasonal_uplift: float = 0.10
 
     def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
-            raise ConfigError(f"unknown rule strategy {self.kind!r}")
-        for name in ("markup", "response_step", "seasonal_uplift"):
-            require_finite(name, getattr(self, name))
+        if self.strategy not in STRATEGY_KINDS:
+            raise ConfigError(f"unknown rule strategy {self.strategy!r}")
+        require_finite(self)
         if not 0.01 <= self.undercut_fraction <= 0.05:
             raise ConfigError("undercut_fraction must be in [0.01, 0.05]")
         if self.response_step <= 0:
@@ -155,7 +154,7 @@ class RuleAgent(PricingAgentBase):
         self.strategy = strategy
         # the class's function, not a bound method: that would make a reference
         # cycle, and the agent would outlive its run until the cyclic collector ran
-        self._price_portfolio = getattr(type(self), f"_{strategy.kind}")
+        self._price_portfolio = getattr(type(self), f"_{strategy.strategy}")
         super().__init__(agent_id, product_specs, config)
 
     def begin_episode(self, episode_index: int) -> None:

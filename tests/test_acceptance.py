@@ -27,7 +27,7 @@ from pricebench.metrics import (
     price_convergence,
     social_welfare,
 )
-from pricebench.nn import DenseNet, ExplorationSchedule, ReplayBuffer
+from pricebench.nn import DenseNet, ReplayBuffer, exploration_rate
 from pricebench.marl.qmix import MonotonicMixer
 
 
@@ -252,12 +252,12 @@ def test_criterion_08_wilcoxon_exactness():
 def test_criterion_09_exploration_schedules():
     """Schedule values equal the closed form at episodes {0, 1, 100, 1e6}."""
     with _Timer("criterion 9: exploration schedules", 1.0):
-        greedy = ExplorationSchedule(1.0, 0.995, 0.05)
-        noise = ExplorationSchedule(0.2, 0.9995, 0.05)
-        for schedule in (greedy, noise):
+        greedy = (1.0, 0.995, 0.05)  # (start, decay, floor)
+        noise = (0.2, 0.9995, 0.05)
+        for start, decay, floor in (greedy, noise):
             for episode in (0, 1, 100, 10**6):
-                expected = max(schedule.floor, schedule.start * schedule.decay**episode)
-                assert abs(schedule.value(episode) - expected) < 1e-12
+                expected = max(floor, start * decay**episode)
+                assert abs(exploration_rate(start, decay, floor, episode) - expected) < 1e-12
 
 
 def test_criterion_10_replay_recency_bias():

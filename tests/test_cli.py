@@ -175,6 +175,28 @@ class TestSimulate:
         assert f"{key}: float() argument" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("config_id,kind,key,value", [
+        ("C", "madqn", "target_update_every", 0),
+        ("F", "qmix", "target_update_every", -1),
+        ("C", "madqn", "hidden", [0]),
+        ("B", "maddpg", "critic_hidden", [0]),
+        ("C", "madqn", "batch_size", 0),
+        ("B", "maddpg", "batch_size", 0),
+        ("F", "qmix", "mixing_dim", 0),
+        ("C", "madqn", "buffer_capacity", 0),
+        ("B", "maddpg", "recency_decay", 0),
+    ])
+    def test_learner_value_out_of_range_exits_1(
+        self, tmp_path, capsys, config_id, kind, key, value
+    ):
+        config = _experiment_file(tmp_path, config_id=config_id, weeks=4)
+        spec = json.loads(config.read_text())
+        spec["roster_params"] = {kind: {key: value}}
+        config.write_text(json.dumps(spec))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()  # rejected before any run directory is made
+
     def test_team_members_with_different_params_exit_1(self, tmp_path, capsys):
         # a team trains under one params dict: a second member's must not be dropped
         roster = [

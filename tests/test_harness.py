@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -16,6 +17,7 @@ import pytest
 from pricebench import harness
 from pricebench.harness import (
     CONFIG_MATRIX,
+    SETTINGS,
     ExperimentSpec,
     RunManifest,
     confidence_interval,
@@ -23,7 +25,7 @@ from pricebench.harness import (
     desk_spec,
     execute_run,
     roster_for_config,
-    rule_strategy,
+    roster_settings,
     run_experiment,
     summarize,
     wilcoxon_signed_rank,
@@ -32,7 +34,7 @@ from pricebench.harness import (
     write_sweep_csv,
     emit_plotdata,
 )
-from pricebench.market import AgentSpec, ConfigError
+from pricebench.market import AgentSpec, ConfigError, from_fields
 from pricebench.metrics import MetricsReport
 from pricebench.rule_agents import RuleStrategy
 
@@ -122,18 +124,29 @@ class TestRosterParams:
             ExperimentSpec("C", market.copy_with(agent_roster=roster))
 
 
+def _rule(params):
+    """A rule agent's settings from its roster `params`."""
+    return roster_settings([AgentSpec("r0", "rule", params)])["r0"]
+
+
 class TestRuleParams:
     def test_strategy_names_the_kind_and_other_keys_the_fields(self):
         params = {"strategy": "competitor_match", "undercut_fraction": 0.02, "markup": 0.4}
-        assert rule_strategy(params) == RuleStrategy(
+        assert _rule(params) == RuleStrategy(
             "competitor_match", undercut_fraction=0.02, markup=0.4
         )
-        assert rule_strategy({}) == RuleStrategy("static_markup")
+        assert _rule({}) == RuleStrategy("static_markup")
 
     @pytest.mark.parametrize("params", [{"kind": "seasonal"}, {"markup_pct": 0.4}])
     def test_unknown_key_rejected(self, params):
         with pytest.raises(ConfigError, match="unknown rule params"):
-            rule_strategy(params)
+            _rule(params)
+
+
+@pytest.mark.parametrize("kind", SETTINGS)
+def test_settings_defaults_round_trip_through_json(kind):
+    cls = SETTINGS[kind]
+    assert from_fields(cls, json.loads(json.dumps(dataclasses.asdict(cls())))) == cls()
 
 
 class TestExecuteRun:
@@ -310,6 +323,20 @@ def test_import_and_runs_start_no_thread():
     assert after == before
 
 
+def _exhaustive_p(diffs, ranks) -> float:
+    """The two-sided signed-rank p-value of `diffs` under `ranks`, with every
+    sign assignment enumerated directly: an oracle independent of the
+    dynamic programme."""
+    w_plus = ranks[diffs > 0].sum()
+    universe = [
+        sum(r for r, s in zip(ranks, signs) if s)
+        for signs in itertools.product([False, True], repeat=len(diffs))
+    ]
+    lo = sum(1 for w in universe if w <= w_plus) / len(universe)
+    hi = sum(1 for w in universe if w >= w_plus) / len(universe)
+    return min(1.0, 2 * min(lo, hi))
+
+
 class TestWilcoxon:
     def test_n4_same_sign(self):
         result = wilcoxon_signed_rank([1, 2, 3, 4], [0, 1, 2, 3])
@@ -331,21 +358,34 @@ class TestWilcoxon:
         assert result.n_effective == 4
 
     def test_matches_exhaustive_enumeration(self):
-        # independent oracle: enumerate all sign assignments directly
-        import itertools
-
         diffs = np.array([0.7, -1.3, 2.1, 0.4, -0.2, 1.8])
         ranks = np.argsort(np.argsort(np.abs(diffs))) + 1.0
-        w_plus = ranks[diffs > 0].sum()
-        universe = [
-            sum(r for r, s in zip(ranks, signs) if s)
-            for signs in itertools.product([False, True], repeat=len(diffs))
-        ]
-        lo = sum(1 for w in universe if w <= w_plus) / len(universe)
-        hi = sum(1 for w in universe if w >= w_plus) / len(universe)
-        expected = min(1.0, 2 * min(lo, hi))
         result = wilcoxon_signed_rank(diffs, np.zeros_like(diffs))
-        assert result.p_value == pytest.approx(expected, abs=1e-12)
+        assert result.p_value == pytest.approx(_exhaustive_p(diffs, ranks), abs=1e-12)
+
+    @pytest.mark.parametrize("diffs", [
+        [1.0, -1.0, 2.0, 2.0],
+        [0.5, -0.5, 0.5, 1.5, -1.5, 3.0, 3.0, -3.0, 0.25],
+        [2.0] * 7,
+    ])
+    def test_tied_differences_match_the_midrank_loop(self, diffs):
+        # reference: walk the sorted |differences| run by run, giving each run
+        # of equal values the mean of the ranks it spans
+        diffs = np.array(diffs)
+        abs_diffs = np.abs(diffs)
+        order = np.argsort(abs_diffs, kind="stable")
+        ranks = np.empty(len(diffs))
+        i = 0
+        while i < len(diffs):
+            j = i
+            while j + 1 < len(diffs) and abs_diffs[order[j + 1]] == abs_diffs[order[i]]:
+                j += 1
+            ranks[order[i : j + 1]] = (i + j) / 2 + 1
+            i = j + 1
+        w_plus = ranks[diffs > 0].sum()
+        result = wilcoxon_signed_rank(diffs, np.zeros_like(diffs))
+        assert result.w_statistic == min(w_plus, ranks.sum() - w_plus)
+        assert result.p_value == pytest.approx(_exhaustive_p(diffs, ranks), abs=1e-12)
 
     def test_oversized_sample_rejected(self):
         with pytest.raises(ValueError):

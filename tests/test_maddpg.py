@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from pricebench.harness import simulate
-from pricebench.market import AgentSpec, MarketConfig, derive_rng, make_default_portfolio
-from pricebench.marl.common import ACTION_SMOOTHING, parse_hyper, state_dim
+from pricebench.market import (
+    AgentSpec, MarketConfig, derive_rng, from_fields, make_default_portfolio,
+)
+from pricebench.marl.common import ACTION_SMOOTHING, state_dim
 from pricebench.marl.maddpg import MaddpgHyper, build_team
 from pricebench.nn import Adam, DenseNet, soft_update
 
@@ -27,7 +29,13 @@ def _config(n_agents=2, n_products=2, seed=23, weeks=10):
 def _team(config, **params):
     portfolio = make_default_portfolio(config.clusters, config.seed)
     ids = [s.agent_id for s in config.agent_roster]
-    return build_team(ids, portfolio, config, parse_hyper(MaddpgHyper, params, "noise"))
+    return build_team(ids, portfolio, config, from_fields(MaddpgHyper, params))
+
+
+def _view(agent, role):
+    """Member `agent`'s view of its coordinator's team net of `role` (see ROLES)."""
+    coord = agent.learner
+    return getattr(coord, role + "s").member(coord.member_ids.index(agent.agent_id))
 
 
 class TestActing:
@@ -96,34 +104,35 @@ class TestLearning:
         # tau=0.001 for 1000 steps shrinks the gap by 0.999^1000 ~ 0.368
         config = _config(n_agents=1)
         team = _team(config)
-        agent = team[0]
-        agent.target_critic.weights[0][:] = 0.0
-        agent.critic.weights[0][:] = 1.0
+        critic, target_critic = _view(team[0], "critic"), _view(team[0], "target_critic")
+        target_critic.weights[0][:] = 0.0
+        critic.weights[0][:] = 1.0
         for _ in range(1000):
-            soft_update(agent.target_critic, agent.critic, 0.001)
-        gap = np.abs(agent.critic.weights[0] - agent.target_critic.weights[0]).max()
+            soft_update(target_critic, critic, 0.001)
+        gap = np.abs(critic.weights[0] - target_critic.weights[0]).max()
         assert gap == pytest.approx(0.999**1000, rel=1e-6)
 
     def test_single_agent_critic_gradient_matches_fd(self):
         config = _config(n_agents=1)
         (agent,) = _team(config)
+        critic = _view(agent, "critic")
         rng = derive_rng(8, "fd")
-        d = agent.critic.layer_sizes[0]
+        d = critic.layer_sizes[0]
         x = rng.normal(size=d)
-        _, cache = agent.critic.forward_cached(x)
-        grads, input_grad = agent.critic.backward(cache, np.array([1.0]))
+        _, cache = critic.forward_cached(x)
+        grads, input_grad = critic.backward(cache, np.array([1.0]))
         h = 1e-5
         worst = 0.0
-        params = agent.critic.params()
+        params = critic.params()
         for _ in range(100):
             pi = rng.integers(len(params))
             flat_p, flat_g = params[pi].ravel(), grads[pi].ravel()
             i = rng.integers(flat_p.size)
             orig = flat_p[i]
             flat_p[i] = orig + h
-            up = agent.critic.forward(x)[0]
+            up = critic.forward(x)[0]
             flat_p[i] = orig - h
-            dn = agent.critic.forward(x)[0]
+            dn = critic.forward(x)[0]
             flat_p[i] = orig
             fd = (up - dn) / (2 * h)
             worst = max(worst, abs(fd - flat_g[i]) / max(abs(fd), abs(flat_g[i]), 1e-8))
@@ -144,7 +153,7 @@ class TestLearning:
         def mean_q():
             acts = agent.actor.forward(states) * config.max_weekly_change
             joint = np.concatenate([states, acts], axis=1)
-            return float(agent.critic.forward(joint).mean())
+            return float(_view(agent, "critic").forward(joint).mean())
 
         before = mean_q()
         for _ in range(200):
@@ -156,9 +165,10 @@ class TestLearning:
         team = _team(config, warm_up=500)
         coord = team[0].learner
         _fill_buffer(team, lambda s, a: 0.0, n=10)
-        before = [w.copy() for w in team[0].critic.weights]
+        critic = _view(team[0], "critic")
+        before = [w.copy() for w in critic.weights]
         coord.learn()
-        assert all(np.array_equal(b, w) for b, w in zip(before, team[0].critic.weights))
+        assert all(np.array_equal(b, w) for b, w in zip(before, critic.weights))
 
 
 ROLES = ("actor", "critic", "target_actor", "target_critic")
@@ -209,7 +219,7 @@ class TestTeamStep:
         config = _config(n_agents=3, weeks=40)  # a run as long as the buffer's 40 pushes
         team = _team(config, warm_up=16, batch_size=16, actor_lr=0.01, critic_lr=0.01, tau=0.1)
         coord = _fill_buffer(team, lambda s, a: float(np.tanh(a.sum())), n=40)
-        nets = [{role: getattr(m, role).clone() for role in ROLES} for m in team]
+        nets = [{role: _view(m, role).clone() for role in ROLES} for m in team]
         opts = [(Adam(r["actor"].params()), Adam(r["critic"].params())) for r in nets]
         rng = copy.deepcopy(coord.rng)
         for _ in range(3):
@@ -217,8 +227,8 @@ class TestTeamStep:
             _reference_learn(coord, nets, opts, rng)
         for member, r in zip(team, nets):
             for role in ROLES:
-                assert np.array_equal(getattr(member, role).flat, r[role].flat), role
-        assert not np.array_equal(team[0].actor.flat, team[0].target_actor.flat)
+                assert np.array_equal(_view(member, role).flat, r[role].flat), role
+        assert not np.array_equal(team[0].actor.flat, _view(team[0], "target_actor").flat)
 
 
 class TestTeamConstruction:
@@ -226,8 +236,9 @@ class TestTeamConstruction:
         team = _team(_config(n_agents=3))
         coord = team[0].learner
         for i, agent in enumerate(team):
+            assert np.shares_memory(agent.actor.flat, coord.actors.flat)
             for role in ROLES:
-                assert np.shares_memory(getattr(agent, role).flat, getattr(coord, role + "s").flat)
+                assert np.shares_memory(_view(agent, role).flat, getattr(coord, role + "s").flat)
             agent.actor.biases[-1][0] = float(i)
             assert coord.actors.biases[-1][i, 0] == float(i)
         assert coord.actor_opt.m == [] and coord.critic_opt.m == []  # no moments before a step

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pricebench.market import AgentSpec, MarketConfig, ProductSpec, derive_rng
-from pricebench.nn import DenseNet, ExplorationSchedule, TrainingError
+from pricebench.nn import DenseNet, TrainingError
 from pricebench.marl.common import state_dim
 from pricebench.marl.madqn import DqnCore, DqnHyper, MadqnAgent
 
@@ -21,8 +21,8 @@ def _team_of_one(hyper, state, n_heads, n_bins, seed=1):
 
 
 def _core(n_heads=1, n_bins=5, state=3, epsilon=0.0, seed=1, **hyper_kw):
-    schedule = ExplorationSchedule(epsilon, 1.0, epsilon)
-    hyper = DqnHyper(schedule=schedule, hidden=(16, 16), warm_up=4, batch_size=8, **hyper_kw)
+    hyper = DqnHyper(epsilon_start=epsilon, epsilon_decay=1.0, epsilon_floor=epsilon,
+                     hidden=(16, 16), warm_up=4, batch_size=8, **hyper_kw)
     return _team_of_one(hyper, state, n_heads, n_bins, seed)
 
 
@@ -202,9 +202,9 @@ class ToyMdp:
 
 def run_toy_mdp(seed, steps=4000):
     mdp = ToyMdp()
-    schedule = ExplorationSchedule(1.0, 0.9, 0.05)
     hyper = DqnHyper(
-        lr=0.003, gamma=0.95, batch_size=32, warm_up=32, hidden=(32, 32), schedule=schedule
+        lr=0.003, gamma=0.95, batch_size=32, warm_up=32, hidden=(32, 32),
+        epsilon_start=1.0, epsilon_decay=0.9, epsilon_floor=0.05,
     )
     core, agent = _team_of_one(hyper, 2, 1, 2, seed)
     s = 0

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from pricebench import nn
 from pricebench.demand import ParametricDemandModel
 from pricebench.environment import MarketEnvironment, SimulationState
-from pricebench.harness import ExperimentSpec, build_agents, desk_spec, run_experiment, simulate
+from pricebench.harness import (
+    ExperimentSpec, build_agents, desk_spec, roster_settings, run_experiment, simulate,
+)
 from pricebench.market import (
     AgentSpec,
     ConfigError,
@@ -24,34 +26,38 @@ from pricebench.marl.common import (
     STATE_SLOTS_PER_PRODUCT,
     MarlAgentBase,
     epsilon_greedy,
-    parse_hyper,
 )
 from pricebench.marl.madqn import DqnHyper
 from pricebench.marl.maddpg import MaddpgHyper
-from pricebench.nn import EPSILON_GREEDY_DEFAULT, GAUSSIAN_NOISE_DEFAULT, ExplorationSchedule
+
+
+def _hyper(kind, params):
+    """A learner's hyper-parameters from its roster `params`."""
+    return roster_settings([AgentSpec("a0", kind, params)])["a0"]
 
 
 class TestParseHyper:
     def test_keys_cast_to_the_default_types(self):
-        hyper = parse_hyper(
-            DqnHyper, {"batch_size": 32.0, "lr": "0.01", "hidden": [8, 4], "epsilon_floor": 0}, "epsilon"
+        hyper = _hyper(
+            "madqn", {"batch_size": 32.0, "lr": "0.01", "hidden": [8, 4], "epsilon_floor": 0}
         )
         assert hyper.batch_size == 32 and type(hyper.batch_size) is int
         assert hyper.lr == 0.01 and hyper.hidden == (8, 4)
-        assert hyper.schedule == ExplorationSchedule(
-            EPSILON_GREEDY_DEFAULT.start, EPSILON_GREEDY_DEFAULT.decay, 0.0
+        default = DqnHyper()
+        assert (hyper.epsilon_start, hyper.epsilon_decay, hyper.epsilon_floor) == (
+            default.epsilon_start, default.epsilon_decay, 0.0
         )
 
     def test_schedule_prefix_follows_the_learner(self):
-        hyper = parse_hyper(MaddpgHyper, {"noise_start": 0.3}, "noise")
-        assert hyper.schedule == ExplorationSchedule(
-            0.3, GAUSSIAN_NOISE_DEFAULT.decay, GAUSSIAN_NOISE_DEFAULT.floor
+        hyper, default = _hyper("maddpg", {"noise_start": 0.3}), MaddpgHyper()
+        assert (hyper.noise_start, hyper.noise_decay, hyper.noise_floor) == (
+            0.3, default.noise_decay, default.noise_floor
         )
 
     @pytest.mark.parametrize("key", ["noise_start", "schedule", "soft_tau", "updates_per_step"])
     def test_unknown_key_rejected(self, key):
         with pytest.raises(ConfigError, match=key):
-            parse_hyper(DqnHyper, {key: 1}, "epsilon")
+            _hyper("madqn", {key: 1})
 
 
 class TestDiscretize:

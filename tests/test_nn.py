@@ -3,18 +3,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pricebench.market import derive_rng
+from pricebench.marl.maddpg import MaddpgHyper
+from pricebench.marl.madqn import DqnHyper
 from pricebench.nn import (
     CHUNK,
     Adam,
     DenseNet,
-    EPSILON_GREEDY_DEFAULT,
-    ExplorationSchedule,
-    GAUSSIAN_NOISE_DEFAULT,
     ReplayBuffer,
     ShapeError,
     TrainingError,
     Workspace,
     _layer_views,
+    exploration_rate,
     hard_update,
     soft_update,
 )
@@ -690,25 +690,35 @@ class TestSoftUpdate:
         assert np.array_equal(target.flat, online.flat) and not np.shares_memory(target.flat, online.flat)
 
 
+def _epsilon(episode):
+    """The default ε-greedy rate of a Q-learner at `episode`."""
+    hp = DqnHyper()
+    return exploration_rate(hp.epsilon_start, hp.epsilon_decay, hp.epsilon_floor, episode)
+
+
 class TestSchedules:
     def test_epsilon_greedy_anchors(self):
-        s = EPSILON_GREEDY_DEFAULT
-        assert s.value(0) == 1.0
-        assert s.value(1) == pytest.approx(0.995, abs=1e-12)
+        assert _epsilon(0) == 1.0
+        assert _epsilon(1) == pytest.approx(0.995, abs=1e-12)
 
     def test_noise_anchors(self):
-        s = GAUSSIAN_NOISE_DEFAULT
-        assert s.value(1) == pytest.approx(0.2 * 0.9995, abs=1e-12)
+        hp = MaddpgHyper()
+        assert exploration_rate(hp.noise_start, hp.noise_decay, hp.noise_floor, 1) == (
+            pytest.approx(0.2 * 0.9995, abs=1e-12)
+        )
 
     def test_floor_binds(self):
-        assert EPSILON_GREEDY_DEFAULT.value(10**6) == 0.05
+        assert _epsilon(10**6) == 0.05
 
     @given(st.integers(min_value=0, max_value=5000))
     @settings(max_examples=50)
     def test_monotone_and_floored(self, e):
-        s = ExplorationSchedule(1.0, 0.99, 0.03)
-        assert s.value(e + 1) <= s.value(e)
-        assert s.value(e) >= 0.03
+        assert exploration_rate(1.0, 0.99, 0.03, e + 1) <= exploration_rate(1.0, 0.99, 0.03, e)
+        assert exploration_rate(1.0, 0.99, 0.03, e) >= 0.03
+
+    def test_negative_episode_rejected(self):
+        with pytest.raises(ValueError, match="episode"):
+            exploration_rate(1.0, 0.99, 0.03, -1)
 
 
 class TestTransitionAndIO:

@@ -284,7 +284,7 @@ class TestTeamConstruction:
         coord = team[0].learner
         for i, agent in enumerate(team):
             assert np.shares_memory(agent.net.flat, coord.nets.flat)
-            assert np.shares_memory(agent.target.flat, coord.target_nets.flat)
+            assert np.shares_memory(coord.target_nets.member(i).flat, coord.target_nets.flat)
             agent.net.biases[-1][0] = float(i)
             assert coord.nets.biases[-1][i, 0] == float(i)
         assert coord.optimizer.t == 0 and coord.optimizer.m == []  # no moments before a step
