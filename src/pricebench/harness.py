@@ -47,12 +47,14 @@ from .market import (
     make_default_portfolio,
 )
 from .marl import (
+    DqnCore,
     DqnHyper,
+    MaddpgCoordinator,
     MaddpgHyper,
+    QmixCoordinator,
     QmixHyper,
-    build_maddpg_team,
-    build_madqn_team,
-    build_qmix_team,
+    TeamMember,
+    state_dim,
 )
 from .metrics import MetricsReport, compute_report
 from .rule_agents import DIVERSE_STRATEGIES, RuleAgent, RuleStrategy
@@ -118,7 +120,7 @@ class ExperimentSpec(JsonFields):
             raise ConfigError(f"unknown config_id {self.config_id!r}")
         if not self.n_runs >= 1:
             raise ConfigError("n_runs must be >= 1")
-        roster_settings(self.market.agent_roster)
+        roster_settings(self.market.agent_roster, self.market.max_weekly_change)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
@@ -180,12 +182,13 @@ def config_hash(config_dict: dict) -> str:
 SETTINGS = {"rule": RuleStrategy, "madqn": DqnHyper, "maddpg": MaddpgHyper, "qmix": QmixHyper}
 
 
-def roster_settings(roster: list[AgentSpec]) -> dict:
+def roster_settings(roster: list[AgentSpec], max_weekly_change: float) -> dict:
     """Each roster entry's settings by agent id: its kind's `SETTINGS` class,
     whose fields are the keys of its `params`, checked when built. A MADDPG
-    or QMIX team trains under one set, so its members' `params` must agree.
-    Any bad key or value, or a team whose members' `params` differ, raises
-    ConfigError."""
+    or QMIX team trains under one set, so its members' `params` must agree,
+    and a rule agent's `response_step` must not exceed the market's weekly
+    cap. Any bad key or value, or a team whose members' `params` differ,
+    raises ConfigError."""
     for kind in ("maddpg", "qmix"):
         team = [s for s in roster if s.agent_kind == kind]
         differ = [s.agent_id for s in team if s.params != team[0].params]
@@ -194,21 +197,28 @@ def roster_settings(roster: list[AgentSpec]) -> dict:
                 f"a {kind} team trains under one params dict, but {differ} differ from "
                 f"{team[0].agent_id}'s"
             )
-    return {
+    settings = {
         s.agent_id: from_fields(SETTINGS[s.agent_kind], s.params, f"{s.agent_kind} params")
         for s in roster
     }
+    for aid, s in settings.items():
+        if isinstance(s, RuleStrategy) and s.response_step > max_weekly_change:
+            raise ConfigError(f"{aid}: response_step {s.response_step} must not exceed "
+                              f"max_weekly_change {max_weekly_change}")
+    return settings
 
 
-TEAM_BUILDERS = {"madqn": build_madqn_team, "maddpg": build_maddpg_team, "qmix": build_qmix_team}
+LEARNERS = {"madqn": DqnCore, "maddpg": MaddpgCoordinator, "qmix": QmixCoordinator}
 
 
 def build_agents(config: MarketConfig) -> list[PricingAgentBase]:
     """Instantiate the roster: one learner team per (kind, settings) group,
-    in roster order. MADDPG and QMIX teams have one settings object each (see
-    `roster_settings`); MADQN agents form one team per distinct `DqnHyper`."""
-    settings = roster_settings(config.agent_roster)
+    in roster order, and a `TeamMember` per learning agent. MADDPG and QMIX
+    teams have one settings object each (see `roster_settings`); MADQN agents
+    form one team per distinct `DqnHyper`."""
+    settings = roster_settings(config.agent_roster, config.max_weekly_change)
     portfolio = make_default_portfolio(config.clusters, config.seed)
+    n = len(portfolio)
     built: dict[str, PricingAgentBase] = {}
     teams: dict[tuple, list[str]] = {}
     for spec in config.agent_roster:
@@ -218,7 +228,8 @@ def build_agents(config: MarketConfig) -> list[PricingAgentBase]:
         else:
             teams.setdefault((kind, settings[aid]), []).append(aid)
     for (kind, hyper), ids in teams.items():
-        built.update((a.agent_id, a) for a in TEAM_BUILDERS[kind](ids, portfolio, config, hyper))
+        learner = LEARNERS[kind](config, hyper, ids, state_dim(n), n)
+        built.update((aid, TeamMember(aid, portfolio, config, learner)) for aid in ids)
     return [built[spec.agent_id] for spec in config.agent_roster]
 
 

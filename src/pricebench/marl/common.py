@@ -1,6 +1,6 @@
-"""The learning agents' shared week: state encoding, reward shaping, action
-application, the team learner that every learner kind builds on, and the
-ε-greedy member that MADQN and QMIX act through."""
+"""The learning agents' shared week: state encoding, reward shaping, the one
+learning-agent class (`TeamMember`), the team learner that every learner
+kind builds on, and the ε-greedy choice that MADQN and QMIX share."""
 
 from __future__ import annotations
 
@@ -26,8 +26,15 @@ ACTION_SMOOTHING = 0.5  # EMA weight on the previous applied change
 def check_hyper(hyper, counts: tuple[str, ...], widths: tuple[str, ...]) -> None:
     """Check a learner's hyper-parameters when they are built: every float
     finite, each field in `counts` and every layer width in `widths` at
-    least 1, and 0 < recency_decay <= 1. Raises ConfigError naming the field."""
+    least 1, 0 < recency_decay <= 1, `gamma` and `tau` in [0, 1] and every
+    learning rate (`lr`, `actor_lr`, `critic_lr`) at least 0. Raises
+    ConfigError naming the field."""
     require_finite(hyper)
+    for name, value in vars(hyper).items():
+        if name in ("gamma", "tau") and not 0 <= value <= 1:
+            raise ConfigError(f"{name} must be in [0, 1], got {value}")
+        if name in ("lr", "actor_lr", "critic_lr") and not value >= 0:
+            raise ConfigError(f"{name} must be >= 0, got {value}")
     for name in counts:
         if not getattr(hyper, name) >= 1:
             raise ConfigError(f"{name} must be >= 1, got {getattr(hyper, name)}")
@@ -61,6 +68,12 @@ def discretize_action(bin_index: int, n_bins: int = N_PRICE_BINS, max_change: fl
     if not 0 <= bin_index < n_bins:
         raise ValueError(f"bin must be in 0..{n_bins - 1}, got {bin_index}")
     return -max_change + (2.0 * max_change / (n_bins - 1)) * bin_index
+
+
+def smoothed(prev: list[float], raw: list[float]) -> list[float]:
+    """Each product's change: an EMA of its `raw` change with its previous one."""
+    keep = 1.0 - ACTION_SMOOTHING
+    return [ACTION_SMOOTHING * p + keep * r for p, r in zip(prev, raw)]
 
 
 def compute_reward(
@@ -118,40 +131,47 @@ def state_dim(n_products: int) -> int:
     return STATE_SLOTS_PER_PRODUCT * n_products
 
 
-class MarlAgentBase(PricingAgentBase):
-    """The week every learning agent runs.
+class TeamMember(PricingAgentBase):
+    """A learning agent: one member of its `learner`'s team, the
+    `index`-th of its `member_ids`.
 
-    propose_prices() encodes the state, lets the agent choose its replay
-    action and price changes (`_choose`) and applies the changes. feedback()
-    encodes the next state, rewards the week just settled and hands the
-    transition to the agent's `learner`, whose contribute(agent_id, state,
-    action, reward, next_state, done) stores it and learns. Each kind sets
-    `learner` and supplies `_choose` and `_state`, a call of its own module's
-    `encode_state`, where callers look that name up.
+    propose_prices() encodes the state (`learner.encode`), lets the learner
+    choose member `index`'s replay action and price changes
+    (`learner.choose`) and submits each product's current price times
+    (1 + change). feedback() encodes the next state, rewards the week just
+    settled and hands the transition to learner.contribute(agent_id, state,
+    action, reward, next_state, done), which stores it and learns.
     """
 
-    learner: "TeamLearner"
+    def __init__(
+        self, agent_id: str, product_specs: list[ProductSpec], config: MarketConfig,
+        learner: TeamLearner,
+    ):
+        super().__init__(agent_id, product_specs, config)
+        self.learner = learner
+        self.index = learner.member_ids.index(agent_id)
 
     def begin_episode(self, episode_index: int) -> None:
         super().begin_episode(episode_index)
         self._revenue_total = 0.0  # the episode's revenue samples, added in order
         self._revenue_count = 0
-        self._prev_changes = {s.product_id: 0.0 for s in self.product_specs}
+        self._prev_changes = [0.0] * len(self.product_specs)  # portfolio order
         self._encoded: tuple[MarketObservation | None, np.ndarray | None] = (None, None)
         self._pending: tuple[np.ndarray, np.ndarray] | None = None  # (state, action) of the week
 
-    def _state(self, observation: MarketObservation) -> np.ndarray:
-        raise NotImplementedError
-
-    def _choose(self, state: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
-        """The replay action and each product's relative price change."""
-        raise NotImplementedError
-
     def propose_prices(self, observation: MarketObservation) -> dict[str, float]:
         state = self._encode(observation)
-        action, changes = self._choose(state)
+        action, changes = self.learner.choose(
+            self.index, state, self.episode_index, self._prev_changes
+        )
         self._pending = (state, action)
-        return self._apply_changes(changes)
+        self._prev_changes = changes
+        # the environment enforces the market rules on these prices
+        portfolio = self.portfolio
+        return {
+            spec.product_id: portfolio[spec.product_id].current_price * (1.0 + r)
+            for spec, r in zip(self.product_specs, changes)
+        }
 
     def feedback(self, observation, prev_observation, done: bool) -> None:
         if self._pending is None:
@@ -163,7 +183,7 @@ class MarlAgentBase(PricingAgentBase):
         self.learner.contribute(self.agent_id, state, action, reward, next_state, done)
 
     def _encode(self, observation: MarketObservation) -> np.ndarray:
-        """self._state(observation), computed once per observation.
+        """learner.encode(self, observation), computed once per observation.
 
         feedback() encodes next_state from the same observation object that
         the next propose_prices() receives, and the portfolio does not change
@@ -171,24 +191,9 @@ class MarlAgentBase(PricingAgentBase):
         """
         seen, state = self._encoded
         if observation is not seen:
-            state = self._state(observation)
+            state = self.learner.encode(self, observation)
             self._encoded = (observation, state)
         return state
-
-    def _smoothed(self, raw) -> dict[str, float]:
-        """Each product's change: an EMA of its `raw` change with its previous one."""
-        prev = self._prev_changes
-        keep = 1.0 - ACTION_SMOOTHING
-        return {
-            spec.product_id: ACTION_SMOOTHING * prev[spec.product_id] + keep * r
-            for spec, r in zip(self.product_specs, raw)
-        }
-
-    def _apply_changes(self, changes: dict[str, float]) -> dict[str, float]:
-        """Prices after each relative change; the environment enforces the market rules."""
-        self._prev_changes.update(changes)
-        portfolio = self.portfolio
-        return {pid: portfolio[pid].current_price * (1.0 + r) for pid, r in changes.items()}
 
     def _reward_from(
         self, observation: MarketObservation, prev_observation: MarketObservation,
@@ -228,8 +233,14 @@ class TeamLearner:
     with no reference back a finished run is freed by reference counting
     alone. Member i's generator is `derive_rng(seed, "agent", id)`; a
     subclass draws the member's nets from it in __init__, and the member
-    explores with what is left. A subclass supplies `_row`, the replay row
-    of one team step, and `learn`: None while warming up, else the step's losses.
+    explores with what is left. A subclass supplies:
+    - `choose(i, state, episode, prev_changes)`: member i's replay action and
+      its list of price changes, in portfolio order;
+    - `encode(agent, observation)`: a call of its own module's `encode_state`,
+      where callers look that name up;
+    - `_row`, the replay row of one team step;
+    - `learn`: None while warming up, else the step's losses; each step adds
+      one to `learn_calls`.
     """
 
     def __init__(self, config: MarketConfig, hyper, member_ids: list[str]):
@@ -242,6 +253,7 @@ class TeamLearner:
         pushes = config.episodes * config.weeks_per_episode  # a run's pushes, one per week
         self.buffer = ReplayBuffer(min(hyper.buffer_capacity, pushes), hyper.recency_decay)
         self._pending: dict[str, tuple] = {}
+        self.learn_calls = 0
         self._work = Workspace()  # the learn step's batch arrays, refilled every step
 
     def contribute(self, agent_id, state, action, reward, next_state, done) -> None:
@@ -264,9 +276,14 @@ class TeamLearner:
 class QTeamLearner(TeamLearner):
     """A team of Q-networks, `n_heads` heads of `n_bins` bins each: the team
     net `nets` (member i's drawn from its generator, as a single net built
-    from that generator would be) and its target. A subclass adds its
-    optimizer and `learn`, which reads the nets through the helpers below.
+    from that generator would be), member i's view of it `views[i]`, and its
+    target. Members choose ε-greedy bins; a kind sets `smooths`: whether a
+    price change is an EMA with the previous one or the bin's own. A
+    subclass adds its optimizer and `learn`, which reads the nets through
+    the helpers below.
     """
+
+    smooths: bool
 
     def __init__(
         self, config: MarketConfig, hyper, member_ids: list[str], local_state_size: int,
@@ -279,10 +296,22 @@ class QTeamLearner(TeamLearner):
             ["relu"] * len(hyper.hidden) + ["linear"],
             self.rngs,
         )
+        self.views = [self.nets.member(i) for i in range(len(self.member_ids))]
         self.target_nets = self.nets.clone()
-        self.learn_calls = 0
         # each (member, row, head)'s first bin in the team's flat output, set by the first step
         self._offsets: np.ndarray | None = None
+
+    def choose(self, i: int, state: np.ndarray, episode: int, prev_changes: list[float]):
+        """Member i's bins, ε-greedy over its view with its generator, and its changes."""
+        hp, n_heads, n_bins, view = self.hyper, self.n_heads, self.n_bins, self.views[i]
+        epsilon = exploration_rate(hp.epsilon_start, hp.epsilon_decay, hp.epsilon_floor, episode)
+        bins = epsilon_greedy(
+            lambda: view.forward(state).reshape(n_heads, n_bins),
+            n_heads, n_bins, epsilon, self.rngs[i],
+        )
+        max_change = self.config.max_weekly_change
+        raw = [discretize_action(b, n_bins, max_change) for b in bins.tolist()]
+        return bins, smoothed(prev_changes, raw) if self.smooths else raw
 
     def _greedy_targets(self, next_states: np.ndarray) -> np.ndarray:
         """Each (member, row, head)'s best target-net value for (members, B,
@@ -311,39 +340,3 @@ class QTeamLearner(TeamLearner):
         upstream.fill(0.0)
         upstream.reshape(-1)[taken] = grad
         self.nets.backward(cache, upstream, inputs=False)
-
-
-class QTeamMember(MarlAgentBase):
-    """A member of a Q-learning team (MADQN or QMIX): ε-greedy over its view
-    of the team's Q-nets, exploring with its generator. A kind sets
-    `smooths`: whether a price change is an EMA with the previous one
-    (`_smoothed`) or the bin's own.
-    """
-
-    smooths: bool
-
-    def __init__(
-        self, agent_id: str, product_specs: list[ProductSpec], config: MarketConfig,
-        learner: QTeamLearner,
-    ):
-        super().__init__(agent_id, product_specs, config)
-        i = learner.member_ids.index(agent_id)
-        self.net = learner.nets.member(i)
-        self.rng = learner.rngs[i]
-        self.learner = learner
-
-    def act_bins(self, state: np.ndarray, episode: int) -> np.ndarray:
-        n_heads, n_bins, hp = self.learner.n_heads, self.learner.n_bins, self.learner.hyper
-        epsilon = exploration_rate(hp.epsilon_start, hp.epsilon_decay, hp.epsilon_floor, episode)
-        return epsilon_greedy(
-            lambda: self.net.forward(state).reshape(n_heads, n_bins),
-            n_heads, n_bins, epsilon, self.rng,
-        )
-
-    def _choose(self, state: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
-        bins = self.act_bins(state, self.episode_index)
-        max_change, n_bins = self.config.max_weekly_change, self.learner.n_bins
-        raw = [discretize_action(b, n_bins, max_change) for b in bins.tolist()]
-        if self.smooths:
-            return bins, self._smoothed(raw)
-        return bins, {spec.product_id: r for spec, r in zip(self.product_specs, raw)}

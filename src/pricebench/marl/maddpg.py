@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..market import MarketConfig, MarketObservation, ProductSpec, derive_rng
+from ..market import MarketConfig, MarketObservation, derive_rng
 from ..nn import Adam, DenseNet, exploration_rate, soft_update
-from .common import MarlAgentBase, TeamLearner, check_hyper, encode_state, state_dim
+from .common import TeamLearner, check_hyper, encode_state, smoothed
 
 
 @dataclass(frozen=True)
@@ -49,15 +49,16 @@ class MaddpgCoordinator(TeamLearner):
     It builds the team whole: four team nets (actors, critics and their
     targets) with a leading members axis, member i's actor then critic drawn
     from its generator, and one Adam per role. Each member acts on its view
-    of the team actor (`DenseNet.member`), and each team trains in one
-    batched pass.
+    of the team actor (`views`, from `DenseNet.member`), and each team
+    trains in one batched pass.
     """
 
     def __init__(
-        self, config: MarketConfig, hyper: MaddpgHyper, member_ids: list[str], n_products: int
+        self, config: MarketConfig, hyper: MaddpgHyper, member_ids: list[str],
+        local_state_size: int, n_products: int,
     ):
         super().__init__(config, hyper, member_ids)
-        n, local_dim = len(self.member_ids), state_dim(n_products)
+        n, local_dim = len(self.member_ids), local_state_size
         self.actors = DenseNet(
             [local_dim, *hyper.actor_hidden, n_products],
             ["relu"] * len(hyper.actor_hidden) + ["tanh"],
@@ -65,6 +66,7 @@ class MaddpgCoordinator(TeamLearner):
         )
         # near-hold initial policy: standard small final-layer init for DDPG actors
         self.actors.scale_output_layer(0.01)
+        self.views = [self.actors.member(i) for i in range(n)]
         self.critics = DenseNet(
             [n * (local_dim + n_products), *hyper.critic_hidden, 1],
             ["relu"] * len(hyper.critic_hidden) + ["linear"],
@@ -80,6 +82,22 @@ class MaddpgCoordinator(TeamLearner):
             n * local_dim, n_products, shift=n_products
         )
         self.rng = derive_rng(config.seed, "team", "maddpg")
+
+    def encode(self, agent, observation: MarketObservation) -> np.ndarray:
+        return encode_state(agent, observation)
+
+    def choose(self, i: int, state: np.ndarray, episode: int, prev_changes: list[float]):
+        """Member i's changes: its actor's noisy tanh output, clipped, scaled to
+        the weekly cap and EMA-smoothed. The replay action is the changes."""
+        out = self.views[i].forward(state)
+        hp = self.hyper
+        sigma = exploration_rate(hp.noise_start, hp.noise_decay, hp.noise_floor, episode)
+        noisy = out + self.rngs[i].normal(0.0, sigma, size=out.shape)
+        np.maximum(noisy, -1.0, out=noisy)  # np.clip's bounds, without its dispatch
+        np.minimum(noisy, 1.0, out=noisy)
+        noisy *= self.config.max_weekly_change
+        changes = smoothed(prev_changes, noisy.tolist())
+        return np.array(changes), changes
 
     def _row(self, states, actions, rewards, next_states, done) -> tuple:
         # the row's critic input is every member's state, then every member's action
@@ -143,49 +161,5 @@ class MaddpgCoordinator(TeamLearner):
 
         soft_update(self.target_actors, self.actors, hp.tau)
         soft_update(self.target_critics, self.critics, hp.tau)
+        self.learn_calls += 1
         return list(zip(critic_loss.tolist(), actor_loss.tolist()))
-
-
-class MaddpgAgent(MarlAgentBase):
-    """One team member: its view of the team's actor."""
-
-    def __init__(
-        self,
-        agent_id: str,
-        product_specs: list[ProductSpec],
-        config: MarketConfig,
-        coordinator: MaddpgCoordinator,
-    ):
-        super().__init__(agent_id, product_specs, config)
-        i = coordinator.member_ids.index(agent_id)
-        self.actor = coordinator.actors.member(i)
-        self.noise_rng = coordinator.rngs[i]
-        self.learner = coordinator
-
-    def act_raw(self, state: np.ndarray, episode: int) -> np.ndarray:
-        """Noisy tanh policy output scaled to a relative change, pre-smoothing."""
-        out = self.actor.forward(state)
-        hp = self.learner.hyper
-        sigma = exploration_rate(hp.noise_start, hp.noise_decay, hp.noise_floor, episode)
-        noisy = out + self.noise_rng.normal(0.0, sigma, size=out.shape)
-        np.maximum(noisy, -1.0, out=noisy)  # np.clip's bounds, without its dispatch
-        np.minimum(noisy, 1.0, out=noisy)
-        noisy *= self.config.max_weekly_change
-        return noisy
-
-    def _state(self, observation: MarketObservation) -> np.ndarray:
-        return encode_state(self, observation)
-
-    def _choose(self, state: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
-        changes = self._smoothed(self.act_raw(state, self.episode_index).tolist())
-        return np.fromiter(changes.values(), float, len(changes)), changes
-
-
-def build_team(
-    agent_ids: list[str],
-    product_specs: list[ProductSpec],
-    config: MarketConfig,
-    hyper: MaddpgHyper | None = None,
-) -> list[MaddpgAgent]:
-    coordinator = MaddpgCoordinator(config, hyper or MaddpgHyper(), agent_ids, len(product_specs))
-    return [MaddpgAgent(aid, product_specs, config, coordinator) for aid in agent_ids]

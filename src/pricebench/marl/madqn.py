@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..market import MarketConfig, MarketObservation, ProductSpec
+from ..market import MarketConfig, MarketObservation
 from ..nn import Adam, TrainingError, hard_update
-from .common import N_PRICE_BINS, QTeamLearner, QTeamMember, check_hyper, encode_state, state_dim
+from .common import N_PRICE_BINS, QTeamLearner, check_hyper, encode_state
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,11 @@ class DqnCore(QTeamLearner):
     each member's slice as a per-member Adam would. A ring row holds every
     member's state, bins, reward and next state, plus the shared done. The
     members push, warm up and hard-copy their targets in lockstep, so a team
-    step is the members' steps stacked.
+    step is the members' steps stacked. A member's price changes are its
+    bins' own.
     """
+
+    smooths = False
 
     def __init__(
         self, config: MarketConfig, hyper: DqnHyper, member_ids: list[str], local_state_size: int,
@@ -58,6 +61,9 @@ class DqnCore(QTeamLearner):
         super().__init__(config, hyper, member_ids, local_state_size, n_heads, n_bins)
         self.optimizer = Adam([self.nets.flat])
         self._columns = np.arange(len(self.member_ids))[:, None]  # each member's column of a row
+
+    def encode(self, agent, observation: MarketObservation) -> np.ndarray:
+        return encode_state(agent, observation)
 
     def _row(self, states, actions, rewards, next_states, done) -> tuple:
         return states, actions, rewards, next_states, done
@@ -111,23 +117,3 @@ class DqnCore(QTeamLearner):
         if self.learn_calls % hp.target_update_every == 0:
             hard_update(self.target_nets, self.nets)
         return losses.tolist()
-
-
-class MadqnAgent(QTeamMember):
-    """Pricing wrapper: encode market state, pick one bin per product, learn alone."""
-
-    smooths = False
-
-    def _state(self, observation: MarketObservation) -> np.ndarray:
-        return encode_state(self, observation)
-
-
-def build_team(
-    agent_ids: list[str],
-    product_specs: list[ProductSpec],
-    config: MarketConfig,
-    hyper: DqnHyper | None = None,
-) -> list[MadqnAgent]:
-    n_products = len(product_specs)
-    team = DqnCore(config, hyper or DqnHyper(), agent_ids, state_dim(n_products), n_products)
-    return [MadqnAgent(aid, product_specs, config, team) for aid in agent_ids]

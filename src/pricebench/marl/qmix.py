@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..market import MarketConfig, MarketObservation, ProductSpec, derive_rng, left_sum
+from ..market import MarketConfig, MarketObservation, derive_rng, left_sum
 from ..nn import Adam, DenseNet, ShapeError, Workspace, hard_update
-from .common import N_PRICE_BINS, QTeamLearner, QTeamMember, encode_state, state_dim
+from .common import N_PRICE_BINS, QTeamLearner, encode_state
 from .madqn import DqnHyper
 
 
@@ -140,9 +140,11 @@ class QmixCoordinator(QTeamLearner):
     It builds the team whole: the member Q-networks and their targets
     (`QTeamLearner`), the mixer and its target, and a single Adam over the
     team and the mixer. Each member acts on its view of the team net
-    (`DenseNet.member`), and the team and the mixer train in one batched
-    pass.
+    (`DenseNet.member`), EMA-smoothing its bins' changes, and the team and
+    the mixer train in one batched pass.
     """
+
+    smooths = True
 
     def __init__(
         self, config: MarketConfig, hyper: QmixHyper, member_ids: list[str], local_state_size: int,
@@ -154,6 +156,9 @@ class QmixCoordinator(QTeamLearner):
         self.mixer = MonotonicMixer(n, n * local_state_size, hyper.mixing_dim, self.rng)
         self.target_mixer = self.mixer.clone()
         self.optimizer = Adam([net.flat for net in self._trained()])
+
+    def encode(self, agent, observation: MarketObservation) -> np.ndarray:
+        return encode_state(agent, observation)
 
     def _row(self, states, actions, rewards, next_states, done) -> tuple:
         return states, actions, next_states, left_sum(rewards) / len(rewards), done
@@ -207,25 +212,3 @@ class QmixCoordinator(QTeamLearner):
         rows = self._work.get(name, per_member.shape[::-1])
         np.copyto(rows, per_member.T)
         return rows
-
-
-class QmixAgent(QTeamMember):
-    """Member agent: its view of the team's Q-networks, coordinator-driven learning."""
-
-    smooths = True
-
-    def _state(self, observation: MarketObservation) -> np.ndarray:
-        return encode_state(self, observation)
-
-
-def build_team(
-    agent_ids: list[str],
-    product_specs: list[ProductSpec],
-    config: MarketConfig,
-    hyper: QmixHyper | None = None,
-) -> list[QmixAgent]:
-    n_products = len(product_specs)
-    coordinator = QmixCoordinator(
-        config, hyper or QmixHyper(), agent_ids, state_dim(n_products), n_products
-    )
-    return [QmixAgent(aid, product_specs, config, coordinator) for aid in agent_ids]

@@ -149,8 +149,6 @@ class RuleAgent(PricingAgentBase):
         config: MarketConfig,
         strategy: RuleStrategy,
     ):
-        if strategy.response_step > config.max_weekly_change:
-            raise ConfigError("response_step must not exceed max_weekly_change")
         self.strategy = strategy
         # the class's function, not a bound method: that would make a reference
         # cycle, and the agent would outlive its run until the cyclic collector ran

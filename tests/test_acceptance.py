@@ -47,7 +47,14 @@ class _Timer:
         assert elapsed < self.limit_s, f"{self.name} exceeded {self.limit_s}s ({elapsed:.2f}s)"
 
 
-def _run_config(config_id, seed, episodes, weeks, roster_params=None):
+def _assert_learners_stepped(agents):
+    """Every agent with a learner saw that learner take a gradient step."""
+    learners = [agent.learner for agent in agents if hasattr(agent, "learner")]
+    assert learners and all(learner.learn_calls > 0 for learner in learners)
+
+
+def _run_config(config_id, seed, episodes, weeks, roster_params=None, learns=False):
+    """The run's report; with `learns`, every learner must have taken a step."""
     spec = ExperimentSpec.from_dict(
         {
             "config_id": config_id,
@@ -61,7 +68,11 @@ def _run_config(config_id, seed, episodes, weeks, roster_params=None):
             },
         }
     )
-    return compute_report(simulate(spec.market, build_agents(spec.market)))
+    agents = build_agents(spec.market)
+    report = compute_report(simulate(spec.market, agents))
+    if learns:
+        _assert_learners_stepped(agents)
+    return report
 
 
 def test_criterion_01_metric_oracles():
@@ -232,7 +243,9 @@ def test_criterion_07_revenue_direction():
         wins = 0
         for seed in (11, 22, 33):
             rule_report = _run_config("A", seed, episodes=8, weeks=30)
-            madqn_report = _run_config("C", seed, episodes=8, weeks=30, roster_params=overrides)
+            madqn_report = _run_config(
+                "C", seed, episodes=8, weeks=30, roster_params=overrides, learns=True
+            )
             mean_rule = np.mean([a.mean_return for a in rule_report.agents.values()])
             mean_madqn = np.mean([a.mean_return for a in madqn_report.agents.values()])
             wins += mean_madqn > mean_rule

@@ -185,6 +185,13 @@ class TestSimulate:
         ("F", "qmix", "mixing_dim", 0),
         ("C", "madqn", "buffer_capacity", 0),
         ("B", "maddpg", "recency_decay", 0),
+        ("C", "madqn", "gamma", 1.5),
+        ("B", "maddpg", "gamma", 1.5),
+        ("F", "qmix", "gamma", -0.2),
+        ("B", "maddpg", "tau", 2.0),
+        ("B", "maddpg", "tau", -0.5),
+        ("C", "madqn", "lr", -0.01),
+        ("B", "maddpg", "critic_lr", -0.001),
     ])
     def test_learner_value_out_of_range_exits_1(
         self, tmp_path, capsys, config_id, kind, key, value
@@ -195,6 +202,16 @@ class TestSimulate:
         config.write_text(json.dumps(spec))
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()  # rejected before any run directory is made
+
+    def test_response_step_above_the_weekly_cap_exits_1(self, tmp_path, capsys):
+        config = _experiment_file(tmp_path, config_id="A", weeks=4, seed=3)
+        spec = json.loads(config.read_text())
+        spec["roster_params"] = {"rule": {"response_step": 0.5}}  # the cap is 0.10
+        config.write_text(json.dumps(spec))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "rule-0: response_step 0.5 must not exceed max_weekly_change 0.1" in err
         assert not (tmp_path / "o").exists()  # rejected before any run directory is made
 
     def test_team_members_with_different_params_exit_1(self, tmp_path, capsys):

@@ -126,7 +126,7 @@ class TestRosterParams:
 
 def _rule(params):
     """A rule agent's settings from its roster `params`."""
-    return roster_settings([AgentSpec("r0", "rule", params)])["r0"]
+    return roster_settings([AgentSpec("r0", "rule", params)], 0.10)["r0"]
 
 
 class TestRuleParams:
@@ -268,7 +268,7 @@ class TestExecuteRun:
         """No reference cycle keeps a team alive: with the cyclic collector off,
         each coordinator and member net is gone before the report is computed."""
         refs, at_report, after = self._alive_at_report_and_after(
-            config_id, lambda agent: (agent.learner, getattr(agent, "actor", None) or agent.net),
+            config_id, lambda agent: (agent.learner, agent.learner.views[agent.index]),
             tmp_path, monkeypatch,
         )
         assert len(refs) == 8

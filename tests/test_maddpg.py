@@ -8,8 +8,8 @@ from pricebench.harness import simulate
 from pricebench.market import (
     AgentSpec, MarketConfig, derive_rng, from_fields, make_default_portfolio,
 )
-from pricebench.marl.common import ACTION_SMOOTHING, state_dim
-from pricebench.marl.maddpg import MaddpgHyper, build_team
+from pricebench.marl.common import ACTION_SMOOTHING, TeamMember, smoothed, state_dim
+from pricebench.marl.maddpg import MaddpgCoordinator, MaddpgHyper
 from pricebench.nn import Adam, DenseNet, soft_update
 
 
@@ -27,39 +27,67 @@ def _config(n_agents=2, n_products=2, seed=23, weeks=10):
 
 
 def _team(config, **params):
+    """The config's MADDPG team under `params`: its members, one coordinator."""
     portfolio = make_default_portfolio(config.clusters, config.seed)
     ids = [s.agent_id for s in config.agent_roster]
-    return build_team(ids, portfolio, config, from_fields(MaddpgHyper, params))
+    n = len(portfolio)
+    coord = MaddpgCoordinator(config, from_fields(MaddpgHyper, params), ids, state_dim(n), n)
+    return [TeamMember(aid, portfolio, config, coord) for aid in ids]
 
 
 def _view(agent, role):
     """Member `agent`'s view of its coordinator's team net of `role` (see ROLES)."""
-    coord = agent.learner
-    return getattr(coord, role + "s").member(coord.member_ids.index(agent.agent_id))
+    return getattr(agent.learner, role + "s").member(agent.index)
+
+
+def _actor(agent):
+    """The view of its actor that the member acts on."""
+    return agent.learner.views[agent.index]
+
+
+def _raw(agent, state, episode=0):
+    """The member's change before smoothing: from previous changes of 0, the
+    EMA is exactly half of it."""
+    _, changes = agent.learner.choose(agent.index, state, episode, [0.0] * len(agent.product_specs))
+    return 2.0 * np.array(changes)
 
 
 class TestActing:
     def test_zero_actor_and_noise_holds_price(self):
         config = _config(n_agents=1)
         (agent,) = _team(config, noise_start=0.0, noise_decay=1.0, noise_floor=0.0)
-        for w in agent.actor.weights:
+        for w in _actor(agent).weights:
             w[:] = 0.0
-        for b in agent.actor.biases:
+        for b in _actor(agent).biases:
             b[:] = 0.0
-        raw = agent.act_raw(np.zeros(agent.actor.layer_sizes[0]), episode=0)
+        raw = _raw(agent, np.zeros(_actor(agent).layer_sizes[0]))
         assert np.allclose(raw, 0.0)
 
     def test_noise_clamped_to_weekly_band(self):
         config = _config(n_agents=1)
         (agent,) = _team(config, noise_start=5.0, noise_decay=1.0, noise_floor=5.0)
-        state = np.zeros(agent.actor.layer_sizes[0])
+        state = np.zeros(_actor(agent).layer_sizes[0])
         for _ in range(50):
-            raw = agent.act_raw(state, episode=0)
+            raw = _raw(agent, state)
             assert np.all(np.abs(raw) <= config.max_weekly_change + 1e-12)
 
     def test_smoothing_arithmetic(self):
         # previous +0.10, raw -0.10 -> applied 0.00
         assert ACTION_SMOOTHING * 0.10 + (1 - ACTION_SMOOTHING) * (-0.10) == pytest.approx(0.0)
+
+    def test_changes_are_the_smoothed_noisy_policy_and_the_replay_action(self):
+        config = _config(n_agents=2, n_products=2)
+        team = _team(config, noise_start=0.3, noise_decay=1.0, noise_floor=0.3)
+        coord, cap = team[0].learner, config.max_weekly_change
+        state = derive_rng(4, "state").normal(size=state_dim(2))
+        prev = [0.08, -0.03]
+        for agent in team:
+            rng = copy.deepcopy(coord.rngs[agent.index])
+            action, changes = coord.choose(agent.index, state, 0, prev)
+            noisy = _actor(agent).forward(state) + rng.normal(0.0, 0.3, size=2)
+            raw = (np.minimum(np.maximum(noisy, -1.0), 1.0) * cap).tolist()
+            assert changes == smoothed(prev, raw)
+            assert action.tolist() == changes  # the replay holds the applied changes
 
     def test_episode_run_respects_bounds(self):
         config = _config(n_agents=2, weeks=15)
@@ -76,8 +104,8 @@ class TestActing:
 def _fill_buffer(team, reward_fn, n=80, rng=None):
     rng = rng or derive_rng(7, "fill")
     coord = team[0].learner
-    d = team[0].actor.layer_sizes[0]
-    p = team[0].actor.layer_sizes[-1]
+    d = _actor(team[0]).layer_sizes[0]
+    p = _actor(team[0]).layer_sizes[-1]
     for _ in range(n):
         states = [rng.normal(size=d) for _ in team]
         actions = [rng.uniform(-0.1, 0.1, size=p) for _ in team]
@@ -97,6 +125,7 @@ class TestLearning:
         coord = _fill_buffer(team, lambda s, a: float(np.tanh(a.sum())), n=64)
         for _ in range(2000):
             losses = coord.learn()
+        assert coord.learn_calls == 2000  # the warm-up call above took no step
         (critic_loss, _), = losses  # one (critic, actor) pair per member
         assert critic_loss < 1e-3
 
@@ -147,11 +176,11 @@ class TestLearning:
         rng = derive_rng(9, "actor")
         _fill_buffer(team, lambda s, a: 0.0, n=64, rng=rng)
 
-        d = agent.actor.layer_sizes[0]
+        d = _actor(agent).layer_sizes[0]
         states = coord.buffer.fields[0][: len(coord.buffer), :d].copy()
 
         def mean_q():
-            acts = agent.actor.forward(states) * config.max_weekly_change
+            acts = _actor(agent).forward(states) * config.max_weekly_change
             joint = np.concatenate([states, acts], axis=1)
             return float(_view(agent, "critic").forward(joint).mean())
 
@@ -228,7 +257,7 @@ class TestTeamStep:
         for member, r in zip(team, nets):
             for role in ROLES:
                 assert np.array_equal(_view(member, role).flat, r[role].flat), role
-        assert not np.array_equal(team[0].actor.flat, _view(team[0], "target_actor").flat)
+        assert not np.array_equal(_actor(team[0]).flat, _view(team[0], "target_actor").flat)
 
 
 class TestTeamConstruction:
@@ -236,10 +265,10 @@ class TestTeamConstruction:
         team = _team(_config(n_agents=3))
         coord = team[0].learner
         for i, agent in enumerate(team):
-            assert np.shares_memory(agent.actor.flat, coord.actors.flat)
+            assert np.shares_memory(_actor(agent).flat, coord.actors.flat)
             for role in ROLES:
                 assert np.shares_memory(_view(agent, role).flat, getattr(coord, role + "s").flat)
-            agent.actor.biases[-1][0] = float(i)
+            _actor(agent).biases[-1][0] = float(i)
             assert coord.actors.biases[-1][i, 0] == float(i)
         assert coord.actor_opt.m == [] and coord.critic_opt.m == []  # no moments before a step
 
@@ -256,7 +285,8 @@ class TestTeamConstruction:
             for role, single in (("actor", actor), ("critic", critic)):
                 assert np.array_equal(getattr(coord, role + "s").member(i).flat, single.flat)
                 assert np.array_equal(getattr(coord, "target_" + role + "s").member(i).flat, single.flat)
-            assert agent.noise_rng.random() == rng.random()  # the member explores with what is left
+            # the member explores with what is left
+            assert coord.rngs[agent.index].random() == rng.random()
 
 
 class TestJointAlignment:
@@ -266,7 +296,7 @@ class TestJointAlignment:
         simulate(config, team)
         coord = team[0].learner
         assert len(coord.buffer) == 6
-        d, p = team[0].actor.layer_sizes[0], team[0].actor.layer_sizes[-1]
+        d, p = _actor(team[0]).layer_sizes[0], _actor(team[0]).layer_sizes[-1]
         critic_in, next_states, rewards, done = (f[0] for f in coord.buffer.fields)
         assert critic_in.shape == (2 * (d + p),)  # both members' states, then both actions
         assert next_states.shape == (2 * d,)

@@ -3,8 +3,8 @@ import pytest
 
 from pricebench.market import AgentSpec, MarketConfig, ProductSpec, derive_rng
 from pricebench.nn import DenseNet, TrainingError
-from pricebench.marl.common import state_dim
-from pricebench.marl.madqn import DqnCore, DqnHyper, MadqnAgent
+from pricebench.marl.common import TeamMember, discretize_action, state_dim
+from pricebench.marl.madqn import DqnCore, DqnHyper
 
 
 def _config(member_ids, seed=1):
@@ -17,7 +17,7 @@ def _team_of_one(hyper, state, n_heads, n_bins, seed=1):
     config = _config(["q0"], seed)
     core = DqnCore(config, hyper, ["q0"], state, n_heads, n_bins)
     specs = [ProductSpec(f"p{h}", 1, 10.0, 6.0, 10.0) for h in range(n_heads)]
-    return core, MadqnAgent("q0", specs, config, core)
+    return core, TeamMember("q0", specs, config, core)
 
 
 def _core(n_heads=1, n_bins=5, state=3, epsilon=0.0, seed=1, **hyper_kw):
@@ -27,7 +27,14 @@ def _core(n_heads=1, n_bins=5, state=3, epsilon=0.0, seed=1, **hyper_kw):
 
 
 def _q_values(agent, state):
-    return agent.net.forward(state).reshape(agent.learner.n_heads, agent.learner.n_bins)
+    learner = agent.learner
+    return learner.views[agent.index].forward(state).reshape(learner.n_heads, learner.n_bins)
+
+
+def _bins(agent, state, episode):
+    """The bins the member's learner chooses for it, from no previous changes."""
+    bins, _ = agent.learner.choose(agent.index, state, episode, [0.0] * agent.learner.n_heads)
+    return bins
 
 
 class TestAct:
@@ -36,20 +43,21 @@ class TestAct:
         state = np.ones(3)
         expected = np.argmax(_q_values(agent, state), axis=1)
         for _ in range(10):
-            assert np.array_equal(agent.act_bins(state, episode=0), expected)
+            assert np.array_equal(_bins(agent, state, episode=0), expected)
 
     def test_uniform_when_epsilon_one(self):
         _, agent = _core(epsilon=1.0, n_bins=5)
         state = np.zeros(3)
-        draws = np.array([agent.act_bins(state, 0)[0] for _ in range(100_000)])
+        draws = np.array([_bins(agent, state, 0)[0] for _ in range(100_000)])
         freqs = np.bincount(draws, minlength=5) / len(draws)
         assert np.all(np.abs(freqs - 0.2) < 0.02)
 
     def test_equal_q_values_pick_bin_zero(self):
         _, agent = _core(epsilon=0.0)
-        for w in agent.net.weights:
+        view = agent.learner.views[agent.index]
+        for w in view.weights:
             w[:] = 0.0
-        for b in agent.net.biases:
+        for b in view.biases:
             b[:] = 0.0
         assert np.array_equal(np.argmax(_q_values(agent, np.ones(3)), axis=1), [0])
 
@@ -57,8 +65,16 @@ class TestAct:
         _, agent = _core(epsilon=0.0)
         state = derive_rng(2, "s").normal(size=3)
         before = np.argmax(_q_values(agent, state), axis=1)
-        agent.net.biases[-1] += 7.5  # shifts every Q-value equally
+        agent.learner.views[agent.index].biases[-1] += 7.5  # shifts every Q-value equally
         assert np.array_equal(np.argmax(_q_values(agent, state), axis=1), before)
+
+    def test_changes_are_the_bins_discretized(self):
+        core, agent = _core(n_heads=3, n_bins=21, epsilon=0.5)
+        prev = [0.1, -0.1, 0.05]  # unsmoothed: the previous changes play no part
+        for _ in range(20):
+            bins, changes = core.choose(agent.index, np.ones(3), 0, prev)
+            cap = core.config.max_weekly_change
+            assert changes == [discretize_action(b, 21, cap) for b in bins.tolist()]
 
 
 def _store(core, state, bins, reward, next_state, done):
@@ -210,7 +226,7 @@ def run_toy_mdp(seed, steps=4000):
     s = 0
     for step in range(steps):
         episode = step // 100  # schedule decays every 100 steps
-        a = int(agent.act_bins(mdp.encode(s), episode)[0])
+        a = int(_bins(agent, mdp.encode(s), episode)[0])
         s2, r = mdp.dynamics[s][a]
         core.contribute("q0", mdp.encode(s), [a], r, mdp.encode(s2), False)  # stores, then learns
         s = s2

@@ -18,13 +18,12 @@ from pricebench.market import (
     MarketConfig,
     ProductSpec,
     left_sum,
-    make_default_portfolio,
 )
-from pricebench.marl import common, compute_reward, discretize_action, encode_state, madqn, state_dim
+from pricebench.marl import common, compute_reward, discretize_action, encode_state, state_dim
 from pricebench.marl.common import (
     N_PRICE_BINS,
     STATE_SLOTS_PER_PRODUCT,
-    MarlAgentBase,
+    TeamMember,
     epsilon_greedy,
 )
 from pricebench.marl.madqn import DqnHyper
@@ -33,7 +32,7 @@ from pricebench.marl.maddpg import MaddpgHyper
 
 def _hyper(kind, params):
     """A learner's hyper-parameters from its roster `params`."""
-    return roster_settings([AgentSpec("a0", kind, params)])["a0"]
+    return roster_settings([AgentSpec("a0", kind, params)], 0.10)["a0"]
 
 
 class TestParseHyper:
@@ -82,26 +81,44 @@ class TestDiscretize:
         assert abs(discretize_action(b)) <= 0.10 + 1e-12
 
 
+class _FixedChange:
+    """A learner whose one member, "q0", always chooses `change`."""
+
+    member_ids = ["q0"]
+
+    def __init__(self, change):
+        self.change = change
+
+    def encode(self, agent, observation):
+        return np.zeros(1)
+
+    def choose(self, i, state, episode, prev_changes):
+        return np.zeros(1), [self.change]
+
+
 class TestApplyAction:
     """Learners submit current * (1 + r); the market rule then caps and floors it."""
 
-    def _agent(self, price=10.0, cost=6.0):
+    def _proposed(self, change, price=10.0, cost=6.0):
+        """The member's price for its one product, and the member."""
         config = MarketConfig(
             agent_roster=[AgentSpec("q0", "madqn")], clusters=(1,)
         )
-        return madqn.build_team(["q0"], [ProductSpec("p", 1, price, cost, 10.0)], config)[0]
+        spec = ProductSpec("p", 1, price, cost, 10.0)
+        agent = TeamMember("q0", [spec], config, _FixedChange(change))
+        return agent.propose_prices(object()), agent
 
     def test_zero_change(self):
-        assert self._agent()._apply_changes({"p": 0.0}) == {"p": pytest.approx(10.0)}
+        assert self._proposed(0.0)[0] == {"p": pytest.approx(10.0)}
 
     def test_full_raise(self):
-        agent = self._agent()
-        assert agent._apply_changes({"p": 0.10}) == {"p": pytest.approx(11.0)}
-        assert agent._prev_changes["p"] == 0.10
+        prices, agent = self._proposed(0.10)
+        assert prices == {"p": pytest.approx(11.0)}
+        assert agent._prev_changes == [0.10]
 
     def test_floor_clamps(self):
-        agent = self._agent(price=6.5, cost=6.0)
-        submitted = agent._apply_changes({"p": -0.10})["p"]
+        prices, agent = self._proposed(-0.10, price=6.5, cost=6.0)
+        submitted = prices["p"]
         assert submitted == pytest.approx(5.85)
         floor = agent.config.price_floor(agent.portfolio["p"].spec)
         assert agent.config.allowed_prices((6.5,), (submitted,), (floor,)) == [pytest.approx(6.30)]
@@ -142,8 +159,7 @@ def _madqn_setup(n_products=2, seed=5, weeks=10):
         episodes=1,
         seed=seed,
     )
-    portfolio = make_default_portfolio(clusters, config.seed)
-    agents = madqn.build_team([s.agent_id for s in config.agent_roster], portfolio, config)
+    agents = build_agents(config)
     env = MarketEnvironment(config, agents, ParametricDemandModel(config.demand_params))
     return config, agents, env
 
@@ -377,7 +393,7 @@ class TestRewardMatchesReference:
         monkeypatch.setattr(nn.Adam, "step", lambda opt, *a, **k: steps.append(1) or adam_step(opt, *a, **k))
         samples: dict[tuple, list[float]] = {}
         rewards = []
-        reward_from = MarlAgentBase._reward_from
+        reward_from = TeamMember._reward_from
 
         def checked(agent, observation, prev_observation, state):
             reward = reward_from(agent, observation, prev_observation, state)
@@ -387,7 +403,7 @@ class TestRewardMatchesReference:
             rewards.append(reward)
             return reward
 
-        monkeypatch.setattr(MarlAgentBase, "_reward_from", checked)
+        monkeypatch.setattr(TeamMember, "_reward_from", checked)
         config = desk_spec(config_id, seed=31, episodes=2, weeks_per_episode=52).market
         simulate(config, build_agents(config))
         assert len(rewards) == 4 * 2 * 52
@@ -412,7 +428,7 @@ class TestStateEncodedOncePerWeek:
         config = desk_spec(config_id, seed=17, episodes=episodes, weeks_per_episode=weeks).market
         agents = build_agents(config)
         simulate(config, agents)
-        learners = [a for a in agents if isinstance(a, MarlAgentBase)]
+        learners = [a for a in agents if isinstance(a, TeamMember)]
         # each episode: one encoding of the opening observation, then one per week
         assert len(calls) == len(learners) * episodes * (weeks + 1)
 
@@ -445,13 +461,10 @@ class TestActionRangeSafety:
             band = config.max_weekly_change
             for _ in range(10_000 // 3 + 1):
                 state = rng.normal(size=dim) * 5.0
-                if config_id == "B":
-                    raw = agent.act_raw(state, episode=0)
-                else:
-                    bins = agent.act_bins(state, episode=0)
-                    raw = np.array([
-                        discretize_action(int(b), N_PRICE_BINS, band) for b in bins
-                    ])
+                # from previous changes of 0, a smoothed change is exactly half the raw one
+                prev = [0.0] * len(config.clusters)
+                _, changes = agent.learner.choose(agent.index, state, 0, prev)
+                raw = np.array(changes) * (1.0 if config_id == "C" else 2.0)
                 smoothed = ACTION_SMOOTHING * band + (1 - ACTION_SMOOTHING) * raw
                 assert np.all(np.abs(raw) <= band + 1e-12)
                 assert np.all(np.abs(smoothed) <= band + 1e-12)

@@ -3,16 +3,15 @@ import copy
 import numpy as np
 import pytest
 
-from pricebench.harness import simulate
-from pricebench.market import AgentSpec, MarketConfig, derive_rng, make_default_portfolio
-from pricebench.marl.common import N_PRICE_BINS, state_dim
+from pricebench.harness import build_agents, simulate
+from pricebench.market import AgentSpec, MarketConfig, derive_rng
+from pricebench.marl.common import N_PRICE_BINS, discretize_action, smoothed, state_dim
 from pricebench.nn import Adam, DenseNet, TrainingError, hard_update
 from pricebench.marl import qmix
 from pricebench.marl.qmix import (
     MonotonicMixer,
     QmixCoordinator,
     QmixHyper,
-    build_team,
 )
 
 
@@ -274,8 +273,7 @@ def _market_team(n_agents=2, seed=33):
         agent_roster=roster, clusters=(1, 2),
         weeks_per_episode=8, episodes=1, seed=seed,
     )
-    portfolio = make_default_portfolio([1, 2], config.seed)
-    return config, build_team([s.agent_id for s in roster], portfolio, config)
+    return config, build_agents(config)
 
 
 class TestTeamConstruction:
@@ -283,9 +281,10 @@ class TestTeamConstruction:
         _, team = _market_team(n_agents=3)
         coord = team[0].learner
         for i, agent in enumerate(team):
-            assert np.shares_memory(agent.net.flat, coord.nets.flat)
+            view = coord.views[agent.index]
+            assert np.shares_memory(view.flat, coord.nets.flat)
             assert np.shares_memory(coord.target_nets.member(i).flat, coord.target_nets.flat)
-            agent.net.biases[-1][0] = float(i)
+            view.biases[-1][0] = float(i)
             assert coord.nets.biases[-1][i, 0] == float(i)
         assert coord.optimizer.t == 0 and coord.optimizer.m == []  # no moments before a step
 
@@ -299,7 +298,18 @@ class TestTeamConstruction:
             single = DenseNet(sizes, acts, rng)
             assert np.array_equal(coord.nets.member(i).flat, single.flat)
             assert np.array_equal(coord.target_nets.member(i).flat, single.flat)
-            assert agent.rng.random() == rng.random()  # the member explores with what is left
+            # the member explores with what is left
+            assert coord.rngs[agent.index].random() == rng.random()
+
+    def test_changes_are_the_bins_smoothed(self):
+        config, team = _market_team(n_agents=2)
+        coord, cap = team[0].learner, config.max_weekly_change
+        prev = [0.04, -0.1]
+        for agent in team:
+            for episode in (0, 5):
+                bins, changes = coord.choose(agent.index, np.ones(state_dim(2)), episode, prev)
+                raw = [discretize_action(b, N_PRICE_BINS, cap) for b in bins.tolist()]
+                assert changes == smoothed(prev, raw)
 
 
 class TestQmixTeamInMarket:

@@ -14,8 +14,8 @@ import copy
 import numpy as np
 import pytest
 
-from pricebench.market import AgentSpec, MarketConfig, derive_rng, make_default_portfolio
-from pricebench.marl import MaddpgHyper, QmixHyper, build_maddpg_team, build_qmix_team
+from pricebench.harness import build_agents
+from pricebench.market import AgentSpec, MarketConfig, derive_rng
 from pricebench.marl.madqn import DqnCore, DqnHyper
 from pricebench.nn import ReplayBuffer, ShapeError
 
@@ -115,9 +115,9 @@ def test_push_of_a_wrong_row_shape_writes_nothing(row):
     assert len(ring) == 2 and np.all(states[1] == 1.0) and rewards[1] == 2.0
 
 
-def _config(kind: str, seed: int = 3) -> MarketConfig:
+def _config(kind: str, seed: int = 3, params=None) -> MarketConfig:
     return MarketConfig(
-        agent_roster=[AgentSpec(f"{kind}{i}", kind) for i in range(3)],
+        agent_roster=[AgentSpec(f"{kind}{i}", kind, params or {}) for i in range(3)],
         clusters=(1, 2),
         weeks_per_episode=40,  # the 40 steps each test pushes
         episodes=1,
@@ -131,7 +131,7 @@ NO_TRAINING = {"buffer_capacity": 16, "warm_up": 10**6, "batch_size": 64}
 
 def _random_steps(team, kind, n_steps, rng):
     """Per step, each member's (state, action, reward, next state) and the done flag."""
-    d = team[0].actor.layer_sizes[0] if kind == "maddpg" else team[0].net.layer_sizes[0]
+    d = team[0].learner.views[0].layer_sizes[0]
     products = len(team[0].product_specs)
     for step in range(n_steps):
         parts = []
@@ -145,10 +145,7 @@ def _random_steps(team, kind, n_steps, rng):
 
 
 def test_maddpg_batch_equals_stacked_joint_transitions():
-    config = _config("maddpg")
-    team = build_maddpg_team([s.agent_id for s in config.agent_roster],
-                             make_default_portfolio([1, 2], config.seed), config,
-                             MaddpgHyper(**NO_TRAINING))
+    team = build_agents(_config("maddpg", params=NO_TRAINING))
     coord = team[0].learner
     reference = ListReplayBuffer(coord.buffer.capacity, coord.buffer.recency_decay)
     for parts, done in _random_steps(team, "maddpg", 40, derive_rng(5, "steps")):
@@ -174,10 +171,7 @@ def test_maddpg_batch_equals_stacked_joint_transitions():
 
 
 def test_qmix_batch_equals_stacked_joint_transitions():
-    config = _config("qmix")
-    team = build_qmix_team([s.agent_id for s in config.agent_roster],
-                           make_default_portfolio([1, 2], config.seed), config,
-                           QmixHyper(**NO_TRAINING))
+    team = build_agents(_config("qmix", params=NO_TRAINING))
     coord = team[0].learner
     reference = ListReplayBuffer(coord.buffer.capacity, coord.buffer.recency_decay)
     for parts, done in _random_steps(team, "qmix", 40, derive_rng(7, "steps")):

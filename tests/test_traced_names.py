@@ -4,9 +4,9 @@ up: in its owner's own `__dict__`.
 `perfbench/tracer.py` patches each name at its owner, a module global or a
 class attribute, and a name it does not find there reads 0 in the per-layer
 metrics. So `learn` stays on each learner class rather than in a shared base,
-each learner module calls `encode_state` through its own global, the market
-core keeps its traced methods on their own classes, and `harness` calls the
-run's phases through its own globals.
+each learner class's `encode` calls its own module's `encode_state` global,
+the market core keeps its traced methods on their own classes, and `harness`
+calls the run's phases through its own globals.
 """
 
 from __future__ import annotations
@@ -52,6 +52,14 @@ def test_traced_name_is_in_its_owners_dict(owner, name):
 @pytest.mark.parametrize("module", [maddpg, qmix, madqn], ids=lambda m: m.__name__)
 def test_learner_modules_encode_with_the_shared_encoder(module):
     assert module.__dict__["encode_state"] is common.encode_state
+
+
+@pytest.mark.parametrize("learner, module", [
+    (maddpg.MaddpgCoordinator, maddpg), (qmix.QmixCoordinator, qmix), (madqn.DqnCore, madqn),
+], ids=lambda v: v.__name__)
+def test_each_learner_class_encodes_through_its_own_module(learner, module):
+    """A member's `encode_state` call is the global of its learner's own module."""
+    assert learner.__dict__["encode"].__globals__ is module.__dict__
 
 
 @pytest.mark.parametrize("name, home", [
