@@ -114,12 +114,6 @@ def _log_linear(
     )
 
 
-def predict_demand(query: DemandQuery, params: DemandParams) -> list[float]:
-    """Weekly units per slot, with lognormal noise (sigma * shock) when noise_sigma > 0."""
-    constants = slot_constants(query.specs, params.cluster_base)
-    return _log_linear(query, params, constants, params.noise_sigma)
-
-
 class DemandOracle(Protocol):
     def expected_demand(self, query: DemandQuery) -> Sequence[float]: ...
 
@@ -127,7 +121,8 @@ class DemandOracle(Protocol):
 
 
 class ParametricDemandModel:
-    """Reference oracle: `predict_demand` over a fixed parameter set.
+    """Reference oracle: the log-linear demand over a fixed parameter set,
+    with lognormal noise (sigma * shock) in `sample_demand` when noise_sigma > 0.
 
     It keeps the `slot_constants` of the last slot table it was asked about,
     with the specs and cluster multipliers they came from, and rebuilds them

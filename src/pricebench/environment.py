@@ -13,6 +13,11 @@ stream, so roster order does not matter). They are built once per episode.
 A week is a few passes over per-slot lists: one validates the submissions,
 one applies the market rule, one demand-oracle call prices every slot, and
 one settles them. The week's calendar terms come from a 52-week table.
+
+`step` returns one `MarketObservation` per settled week. The agents read it
+next, and `run_episode` keeps it as the week's record, which the metrics and
+`history.csv` read. Week zero, the initial prices at baseline demand, is
+settled by the same helper (`bootstrap_observation`).
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import logging
 import math
 import operator
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,34 +93,6 @@ class PricingAgentBase:
         """Post-step hook; learning agents store transitions and train here."""
 
 
-@dataclass
-class WeeklyRecord:
-    """One settled week. The per-slot lists follow `slots` (roster x portfolio
-    order), which every record of an episode shares."""
-
-    week_index: int  # 1-based within the episode
-    year: int
-    week_number: int
-    is_holiday: bool
-    slots: dict[tuple[str, str], int]
-    price: list[float]
-    demand: list[float]
-    revenue: list[float]
-    profit: list[float]
-    agent_revenue: dict[str, float]
-    market_share: dict[str, float]
-    zero_revenue: bool = False
-
-
-@dataclass
-class SimulationState:
-    """Mutable per-episode bookkeeping owned by MarketEnvironment."""
-
-    current_week_index: int = 0
-    year: int = 1
-    week_number: int = 1
-
-
 # Each calendar week's (holiday flag, seasonal sine); `step` wraps week 52 to 1.
 _CALENDAR = {week: (holiday_flag(week), seasonal_encoding(week)[0]) for week in range(1, 53)}
 
@@ -141,7 +117,8 @@ class MarketEnvironment:
         self.agents = list(agents)
         self.demand_model = demand_model
         self.episode_index = episode_index
-        self.state = SimulationState()
+        self.week_index = 0  # weeks settled so far
+        self.week_number = 1  # the calendar week agents price next, 1..52
         self.clamp_events = 0
         pairs = [(a.agent_id, pid, p) for a in self.agents for pid, p in a.portfolio.items()]
         self.slots = {(aid, pid): i for i, (aid, pid, _) in enumerate(pairs)}
@@ -180,32 +157,36 @@ class MarketEnvironment:
         means = [fsum(map(price_at, members)) / len(members) for members in self._cluster_members]
         return list(map(means.__getitem__, self._slot_cluster))
 
-    def _observe(
-        self, prices: list[float], cluster_avg: list[float], agent_revenue: dict[str, float]
+    def _settle(
+        self, prices: list[float], cluster_avg: list[float], demands: list[float]
     ) -> MarketObservation:
+        """The observation of a week sold at `prices` and `demands`: each
+        slot's revenue and profit, each agent's revenue summed left to right
+        over its slots in portfolio order, and shares of their `fsum` (equal
+        shares when it is not positive)."""
+        revenues = list(map(operator.mul, prices, demands))
+        profits = list(map(operator.mul, map(operator.sub, prices, self._unit_costs), demands))
+        agent_revenue = {
+            agent_id: left_sum(revenues[start:stop]) for agent_id, start, stop in self._agent_spans
+        }
         total = math.fsum(agent_revenue.values())
         zero_revenue = total <= 0
         if zero_revenue:
             shares = dict.fromkeys(agent_revenue, 1.0 / len(agent_revenue))
         else:
             shares = {aid: rev / total for aid, rev in agent_revenue.items()}
-        week = self.state.week_number
+        week = self.week_number
         return MarketObservation(
-            week_number=week, is_holiday=_CALENDAR[week][0], slots=self.slots,
-            competitor_slots=self.competitor_slots, price=prices, cluster_avg_price=cluster_avg,
+            week_index=self.week_index, week_number=week, is_holiday=_CALENDAR[week][0],
+            slots=self.slots, competitor_slots=self.competitor_slots, price=prices,
+            cluster_avg_price=cluster_avg, demand=demands, revenue=revenues, profit=profits,
             agent_revenue=agent_revenue, market_share=shares, zero_revenue=zero_revenue,
         )
 
     def bootstrap_observation(self) -> MarketObservation:
-        """Week-zero snapshot: initial prices, baseline demand, baseline revenue."""
-        prices = [p.current_price for p in self._products]
-        agent_revenue = {
-            a.agent_id: left_sum(
-                p.spec.initial_price * p.spec.baseline_demand for p in a.portfolio.values()
-            )
-            for a in self.agents
-        }
-        return self._observe(prices, self._cluster_avg(prices), agent_revenue)
+        """Week zero: the current (initial) prices sold at baseline demand."""
+        prices = list(map(_current_price, self._products))
+        return self._settle(prices, self._cluster_avg(prices), self._last_demand)
 
     # -- stepping -----------------------------------------------------------
 
@@ -239,15 +220,13 @@ class MarketEnvironment:
                 submitted.append(price)
         return submitted
 
-    def step(
-        self, submitted_prices: dict[str, dict[str, float]]
-    ) -> tuple[WeeklyRecord, MarketObservation]:
-        state = self.state
-        t = state.current_week_index
+    def step(self, submitted_prices: dict[str, dict[str, float]]) -> MarketObservation:
+        """Settle one week at the submitted prices, after the market rule,
+        and return its observation, which is also the week's record."""
+        t = self.week_index
         if t >= self.config.weeks_per_episode:
             raise ProtocolError(f"the episode's {self.config.weeks_per_episode} weeks are over")
-        week = state.week_number
-        year = state.year
+        week = self.week_number
         is_holiday, week_sin = _CALENDAR[week]
 
         # validate every submission, then apply the market rule to each
@@ -279,26 +258,10 @@ class MarketEnvironment:
         for product, price, demand in zip(products, prices, demands):
             product.current_price = price
             product.record_week(price, demand)
-        revenues = list(map(operator.mul, prices, demands))
-        profits = list(map(operator.mul, map(operator.sub, prices, self._unit_costs), demands))
-        agent_revenue = {
-            agent_id: left_sum(revenues[start:stop]) for agent_id, start, stop in self._agent_spans
-        }
         self._last_demand = demands
-
-        state.current_week_index += 1
-        state.week_number += 1
-        if state.week_number > 52:
-            state.week_number = 1
-            state.year += 1
-        observation = self._observe(prices, cluster_avg, agent_revenue)
-        record = WeeklyRecord(
-            week_index=t + 1, year=year, week_number=week, is_holiday=is_holiday,
-            slots=self.slots, price=prices, demand=demands, revenue=revenues, profit=profits,
-            agent_revenue=agent_revenue, market_share=observation.market_share,
-            zero_revenue=observation.zero_revenue,
-        )
-        return record, observation
+        self.week_index = t + 1
+        self.week_number = week % 52 + 1
+        return self._settle(prices, cluster_avg, demands)
 
 
 def run_episode(
@@ -306,21 +269,22 @@ def run_episode(
     agents: list[PricingAgentBase],
     demand_model: DemandOracle,
     episode_index: int = 0,
-) -> list[WeeklyRecord]:
-    """Run exactly weeks_per_episode steps, driving agent act/feedback hooks."""
+) -> list[MarketObservation]:
+    """Run exactly weeks_per_episode steps, driving agent act/feedback hooks;
+    the observations of the settled weeks, in order, are the episode's records."""
     for agent in agents:
         agent.begin_episode(episode_index)
     env = MarketEnvironment(config, agents, demand_model, episode_index)
     observation = env.bootstrap_observation()
-    records: list[WeeklyRecord] = []
+    records: list[MarketObservation] = []
     for week in range(1, config.weeks_per_episode + 1):
         submitted = {a.agent_id: a.propose_prices(observation) for a in env.agents}
-        record, new_observation = env.step(submitted)
+        new_observation = env.step(submitted)
         done = week == config.weeks_per_episode
         for agent in env.agents:
             agent.feedback(new_observation, observation, done)
         observation = new_observation
-        records.append(record)
+        records.append(observation)
     return records
 
 
@@ -391,7 +355,7 @@ def _text_rows(strings: list[bytes]) -> np.ndarray:
     return np.array(strings, dtype=bytes).view(np.uint8).reshape(len(strings), -1).T
 
 
-def _rows_bytes(ep_idx: int, records: list[WeeklyRecord]) -> bytes:
+def _rows_bytes(ep_idx: int, records: list[MarketObservation]) -> bytes:
     """The history rows of an episode's records that share one slot table:
     one row per slot and week, in slot order within each week.
 
@@ -426,7 +390,7 @@ def _rows_bytes(ep_idx: int, records: list[WeeklyRecord]) -> bytes:
     return buffer.reshape(len(buffer), -1).T.tobytes().translate(None, b"\0")
 
 
-def write_history_csv(episodes: list[list[WeeklyRecord]], path) -> None:
+def write_history_csv(episodes: list[list[MarketObservation]], path) -> None:
     """The run's history as CSV: the header, then one row per slot and week
     (floats as `'%.6f'`), written episode by episode."""
     with open(path, "wb") as fh:

@@ -29,7 +29,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -37,12 +37,13 @@ import numpy as np
 
 from . import __version__
 from .demand import ParametricDemandModel, elasticity_sweep, price_multipliers, sweep_reference
-from .environment import PricingAgentBase, WeeklyRecord, run_episode, write_history_csv
+from .environment import PricingAgentBase, run_episode, write_history_csv
 from .market import (
     AgentSpec,
     ConfigError,
     JsonFields,
     MarketConfig,
+    MarketObservation,
     from_fields,
     make_default_portfolio,
 )
@@ -233,7 +234,9 @@ def build_agents(config: MarketConfig) -> list[PricingAgentBase]:
     return [built[spec.agent_id] for spec in config.agent_roster]
 
 
-def simulate(config: MarketConfig, agents: list[PricingAgentBase]) -> list[list[WeeklyRecord]]:
+def simulate(
+    config: MarketConfig, agents: list[PricingAgentBase]
+) -> list[list[MarketObservation]]:
     """The config's episodes, `agents` pricing against the run's demand oracle:
     the one place that picks the oracle and runs a market's episodes."""
     model = ParametricDemandModel(config.demand_params)
@@ -245,7 +248,7 @@ def execute_run(
 ) -> tuple[RunManifest, MetricsReport]:
     """One isolated simulation run: seeded, simulated, measured, persisted."""
     started = datetime.now(timezone.utc).isoformat()
-    run_config = spec.market.copy_with(seed=spec.market.seed + run_index)
+    run_config = replace(spec.market, seed=spec.market.seed + run_index)
     run_id = f"{spec.config_id}-seed{run_config.seed}-run{run_index:02d}"
     out = Path(output_dir)
     run_dir = out / run_id

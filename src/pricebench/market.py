@@ -29,25 +29,23 @@ def holiday_flag(week_number: int) -> bool:
     return week_number in HOLIDAY_WEEKS
 
 
-def from_fields(cls, d: dict, what: str | None = None, **fixed):
+def from_fields(cls, d: dict, what: str | None = None):
     """A `cls` dataclass built from `d`, one key per field.
 
     Each value is cast to its field's type: a nested dataclass is built from
     its own fields, a dict, list or tuple item by item, and a scalar by calling
-    its type. Fields in `fixed` are the caller's and are not read from `d`.
-    A key that names no other field, a missing field without a default and a
-    value that does not cast, a fractional number for an int field among
-    them, raise ConfigError.
+    its type. A key that names no field, a missing field without a default
+    and a value that does not cast, a fractional number for an int field
+    among them, raise ConfigError.
     """
     types, required = _fields_of(cls)
     if not isinstance(d, dict):
         raise ConfigError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
-    accepted = types.keys() - fixed.keys()
-    unknown = sorted(d.keys() - accepted)
+    unknown = sorted(d.keys() - types.keys())
     if unknown:
         raise ConfigError(f"unknown {what or cls.__name__ + ' keys'} {unknown}; "
-                          f"accepted: {sorted(accepted)}")
-    missing = sorted(required - d.keys() - fixed.keys())
+                          f"accepted: {sorted(types)}")
+    missing = sorted(required - d.keys())
     if missing:
         raise ConfigError(f"{cls.__name__} needs {missing}")
     values = {}
@@ -56,7 +54,7 @@ def from_fields(cls, d: dict, what: str | None = None, **fixed):
             values[name] = _cast(types[name], value)
         except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"{name}: {exc}") from exc
-    return cls(**values, **fixed)
+    return cls(**values)
 
 
 def require_finite(settings) -> None:
@@ -200,23 +198,29 @@ class ProductState:
 
 @dataclass(frozen=True)
 class MarketObservation:
-    """Shared weekly snapshot broadcast to every agent.
+    """One settled week, broadcast to every agent and kept as the episode's
+    record.
 
-    Market quantities (prices, revenues, shares) describe the last completed
-    week; the calendar fields describe the week agents price next.
+    Market quantities (prices, demands, revenues, shares) describe the week
+    `week_index` (1-based; 0 is week zero, the initial prices at baseline
+    demand); the calendar fields describe the week agents price next.
     Per-product quantities are per-slot lists: a slot is one (agent_id,
     product_id) pair, and `slots` maps each pair to its position, in roster x
     portfolio order. `slots` and `competitor_slots` are built once per episode
-    and shared by every observation and record of it.
+    and shared by every observation of it.
     """
 
+    week_index: int
     week_number: int
     is_holiday: bool
     slots: dict[tuple[str, str], int]
     competitor_slots: tuple[tuple[int, ...], ...]  # other agents' same-cluster slots, roster order
     price: list[float]
     cluster_avg_price: list[float]  # the slot's cluster mean, its own price included
-    agent_revenue: dict[str, float]  # last week's revenue per agent, roster order
+    demand: list[float]  # units sold; next week's lag-1 demand
+    revenue: list[float]
+    profit: list[float]
+    agent_revenue: dict[str, float]  # the week's revenue per agent, roster order
     market_share: dict[str, float]
     zero_revenue: bool = False
 
@@ -362,6 +366,3 @@ class MarketConfig(JsonFields):
                 price = floor
             allowed.append(price)
         return allowed
-
-    def copy_with(self, **kwargs) -> "MarketConfig":
-        return replace(self, **kwargs)

@@ -22,8 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .environment import WeeklyRecord
-from .market import JsonFields, from_fields, left_sum
+from .market import JsonFields, MarketObservation, from_fields, left_sum
 
 NASH_WINDOW_WEEKS = 12
 CONVERGENCE_WINDOW_WEEKS = 8
@@ -200,11 +199,11 @@ class MetricsReport(JsonFields):
         return from_fields(cls, {**d.pop("market", {}), **d})
 
 
-def _agent_ids(records: list[WeeklyRecord]) -> list[str]:
+def _agent_ids(records: list[MarketObservation]) -> list[str]:
     return list(records[0].agent_revenue)
 
 
-def _slot_prices(records: list[WeeklyRecord]) -> np.ndarray:
+def _slot_prices(records: list[MarketObservation]) -> np.ndarray:
     """One episode's `(slots, weeks)` price array, C-contiguous, rows in slot order."""
     return np.ascontiguousarray(np.array([record.price for record in records], dtype=float).T)
 
@@ -222,7 +221,7 @@ def _slot_metrics(prices: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def compute_report(episodes: list[list[WeeklyRecord]]) -> MetricsReport:
+def compute_report(episodes: list[list[MarketObservation]]) -> MetricsReport:
     """Build the full metric report for one run.
 
     Per-agent change statistics average over the agent's products and

@@ -12,7 +12,6 @@ from pricebench.demand import (
     estimate_elasticity,
     elasticity_sweep,
     neutral_query,
-    predict_demand,
     price_multipliers,
 )
 from pricebench.environment import MarketEnvironment
@@ -52,69 +51,77 @@ class TestDemandParams:
 class TestPredictDemand:
     def test_all_neutral_gives_baseline(self):
         q = neutral_query(_spec())
-        assert predict_demand(q, _params()) == pytest.approx([100.0])
+        assert ParametricDemandModel(_params()).sample_demand(q) == pytest.approx([100.0])
 
     def test_cluster_multiplier(self):
         q = neutral_query(_spec())
         params = _params()
         params = replace(params, cluster_base={**params.cluster_base, 1: 1.5})
-        assert predict_demand(q, params) == pytest.approx([150.0])
+        assert ParametricDemandModel(params).sample_demand(q) == pytest.approx([150.0])
 
     def test_doubled_price_scaling(self):
         q = replace(neutral_query(_spec()), prices=[20.0])
-        assert predict_demand(q, _params()) == pytest.approx([100.0 * 2 ** (-0.072)])
+        assert ParametricDemandModel(_params()).sample_demand(q) == pytest.approx(
+            [100.0 * 2 ** (-0.072)]
+        )
 
     def test_holiday_uplift(self):
         q = neutral_query(_spec())
         q = replace(q, holiday=True)
-        assert predict_demand(q, _params()) == pytest.approx([135.0])
+        assert ParametricDemandModel(_params()).sample_demand(q) == pytest.approx([135.0])
 
     def test_deterministic_without_noise(self):
         q = neutral_query(_spec())
-        assert predict_demand(q, _params()) == predict_demand(q, _params())
+        first, second = (ParametricDemandModel(_params()).sample_demand(q) for _ in range(2))
+        assert first == second
 
     def test_noise_needs_rng(self):
         # noise needs the query's shocks
         q = neutral_query(_spec())
         with pytest.raises(ValueError, match="shocks"):
-            predict_demand(q, replace(_params(), noise_sigma=0.1))
+            ParametricDemandModel(replace(_params(), noise_sigma=0.1)).sample_demand(q)
 
     def test_noise_reproducible_per_stream(self):
         params = replace(_params(), noise_sigma=0.2)
         vals = []
         for _ in range(2):
             shock = derive_rng(5, "noise").standard_normal(1).tolist()
-            vals.append(predict_demand(replace(neutral_query(_spec()), shocks=shock), params))
+            q = replace(neutral_query(_spec()), shocks=shock)
+            vals.append(ParametricDemandModel(params).sample_demand(q))
         assert vals[0] == vals[1]
 
     def test_noise_is_sigma_times_shock(self):
         q = neutral_query(_spec())
-        (expected,) = predict_demand(q, _params())
-        (noisy,) = predict_demand(replace(q, shocks=[1.5]), replace(_params(), noise_sigma=0.2))
+        (expected,) = ParametricDemandModel(_params()).sample_demand(q)
+        noisy_model = ParametricDemandModel(replace(_params(), noise_sigma=0.2))
+        (noisy,) = noisy_model.sample_demand(replace(q, shocks=[1.5]))
         assert noisy == pytest.approx(expected * math.exp(0.2 * 1.5))
 
     def test_nonpositive_price_rejected(self):
         q = replace(neutral_query(_spec()), prices=[0.0])
         with pytest.raises(ValueError):
-            predict_demand(q, _params())
+            ParametricDemandModel(_params()).sample_demand(q)
 
     def test_missing_cluster_entry_rejected(self):
         q = neutral_query(_spec(cluster=9))
         with pytest.raises(ConfigError):
-            predict_demand(q, _params())
+            ParametricDemandModel(_params()).sample_demand(q)
 
     def test_strictly_decreasing_in_price(self):
         params = _params(elasticity=-0.5)
         base = neutral_query(_spec())
         prices = np.linspace(1.0, 50.0, 100)
-        values = [predict_demand(replace(base, prices=[p]), params)[0] for p in prices]
+        values = [
+            ParametricDemandModel(params).sample_demand(replace(base, prices=[p]))[0]
+            for p in prices
+        ]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_always_finite_nonnegative(self):
         params = _params(elasticity=-1.0)
         base = neutral_query(_spec())
         for p in (1e-6, 1.0, 1e6):
-            (v,) = predict_demand(replace(base, prices=[p]), params)
+            (v,) = ParametricDemandModel(params).sample_demand(replace(base, prices=[p]))
             assert math.isfinite(v) and v >= 0
 
     def test_batch_equals_products_one_by_one(self):
@@ -125,21 +132,20 @@ class TestPredictDemand:
             lag1_demands=[90.0, 0.0, 15.0], shocks=[0.3, -1.2, 2.0], week_sin=0.4, holiday=True,
         )
         singles = [
-            predict_demand(
+            ParametricDemandModel(params).sample_demand(
                 replace(batch, specs=[s], prices=[p], relative_prices=[r], lag1_demands=[q],
                         shocks=[z]),
-                params,
             )[0]
             for s, p, r, q, z in zip(
                 specs, batch.prices, batch.relative_prices, batch.lag1_demands, batch.shocks
             )
         ]
-        assert predict_demand(batch, params) == singles
+        assert ParametricDemandModel(params).sample_demand(batch) == singles
 
     def test_unequal_lengths_rejected(self):
         q = replace(neutral_query(_spec()), prices=[10.0, 11.0])
         with pytest.raises(ValueError):
-            predict_demand(q, _params())
+            ParametricDemandModel(_params()).sample_demand(q)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -151,7 +157,7 @@ class TestPredictDemand:
         # past math.exp's range; a NaN relative price gives a NaN log demand
         q = replace(neutral_query(_spec()), **{field: value})
         with pytest.raises(ValueError, match=r"non-finite demand for product p \(log_q="):
-            predict_demand(q, _params(elasticity=-10000.0))
+            ParametricDemandModel(_params(elasticity=-10000.0)).sample_demand(q)
 
 
 class TestElasticity:
@@ -251,7 +257,7 @@ class TestSlotConstants:
         for _ in range(12):  # the two markets take turns, so the model's table flips each week
             for i, (agents, env) in enumerate(markets):
                 submitted = {a.agent_id: a.propose_prices(observations[i]) for a in agents}
-                _, observations[i] = env.step(submitted)
+                observations[i] = env.step(submitted)
         assert oracle.checked == 24
 
         # then a sweep of a product neither market holds

@@ -15,7 +15,6 @@ from pricebench.environment import (
     PricingAgentBase,
     ProtocolError,
     FIXED6_LIMIT,
-    WeeklyRecord,
     fixed6_text,
     run_episode,
     write_history_csv,
@@ -67,6 +66,17 @@ class FixedPriceAgent(PricingAgentBase):
         return {pid: p.current_price for pid, p in self.portfolio.items()}
 
 
+class FeedbackLog(FixedPriceAgent):
+    """Keeps every (observation, previous observation) pair `feedback` is given."""
+
+    def __init__(self, agent_id, specs, config):
+        super().__init__(agent_id, specs, config)
+        self.fed = []
+
+    def feedback(self, observation, prev_observation, done):
+        self.fed.append((observation, prev_observation))
+
+
 def _config(n_agents=2, weeks=4, seed=11, noise=0.0, **kw):
     roster = [AgentSpec(f"a{i}", "rule") for i in range(n_agents)]
     config = MarketConfig(
@@ -77,7 +87,7 @@ def _config(n_agents=2, weeks=4, seed=11, noise=0.0, **kw):
         seed=seed,
         **kw,
     )
-    return config.copy_with(demand_params=replace(config.demand_params, noise_sigma=noise))
+    return replace(config, demand_params=replace(config.demand_params, noise_sigma=noise))
 
 
 def _agents(config, cls=FixedPriceAgent, **kw):
@@ -91,7 +101,7 @@ class TestStep:
         (agent,) = _agents(config)
         env = MarketEnvironment(config, [agent], StubOracle(10.0))
         pid = next(iter(agent.portfolio))
-        record, _ = env.step({agent.agent_id: {pid: 5.5}})
+        record = env.step({agent.agent_id: {pid: 5.5}})
         i = record.slots[(agent.agent_id, pid)]
         cost = agent.portfolio[pid].spec.unit_cost
         assert record.revenue[i] == pytest.approx(55.0)
@@ -104,12 +114,11 @@ class TestStep:
 
         env = MarketEnvironment(config, agents, StubOracle(10.0))
         pid = next(iter(agents[0].portfolio))
-        record, obs = env.step({"a0": {pid: 5.4}, "a1": {pid: 6.6}})
+        obs = env.step({"a0": {pid: 5.4}, "a1": {pid: 6.6}})
         assert env.clamp_events == 0
-        assert record.market_share["a0"] == pytest.approx(0.45)
-        assert record.market_share["a1"] == pytest.approx(0.55)
+        assert obs.market_share["a0"] == pytest.approx(0.45)
+        assert obs.market_share["a1"] == pytest.approx(0.55)
         assert sum(obs.market_share[a] for a in ("a0", "a1")) == pytest.approx(1.0)
-        assert obs.market_share is record.market_share
 
     def test_holiday_flips_at_47(self):
         config = _config(weeks=60)
@@ -118,11 +127,10 @@ class TestStep:
         pid = next(iter(agents[0].portfolio))
         flip = {}
         for _ in range(48):
-            week = env.state.week_number
-            record, obs = env.step(
+            obs = env.step(
                 {a.agent_id: {pid: agents[0].portfolio[pid].spec.initial_price} for a in agents}
             )
-            flip[week] = record.is_holiday
+            flip[obs.week_number] = obs.is_holiday
         assert flip[46] is False
         assert flip[47] is True
 
@@ -150,7 +158,7 @@ class TestStep:
         env = MarketEnvironment(config, [agent], StubOracle())
         pid = next(iter(agent.portfolio))
         spec = agent.portfolio[pid].spec
-        prices = [env.step({agent.agent_id: {pid: 0.01}})[0].price[0] for _ in range(6)]
+        prices = [env.step({agent.agent_id: {pid: 0.01}}).price[0] for _ in range(6)]
         floor = spec.unit_cost * 1.05
         assert prices[:4] == pytest.approx([spec.initial_price * 0.9**k for k in range(1, 5)])
         assert prices[4:] == pytest.approx([floor, floor])
@@ -168,13 +176,13 @@ class TestStep:
         (agent,) = _agents(config)
         env = MarketEnvironment(config, [agent], StubOracle(7.0))
         pid = next(iter(agent.portfolio))
-        record, obs = env.step({agent.agent_id: {pid: 6.5}})
+        obs = env.step({agent.agent_id: {pid: 6.5}})
         i = obs.slots[(agent.agent_id, pid)]
         assert obs.price[i] == 6.5
-        assert record.demand[i] == 7.0
+        assert obs.demand[i] == 7.0
         assert obs.agent_revenue[agent.agent_id] == pytest.approx(45.5)
-        # calendar in the observation points at the week to be priced next
-        assert obs.week_number == record.week_number + 1
+        # the market fields settle week 1; the calendar points at week 2, priced next
+        assert obs.week_index == 1 and obs.week_number == 2
 
 
 _RULE_FLOATS = st.one_of(
@@ -204,7 +212,7 @@ class TestMarketRules:
         env = MarketEnvironment(config, agents, StubOracle())
         pid = next(iter(agents[0].portfolio))
         current = agents[0].portfolio[pid].current_price
-        record, _ = env.step({"a0": {pid: 1e6}, "a1": {pid: current}})
+        record = env.step({"a0": {pid: 1e6}, "a1": {pid: current}})
         capped = current * (1 + config.max_weekly_change)
         assert record.price[record.slots[("a0", pid)]] == capped
         assert record.market_share["a0"] == pytest.approx(capped / (capped + current))
@@ -219,7 +227,7 @@ class TestMarketRules:
         obs = env.bootstrap_observation()
         spec = portfolio[0]
         assert agent.propose_prices(obs)[spec.product_id] == pytest.approx(spec.unit_cost * 2)
-        record, _ = env.step({"a0": agent.propose_prices(obs)})
+        record = env.step({"a0": agent.propose_prices(obs)})
         assert record.price[record.slots[("a0", spec.product_id)]] == pytest.approx(
             spec.initial_price * 1.1
         )
@@ -247,7 +255,7 @@ def _hold_cluster_prices(prices):
     ]
     oracle = RecordingOracle()
     env = MarketEnvironment(config, agents, oracle)
-    _, obs = env.step({a.agent_id: a.propose_prices(None) for a in agents})
+    obs = env.step({a.agent_id: a.propose_prices(None) for a in agents})
     (query,) = oracle.queries
     return query, obs
 
@@ -272,7 +280,7 @@ class TestDemandInputs:
         agents = _agents(config)
         oracle = RecordingOracle(7.0)
         env = MarketEnvironment(config, agents, oracle)
-        env.state.week_number = 46
+        env.week_number = 46
         for _ in range(2):
             env.step({a.agent_id: {"prod1": 6.0} for a in agents})
         cold, warm = oracle.queries
@@ -391,13 +399,12 @@ def _reference_week(env, submitted):
     """The week `env.step(submitted)` should settle, slot by slot from the
     agents' product states: the market rule as min/max of each price, the
     demand above and `ProductState.record_week` on copies of the states.
-    Returns the record, the observation, the clamp count and the states after
-    the week."""
-    config, state = env.config, env.state
+    Returns the observation, the clamp count and the states after the week."""
+    config = env.config
     agents = {a.agent_id: a for a in env.agents}
     slots = list(env.slots)
     states = [copy.deepcopy(agents[aid].portfolio[pid]) for aid, pid in slots]
-    week, t = state.week_number, state.current_week_index
+    week, t = env.week_number, env.week_index
 
     span = config.max_weekly_change
     prices, clamps = [], 0
@@ -440,16 +447,12 @@ def _reference_week(env, submitted):
         for (aid, _), c in zip(slots, clusters)
     )
     observation = MarketObservation(
-        week_number=next_week, is_holiday=holiday_flag(next_week), slots=env.slots,
-        competitor_slots=competitor_slots, price=prices, cluster_avg_price=cluster_avg,
+        week_index=t + 1, week_number=next_week, is_holiday=holiday_flag(next_week),
+        slots=env.slots, competitor_slots=competitor_slots, price=prices,
+        cluster_avg_price=cluster_avg, demand=demands, revenue=revenues, profit=profits,
         agent_revenue=agent_revenue, market_share=shares, zero_revenue=zero_revenue,
     )
-    record = WeeklyRecord(
-        week_index=t + 1, year=state.year, week_number=week, is_holiday=holiday_flag(week),
-        slots=env.slots, price=prices, demand=demands, revenue=revenues, profit=profits,
-        agent_revenue=agent_revenue, market_share=shares, zero_revenue=zero_revenue,
-    )
-    return record, observation, clamps, states
+    return observation, clamps, states
 
 
 class RandomPriceAgent(PricingAgentBase):
@@ -494,11 +497,10 @@ class TestReferenceWeek:
             for week in range(1, config.weeks_per_episode + 1):
                 submitted = {a.agent_id: a.propose_prices(observation) for a in agents}
                 hits |= _rule_hits(env, submitted)
-                expected, expected_obs, clamps, states = _reference_week(env, submitted)
+                expected, clamps, states = _reference_week(env, submitted)
                 before = env.clamp_events
-                record, new_observation = env.step(submitted)
-                assert record == expected
-                assert new_observation == expected_obs
+                new_observation = env.step(submitted)
+                assert new_observation == expected
                 assert env.clamp_events - before == clamps
                 assert [a.portfolio[pid] for a in agents for pid in a.portfolio] == states
                 for agent in agents:
@@ -525,6 +527,29 @@ class TestReferenceWeek:
         assert {(True, False), (False, True), (True, True)} <= hits
 
 
+class TestBootstrap:
+    def test_week_zero_is_the_initial_prices_at_baseline_demand(self):
+        config = _config(n_agents=3)
+        agents = _agents(config)
+        env = MarketEnvironment(config, agents, StubOracle())
+        obs = env.bootstrap_observation()
+        assert obs.week_index == 0 and obs.week_number == 1
+        for agent in agents:
+            expected = 0.0  # added left to right, in portfolio order
+            for pid, product in agent.portfolio.items():
+                spec, i = product.spec, obs.slots[(agent.agent_id, pid)]
+                assert obs.price[i] == spec.initial_price
+                assert obs.demand[i] == spec.baseline_demand
+                assert obs.revenue[i] == spec.initial_price * spec.baseline_demand
+                assert obs.profit[i] == (
+                    (spec.initial_price - spec.unit_cost) * spec.baseline_demand
+                )
+                expected += obs.revenue[i]
+            assert obs.agent_revenue[agent.agent_id] == expected
+        total = math.fsum(obs.agent_revenue.values())
+        assert obs.market_share == {aid: rev / total for aid, rev in obs.agent_revenue.items()}
+
+
 def _outcomes(record):
     """(price, demand, revenue, profit) per (agent_id, product_id) pair."""
     columns = zip(record.price, record.demand, record.revenue, record.profit)
@@ -538,6 +563,19 @@ class TestRunEpisode:
         records = run_episode(config, agents, StubOracle())
         assert len(records) == 8
         assert [r.week_index for r in records] == list(range(1, 9))
+
+    def test_records_are_the_observations_fed_back(self):
+        config = _config(n_agents=2, weeks=6)
+        agents = _agents(config, cls=FeedbackLog)
+        records = run_episode(config, agents, StubOracle())
+        for agent in agents:
+            assert len(agent.fed) == len(records) == 6
+            (_, week_zero), *_ = agent.fed
+            assert week_zero.week_index == 0
+            for i, (observation, prev_observation) in enumerate(agent.fed):
+                assert observation is records[i]
+                assert records[i].week_index == i + 1
+                assert prev_observation is (records[i - 1] if i else week_zero)
 
     def test_determinism_with_seeds(self):
         runs = []
@@ -580,15 +618,17 @@ class TestRunEpisode:
         config = _config(weeks=104)
         agents = _agents(config)
         records = run_episode(config, agents, StubOracle())
-        assert records[51].year == 1 and records[51].week_number == 52
-        assert records[52].year == 2 and records[52].week_number == 1
+        # each record's calendar is the week priced next: week 52, then week 1 of year 2
+        assert records[50].week_index == 51 and records[50].week_number == 52
+        assert records[51].week_index == 52 and records[51].week_number == 1
+        assert records[103].week_index == 104 and records[103].week_number == 1
 
     def test_zero_revenue_week_flagged(self):
         config = _config(n_agents=2)
         agents = _agents(config)
         env = MarketEnvironment(config, agents, StubOracle(0.0))
         pid = next(iter(agents[0].portfolio))
-        record, obs = env.step({a.agent_id: {pid: 6.3} for a in agents})
+        record = env.step({a.agent_id: {pid: 6.3} for a in agents})
         assert record.zero_revenue is True
         assert record.market_share["a0"] == pytest.approx(0.5)
 
@@ -611,12 +651,12 @@ class TestHistoryCsv:
 
     @pytest.mark.parametrize("value", [-0.0, 1e-7, 1e9, 0.1234565, 2.5e-7, -3.75])
     def test_template_matches_fstring(self, value, tmp_path):
-        record = WeeklyRecord(
-            week_index=3, year=1, week_number=3, is_holiday=False,
-            slots={("a0", "p1"): 0, ("a1", "p1"): 1},
-            price=[value, 6.0], demand=[1.0, value], revenue=[value, value],
-            profit=[value, -value], agent_revenue={"a0": value, "a1": 1.0},
-            market_share={"a0": value, "a1": 0.5},
+        record = MarketObservation(
+            week_index=3, week_number=4, is_holiday=False,
+            slots={("a0", "p1"): 0, ("a1", "p1"): 1}, competitor_slots=((1,), (0,)),
+            price=[value, 6.0], cluster_avg_price=[(value + 6.0) / 2] * 2,
+            demand=[1.0, value], revenue=[value, value], profit=[value, -value],
+            agent_revenue={"a0": value, "a1": 1.0}, market_share={"a0": value, "a1": 0.5},
         )
         # the next episode's slot table holds other slots
         other = replace(record, week_index=1, slots={("a1", "p2"): 0, ("a0", "p2"): 1},

@@ -35,8 +35,9 @@ from pathlib import Path
 
 import pytest
 
-from pricebench import BLAS_THREAD_VARS, nn
+from pricebench import BLAS_THREAD_VARS, harness, nn
 from pricebench.harness import CONFIG_MATRIX, desk_spec, run_experiment
+from tests.test_acceptance import _assert_learners_stepped
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).with_name("golden_bytes.json")
@@ -71,32 +72,45 @@ def test_desk_artifacts_match_golden(config_id, tmp_path):
     assert artifact_hashes(_spec("desk", config_id), tmp_path) == _golden("desk", config_id)
 
 
-def _hashes_and_steps(scale: str, config_id: str, out: Path, monkeypatch) -> tuple[dict, int]:
-    """Artifact hashes of the scale's runs and the optimizer steps they took."""
+def _hashes_and_steps(
+    scale: str, config_id: str, out: Path, monkeypatch
+) -> tuple[dict, int, list]:
+    """Artifact hashes of the scale's runs, the optimizer steps they took and
+    the agents they built."""
     steps = 0
     adam_step = nn.Adam.step
+    build_agents = harness.build_agents
+    agents = []
 
     def counting(opt, *args, **kwargs):
         nonlocal steps
         steps += 1
         return adam_step(opt, *args, **kwargs)
 
+    def keeping(config):
+        built = build_agents(config)
+        agents.extend(built)
+        return built
+
     monkeypatch.setattr(nn.Adam, "step", counting)
-    return artifact_hashes(_spec(scale, config_id), out), steps
+    monkeypatch.setattr(harness, "build_agents", keeping)
+    return artifact_hashes(_spec(scale, config_id), out), steps, agents
 
 
 @pytest.mark.parametrize("config_id", SCALES["training"][0])
 def test_training_artifacts_match_golden(config_id, tmp_path, monkeypatch):
-    hashes, steps = _hashes_and_steps("training", config_id, tmp_path, monkeypatch)
+    hashes, steps, agents = _hashes_and_steps("training", config_id, tmp_path, monkeypatch)
     assert steps > 0, "the training-scale runs took no optimizer step"
+    _assert_learners_stepped(agents)
     assert hashes == _golden("training", config_id)
 
 
 @pytest.mark.parametrize("config_id", SCALES["long"][0])
 def test_long_artifacts_match_golden(config_id, tmp_path, monkeypatch):
-    hashes, steps = _hashes_and_steps("long", config_id, tmp_path, monkeypatch)
+    hashes, steps, agents = _hashes_and_steps("long", config_id, tmp_path, monkeypatch)
     if set(CONFIG_MATRIX[config_id]) != {"rule"}:
         assert steps > 0, "the long runs' learners took no optimizer step"
+        _assert_learners_stepped(agents)
     assert hashes == _golden("long", config_id)
 
 

@@ -75,7 +75,7 @@ class TestConfigMatrix:
         with pytest.raises(ConfigError, match="n_runs"):
             dataclasses.replace(spec, n_runs=0)
         with pytest.raises(ConfigError, match="weeks_per_episode"):
-            spec.market.copy_with(weeks_per_episode=1)
+            dataclasses.replace(spec.market, weeks_per_episode=1)
 
 
 class TestSpecRoundTrip:
@@ -121,7 +121,7 @@ class TestRosterParams:
         market = desk_spec("C").market
         roster = [AgentSpec("madqn-0", "madqn", {"learning_rate": 0.01}), *market.agent_roster[1:]]
         with pytest.raises(ConfigError, match="learning_rate"):
-            ExperimentSpec("C", market.copy_with(agent_roster=roster))
+            ExperimentSpec("C", dataclasses.replace(market, agent_roster=roster))
 
 
 def _rule(params):

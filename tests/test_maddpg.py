@@ -23,7 +23,7 @@ def _config(n_agents=2, n_products=2, seed=23, weeks=10):
         episodes=1,
         seed=seed,
     )
-    return config.copy_with(demand_params=replace(config.demand_params, noise_sigma=0.0))
+    return replace(config, demand_params=replace(config.demand_params, noise_sigma=0.0))
 
 
 def _team(config, **params):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from pricebench import nn
 from pricebench.demand import ParametricDemandModel
-from pricebench.environment import MarketEnvironment, SimulationState
+from pricebench.environment import MarketEnvironment
 from pricebench.harness import (
     ExperimentSpec, build_agents, desk_spec, roster_settings, run_experiment, simulate,
 )
@@ -193,7 +193,7 @@ class TestEncodeState:
         obs = env.bootstrap_observation()
         for week in range(6):
             submitted = {a.agent_id: a.propose_prices(obs) for a in agents}
-            _, obs = env.step(submitted)
+            obs = env.step(submitted)
             for agent in agents:
                 assert np.all(np.isfinite(encode_state(agent, obs)))
 
@@ -345,24 +345,24 @@ class TestEncodeStateMatchesReference:
         obs = env.bootstrap_observation()
         for _ in range(weeks):
             submitted = {a.agent_id: a.propose_prices(obs) for a in agents}
-            _, obs = env.step(submitted)
+            obs = env.step(submitted)
         for agent in agents:
             assert len(next(iter(agent.portfolio.values())).demand_history) == weeks
             assert np.array_equal(encode_state(agent, obs), _reference_encode_state(agent, obs))
 
     def test_equal_every_week_through_the_holidays_and_a_year_wrap(self):
         config, agents, env = _madqn_setup(n_products=3, seed=23, weeks=30)
-        env.state = SimulationState(week_number=36)  # weeks 36..52, then 1..13 of year 2
+        env.week_number = 36  # weeks 36..52, then 1..13 of the next year
         obs = env.bootstrap_observation()
         calendar = []
         for _ in range(30):
             submitted = {a.agent_id: a.propose_prices(obs) for a in agents}
-            _, obs = env.step(submitted)
+            obs = env.step(submitted)
             calendar.append((obs.week_number, obs.is_holiday))
             for agent in agents:
                 assert np.array_equal(encode_state(agent, obs), _reference_encode_state(agent, obs))
         assert (47, True) in calendar and (52, True) in calendar and (1, False) in calendar
-        assert env.state.year == 2
+        assert env.week_number == 14
 
 
 def _reference_reward(agent, observation, prev_observation, samples: list[float]) -> float:

@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,7 +134,7 @@ class TestMarketShare:
         from pricebench.harness import build_agents, desk_spec, simulate
 
         spec = desk_spec("A")
-        config = spec.market.copy_with(seed=spec.market.seed + 1)  # run 1 of the desk preset
+        config = replace(spec.market, seed=spec.market.seed + 1)  # run 1 of the desk preset
         episodes = simulate(config, build_agents(config))
         report = compute_report(episodes)
         final = episodes[-1]
@@ -150,9 +151,9 @@ class TestMarketShare:
 
     def test_zero_week_uniform_flagged(self):
         episodes = _toy_episodes()
-        for record in (episodes[0][3], episodes[-1][2], episodes[-1][-1]):
-            record.zero_revenue = True
-            record.market_share = {"a": 0.5, "b": 0.5}
+        for ep, week in ((0, 3), (-1, 2), (-1, -1)):
+            episodes[ep][week] = replace(episodes[ep][week], zero_revenue=True,
+                                         market_share={"a": 0.5, "b": 0.5})
         report = compute_report(episodes)
         assert "zero-revenue-weeks:2" in report.flags  # the final episode's weeks only
         assert report.final_market_share == {"a": 0.5, "b": 0.5}
@@ -243,9 +244,27 @@ class TestAdjustments:
         )
 
 
-def _toy_episodes(agent_ids=("a", "b"), weeks=10, episodes=2):
-    from pricebench.environment import WeeklyRecord
+def _week(t, slots, prices, demands, agent_revenue):
+    """Week t + 1 of a toy market in which each product id is one cluster."""
+    from pricebench.market import MarketObservation
 
+    clusters: dict[str, list[int]] = {}
+    for (_aid, pid), i in slots.items():
+        clusters.setdefault(pid, []).append(i)
+    members = [clusters[pid] for _aid, pid in slots]
+    total = sum(agent_revenue.values())
+    return MarketObservation(
+        week_index=t + 1, week_number=t + 2, is_holiday=False, slots=slots,
+        competitor_slots=tuple(tuple(j for j in m if j != i) for i, m in enumerate(members)),
+        price=prices, cluster_avg_price=[sum(prices[j] for j in m) / len(m) for m in members],
+        demand=demands, revenue=[p * d for p, d in zip(prices, demands)],
+        profit=[(p - 6.0) * d for p, d in zip(prices, demands)],
+        agent_revenue=agent_revenue,
+        market_share={a: rev / total for a, rev in agent_revenue.items()},
+    )
+
+
+def _toy_episodes(agent_ids=("a", "b"), weeks=10, episodes=2):
     slots = {(aid, "p1"): i for i, aid in enumerate(agent_ids)}
     eps = []
     for e in range(episodes):
@@ -255,17 +274,7 @@ def _toy_episodes(agent_ids=("a", "b"), weeks=10, episodes=2):
             prices = [10.0 + (ord(aid) - ord("a")) + 0.1 * t for aid in agent_ids]
             demands = [5.0 + (ord(aid) - ord("a")) for aid in agent_ids]
             revenues = [p * d for p, d in zip(prices, demands)]
-            revenue = dict(zip(agent_ids, revenues))
-            total = sum(revenues)
-            records.append(
-                WeeklyRecord(
-                    week_index=t + 1, year=1, week_number=t + 1, is_holiday=False,
-                    slots=slots, price=prices, demand=demands, revenue=revenues,
-                    profit=[(p - 6.0) * d for p, d in zip(prices, demands)],
-                    agent_revenue=revenue,
-                    market_share={a: revenue[a] / total for a in agent_ids},
-                )
-            )
+            records.append(_week(t, slots, prices, demands, dict(zip(agent_ids, revenues))))
         eps.append(records)
     return eps
 
@@ -347,8 +356,6 @@ class TestBatchedPriceMetrics:
 
 
 def _random_episodes(n_agents=4, n_products=5, weeks=20, episodes=3, seed=11):
-    from pricebench.environment import WeeklyRecord
-
     agent_ids = [f"ag{i}" for i in range(n_agents)]
     slots = {(aid, f"p{j}"): i * n_products + j
              for i, aid in enumerate(agent_ids) for j in range(n_products)}
@@ -362,14 +369,7 @@ def _random_episodes(n_agents=4, n_products=5, weeks=20, episodes=3, seed=11):
             revenues = [p * d for p, d in zip(prices[t], demands)]
             agent_revenue = {aid: sum(revenues[i * n_products:(i + 1) * n_products])
                              for i, aid in enumerate(agent_ids)}
-            total = sum(agent_revenue.values())
-            records.append(WeeklyRecord(
-                week_index=t + 1, year=1, week_number=t + 1, is_holiday=False, slots=slots,
-                price=prices[t], demand=demands, revenue=revenues,
-                profit=[(p - 6.0) * d for p, d in zip(prices[t], demands)],
-                agent_revenue=agent_revenue,
-                market_share={a: agent_revenue[a] / total for a in agent_ids},
-            ))
+            records.append(_week(t, slots, prices[t], demands, agent_revenue))
         eps.append(records)
     return eps
 

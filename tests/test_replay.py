@@ -10,6 +10,7 @@ the batch the old learners assembled with `np.stack`.
 from __future__ import annotations
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -221,7 +222,7 @@ def test_madqn_batch_equals_stacked_transitions():
 
 @pytest.mark.parametrize("weeks,capacity", [(10, 10), (40, 16)])
 def test_a_learners_ring_holds_at_most_its_runs_pushes(weeks, capacity):
-    config = _config("madqn").copy_with(weeks_per_episode=weeks)
+    config = replace(_config("madqn"), weeks_per_episode=weeks)
     ids = [s.agent_id for s in config.agent_roster]
     core = DqnCore(config, DqnHyper(buffer_capacity=16, hidden=(8,)), ids, 6, 2)
     assert core.buffer.capacity == capacity

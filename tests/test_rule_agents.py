@@ -60,12 +60,16 @@ def _observation(week=20, competitor_prices=(), holiday=False, price=10.0):
     ids = ["me", *(f"rival{i}" for i in range(len(competitor_prices)))]
     n = len(pool)
     return MarketObservation(
+        week_index=week - 1,
         week_number=week,
         is_holiday=holiday,
         slots={(aid, "p"): i for i, aid in enumerate(ids)},
         competitor_slots=tuple(tuple(j for j in range(n) if j != i) for i in range(n)),
         price=pool,
         cluster_avg_price=[sum(pool) / n] * n,
+        demand=[200.0 / p for p in pool],
+        revenue=[200.0] * n,
+        profit=[200.0 - 6.0 * 200.0 / p for p in pool],
         agent_revenue={aid: 200.0 for aid in ids},
         market_share={aid: 1.0 / n for aid in ids},
     )
@@ -110,7 +114,7 @@ class TestCompetitorMatch:
         env = MarketEnvironment(config, [me, rival], ParametricDemandModel(config.demand_params))
         obs = env.bootstrap_observation()
         assert me.propose_prices(obs)["p"] == pytest.approx(6.31 * 0.97)
-        record, _ = env.step({a.agent_id: a.propose_prices(obs) for a in (me, rival)})
+        record = env.step({a.agent_id: a.propose_prices(obs) for a in (me, rival)})
         assert record.price[record.slots[("rule-0", "p")]] == pytest.approx(6.0 * 1.05)
         assert env.clamp_events == 1
 
@@ -129,7 +133,7 @@ class TestCompetitorMatch:
                          for k, s in enumerate(portfolio)}
             for i, a in enumerate(agents)
         }
-        _, obs = env.step(submitted)
+        obs = env.step(submitted)
         for agent in agents:
             for spec in portfolio:
                 expected = [
@@ -237,7 +241,7 @@ def _rule_market(weeks=40, seed=31, noise=0.0):
         episodes=1,
         seed=seed,
     )
-    config = config.copy_with(demand_params=replace(config.demand_params, noise_sigma=noise))
+    config = replace(config, demand_params=replace(config.demand_params, noise_sigma=noise))
     portfolio = make_default_portfolio([1, 2], config.seed)
     agents = [
         RuleAgent(s.agent_id, portfolio, config, RuleStrategy(DIVERSE_STRATEGIES[i]))
