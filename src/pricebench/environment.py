@@ -15,14 +15,14 @@ one applies the market rule, one demand-oracle call prices every slot, and
 one settles them. The week's calendar terms come from a 52-week table.
 
 `step` returns one `MarketObservation` per settled week. The agents read it
-next, and `run_episode` keeps it as the week's record, which the metrics and
-`history.csv` read. Week zero, the initial prices at baseline demand, is
-settled by the same helper (`bootstrap_observation`).
+next, and `run_episode` keeps it as the week's record until the episode ends:
+the episode's records are then folded into the metrics and appended to
+`history.csv`, one episode at a time. Week zero, the initial prices at
+baseline demand, is settled by the same helper (`bootstrap_observation`).
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import operator
@@ -55,6 +55,7 @@ HISTORY_COLUMNS = (
     "profit",
     "market_share",
 )
+HISTORY_HEADER = (",".join(HISTORY_COLUMNS) + "\n").encode()
 
 
 _current_price = operator.attrgetter("current_price")
@@ -356,7 +357,7 @@ def _text_rows(strings: list[bytes]) -> np.ndarray:
 
 
 def _rows_bytes(ep_idx: int, records: list[MarketObservation]) -> bytes:
-    """The history rows of an episode's records that share one slot table:
+    """The history rows of one episode's records, which share its slot table:
     one row per slot and week, in slot order within each week.
 
     The rows are laid out in a `(bytes per row, rows)` uint8 buffer: each
@@ -390,11 +391,8 @@ def _rows_bytes(ep_idx: int, records: list[MarketObservation]) -> bytes:
     return buffer.reshape(len(buffer), -1).T.tobytes().translate(None, b"\0")
 
 
-def write_history_csv(episodes: list[list[MarketObservation]], path) -> None:
-    """The run's history as CSV: the header, then one row per slot and week
-    (floats as `'%.6f'`), written episode by episode."""
-    with open(path, "wb") as fh:
-        fh.write((",".join(HISTORY_COLUMNS) + "\n").encode())
-        for ep_idx, records in enumerate(episodes, start=1):
-            for _, run in itertools.groupby(records, key=lambda r: id(r.slots)):
-                fh.write(_rows_bytes(ep_idx, list(run)))
+def write_history_csv(fh, ep_idx: int, records: list[MarketObservation]) -> None:
+    """Append episode `ep_idx`'s history rows to the binary file `fh`: one row
+    per slot and week, floats as `'%.6f'`. A history file is `HISTORY_HEADER`
+    and then each episode's rows, in order."""
+    fh.write(_rows_bytes(ep_idx, records))

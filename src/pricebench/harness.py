@@ -28,16 +28,18 @@ import hashlib
 import json
 import logging
 import math
+import os
 import time
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from . import __version__
 from .demand import ParametricDemandModel, elasticity_sweep, price_multipliers, sweep_reference
-from .environment import PricingAgentBase, run_episode, write_history_csv
+from .environment import HISTORY_HEADER, PricingAgentBase, run_episode, write_history_csv
 from .market import (
     AgentSpec,
     ConfigError,
@@ -236,17 +238,25 @@ def build_agents(config: MarketConfig) -> list[PricingAgentBase]:
 
 def simulate(
     config: MarketConfig, agents: list[PricingAgentBase]
-) -> list[list[MarketObservation]]:
-    """The config's episodes, `agents` pricing against the run's demand oracle:
-    the one place that picks the oracle and runs a market's episodes."""
+) -> Iterator[list[MarketObservation]]:
+    """The config's episodes, `agents` pricing against the run's demand oracle,
+    yielded one at a time as each ends: the one place that picks the oracle
+    and runs a market's episodes. Nothing runs until the first episode is
+    read, and the generator keeps no episode once it has yielded it."""
     model = ParametricDemandModel(config.demand_params)
-    return [run_episode(config, agents, model, ep) for ep in range(config.episodes)]
+    for ep in range(config.episodes):
+        yield run_episode(config, agents, model, ep)
 
 
 def execute_run(
     spec: ExperimentSpec, run_index: int, output_dir
 ) -> tuple[RunManifest, MetricsReport]:
-    """One isolated simulation run: seeded, simulated, measured, persisted."""
+    """One isolated simulation run: seeded, simulated, measured, persisted.
+
+    Each episode is folded into the report and appended to the history as it
+    ends, then dropped. The rows go to `history.csv.partial`, renamed to
+    `history.csv` once the report is done, so a run that raises leaves no
+    `history.csv`."""
     started = datetime.now(timezone.utc).isoformat()
     run_config = replace(spec.market, seed=spec.market.seed + run_index)
     run_id = f"{spec.config_id}-seed{run_config.seed}-run{run_index:02d}"
@@ -254,25 +264,41 @@ def execute_run(
     run_dir = out / run_id
     run_dir.mkdir(parents=True, exist_ok=True)
 
-    timings = {}
+    # each phase's wall seconds, summed over the episodes
+    phases = ("build_agents", "simulate", "compute_report", "history_csv", "metrics_json")
+    timings = dict.fromkeys(phases, 0.0)
     clock = time.perf_counter()
 
     def lap(phase: str) -> None:
         nonlocal clock
         now = time.perf_counter()
-        timings[phase] = now - clock
+        timings[phase] += now - clock
         clock = now
+
+    def written(episodes, fh):
+        """Each episode as it ends; its rows are appended to `fh` once the
+        report has folded it and let go of the episode before."""
+        for ep_idx, records in enumerate(episodes, start=1):
+            lap("simulate")
+            yield records
+            lap("compute_report")
+            write_history_csv(fh, ep_idx, records)
+            lap("history_csv")
+        lap("simulate")  # the stream's end, which frees the agents
 
     agents = build_agents(run_config)
     lap("build_agents")
     episodes = simulate(run_config, agents)
-    # the report and the artifacts read only the episode records: free the
-    # agents' nets, buffers and replay before the history CSV is built
+    # the report and the artifacts read only the episode records: the stream
+    # alone holds the agents, so their nets, buffers and replay are freed as
+    # soon as the last episode ends
     del agents
-    lap("simulate")
-    report = compute_report(episodes)
-    lap("compute_report")
-    write_history_csv(episodes, run_dir / "history.csv")
+    partial = run_dir / "history.csv.partial"
+    with open(partial, "wb") as fh:
+        fh.write(HISTORY_HEADER)
+        report = compute_report(written(episodes, fh))
+        lap("compute_report")
+    os.replace(partial, run_dir / "history.csv")
     lap("history_csv")
     with open(run_dir / "metrics.json", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(report.to_json() + "\n")

@@ -2,8 +2,8 @@
 
 All statistics use population (1/N) normalization. Price-change statistics
 average over the number of changes (T - 1 for a T-week series). Functions are
-pure; `compute_report` assembles the full per-run report from episode
-histories.
+pure; `compute_report` folds a run's episodes, one at a time, into its
+report.
 
 The price-series metrics (`price_volatility`, `price_cv`,
 `adjustment_magnitude`, `adjustment_frequency`, `price_stability`) reduce
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -199,10 +199,6 @@ class MetricsReport(JsonFields):
         return from_fields(cls, {**d.pop("market", {}), **d})
 
 
-def _agent_ids(records: list[MarketObservation]) -> list[str]:
-    return list(records[0].agent_revenue)
-
-
 def _slot_prices(records: list[MarketObservation]) -> np.ndarray:
     """One episode's `(slots, weeks)` price array, C-contiguous, rows in slot order."""
     return np.ascontiguousarray(np.array([record.price for record in records], dtype=float).T)
@@ -221,36 +217,41 @@ def _slot_metrics(prices: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def compute_report(episodes: list[list[MarketObservation]]) -> MetricsReport:
-    """Build the full metric report for one run.
+def compute_report(episodes: Iterable[list[MarketObservation]]) -> MetricsReport:
+    """Fold one run's episodes, in order, into its metric report.
+
+    `episodes` may be a list or a stream that settles each episode as it is
+    read: the fold keeps each episode's per-agent returns and per-slot price
+    metrics, and only the latest episode's records and prices, so a run's
+    record memory is one or two episodes, not all of them.
 
     Per-agent change statistics average over the agent's products and
     episodes, in (episode, product) order. Share volatility, coordination and
     convergence metrics are computed on the final episode; fairness and
     welfare use per-agent mean episode returns.
     """
-    if not episodes or not episodes[0]:
-        raise ValueError("need at least one completed episode")
-    agent_ids = _agent_ids(episodes[0])
-    flags: list[str] = []
-
-    episode_returns = {
-        aid: [left_sum(r.agent_revenue[aid] for r in ep) for ep in episodes] for aid in agent_ids
-    }
-    mean_returns = {aid: float(np.mean(v)) for aid, v in episode_returns.items()}
-    totals = {aid: float(np.sum(v)) for aid, v in episode_returns.items()}
-
-    # one metric call per episode over all slots; each agent's columns, episode by episode
-    per_agent: dict[str, list[np.ndarray]] = {aid: [] for aid in agent_ids}
-    for ep in episodes:
-        prices = _slot_prices(ep)
+    episode_returns: dict[str, list[float]] = {}
+    per_agent: dict[str, list[np.ndarray]] = {}
+    final: list[MarketObservation] = []
+    for final in episodes:
+        if not final:
+            raise ValueError("need at least one completed episode")
+        # one metric call per episode over all slots; each agent's columns, episode by episode
+        prices = _slot_prices(final)
         slot_metrics = _slot_metrics(prices)
         table = np.stack(list(slot_metrics.values()))  # (metrics, slots)
-        columns: dict[str, list[int]] = {aid: [] for aid in agent_ids}
-        for (aid, _pid), i in ep[0].slots.items():
+        columns: dict[str, list[int]] = {aid: [] for aid in final[0].agent_revenue}
+        for (aid, _pid), i in final[0].slots.items():
             columns[aid].append(i)
         for aid, cols in columns.items():
-            per_agent[aid].append(table[:, cols])
+            episode_returns.setdefault(aid, []).append(left_sum(r.agent_revenue[aid] for r in final))
+            per_agent.setdefault(aid, []).append(table[:, cols])
+    if not final:
+        raise ValueError("need at least one completed episode")
+    agent_ids = list(episode_returns)
+    flags: list[str] = []
+    mean_returns = {aid: float(np.mean(v)) for aid, v in episode_returns.items()}
+    totals = {aid: float(np.sum(v)) for aid, v in episode_returns.items()}
 
     agents = {}
     for aid in agent_ids:
@@ -261,7 +262,6 @@ def compute_report(episodes: list[list[MarketObservation]]) -> MetricsReport:
         agents[aid] = AgentMetrics(total_revenue=totals[aid], mean_return=mean_returns[aid], **means)
 
     # the final episode's weekly shares, as the environment settled them
-    final = episodes[-1]
     shares = {aid: [r.market_share[aid] for r in final] for aid in agent_ids}
     zero_weeks = sum(r.zero_revenue for r in final)
     if zero_weeks:

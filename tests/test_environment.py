@@ -11,6 +11,7 @@ from pricebench.features import seasonal_encoding
 from pricebench.harness import build_agents, desk_spec, simulate
 from pricebench.environment import (
     HISTORY_COLUMNS,
+    HISTORY_HEADER,
     MarketEnvironment,
     PricingAgentBase,
     ProtocolError,
@@ -633,12 +634,20 @@ class TestRunEpisode:
         assert record.market_share["a0"] == pytest.approx(0.5)
 
 
+def _write_history(path, episodes: dict[int, list[MarketObservation]]) -> None:
+    """A history file of `episodes`' records, by episode index."""
+    with open(path, "wb") as fh:
+        fh.write(HISTORY_HEADER)
+        for ep_idx, records in episodes.items():
+            write_history_csv(fh, ep_idx, records)
+
+
 class TestHistoryCsv:
     def test_layout_and_precision(self, tmp_path):
         config = _config(n_agents=1, weeks=2)
         agents = _agents(config)
         records = run_episode(config, agents, StubOracle(1.5))
-        write_history_csv([records], tmp_path / "history.csv")
+        _write_history(tmp_path / "history.csv", {1: records})
         lines = (tmp_path / "history.csv").read_text().splitlines()
         assert lines[0] == ",".join(HISTORY_COLUMNS)
         first = lines[1].split(",")
@@ -670,7 +679,7 @@ class TestHistoryCsv:
                 (3, 1, "a0", "p2", 6.0, value, value, -value, 0.25),
             ]
         ]
-        write_history_csv([[], [record], [other]], tmp_path / "history.csv")
+        _write_history(tmp_path / "history.csv", {2: [record], 3: [other]})
         text = (tmp_path / "history.csv").read_text()
         assert text == "\n".join([",".join(HISTORY_COLUMNS), *expected]) + "\n"
 

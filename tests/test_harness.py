@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -238,8 +239,9 @@ class TestExecuteRun:
     def _alive_at_report_and_after(config_id, refs_of, tmp_path, monkeypatch):
         """Run `config_id` once with the cyclic collector off, holding weak
         references to `refs_of(agent)` for each agent built. Returns them, the
-        ones alive when compute_report is called, and the ones alive once
-        execute_run returns."""
+        ones alive when compute_report returns (it consumes the run's episode
+        stream, which holds the agents until the last episode ends), and the
+        ones alive once execute_run returns."""
         refs, at_report = [], []
         build_agents, compute_report = harness.build_agents, harness.compute_report
 
@@ -249,8 +251,9 @@ class TestExecuteRun:
             return agents
 
         def checking(episodes):
+            report = compute_report(episodes)
             at_report.append([ref for ref in refs if ref() is not None])
-            return compute_report(episodes)
+            return report
 
         monkeypatch.setattr(harness, "build_agents", recording)
         monkeypatch.setattr(harness, "compute_report", checking)
@@ -266,7 +269,7 @@ class TestExecuteRun:
     @pytest.mark.parametrize("config_id", ["B", "C", "F", "H"])
     def test_finished_team_run_freed_by_refcounting(self, config_id, tmp_path, monkeypatch):
         """No reference cycle keeps a team alive: with the cyclic collector off,
-        each coordinator and member net is gone before the report is computed."""
+        each coordinator and member net is gone once the report is computed."""
         refs, at_report, after = self._alive_at_report_and_after(
             config_id, lambda agent: (agent.learner, agent.learner.views[agent.index]),
             tmp_path, monkeypatch,
@@ -283,6 +286,71 @@ class TestExecuteRun:
         assert len(refs) == 4
         assert at_report == [[]]
         assert after == []
+
+
+class TestStreamedRun:
+    """A run appends each episode to the history and folds it into the report
+    as it ends, then drops it."""
+
+    def test_failed_run_leaves_no_history_csv(self, tmp_path, monkeypatch):
+        run_episode = harness.run_episode
+
+        def failing(config, agents, model, episode_index):
+            if episode_index == 1:
+                raise RuntimeError("episode 2 failed")
+            return run_episode(config, agents, model, episode_index)
+
+        monkeypatch.setattr(harness, "run_episode", failing)
+        with pytest.raises(RuntimeError, match="episode 2 failed"):
+            execute_run(desk_spec("A", seed=5), 0, tmp_path)
+        run_dir = tmp_path / "A-seed5-run00"
+        assert run_dir.is_dir()
+        assert not (run_dir / "history.csv").exists()
+
+    @pytest.mark.parametrize("config_id", ["A", "C", "H"])
+    def test_episode_records_freed_two_episodes_on(self, config_id, tmp_path, monkeypatch):
+        """With the cyclic collector off, every record of episode k is gone
+        before episode k + 2 starts: the run holds one or two episodes."""
+        run_episode = harness.run_episode
+        refs: list[list[weakref.ref]] = []
+        alive_at_start: list[int] = []
+
+        def recording(config, agents, model, episode_index):
+            if episode_index >= 2:
+                alive_at_start.append(sum(ref() is not None for ref in refs[episode_index - 2]))
+            records = run_episode(config, agents, model, episode_index)
+            refs.append([weakref.ref(r) for r in records])
+            return records
+
+        monkeypatch.setattr(harness, "run_episode", recording)
+        gc.collect()
+        gc.disable()
+        try:
+            execute_run(desk_spec(config_id, episodes=5, weeks_per_episode=8), 0, tmp_path)
+            after = sum(ref() is not None for episode in refs for ref in episode)
+        finally:
+            gc.enable()
+        assert [len(episode) for episode in refs] == [8] * 5
+        assert alive_at_start == [0, 0, 0]
+        assert after == 0
+
+    @staticmethod
+    def _traced_peak(episodes: int, out: Path) -> int:
+        spec = desk_spec("A", seed=5, episodes=episodes, weeks_per_episode=52)
+        tracemalloc.start()
+        try:
+            execute_run(spec, 0, out)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_run_memory_does_not_grow_with_episodes(self, tmp_path):
+        """The traced peak of a 16-episode run is within 1.25x that of a
+        4-episode run: a run keeps one or two episodes' records, not all."""
+        self._traced_peak(4, tmp_path / "warm-up")
+        four = self._traced_peak(4, tmp_path / "four")
+        sixteen = self._traced_peak(16, tmp_path / "sixteen")
+        assert sixteen < 1.25 * four, (four, sixteen)
 
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -92,7 +92,7 @@ class TestActing:
     def test_episode_run_respects_bounds(self):
         config = _config(n_agents=2, weeks=15)
         team = _team(config)
-        simulate(config, team)
+        list(simulate(config, team))
         for agent in team:
             for product in agent.portfolio.values():
                 prev = product.spec.initial_price
@@ -293,7 +293,7 @@ class TestJointAlignment:
     def test_team_stores_one_joint_transition_per_step(self):
         config = _config(n_agents=2, weeks=6)
         team = _team(config)
-        simulate(config, team)
+        list(simulate(config, team))
         coord = team[0].learner
         assert len(coord.buffer) == 6
         d, p = _actor(team[0]).layer_sizes[0], _actor(team[0]).layer_sizes[-1]

@@ -405,7 +405,7 @@ class TestRewardMatchesReference:
 
         monkeypatch.setattr(TeamMember, "_reward_from", checked)
         config = desk_spec(config_id, seed=31, episodes=2, weeks_per_episode=52).market
-        simulate(config, build_agents(config))
+        list(simulate(config, build_agents(config)))
         assert len(rewards) == 4 * 2 * 52
         assert len(steps) > 0
         assert len(set(rewards)) > 100  # the weeks' rewards differ
@@ -427,7 +427,7 @@ class TestStateEncodedOncePerWeek:
         weeks, episodes = 6, 2
         config = desk_spec(config_id, seed=17, episodes=episodes, weeks_per_episode=weeks).market
         agents = build_agents(config)
-        simulate(config, agents)
+        list(simulate(config, agents))
         learners = [a for a in agents if isinstance(a, TeamMember)]
         # each episode: one encoding of the opening observation, then one per week
         assert len(calls) == len(learners) * episodes * (weeks + 1)
@@ -473,7 +473,7 @@ class TestActionRangeSafety:
     def test_fuzzed_episode_respects_bounds(self, config_id):
         config = desk_spec(config_id, seed=17, weeks_per_episode=30, episodes=1).market
         agents = build_agents(config)
-        simulate(config, agents)
+        list(simulate(config, agents))
         for agent in agents:
             for product in agent.portfolio.values():
                 floor = config.price_floor(product.spec)

@@ -135,7 +135,7 @@ class TestMarketShare:
 
         spec = desk_spec("A")
         config = replace(spec.market, seed=spec.market.seed + 1)  # run 1 of the desk preset
-        episodes = simulate(config, build_agents(config))
+        episodes = list(simulate(config, build_agents(config)))
         report = compute_report(episodes)
         final = episodes[-1]
         assert report.final_market_share == final[-1].market_share
@@ -305,6 +305,15 @@ class TestComputeReport:
     def test_json_is_stable(self):
         report = compute_report(_toy_episodes())
         assert report.to_json() == compute_report(_toy_episodes()).to_json()
+
+    def test_stream_folds_like_a_list(self):
+        episodes = _random_episodes(episodes=4)
+        assert compute_report(iter(episodes)).to_json() == compute_report(episodes).to_json()
+
+    @pytest.mark.parametrize("episodes", [[], [[]]], ids=["no-episode", "empty-episode"])
+    def test_no_completed_episode_rejected(self, episodes):
+        with pytest.raises(ValueError, match="need at least one completed episode"):
+            compute_report(iter(episodes))
 
 
 # one entry per price-series metric; each reduces over the last axis

@@ -315,7 +315,7 @@ class TestTeamConstruction:
 class TestQmixTeamInMarket:
     def test_episode_respects_bounds_and_stores_joint(self):
         config, team = _market_team()
-        simulate(config, team)
+        list(simulate(config, team))
         coord = team[0].learner
         assert len(coord.buffer) == 8
         for agent in team:

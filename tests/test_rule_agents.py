@@ -260,7 +260,7 @@ class TestRuleAgentProperties:
 
     def test_constraints_respected(self):
         config, agents = _rule_market(weeks=30, noise=0.05)
-        simulate(config, agents)
+        list(simulate(config, agents))
         for agent in agents:
             for product in agent.portfolio.values():
                 floor = config.price_floor(product.spec)
