@@ -238,9 +238,11 @@ class TeamLearner:
       its list of price changes, in portfolio order;
     - `encode(agent, observation)`: a call of its own module's `encode_state`,
       where callers look that name up;
-    - `_row`, the replay row of one team step;
+    - `_row`, if its fields differ from `(actions, rewards, done)`;
     - `learn`: None while warming up, else the step's losses; each step adds
-      one to `learn_calls`.
+      one to `learn_calls`. Its TD target (`_td_target`) multiplies a
+      terminal row's bootstrap by 1 - done = 0, as the replay ring's
+      terminal rule requires (`nn.ReplayBuffer`).
     """
 
     def __init__(self, config: MarketConfig, hyper, member_ids: list[str]):
@@ -263,14 +265,17 @@ class TeamLearner:
         self._pending[agent_id] = (state, action, reward, next_state)
         if len(self._pending) < len(self.member_ids):
             return
-        steps = zip(*(self._pending[aid] for aid in self.member_ids))
+        steps = (self._pending[aid] for aid in self.member_ids)
+        states, actions, rewards, next_states = zip(*steps)
         self._pending = {}
-        self.buffer.push(*self._row(*steps, done))
+        self.buffer.push(states, next_states, *self._row(actions, rewards, done))
         self.learn()
 
-    def _row(self, states, actions, rewards, next_states, done) -> tuple:
-        """The replay row of one team step, from the members' tuples in member order."""
-        raise NotImplementedError
+    def _row(self, actions, rewards, done) -> tuple:
+        """The replay fields of one team step after its states, from the
+        members' tuples in member order: every member's action and reward,
+        and done."""
+        return actions, rewards, done
 
 
 class QTeamLearner(TeamLearner):

@@ -42,9 +42,9 @@ class MaddpgCoordinator(TeamLearner):
     """Owns the team's nets and joint replay buffer, and runs the centralized
     training step.
 
-    A replay row is one team step: the joint critic input (every member's
-    state, then every member's applied action), the joint next state, the
-    members' rewards and the shared done flag.
+    A replay row is one team step: every member's state and next state,
+    every member's applied action, the members' rewards and the shared done
+    flag.
 
     It builds the team whole: four team nets (actors, critics and their
     targets) with a leading members axis, member i's actor then critic drawn
@@ -99,21 +99,39 @@ class MaddpgCoordinator(TeamLearner):
         changes = smoothed(prev_changes, noisy.tolist())
         return np.array(changes), changes
 
-    def _row(self, states, actions, rewards, next_states, done) -> tuple:
-        # the row's critic input is every member's state, then every member's action
-        return np.concatenate(states + actions), np.concatenate(next_states), rewards, done
-
     def _batch(self, rows: np.ndarray):
         """The replay rows as the learn step reads them, in the learner's kept buffers.
 
         Returns states (B, members, local state), a view of the critic input
-        (B, critic input), next states (B, members, local state), rewards
-        (members, B) and done (B,).
+        (B, critic input: every member's state, then every member's action),
+        next states (B, members, local state), rewards (members, B) and done
+        (B,).
         """
-        critic_in, next_states, rewards, done = self.buffer.gather(rows, self._work)
-        b, n = len(rows), len(self.member_ids)
-        states = critic_in[:, : next_states.shape[1]].reshape(b, n, -1)
-        return states, critic_in, next_states.reshape(b, n, -1), rewards.T, done
+        states, next_states, actions, rewards, done = self.buffer.gather(rows, self._work)
+        b, joint_dim = len(rows), states[0].size
+        critic_in = np.concatenate(
+            [states.reshape(b, -1), actions.reshape(b, -1)], axis=1,
+            out=self._work.get("critic_in", (b, self.critics.layer_sizes[0])),
+        )
+        # the actors read the critic input's state block
+        states = critic_in[:, :joint_dim].reshape(states.shape)
+        return states, critic_in, next_states, rewards.T, done
+
+    def _td_target(self, next_states, rewards, done) -> np.ndarray:
+        """Each member's TD target (members, B): its reward plus the discounted
+        target critic at the (B, members, local state) next states and the
+        target actors' actions there."""
+        b = len(done)
+        target_next_actions = self.target_actors.forward(next_states.transpose(1, 0, 2))
+        target_next_actions *= self.config.max_weekly_change
+        # every critic reads the joint state and action: member-major blocks
+        critic_next_in = np.concatenate(
+            [next_states.reshape(b, -1), target_next_actions.transpose(1, 0, 2).reshape(b, -1)],
+            axis=1,
+            out=self._work.get("critic_next_in", (b, self.critics.layer_sizes[0])),
+        )
+        q_next = self.target_critics.forward(critic_next_in)[..., 0]  # (members, B)
+        return rewards + self.hyper.gamma * (1.0 - done) * q_next
 
     def learn(self) -> list[tuple[float, float]] | None:
         """One critic and actor step for every member: each member's (critic,
@@ -126,18 +144,9 @@ class MaddpgCoordinator(TeamLearner):
         (b, n, _), critic_dim = states.shape, critic_in.shape[1]
         work = self._work
         max_change = self.config.max_weekly_change
-
-        # every critic reads the joint state and action: member-major blocks
         joint_dim = states[0].size
-        target_next_actions = self.target_actors.forward(next_states.transpose(1, 0, 2)) * max_change
-        critic_next_in = np.concatenate(
-            [next_states.reshape(b, -1), target_next_actions.transpose(1, 0, 2).reshape(b, -1)],
-            axis=1,
-            out=work.get("critic_next_in", (b, critic_dim)),
-        )
 
-        q_next = self.target_critics.forward(critic_next_in)[..., 0]  # (members, B)
-        y = rewards + hp.gamma * (1.0 - done) * q_next
+        y = self._td_target(next_states, rewards, done)
         q, cache = self.critics.forward_cached(critic_in)
         err = q[..., 0] - y
         critic_loss = np.mean(err**2, axis=1)

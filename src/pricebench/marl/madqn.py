@@ -46,7 +46,7 @@ class DqnCore(QTeamLearner):
     It builds the team whole: the members' Q-nets and targets
     (`QTeamLearner`) and one Adam over the team's flat vector, which updates
     each member's slice as a per-member Adam would. A ring row holds every
-    member's state, bins, reward and next state, plus the shared done. The
+    member's state, next state, bins and reward, plus the shared done. The
     members push, warm up and hard-copy their targets in lockstep, so a team
     step is the members' steps stacked. A member's price changes are its
     bins' own.
@@ -60,33 +60,15 @@ class DqnCore(QTeamLearner):
     ):
         super().__init__(config, hyper, member_ids, local_state_size, n_heads, n_bins)
         self.optimizer = Adam([self.nets.flat])
-        self._columns = np.arange(len(self.member_ids))[:, None]  # each member's column of a row
 
     def encode(self, agent, observation: MarketObservation) -> np.ndarray:
         return encode_state(agent, observation)
 
-    def _row(self, states, actions, rewards, next_states, done) -> tuple:
-        return states, actions, rewards, next_states, done
-
-    def _batch(self, rows: np.ndarray):
-        """Each member's own column of its own ring rows, in the learner's kept buffers.
-
-        `rows` is (members, B), member i's sampled ring rows in row i. Returns
-        states (members, B, state), bins (members, B, heads), rewards
-        (members, B), next states (members, B, state) and done (members, B).
-        """
-        work, n = self._work, len(self.member_ids)
-        cells = np.multiply(rows, n, out=work.get("cells", rows.shape, np.intp))
-        cells += self._columns  # member i's cell of ring row r is r * members + i
-        *per_member, done = self.buffer.fields
-        batch = [
-            # mode="clip" writes straight into `out`; "raise" would buffer it (cells are in range)
-            np.take(f.reshape(-1, *f.shape[2:]), cells, axis=0, mode="clip",
-                    out=work.get(("batch", k), (*rows.shape, *f.shape[2:]), f.dtype))
-            for k, f in enumerate(per_member)
-        ]
-        done = np.take(done, rows, mode="clip", out=work.get("done", rows.shape, done.dtype))
-        return (*batch, done)
+    def _td_target(self, next_states, rewards, done) -> np.ndarray:
+        """Each (member, row, head)'s TD target: the member's reward plus the
+        discounted best target-net value at its (members, B, state) next state."""
+        bootstrap = self._greedy_targets(next_states)
+        return rewards[..., None] + self.hyper.gamma * (1.0 - done)[..., None] * bootstrap
 
     def learn(self) -> list[float] | None:
         """One TD step per member on its own recency-sampled batch: each
@@ -97,10 +79,10 @@ class DqnCore(QTeamLearner):
         rows = self._work.get("rows", (len(self.member_ids), hp.batch_size), np.intp)
         for i, rng in enumerate(self.rngs):
             rows[i] = self.buffer.sample(hp.batch_size, rng)
-        states, actions, rewards, next_states, done = self._batch(rows)
-
-        bootstrap = self._greedy_targets(next_states)
-        y = rewards[..., None] + hp.gamma * (1.0 - done)[..., None] * bootstrap
+        # each member's own entry of its own rows: states and next states (members, B,
+        # state), bins (members, B, heads), rewards and done (members, B)
+        states, next_states, actions, rewards, done = self.buffer.gather_members(rows, self._work)
+        y = self._td_target(next_states, rewards, done)
         chosen, cache, taken = self._taken_q(states, actions)
         err = np.subtract(chosen, y, out=y)
         losses = np.mean(np.square(err).reshape(len(err), -1), axis=1)

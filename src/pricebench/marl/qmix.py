@@ -160,32 +160,24 @@ class QmixCoordinator(QTeamLearner):
     def encode(self, agent, observation: MarketObservation) -> np.ndarray:
         return encode_state(agent, observation)
 
-    def _row(self, states, actions, rewards, next_states, done) -> tuple:
-        return states, actions, next_states, left_sum(rewards) / len(rewards), done
+    def _row(self, actions, rewards, done) -> tuple:
+        return actions, left_sum(rewards) / len(rewards), done
 
     def learn(self) -> float | None:
         hp = self.hyper
         if len(self.buffer) < max(hp.warm_up, 1):
             return None
         rows = self.buffer.sample(hp.batch_size, self.rng)
-        # (B, members, local state), (B, members, heads), (B, members, local state), (B,), (B,)
-        states, actions, next_states, rewards, done = self.buffer.gather(rows, self._work)
+        # (B, members, local state), (B, members, local state), (B, members, heads), (B,), (B,)
+        states, next_states, actions, rewards, done = self.buffer.gather(rows, self._work)
         b, n = len(rows), len(self.member_ids)
-        work = self._work
-        global_state = states.reshape(b, -1)
-        next_global_state = next_states.reshape(b, -1)
-
-        # target utilities: per-member greedy on the target nets
-        best = self._greedy_targets(next_states.transpose(1, 0, 2))
-        per_member = np.mean(best, axis=2, out=work.get("per_member", (n, b)))
-        target_qs = self._by_row(per_member, "target_qs")
-        q_tot_next = self.target_mixer.forward(target_qs, next_global_state)
-        y = rewards + hp.gamma * (1.0 - done) * q_tot_next
+        y = self._td_target(next_states, rewards, done)
 
         # online utilities at the taken actions
         chosen, cache, taken = self._taken_q(states.transpose(1, 0, 2), actions.transpose(1, 0, 2))
+        per_member = self._work.get("per_member", (n, b))
         qs = self._by_row(np.mean(chosen, axis=2, out=per_member), "qs")
-        q_tot, mix_cache = self.mixer.forward_cached(qs, global_state)
+        q_tot, mix_cache = self.mixer.forward_cached(qs, states.reshape(b, -1))
 
         err = q_tot - y
         loss = float(np.mean(err**2))
@@ -202,6 +194,17 @@ class QmixCoordinator(QTeamLearner):
             for target, net in zip([self.target_nets, *self.target_mixer.hypernets], trained):
                 hard_update(target, net)
         return loss
+
+    def _td_target(self, next_states, rewards, done) -> np.ndarray:
+        """The TD target (B,) of a batch: the shared reward plus the discounted
+        target mixer over each member's greedy target utility at its (B,
+        members, local state) next states."""
+        b, n = len(done), len(self.member_ids)
+        best = self._greedy_targets(next_states.transpose(1, 0, 2))
+        per_member = np.mean(best, axis=2, out=self._work.get("per_member", (n, b)))
+        target_qs = self._by_row(per_member, "target_qs")
+        q_tot_next = self.target_mixer.forward(target_qs, next_states.reshape(b, -1))
+        return rewards + self.hyper.gamma * (1.0 - done) * q_tot_next
 
     def _trained(self) -> list[DenseNet]:
         """The nets the optimizer trains: the team net, then the mixer's hypernetworks."""

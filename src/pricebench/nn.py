@@ -19,8 +19,11 @@ a step size alpha_t and an eps_hat, so its update divides once per element.
 
 Buffers. A net keeps its activations and backward intermediates in scratch
 arrays (`Workspace`) that it reuses from call to call, one per layer and
-shape, so a training step allocates almost nothing once warm. One rule says
-which arrays a caller may keep:
+shape, so a training step allocates almost nothing once warm. Adam and
+`soft_update` sweep their vectors in chunks through one `(2, CHUNK)` sweep
+scratch per thread, allocated by the first sweep and shared by every
+optimizer and target net, so a run holds one however many it builds. One
+rule says which arrays a caller may keep:
 
 - `DenseNet.forward` returns an array the caller owns.
 - The cache and output of `forward_cached` and the `input_grad` of
@@ -30,13 +33,16 @@ which arrays a caller may keep:
 - The `grads` of `backward` are views of `net.grad`, which the net's next
   backward with `params=True` overwrites.
 
-Replay. A `ReplayBuffer` keeps one array per transition field (the learners
-choose the fields), row i of each holding transition i of the ring. Its first
-push allocates all `capacity` rows; a learner's capacity is at most the
-pushes of its run, episodes x weeks_per_episode. `sample` returns ring rows,
-an array the caller owns; `gather` writes each field's rows into arrays kept
-in the caller's `Workspace`, so a gathered batch belongs to the learner and
-stays valid until its next gather.
+Replay. A `ReplayBuffer` keeps the transitions' states in one ring and one
+array per other field (the learners choose the fields). A push writes its
+state to its row's slot and its next state to the slot after it, which the
+next push of the same episode overwrites with the same values, so each
+state is stored once. Its first push allocates every row, `capacity + 1`
+slots; a learner's capacity is at most the pushes of its run, episodes x
+weeks_per_episode. `sample` returns ring rows, an array the caller owns;
+`gather` and `gather_members` write the rows' states, next states and
+fields into arrays kept in the caller's `Workspace`, so a gathered batch
+belongs to the learner and stays valid until its next gather.
 
 Threads. Every pass runs on the calling thread, and the module starts no
 thread of its own. Runs use more CPUs side by side, one process each
@@ -45,6 +51,7 @@ thread of its own. Runs use more CPUs side by side, one process each
 
 from __future__ import annotations
 
+import threading
 from typing import Sequence
 
 import numpy as np
@@ -53,6 +60,17 @@ ACTIVATIONS = ("relu", "tanh", "linear")
 # Elements per pass of the elementwise optimizer and target-update loops: the
 # scratch stays in cache and is bounded however large the parameter vector.
 CHUNK = 32_768
+_sweep = threading.local()
+
+
+def _sweep_scratch() -> np.ndarray:
+    """The calling thread's `(2, CHUNK)` scratch for Adam's and soft_update's
+    chunked sweeps, allocated by its first use. Each sweep uses it only
+    within one call, so every optimizer and target net shares it."""
+    scratch = getattr(_sweep, "scratch", None)
+    if scratch is None:
+        scratch = _sweep.scratch = np.empty((2, CHUNK))
+    return scratch
 
 
 class ShapeError(ValueError):
@@ -323,7 +341,7 @@ def soft_update(target: DenseNet, online: DenseNet, tau: float) -> None:
     """Polyak update: target <- (1 - tau) * target + tau * online."""
     if target.layer_sizes != online.layer_sizes or target.flat.shape != online.flat.shape:
         raise ShapeError("target/online architectures differ")
-    scratch = target._work.get("update", (min(CHUNK, target.flat.size),))
+    scratch = _sweep_scratch()[0]
     for lo in range(0, target.flat.size, CHUNK):
         t = target.flat[lo : lo + CHUNK]
         tau_online = np.multiply(online.flat[lo : lo + CHUNK], tau, out=scratch[: t.size])
@@ -348,9 +366,9 @@ class Adam:
     textbook step up to rounding, with one division per element.
 
     The learners pass flat parameter vectors, so one step is a few passes
-    over a vector rather than a Python loop over layers and members. The
-    moments and the scratch (two chunk-sized buffers) are allocated by the
-    first step, so an optimizer that never steps holds none of them.
+    over a vector rather than a Python loop over layers and members, in
+    chunks through the thread's sweep scratch. The moments are allocated by
+    the first step, so an optimizer that never steps holds none.
     """
 
     beta1 = 0.9
@@ -362,7 +380,6 @@ class Adam:
         self.m: list[np.ndarray] = []
         self.v: list[np.ndarray] = []
         self.t = 0
-        self._work = Workspace()
 
     def step(self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray], lr: float) -> None:
         if len(params) != self._n_params:
@@ -382,7 +399,7 @@ class Adam:
         self.t += 1
         root2 = np.sqrt(1.0 - self.beta2**self.t)
         alpha, eps_hat = lr * root2 / (1.0 - self.beta1**self.t), self.eps * root2
-        scratch = self._work.get("scratch", (2, min(CHUNK, max(p.size for p in params))))
+        scratch = _sweep_scratch()
         for p, g, m, v in zip(params, grads, self.m, self.v):
             p, g, m, v = p.reshape(-1), np.ravel(g), m.reshape(-1), v.reshape(-1)
             for lo in range(0, p.size, CHUNK):
@@ -404,12 +421,24 @@ class Adam:
 
 
 class ReplayBuffer:
-    """Ring of transitions, one array per field, sampled by decay^age.
+    """Ring of transitions, a state ring and one array per field, sampled by decay^age.
 
-    A transition is a fixed tuple of fields (say state, action, reward, next
-    state, done), and row i of every array in `fields` holds the same
-    transition. The first push fixes each field's row shape and dtype and
-    allocates `capacity` rows. Once full, a push overwrites the oldest row.
+    A transition is a state, its next state and a fixed tuple of other
+    fields (say action, reward, done). Ring row i holds a transition's
+    fields in row i of every array in `fields`, its state in slot i of
+    `states` and its next state in slot i + 1 (slot 0 after the last): the
+    slot that the next push writes its own state to. Within an episode the
+    two are the same values, so each state is stored once.
+
+    A terminal row's next-state slot is taken by the next episode's first
+    state. Every learner multiplies its bootstrap by 1 - done = 0 there, so
+    its target does not read that state; a row whose next state is not the
+    next push's state must be marked done.
+
+    The first push fixes the state's and each field's row shape and dtype
+    and allocates `capacity + 1` rows of each array: `capacity` transitions
+    and the slot of the newest one's next state. Once full, a push
+    overwrites the oldest row.
     """
 
     def __init__(self, capacity: int, recency_decay: float = 0.999):
@@ -419,37 +448,46 @@ class ReplayBuffer:
             raise ValueError("recency_decay must be in (0, 1]")
         self.capacity = capacity
         self.recency_decay = recency_decay
+        self.states: np.ndarray | None = None  # capacity + 1 slots, allocated by the first push
         self.fields: tuple[np.ndarray, ...] = ()
-        self._row_shapes: list[tuple[int, ...]] = []  # each field's row shape, set by the first push
+        # the shape of each value of a push, set by the first push
+        self._row_shapes: list[tuple[int, ...]] = []
         self._size = 0
-        self._next = 0
+        self._next = 0  # the next push's row and state slot
         # (length, decay, cumulative draw table) of the last sample
         self._draws: tuple[int, float, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return self._size
 
-    def push(self, *row) -> None:
-        """Write one transition, one value per field, into the next ring row.
+    def push(self, state, next_state, *fields) -> None:
+        """Write one transition: its state to the next row's slot, its next
+        state to the slot after it, and each field to the next row.
 
-        Every value is checked against its field's row shape before any is written.
+        Every value is checked against its row shape before any is written.
         """
-        values = [np.asarray(v) for v in row]
-        if not self.fields:
-            self.fields = tuple(np.empty((self.capacity, *v.shape), v.dtype) for v in values)
-            self._row_shapes = [v.shape for v in values]
+        values = [np.asarray(v) for v in (state, next_state, *fields)]
         shapes = [v.shape for v in values]
-        if shapes != self._row_shapes:
-            raise ShapeError(f"pushed row shapes {shapes} != the fields' {self._row_shapes}")
-        for field, value in zip(self.fields, values):
-            field[self._next] = value
-        self._next = (self._next + 1) % self.capacity
+        if shapes[1] != shapes[0] or (self.states is not None and shapes != self._row_shapes):
+            raise ShapeError(f"pushed row shapes {shapes} != the ring's {self._row_shapes}")
+        if self.states is None:
+            slots = self.capacity + 1
+            self.states = np.empty((slots, *shapes[0]), values[0].dtype)
+            self.fields = tuple(np.empty((slots, *v.shape), v.dtype) for v in values[2:])
+            self._row_shapes = shapes
+        row = self._next
+        self._next = (row + 1) % len(self.states)
+        self.states[row] = values[0]
+        self.states[self._next] = values[1]
+        for field, value in zip(self.fields, values[2:]):
+            field[row] = value
         self._size = min(self._size + 1, self.capacity)
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> np.ndarray:
         """Ring rows of batch_size draws with replacement, newest entries most likely.
 
-        The rows index every array in `fields`; the caller owns the returned array.
+        The rows index `states` and every array in `fields`; the caller owns
+        the returned array.
         """
         n = self._size
         if not n:
@@ -463,19 +501,56 @@ class ReplayBuffer:
             draws = self._draws = (n, self.recency_decay, cdf)
         # what rng.choice(n, batch_size, p=weights / weights.sum()) does with its table
         idx = draws[2].searchsorted(rng.random(batch_size), side="right")
-        if n == self.capacity and self._next:  # full: the oldest row is the next to overwrite
-            idx += self._next
-            idx %= n
+        # full: the oldest row follows the next push's, whose slot holds the newest next state
+        oldest = (self._next + 1) % (n + 1) if n == self.capacity else 0
+        if oldest:
+            idx += oldest
+            idx %= n + 1
         return idx
 
     def gather(self, rows: np.ndarray, work: Workspace) -> list[np.ndarray]:
-        """Each field's `rows`, in order, written into arrays kept in `work`."""
-        return [
-            # mode="clip" writes straight into `out`; "raise" would buffer it (rows are in range)
-            np.take(f, rows, axis=0, out=work.get(("batch", i), (len(rows), *f.shape[1:]), f.dtype),
-                    mode="clip")
-            for i, f in enumerate(self.fields)
-        ]
+        """The `rows`' states, their next states, then each field's rows, in
+        order, written into arrays kept in `work`."""
+        after = self._slots_after(rows, work)
+        pairs = [(self.states, rows), (self.states, after), *((f, rows) for f in self.fields)]
+        return [_take(ring, at, work, k) for k, (ring, at) in enumerate(pairs)]
+
+    def gather_members(self, rows: np.ndarray, work: Workspace) -> list[np.ndarray]:
+        """Like gather() for (members, B) `rows`, member i's rows in row i,
+        where each member reads only its own entry of a row.
+
+        The states and every field whose rows have a leading members axis
+        give member i entry i of its rows, (members, B, ...); a field of
+        scalar rows (done) gives each member its rows whole, (members, B).
+        """
+        n = len(rows)
+        member = np.arange(n)[:, None]
+        # member i's cell of ring row r is r * members + i
+        cells = np.multiply(rows, n, out=work.get(("replay", "cells"), rows.shape, np.intp))
+        cells += member
+        after = self._slots_after(rows, work)
+        after *= n
+        after += member
+        pairs = [(self.states, cells), (self.states, after),
+                 *((f, cells if f.ndim > 1 else rows) for f in self.fields)]
+        batch = []
+        for k, (ring, at) in enumerate(pairs):
+            if at is not rows:  # one cell per (row, member)
+                ring = ring.reshape(-1, *ring.shape[2:])
+            batch.append(_take(ring, at, work, k))
+        return batch
+
+    def _slots_after(self, rows: np.ndarray, work: Workspace) -> np.ndarray:
+        """The state slots of the `rows`' next states, in a kept array."""
+        after = np.add(rows, 1, out=work.get(("replay", "after"), rows.shape, np.intp))
+        return np.remainder(after, len(self.states), out=after)
+
+
+def _take(ring: np.ndarray, at: np.ndarray, work: Workspace, key) -> np.ndarray:
+    """ring[at] along the first axis, written into an array kept in `work`."""
+    # mode="clip" writes straight into `out`; "raise" would buffer it (indices are in range)
+    out = work.get(("replay", key), (*at.shape, *ring.shape[1:]), ring.dtype)
+    return np.take(ring, at, axis=0, mode="clip", out=out)
 
 
 def exploration_rate(start: float, decay: float, floor: float, episode: int) -> float:

@@ -278,8 +278,8 @@ def test_criterion_10_replay_recency_bias():
     with _Timer("criterion 10: replay recency bias", 5.0):
         buffer = ReplayBuffer(capacity=3, recency_decay=0.9)
         for i in range(3):
-            buffer.push(i)
-        draws = buffer.fields[0][buffer.sample(100_000, derive_rng(0, "accept-replay"))]
+            buffer.push(i, i + 1)
+        draws = buffer.states[buffer.sample(100_000, derive_rng(0, "accept-replay"))]
         freqs = np.bincount(draws, minlength=3) / len(draws)
         weights = np.array([0.9**2, 0.9, 1.0])
         expected = weights / weights.sum()

@@ -111,9 +111,7 @@ def _fill_buffer(team, reward_fn, n=80, rng=None):
         actions = [rng.uniform(-0.1, 0.1, size=p) for _ in team]
         rewards = [reward_fn(s, a) for s, a in zip(states, actions)]
         next_states = [rng.normal(size=d) for _ in team]
-        coord.buffer.push(
-            np.concatenate(states + actions), np.concatenate(next_states), rewards, True
-        )
+        coord.buffer.push(states, next_states, actions, rewards, True)
     return coord
 
 
@@ -176,8 +174,7 @@ class TestLearning:
         rng = derive_rng(9, "actor")
         _fill_buffer(team, lambda s, a: 0.0, n=64, rng=rng)
 
-        d = _actor(agent).layer_sizes[0]
-        states = coord.buffer.fields[0][: len(coord.buffer), :d].copy()
+        states = coord.buffer.states[: len(coord.buffer), 0].copy()
 
         def mean_q():
             acts = _actor(agent).forward(states) * config.max_weekly_change
@@ -208,11 +205,11 @@ def _reference_learn(coord, nets, opts, rng):
     hp = coord.hyper
     rows = coord.buffer.sample(hp.batch_size, rng)
     b, n = len(rows), len(nets)
-    d, p = nets[0]["actor"].layer_sizes[0], nets[0]["actor"].layer_sizes[-1]
-    critic_ring, next_ring, reward_ring, done_ring = (f[rows] for f in coord.buffer.fields)
-    states = [critic_ring[:, i * d : (i + 1) * d] for i in range(n)]
-    actions = [critic_ring[:, n * d + i * p : n * d + (i + 1) * p] for i in range(n)]
-    next_states = [next_ring[:, i * d : (i + 1) * d] for i in range(n)]
+    state_ring = coord.buffer.states
+    states = [state_ring[rows, i] for i in range(n)]
+    next_states = [state_ring[(rows + 1) % len(state_ring), i] for i in range(n)]
+    action_ring, reward_ring, done_ring = (f[rows] for f in coord.buffer.fields)
+    actions = [action_ring[:, i] for i in range(n)]
     rewards = [reward_ring[:, i] for i in range(n)]
     done = done_ring.astype(float)
     max_change = coord.config.max_weekly_change
@@ -297,7 +294,10 @@ class TestJointAlignment:
         coord = team[0].learner
         assert len(coord.buffer) == 6
         d, p = _actor(team[0]).layer_sizes[0], _actor(team[0]).layer_sizes[-1]
-        critic_in, next_states, rewards, done = (f[0] for f in coord.buffer.fields)
-        assert critic_in.shape == (2 * (d + p),)  # both members' states, then both actions
-        assert next_states.shape == (2 * d,)
-        assert rewards.shape == (2,)
+        rows = np.arange(2)
+        states, next_states, actions, rewards, done = coord.buffer.gather(rows, coord._work)
+        critic_in = coord._batch(rows)[1]
+        assert critic_in.shape == (2, 2 * (d + p))  # both members' states, then both actions
+        assert states.shape == next_states.shape == (2, 2, d) and actions.shape == (2, 2, p)
+        assert np.array_equal(next_states[0], states[1])  # a week's next state is stored once
+        assert rewards.shape == (2, 2)

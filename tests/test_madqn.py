@@ -79,7 +79,7 @@ class TestAct:
 
 def _store(core, state, bins, reward, next_state, done):
     """Push one step of a team of one without learning."""
-    core.buffer.push(*core._row((state,), (np.asarray(bins),), (reward,), (next_state,), done))
+    core.buffer.push((state,), (next_state,), *core._row((np.asarray(bins),), (reward,), done))
 
 
 def _fill(core, transitions):
@@ -144,8 +144,8 @@ class TestLearn:
         ids = ["q0", "q1"]
         core = DqnCore(_config(ids), hyper, ids, 3, 1, 2)
         for _ in range(2):
-            core.buffer.push(*core._row((np.ones(3),) * 2, (np.zeros(1, int),) * 2, (0.0, 0.0),
-                                        (np.ones(3),) * 2, False))
+            core.buffer.push((np.ones(3),) * 2, (np.ones(3),) * 2,
+                             *core._row((np.zeros(1, int),) * 2, (0.0, 0.0), False))
         core.nets.member(1).biases[-1][:] = np.inf
         with pytest.raises(TrainingError, match="member 'q1'"):
             core.learn()

@@ -437,7 +437,7 @@ class TestLearningPersistence:
     def test_weights_and_buffer_survive_episode_reset(self):
         config, agents, env = _madqn_setup()
         agent = agents[0]
-        agent.learner.buffer.push("sentinel")
+        agent.learner.buffer.push("sentinel", "sentinel")
         weights_before = agent.learner.nets.weights
         agent.begin_episode(1)
         assert agent.learner.nets.weights is weights_before  # learning state persists

@@ -581,31 +581,33 @@ class TestReplayBuffer:
     def test_eviction_order(self):
         buf = ReplayBuffer(capacity=5)
         for i in range(8):
-            buf.push(i)
+            buf.push(i, i + 1, i)
         assert len(buf) == 5
-        assert buf.fields[0].tolist() == [5, 6, 7, 3, 4]  # 0, 1, 2 overwritten in place
+        # 0 and 1 overwritten in place; 2's row is now the slot of the newest's next state
+        assert buf.fields[0].tolist() == [6, 7, 2, 3, 4, 5]
+        assert buf.states.tolist() == [6, 7, 8, 3, 4, 5]
 
     def test_single_entry_always_sampled(self):
         buf = ReplayBuffer(capacity=4)
-        buf.push("only")
+        buf.push("only", "only")
         rng = derive_rng(0, "buf")
-        assert set(buf.fields[0][buf.sample(16, rng)]) == {"only"}
+        assert set(buf.states[buf.sample(16, rng)]) == {"only"}
 
     def test_uniform_when_decay_one(self):
         buf = ReplayBuffer(capacity=4, recency_decay=1.0)
         for i in range(4):
-            buf.push(i)
+            buf.push(i, i + 1)
         rng = derive_rng(1, "buf")
-        draws = buf.fields[0][buf.sample(100_000, rng)]
+        draws = buf.states[buf.sample(100_000, rng)]
         freqs = np.bincount(draws, minlength=4) / len(draws)
         assert np.all(np.abs(freqs - 0.25) < 0.02)
 
     def test_recency_bias_matches_analytic_weights(self):
         buf = ReplayBuffer(capacity=3, recency_decay=0.9)
         for i in range(3):
-            buf.push(i)  # entry 2 newest (age 0), 0 oldest (age 2)
+            buf.push(i, i + 1)  # entry 2 newest (age 0), 0 oldest (age 2)
         rng = derive_rng(2, "buf")
-        draws = buf.fields[0][buf.sample(100_000, rng)]
+        draws = buf.states[buf.sample(100_000, rng)]
         freqs = np.bincount(draws, minlength=3) / len(draws)
         weights = np.array([0.81, 0.9, 1.0])
         expected = weights / weights.sum()
@@ -618,23 +620,25 @@ class TestReplayBuffer:
     def test_first_push_allocates_every_row_keeping_order(self):
         buf = ReplayBuffer(capacity=10)
         for i in range(12):
-            buf.push(np.full(2, i), float(i), i % 2 == 0)
-            assert len(buf.fields[0]) == 10
-        states, rewards, done = buf.fields
-        assert states.shape == (10, 2) and rewards.dtype == float and done.dtype == bool
-        assert rewards.tolist() == [10.0, 11.0, *range(2, 10)]
-        assert states[:, 0].tolist() == rewards.tolist()
+            buf.push(np.full(2, i), np.full(2, i + 1), float(i), i % 2 == 0)
+            assert len(buf.states) == len(buf.fields[0]) == 11
+        states, (rewards, done) = buf.states, buf.fields
+        assert states.shape == (11, 2) and rewards.dtype == float and done.dtype == bool
+        # row 0 holds the newest (11), slot 1 its next state, rows 2-10 the older nine
+        assert rewards.tolist() == [11.0, 1.0, *range(2, 11)]
+        assert states[:, 0].tolist() == [11.0, 12.0, *range(2, 11)]
 
     def test_gather_writes_kept_arrays(self):
         buf = ReplayBuffer(capacity=8)
         for i in range(8):
-            buf.push(np.arange(3.0) + i, i)
+            buf.push(np.arange(3.0) + i, np.arange(3.0) + i + 1, i)
         work = Workspace()
         rows = buf.sample(5, derive_rng(3, "buf"))
-        states, bins = buf.gather(rows, work)
-        assert np.array_equal(states, buf.fields[0][rows]) and np.array_equal(bins, rows)
+        states, next_states, bins = buf.gather(rows, work)
+        assert np.array_equal(states, buf.states[rows]) and np.array_equal(bins, rows)
+        assert np.array_equal(next_states, states + 1)
         again = buf.gather(buf.sample(5, derive_rng(4, "buf")), work)
-        assert again[0] is states and again[1] is bins
+        assert again[0] is states and again[1] is next_states and again[2] is bins
 
 
 class TestSoftUpdate:
@@ -724,11 +728,11 @@ class TestSchedules:
 class TestTransitionAndIO:
     def test_dimension_mismatch(self):
         buf = ReplayBuffer(capacity=4)
-        buf.push(np.zeros(3), 0, 0.0, np.zeros(3), False)
-        with pytest.raises(ShapeError):  # a field row of another shape
-            buf.push(np.zeros(3), 0, 0.0, np.zeros(4), False)
+        buf.push(np.zeros(3), np.zeros(3), 0, 0.0, False)
+        with pytest.raises(ShapeError):  # a next state of another shape
+            buf.push(np.zeros(3), np.zeros(4), 0, 0.0, False)
         with pytest.raises(ShapeError):  # a scalar would broadcast over the row
-            buf.push(np.zeros(3), 0, 0.0, 1.0, False)
+            buf.push(np.zeros(3), 1.0, 0, 0.0, False)
         with pytest.raises(ShapeError):  # a field missing
-            buf.push(np.zeros(3), 0, 0.0, np.zeros(3))
+            buf.push(np.zeros(3), np.zeros(3), 0, 0.0)
         assert len(buf) == 1

@@ -123,7 +123,7 @@ class TestCoordinator:
         for _ in range(32):
             states = [rng.normal(size=2) for _ in range(2)]
             actions = [[int(rng.integers(3))] for _ in range(2)]
-            coord.buffer.push(states, actions, [rng.normal(size=2) for _ in range(2)], 0.75, True)
+            coord.buffer.push(states, [rng.normal(size=2) for _ in range(2)], actions, 0.75, True)
         for _ in range(1500):
             loss = coord.learn()
         assert loss < 1e-3
@@ -134,7 +134,7 @@ class TestCoordinator:
         for _ in range(32):
             states = [rng.normal(size=2) for _ in range(2)]
             actions = [[int(rng.integers(3))] for _ in range(2)]
-            coord.buffer.push(states, actions, [rng.normal(size=2) for _ in range(2)], 0.4, False)
+            coord.buffer.push(states, [rng.normal(size=2) for _ in range(2)], actions, 0.4, False)
         for _ in range(2500):
             loss = coord.learn()
         assert loss < 1e-3
@@ -142,12 +142,15 @@ class TestCoordinator:
 
 def _fill(coord, n=32, seed=7):
     rng = derive_rng(seed, "fill")
+    states = [rng.normal(size=2) for _ in coord.member_ids]
     for _ in range(n):
-        states = [rng.normal(size=2) for _ in coord.member_ids]
         actions = [[int(rng.integers(3))] for _ in coord.member_ids]
         reward = float(rng.normal())
         next_states = [rng.normal(size=2) for _ in coord.member_ids]
-        coord.buffer.push(states, actions, next_states, reward, bool(rng.integers(2)))
+        done = bool(rng.integers(2))
+        coord.buffer.push(states, next_states, actions, reward, done)
+        # an episode's next state is its next week's state
+        states = [rng.normal(size=2) for _ in coord.member_ids] if done else next_states
 
 
 def _reference_learn(coord, nets, targets, mixer, target_mixer, opt, rng, step):
@@ -157,9 +160,9 @@ def _reference_learn(coord, nets, targets, mixer, target_mixer, opt, rng, step):
     b, n = len(sampled), len(nets)
     rows = np.arange(b)[:, None]
     heads = np.arange(1)[None, :]
-    state_ring, action_ring, next_ring, reward_ring, done_ring = (
-        f[sampled] for f in coord.buffer.fields
-    )
+    state_ring = coord.buffer.states[sampled]
+    next_ring = coord.buffer.states[(sampled + 1) % len(coord.buffer.states)]
+    action_ring, reward_ring, done_ring = (f[sampled] for f in coord.buffer.fields)
     rewards = reward_ring
     done = done_ring.astype(float)
     states = [state_ring[:, i] for i in range(n)]
@@ -235,7 +238,7 @@ class TestTeamStep:
         coord = _coordinator(lr=0.02)
         _fill(coord)
         coord.learn()
-        coord.buffer.fields[3][:] = np.nan  # the shared rewards
+        coord.buffer.fields[1][:] = np.nan  # the shared rewards
         opt = coord.optimizer
         flats = [coord.nets.flat, *(net.flat for net in coord.mixer.hypernets)]
         before = [a.copy() for a in [*flats, *opt.m, *opt.v]]
@@ -259,7 +262,7 @@ class TestMatrixGame:
         for a1 in range(3):
             for a2 in range(3):
                 for _ in range(4):
-                    coord.buffer.push(state, [[a1], [a2]], state, payoff[a1, a2], True)
+                    coord.buffer.push(state, state, [[a1], [a2]], payoff[a1, a2], True)
         for _ in range(2500):
             coord.learn()
         greedy = [int(np.argmax(coord.nets.member(i).forward(np.ones(1)))) for i in range(2)]
@@ -330,4 +333,4 @@ class TestQmixTeamInMarket:
         coord.contribute("x0", np.zeros(2), [0], 1.0, np.zeros(2), False)
         assert len(coord.buffer) == 0  # waits for the team
         coord.contribute("x1", np.zeros(2), [0], 3.0, np.zeros(2), False)
-        assert coord.buffer.fields[3][0] == 2.0  # the shared reward
+        assert coord.buffer.fields[1][0] == 2.0  # the shared reward
