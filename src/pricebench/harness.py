@@ -22,9 +22,9 @@ a letter's roster.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import hashlib
+import importlib
 import json
 import logging
 import math
@@ -48,16 +48,6 @@ from .market import (
     MarketObservation,
     from_fields,
     make_default_portfolio,
-)
-from .marl import (
-    DqnCore,
-    DqnHyper,
-    MaddpgCoordinator,
-    MaddpgHyper,
-    QmixCoordinator,
-    QmixHyper,
-    TeamMember,
-    state_dim,
 )
 from .metrics import MetricsReport, compute_report
 from .rule_agents import DIVERSE_STRATEGIES, RuleAgent, RuleStrategy
@@ -182,11 +172,29 @@ def config_hash(config_dict: dict) -> str:
     ).hexdigest()
 
 
-SETTINGS = {"rule": RuleStrategy, "madqn": DqnHyper, "maddpg": MaddpgHyper, "qmix": QmixHyper}
+# Each agent kind's module, relative to this package, and the names there of
+# its settings class and, for a learning kind, its team learner class. A
+# kind's module is imported the first time a roster names the kind, so a run
+# loads only the learners it builds: a rule-only run never loads `nn`.
+AGENT_KINDS = {
+    "rule": {"module": ".rule_agents", "settings": "RuleStrategy"},
+    "madqn": {"module": ".marl.madqn", "settings": "DqnHyper", "learner": "DqnCore"},
+    "maddpg": {
+        "module": ".marl.maddpg", "settings": "MaddpgHyper", "learner": "MaddpgCoordinator",
+    },
+    "qmix": {"module": ".marl.qmix", "settings": "QmixHyper", "learner": "QmixCoordinator"},
+}
+
+
+def kind_class(kind: str, role: str) -> type:
+    """The `role` ("settings" or "learner") class of an agent kind, from
+    its module, which the first call for the kind imports."""
+    entry = AGENT_KINDS[kind]
+    return getattr(importlib.import_module(entry["module"], __package__), entry[role])
 
 
 def roster_settings(roster: list[AgentSpec], max_weekly_change: float) -> dict:
-    """Each roster entry's settings by agent id: its kind's `SETTINGS` class,
+    """Each roster entry's settings by agent id: its kind's settings class,
     whose fields are the keys of its `params`, checked when built. A MADDPG
     or QMIX team trains under one set, so its members' `params` must agree,
     and a rule agent's `response_step` must not exceed the market's weekly
@@ -201,7 +209,9 @@ def roster_settings(roster: list[AgentSpec], max_weekly_change: float) -> dict:
                 f"{team[0].agent_id}'s"
             )
     settings = {
-        s.agent_id: from_fields(SETTINGS[s.agent_kind], s.params, f"{s.agent_kind} params")
+        s.agent_id: from_fields(
+            kind_class(s.agent_kind, "settings"), s.params, f"{s.agent_kind} params"
+        )
         for s in roster
     }
     for aid, s in settings.items():
@@ -209,9 +219,6 @@ def roster_settings(roster: list[AgentSpec], max_weekly_change: float) -> dict:
             raise ConfigError(f"{aid}: response_step {s.response_step} must not exceed "
                               f"max_weekly_change {max_weekly_change}")
     return settings
-
-
-LEARNERS = {"madqn": DqnCore, "maddpg": MaddpgCoordinator, "qmix": QmixCoordinator}
 
 
 def build_agents(config: MarketConfig) -> list[PricingAgentBase]:
@@ -231,7 +238,9 @@ def build_agents(config: MarketConfig) -> list[PricingAgentBase]:
         else:
             teams.setdefault((kind, settings[aid]), []).append(aid)
     for (kind, hyper), ids in teams.items():
-        learner = LEARNERS[kind](config, hyper, ids, state_dim(n), n)
+        from .marl.common import TeamMember, state_dim  # the learner stack, on first use
+
+        learner = kind_class(kind, "learner")(config, hyper, ids, state_dim(n), n)
         built.update((aid, TeamMember(aid, portfolio, config, learner)) for aid in ids)
     return [built[spec.agent_id] for spec in config.agent_roster]
 
@@ -360,6 +369,8 @@ def run_experiments(
     if workers <= 1:
         results = [execute_run(spec, i, out) for spec, i in tasks]
     else:
+        import concurrent.futures
+
         # every run is single-threaded, so one job per CPU fills the machine
         specs_in, runs = zip(*tasks)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:

@@ -51,9 +51,10 @@ class MonotonicMixer:
         return [p for net in self.hypernets for p in net.params()]
 
     def clone(self) -> "MonotonicMixer":
+        """A target mixer: a copy of the hypernetworks' parameters that shares
+        the mixer's buffers and theirs, as a target `DenseNet` does."""
         twin = copy.copy(self)
         twin.hypernets = [net.clone() for net in self.hypernets]
-        twin._work = Workspace()
         return twin
 
     def forward_cached(self, qs: np.ndarray, states: np.ndarray):

@@ -33,6 +33,11 @@ rule says which arrays a caller may keep:
 - The `grads` of `backward` are views of `net.grad`, which the net's next
   backward with `params=True` overwrites.
 
+A target net (`clone()`) shares its online net's `Workspace`, so the two
+hold one set of buffers: each learner runs its target passes and reduces
+their output into an array it keeps (`forward` copies) before its online
+pass, so neither net's pass meets the other's output in use.
+
 Replay. A `ReplayBuffer` keeps the transitions' states in one ring and one
 array per other field (the learners choose the fields). A push writes its
 state to its row's slot and its next state to the slot after it, which the
@@ -334,7 +339,11 @@ class DenseNet:
         return grads, input_grad
 
     def clone(self) -> "DenseNet":
-        return self._like(self.flat.copy(), self.members)
+        """A copy of the parameters that shares this net's buffers (see the
+        module docstring): a target net."""
+        twin = self._like(self.flat.copy(), self.members)
+        twin._work = self._work
+        return twin
 
 
 def soft_update(target: DenseNet, online: DenseNet, tau: float) -> None:
@@ -369,11 +378,20 @@ class Adam:
     over a vector rather than a Python loop over layers and members, in
     chunks through the thread's sweep scratch. The moments are allocated by
     the first step, so an optimizer that never steps holds none.
+
+    Every FLUSH_EVERY steps the moment entries below the smallest normal
+    float are set to 0. A parameter whose gradient stays 0 has its `m`
+    scaled by beta1 each step until it sticks at a subnormal (beta1 times
+    the smallest one rounds back to it), and numpy's passes over subnormals
+    run tens of times slower. At lr <= 1 such an entry moves its parameter
+    by less than 1e-298, below the last bit of any parameter above 1e-280,
+    so the flush leaves the parameters as they were.
     """
 
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
+    FLUSH_EVERY = 1024
 
     def __init__(self, params: Sequence[np.ndarray]):
         self._n_params = len(params)
@@ -418,6 +436,10 @@ class Adam:
                 np.multiply(mc, alpha, out=step)
                 step /= denom
                 p[chunk] -= step
+        if self.t % self.FLUSH_EVERY == 0:
+            tiny = np.finfo(float).tiny  # the smallest normal float
+            for moment in (*self.m, *self.v):
+                moment[np.abs(moment) < tiny] = 0.0
 
 
 class ReplayBuffer:

@@ -17,8 +17,8 @@ import pytest
 
 from pricebench import harness
 from pricebench.harness import (
+    AGENT_KINDS,
     CONFIG_MATRIX,
-    SETTINGS,
     ExperimentSpec,
     RunManifest,
     confidence_interval,
@@ -144,9 +144,9 @@ class TestRuleParams:
             _rule(params)
 
 
-@pytest.mark.parametrize("kind", SETTINGS)
+@pytest.mark.parametrize("kind", AGENT_KINDS)
 def test_settings_defaults_round_trip_through_json(kind):
-    cls = SETTINGS[kind]
+    cls = harness.kind_class(kind, "settings")
     assert from_fields(cls, json.loads(json.dumps(dataclasses.asdict(cls())))) == cls()
 
 
@@ -389,6 +389,79 @@ def test_import_and_runs_start_no_thread():
     assert run.returncode == 0, run.stderr
     before, after = map(int, run.stdout.split())
     assert after == before
+
+
+# prints, after `body` has run in a fresh interpreter, the learner modules it
+# loaded and whether it loaded the process pool
+LOADED = """
+import sys
+{body}
+loaded = sorted(m for m in sys.modules if m == "pricebench.nn" or m.startswith("pricebench.marl"))
+print(" ".join(loaded), "|", "concurrent.futures" in sys.modules)
+"""
+
+
+def _loaded_after(body: str, cwd: Path) -> tuple[set[str], bool]:
+    run = _run_python(["-c", LOADED.format(body=body)], cwd)
+    assert run.returncode == 0, run.stderr
+    modules, pool = run.stdout.splitlines()[-1].split("|")
+    return set(modules.split()), pool.strip() == "True"
+
+
+class TestLazyLearners:
+    """A kind's module loads the first time a roster names the kind
+    (`harness.AGENT_KINDS`), so a process loads only the learners it builds."""
+
+    def test_every_known_kind_has_a_table_entry(self):
+        assert list(AGENT_KINDS) == list(AgentSpec.KNOWN_KINDS)
+
+    def test_rule_only_simulation_loads_no_learner(self, tmp_path):
+        loaded, pool = _loaded_after(
+            "from pricebench.harness import build_agents, desk_spec, simulate\n"
+            "config = desk_spec('A').market\n"
+            "assert len(list(simulate(config, build_agents(config)))) == config.episodes",
+            tmp_path,
+        )
+        assert loaded == set() and not pool
+
+    def test_maddpg_roster_loads_maddpg_alone(self, tmp_path):
+        loaded, _ = _loaded_after(
+            "from pricebench.harness import build_agents, desk_spec\n"
+            "build_agents(desk_spec('B').market)",
+            tmp_path,
+        )
+        assert "pricebench.marl.maddpg" in loaded
+        assert not loaded & {"pricebench.marl.qmix", "pricebench.marl.madqn"}
+
+    def test_wilcoxon_loads_no_learner(self, tmp_path):
+        (tmp_path / "a.csv").write_text("x\n1\n2\n3\n")
+        (tmp_path / "b.csv").write_text("x\n0\n1\n2\n")
+        loaded, pool = _loaded_after(
+            "from pricebench.cli import main\n"
+            "assert main(['wilcoxon', '--a', 'a.csv', '--b', 'b.csv']) == 0",
+            tmp_path,
+        )
+        assert loaded == set() and not pool
+
+    def test_parallel_runs_write_the_serial_bytes(self, tmp_path):
+        """The pool's module loads with the first jobs > 1 call, and its runs
+        write what one job writes."""
+        loaded, pool = _loaded_after(
+            "import hashlib, sys\n"
+            "from pathlib import Path\n"
+            "from pricebench.harness import desk_spec, run_experiment\n"
+            "spec = desk_spec('G', seed=4, weeks_per_episode=6, episodes=2)\n"
+            "def digests(jobs):\n"
+            "    out = Path(f'jobs{jobs}')\n"
+            "    run_experiment(spec, out, jobs=jobs)\n"
+            "    return [hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.glob('*/*'))\n"
+            "            if f.name in ('history.csv', 'metrics.json')]\n"
+            "serial = digests(1)\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+            "assert len(serial) == 2 * spec.n_runs and digests(2) == serial",
+            tmp_path,
+        )
+        assert "pricebench.marl.maddpg" in loaded and pool
 
 
 def _exhaustive_p(diffs, ranks) -> float:

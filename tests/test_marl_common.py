@@ -19,12 +19,16 @@ from pricebench.market import (
     ProductSpec,
     left_sum,
 )
-from pricebench.marl import common, compute_reward, discretize_action, encode_state, state_dim
+from pricebench.marl import common
 from pricebench.marl.common import (
     N_PRICE_BINS,
     STATE_SLOTS_PER_PRODUCT,
     TeamMember,
+    compute_reward,
+    discretize_action,
+    encode_state,
     epsilon_greedy,
+    state_dim,
 )
 from pricebench.marl.madqn import DqnHyper
 from pricebench.marl.maddpg import MaddpgHyper
@@ -431,6 +435,24 @@ class TestStateEncodedOncePerWeek:
         learners = [a for a in agents if isinstance(a, TeamMember)]
         # each episode: one encoding of the opening observation, then one per week
         assert len(calls) == len(learners) * episodes * (weeks + 1)
+
+
+@pytest.mark.parametrize("config_id", ["B", "C", "F"])
+def test_target_nets_share_their_online_nets_buffers(config_id):
+    """Every learner runs its target passes before its online pass, so a
+    target net needs no buffers of its own (see `nn`)."""
+    learner = build_agents(desk_spec(config_id).market)[0].learner
+    if config_id == "B":
+        pairs = [(learner.target_actors, learner.actors),
+                 (learner.target_critics, learner.critics)]
+    else:
+        pairs = [(learner.target_nets, learner.nets)]
+    if config_id == "F":
+        pairs += [(learner.target_mixer, learner.mixer),
+                  *zip(learner.target_mixer.hypernets, learner.mixer.hypernets)]
+    for target, net in pairs:
+        assert target._work is net._work
+        assert not np.shares_memory(target.params()[0], net.params()[0])
 
 
 class TestLearningPersistence:

@@ -240,6 +240,31 @@ class TestAdam:
         assert opt.t == 1
         assert all(np.array_equal(b, a) for b, a in zip(before, params + opt.m + opt.v))
 
+    def test_moments_never_stick_at_a_subnormal(self):
+        # an entry whose gradient stays 0 has m scaled by beta1 each step until it sticks
+        # at a subnormal (after about 6,700 steps); the flush every FLUSH_EVERY steps sets
+        # it to 0 and moves no parameter
+        rng = derive_rng(6, "adam-subnormal")
+        params = [rng.normal(size=16)]
+        ref_params = [params[0].copy()]
+        opt, ref = Adam(params), Adam(ref_params)
+        ref.FLUSH_EVERY = 10**9  # the unflushed reference
+        frozen = np.arange(16) % 4 == 0
+        for t in range(9_000):
+            g = rng.normal(size=16)
+            if t >= 100:
+                g[frozen] = 0.0
+            opt.step(params, [g], lr=1e-3)
+            ref.step(ref_params, [g], lr=1e-3)
+
+        def subnormal(a):
+            return (a != 0) & (np.abs(a) < np.finfo(float).tiny)
+
+        assert subnormal(ref.m[0][frozen]).all()
+        assert not any(subnormal(a).any() for a in opt.m + opt.v)
+        assert np.array_equal(opt.m[0][frozen], np.zeros(frozen.sum()))
+        assert np.array_equal(params[0], ref_params[0])
+
     def test_strided_parameters_rejected(self):
         team = DenseNet([3, 2], ["linear"], [derive_rng(i, "adam") for i in range(2)])
         params = team.params()
