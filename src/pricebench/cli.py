@@ -163,7 +163,8 @@ def _write_report(reports_by_config: dict[str, list[MetricsReport]], out, demand
     for row in tables["adaptability"]:
         print(f"  {row['config_id']}: adj_mag={row['adjustment_magnitude']:.4f} "
               f"adj_freq={row['adjustment_frequency']:.3f} "
-              f"stability={row['price_stability']:.3f}")
+              f"stability={row['price_stability']:.3f} "
+              f"volatility={row['price_volatility_std']:.4f}")
     print("\nmarket dynamics:")
     for row in tables["dynamics"]:
         print(f"  {row['config_id']}: jain={row['jain_mean']:.4f} "

@@ -14,11 +14,12 @@ A week is a few passes over per-slot lists: one validates the submissions,
 one applies the market rule, one demand-oracle call prices every slot, and
 one settles them. The week's calendar terms come from a 52-week table.
 
-`step` returns one `MarketObservation` per settled week. The agents read it
-next, and `run_episode` keeps it as the week's record until the episode ends:
-the episode's records are then folded into the metrics and appended to
-`history.csv`, one episode at a time. Week zero, the initial prices at
-baseline demand, is settled by the same helper (`bootstrap_observation`).
+`step` returns one `MarketObservation` per settled week, which the agents
+read next, and writes the week into the episode's `EpisodeLog`, one row of
+columns. `run_episode` returns the log: the episode's metrics and its
+`history.csv` rows are computed from it, one episode at a time. Week zero,
+the initial prices at baseline demand, is settled by the same helper
+(`bootstrap_observation`) and is not logged.
 """
 
 from __future__ import annotations
@@ -26,13 +27,13 @@ from __future__ import annotations
 import logging
 import math
 import operator
-import struct
 
 import numpy as np
 
 from .demand import DemandOracle, DemandQuery
 from .features import seasonal_encoding
 from .market import (
+    EpisodeLog,
     MarketConfig,
     MarketObservation,
     ProductSpec,
@@ -126,13 +127,16 @@ class MarketEnvironment:
         self._products = [p for _, _, p in pairs]
         self._specs = [p.spec for p in self._products]
         self._floors = [config.price_floor(spec) for spec in self._specs]
-        self._unit_costs = [spec.unit_cost for spec in self._specs]
         self._portfolios = [(a.agent_id, list(a.portfolio)) for a in self.agents]
         self._agent_spans = []
         start = 0
         for agent_id, pids in self._portfolios:
             self._agent_spans.append((agent_id, start, start + len(pids)))
             start += len(pids)
+        self.log = EpisodeLog(
+            config.weeks_per_episode, self.slots, [aid for aid, _ in self._portfolios],
+            [spec.unit_cost for spec in self._specs],
+        )
         cluster_ids = [spec.cluster_id for spec in self._specs]
         clusters = list(dict.fromkeys(cluster_ids))
         self._slot_cluster = [clusters.index(c) for c in cluster_ids]
@@ -162,26 +166,32 @@ class MarketEnvironment:
         self, prices: list[float], cluster_avg: list[float], demands: list[float]
     ) -> MarketObservation:
         """The observation of a week sold at `prices` and `demands`: each
-        slot's revenue and profit, each agent's revenue summed left to right
-        over its slots in portfolio order, and shares of their `fsum` (equal
-        shares when it is not positive)."""
+        agent's revenue, its slots' `price * demand` summed left to right in
+        portfolio order, and shares of their `fsum` (equal shares when it is
+        not positive). Week `week_index` is also written into its log row;
+        week zero has none."""
         revenues = list(map(operator.mul, prices, demands))
-        profits = list(map(operator.mul, map(operator.sub, prices, self._unit_costs), demands))
         agent_revenue = {
             agent_id: left_sum(revenues[start:stop]) for agent_id, start, stop in self._agent_spans
         }
         total = math.fsum(agent_revenue.values())
-        zero_revenue = total <= 0
-        if zero_revenue:
+        if total <= 0:
             shares = dict.fromkeys(agent_revenue, 1.0 / len(agent_revenue))
         else:
             shares = {aid: rev / total for aid, rev in agent_revenue.items()}
+        row = self.week_index - 1
+        if row >= 0:
+            log = self.log
+            log.price[row] = prices
+            log.demand[row] = demands
+            log.revenue[row] = list(agent_revenue.values())
+            log.share[row] = list(shares.values())
+            log.zero_revenue[row] = total <= 0
         week = self.week_number
         return MarketObservation(
-            week_index=self.week_index, week_number=week, is_holiday=_CALENDAR[week][0],
-            slots=self.slots, competitor_slots=self.competitor_slots, price=prices,
-            cluster_avg_price=cluster_avg, demand=demands, revenue=revenues, profit=profits,
-            agent_revenue=agent_revenue, market_share=shares, zero_revenue=zero_revenue,
+            week_number=week, is_holiday=_CALENDAR[week][0], slots=self.slots,
+            competitor_slots=self.competitor_slots, price=prices, cluster_avg_price=cluster_avg,
+            agent_revenue=agent_revenue, market_share=shares,
         )
 
     def bootstrap_observation(self) -> MarketObservation:
@@ -223,7 +233,7 @@ class MarketEnvironment:
 
     def step(self, submitted_prices: dict[str, dict[str, float]]) -> MarketObservation:
         """Settle one week at the submitted prices, after the market rule,
-        and return its observation, which is also the week's record."""
+        write it into the log and return its observation."""
         t = self.week_index
         if t >= self.config.weeks_per_episode:
             raise ProtocolError(f"the episode's {self.config.weeks_per_episode} weeks are over")
@@ -270,14 +280,13 @@ def run_episode(
     agents: list[PricingAgentBase],
     demand_model: DemandOracle,
     episode_index: int = 0,
-) -> list[MarketObservation]:
+) -> EpisodeLog:
     """Run exactly weeks_per_episode steps, driving agent act/feedback hooks;
-    the observations of the settled weeks, in order, are the episode's records."""
+    return the episode's log."""
     for agent in agents:
         agent.begin_episode(episode_index)
     env = MarketEnvironment(config, agents, demand_model, episode_index)
     observation = env.bootstrap_observation()
-    records: list[MarketObservation] = []
     for week in range(1, config.weeks_per_episode + 1):
         submitted = {a.agent_id: a.propose_prices(observation) for a in env.agents}
         new_observation = env.step(submitted)
@@ -285,8 +294,7 @@ def run_episode(
         for agent in env.agents:
             agent.feedback(new_observation, observation, done)
         observation = new_observation
-        records.append(observation)
-    return records
+    return env.log
 
 
 # `'%.6f' % x` is computed in vector form for |x| < FIXED6_LIMIT, that is
@@ -356,9 +364,11 @@ def _text_rows(strings: list[bytes]) -> np.ndarray:
     return np.array(strings, dtype=bytes).view(np.uint8).reshape(len(strings), -1).T
 
 
-def _rows_bytes(ep_idx: int, records: list[MarketObservation]) -> bytes:
-    """The history rows of one episode's records, which share its slot table:
-    one row per slot and week, in slot order within each week.
+def _rows_bytes(ep_idx: int, log: EpisodeLog) -> bytes:
+    """The history rows of one episode's log: one row per slot and week, in
+    slot order within each week. Each slot's revenue and profit are
+    `price * demand` and `(price - unit_cost) * demand`, rounded as the
+    same float operations in Python round them.
 
     The rows are laid out in a `(bytes per row, rows)` uint8 buffer: each
     week's `episode,week,`, each slot's `agent_id,product_id,`, then each
@@ -366,22 +376,17 @@ def _rows_bytes(ep_idx: int, records: list[MarketObservation]) -> bytes:
     to its widest entry. One transpose makes the row bytes, and dropping the
     NULs leaves the CSV text.
     """
-    slots = records[0].slots
-    owners = [agent_id for agent_id, _ in slots]
-    floats = []
-    for column in ("price", "demand", "revenue", "profit"):
-        for r in records:
-            floats += getattr(r, column)
-    for r in records:
-        floats += map(r.market_share.__getitem__, owners)
-    # struct.pack turns the list into doubles about 3x faster than np.array does
-    values = np.frombuffer(struct.pack(f"{len(floats)}d", *floats)).reshape(5, -1)
+    price, demand = log.price, log.demand
+    weeks, n_slots = price.shape
+    with np.errstate(over="ignore"):  # an overflow is inf, as in Python
+        revenue, profit = price * demand, (price - log.unit_cost) * demand
+    values = np.stack([price, demand, revenue, profit, log.share[:, log.owner]]).reshape(5, -1)
     fields = fixed6_text(values).transpose(1, 0, 2)  # (5, width, rows)
 
-    heads = _text_rows([b"%d,%d," % (ep_idx, r.week_index) for r in records])
-    prefixes = _text_rows([f"{agent_id},{product_id},".encode() for agent_id, product_id in slots])
+    heads = _text_rows([b"%d,%d," % (ep_idx, week) for week in range(1, weeks + 1)])
+    prefixes = _text_rows([f"{aid},{pid},".encode() for aid, pid in log.slots])
     start = len(heads) + len(prefixes)
-    buffer = np.empty((start + 5 * (fields.shape[1] + 1), len(records), len(slots)), dtype=np.uint8)
+    buffer = np.empty((start + 5 * (fields.shape[1] + 1), weeks, n_slots), dtype=np.uint8)
     buffer[:len(heads)] = heads[:, :, None]
     buffer[len(heads):start] = prefixes[:, None, :]
     columns = buffer[start:].reshape(5, -1, values.shape[1])
@@ -391,8 +396,8 @@ def _rows_bytes(ep_idx: int, records: list[MarketObservation]) -> bytes:
     return buffer.reshape(len(buffer), -1).T.tobytes().translate(None, b"\0")
 
 
-def write_history_csv(fh, ep_idx: int, records: list[MarketObservation]) -> None:
+def write_history_csv(fh, ep_idx: int, log: EpisodeLog) -> None:
     """Append episode `ep_idx`'s history rows to the binary file `fh`: one row
     per slot and week, floats as `'%.6f'`. A history file is `HISTORY_HEADER`
     and then each episode's rows, in order."""
-    fh.write(_rows_bytes(ep_idx, records))
+    fh.write(_rows_bytes(ep_idx, log))

@@ -26,7 +26,6 @@ import csv
 import hashlib
 import importlib
 import json
-import logging
 import math
 import os
 import time
@@ -43,16 +42,14 @@ from .environment import HISTORY_HEADER, PricingAgentBase, run_episode, write_hi
 from .market import (
     AgentSpec,
     ConfigError,
+    EpisodeLog,
     JsonFields,
     MarketConfig,
-    MarketObservation,
     from_fields,
     make_default_portfolio,
 )
 from .metrics import MetricsReport, compute_report
 from .rule_agents import DIVERSE_STRATEGIES, RuleAgent, RuleStrategy
-
-log = logging.getLogger(__name__)
 
 CONFIG_MATRIX = {
     "A": ["rule"] * 4,
@@ -245,13 +242,11 @@ def build_agents(config: MarketConfig) -> list[PricingAgentBase]:
     return [built[spec.agent_id] for spec in config.agent_roster]
 
 
-def simulate(
-    config: MarketConfig, agents: list[PricingAgentBase]
-) -> Iterator[list[MarketObservation]]:
-    """The config's episodes, `agents` pricing against the run's demand oracle,
-    yielded one at a time as each ends: the one place that picks the oracle
-    and runs a market's episodes. Nothing runs until the first episode is
-    read, and the generator keeps no episode once it has yielded it."""
+def simulate(config: MarketConfig, agents: list[PricingAgentBase]) -> Iterator[EpisodeLog]:
+    """The config's episode logs, `agents` pricing against the run's demand
+    oracle, yielded one at a time as each ends: the one place that picks the
+    oracle and runs a market's episodes. Nothing runs until the first episode
+    is read, and the generator keeps no episode once it has yielded it."""
     model = ParametricDemandModel(config.demand_params)
     for ep in range(config.episodes):
         yield run_episode(config, agents, model, ep)
@@ -287,18 +282,18 @@ def execute_run(
     def written(episodes, fh):
         """Each episode as it ends; its rows are appended to `fh` once the
         report has folded it and let go of the episode before."""
-        for ep_idx, records in enumerate(episodes, start=1):
+        for ep_idx, log in enumerate(episodes, start=1):
             lap("simulate")
-            yield records
+            yield log
             lap("compute_report")
-            write_history_csv(fh, ep_idx, records)
+            write_history_csv(fh, ep_idx, log)
             lap("history_csv")
         lap("simulate")  # the stream's end, which frees the agents
 
     agents = build_agents(run_config)
     lap("build_agents")
     episodes = simulate(run_config, agents)
-    # the report and the artifacts read only the episode records: the stream
+    # the report and the artifacts read only the episode logs: the stream
     # alone holds the agents, so their nets, buffers and replay are freed as
     # soon as the last episode ends
     del agents
@@ -498,22 +493,11 @@ def summarize(reports_by_config: dict[str, list[MetricsReport]]) -> dict[str, li
 
     adaptability_rows = []
     for cid, reports in sorted(reports_by_config.items()):
-        mags, freqs, stabs, cvs = [], [], [], []
-        for r in reports:
-            for a in r.agents.values():
-                mags.append(a.adjustment_magnitude)
-                freqs.append(a.adjustment_frequency)
-                stabs.append(a.price_stability)
-                cvs.append(a.price_cv)
-        adaptability_rows.append(
-            {
-                "config_id": cid,
-                "adjustment_magnitude": float(np.mean(mags)),
-                "adjustment_frequency": float(np.mean(freqs)),
-                "price_stability": float(np.mean(stabs)),
-                "price_cv": float(np.mean(cvs)),
-            }
-        )
+        row = {"config_id": cid}
+        for key in ("adjustment_magnitude", "adjustment_frequency", "price_stability",
+                    "price_cv", "price_volatility_std"):
+            row[key] = float(np.mean([getattr(a, key) for r in reports for a in r.agents.values()]))
+        adaptability_rows.append(row)
 
     dynamics_rows = []
     for cid, reports in sorted(reports_by_config.items()):

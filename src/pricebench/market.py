@@ -198,31 +198,45 @@ class ProductState:
 
 @dataclass(frozen=True)
 class MarketObservation:
-    """One settled week, broadcast to every agent and kept as the episode's
-    record.
+    """What every agent reads after a week settles.
 
-    Market quantities (prices, demands, revenues, shares) describe the week
-    `week_index` (1-based; 0 is week zero, the initial prices at baseline
-    demand); the calendar fields describe the week agents price next.
-    Per-product quantities are per-slot lists: a slot is one (agent_id,
-    product_id) pair, and `slots` maps each pair to its position, in roster x
-    portfolio order. `slots` and `competitor_slots` are built once per episode
-    and shared by every observation of it.
+    Market quantities (prices, revenues, shares) describe the week just
+    settled (week zero is the initial prices at baseline demand); the
+    calendar fields describe the week agents price next. Per-product
+    quantities are per-slot lists: a slot is one (agent_id, product_id) pair,
+    and `slots` maps each pair to its position, in roster x portfolio order.
+    `slots` and `competitor_slots` are built once per episode and shared by
+    every observation of it. The episode's record is its `EpisodeLog`.
     """
 
-    week_index: int
     week_number: int
     is_holiday: bool
     slots: dict[tuple[str, str], int]
     competitor_slots: tuple[tuple[int, ...], ...]  # other agents' same-cluster slots, roster order
     price: list[float]
     cluster_avg_price: list[float]  # the slot's cluster mean, its own price included
-    demand: list[float]  # units sold; next week's lag-1 demand
-    revenue: list[float]
-    profit: list[float]
     agent_revenue: dict[str, float]  # the week's revenue per agent, roster order
     market_share: dict[str, float]
-    zero_revenue: bool = False
+
+
+class EpisodeLog:
+    """One episode's settled weeks as float64 columns, zero until written;
+    row t is week t + 1. Per slot, in `slots` order: `price` and `demand`,
+    `(weeks, slots)`. Per agent, in `agent_ids` (roster) order: `revenue` and
+    `share`, `(weeks, agents)`. `zero_revenue` flags each week whose market
+    revenue was not positive (its shares are then 1/N). Each slot's `owner`
+    indexes `agent_ids`; `unit_cost` is its product's. The log holds no
+    reference to the market, its agents or its observations."""
+
+    def __init__(self, weeks: int, slots: dict[tuple[str, str], int],
+                 agent_ids: Sequence[str], unit_costs: Sequence[float]):
+        self.slots, self.agent_ids = slots, tuple(agent_ids)
+        self.owner = np.array([self.agent_ids.index(aid) for aid, _ in slots], dtype=np.intp)
+        self.unit_cost = np.array(unit_costs, dtype=float)
+        n, m = len(slots), len(self.agent_ids)
+        self.price, self.demand = np.zeros((weeks, n)), np.zeros((weeks, n))
+        self.revenue, self.share = np.zeros((weeks, m)), np.zeros((weeks, m))
+        self.zero_revenue = np.zeros(weeks, dtype=bool)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .market import JsonFields, MarketObservation, from_fields, left_sum
+from .market import EpisodeLog, JsonFields, from_fields, left_sum
 
 NASH_WINDOW_WEEKS = 12
 CONVERGENCE_WINDOW_WEEKS = 8
@@ -199,11 +199,6 @@ class MetricsReport(JsonFields):
         return from_fields(cls, {**d.pop("market", {}), **d})
 
 
-def _slot_prices(records: list[MarketObservation]) -> np.ndarray:
-    """One episode's `(slots, weeks)` price array, C-contiguous, rows in slot order."""
-    return np.ascontiguousarray(np.array([record.price for record in records], dtype=float).T)
-
-
 def _slot_metrics(prices: np.ndarray) -> dict[str, np.ndarray]:
     """Per-slot AgentMetrics price fields of one episode's `(slots, weeks)` prices."""
     volatility = price_volatility(prices)
@@ -217,76 +212,73 @@ def _slot_metrics(prices: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def compute_report(episodes: Iterable[list[MarketObservation]]) -> MetricsReport:
-    """Fold one run's episodes, in order, into its metric report.
+def compute_report(episodes: Iterable[EpisodeLog]) -> MetricsReport:
+    """Fold one run's episode logs, in order, into its metric report.
 
     `episodes` may be a list or a stream that settles each episode as it is
     read: the fold keeps each episode's per-agent returns and per-slot price
-    metrics, and only the latest episode's records and prices, so a run's
-    record memory is one or two episodes, not all of them.
+    metrics, and only the latest episode's log, so a run's record memory is
+    one or two episodes, not all of them.
 
     Per-agent change statistics average over the agent's products and
     episodes, in (episode, product) order. Share volatility, coordination and
     convergence metrics are computed on the final episode; fairness and
     welfare use per-agent mean episode returns.
     """
-    episode_returns: dict[str, list[float]] = {}
-    per_agent: dict[str, list[np.ndarray]] = {}
-    final: list[MarketObservation] = []
+    episode_returns: list[list[float]] = []
+    per_agent: list[list[np.ndarray]] = []
+    final = None
     for final in episodes:
-        if not final:
+        if not len(final.price):
             raise ValueError("need at least one completed episode")
         # one metric call per episode over all slots; each agent's columns, episode by episode
-        prices = _slot_prices(final)
+        prices = np.ascontiguousarray(final.price.T)
         slot_metrics = _slot_metrics(prices)
         table = np.stack(list(slot_metrics.values()))  # (metrics, slots)
-        columns: dict[str, list[int]] = {aid: [] for aid in final[0].agent_revenue}
-        for (aid, _pid), i in final[0].slots.items():
-            columns[aid].append(i)
-        for aid, cols in columns.items():
-            episode_returns.setdefault(aid, []).append(left_sum(r.agent_revenue[aid] for r in final))
-            per_agent.setdefault(aid, []).append(table[:, cols])
-    if not final:
+        episode_returns.append([left_sum(weekly) for weekly in final.revenue.T.tolist()])
+        per_agent.append([table[:, final.owner == j] for j in range(len(final.agent_ids))])
+    if final is None:
         raise ValueError("need at least one completed episode")
-    agent_ids = list(episode_returns)
+    agent_ids = final.agent_ids
     flags: list[str] = []
-    mean_returns = {aid: float(np.mean(v)) for aid, v in episode_returns.items()}
-    totals = {aid: float(np.sum(v)) for aid, v in episode_returns.items()}
+    # one contiguous row per agent, summed pairwise as np.mean of its list is
+    returns = np.ascontiguousarray(np.array(episode_returns).T)
+    mean_returns = returns.mean(axis=-1).tolist()
+    totals = returns.sum(axis=-1).tolist()
 
     agents = {}
-    for aid in agent_ids:
+    for j, aid in enumerate(agent_ids):
         # a C-contiguous copy: the column gathers are Fortran-ordered, and a row
         # mean sums pairwise (as np.mean of a list does) only along contiguous rows
-        values = np.ascontiguousarray(np.concatenate(per_agent[aid], axis=1))
+        values = np.ascontiguousarray(np.concatenate([ep[j] for ep in per_agent], axis=1))
         means = dict(zip(slot_metrics, values.mean(axis=-1).tolist()))
-        agents[aid] = AgentMetrics(total_revenue=totals[aid], mean_return=mean_returns[aid], **means)
+        agents[aid] = AgentMetrics(total_revenue=totals[j], mean_return=mean_returns[j], **means)
 
     # the final episode's weekly shares, as the environment settled them
-    shares = {aid: [r.market_share[aid] for r in final] for aid in agent_ids}
-    zero_weeks = sum(r.zero_revenue for r in final)
+    shares = dict(zip(agent_ids, final.share.T))
+    zero_weeks = int(final.zero_revenue.sum())
     if zero_weeks:
         flags.append(f"zero-revenue-weeks:{zero_weeks}")
 
     final_window = prices[:, -CONVERGENCE_WINDOW_WEEKS:]  # the loop ends on the final episode
     slots_of: dict[str, list[int]] = {}
-    for (_aid, pid), i in final[0].slots.items():
+    for (_aid, pid), i in final.slots.items():
         slots_of.setdefault(pid, []).append(i)
     convergence_values = [
         price_convergence(final_window[slots_of[pid]].ravel()) for pid in sorted(slots_of)
     ]
 
-    returns_vector = [mean_returns[aid] for aid in agent_ids]
-    if all(v == 0 for v in returns_vector):
+    if all(v == 0 for v in mean_returns):
         flags.append("all-zero-returns")
 
     return MetricsReport(
         agents=agents,
-        jain_index=jain_index(returns_vector),
-        gini=gini(returns_vector),
-        social_welfare=social_welfare(returns_vector),
+        jain_index=jain_index(mean_returns),
+        gini=gini(mean_returns),
+        social_welfare=social_welfare(mean_returns),
         nash_proximity=nash_proximity(prices),
         price_convergence=float(np.mean(convergence_values)),
         market_share_volatility_pp=market_share_volatility_pp(shares),
-        final_market_share={aid: shares[aid][-1] for aid in agent_ids},
+        final_market_share=dict(zip(agent_ids, final.share[-1].tolist())),
         flags=flags,
     )

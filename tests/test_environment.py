@@ -1,4 +1,7 @@
 import copy
+import gc
+import io
+import itertools
 import math
 from dataclasses import replace
 
@@ -22,6 +25,7 @@ from pricebench.environment import (
 )
 from pricebench.market import (
     AgentSpec,
+    EpisodeLog,
     MarketConfig,
     MarketObservation,
     ProductSpec,
@@ -102,12 +106,14 @@ class TestStep:
         (agent,) = _agents(config)
         env = MarketEnvironment(config, [agent], StubOracle(10.0))
         pid = next(iter(agent.portfolio))
-        record = env.step({agent.agent_id: {pid: 5.5}})
-        i = record.slots[(agent.agent_id, pid)]
+        observation = env.step({agent.agent_id: {pid: 5.5}})
         cost = agent.portfolio[pid].spec.unit_cost
-        assert record.revenue[i] == pytest.approx(55.0)
-        assert record.profit[i] == pytest.approx((5.5 - cost) * 10.0)
-        assert record.profit[i] <= record.revenue[i]
+        assert observation.agent_revenue[agent.agent_id] == pytest.approx(55.0)
+        row = _history_cells(env.log)[0]
+        revenue, profit = float(row[6]), float(row[7])
+        assert revenue == pytest.approx(55.0)
+        assert profit == pytest.approx((5.5 - cost) * 10.0)
+        assert profit <= revenue
 
     def test_market_share_definition(self):
         config = _config(n_agents=2)
@@ -167,10 +173,10 @@ class TestStep:
 
     def test_conservation(self):
         config = _config(n_agents=3, weeks=6)
-        (records,) = simulate(config, _agents(config))
-        for record in records:
-            total = sum(record.revenue)
-            assert sum(record.agent_revenue.values()) == pytest.approx(total, abs=1e-9)
+        (log,) = simulate(config, _agents(config))
+        for prices, demands, revenues in zip(log.price, log.demand, log.revenue):
+            total = sum(prices * demands)
+            assert sum(revenues) == pytest.approx(total, abs=1e-9)
 
     def test_observation_freshness(self):
         config = _config(n_agents=1)
@@ -180,10 +186,10 @@ class TestStep:
         obs = env.step({agent.agent_id: {pid: 6.5}})
         i = obs.slots[(agent.agent_id, pid)]
         assert obs.price[i] == 6.5
-        assert obs.demand[i] == 7.0
+        assert env.log.demand[0, i] == 7.0
         assert obs.agent_revenue[agent.agent_id] == pytest.approx(45.5)
         # the market fields settle week 1; the calendar points at week 2, priced next
-        assert obs.week_index == 1 and obs.week_number == 2
+        assert env.week_index == 1 and obs.week_number == 2
 
 
 _RULE_FLOATS = st.one_of(
@@ -323,10 +329,10 @@ class TestDemandInputs:
         portfolio = make_default_portfolio(config.clusters, config.seed)
         agents = [FixedPriceAgent(s.agent_id, portfolio, config) for s in roster]
         oracle = RecordingOracle()
-        records = run_episode(config, agents, oracle)
+        log = run_episode(config, agents, oracle)
         order = [(f"a{i}", spec.product_id) for i in range(4) for spec in portfolio]
         assert len(oracle.queries) == 3
-        assert all(list(r.slots) == order for r in records)
+        assert list(log.slots) == order
         for query in oracle.queries:
             assert query.specs == portfolio * 4
             assert len(query.prices) == len(query.shocks) == len(query.lag1_demands) == 20
@@ -400,7 +406,9 @@ def _reference_week(env, submitted):
     """The week `env.step(submitted)` should settle, slot by slot from the
     agents' product states: the market rule as min/max of each price, the
     demand above and `ProductState.record_week` on copies of the states.
-    Returns the observation, the clamp count and the states after the week."""
+    Returns the observation, the week's log row (price, demand, revenue,
+    share and zero-revenue flag), the clamp count and the states after the
+    week."""
     config = env.config
     agents = {a.agent_id: a for a in env.agents}
     slots = list(env.slots)
@@ -432,11 +440,9 @@ def _reference_week(env, submitted):
         shocks, seasonal_encoding(week)[0], holiday_flag(week), config.demand_params,
     )
 
-    revenues, profits, agent_revenue = [], [], {}
+    agent_revenue = {}
     for (aid, _), product, price, demand in zip(slots, states, prices, demands):
         product.record_week(price, demand)
-        revenues.append(price * demand)
-        profits.append((price - product.spec.unit_cost) * demand)
         agent_revenue[aid] = agent_revenue.get(aid, 0.0) + price * demand
     total = math.fsum(agent_revenue.values())
     zero_revenue = total <= 0
@@ -448,12 +454,12 @@ def _reference_week(env, submitted):
         for (aid, _), c in zip(slots, clusters)
     )
     observation = MarketObservation(
-        week_index=t + 1, week_number=next_week, is_holiday=holiday_flag(next_week),
-        slots=env.slots, competitor_slots=competitor_slots, price=prices,
-        cluster_avg_price=cluster_avg, demand=demands, revenue=revenues, profit=profits,
-        agent_revenue=agent_revenue, market_share=shares, zero_revenue=zero_revenue,
+        week_number=next_week, is_holiday=holiday_flag(next_week), slots=env.slots,
+        competitor_slots=competitor_slots, price=prices, cluster_avg_price=cluster_avg,
+        agent_revenue=agent_revenue, market_share=shares,
     )
-    return observation, clamps, states
+    row = (prices, demands, list(agent_revenue.values()), list(shares.values()), zero_revenue)
+    return observation, row, clamps, states
 
 
 class RandomPriceAgent(PricingAgentBase):
@@ -486,7 +492,7 @@ def _rule_hits(env, submitted):
 
 class TestReferenceWeek:
     """`MarketEnvironment.step` settles every week exactly as the slot-by-slot
-    reference above: the same floats, clamp counts and observations."""
+    reference above: the same floats, clamp counts, observations and log rows."""
 
     def _drive(self, config, agents, model, episodes):
         hits = set()
@@ -498,10 +504,12 @@ class TestReferenceWeek:
             for week in range(1, config.weeks_per_episode + 1):
                 submitted = {a.agent_id: a.propose_prices(observation) for a in agents}
                 hits |= _rule_hits(env, submitted)
-                expected, clamps, states = _reference_week(env, submitted)
-                before = env.clamp_events
+                expected, row, clamps, states = _reference_week(env, submitted)
+                before, t, log = env.clamp_events, env.week_index, env.log
                 new_observation = env.step(submitted)
                 assert new_observation == expected
+                assert (log.price[t].tolist(), log.demand[t].tolist(), log.revenue[t].tolist(),
+                        log.share[t].tolist(), log.zero_revenue[t]) == row
                 assert env.clamp_events - before == clamps
                 assert [a.portfolio[pid] for a in agents for pid in a.portfolio] == states
                 for agent in agents:
@@ -534,58 +542,76 @@ class TestBootstrap:
         agents = _agents(config)
         env = MarketEnvironment(config, agents, StubOracle())
         obs = env.bootstrap_observation()
-        assert obs.week_index == 0 and obs.week_number == 1
+        assert env.week_index == 0 and obs.week_number == 1
         for agent in agents:
             expected = 0.0  # added left to right, in portfolio order
             for pid, product in agent.portfolio.items():
                 spec, i = product.spec, obs.slots[(agent.agent_id, pid)]
                 assert obs.price[i] == spec.initial_price
-                assert obs.demand[i] == spec.baseline_demand
-                assert obs.revenue[i] == spec.initial_price * spec.baseline_demand
-                assert obs.profit[i] == (
-                    (spec.initial_price - spec.unit_cost) * spec.baseline_demand
-                )
-                expected += obs.revenue[i]
+                expected += spec.initial_price * spec.baseline_demand
             assert obs.agent_revenue[agent.agent_id] == expected
         total = math.fsum(obs.agent_revenue.values())
         assert obs.market_share == {aid: rev / total for aid, rev in obs.agent_revenue.items()}
+        # week zero is not a logged week
+        assert not env.log.price.any() and not env.log.revenue.any()
 
 
-def _outcomes(record):
-    """(price, demand, revenue, profit) per (agent_id, product_id) pair."""
-    columns = zip(record.price, record.demand, record.revenue, record.profit)
-    return dict(zip(record.slots, columns))
+def _outcomes(log):
+    """Each slot's (prices, demands) by (agent_id, product_id), and each
+    agent's (revenues, shares) by agent id, week by week."""
+    slots = {pair: (log.price[:, i].tolist(), log.demand[:, i].tolist())
+             for pair, i in log.slots.items()}
+    agents = {aid: (log.revenue[:, j].tolist(), log.share[:, j].tolist())
+              for j, aid in enumerate(log.agent_ids)}
+    return slots, agents
 
 
 class TestRunEpisode:
     def test_week_count(self):
         config = _config(weeks=8)
         agents = _agents(config)
-        records = run_episode(config, agents, StubOracle())
-        assert len(records) == 8
-        assert [r.week_index for r in records] == list(range(1, 9))
+        log = run_episode(config, agents, StubOracle())
+        assert log.price.shape == log.demand.shape == (8, 2)
+        assert log.revenue.shape == log.share.shape == (8, 2)
+        assert log.zero_revenue.shape == (8,)
+        assert (log.price > 0).all() and (log.share > 0).all()  # every week written
 
     def test_records_are_the_observations_fed_back(self):
         config = _config(n_agents=2, weeks=6)
         agents = _agents(config, cls=FeedbackLog)
-        records = run_episode(config, agents, StubOracle())
-        for agent in agents:
-            assert len(agent.fed) == len(records) == 6
-            (_, week_zero), *_ = agent.fed
-            assert week_zero.week_index == 0
-            for i, (observation, prev_observation) in enumerate(agent.fed):
-                assert observation is records[i]
-                assert records[i].week_index == i + 1
-                assert prev_observation is (records[i - 1] if i else week_zero)
+        log = run_episode(config, agents, StubOracle())
+        assert agents[0].fed == agents[1].fed
+        (_, week_zero), *_ = agents[0].fed
+        assert week_zero.week_number == 1
+        assert len(agents[0].fed) == len(log.price) == 6
+        for i, (observation, prev_observation) in enumerate(agents[0].fed):
+            assert observation.week_number == i + 2
+            assert observation.price == log.price[i].tolist()
+            assert list(observation.agent_revenue.values()) == log.revenue[i].tolist()
+            assert list(observation.market_share.values()) == log.share[i].tolist()
+            assert prev_observation is (agents[0].fed[i - 1][0] if i else week_zero)
+
+    def test_log_holds_no_market_agent_or_observation(self):
+        config = _config(n_agents=2, weeks=3)
+        agents = _agents(config, cls=FeedbackLog)
+        log = run_episode(config, agents, StubOracle())
+        values = list(vars(log).values())
+        held = values + gc.get_referents(*values)
+        assert not [o for o in held
+                    if isinstance(o, (MarketEnvironment, PricingAgentBase, MarketObservation))]
+        assert log.slots == {("a0", "prod1"): 0, ("a1", "prod1"): 1}
+        assert log.agent_ids == ("a0", "a1")
+        assert log.owner.tolist() == [0, 1]
+        assert log.unit_cost.tolist() == [a.portfolio["prod1"].spec.unit_cost for a in agents]
 
     def test_determinism_with_seeds(self):
         runs = []
         for _ in range(2):
             config = _config(n_agents=2, weeks=6, noise=0.05)
             runs.extend(simulate(config, _agents(config)))
-        for r1, r2 in zip(*runs):
-            assert _outcomes(r1) == _outcomes(r2)
-            assert r1.agent_revenue == r2.agent_revenue
+        first, second = runs
+        assert _outcomes(first) == _outcomes(second)
+        assert first.zero_revenue.tolist() == second.zero_revenue.tolist()
 
     def test_roster_permutation_invariance(self):
         def run_with_order(reverse):
@@ -607,22 +633,20 @@ class TestRunEpisode:
                 RuleAgent(s.agent_id, portfolio, config, strategies[s.agent_id])
                 for s in config.agent_roster
             ]
-            (records,) = simulate(config, agents)
-            return records
+            (log,) = simulate(config, agents)
+            return log
 
-        forward = run_with_order(False)
-        backward = run_with_order(True)
-        for r1, r2 in zip(forward, backward):
-            assert _outcomes(r1) == _outcomes(r2)
+        assert _outcomes(run_with_order(False)) == _outcomes(run_with_order(True))
 
     def test_calendar_wraps_into_second_year(self):
         config = _config(weeks=104)
-        agents = _agents(config)
-        records = run_episode(config, agents, StubOracle())
-        # each record's calendar is the week priced next: week 52, then week 1 of year 2
-        assert records[50].week_index == 51 and records[50].week_number == 52
-        assert records[51].week_index == 52 and records[51].week_number == 1
-        assert records[103].week_index == 104 and records[103].week_number == 1
+        agents = _agents(config, cls=FeedbackLog)
+        run_episode(config, agents, StubOracle())
+        # each observation's calendar is the week priced next: week 52, then week 1 of year 2
+        calendar = [observation.week_number for observation, _ in agents[0].fed]
+        assert calendar[50] == 52  # after week 51
+        assert calendar[51] == 1  # after week 52
+        assert calendar[103] == 1  # after week 104
 
     def test_zero_revenue_week_flagged(self):
         config = _config(n_agents=2)
@@ -630,24 +654,40 @@ class TestRunEpisode:
         env = MarketEnvironment(config, agents, StubOracle(0.0))
         pid = next(iter(agents[0].portfolio))
         record = env.step({a.agent_id: {pid: 6.3} for a in agents})
-        assert record.zero_revenue is True
+        assert env.log.zero_revenue.tolist() == [True, False, False, False]  # one week settled
         assert record.market_share["a0"] == pytest.approx(0.5)
+        assert env.log.share[0].tolist() == [0.5, 0.5]
 
 
-def _write_history(path, episodes: dict[int, list[MarketObservation]]) -> None:
-    """A history file of `episodes`' records, by episode index."""
+def _write_history(path, episodes: dict[int, EpisodeLog]) -> None:
+    """A history file of `episodes`' logs, by episode index."""
     with open(path, "wb") as fh:
         fh.write(HISTORY_HEADER)
-        for ep_idx, records in episodes.items():
-            write_history_csv(fh, ep_idx, records)
+        for ep_idx, log in episodes.items():
+            write_history_csv(fh, ep_idx, log)
+
+
+def _history_cells(log, ep_idx=1) -> list[list[str]]:
+    """The cells of each history row that `write_history_csv` writes for `log`."""
+    fh = io.BytesIO()
+    write_history_csv(fh, ep_idx, log)
+    return [line.split(",") for line in fh.getvalue().decode().splitlines()]
+
+
+def _log(slots, agent_ids, unit_costs, price, demand, share) -> EpisodeLog:
+    """A hand-built log: one row of `price` and `demand` per week over `slots`,
+    one row of `share` per week over `agent_ids`."""
+    log = EpisodeLog(len(price), slots, agent_ids, unit_costs)
+    log.price[:], log.demand[:], log.share[:] = price, demand, share
+    return log
 
 
 class TestHistoryCsv:
     def test_layout_and_precision(self, tmp_path):
         config = _config(n_agents=1, weeks=2)
         agents = _agents(config)
-        records = run_episode(config, agents, StubOracle(1.5))
-        _write_history(tmp_path / "history.csv", {1: records})
+        log = run_episode(config, agents, StubOracle(1.5))
+        _write_history(tmp_path / "history.csv", {1: log})
         lines = (tmp_path / "history.csv").read_text().splitlines()
         assert lines[0] == ",".join(HISTORY_COLUMNS)
         first = lines[1].split(",")
@@ -660,28 +700,65 @@ class TestHistoryCsv:
 
     @pytest.mark.parametrize("value", [-0.0, 1e-7, 1e9, 0.1234565, 2.5e-7, -3.75])
     def test_template_matches_fstring(self, value, tmp_path):
-        record = MarketObservation(
-            week_index=3, week_number=4, is_holiday=False,
-            slots={("a0", "p1"): 0, ("a1", "p1"): 1}, competitor_slots=((1,), (0,)),
-            price=[value, 6.0], cluster_avg_price=[(value + 6.0) / 2] * 2,
-            demand=[1.0, value], revenue=[value, value], profit=[value, -value],
-            agent_revenue={"a0": value, "a1": 1.0}, market_share={"a0": value, "a1": 0.5},
-        )
-        # the next episode's slot table holds other slots
-        other = replace(record, week_index=1, slots={("a1", "p2"): 0, ("a0", "p2"): 1},
-                        market_share={"a0": 0.25, "a1": value})
+        # two weeks over (a0, p1), (a1, p1) at unit costs 0 and 6
+        log = _log({("a0", "p1"): 0, ("a1", "p1"): 1}, ("a0", "a1"), [0.0, 6.0],
+                   price=[[1.0, 2.0], [value, 6.0]], demand=[[3.0, 4.0], [1.0, value]],
+                   share=[[0.375, 0.625], [value, 0.5]])
+        # the next episode's slot table holds other slots, in another roster order
+        other = _log({("a1", "p2"): 0, ("a0", "p2"): 1}, ("a1", "a0"), [2.0, 0.5],
+                     price=[[value, 6.0]], demand=[[1.0, value]], share=[[value, 0.25]])
         expected = [
-            f"{ep},{week},{aid},{pid},{price:.6f},{demand:.6f},{revenue:.6f},{profit:.6f},{share:.6f}"
-            for ep, week, aid, pid, price, demand, revenue, profit, share in [
-                (2, 3, "a0", "p1", value, 1.0, value, value, value),
-                (2, 3, "a1", "p1", 6.0, value, value, -value, 0.5),
-                (3, 1, "a1", "p2", value, 1.0, value, value, value),
-                (3, 1, "a0", "p2", 6.0, value, value, -value, 0.25),
+            f"{ep},{week},{aid},{pid},{price:.6f},{demand:.6f},{price * demand:.6f},"
+            f"{(price - cost) * demand:.6f},{share:.6f}"
+            for ep, week, aid, pid, price, demand, cost, share in [
+                (2, 1, "a0", "p1", 1.0, 3.0, 0.0, 0.375),
+                (2, 1, "a1", "p1", 2.0, 4.0, 6.0, 0.625),
+                (2, 2, "a0", "p1", value, 1.0, 0.0, value),
+                (2, 2, "a1", "p1", 6.0, value, 6.0, 0.5),
+                (3, 1, "a1", "p2", value, 1.0, 2.0, value),
+                (3, 1, "a0", "p2", 6.0, value, 0.5, 0.25),
             ]
         ]
-        _write_history(tmp_path / "history.csv", {2: [record], 3: [other]})
+        _write_history(tmp_path / "history.csv", {2: log, 3: other})
         text = (tmp_path / "history.csv").read_text()
         assert text == "\n".join([",".join(HISTORY_COLUMNS), *expected]) + "\n"
+
+
+def _python_cells(log) -> list[list[str]]:
+    """The float cells of each history row of `log`, formatted one by one as
+    `'%.6f'` of Python floats: revenue `p * d` and profit `(p - c) * d`."""
+    costs, rows = log.unit_cost.tolist(), []
+    for prices, demands, shares in zip(log.price.tolist(), log.demand.tolist(),
+                                       log.share.tolist()):
+        for (_aid, _pid), i in log.slots.items():
+            p, d, c = prices[i], demands[i], costs[i]
+            share = shares[log.owner[i]]
+            rows.append(["%.6f" % v for v in (p, d, p * d, (p - c) * d, share)])
+    return rows
+
+
+class TestHistoryDerivation:
+    """The history's revenue and profit columns, computed from the log's
+    price and demand columns, are `'%.6f'` of the per-slot Python products."""
+
+    @pytest.mark.parametrize("config_id", ["A", "E"])
+    def test_seeded_episode(self, config_id):
+        config = desk_spec(config_id, seed=404).market
+        logs = list(simulate(config, build_agents(config)))
+        for ep_idx, log in enumerate(logs, start=1):
+            cells = _history_cells(log, ep_idx)
+            assert len(cells) == config.weeks_per_episode * len(log.slots)
+            assert [row[4:] for row in cells] == _python_cells(log)
+
+    def test_edge_values(self):
+        edges = [-0.0, 0.0, 5e-324, 2.2e-308, 1e-7, 0.1234565, 6.0, 1e300, -1e300]
+        triples = list(itertools.product(edges, repeat=3))  # (price, demand, unit cost)
+        slots = {("a0", f"p{k}"): k for k in range(len(triples))}
+        price, demand, cost = (list(column) for column in zip(*triples))
+        log = _log(slots, ("a0",), cost, price=[price], demand=[demand], share=[[1.0]])
+        cells = _history_cells(log)
+        assert [row[4:] for row in cells] == _python_cells(log)
+        assert {row[6] for row in cells} >= {"-0.000000", "0.000000", "inf", "-inf"}
 
 
 def _fixed6_strings(values) -> list[str]:

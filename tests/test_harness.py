@@ -309,29 +309,31 @@ class TestStreamedRun:
 
     @pytest.mark.parametrize("config_id", ["A", "C", "H"])
     def test_episode_records_freed_two_episodes_on(self, config_id, tmp_path, monkeypatch):
-        """With the cyclic collector off, every record of episode k is gone
-        before episode k + 2 starts: the run holds one or two episodes."""
+        """With the cyclic collector off, the log of episode k is gone before
+        episode k + 2 starts: the run holds one or two episodes."""
         run_episode = harness.run_episode
-        refs: list[list[weakref.ref]] = []
-        alive_at_start: list[int] = []
+        refs: list[weakref.ref] = []
+        weeks: list[int] = []
+        alive_at_start: list[bool] = []
 
         def recording(config, agents, model, episode_index):
             if episode_index >= 2:
-                alive_at_start.append(sum(ref() is not None for ref in refs[episode_index - 2]))
-            records = run_episode(config, agents, model, episode_index)
-            refs.append([weakref.ref(r) for r in records])
-            return records
+                alive_at_start.append(refs[episode_index - 2]() is not None)
+            log = run_episode(config, agents, model, episode_index)
+            refs.append(weakref.ref(log))
+            weeks.append(len(log.price))
+            return log
 
         monkeypatch.setattr(harness, "run_episode", recording)
         gc.collect()
         gc.disable()
         try:
             execute_run(desk_spec(config_id, episodes=5, weeks_per_episode=8), 0, tmp_path)
-            after = sum(ref() is not None for episode in refs for ref in episode)
+            after = sum(ref() is not None for ref in refs)
         finally:
             gc.enable()
-        assert [len(episode) for episode in refs] == [8] * 5
-        assert alive_at_start == [0, 0, 0]
+        assert weeks == [8] * 5
+        assert alive_at_start == [False] * 3
         assert after == 0
 
     @staticmethod
@@ -620,8 +622,10 @@ class TestSummaries:
         assert "config_id" in header
         headers = {Path(p).name: Path(p).read_text().splitlines()[0] for p in written}
         assert headers["summary_adaptability.csv"] == (
-            "config_id,adjustment_magnitude,adjustment_frequency,price_stability,price_cv"
+            "config_id,adjustment_magnitude,adjustment_frequency,price_stability,price_cv,"
+            "price_volatility_std"
         )
+        assert tables["adaptability"][0]["price_volatility_std"] == pytest.approx(0.005)
         assert headers["summary_dynamics.csv"] == (
             "config_id,jain_mean,jain_std,market_volatility_pp_mean,market_volatility_pp_std,"
             "nash_proximity,price_convergence"

@@ -128,7 +128,7 @@ class TestNashProximity:
 
 class TestMarketShare:
     """The report reads each week's shares and zero-revenue flag from the
-    environment's records."""
+    episode's log, as the environment settled them."""
 
     def test_share_definition(self):
         from pricebench.harness import build_agents, desk_spec, simulate
@@ -138,8 +138,8 @@ class TestMarketShare:
         episodes = list(simulate(config, build_agents(config)))
         report = compute_report(episodes)
         final = episodes[-1]
-        assert report.final_market_share == final[-1].market_share
-        shares = {aid: [r.market_share[aid] for r in final] for aid in final[0].market_share}
+        assert report.final_market_share == dict(zip(final.agent_ids, final.share[-1].tolist()))
+        shares = {aid: final.share[:, j].tolist() for j, aid in enumerate(final.agent_ids)}
         assert report.market_share_volatility_pp == 100.0 * float(
             np.mean([np.std(s) for s in shares.values()])
         )
@@ -152,8 +152,8 @@ class TestMarketShare:
     def test_zero_week_uniform_flagged(self):
         episodes = _toy_episodes()
         for ep, week in ((0, 3), (-1, 2), (-1, -1)):
-            episodes[ep][week] = replace(episodes[ep][week], zero_revenue=True,
-                                         market_share={"a": 0.5, "b": 0.5})
+            episodes[ep].zero_revenue[week] = True
+            episodes[ep].share[week] = [0.5, 0.5]
         report = compute_report(episodes)
         assert "zero-revenue-weeks:2" in report.flags  # the final episode's weeks only
         assert report.final_market_share == {"a": 0.5, "b": 0.5}
@@ -244,39 +244,27 @@ class TestAdjustments:
         )
 
 
-def _week(t, slots, prices, demands, agent_revenue):
-    """Week t + 1 of a toy market in which each product id is one cluster."""
-    from pricebench.market import MarketObservation
+def _episode(slots, prices, demands):
+    """A toy episode's log from its `(weeks, slots)` prices and demands: each
+    agent's revenue sums its slots' `price * demand`, and its share is that
+    over the week's total."""
+    from pricebench.market import EpisodeLog
 
-    clusters: dict[str, list[int]] = {}
-    for (_aid, pid), i in slots.items():
-        clusters.setdefault(pid, []).append(i)
-    members = [clusters[pid] for _aid, pid in slots]
-    total = sum(agent_revenue.values())
-    return MarketObservation(
-        week_index=t + 1, week_number=t + 2, is_holiday=False, slots=slots,
-        competitor_slots=tuple(tuple(j for j in m if j != i) for i, m in enumerate(members)),
-        price=prices, cluster_avg_price=[sum(prices[j] for j in m) / len(m) for m in members],
-        demand=demands, revenue=[p * d for p, d in zip(prices, demands)],
-        profit=[(p - 6.0) * d for p, d in zip(prices, demands)],
-        agent_revenue=agent_revenue,
-        market_share={a: rev / total for a, rev in agent_revenue.items()},
-    )
+    agent_ids = list(dict.fromkeys(aid for aid, _ in slots))
+    log = EpisodeLog(len(prices), slots, agent_ids, [6.0] * len(slots))
+    log.price[:], log.demand[:] = prices, demands
+    for j in range(len(agent_ids)):
+        log.revenue[:, j] = (log.price * log.demand)[:, log.owner == j].sum(axis=1)
+    log.share[:] = log.revenue / log.revenue.sum(axis=1, keepdims=True)
+    return log
 
 
 def _toy_episodes(agent_ids=("a", "b"), weeks=10, episodes=2):
     slots = {(aid, "p1"): i for i, aid in enumerate(agent_ids)}
-    eps = []
-    for e in range(episodes):
-        records = []
-        for t in range(weeks):
-            # values tied to identity, not roster position
-            prices = [10.0 + (ord(aid) - ord("a")) + 0.1 * t for aid in agent_ids]
-            demands = [5.0 + (ord(aid) - ord("a")) for aid in agent_ids]
-            revenues = [p * d for p, d in zip(prices, demands)]
-            records.append(_week(t, slots, prices, demands, dict(zip(agent_ids, revenues))))
-        eps.append(records)
-    return eps
+    # values tied to identity, not roster position
+    prices = [[10.0 + (ord(aid) - ord("a")) + 0.1 * t for aid in agent_ids] for t in range(weeks)]
+    demands = [[5.0 + (ord(aid) - ord("a")) for aid in agent_ids]] * weeks
+    return [_episode(slots, prices, demands) for _ in range(episodes)]
 
 
 class TestComputeReport:
@@ -310,8 +298,10 @@ class TestComputeReport:
         episodes = _random_episodes(episodes=4)
         assert compute_report(iter(episodes)).to_json() == compute_report(episodes).to_json()
 
-    @pytest.mark.parametrize("episodes", [[], [[]]], ids=["no-episode", "empty-episode"])
-    def test_no_completed_episode_rejected(self, episodes):
+    @pytest.mark.parametrize("weeks", [None, 0], ids=["no-episode", "empty-episode"])
+    def test_no_completed_episode_rejected(self, weeks):
+        empty = np.zeros((weeks or 0, 1))
+        episodes = [] if weeks is None else [_episode({("a", "p1"): 0}, empty, empty)]
         with pytest.raises(ValueError, match="need at least one completed episode"):
             compute_report(iter(episodes))
 
@@ -369,18 +359,11 @@ def _random_episodes(n_agents=4, n_products=5, weeks=20, episodes=3, seed=11):
     slots = {(aid, f"p{j}"): i * n_products + j
              for i, aid in enumerate(agent_ids) for j in range(n_products)}
     rng = np.random.default_rng(seed)
-    eps = []
-    for e in range(episodes):
-        prices = _random_prices((len(slots), weeks), seed=seed + e).T.tolist()
-        records = []
-        for t in range(weeks):
-            demands = rng.uniform(1.0, 20.0, size=len(slots)).tolist()
-            revenues = [p * d for p, d in zip(prices[t], demands)]
-            agent_revenue = {aid: sum(revenues[i * n_products:(i + 1) * n_products])
-                             for i, aid in enumerate(agent_ids)}
-            records.append(_week(t, slots, prices[t], demands, agent_revenue))
-        eps.append(records)
-    return eps
+    return [
+        _episode(slots, _random_prices((len(slots), weeks), seed=seed + e).T,
+                 rng.uniform(1.0, 20.0, size=(weeks, len(slots))))
+        for e in range(episodes)
+    ]
 
 
 class TestComputeReportMatchesSeriesCalls:
@@ -390,9 +373,7 @@ class TestComputeReportMatchesSeriesCalls:
     def test_agent_and_market_price_metrics(self, weeks):
         episodes = _random_episodes(weeks=weeks)
         report = compute_report(episodes)
-        series = [
-            {key: [r.price[i] for r in ep] for key, i in ep[0].slots.items()} for ep in episodes
-        ]
+        series = [{key: ep.price[:, i].tolist() for key, i in ep.slots.items()} for ep in episodes]
         for aid, got in report.agents.items():
             own = [prices for ep in series for (a, _), prices in ep.items() if a == aid]
             vols = [price_volatility(p) for p in own]

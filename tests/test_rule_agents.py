@@ -60,16 +60,12 @@ def _observation(week=20, competitor_prices=(), holiday=False, price=10.0):
     ids = ["me", *(f"rival{i}" for i in range(len(competitor_prices)))]
     n = len(pool)
     return MarketObservation(
-        week_index=week - 1,
         week_number=week,
         is_holiday=holiday,
         slots={(aid, "p"): i for i, aid in enumerate(ids)},
         competitor_slots=tuple(tuple(j for j in range(n) if j != i) for i in range(n)),
         price=pool,
         cluster_avg_price=[sum(pool) / n] * n,
-        demand=[200.0 / p for p in pool],
-        revenue=[200.0] * n,
-        profit=[200.0 - 6.0 * 200.0 / p for p in pool],
         agent_revenue={aid: 200.0 for aid in ids},
         market_share={aid: 1.0 / n for aid in ids},
     )
@@ -254,8 +250,9 @@ class TestRuleAgentProperties:
     def test_deterministic(self):
         results = []
         for _ in range(2):
-            (records,) = simulate(*_rule_market(weeks=10))
-            results.append([(r.price, r.demand, r.revenue, r.profit) for r in records])
+            (log,) = simulate(*_rule_market(weeks=10))
+            results.append([log.price.tolist(), log.demand.tolist(), log.revenue.tolist(),
+                            log.share.tolist()])
         assert results[0] == results[1]
 
     def test_constraints_respected(self):
@@ -274,6 +271,6 @@ class TestRuleAgentProperties:
         from pricebench.metrics import market_share_volatility_pp
 
         config, agents = _rule_market(weeks=40)
-        (records,) = simulate(config, agents)
-        shares = {a.agent_id: [r.market_share[a.agent_id] for r in records] for a in agents}
+        (log,) = simulate(config, agents)
+        shares = dict(zip(log.agent_ids, log.share.T))
         assert market_share_volatility_pp(shares) < 0.5
