@@ -7,7 +7,7 @@ raised to the margin floor (`MarketConfig.allowed_prices`), and each changed
 submission is counted in `clamp_events`.
 
 A slot is one (agent, product) pair, in roster x portfolio order. Slot tables
-hold what an episode cannot change: each slot's product state, margin floor,
+hold what an episode cannot change: each slot's product spec, margin floor,
 unit cost, cluster and demand shocks (one draw per (agent, product, episode)
 stream, so roster order does not matter). They are built once per episode.
 A week is a few passes over per-slot lists: one validates the submissions,
@@ -16,15 +16,16 @@ one settles them. The week's calendar terms come from a 52-week table.
 
 `step` returns one `MarketObservation` per settled week, which the agents
 read next, and writes the week into the episode's `EpisodeLog`, one row of
-columns. `run_episode` returns the log: the episode's metrics and its
-`history.csv` rows are computed from it, one episode at a time. Week zero,
-the initial prices at baseline demand, is settled by the same helper
-(`bootstrap_observation`) and is not logged.
+columns. Every observation carries the log and its count of settled
+weeks, and the agents read their price and demand history from it: the log
+is the only per-slot history. `run_episode` returns the log: the episode's
+metrics and its `history.csv` rows are computed from it, one episode at a
+time. Week zero, the initial prices at baseline demand, is settled by the
+same helper (`bootstrap_observation`) and is not logged.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import operator
 
@@ -37,13 +38,10 @@ from .market import (
     MarketConfig,
     MarketObservation,
     ProductSpec,
-    ProductState,
     derive_rng,
     holiday_flag,
     left_sum,
 )
-
-log = logging.getLogger(__name__)
 
 HISTORY_COLUMNS = (
     "episode",
@@ -59,29 +57,41 @@ HISTORY_COLUMNS = (
 HISTORY_HEADER = (",".join(HISTORY_COLUMNS) + "\n").encode()
 
 
-_current_price = operator.attrgetter("current_price")
-
-
 class ProtocolError(RuntimeError):
     """An agent violated the step contract (a missing, non-numeric or non-finite
     price), or the demand oracle returned other than one demand per slot."""
 
 
 class PricingAgentBase:
-    """Common portfolio plumbing; subclasses implement propose_prices()."""
+    """An agent pricing its `product_specs`; subclasses implement
+    propose_prices(). It keeps no history: `slot_range` and `recent` read
+    its slots from each observation and the episode log it carries."""
 
     def __init__(self, agent_id: str, product_specs: list[ProductSpec], config: MarketConfig):
         self.agent_id = agent_id
         self.product_specs = list(product_specs)
         self.config = config
-        self.portfolio: dict[str, ProductState] = {}
         self.episode_index = 0
         self.begin_episode(0)
 
     def begin_episode(self, episode_index: int) -> None:
-        """Reset product histories; learned parameters (if any) persist."""
+        """Start episode `episode_index`; learned parameters (if any) persist."""
         self.episode_index = episode_index
-        self.portfolio = {s.product_id: ProductState.fresh(s) for s in self.product_specs}
+
+    def slot_range(self, observation: MarketObservation) -> slice:
+        """This agent's slots in `observation`'s per-slot lists and log
+        columns: contiguous, in `product_specs` order."""
+        start = observation.slots[(self.agent_id, self.product_specs[0].product_id)]
+        return slice(start, start + len(self.product_specs))
+
+    def recent(
+        self, observation: MarketObservation, column: np.ndarray, weeks: int
+    ) -> list[list[float]]:
+        """Each product's last `weeks` settled entries of `column`, a
+        `(weeks, slots)` column of `observation.log`, oldest first (fewer
+        early in the episode)."""
+        settled = observation.weeks
+        return column[max(0, settled - weeks):settled, self.slot_range(observation)].T.tolist()
 
     def propose_prices(self, observation: MarketObservation) -> dict[str, float]:
         raise NotImplementedError
@@ -102,7 +112,7 @@ _CALENDAR = {week: (holiday_flag(week), seasonal_encoding(week)[0]) for week in 
 class MarketEnvironment:
     """One episode's market. Construct fresh per episode.
 
-    The slot tables are built here once: per slot, its product state, margin
+    The slot tables are built here once: per slot, its product spec, margin
     floor, unit cost, cluster and the episode's demand shocks, one
     `standard_normal(weeks_per_episode)` draw per (agent, product, episode)
     stream; per agent, its product ids and its span of slots.
@@ -122,12 +132,13 @@ class MarketEnvironment:
         self.week_index = 0  # weeks settled so far
         self.week_number = 1  # the calendar week agents price next, 1..52
         self.clamp_events = 0
-        pairs = [(a.agent_id, pid, p) for a in self.agents for pid, p in a.portfolio.items()]
-        self.slots = {(aid, pid): i for i, (aid, pid, _) in enumerate(pairs)}
-        self._products = [p for _, _, p in pairs]
-        self._specs = [p.spec for p in self._products]
+        pairs = [(a.agent_id, spec) for a in self.agents for spec in a.product_specs]
+        self.slots = {(aid, spec.product_id): i for i, (aid, spec) in enumerate(pairs)}
+        self._specs = [spec for _, spec in pairs]
         self._floors = [config.price_floor(spec) for spec in self._specs]
-        self._portfolios = [(a.agent_id, list(a.portfolio)) for a in self.agents]
+        self._prices = [spec.initial_price for spec in self._specs]  # last week's
+        self._portfolios = [(a.agent_id, [s.product_id for s in a.product_specs])
+                            for a in self.agents]
         self._agent_spans = []
         start = 0
         for agent_id, pids in self._portfolios:
@@ -145,12 +156,12 @@ class MarketEnvironment:
         ]
         self.competitor_slots = tuple(
             tuple(j for j in self._cluster_members[c] if pairs[j][0] != aid)
-            for (aid, _, _), c in zip(pairs, self._slot_cluster)
+            for (aid, _), c in zip(pairs, self._slot_cluster)
         )
         weeks = config.weeks_per_episode
         self._shocks = np.array([
             derive_rng(config.seed, "demand", aid, pid, episode_index).standard_normal(weeks)
-            for aid, pid, _ in pairs
+            for aid, pid in self.slots
         ]).T.tolist()
         self._last_demand = [spec.baseline_demand for spec in self._specs]
 
@@ -190,13 +201,14 @@ class MarketEnvironment:
         week = self.week_number
         return MarketObservation(
             week_number=week, is_holiday=_CALENDAR[week][0], slots=self.slots,
-            competitor_slots=self.competitor_slots, price=prices, cluster_avg_price=cluster_avg,
+            competitor_slots=self.competitor_slots, log=self.log, weeks=self.week_index,
+            price=prices, cluster_avg_price=cluster_avg,
             agent_revenue=agent_revenue, market_share=shares,
         )
 
     def bootstrap_observation(self) -> MarketObservation:
         """Week zero: the current (initial) prices sold at baseline demand."""
-        prices = list(map(_current_price, self._products))
+        prices = self._prices
         return self._settle(prices, self._cluster_avg(prices), self._last_demand)
 
     # -- stepping -----------------------------------------------------------
@@ -242,17 +254,8 @@ class MarketEnvironment:
 
         # validate every submission, then apply the market rule to each
         submitted = self._submissions(submitted_prices)
-        products = self._products
-        prices = self.config.allowed_prices(
-            map(_current_price, products), submitted, self._floors
-        )
-        clamped = sum(map(operator.ne, prices, submitted))
-        if clamped:
-            self.clamp_events += clamped
-            if log.isEnabledFor(logging.DEBUG):
-                for (agent_id, pid), was, price in zip(self.slots, submitted, prices):
-                    if price != was:
-                        log.debug("clamping %s/%s price %.4f to %.4f", agent_id, pid, was, price)
+        prices = self.config.allowed_prices(self._prices, submitted, self._floors)
+        self.clamp_events += sum(map(operator.ne, prices, submitted))
 
         # one demand call for every slot, then settle each agent in portfolio order
         cluster_avg = self._cluster_avg(prices)
@@ -266,9 +269,7 @@ class MarketEnvironment:
             raise ProtocolError(
                 f"the demand oracle returned {len(demands)} demands for {len(prices)} slots"
             )
-        for product, price, demand in zip(products, prices, demands):
-            product.current_price = price
-            product.record_week(price, demand)
+        self._prices = prices
         self._last_demand = demands
         self.week_index = t + 1
         self.week_number = week % 52 + 1

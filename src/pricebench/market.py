@@ -169,33 +169,6 @@ class ProductSpec:
             raise ConfigError(f"{self.product_id}: baseline_demand must be > 0")
 
 
-@dataclass
-class ProductState:
-    """One product instance inside a simulation: current price plus histories.
-
-    Both histories stay aligned: one entry per completed week.
-    """
-
-    spec: ProductSpec
-    current_price: float
-    price_history: list[float] = field(default_factory=list)
-    demand_history: list[float] = field(default_factory=list)
-
-    @classmethod
-    def fresh(cls, spec: ProductSpec) -> "ProductState":
-        return cls(spec=spec, current_price=spec.initial_price)
-
-    def record_week(self, price: float, demand: float) -> None:
-        self.price_history.append(price)
-        self.demand_history.append(demand)
-
-    def last_relative_change(self) -> float:
-        if not self.price_history:
-            return 0.0
-        prev = self.price_history[-2] if len(self.price_history) > 1 else self.spec.initial_price
-        return (self.price_history[-1] - prev) / prev
-
-
 @dataclass(frozen=True)
 class MarketObservation:
     """What every agent reads after a week settles.
@@ -204,15 +177,22 @@ class MarketObservation:
     settled (week zero is the initial prices at baseline demand); the
     calendar fields describe the week agents price next. Per-product
     quantities are per-slot lists: a slot is one (agent_id, product_id) pair,
-    and `slots` maps each pair to its position, in roster x portfolio order.
-    `slots` and `competitor_slots` are built once per episode and shared by
-    every observation of it. The episode's record is its `EpisodeLog`.
+    and `slots` maps each pair to its position, in roster x portfolio order,
+    so each agent's slots are contiguous. `slots` and `competitor_slots` are
+    built once per episode and shared by every observation of it.
+
+    The episode's record is its `log`, shared by every observation of the
+    episode; `weeks` is the number of weeks settled (0 at week zero). Rows
+    `[:weeks]` of `log.price` and `log.demand` are the history an agent
+    reads, and later weeks never change them.
     """
 
     week_number: int
     is_holiday: bool
     slots: dict[tuple[str, str], int]
     competitor_slots: tuple[tuple[int, ...], ...]  # other agents' same-cluster slots, roster order
+    log: EpisodeLog
+    weeks: int
     price: list[float]
     cluster_avg_price: list[float]  # the slot's cluster mean, its own price included
     agent_revenue: dict[str, float]  # the week's revenue per agent, roster order

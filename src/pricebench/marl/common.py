@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 
 from ..environment import PricingAgentBase
-from ..features import demand_features, seasonal_encoding
+from ..features import DEMAND_WINDOW, demand_features, seasonal_encoding
 from ..market import (
     ConfigError, MarketConfig, MarketObservation, ProductSpec, derive_rng, require_finite,
 )
@@ -95,32 +95,39 @@ def encode_state(agent: PricingAgentBase, observation: MarketObservation) -> np.
     Per product: [price vs cluster avg, margin ratio, lag demand ratio,
     2-week mean ratio, 4-week mean ratio, trend ratio, volatility ratio,
     week sin, week cos, holiday, own market share, last relative price change].
-    The five demand entries come from `features.demand_features`, with its
-    cold-start substitutes until enough history exists. The week's entries
-    are looked up once, then each product is visited once; a non-finite
-    entry raises ValueError.
+    The five demand entries come from `features.demand_features` of the
+    product's last demands in the observation's log, with its cold-start
+    substitutes until enough history exists. The price change is relative
+    to the week before, or to the initial price in week 1 (0 at week zero,
+    whose prices are the initial ones). The week's entries are looked up
+    once, then each product is visited once; a non-finite entry raises
+    ValueError.
     """
     week_sin, week_cos = seasonal_encoding(observation.week_number)
     holiday = 1.0 if observation.is_holiday else 0.0
     agent_id = agent.agent_id
     share = observation.market_share[agent_id]
-    cluster_avg = observation.cluster_avg_price
-    slot_of = observation.slots
-    portfolio = agent.portfolio
+    span = agent.slot_range(observation)
+    weeks = observation.weeks
+    if weeks >= 2:
+        before = observation.log.price[weeks - 2, span].tolist()
+    else:
+        before = [spec.initial_price for spec in agent.product_specs]
+    demands = agent.recent(observation, observation.log.demand, DEMAND_WINDOW)
     slots: list[float] = []
-    for spec in agent.product_specs:
-        product_id = spec.product_id
-        product = portfolio[product_id]
-        price = product.current_price
+    for spec, price, cluster_avg, prev, demand in zip(
+        agent.product_specs, observation.price[span], observation.cluster_avg_price[span],
+        before, demands,
+    ):
         slots += (
-            price / cluster_avg[slot_of[(agent_id, product_id)]],
+            price / cluster_avg,
             (price - spec.unit_cost) / price,
-            *demand_features(product.demand_history, spec.baseline_demand),
+            *demand_features(demand, spec.baseline_demand),
             week_sin,
             week_cos,
             holiday,
             share,
-            product.last_relative_change(),
+            (price - prev) / prev,
         )
     if not all(map(math.isfinite, slots)):
         raise ValueError(f"non-finite state entries for agent {agent_id}")
@@ -167,10 +174,10 @@ class TeamMember(PricingAgentBase):
         self._pending = (state, action)
         self._prev_changes = changes
         # the environment enforces the market rules on these prices
-        portfolio = self.portfolio
+        current = observation.price[self.slot_range(observation)]
         return {
-            spec.product_id: portfolio[spec.product_id].current_price * (1.0 + r)
-            for spec, r in zip(self.product_specs, changes)
+            spec.product_id: price * (1.0 + r)
+            for spec, price, r in zip(self.product_specs, current, changes)
         }
 
     def feedback(self, observation, prev_observation, done: bool) -> None:
@@ -186,8 +193,9 @@ class TeamMember(PricingAgentBase):
         """learner.encode(self, observation), computed once per observation.
 
         feedback() encodes next_state from the same observation object that
-        the next propose_prices() receives, and the portfolio does not change
-        in between, so the second call reuses the first's state.
+        the next propose_prices() receives. The state reads only that
+        observation and its log's first `weeks` rows, which later weeks do
+        not change, so the second call reuses the first's state.
         """
         seen, state = self._encoded
         if observation is not seen:

@@ -2,16 +2,18 @@
 
 Five strategies: cost-plus markup, competitor matching with an undercut,
 own-price historical anchoring, demand-responsive stepping, and seasonal
-uplift pricing. Each maps (product state, market observation) to a price that
-the agent submits as is; the environment caps it at the weekly change limit
-and raises it to the margin floor.
+uplift pricing. Each maps a product's spec and what the market observation
+holds (its competitors' prices, the product's posted prices and demands read
+from the episode log) to a price that the agent submits as is; the
+environment caps it at the weekly change limit and raises it to the margin
+floor.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .environment import PricingAgentBase
 from .market import (
@@ -19,12 +21,9 @@ from .market import (
     MarketConfig,
     MarketObservation,
     ProductSpec,
-    ProductState,
     left_sum,
     require_finite,
 )
-
-log = logging.getLogger(__name__)
 
 STRATEGY_KINDS = (
     "static_markup",
@@ -64,9 +63,9 @@ class RuleStrategy:
             raise ConfigError("anchor_window must be >= 1")
 
 
-def static_markup_price(product: ProductState, markup: float = 0.5) -> float:
+def static_markup_price(spec: ProductSpec, markup: float = 0.5) -> float:
     """Cost-plus price, constant across weeks."""
-    return product.spec.unit_cost * (1.0 + markup)
+    return spec.unit_cost * (1.0 + markup)
 
 
 def competitor_slots(
@@ -79,9 +78,8 @@ def competitor_slots(
 
 
 def competitor_match_price(
-    product: ProductState,
+    spec: ProductSpec,
     competitors: list[float],
-    agent_id: str,
     undercut_fraction: float = 0.03,
     markup: float = 0.5,
 ) -> float:
@@ -91,25 +89,23 @@ def competitor_match_price(
     back to the static markup when the cluster has no competitors.
     """
     if not competitors:
-        log.debug("%s/%s: no competitors in cluster, using static markup",
-                  agent_id, product.spec.product_id)
-        return static_markup_price(product, markup)
+        return static_markup_price(spec, markup)
     return (math.fsum(competitors) / len(competitors)) * (1.0 - undercut_fraction)
 
 
-def historical_anchor_price(product: ProductState, anchor_window: int = 8) -> float:
-    """Mean of the agent's own recently posted prices; initial price when cold."""
-    history = product.price_history
-    if not history:
-        return product.spec.initial_price
-    window = history[-anchor_window:]
+def historical_anchor_price(window: Sequence[float], initial_price: float) -> float:
+    """Mean of `window`, the product's recently posted prices oldest first;
+    `initial_price` when there are none."""
+    if not window:
+        return initial_price
     return left_sum(window) / len(window)
 
 
-def demand_responsive_price(product: ProductState, response_step: float = 0.02) -> float:
-    """Step price up when demand rose, down when it fell, hold on a tie."""
-    demand = product.demand_history
-    price = product.current_price
+def demand_responsive_price(
+    price: float, demand: Sequence[float], response_step: float = 0.02
+) -> float:
+    """Step the current `price` up when the product's demand (oldest first)
+    rose last week, down when it fell; hold on a tie or before two weeks."""
     if len(demand) < 2:
         return price
     if demand[-1] > demand[-2]:
@@ -120,13 +116,13 @@ def demand_responsive_price(product: ProductState, response_step: float = 0.02) 
 
 
 def seasonal_price(
-    product: ProductState,
+    spec: ProductSpec,
     observation: MarketObservation,
     seasonal_uplift: float = 0.10,
     markup: float = 0.5,
 ) -> float:
     """Cost-plus base, raised by the uplift during holiday weeks."""
-    base = static_markup_price(product, markup)
+    base = static_markup_price(spec, markup)
     if observation.is_holiday:
         return base * (1.0 + seasonal_uplift)
     return base
@@ -135,11 +131,12 @@ def seasonal_price(
 class RuleAgent(PricingAgentBase):
     """Applies one fixed strategy to every product.
 
-    The agent picks its strategy's portfolio method when it is built. Each
-    episode keeps the prices that depend only on the specs (the static markup,
-    and the seasonal price per holiday flag), and a competitor-matching agent
-    resolves its products' competitor slots at the episode's first
-    observation.
+    The agent picks its strategy's portfolio method when it is built and
+    keeps the prices that depend only on the specs (the static markup, and
+    the seasonal price per holiday flag). A competitor-matching agent
+    resolves its products' competitor slots at each episode's first
+    observation. The history strategies read their slots' last weeks from
+    the observation's log.
     """
 
     def __init__(
@@ -153,19 +150,14 @@ class RuleAgent(PricingAgentBase):
         # the class's function, not a bound method: that would make a reference
         # cycle, and the agent would outlive its run until the cyclic collector ran
         self._price_portfolio = getattr(type(self), f"_{strategy.strategy}")
-        super().__init__(agent_id, product_specs, config)
-
-    def begin_episode(self, episode_index: int) -> None:
-        super().begin_episode(episode_index)
-        self._products = list(self.portfolio.items())
         self._markup_prices = {
-            pid: static_markup_price(product, self.strategy.markup)
-            for pid, product in self._products
+            spec.product_id: static_markup_price(spec, strategy.markup) for spec in product_specs
         }
         self._seasonal_prices: dict[bool, dict[str, float]] = {}
         # each product's competitor slots, read from the episode's slot tables
-        self._rivals: list[tuple[str, ProductState, tuple[int, ...]]] = []
+        self._rivals: list[tuple[ProductSpec, tuple[int, ...]]] = []
         self._rivals_of: tuple | None = None  # (slots, competitor_slots) they were read from
+        super().__init__(agent_id, product_specs, config)
 
     def propose_prices(self, observation: MarketObservation) -> dict[str, float]:
         return self._price_portfolio(self, observation)
@@ -179,25 +171,33 @@ class RuleAgent(PricingAgentBase):
         if seen is None or seen[0] is not tables[0] or seen[1] is not tables[1]:
             self._rivals_of = tables
             self._rivals = [
-                (pid, product, competitor_slots(observation, self.agent_id, pid))
-                for pid, product in self._products
+                (spec, competitor_slots(observation, self.agent_id, spec.product_id))
+                for spec in self.product_specs
             ]
         price_at = observation.price.__getitem__
-        agent_id, s = self.agent_id, self.strategy
+        s = self.strategy
         return {
-            pid: competitor_match_price(
-                product, list(map(price_at, competitors)), agent_id, s.undercut_fraction, s.markup
+            spec.product_id: competitor_match_price(
+                spec, list(map(price_at, competitors)), s.undercut_fraction, s.markup
             )
-            for pid, product, competitors in self._rivals
+            for spec, competitors in self._rivals
         }
 
     def _historical_anchor(self, observation: MarketObservation) -> dict[str, float]:
-        window = self.strategy.anchor_window
-        return {pid: historical_anchor_price(product, window) for pid, product in self._products}
+        windows = self.recent(observation, observation.log.price, self.strategy.anchor_window)
+        return {
+            spec.product_id: historical_anchor_price(window, spec.initial_price)
+            for spec, window in zip(self.product_specs, windows)
+        }
 
     def _demand_responsive(self, observation: MarketObservation) -> dict[str, float]:
         step = self.strategy.response_step
-        return {pid: demand_responsive_price(product, step) for pid, product in self._products}
+        current = observation.price[self.slot_range(observation)]
+        demands = self.recent(observation, observation.log.demand, 2)
+        return {
+            spec.product_id: demand_responsive_price(price, demand, step)
+            for spec, price, demand in zip(self.product_specs, current, demands)
+        }
 
     def _seasonal(self, observation: MarketObservation) -> dict[str, float]:
         # seasonal_price reads only the spec and the holiday flag
@@ -206,7 +206,7 @@ class RuleAgent(PricingAgentBase):
         if prices is None:
             s = self.strategy
             prices = self._seasonal_prices[holiday] = {
-                pid: seasonal_price(product, observation, s.seasonal_uplift, s.markup)
-                for pid, product in self._products
+                spec.product_id: seasonal_price(spec, observation, s.seasonal_uplift, s.markup)
+                for spec in self.product_specs
             }
         return dict(prices)

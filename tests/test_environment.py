@@ -1,8 +1,8 @@
-import copy
 import gc
 import io
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +33,7 @@ from pricebench.market import (
     holiday_flag,
     make_default_portfolio,
 )
+from pricebench.marl.common import encode_state
 from pricebench.rule_agents import RuleAgent, RuleStrategy
 
 
@@ -68,7 +69,7 @@ class FixedPriceAgent(PricingAgentBase):
     def propose_prices(self, observation):
         if self.prices is not None:
             return dict(self.prices)
-        return {pid: p.current_price for pid, p in self.portfolio.items()}
+        return {s.product_id: s.initial_price for s in self.product_specs}
 
 
 class FeedbackLog(FixedPriceAgent):
@@ -105,9 +106,9 @@ class TestStep:
         config = _config(n_agents=1)
         (agent,) = _agents(config)
         env = MarketEnvironment(config, [agent], StubOracle(10.0))
-        pid = next(iter(agent.portfolio))
+        pid = agent.product_specs[0].product_id
         observation = env.step({agent.agent_id: {pid: 5.5}})
-        cost = agent.portfolio[pid].spec.unit_cost
+        cost = agent.product_specs[0].unit_cost
         assert observation.agent_revenue[agent.agent_id] == pytest.approx(55.0)
         row = _history_cells(env.log)[0]
         revenue, profit = float(row[6]), float(row[7])
@@ -120,7 +121,7 @@ class TestStep:
         agents = _agents(config)
 
         env = MarketEnvironment(config, agents, StubOracle(10.0))
-        pid = next(iter(agents[0].portfolio))
+        pid = agents[0].product_specs[0].product_id
         obs = env.step({"a0": {pid: 5.4}, "a1": {pid: 6.6}})
         assert env.clamp_events == 0
         assert obs.market_share["a0"] == pytest.approx(0.45)
@@ -131,12 +132,10 @@ class TestStep:
         config = _config(weeks=60)
         agents = _agents(config)
         env = MarketEnvironment(config, agents, StubOracle())
-        pid = next(iter(agents[0].portfolio))
+        spec = agents[0].product_specs[0]
         flip = {}
         for _ in range(48):
-            obs = env.step(
-                {a.agent_id: {pid: agents[0].portfolio[pid].spec.initial_price} for a in agents}
-            )
+            obs = env.step({a.agent_id: {spec.product_id: spec.initial_price} for a in agents})
             flip[obs.week_number] = obs.is_holiday
         assert flip[46] is False
         assert flip[47] is True
@@ -145,7 +144,7 @@ class TestStep:
         config = _config(n_agents=2)
         agents = _agents(config)
         env = MarketEnvironment(config, agents, StubOracle())
-        pid = next(iter(agents[0].portfolio))
+        pid = agents[0].product_specs[0].product_id
         with pytest.raises(ProtocolError, match="a1"):
             env.step({"a0": {pid: 6.0}, "a1": {}})
 
@@ -154,7 +153,7 @@ class TestStep:
         config = _config(n_agents=2)
         agents = _agents(config)
         env = MarketEnvironment(config, agents, StubOracle())
-        pid = next(iter(agents[0].portfolio))
+        pid = agents[0].product_specs[0].product_id
         with pytest.raises(ProtocolError, match=f"a1.*{pid}"):
             env.step({"a0": {pid: 6.0}, "a1": prices})
 
@@ -163,8 +162,8 @@ class TestStep:
         config = _config(n_agents=1, weeks=8)
         (agent,) = _agents(config)
         env = MarketEnvironment(config, [agent], StubOracle())
-        pid = next(iter(agent.portfolio))
-        spec = agent.portfolio[pid].spec
+        spec = agent.product_specs[0]
+        pid = spec.product_id
         prices = [env.step({agent.agent_id: {pid: 0.01}}).price[0] for _ in range(6)]
         floor = spec.unit_cost * 1.05
         assert prices[:4] == pytest.approx([spec.initial_price * 0.9**k for k in range(1, 5)])
@@ -182,7 +181,7 @@ class TestStep:
         config = _config(n_agents=1)
         (agent,) = _agents(config)
         env = MarketEnvironment(config, [agent], StubOracle(7.0))
-        pid = next(iter(agent.portfolio))
+        pid = agent.product_specs[0].product_id
         obs = env.step({agent.agent_id: {pid: 6.5}})
         i = obs.slots[(agent.agent_id, pid)]
         assert obs.price[i] == 6.5
@@ -217,8 +216,8 @@ class TestMarketRules:
         config = _config(n_agents=2)
         agents = _agents(config)
         env = MarketEnvironment(config, agents, StubOracle())
-        pid = next(iter(agents[0].portfolio))
-        current = agents[0].portfolio[pid].current_price
+        pid = agents[0].product_specs[0].product_id
+        current = agents[0].product_specs[0].initial_price
         record = env.step({"a0": {pid: 1e6}, "a1": {pid: current}})
         capped = current * (1 + config.max_weekly_change)
         assert record.price[record.slots[("a0", pid)]] == capped
@@ -246,7 +245,7 @@ class TestMarketRules:
         agents = _agents(config)
         oracle = RecordingOracle()
         env = MarketEnvironment(config, agents, oracle)
-        pid = next(iter(agents[0].portfolio))
+        pid = agents[0].product_specs[0].product_id
         with pytest.raises(ProtocolError, match=f"a1.*{pid}"):
             env.step({"a0": {pid: 6.0}, "a1": {pid: bad}})
         assert oracle.queries == []
@@ -273,7 +272,7 @@ class TestDemandInputs:
         (agent,) = _agents(config)
         oracle = RecordingOracle()
         env = MarketEnvironment(config, [agent], oracle)
-        spec = agent.portfolio["prod1"].spec
+        (spec,) = agent.product_specs
         env.step({"a0": {"prod1": 6.3}})
         (query,) = oracle.queries
         assert query.specs == [spec] and query.prices == [6.3]
@@ -372,10 +371,10 @@ class TestDemandInputs:
         with pytest.raises(ProtocolError, match=f"{3 + extra} demands for 3 slots"):
             env.step({a.agent_id: {"prod1": 6.0} for a in agents})
         # no slot was settled
-        for agent in agents:
-            product = agent.portfolio["prod1"]
-            assert product.current_price == product.spec.initial_price
-            assert product.price_history == [] and product.demand_history == []
+        assert env.week_index == 0
+        assert not env.log.price.any() and not env.log.demand.any()
+        assert env.bootstrap_observation().price == [a.product_specs[0].initial_price
+                                                     for a in agents]
 
 
 def _reference_demands(specs, prices, relative_prices, lag1_demands, shocks, week_sin,
@@ -402,47 +401,44 @@ def _reference_demands(specs, prices, relative_prices, lag1_demands, shocks, wee
     return demands
 
 
-def _reference_week(env, submitted):
-    """The week `env.step(submitted)` should settle, slot by slot from the
-    agents' product states: the market rule as min/max of each price, the
-    demand above and `ProductState.record_week` on copies of the states.
-    Returns the observation, the week's log row (price, demand, revenue,
-    share and zero-revenue flag), the clamp count and the states after the
-    week."""
+def _reference_week(env, submitted, history):
+    """The week `env.step(submitted)` should settle, slot by slot from
+    `history`, each slot's lists of the prices and demands settled so far:
+    the market rule as min/max of each price and the demand above. Returns
+    the observation, the week's log row (price, demand, revenue, share and
+    zero-revenue flag) and the clamp count."""
     config = env.config
-    agents = {a.agent_id: a for a in env.agents}
     slots = list(env.slots)
-    states = [copy.deepcopy(agents[aid].portfolio[pid]) for aid, pid in slots]
+    specs = _slot_specs(env)
     week, t = env.week_number, env.week_index
 
     span = config.max_weekly_change
     prices, clamps = [], 0
-    for (aid, pid), product in zip(slots, states):
-        asked, last = float(submitted[aid][pid]), product.current_price
+    for (aid, pid), spec, last in zip(slots, specs, _last_prices(specs, history)):
+        asked = float(submitted[aid][pid])
         capped = min(max(asked, last * (1.0 - span)), last * (1.0 + span))
-        price = max(capped, config.price_floor(product.spec))
+        price = max(capped, config.price_floor(spec))
         clamps += price != asked
-        product.current_price = price
         prices.append(price)
-    clusters = [p.spec.cluster_id for p in states]
+    clusters = [spec.cluster_id for spec in specs]
     cluster_avg = []
     for c in clusters:
         members = [price for price, k in zip(prices, clusters) if k == c]
         cluster_avg.append(math.fsum(members) / len(members))
-    lag1 = [p.demand_history[-1] if p.demand_history else p.spec.baseline_demand for p in states]
+    lag1 = [demands[-1] if demands else spec.baseline_demand
+            for spec, (_, demands) in zip(specs, history)]
     shocks = [
         derive_rng(config.seed, "demand", aid, pid, env.episode_index)
         .standard_normal(config.weeks_per_episode)[t]
         for aid, pid in slots
     ]
     demands = _reference_demands(
-        [p.spec for p in states], prices, [p / m for p, m in zip(prices, cluster_avg)], lag1,
+        specs, prices, [p / m for p, m in zip(prices, cluster_avg)], lag1,
         shocks, seasonal_encoding(week)[0], holiday_flag(week), config.demand_params,
     )
 
     agent_revenue = {}
-    for (aid, _), product, price, demand in zip(slots, states, prices, demands):
-        product.record_week(price, demand)
+    for (aid, _), price, demand in zip(slots, prices, demands):
         agent_revenue[aid] = agent_revenue.get(aid, 0.0) + price * demand
     total = math.fsum(agent_revenue.values())
     zero_revenue = total <= 0
@@ -455,11 +451,22 @@ def _reference_week(env, submitted):
     )
     observation = MarketObservation(
         week_number=next_week, is_holiday=holiday_flag(next_week), slots=env.slots,
-        competitor_slots=competitor_slots, price=prices, cluster_avg_price=cluster_avg,
-        agent_revenue=agent_revenue, market_share=shares,
+        competitor_slots=competitor_slots, log=env.log, weeks=t + 1, price=prices,
+        cluster_avg_price=cluster_avg, agent_revenue=agent_revenue, market_share=shares,
     )
     row = (prices, demands, list(agent_revenue.values()), list(shares.values()), zero_revenue)
-    return observation, row, clamps, states
+    return observation, row, clamps
+
+
+def _slot_specs(env):
+    """Each slot's product spec, in slot order."""
+    spec_of = {(a.agent_id, spec.product_id): spec for a in env.agents for spec in a.product_specs}
+    return [spec_of[pair] for pair in env.slots]
+
+
+def _last_prices(specs, history):
+    """Each slot's last settled price, its initial price before the first week."""
+    return [prices[-1] if prices else spec.initial_price for spec, (prices, _) in zip(specs, history)]
 
 
 class RandomPriceAgent(PricingAgentBase):
@@ -473,26 +480,30 @@ class RandomPriceAgent(PricingAgentBase):
         self.rng = rng
 
     def propose_prices(self, observation):
-        return {pid: p.current_price * float(self.rng.choice(self.MULTIPLIERS))
-                for pid, p in self.portfolio.items()}
+        return {
+            s.product_id: observation.price[observation.slots[(self.agent_id, s.product_id)]]
+            * float(self.rng.choice(self.MULTIPLIERS))
+            for s in self.product_specs
+        }
 
 
-def _rule_hits(env, submitted):
+def _rule_hits(env, submitted, history):
     """Which of the cap and the floor each slot's submission meets."""
     config = env.config
+    specs = _slot_specs(env)
     hits = set()
-    for (aid, pid), i in env.slots.items():
-        product = next(a for a in env.agents if a.agent_id == aid).portfolio[pid]
-        last, asked = product.current_price, submitted[aid][pid]
+    for (aid, pid), spec, last in zip(env.slots, specs, _last_prices(specs, history)):
+        asked = submitted[aid][pid]
         span = config.max_weekly_change
         capped = min(max(asked, last * (1 - span)), last * (1 + span))
-        hits.add((capped != asked, config.price_floor(product.spec) > capped))
+        hits.add((capped != asked, config.price_floor(spec) > capped))
     return hits
 
 
 class TestReferenceWeek:
     """`MarketEnvironment.step` settles every week exactly as the slot-by-slot
-    reference above: the same floats, clamp counts, observations and log rows."""
+    reference above: the same floats, clamp counts, observations and log
+    rows, and the log's settled rows are each slot's whole history."""
 
     def _drive(self, config, agents, model, episodes):
         hits = set()
@@ -500,18 +511,23 @@ class TestReferenceWeek:
             for agent in agents:
                 agent.begin_episode(ep)
             env = MarketEnvironment(config, agents, model, ep)
+            history = [([], []) for _ in env.slots]  # each slot's prices and demands
             observation = env.bootstrap_observation()
             for week in range(1, config.weeks_per_episode + 1):
                 submitted = {a.agent_id: a.propose_prices(observation) for a in agents}
-                hits |= _rule_hits(env, submitted)
-                expected, row, clamps, states = _reference_week(env, submitted)
+                hits |= _rule_hits(env, submitted, history)
+                expected, row, clamps = _reference_week(env, submitted, history)
                 before, t, log = env.clamp_events, env.week_index, env.log
                 new_observation = env.step(submitted)
                 assert new_observation == expected
                 assert (log.price[t].tolist(), log.demand[t].tolist(), log.revenue[t].tolist(),
                         log.share[t].tolist(), log.zero_revenue[t]) == row
                 assert env.clamp_events - before == clamps
-                assert [a.portfolio[pid] for a in agents for pid in a.portfolio] == states
+                for (prices, demands), price, demand in zip(history, row[0], row[1]):
+                    prices.append(price)
+                    demands.append(demand)
+                assert log.price[:t + 1].T.tolist() == [prices for prices, _ in history]
+                assert log.demand[:t + 1].T.tolist() == [demands for _, demands in history]
                 for agent in agents:
                     agent.feedback(new_observation, observation, week == config.weeks_per_episode)
                 observation = new_observation
@@ -543,10 +559,11 @@ class TestBootstrap:
         env = MarketEnvironment(config, agents, StubOracle())
         obs = env.bootstrap_observation()
         assert env.week_index == 0 and obs.week_number == 1
+        assert obs.log is env.log and obs.weeks == 0
         for agent in agents:
             expected = 0.0  # added left to right, in portfolio order
-            for pid, product in agent.portfolio.items():
-                spec, i = product.spec, obs.slots[(agent.agent_id, pid)]
+            for spec in agent.product_specs:
+                i = obs.slots[(agent.agent_id, spec.product_id)]
                 assert obs.price[i] == spec.initial_price
                 expected += spec.initial_price * spec.baseline_demand
             assert obs.agent_revenue[agent.agent_id] == expected
@@ -586,6 +603,7 @@ class TestRunEpisode:
         assert len(agents[0].fed) == len(log.price) == 6
         for i, (observation, prev_observation) in enumerate(agents[0].fed):
             assert observation.week_number == i + 2
+            assert observation.log is log and observation.weeks == i + 1
             assert observation.price == log.price[i].tolist()
             assert list(observation.agent_revenue.values()) == log.revenue[i].tolist()
             assert list(observation.market_share.values()) == log.share[i].tolist()
@@ -602,7 +620,62 @@ class TestRunEpisode:
         assert log.slots == {("a0", "prod1"): 0, ("a1", "prod1"): 1}
         assert log.agent_ids == ("a0", "a1")
         assert log.owner.tolist() == [0, 1]
-        assert log.unit_cost.tolist() == [a.portfolio["prod1"].spec.unit_cost for a in agents]
+        assert log.unit_cost.tolist() == [a.product_specs[0].unit_cost for a in agents]
+
+    def test_agents_keep_no_history(self):
+        """With the agents alive, an episode leaves behind per week no more
+        than its log's row: the agents read their history from the log."""
+        slack = 32  # bytes per week; the log's own row is 385 B for A
+
+        def left_behind(weeks):
+            """Bytes an episode leaves behind, measured while its agents and
+            its log are alive, and the log's bytes per week."""
+            config = desk_spec("A", seed=7, weeks_per_episode=weeks).market
+            agents = build_agents(config)
+            model = ParametricDemandModel(config.demand_params)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                log = run_episode(config, agents, model)
+                gc.collect()
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            columns = (log.price, log.demand, log.revenue, log.share, log.zero_revenue)
+            return held, sum(c.nbytes for c in columns) / weeks
+
+        short, _ = left_behind(26)
+        long, row = left_behind(104)
+        assert (long - short) / (104 - 26) <= row + slack
+
+    def test_kept_observation_reads_the_same_after_later_weeks(self):
+        """An observation reads its log's first `weeks` rows only, so what
+        agents compute from a kept one does not move as the log fills."""
+        roster = [AgentSpec(f"a{i}", "rule") for i in range(3)]
+        config = MarketConfig(agent_roster=roster, clusters=(1, 2), weeks_per_episode=8,
+                              episodes=1, seed=41)
+        portfolio = make_default_portfolio(config.clusters, config.seed)
+        agents = [
+            RuleAgent(s.agent_id, portfolio, config, RuleStrategy(kind))
+            for s, kind in zip(roster, ["historical_anchor", "demand_responsive", "seasonal"])
+        ]
+        env = MarketEnvironment(config, agents, ParametricDemandModel(config.demand_params))
+
+        def week():
+            return env.step({a.agent_id: a.propose_prices(observation) for a in agents})
+
+        def readings(kept):
+            return ([encode_state(a, kept).tolist() for a in agents],
+                    [a.propose_prices(kept) for a in agents[:2]])
+
+        observation = env.bootstrap_observation()
+        for _ in range(3):
+            observation = week()
+        kept, before = observation, readings(observation)
+        for _ in range(2):
+            observation = week()
+        assert env.log.price[4].all() and observation.weeks == kept.weeks + 2
+        assert readings(kept) == before
 
     def test_determinism_with_seeds(self):
         runs = []
@@ -652,7 +725,7 @@ class TestRunEpisode:
         config = _config(n_agents=2)
         agents = _agents(config)
         env = MarketEnvironment(config, agents, StubOracle(0.0))
-        pid = next(iter(agents[0].portfolio))
+        pid = agents[0].product_specs[0].product_id
         record = env.step({a.agent_id: {pid: 6.3} for a in agents})
         assert env.log.zero_revenue.tolist() == [True, False, False, False]  # one week settled
         assert record.market_share["a0"] == pytest.approx(0.5)

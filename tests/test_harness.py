@@ -426,6 +426,14 @@ class TestLazyLearners:
         )
         assert loaded == set() and not pool
 
+    def test_harness_import_loads_no_logging(self, tmp_path):
+        run = _run_python(
+            ["-c", "import sys\nimport pricebench.harness\nprint('logging' in sys.modules)"],
+            tmp_path,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["False"]
+
     def test_maddpg_roster_loads_maddpg_alone(self, tmp_path):
         loaded, _ = _loaded_after(
             "from pricebench.harness import build_agents, desk_spec\n"

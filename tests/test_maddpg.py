@@ -92,11 +92,11 @@ class TestActing:
     def test_episode_run_respects_bounds(self):
         config = _config(n_agents=2, weeks=15)
         team = _team(config)
-        list(simulate(config, team))
+        (log,) = simulate(config, team)
         for agent in team:
-            for product in agent.portfolio.values():
-                prev = product.spec.initial_price
-                for price in product.price_history:
+            for spec in agent.product_specs:
+                prev = spec.initial_price
+                for price in log.price[:, log.slots[(agent.agent_id, spec.product_id)]].tolist():
                     assert abs(price - prev) / prev <= config.max_weekly_change + 1e-9
                     prev = price
 

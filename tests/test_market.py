@@ -12,7 +12,6 @@ from pricebench.market import (
     JsonFields,
     MarketConfig,
     ProductSpec,
-    ProductState,
     derive_rng,
     from_fields,
     holiday_flag,
@@ -80,21 +79,6 @@ class TestProductSpec:
     def test_negative_cost_rejected(self):
         with pytest.raises(ConfigError):
             ProductSpec("p", 1, initial_price=5.0, unit_cost=-1.0, baseline_demand=10.0)
-
-
-class TestProductState:
-    def test_histories_stay_aligned(self):
-        state = ProductState.fresh(ProductSpec("p", 1, 10.0, 6.0, 20.0))
-        for week in range(5):
-            state.record_week(10.0 + week, 20.0)
-            n = week + 1
-            assert len(state.price_history) == n
-            assert len(state.demand_history) == n
-
-    def test_first_week_change_relative_to_initial(self):
-        state = ProductState.fresh(ProductSpec("p", 1, 10.0, 6.0, 20.0))
-        state.record_week(11.0, 1.0)
-        assert state.last_relative_change() == pytest.approx(0.1)
 
 
 def _roster():

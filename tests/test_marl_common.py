@@ -110,7 +110,8 @@ class TestApplyAction:
         )
         spec = ProductSpec("p", 1, price, cost, 10.0)
         agent = TeamMember("q0", [spec], config, _FixedChange(change))
-        return agent.propose_prices(object()), agent
+        env = MarketEnvironment(config, [agent], ParametricDemandModel(config.demand_params))
+        return agent.propose_prices(env.bootstrap_observation()), agent
 
     def test_zero_change(self):
         assert self._proposed(0.0)[0] == {"p": pytest.approx(10.0)}
@@ -124,7 +125,7 @@ class TestApplyAction:
         prices, agent = self._proposed(-0.10, price=6.5, cost=6.0)
         submitted = prices["p"]
         assert submitted == pytest.approx(5.85)
-        floor = agent.config.price_floor(agent.portfolio["p"].spec)
+        floor = agent.config.price_floor(agent.product_specs[0])
         assert agent.config.allowed_prices((6.5,), (submitted,), (floor,)) == [pytest.approx(6.30)]
 
 
@@ -185,6 +186,20 @@ class TestEncodeState:
         assert np.allclose(state[:, 2:5], 1.0)
         assert np.allclose(state[:, 5:7], 0.0)
         assert np.allclose(state[:, 11], 0.0)
+
+    def test_last_relative_change(self):
+        """Each product's last entry: 0 at week zero, the change from the
+        initial price in week 1, then from the week before."""
+        config = MarketConfig(agent_roster=[AgentSpec("q0", "madqn")], clusters=(1,),
+                              weeks_per_episode=3, episodes=1)
+        agent = TeamMember("q0", [ProductSpec("p", 1, 10.0, 6.0, 20.0)], config,
+                           _FixedChange(0.0))
+        env = MarketEnvironment(config, [agent], ParametricDemandModel(config.demand_params))
+        observations = [env.bootstrap_observation()]
+        observations += [env.step({"q0": {"p": price}}) for price in (11.0, 11.55, 11.55)]
+        changes = [encode_state(agent, obs)[STATE_SLOTS_PER_PRODUCT - 1] for obs in observations]
+        assert changes[0] == 0.0 and changes[3] == 0.0
+        assert changes[1:3] == [pytest.approx(0.1), pytest.approx(0.05)]
 
     def test_identical_agents_equal_vectors(self):
         config, agents, env = _madqn_setup()
@@ -286,8 +301,25 @@ class _Short(ValueError):
     """The reference encoder's "not enough history" signal."""
 
 
-def _reference_encode_state(agent, observation):
-    """The encoder as it was before `features.demand_features`: one helper per entry."""
+class _WeekRecorder:
+    """A demand model that keeps every week's prices and demands as it
+    settles them, as plain lists: the reference encoder's history."""
+
+    def __init__(self, model):
+        self.model = model
+        self.prices: list[list[float]] = []
+        self.demands: list[list[float]] = []
+
+    def sample_demand(self, query):
+        demands = self.model.sample_demand(query)
+        self.prices.append(list(query.prices))
+        self.demands.append(list(demands))
+        return demands
+
+
+def _reference_encode_state(agent, observation, recorder: _WeekRecorder):
+    """The encoder as it was before `features.demand_features`: one helper
+    per entry, over each product's whole history in `recorder`."""
     from pricebench.features import seasonal_encoding
 
     def qrm(history, k):
@@ -312,9 +344,15 @@ def _reference_encode_state(agent, observation):
     share = observation.market_share[agent.agent_id]
     slots = []
     for spec in agent.product_specs:
-        product = agent.portfolio[spec.product_id]
+        slot = observation.slots[(agent.agent_id, spec.product_id)]
         baseline = spec.baseline_demand
-        history = product.demand_history
+        history = [week[slot] for week in recorder.demands]
+        prices = [week[slot] for week in recorder.prices]
+        if prices:  # relative to the week before, or to the initial price in week 1
+            before = prices[-2] if len(prices) > 1 else spec.initial_price
+            last_change = (prices[-1] - before) / before
+        else:
+            last_change = 0.0
 
         def ratio_or(fn, default, *args):
             try:
@@ -322,9 +360,9 @@ def _reference_encode_state(agent, observation):
             except _Short:
                 return default
 
-        price = product.current_price
+        price = prices[-1] if prices else spec.initial_price
         slots.extend([
-            price / observation.cluster_avg_price[observation.slots[(agent.agent_id, spec.product_id)]],
+            price / observation.cluster_avg_price[slot],
             (price - spec.unit_cost) / price,
             (history[-1] / baseline) if history else 1.0,
             ratio_or(qrm, 1.0, 2),
@@ -335,7 +373,7 @@ def _reference_encode_state(agent, observation):
             week_cos,
             holiday,
             share,
-            product.last_relative_change(),
+            last_change,
         ])
     return np.asarray(slots, dtype=float)
 
@@ -346,16 +384,19 @@ class TestEncodeStateMatchesReference:
     @pytest.mark.parametrize("weeks", range(6))
     def test_equal_after_weeks_of_history(self, weeks):
         config, agents, env = _madqn_setup(n_products=3, seed=23)
+        env.demand_model = recorder = _WeekRecorder(env.demand_model)
         obs = env.bootstrap_observation()
         for _ in range(weeks):
             submitted = {a.agent_id: a.propose_prices(obs) for a in agents}
             obs = env.step(submitted)
+        assert obs.weeks == len(recorder.demands) == weeks
         for agent in agents:
-            assert len(next(iter(agent.portfolio.values())).demand_history) == weeks
-            assert np.array_equal(encode_state(agent, obs), _reference_encode_state(agent, obs))
+            expected = _reference_encode_state(agent, obs, recorder)
+            assert np.array_equal(encode_state(agent, obs), expected)
 
     def test_equal_every_week_through_the_holidays_and_a_year_wrap(self):
         config, agents, env = _madqn_setup(n_products=3, seed=23, weeks=30)
+        env.demand_model = recorder = _WeekRecorder(env.demand_model)
         env.week_number = 36  # weeks 36..52, then 1..13 of the next year
         obs = env.bootstrap_observation()
         calendar = []
@@ -364,21 +405,27 @@ class TestEncodeStateMatchesReference:
             obs = env.step(submitted)
             calendar.append((obs.week_number, obs.is_holiday))
             for agent in agents:
-                assert np.array_equal(encode_state(agent, obs), _reference_encode_state(agent, obs))
+                expected = _reference_encode_state(agent, obs, recorder)
+                assert np.array_equal(encode_state(agent, obs), expected)
         assert (47, True) in calendar and (52, True) in calendar and (1, False) in calendar
         assert env.week_number == 14
 
 
 def _reference_reward(agent, observation, prev_observation, samples: list[float]) -> float:
     """`_reward_from` as it was: a list of the episode's revenues and a
-    generator over the products' changes, read from the portfolio, each
-    summed left to right."""
+    generator over the products' changes, each summed left to right. A
+    product's change is its price in `observation` relative to its price in
+    `prev_observation` (at week zero, the initial price)."""
     revenue = observation.agent_revenue[agent.agent_id]
     prev_revenue = prev_observation.agent_revenue[agent.agent_id]
     if not samples:
         samples.append(prev_revenue)
     running_mean = left_sum(samples) / len(samples)
-    changes = [agent.portfolio[s.product_id].last_relative_change() for s in agent.product_specs]
+    changes = []
+    for s in agent.product_specs:
+        slot = observation.slots[(agent.agent_id, s.product_id)]
+        before = prev_observation.price[slot]
+        changes.append((observation.price[slot] - before) / before)
     change_rms = math.sqrt(left_sum(c * c for c in changes) / len(changes))
     reward = compute_reward(
         prev_revenue, revenue, change_rms, agent.config.reward_penalty_lambda, running_mean
@@ -464,7 +511,6 @@ class TestLearningPersistence:
         agent.begin_episode(1)
         assert agent.learner.nets.weights is weights_before  # learning state persists
         assert len(agent.learner.buffer) == 1
-        assert agent.portfolio["prod1"].price_history == []  # histories reset
         assert agent.episode_index == 1
 
 
@@ -495,12 +541,12 @@ class TestActionRangeSafety:
     def test_fuzzed_episode_respects_bounds(self, config_id):
         config = desk_spec(config_id, seed=17, weeks_per_episode=30, episodes=1).market
         agents = build_agents(config)
-        list(simulate(config, agents))
+        (log,) = simulate(config, agents)
         for agent in agents:
-            for product in agent.portfolio.values():
-                floor = config.price_floor(product.spec)
-                prev = product.spec.initial_price
-                for price in product.price_history:
+            for spec in agent.product_specs:
+                floor = config.price_floor(spec)
+                prev = spec.initial_price
+                for price in log.price[:, log.slots[(agent.agent_id, spec.product_id)]].tolist():
                     change = abs(price - prev) / prev
                     assert change <= config.max_weekly_change + 1e-9
                     assert price >= floor - 1e-9

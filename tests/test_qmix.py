@@ -318,13 +318,13 @@ class TestTeamConstruction:
 class TestQmixTeamInMarket:
     def test_episode_respects_bounds_and_stores_joint(self):
         config, team = _market_team()
-        list(simulate(config, team))
+        (log,) = simulate(config, team)
         coord = team[0].learner
         assert len(coord.buffer) == 8
         for agent in team:
-            for product in agent.portfolio.values():
-                prev = product.spec.initial_price
-                for price in product.price_history:
+            for spec in agent.product_specs:
+                prev = spec.initial_price
+                for price in log.price[:, log.slots[(agent.agent_id, spec.product_id)]].tolist():
                     assert abs(price - prev) / prev <= config.max_weekly_change + 1e-9
                     prev = price
 

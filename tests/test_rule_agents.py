@@ -8,9 +8,10 @@ from pricebench.harness import simulate
 from pricebench.market import (
     AgentSpec,
     ConfigError,
+    EpisodeLog,
     MarketConfig,
+    MarketObservation,
     ProductSpec,
-    ProductState,
     make_default_portfolio,
 )
 from pricebench.rule_agents import (
@@ -26,8 +27,8 @@ from pricebench.rule_agents import (
 )
 
 
-def _product(price=10.0, cost=6.0, baseline=20.0):
-    return ProductState.fresh(ProductSpec("p", 1, price, cost, baseline))
+def _spec(price=10.0, cost=6.0, baseline=20.0):
+    return ProductSpec("p", 1, price, cost, baseline)
 
 
 def _one_product_config(n_agents, weeks=4):
@@ -53,17 +54,19 @@ class FallingDemand:
 
 
 def _observation(week=20, competitor_prices=(), holiday=False, price=10.0):
-    """Agent "me" and one rival per competitor price, one cluster-1 product each."""
-    from pricebench.market import MarketObservation
-
+    """Agent "me" and one rival per competitor price, one cluster-1 product
+    each, before any week has settled."""
     pool = [price, *competitor_prices]
     ids = ["me", *(f"rival{i}" for i in range(len(competitor_prices)))]
     n = len(pool)
+    slots = {(aid, "p"): i for i, aid in enumerate(ids)}
     return MarketObservation(
         week_number=week,
         is_holiday=holiday,
-        slots={(aid, "p"): i for i, aid in enumerate(ids)},
+        slots=slots,
         competitor_slots=tuple(tuple(j for j in range(n) if j != i) for i in range(n)),
+        log=EpisodeLog(0, slots, ids, [6.0] * n),
+        weeks=0,
         price=pool,
         cluster_avg_price=[sum(pool) / n] * n,
         agent_revenue={aid: 200.0 for aid in ids},
@@ -73,18 +76,18 @@ def _observation(week=20, competitor_prices=(), holiday=False, price=10.0):
 
 class TestStaticMarkup:
     def test_formula(self):
-        assert static_markup_price(_product(cost=6.0), markup=0.5) == pytest.approx(9.0)
+        assert static_markup_price(_spec(cost=6.0), markup=0.5) == pytest.approx(9.0)
 
     def test_zero_markup_hits_cost(self):
-        assert static_markup_price(_product(cost=6.0), markup=0.0) == pytest.approx(6.0)
+        assert static_markup_price(_spec(cost=6.0), markup=0.0) == pytest.approx(6.0)
 
     def test_constant_across_weeks(self):
-        product = _product()
-        assert static_markup_price(product) == static_markup_price(product)
+        spec = _spec()
+        assert static_markup_price(spec) == static_markup_price(spec)
 
 
 def _matcher(agent_id="me", cost=6.0, **strategy):
-    """A competitor-matching agent with `_product`'s spec."""
+    """A competitor-matching agent with `_spec`'s product."""
     spec = ProductSpec("p", 1, 10.0, cost, 20.0)
     return RuleAgent(agent_id, [spec], _one_product_config(1),
                      RuleStrategy("competitor_match", **strategy))
@@ -98,7 +101,7 @@ class TestCompetitorMatch:
     def test_undercuts_mean(self):
         obs = _observation(competitor_prices=(9.0, 11.0))
         assert _matcher(undercut_fraction=0.03).propose_prices(obs) == {"p": pytest.approx(9.70)}
-        assert competitor_match_price(_product(), [9.0, 11.0], "me", 0.03) == pytest.approx(9.70)
+        assert competitor_match_price(_spec(), [9.0, 11.0], 0.03) == pytest.approx(9.70)
 
     def test_floor_binds(self):
         # undercutting a rival priced just above the floor lands below it;
@@ -142,8 +145,7 @@ class TestCompetitorMatch:
             matcher = RuleAgent(agent.agent_id, portfolio, config, RuleStrategy("competitor_match"))
             assert matcher.propose_prices(obs) == {
                 spec.product_id: competitor_match_price(
-                    matcher.portfolio[spec.product_id],
-                    _rival_prices(obs, agent.agent_id, spec.product_id), agent.agent_id,
+                    spec, _rival_prices(obs, agent.agent_id, spec.product_id)
                 )
                 for spec in portfolio
             }
@@ -156,66 +158,69 @@ class TestCompetitorMatch:
     def test_no_competitors_falls_back_to_markup(self):
         obs = _observation(competitor_prices=())
         assert _matcher(cost=6.0, markup=0.5).propose_prices(obs) == {"p": pytest.approx(9.0)}
-        assert competitor_match_price(_product(cost=6.0), [], "me", markup=0.5) == pytest.approx(9.0)
+        assert competitor_match_price(_spec(cost=6.0), [], markup=0.5) == pytest.approx(9.0)
 
 
 class TestHistoricalAnchor:
     def test_constant_history_fixed_point(self):
-        product = _product()
-        for _ in range(5):
-            product.record_week(8.0, 10.0)
-        assert historical_anchor_price(product, 4) == pytest.approx(8.0)
+        assert historical_anchor_price([8.0] * 4, 10.0) == pytest.approx(8.0)
 
     def test_window_mean(self):
-        product = _product()
-        for p in (10.0, 10.0, 10.0, 14.0):
-            product.record_week(p, 10.0)
-        assert historical_anchor_price(product, 4) == pytest.approx(11.0)
+        assert historical_anchor_price([10.0, 10.0, 10.0, 14.0], 10.0) == pytest.approx(11.0)
 
     def test_cold_start_uses_initial_price(self):
-        assert historical_anchor_price(_product(price=10.0)) == pytest.approx(10.0)
+        assert historical_anchor_price([], 10.0) == pytest.approx(10.0)
+
+    def test_agent_reads_its_slots_window_from_the_log(self):
+        # two agents, two products each: rows 1..3 of each slot, its last three weeks
+        config = replace(_one_product_config(2, weeks=4), clusters=(1, 2))
+        specs = [ProductSpec("p", 1, 10.0, 6.0, 20.0), ProductSpec("q", 2, 20.0, 12.0, 20.0)]
+        strategy = RuleStrategy("historical_anchor", anchor_window=3)
+        agents = [RuleAgent(f"rule-{i}", specs, config, strategy) for i in range(2)]
+        env = MarketEnvironment(config, agents, FallingDemand())
+        weekly = [[10.0, 20.0, 10.5, 21.0], [10.5, 21.5, 11.0, 22.0], [11.0, 23.0, 11.5, 23.0],
+                  [11.5, 24.0, 12.0, 25.0]]
+        for prices in weekly:
+            obs = env.step({f"rule-{i}": {"p": prices[2 * i], "q": prices[2 * i + 1]}
+                            for i in range(2)})
+        assert agents[1].propose_prices(obs) == {"p": pytest.approx(11.5),
+                                                 "q": pytest.approx(23.0 + 1 / 3)}
 
 
 class TestDemandResponsive:
-    def _with_demand(self, d1, d2, price=10.0):
-        product = _product(price=price)
-        product.record_week(price, d1)
-        product.record_week(price, d2)
-        return product
-
     def test_up_step(self):
-        product = self._with_demand(10.0, 12.0)
-        assert demand_responsive_price(product, response_step=0.02) == pytest.approx(10.20)
+        assert demand_responsive_price(10.0, [10.0, 12.0], response_step=0.02) == pytest.approx(10.20)
 
     def test_down_step(self):
-        product = self._with_demand(12.0, 10.0)
-        assert demand_responsive_price(product, response_step=0.02) == pytest.approx(9.80)
+        assert demand_responsive_price(10.0, [12.0, 10.0], response_step=0.02) == pytest.approx(9.80)
 
     def test_tie_holds(self):
-        product = self._with_demand(10.0, 10.0)
-        assert demand_responsive_price(product) == pytest.approx(10.0)
+        assert demand_responsive_price(10.0, [10.0, 10.0]) == pytest.approx(10.0)
+
+    def test_cold_start_holds(self):
+        assert demand_responsive_price(10.0, [12.0]) == 10.0
 
     def test_floor_clamps_down_step(self):
         # falling demand steps 6.31 down 2 % in week 3; the environment floors it at 6.30
         config = _one_product_config(1, weeks=3)
         spec = ProductSpec("p", 1, 6.31, 6.0, 20.0)
         agent = RuleAgent("rule-0", [spec], config, RuleStrategy("demand_responsive"))
-        run_episode(config, [agent], FallingDemand())
-        assert agent.portfolio["p"].price_history == pytest.approx([6.31, 6.31, 6.30])
+        log = run_episode(config, [agent], FallingDemand())
+        assert log.price[:, 0].tolist() == pytest.approx([6.31, 6.31, 6.30])
 
 
 class TestSeasonal:
     def test_holiday_uplift(self):
         obs = _observation(week=50, holiday=True)
-        assert seasonal_price(_product(cost=6.0), obs, seasonal_uplift=0.10) == pytest.approx(9.90)
+        assert seasonal_price(_spec(cost=6.0), obs, seasonal_uplift=0.10) == pytest.approx(9.90)
 
     def test_off_peak_base(self):
         obs = _observation(week=20)
-        assert seasonal_price(_product(cost=6.0), obs) == pytest.approx(9.0)
+        assert seasonal_price(_spec(cost=6.0), obs) == pytest.approx(9.0)
 
     def test_zero_uplift(self):
         obs = _observation(week=50, holiday=True)
-        assert seasonal_price(_product(cost=6.0), obs, seasonal_uplift=0.0) == pytest.approx(9.0)
+        assert seasonal_price(_spec(cost=6.0), obs, seasonal_uplift=0.0) == pytest.approx(9.0)
 
 
 class TestRuleStrategyValidation:
@@ -257,12 +262,12 @@ class TestRuleAgentProperties:
 
     def test_constraints_respected(self):
         config, agents = _rule_market(weeks=30, noise=0.05)
-        list(simulate(config, agents))
+        (log,) = simulate(config, agents)
         for agent in agents:
-            for product in agent.portfolio.values():
-                floor = config.price_floor(product.spec)
-                prev = product.spec.initial_price
-                for price in product.price_history:
+            for spec in agent.product_specs:
+                floor = config.price_floor(spec)
+                prev = spec.initial_price
+                for price in log.price[:, log.slots[(agent.agent_id, spec.product_id)]].tolist():
                     assert price >= floor - 1e-9
                     assert abs(price - prev) / prev <= config.max_weekly_change + 1e-9
                     prev = price
