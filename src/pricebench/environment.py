@@ -1,10 +1,12 @@
 """Weekly-stepped market simulation: collect prices, draw demand, settle revenue.
 
 All agents submit prices for the week before any demand is computed
-(simultaneous-move). The step alone enforces the market rules: every
-submission is capped at +/-max_weekly_change of last week's price and then
-raised to the margin floor (`MarketConfig.allowed_prices`), and each changed
-submission is counted in `clamp_events`.
+(simultaneous-move). Agents and the market exchange prices in slot order
+only: each agent submits one price per entry of its `product_specs`, in that
+order, which are its contiguous slots. The step alone enforces the market
+rules: every submission is capped at +/-max_weekly_change of last week's
+price and then raised to the margin floor (`MarketConfig.allowed_prices`),
+and each changed submission is counted in `clamp_events`.
 
 A slot is one (agent, product) pair, in roster x portfolio order. Slot tables
 hold what an episode cannot change: each slot's product spec, margin floor,
@@ -18,16 +20,18 @@ one settles them. The week's calendar terms come from a 52-week table.
 read next, and writes the week into the episode's `EpisodeLog`, one row of
 columns. Every observation carries the log and its count of settled
 weeks, and the agents read their price and demand history from it: the log
-is the only per-slot history. `run_episode` returns the log: the episode's
-metrics and its `history.csv` rows are computed from it, one episode at a
-time. Week zero, the initial prices at baseline demand, is settled by the
-same helper (`bootstrap_observation`) and is not logged.
+is the only per-slot history, and its `slots` the only slot index.
+`run_episode` returns the log: the episode's metrics and its `history.csv`
+rows are computed from it, one episode at a time. Week zero, the initial
+prices at baseline demand, is settled by the same helper
+(`bootstrap_observation`) and is not logged.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
@@ -58,14 +62,17 @@ HISTORY_HEADER = (",".join(HISTORY_COLUMNS) + "\n").encode()
 
 
 class ProtocolError(RuntimeError):
-    """An agent violated the step contract (a missing, non-numeric or non-finite
-    price), or the demand oracle returned other than one demand per slot."""
+    """An agent violated the step contract (no list of one price per product,
+    or a non-numeric or non-finite price), or the demand oracle returned
+    other than one demand per slot."""
 
 
 class PricingAgentBase:
-    """An agent pricing its `product_specs`; subclasses implement
-    propose_prices(). It keeps no history: `slot_range` and `recent` read
-    its slots from each observation and the episode log it carries."""
+    """An agent pricing its `product_specs`, which are its contiguous slots
+    in that order. Subclasses implement propose_prices(), which returns one
+    price per product in that order. The agent keeps no history:
+    `slot_range` finds its slots in the episode log an observation carries,
+    and `recent` reads them from the log's columns."""
 
     def __init__(self, agent_id: str, product_specs: list[ProductSpec], config: MarketConfig):
         self.agent_id = agent_id
@@ -81,28 +88,27 @@ class PricingAgentBase:
     def slot_range(self, observation: MarketObservation) -> slice:
         """This agent's slots in `observation`'s per-slot lists and log
         columns: contiguous, in `product_specs` order."""
-        start = observation.slots[(self.agent_id, self.product_specs[0].product_id)]
+        start = observation.log.slots[(self.agent_id, self.product_specs[0].product_id)]
         return slice(start, start + len(self.product_specs))
 
-    def recent(
-        self, observation: MarketObservation, column: np.ndarray, weeks: int
-    ) -> list[list[float]]:
-        """Each product's last `weeks` settled entries of `column`, a
-        `(weeks, slots)` column of `observation.log`, oldest first (fewer
-        early in the episode)."""
-        settled = observation.weeks
-        return column[max(0, settled - weeks):settled, self.slot_range(observation)].T.tolist()
-
-    def propose_prices(self, observation: MarketObservation) -> dict[str, float]:
+    def propose_prices(self, observation: MarketObservation) -> Sequence[float]:
+        """One price per entry of `product_specs`, in that order."""
         raise NotImplementedError
 
-    def feedback(
-        self,
-        observation: MarketObservation,
-        prev_observation: MarketObservation,
-        done: bool,
-    ) -> None:
-        """Post-step hook; learning agents store transitions and train here."""
+    def feedback(self, observation: MarketObservation, done: bool) -> None:
+        """Post-step hook, given each settled week's observation once (`done`
+        on the episode's last week); learning agents store transitions and
+        train here."""
+
+
+def recent(
+    observation: MarketObservation, column: np.ndarray, span: slice, weeks: int
+) -> list[list[float]]:
+    """Each slot of `span`'s last `weeks` settled entries of `column`, a
+    `(weeks, slots)` column of `observation.log`, oldest first (fewer early
+    in the episode)."""
+    settled = observation.weeks
+    return column[max(0, settled - weeks):settled, span].T.tolist()
 
 
 # Each calendar week's (holiday flag, seasonal sine); `step` wraps week 52 to 1.
@@ -115,7 +121,7 @@ class MarketEnvironment:
     The slot tables are built here once: per slot, its product spec, margin
     floor, unit cost, cluster and the episode's demand shocks, one
     `standard_normal(weeks_per_episode)` draw per (agent, product, episode)
-    stream; per agent, its product ids and its span of slots.
+    stream; per agent, its span of slots.
     """
 
     def __init__(
@@ -137,15 +143,14 @@ class MarketEnvironment:
         self._specs = [spec for _, spec in pairs]
         self._floors = [config.price_floor(spec) for spec in self._specs]
         self._prices = [spec.initial_price for spec in self._specs]  # last week's
-        self._portfolios = [(a.agent_id, [s.product_id for s in a.product_specs])
-                            for a in self.agents]
         self._agent_spans = []
         start = 0
-        for agent_id, pids in self._portfolios:
-            self._agent_spans.append((agent_id, start, start + len(pids)))
-            start += len(pids)
+        for agent in self.agents:
+            stop = start + len(agent.product_specs)
+            self._agent_spans.append((agent.agent_id, start, stop))
+            start = stop
         self.log = EpisodeLog(
-            config.weeks_per_episode, self.slots, [aid for aid, _ in self._portfolios],
+            config.weeks_per_episode, self.slots, [a.agent_id for a in self.agents],
             [spec.unit_cost for spec in self._specs],
         )
         cluster_ids = [spec.cluster_id for spec in self._specs]
@@ -200,7 +205,7 @@ class MarketEnvironment:
             log.zero_revenue[row] = total <= 0
         week = self.week_number
         return MarketObservation(
-            week_number=week, is_holiday=_CALENDAR[week][0], slots=self.slots,
+            week_number=week, is_holiday=_CALENDAR[week][0],
             competitor_slots=self.competitor_slots, log=self.log, weeks=self.week_index,
             price=prices, cluster_avg_price=cluster_avg,
             agent_revenue=agent_revenue, market_share=shares,
@@ -213,39 +218,45 @@ class MarketEnvironment:
 
     # -- stepping -----------------------------------------------------------
 
-    def _submissions(self, submitted_prices: dict[str, dict[str, float]]) -> list[float]:
-        """Every slot's submitted price as a float, in slot order. A missing
-        agent or product, or a price that is not a finite number, is a
-        ProtocolError naming the agent and the product."""
+    def _submissions(self, submitted_prices: Mapping[str, Sequence[float]]) -> list[float]:
+        """Every slot's submitted price as a float, in slot order: each
+        agent's sequence holds one price per product, in portfolio order.
+        An agent without such a sequence (none, a number, a dict or the
+        wrong length) is a ProtocolError naming the agent; a price that is
+        not a finite number is one naming the agent and the product."""
         isfinite = math.isfinite
         submitted = []
-        for agent_id, pids in self._portfolios:
+        for agent_id, start, stop in self._agent_spans:
             agent_prices = submitted_prices.get(agent_id)
-            if agent_prices is None:
-                raise ProtocolError(f"agent {agent_id} submitted no prices")
-            for pid in pids:
-                try:
-                    value = agent_prices[pid]
-                except (LookupError, TypeError):  # TypeError: not a mapping
-                    raise ProtocolError(
-                        f"agent {agent_id} submitted no price for product {pid}"
-                    ) from None
+            try:
+                count = len(agent_prices)
+            except TypeError:  # None or a number
+                count = None
+            if count != stop - start or isinstance(agent_prices, dict):
+                raise ProtocolError(
+                    f"agent {agent_id} submitted {agent_prices!r}, not a sequence of "
+                    f"{stop - start} prices in portfolio order"
+                )
+            for value in agent_prices:  # the value's slot is len(submitted)
                 try:
                     price = float(value)
                 except (TypeError, ValueError) as exc:
                     raise ProtocolError(
-                        f"agent {agent_id} submitted non-numeric price {value!r} for product {pid}"
+                        f"agent {agent_id} submitted non-numeric price {value!r} "
+                        f"for product {self._specs[len(submitted)].product_id}"
                     ) from exc
                 if not isfinite(price):
                     raise ProtocolError(
-                        f"agent {agent_id} submitted non-finite price {price} for product {pid}"
+                        f"agent {agent_id} submitted non-finite price {price} "
+                        f"for product {self._specs[len(submitted)].product_id}"
                     )
                 submitted.append(price)
         return submitted
 
-    def step(self, submitted_prices: dict[str, dict[str, float]]) -> MarketObservation:
-        """Settle one week at the submitted prices, after the market rule,
-        write it into the log and return its observation."""
+    def step(self, submitted_prices: Mapping[str, Sequence[float]]) -> MarketObservation:
+        """Settle one week at the submitted prices (each agent's, in its
+        portfolio order), after the market rule, write it into the log and
+        return its observation."""
         t = self.week_index
         if t >= self.config.weeks_per_episode:
             raise ProtocolError(f"the episode's {self.config.weeks_per_episode} weeks are over")
@@ -290,11 +301,10 @@ def run_episode(
     observation = env.bootstrap_observation()
     for week in range(1, config.weeks_per_episode + 1):
         submitted = {a.agent_id: a.propose_prices(observation) for a in env.agents}
-        new_observation = env.step(submitted)
+        observation = env.step(submitted)
         done = week == config.weeks_per_episode
         for agent in env.agents:
-            agent.feedback(new_observation, observation, done)
-        observation = new_observation
+            agent.feedback(observation, done)
     return env.log
 
 

@@ -177,19 +177,18 @@ class MarketObservation:
     settled (week zero is the initial prices at baseline demand); the
     calendar fields describe the week agents price next. Per-product
     quantities are per-slot lists: a slot is one (agent_id, product_id) pair,
-    and `slots` maps each pair to its position, in roster x portfolio order,
-    so each agent's slots are contiguous. `slots` and `competitor_slots` are
-    built once per episode and shared by every observation of it.
+    in roster x portfolio order, so each agent's slots are contiguous.
 
     The episode's record is its `log`, shared by every observation of the
-    episode; `weeks` is the number of weeks settled (0 at week zero). Rows
-    `[:weeks]` of `log.price` and `log.demand` are the history an agent
-    reads, and later weeks never change them.
+    episode; `log.slots` maps each pair to its slot. `weeks` is the number
+    of weeks settled (0 at week zero). Rows `[:weeks]` of `log.price` and
+    `log.demand` are the history an agent reads, and later weeks never
+    change them. `competitor_slots` is built once per episode and shared
+    by every observation of it.
     """
 
     week_number: int
     is_holiday: bool
-    slots: dict[tuple[str, str], int]
     competitor_slots: tuple[tuple[int, ...], ...]  # other agents' same-cluster slots, roster order
     log: EpisodeLog
     weeks: int

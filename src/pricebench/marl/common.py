@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..environment import PricingAgentBase
+from ..environment import PricingAgentBase, recent
 from ..features import DEMAND_WINDOW, demand_features, seasonal_encoding
 from ..market import (
     ConfigError, MarketConfig, MarketObservation, ProductSpec, derive_rng, require_finite,
@@ -113,7 +113,7 @@ def encode_state(agent: PricingAgentBase, observation: MarketObservation) -> np.
         before = observation.log.price[weeks - 2, span].tolist()
     else:
         before = [spec.initial_price for spec in agent.product_specs]
-    demands = agent.recent(observation, observation.log.demand, DEMAND_WINDOW)
+    demands = recent(observation, observation.log.demand, span, DEMAND_WINDOW)
     slots: list[float] = []
     for spec, price, cluster_avg, prev, demand in zip(
         agent.product_specs, observation.price[span], observation.cluster_avg_price[span],
@@ -144,10 +144,13 @@ class TeamMember(PricingAgentBase):
 
     propose_prices() encodes the state (`learner.encode`), lets the learner
     choose member `index`'s replay action and price changes
-    (`learner.choose`) and submits each product's current price times
-    (1 + change). feedback() encodes the next state, rewards the week just
-    settled and hands the transition to learner.contribute(agent_id, state,
-    action, reward, next_state, done), which stores it and learns.
+    (`learner.choose`) and returns each product's current price times
+    (1 + change), in portfolio order. It keeps the state, the action and
+    the agent's revenue in the observation it acted on as the week's
+    pending step. feedback() encodes the next state, rewards the week just
+    settled against that revenue and hands the transition to
+    learner.contribute(agent_id, state, action, reward, next_state, done),
+    which stores it and learns.
     """
 
     def __init__(
@@ -164,29 +167,27 @@ class TeamMember(PricingAgentBase):
         self._revenue_count = 0
         self._prev_changes = [0.0] * len(self.product_specs)  # portfolio order
         self._encoded: tuple[MarketObservation | None, np.ndarray | None] = (None, None)
-        self._pending: tuple[np.ndarray, np.ndarray] | None = None  # (state, action) of the week
+        # the week's (state, action, revenue in the observation acted on)
+        self._pending: tuple[np.ndarray, np.ndarray, float] | None = None
 
-    def propose_prices(self, observation: MarketObservation) -> dict[str, float]:
+    def propose_prices(self, observation: MarketObservation) -> list[float]:
         state = self._encode(observation)
         action, changes = self.learner.choose(
             self.index, state, self.episode_index, self._prev_changes
         )
-        self._pending = (state, action)
+        self._pending = (state, action, observation.agent_revenue[self.agent_id])
         self._prev_changes = changes
         # the environment enforces the market rules on these prices
         current = observation.price[self.slot_range(observation)]
-        return {
-            spec.product_id: price * (1.0 + r)
-            for spec, price, r in zip(self.product_specs, current, changes)
-        }
+        return [price * (1.0 + r) for price, r in zip(current, changes)]
 
-    def feedback(self, observation, prev_observation, done: bool) -> None:
+    def feedback(self, observation: MarketObservation, done: bool) -> None:
         if self._pending is None:
             return
-        state, action = self._pending
+        state, action, prev_revenue = self._pending
         self._pending = None
         next_state = self._encode(observation)
-        reward = self._reward_from(observation, prev_observation, next_state)
+        reward = self._reward_from(observation, prev_revenue, next_state)
         self.learner.contribute(self.agent_id, state, action, reward, next_state, done)
 
     def _encode(self, observation: MarketObservation) -> np.ndarray:
@@ -204,10 +205,10 @@ class TeamMember(PricingAgentBase):
         return state
 
     def _reward_from(
-        self, observation: MarketObservation, prev_observation: MarketObservation,
-        state: np.ndarray,
+        self, observation: MarketObservation, prev_revenue: float, state: np.ndarray
     ) -> float:
-        """`compute_reward` for the week just settled, whose encoded state is `state`.
+        """`compute_reward` for the week just settled, whose encoded state is
+        `state`, against `prev_revenue`, the agent's revenue the week before.
 
         The running mean is over the episode's revenues so far, opened by the
         week before the first; the instability term is the RMS of the
@@ -215,7 +216,6 @@ class TeamMember(PricingAgentBase):
         slot per product. Both sums add left to right.
         """
         revenue = observation.agent_revenue[self.agent_id]
-        prev_revenue = prev_observation.agent_revenue[self.agent_id]
         if not self._revenue_count:
             self._revenue_total = prev_revenue
             self._revenue_count = 1

@@ -3,8 +3,9 @@
 Five strategies: cost-plus markup, competitor matching with an undercut,
 own-price historical anchoring, demand-responsive stepping, and seasonal
 uplift pricing. Each maps a product's spec and what the market observation
-holds (its competitors' prices, the product's posted prices and demands read
-from the episode log) to a price that the agent submits as is; the
+holds for its slot (its competitors' prices, the product's posted prices
+and demands read from the episode log, the holiday flag) to a price. The
+agent submits one such price per product, in portfolio order, as is; the
 environment caps it at the weekly change limit and raises it to the margin
 floor.
 """
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .environment import PricingAgentBase
+from .environment import PricingAgentBase, recent
 from .market import (
     ConfigError,
     MarketConfig,
@@ -68,15 +69,6 @@ def static_markup_price(spec: ProductSpec, markup: float = 0.5) -> float:
     return spec.unit_cost * (1.0 + markup)
 
 
-def competitor_slots(
-    observation: MarketObservation, agent_id: str, product_id: str
-) -> tuple[int, ...]:
-    """The same-cluster slots of other agents, in roster order (empty when
-    the observation has no slot for the agent's product)."""
-    slot = observation.slots.get((agent_id, product_id))
-    return () if slot is None else observation.competitor_slots[slot]
-
-
 def competitor_match_price(
     spec: ProductSpec,
     competitors: list[float],
@@ -85,8 +77,10 @@ def competitor_match_price(
 ) -> float:
     """Mean competitor cluster price minus a small undercut.
 
-    `competitors` holds the prices at the product's `competitor_slots`. Falls
-    back to the static markup when the cluster has no competitors.
+    `competitors` holds the prices at the product's slot's entry of
+    `MarketObservation.competitor_slots`: the same-cluster slots of other
+    agents, in roster order. Falls back to the static markup when the
+    cluster has no competitors.
     """
     if not competitors:
         return static_markup_price(spec, markup)
@@ -117,26 +111,27 @@ def demand_responsive_price(
 
 def seasonal_price(
     spec: ProductSpec,
-    observation: MarketObservation,
+    is_holiday: bool,
     seasonal_uplift: float = 0.10,
     markup: float = 0.5,
 ) -> float:
     """Cost-plus base, raised by the uplift during holiday weeks."""
     base = static_markup_price(spec, markup)
-    if observation.is_holiday:
+    if is_holiday:
         return base * (1.0 + seasonal_uplift)
     return base
 
 
 class RuleAgent(PricingAgentBase):
-    """Applies one fixed strategy to every product.
+    """Applies one fixed strategy to every product, returning one price per
+    product in portfolio order.
 
     The agent picks its strategy's portfolio method when it is built and
     keeps the prices that depend only on the specs (the static markup, and
-    the seasonal price per holiday flag). A competitor-matching agent
-    resolves its products' competitor slots at each episode's first
-    observation. The history strategies read their slots' last weeks from
-    the observation's log.
+    the seasonal prices for either holiday flag). A competitor-matching
+    agent reads its slots' entries of the observation's competitor slots.
+    The history strategies read their slots' last weeks from the
+    observation's log.
     """
 
     def __init__(
@@ -150,63 +145,50 @@ class RuleAgent(PricingAgentBase):
         # the class's function, not a bound method: that would make a reference
         # cycle, and the agent would outlive its run until the cyclic collector ran
         self._price_portfolio = getattr(type(self), f"_{strategy.strategy}")
-        self._markup_prices = {
-            spec.product_id: static_markup_price(spec, strategy.markup) for spec in product_specs
+        self._markup_prices = [static_markup_price(spec, strategy.markup) for spec in product_specs]
+        self._seasonal_prices = {
+            holiday: [
+                seasonal_price(spec, holiday, strategy.seasonal_uplift, strategy.markup)
+                for spec in product_specs
+            ]
+            for holiday in (False, True)
         }
-        self._seasonal_prices: dict[bool, dict[str, float]] = {}
-        # each product's competitor slots, read from the episode's slot tables
-        self._rivals: list[tuple[ProductSpec, tuple[int, ...]]] = []
-        self._rivals_of: tuple | None = None  # (slots, competitor_slots) they were read from
         super().__init__(agent_id, product_specs, config)
 
-    def propose_prices(self, observation: MarketObservation) -> dict[str, float]:
+    def propose_prices(self, observation: MarketObservation) -> list[float]:
         return self._price_portfolio(self, observation)
 
-    def _static_markup(self, observation: MarketObservation) -> dict[str, float]:
-        return dict(self._markup_prices)
+    def _static_markup(self, observation: MarketObservation) -> list[float]:
+        return list(self._markup_prices)
 
-    def _competitor_match(self, observation: MarketObservation) -> dict[str, float]:
-        tables = (observation.slots, observation.competitor_slots)
-        seen = self._rivals_of
-        if seen is None or seen[0] is not tables[0] or seen[1] is not tables[1]:
-            self._rivals_of = tables
-            self._rivals = [
-                (spec, competitor_slots(observation, self.agent_id, spec.product_id))
-                for spec in self.product_specs
-            ]
+    def _competitor_match(self, observation: MarketObservation) -> list[float]:
         price_at = observation.price.__getitem__
         s = self.strategy
-        return {
-            spec.product_id: competitor_match_price(
+        return [
+            competitor_match_price(
                 spec, list(map(price_at, competitors)), s.undercut_fraction, s.markup
             )
-            for spec, competitors in self._rivals
-        }
+            for spec, competitors in zip(
+                self.product_specs, observation.competitor_slots[self.slot_range(observation)]
+            )
+        ]
 
-    def _historical_anchor(self, observation: MarketObservation) -> dict[str, float]:
-        windows = self.recent(observation, observation.log.price, self.strategy.anchor_window)
-        return {
-            spec.product_id: historical_anchor_price(window, spec.initial_price)
+    def _historical_anchor(self, observation: MarketObservation) -> list[float]:
+        windows = recent(observation, observation.log.price, self.slot_range(observation),
+                         self.strategy.anchor_window)
+        return [
+            historical_anchor_price(window, spec.initial_price)
             for spec, window in zip(self.product_specs, windows)
-        }
+        ]
 
-    def _demand_responsive(self, observation: MarketObservation) -> dict[str, float]:
+    def _demand_responsive(self, observation: MarketObservation) -> list[float]:
         step = self.strategy.response_step
-        current = observation.price[self.slot_range(observation)]
-        demands = self.recent(observation, observation.log.demand, 2)
-        return {
-            spec.product_id: demand_responsive_price(price, demand, step)
-            for spec, price, demand in zip(self.product_specs, current, demands)
-        }
+        span = self.slot_range(observation)
+        demands = recent(observation, observation.log.demand, span, 2)
+        return [
+            demand_responsive_price(price, demand, step)
+            for price, demand in zip(observation.price[span], demands)
+        ]
 
-    def _seasonal(self, observation: MarketObservation) -> dict[str, float]:
-        # seasonal_price reads only the spec and the holiday flag
-        holiday = observation.is_holiday
-        prices = self._seasonal_prices.get(holiday)
-        if prices is None:
-            s = self.strategy
-            prices = self._seasonal_prices[holiday] = {
-                spec.product_id: seasonal_price(spec, observation, s.seasonal_uplift, s.markup)
-                for spec in self.product_specs
-            }
-        return dict(prices)
+    def _seasonal(self, observation: MarketObservation) -> list[float]:
+        return list(self._seasonal_prices[observation.is_holiday])

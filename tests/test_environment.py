@@ -68,19 +68,24 @@ class FixedPriceAgent(PricingAgentBase):
 
     def propose_prices(self, observation):
         if self.prices is not None:
-            return dict(self.prices)
-        return {s.product_id: s.initial_price for s in self.product_specs}
+            return list(self.prices)
+        return [s.initial_price for s in self.product_specs]
 
 
 class FeedbackLog(FixedPriceAgent):
-    """Keeps every (observation, previous observation) pair `feedback` is given."""
+    """Keeps every observation it acts on, and every (observation, done)
+    pair `feedback` is given."""
 
     def __init__(self, agent_id, specs, config):
         super().__init__(agent_id, specs, config)
-        self.fed = []
+        self.acted, self.fed = [], []
 
-    def feedback(self, observation, prev_observation, done):
-        self.fed.append((observation, prev_observation))
+    def propose_prices(self, observation):
+        self.acted.append(observation)
+        return super().propose_prices(observation)
+
+    def feedback(self, observation, done):
+        self.fed.append((observation, done))
 
 
 def _config(n_agents=2, weeks=4, seed=11, noise=0.0, **kw):
@@ -106,8 +111,7 @@ class TestStep:
         config = _config(n_agents=1)
         (agent,) = _agents(config)
         env = MarketEnvironment(config, [agent], StubOracle(10.0))
-        pid = agent.product_specs[0].product_id
-        observation = env.step({agent.agent_id: {pid: 5.5}})
+        observation = env.step({agent.agent_id: [5.5]})
         cost = agent.product_specs[0].unit_cost
         assert observation.agent_revenue[agent.agent_id] == pytest.approx(55.0)
         row = _history_cells(env.log)[0]
@@ -121,8 +125,7 @@ class TestStep:
         agents = _agents(config)
 
         env = MarketEnvironment(config, agents, StubOracle(10.0))
-        pid = agents[0].product_specs[0].product_id
-        obs = env.step({"a0": {pid: 5.4}, "a1": {pid: 6.6}})
+        obs = env.step({"a0": [5.4], "a1": [6.6]})
         assert env.clamp_events == 0
         assert obs.market_share["a0"] == pytest.approx(0.45)
         assert obs.market_share["a1"] == pytest.approx(0.55)
@@ -135,27 +138,27 @@ class TestStep:
         spec = agents[0].product_specs[0]
         flip = {}
         for _ in range(48):
-            obs = env.step({a.agent_id: {spec.product_id: spec.initial_price} for a in agents})
+            obs = env.step({a.agent_id: [spec.initial_price] for a in agents})
             flip[obs.week_number] = obs.is_holiday
         assert flip[46] is False
         assert flip[47] is True
 
-    def test_missing_price_is_protocol_error(self):
-        config = _config(n_agents=2)
+    @pytest.mark.parametrize("prices", [
+        [6.0], [6.0, 6.0, 6.0], 6.0, None, {"prod1": 6.0, "prod2": 6.0}, {6.0: 6.0, 7.0: 7.0},
+    ], ids=["short", "long", "float", "none", "by-product-id", "by-number"])
+    def test_no_list_of_one_price_per_product_is_protocol_error(self, prices):
+        """a1 holds two products; a0's list is right, and no week is queried
+        or counted."""
+        config = replace(_config(n_agents=2), clusters=(1, 2))
         agents = _agents(config)
-        env = MarketEnvironment(config, agents, StubOracle())
-        pid = agents[0].product_specs[0].product_id
-        with pytest.raises(ProtocolError, match="a1"):
-            env.step({"a0": {pid: 6.0}, "a1": {}})
-
-    @pytest.mark.parametrize("prices", [[6.0], 6.0], ids=["list", "float"])
-    def test_prices_not_by_product_id_are_protocol_error(self, prices):
-        config = _config(n_agents=2)
-        agents = _agents(config)
-        env = MarketEnvironment(config, agents, StubOracle())
-        pid = agents[0].product_specs[0].product_id
-        with pytest.raises(ProtocolError, match=f"a1.*{pid}"):
-            env.step({"a0": {pid: 6.0}, "a1": prices})
+        oracle = RecordingOracle()
+        env = MarketEnvironment(config, agents, oracle)
+        submitted = {"a0": [6.0, 7.0]}
+        if prices is not None:
+            submitted["a1"] = prices
+        with pytest.raises(ProtocolError, match="agent a1 submitted"):
+            env.step(submitted)
+        assert oracle.queries == [] and env.clamp_events == 0 and env.week_index == 0
 
     def test_floor_clamp_applies_and_logs(self):
         # 0.01 each week: capped at -10 % a week until the margin floor binds
@@ -163,8 +166,7 @@ class TestStep:
         (agent,) = _agents(config)
         env = MarketEnvironment(config, [agent], StubOracle())
         spec = agent.product_specs[0]
-        pid = spec.product_id
-        prices = [env.step({agent.agent_id: {pid: 0.01}}).price[0] for _ in range(6)]
+        prices = [env.step({agent.agent_id: [0.01]}).price[0] for _ in range(6)]
         floor = spec.unit_cost * 1.05
         assert prices[:4] == pytest.approx([spec.initial_price * 0.9**k for k in range(1, 5)])
         assert prices[4:] == pytest.approx([floor, floor])
@@ -182,8 +184,8 @@ class TestStep:
         (agent,) = _agents(config)
         env = MarketEnvironment(config, [agent], StubOracle(7.0))
         pid = agent.product_specs[0].product_id
-        obs = env.step({agent.agent_id: {pid: 6.5}})
-        i = obs.slots[(agent.agent_id, pid)]
+        obs = env.step({agent.agent_id: [6.5]})
+        i = obs.log.slots[(agent.agent_id, pid)]
         assert obs.price[i] == 6.5
         assert env.log.demand[0, i] == 7.0
         assert obs.agent_revenue[agent.agent_id] == pytest.approx(45.5)
@@ -218,9 +220,9 @@ class TestMarketRules:
         env = MarketEnvironment(config, agents, StubOracle())
         pid = agents[0].product_specs[0].product_id
         current = agents[0].product_specs[0].initial_price
-        record = env.step({"a0": {pid: 1e6}, "a1": {pid: current}})
+        record = env.step({"a0": [1e6], "a1": [current]})
         capped = current * (1 + config.max_weekly_change)
-        assert record.price[record.slots[("a0", pid)]] == capped
+        assert record.price[record.log.slots[("a0", pid)]] == capped
         assert record.market_share["a0"] == pytest.approx(capped / (capped + current))
         assert env.clamp_events == 1
 
@@ -232,23 +234,24 @@ class TestMarketRules:
         env = MarketEnvironment(config, [agent], StubOracle())
         obs = env.bootstrap_observation()
         spec = portfolio[0]
-        assert agent.propose_prices(obs)[spec.product_id] == pytest.approx(spec.unit_cost * 2)
+        assert agent.propose_prices(obs) == [pytest.approx(spec.unit_cost * 2)]
         record = env.step({"a0": agent.propose_prices(obs)})
-        assert record.price[record.slots[("a0", spec.product_id)]] == pytest.approx(
+        assert record.price[record.log.slots[("a0", spec.product_id)]] == pytest.approx(
             spec.initial_price * 1.1
         )
         assert env.clamp_events == 1
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, None, "cheap"])
     def test_non_finite_price_is_protocol_error(self, bad):
-        config = _config(n_agents=2)
+        """The error names the agent and the product of the bad entry."""
+        config = replace(_config(n_agents=2), clusters=(1, 2))
         agents = _agents(config)
         oracle = RecordingOracle()
         env = MarketEnvironment(config, agents, oracle)
-        pid = agents[0].product_specs[0].product_id
-        with pytest.raises(ProtocolError, match=f"a1.*{pid}"):
-            env.step({"a0": {pid: 6.0}, "a1": {pid: bad}})
-        assert oracle.queries == []
+        pid = agents[1].product_specs[1].product_id
+        with pytest.raises(ProtocolError, match=f"agent a1 .* for product {pid}$"):
+            env.step({"a0": [6.0, 7.0], "a1": [6.0, bad]})
+        assert oracle.queries == [] and env.clamp_events == 0
 
 
 def _hold_cluster_prices(prices):
@@ -273,7 +276,7 @@ class TestDemandInputs:
         oracle = RecordingOracle()
         env = MarketEnvironment(config, [agent], oracle)
         (spec,) = agent.product_specs
-        env.step({"a0": {"prod1": 6.3}})
+        env.step({"a0": [6.3]})
         (query,) = oracle.queries
         assert query.specs == [spec] and query.prices == [6.3]
         assert query.lag1_demands == [spec.baseline_demand]  # no history yet
@@ -288,7 +291,7 @@ class TestDemandInputs:
         env = MarketEnvironment(config, agents, oracle)
         env.week_number = 46
         for _ in range(2):
-            env.step({a.agent_id: {"prod1": 6.0} for a in agents})
+            env.step({a.agent_id: [6.0] for a in agents})
         cold, warm = oracle.queries
         assert cold.holiday is False
         assert warm.holiday is True
@@ -355,9 +358,9 @@ class TestDemandInputs:
         (agent,) = _agents(config)
         env = MarketEnvironment(config, [agent], StubOracle())
         for _ in range(2):
-            env.step({"a0": {"prod1": 6.0}})
+            env.step({"a0": [6.0]})
         with pytest.raises(ProtocolError, match="2 weeks"):
-            env.step({"a0": {"prod1": 6.0}})
+            env.step({"a0": [6.0]})
 
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_oracle_without_one_demand_per_slot_is_protocol_error(self, extra):
@@ -369,7 +372,7 @@ class TestDemandInputs:
         agents = _agents(config)
         env = MarketEnvironment(config, agents, MiscountingOracle())
         with pytest.raises(ProtocolError, match=f"{3 + extra} demands for 3 slots"):
-            env.step({a.agent_id: {"prod1": 6.0} for a in agents})
+            env.step({a.agent_id: [6.0] for a in agents})
         # no slot was settled
         assert env.week_index == 0
         assert not env.log.price.any() and not env.log.demand.any()
@@ -414,8 +417,7 @@ def _reference_week(env, submitted, history):
 
     span = config.max_weekly_change
     prices, clamps = [], 0
-    for (aid, pid), spec, last in zip(slots, specs, _last_prices(specs, history)):
-        asked = float(submitted[aid][pid])
+    for asked, spec, last in zip(_asked(env, submitted), specs, _last_prices(specs, history)):
         capped = min(max(asked, last * (1.0 - span)), last * (1.0 + span))
         price = max(capped, config.price_floor(spec))
         clamps += price != asked
@@ -450,7 +452,7 @@ def _reference_week(env, submitted, history):
         for (aid, _), c in zip(slots, clusters)
     )
     observation = MarketObservation(
-        week_number=next_week, is_holiday=holiday_flag(next_week), slots=env.slots,
+        week_number=next_week, is_holiday=holiday_flag(next_week),
         competitor_slots=competitor_slots, log=env.log, weeks=t + 1, price=prices,
         cluster_avg_price=cluster_avg, agent_revenue=agent_revenue, market_share=shares,
     )
@@ -462,6 +464,11 @@ def _slot_specs(env):
     """Each slot's product spec, in slot order."""
     spec_of = {(a.agent_id, spec.product_id): spec for a in env.agents for spec in a.product_specs}
     return [spec_of[pair] for pair in env.slots]
+
+
+def _asked(env, submitted):
+    """Each slot's submitted price as a float: each agent's list in roster order."""
+    return [float(price) for a in env.agents for price in submitted[a.agent_id]]
 
 
 def _last_prices(specs, history):
@@ -480,11 +487,11 @@ class RandomPriceAgent(PricingAgentBase):
         self.rng = rng
 
     def propose_prices(self, observation):
-        return {
-            s.product_id: observation.price[observation.slots[(self.agent_id, s.product_id)]]
+        return [
+            observation.price[observation.log.slots[(self.agent_id, s.product_id)]]
             * float(self.rng.choice(self.MULTIPLIERS))
             for s in self.product_specs
-        }
+        ]
 
 
 def _rule_hits(env, submitted, history):
@@ -492,8 +499,7 @@ def _rule_hits(env, submitted, history):
     config = env.config
     specs = _slot_specs(env)
     hits = set()
-    for (aid, pid), spec, last in zip(env.slots, specs, _last_prices(specs, history)):
-        asked = submitted[aid][pid]
+    for asked, spec, last in zip(_asked(env, submitted), specs, _last_prices(specs, history)):
         span = config.max_weekly_change
         capped = min(max(asked, last * (1 - span)), last * (1 + span))
         hits.add((capped != asked, config.price_floor(spec) > capped))
@@ -529,7 +535,7 @@ class TestReferenceWeek:
                 assert log.price[:t + 1].T.tolist() == [prices for prices, _ in history]
                 assert log.demand[:t + 1].T.tolist() == [demands for _, demands in history]
                 for agent in agents:
-                    agent.feedback(new_observation, observation, week == config.weeks_per_episode)
+                    agent.feedback(new_observation, week == config.weeks_per_episode)
                 observation = new_observation
         return hits
 
@@ -563,7 +569,7 @@ class TestBootstrap:
         for agent in agents:
             expected = 0.0  # added left to right, in portfolio order
             for spec in agent.product_specs:
-                i = obs.slots[(agent.agent_id, spec.product_id)]
+                i = obs.log.slots[(agent.agent_id, spec.product_id)]
                 assert obs.price[i] == spec.initial_price
                 expected += spec.initial_price * spec.baseline_demand
             assert obs.agent_revenue[agent.agent_id] == expected
@@ -594,20 +600,26 @@ class TestRunEpisode:
         assert (log.price > 0).all() and (log.share > 0).all()  # every week written
 
     def test_records_are_the_observations_fed_back(self):
+        """`feedback` gets each settled week's observation once, `done` on the
+        last week only, and the agents act on week zero and then on each
+        observation fed back but the last."""
         config = _config(n_agents=2, weeks=6)
         agents = _agents(config, cls=FeedbackLog)
         log = run_episode(config, agents, StubOracle())
-        assert agents[0].fed == agents[1].fed
-        (_, week_zero), *_ = agents[0].fed
-        assert week_zero.week_number == 1
-        assert len(agents[0].fed) == len(log.price) == 6
-        for i, (observation, prev_observation) in enumerate(agents[0].fed):
+        assert agents[0].fed == agents[1].fed and agents[0].acted == agents[1].acted
+        fed = agents[0].fed
+        observations = [observation for observation, _ in fed]
+        assert [done for _, done in fed] == [False] * 5 + [True]
+        assert len(fed) == len(log.price) == 6 and len(set(map(id, observations))) == 6
+        week_zero, *acted = agents[0].acted
+        assert week_zero.week_number == 1 and week_zero.weeks == 0
+        assert all(a is o for a, o in zip(acted, observations[:-1], strict=True))
+        for i, observation in enumerate(observations):
             assert observation.week_number == i + 2
             assert observation.log is log and observation.weeks == i + 1
             assert observation.price == log.price[i].tolist()
             assert list(observation.agent_revenue.values()) == log.revenue[i].tolist()
             assert list(observation.market_share.values()) == log.share[i].tolist()
-            assert prev_observation is (agents[0].fed[i - 1][0] if i else week_zero)
 
     def test_log_holds_no_market_agent_or_observation(self):
         config = _config(n_agents=2, weeks=3)
@@ -725,8 +737,7 @@ class TestRunEpisode:
         config = _config(n_agents=2)
         agents = _agents(config)
         env = MarketEnvironment(config, agents, StubOracle(0.0))
-        pid = agents[0].product_specs[0].product_id
-        record = env.step({a.agent_id: {pid: 6.3} for a in agents})
+        record = env.step({a.agent_id: [6.3] for a in agents})
         assert env.log.zero_revenue.tolist() == [True, False, False, False]  # one week settled
         assert record.market_share["a0"] == pytest.approx(0.5)
         assert env.log.share[0].tolist() == [0.5, 0.5]

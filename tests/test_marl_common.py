@@ -114,16 +114,16 @@ class TestApplyAction:
         return agent.propose_prices(env.bootstrap_observation()), agent
 
     def test_zero_change(self):
-        assert self._proposed(0.0)[0] == {"p": pytest.approx(10.0)}
+        assert self._proposed(0.0)[0] == [pytest.approx(10.0)]
 
     def test_full_raise(self):
         prices, agent = self._proposed(0.10)
-        assert prices == {"p": pytest.approx(11.0)}
+        assert prices == [pytest.approx(11.0)]
         assert agent._prev_changes == [0.10]
 
     def test_floor_clamps(self):
         prices, agent = self._proposed(-0.10, price=6.5, cost=6.0)
-        submitted = prices["p"]
+        (submitted,) = prices
         assert submitted == pytest.approx(5.85)
         floor = agent.config.price_floor(agent.product_specs[0])
         assert agent.config.allowed_prices((6.5,), (submitted,), (floor,)) == [pytest.approx(6.30)]
@@ -196,7 +196,7 @@ class TestEncodeState:
                            _FixedChange(0.0))
         env = MarketEnvironment(config, [agent], ParametricDemandModel(config.demand_params))
         observations = [env.bootstrap_observation()]
-        observations += [env.step({"q0": {"p": price}}) for price in (11.0, 11.55, 11.55)]
+        observations += [env.step({"q0": [price]}) for price in (11.0, 11.55, 11.55)]
         changes = [encode_state(agent, obs)[STATE_SLOTS_PER_PRODUCT - 1] for obs in observations]
         assert changes[0] == 0.0 and changes[3] == 0.0
         assert changes[1:3] == [pytest.approx(0.1), pytest.approx(0.05)]
@@ -344,7 +344,7 @@ def _reference_encode_state(agent, observation, recorder: _WeekRecorder):
     share = observation.market_share[agent.agent_id]
     slots = []
     for spec in agent.product_specs:
-        slot = observation.slots[(agent.agent_id, spec.product_id)]
+        slot = observation.log.slots[(agent.agent_id, spec.product_id)]
         baseline = spec.baseline_demand
         history = [week[slot] for week in recorder.demands]
         prices = [week[slot] for week in recorder.prices]
@@ -413,9 +413,11 @@ class TestEncodeStateMatchesReference:
 
 def _reference_reward(agent, observation, prev_observation, samples: list[float]) -> float:
     """`_reward_from` as it was: a list of the episode's revenues and a
-    generator over the products' changes, each summed left to right. A
-    product's change is its price in `observation` relative to its price in
-    `prev_observation` (at week zero, the initial price)."""
+    generator over the products' changes, each summed left to right. The
+    previous revenue is the agent's in `prev_observation`, the observation
+    it acted on, and a product's change is its price in `observation`
+    relative to its price in `prev_observation` (at week zero, the initial
+    price)."""
     revenue = observation.agent_revenue[agent.agent_id]
     prev_revenue = prev_observation.agent_revenue[agent.agent_id]
     if not samples:
@@ -423,7 +425,7 @@ def _reference_reward(agent, observation, prev_observation, samples: list[float]
     running_mean = left_sum(samples) / len(samples)
     changes = []
     for s in agent.product_specs:
-        slot = observation.slots[(agent.agent_id, s.product_id)]
+        slot = observation.log.slots[(agent.agent_id, s.product_id)]
         before = prev_observation.price[slot]
         changes.append((observation.price[slot] - before) / before)
     change_rms = math.sqrt(left_sum(c * c for c in changes) / len(changes))
@@ -444,16 +446,24 @@ class TestRewardMatchesReference:
         monkeypatch.setattr(nn.Adam, "step", lambda opt, *a, **k: steps.append(1) or adam_step(opt, *a, **k))
         samples: dict[tuple, list[float]] = {}
         rewards = []
-        reward_from = TeamMember._reward_from
+        acted_on = {}  # each member's last observation acted on, kept here
+        propose_prices, reward_from = TeamMember.propose_prices, TeamMember._reward_from
 
-        def checked(agent, observation, prev_observation, state):
-            reward = reward_from(agent, observation, prev_observation, state)
+        def proposing(agent, observation):
+            acted_on[agent] = observation
+            return propose_prices(agent, observation)
+
+        def checked(agent, observation, prev_revenue, state):
+            reward = reward_from(agent, observation, prev_revenue, state)
+            prev_observation = acted_on[agent]
+            assert prev_revenue.hex() == prev_observation.agent_revenue[agent.agent_id].hex()
             episode_samples = samples.setdefault((agent, agent.episode_index), [])
             expected = _reference_reward(agent, observation, prev_observation, episode_samples)
             assert reward.hex() == expected.hex()
             rewards.append(reward)
             return reward
 
+        monkeypatch.setattr(TeamMember, "propose_prices", proposing)
         monkeypatch.setattr(TeamMember, "_reward_from", checked)
         config = desk_spec(config_id, seed=31, episodes=2, weeks_per_episode=52).market
         list(simulate(config, build_agents(config)))

@@ -19,7 +19,6 @@ from pricebench.rule_agents import (
     RuleAgent,
     RuleStrategy,
     competitor_match_price,
-    competitor_slots,
     demand_responsive_price,
     historical_anchor_price,
     seasonal_price,
@@ -63,7 +62,6 @@ def _observation(week=20, competitor_prices=(), holiday=False, price=10.0):
     return MarketObservation(
         week_number=week,
         is_holiday=holiday,
-        slots=slots,
         competitor_slots=tuple(tuple(j for j in range(n) if j != i) for i in range(n)),
         log=EpisodeLog(0, slots, ids, [6.0] * n),
         weeks=0,
@@ -94,13 +92,14 @@ def _matcher(agent_id="me", cost=6.0, **strategy):
 
 
 def _rival_prices(observation, agent_id, product_id):
-    return [observation.price[j] for j in competitor_slots(observation, agent_id, product_id)]
+    slot = observation.log.slots[(agent_id, product_id)]
+    return [observation.price[j] for j in observation.competitor_slots[slot]]
 
 
 class TestCompetitorMatch:
     def test_undercuts_mean(self):
         obs = _observation(competitor_prices=(9.0, 11.0))
-        assert _matcher(undercut_fraction=0.03).propose_prices(obs) == {"p": pytest.approx(9.70)}
+        assert _matcher(undercut_fraction=0.03).propose_prices(obs) == [pytest.approx(9.70)]
         assert competitor_match_price(_spec(), [9.0, 11.0], 0.03) == pytest.approx(9.70)
 
     def test_floor_binds(self):
@@ -112,9 +111,9 @@ class TestCompetitorMatch:
         rival = RuleAgent("rule-1", [spec], config, RuleStrategy("historical_anchor"))
         env = MarketEnvironment(config, [me, rival], ParametricDemandModel(config.demand_params))
         obs = env.bootstrap_observation()
-        assert me.propose_prices(obs)["p"] == pytest.approx(6.31 * 0.97)
+        assert me.propose_prices(obs) == [pytest.approx(6.31 * 0.97)]
         record = env.step({a.agent_id: a.propose_prices(obs) for a in (me, rival)})
-        assert record.price[record.slots[("rule-0", "p")]] == pytest.approx(6.0 * 1.05)
+        assert record.price[record.log.slots[("rule-0", "p")]] == pytest.approx(6.0 * 1.05)
         assert env.clamp_events == 1
 
     def test_competitors_are_other_agents_same_cluster_slots(self):
@@ -128,36 +127,33 @@ class TestCompetitorMatch:
                   for s in roster]
         env = MarketEnvironment(config, agents, ParametricDemandModel(config.demand_params))
         submitted = {
-            a.agent_id: {s.product_id: s.initial_price * (1 + 0.01 * (i + 1) + 0.001 * k)
-                         for k, s in enumerate(portfolio)}
+            a.agent_id: [s.initial_price * (1 + 0.01 * (i + 1) + 0.001 * k)
+                         for k, s in enumerate(portfolio)]
             for i, a in enumerate(agents)
         }
         obs = env.step(submitted)
         for agent in agents:
             for spec in portfolio:
                 expected = [
-                    submitted[other.agent_id][s.product_id]
+                    submitted[other.agent_id][k]
                     for other in agents if other is not agent
-                    for s in portfolio if s.cluster_id == spec.cluster_id
+                    for k, s in enumerate(portfolio) if s.cluster_id == spec.cluster_id
                 ]
                 assert _rival_prices(obs, agent.agent_id, spec.product_id) == expected
             # a matcher in the agent's place undercuts exactly those prices
             matcher = RuleAgent(agent.agent_id, portfolio, config, RuleStrategy("competitor_match"))
-            assert matcher.propose_prices(obs) == {
-                spec.product_id: competitor_match_price(
-                    spec, _rival_prices(obs, agent.agent_id, spec.product_id)
-                )
+            assert matcher.propose_prices(obs) == [
+                competitor_match_price(spec, _rival_prices(obs, agent.agent_id, spec.product_id))
                 for spec in portfolio
-            }
+            ]
         assert _rival_prices(obs, "a0", "prod1") == [
             6.0 * 1.02, 6.0 * 1.021, 6.0 * 1.03, 6.0 * 1.031
         ]
         assert _rival_prices(obs, "a0", "prod3") == [7.0 * 1.022, 7.0 * 1.032]
-        assert _rival_prices(obs, "nobody", "prod1") == []
 
     def test_no_competitors_falls_back_to_markup(self):
         obs = _observation(competitor_prices=())
-        assert _matcher(cost=6.0, markup=0.5).propose_prices(obs) == {"p": pytest.approx(9.0)}
+        assert _matcher(cost=6.0, markup=0.5).propose_prices(obs) == [pytest.approx(9.0)]
         assert competitor_match_price(_spec(cost=6.0), [], markup=0.5) == pytest.approx(9.0)
 
 
@@ -181,10 +177,8 @@ class TestHistoricalAnchor:
         weekly = [[10.0, 20.0, 10.5, 21.0], [10.5, 21.5, 11.0, 22.0], [11.0, 23.0, 11.5, 23.0],
                   [11.5, 24.0, 12.0, 25.0]]
         for prices in weekly:
-            obs = env.step({f"rule-{i}": {"p": prices[2 * i], "q": prices[2 * i + 1]}
-                            for i in range(2)})
-        assert agents[1].propose_prices(obs) == {"p": pytest.approx(11.5),
-                                                 "q": pytest.approx(23.0 + 1 / 3)}
+            obs = env.step({f"rule-{i}": prices[2 * i:2 * i + 2] for i in range(2)})
+        assert agents[1].propose_prices(obs) == [pytest.approx(11.5), pytest.approx(23.0 + 1 / 3)]
 
 
 class TestDemandResponsive:
@@ -211,16 +205,18 @@ class TestDemandResponsive:
 
 class TestSeasonal:
     def test_holiday_uplift(self):
-        obs = _observation(week=50, holiday=True)
-        assert seasonal_price(_spec(cost=6.0), obs, seasonal_uplift=0.10) == pytest.approx(9.90)
+        assert seasonal_price(_spec(cost=6.0), True, seasonal_uplift=0.10) == pytest.approx(9.90)
+        agent = RuleAgent("me", [_spec(cost=6.0)], _one_product_config(1),
+                          RuleStrategy("seasonal", seasonal_uplift=0.10))
+        assert agent.propose_prices(_observation(week=50, holiday=True)) == [pytest.approx(9.90)]
 
     def test_off_peak_base(self):
-        obs = _observation(week=20)
-        assert seasonal_price(_spec(cost=6.0), obs) == pytest.approx(9.0)
+        assert seasonal_price(_spec(cost=6.0), False) == pytest.approx(9.0)
+        agent = RuleAgent("me", [_spec(cost=6.0)], _one_product_config(1), RuleStrategy("seasonal"))
+        assert agent.propose_prices(_observation(week=20)) == [pytest.approx(9.0)]
 
     def test_zero_uplift(self):
-        obs = _observation(week=50, holiday=True)
-        assert seasonal_price(_spec(cost=6.0), obs, seasonal_uplift=0.0) == pytest.approx(9.0)
+        assert seasonal_price(_spec(cost=6.0), True, seasonal_uplift=0.0) == pytest.approx(9.0)
 
 
 class TestRuleStrategyValidation:

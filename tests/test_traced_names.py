@@ -6,14 +6,19 @@ class attribute, and a name it does not find there reads 0 in the per-layer
 metrics. So `learn` stays on each learner class rather than in a shared base,
 each learner class's `encode` calls its own module's `encode_state` global,
 the market core keeps its traced methods on their own classes, and `harness`
-calls the run's phases through its own globals.
+calls the run's phases through its own globals. The tracer also counts the
+prices submitted to `MarketEnvironment.step` as the summed `len` of the
+submission's values, so those stay one sequence per agent.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import pytest
 
 from pricebench import demand, environment, harness, metrics, nn, rule_agents
+from pricebench.demand import ParametricDemandModel
 from pricebench.marl import common, maddpg, madqn, qmix
 
 TRACED = [
@@ -70,3 +75,22 @@ def test_each_learner_class_encodes_through_its_own_module(learner, module):
 def test_harness_runs_the_phases_it_imports(name, home):
     """The functions the tracer wraps in `harness` are the ones their modules define."""
     assert harness.__dict__[name] is home.__dict__[name]
+
+
+@pytest.mark.parametrize("config_id", sorted(harness.CONFIG_MATRIX))
+def test_each_step_submits_one_price_per_slot(config_id, monkeypatch):
+    """`run_episode` passes `step` a mapping whose values' `len`s sum to the
+    slot count, the denominator of the tracer's clamp ratio."""
+    sizes = []
+    step = environment.MarketEnvironment.step
+
+    def counting(env, submitted):
+        assert isinstance(submitted, Mapping)
+        sizes.append((sum(len(p) for p in submitted.values()), len(env.slots)))
+        return step(env, submitted)
+
+    monkeypatch.setattr(environment.MarketEnvironment, "step", counting)
+    config = harness.desk_spec(config_id, seed=3, weeks_per_episode=3).market
+    environment.run_episode(config, harness.build_agents(config),
+                            ParametricDemandModel(config.demand_params))
+    assert sizes == [(20, 20)] * 3
