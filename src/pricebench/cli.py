@@ -30,7 +30,7 @@ from .harness import (
     summarize,
     wilcoxon_signed_rank,
     wilcoxon_vs_baseline,
-    write_summary_csvs,
+    write_summary_csv,
     write_sweep_csv,
 )
 from .market import ConfigError
@@ -146,30 +146,14 @@ def _signed_rank_line(result: WilcoxonResult) -> str:
 
 
 def _write_report(reports_by_config: dict[str, list[MetricsReport]], out, demand_params) -> None:
-    """Write the summary tables and plot data of each config's runs under
-    `out`, and print the tables."""
-    tables = summarize(reports_by_config)
-    written = write_summary_csvs(tables, out)
-    written += emit_plotdata(reports_by_config, out, demand_params=demand_params)
+    """Write the summary table and plot data of each config's runs under
+    `out`, and print the table as written."""
+    summary = write_summary_csv(summarize(reports_by_config), out)
+    written = [summary, *emit_plotdata(reports_by_config, out, demand_params=demand_params)]
     for path in written:
         print(f"wrote {path}")
-
-    print("\nmean return by configuration:")
-    for row in tables["returns"]:
-        delta = row.get("delta_vs_A_pct")
-        suffix = f"  ({delta:+.1f}% vs A)" if delta is not None else ""
-        print(f"  {row['config_id']}: {row['mean_return']:12.1f}{suffix}")
-    print("\nadaptability (mean over agents and runs):")
-    for row in tables["adaptability"]:
-        print(f"  {row['config_id']}: adj_mag={row['adjustment_magnitude']:.4f} "
-              f"adj_freq={row['adjustment_frequency']:.3f} "
-              f"stability={row['price_stability']:.3f} "
-              f"volatility={row['price_volatility_std']:.4f}")
-    print("\nmarket dynamics:")
-    for row in tables["dynamics"]:
-        print(f"  {row['config_id']}: jain={row['jain_mean']:.4f} "
-              f"MV={row['market_volatility_pp_mean']:.1f}pp "
-              f"NEP={row['nash_proximity']:.4f} PC={row['price_convergence']:.4f}")
+    print("\nsummary (mean and 95 % CI half-width over runs):")
+    print(Path(summary).read_text(), end="")
 
 
 def cmd_simulate(args) -> int:

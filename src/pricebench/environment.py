@@ -172,14 +172,14 @@ class MarketEnvironment:
 
     # -- observation plumbing ---------------------------------------------
 
-    def _cluster_avg(self, prices: list[float]) -> list[float]:
-        """Each slot's cluster mean price, its own price included."""
+    def _relative_prices(self, prices: list[float]) -> list[float]:
+        """Each slot's price over its cluster mean price, its own price included."""
         fsum, price_at = math.fsum, prices.__getitem__
         means = [fsum(map(price_at, members)) / len(members) for members in self._cluster_members]
-        return list(map(means.__getitem__, self._slot_cluster))
+        return list(map(operator.truediv, prices, map(means.__getitem__, self._slot_cluster)))
 
     def _settle(
-        self, prices: list[float], cluster_avg: list[float], demands: list[float]
+        self, prices: list[float], relative: list[float], demands: list[float]
     ) -> MarketObservation:
         """The observation of a week sold at `prices` and `demands`: each
         agent's revenue, its slots' `price * demand` summed left to right in
@@ -207,14 +207,14 @@ class MarketEnvironment:
         return MarketObservation(
             week_number=week, is_holiday=_CALENDAR[week][0],
             competitor_slots=self.competitor_slots, log=self.log, weeks=self.week_index,
-            price=prices, cluster_avg_price=cluster_avg,
+            price=prices, relative_price=relative,
             agent_revenue=agent_revenue, market_share=shares,
         )
 
     def bootstrap_observation(self) -> MarketObservation:
         """Week zero: the current (initial) prices sold at baseline demand."""
         prices = self._prices
-        return self._settle(prices, self._cluster_avg(prices), self._last_demand)
+        return self._settle(prices, self._relative_prices(prices), self._last_demand)
 
     # -- stepping -----------------------------------------------------------
 
@@ -269,10 +269,9 @@ class MarketEnvironment:
         self.clamp_events += sum(map(operator.ne, prices, submitted))
 
         # one demand call for every slot, then settle each agent in portfolio order
-        cluster_avg = self._cluster_avg(prices)
+        relative = self._relative_prices(prices)
         demands = self.demand_model.sample_demand(DemandQuery(
-            specs=self._specs, prices=prices,
-            relative_prices=list(map(operator.truediv, prices, cluster_avg)),
+            specs=self._specs, prices=prices, relative_prices=relative,
             lag1_demands=self._last_demand, shocks=self._shocks[t],
             week_sin=week_sin, holiday=is_holiday,
         ))
@@ -284,7 +283,7 @@ class MarketEnvironment:
         self._last_demand = demands
         self.week_index = t + 1
         self.week_number = week % 52 + 1
-        return self._settle(prices, cluster_avg, demands)
+        return self._settle(prices, relative, demands)
 
 
 def run_episode(

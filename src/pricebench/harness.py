@@ -1,6 +1,8 @@
 """Config-driven experiment runner: the A-H configuration matrix, seeded
 multi-run execution with per-run artifact directories, exact small-sample
-Wilcoxon testing, and summary/plot-data emission.
+Wilcoxon testing, and plot data. The cross-run summary is one table,
+`summary.csv`: a row per config with the mean and 95 % CI half-width of each
+per-run number (`run_values`) over the config's runs.
 
 Experiment JSON schema. Every key names a field of `ExperimentSpec`, every
 `market` key a field of `market.MarketConfig`, every `market.agent_roster`
@@ -40,6 +42,7 @@ from . import __version__
 from .demand import ParametricDemandModel, elasticity_sweep, price_multipliers, sweep_reference
 from .environment import HISTORY_HEADER, PricingAgentBase, run_episode, write_history_csv
 from .market import (
+    AGENT_KINDS,
     AgentSpec,
     ConfigError,
     EpisodeLog,
@@ -80,11 +83,9 @@ def roster_for_config(config_id: str, shared_params: dict | None = None) -> list
     shared = shared_params or {}
     if not isinstance(shared, dict) or not all(isinstance(p, dict) for p in shared.values()):
         raise ConfigError("roster_params must map agent kinds to params objects")
-    unknown = sorted(shared.keys() - set(AgentSpec.KNOWN_KINDS))
+    unknown = sorted(shared.keys() - AGENT_KINDS.keys())
     if unknown:
-        raise ConfigError(
-            f"unknown roster_params kinds {unknown}; accepted: {list(AgentSpec.KNOWN_KINDS)}"
-        )
+        raise ConfigError(f"unknown roster_params kinds {unknown}; accepted: {list(AGENT_KINDS)}")
     roster = []
     rule_cycle = list(DIVERSE_STRATEGIES)
     rule_i = 0
@@ -169,23 +170,11 @@ def config_hash(config_dict: dict) -> str:
     ).hexdigest()
 
 
-# Each agent kind's module, relative to this package, and the names there of
-# its settings class and, for a learning kind, its team learner class. A
-# kind's module is imported the first time a roster names the kind, so a run
-# loads only the learners it builds: a rule-only run never loads `nn`.
-AGENT_KINDS = {
-    "rule": {"module": ".rule_agents", "settings": "RuleStrategy"},
-    "madqn": {"module": ".marl.madqn", "settings": "DqnHyper", "learner": "DqnCore"},
-    "maddpg": {
-        "module": ".marl.maddpg", "settings": "MaddpgHyper", "learner": "MaddpgCoordinator",
-    },
-    "qmix": {"module": ".marl.qmix", "settings": "QmixHyper", "learner": "QmixCoordinator"},
-}
-
-
 def kind_class(kind: str, role: str) -> type:
     """The `role` ("settings" or "learner") class of an agent kind, from
-    its module, which the first call for the kind imports."""
+    its `AGENT_KINDS` module, which the first call for the kind imports: a
+    run loads only the learners it builds, and a rule-only run never loads
+    `nn`."""
     entry = AGENT_KINDS[kind]
     return getattr(importlib.import_module(entry["module"], __package__), entry[role])
 
@@ -445,22 +434,19 @@ def wilcoxon_vs_baseline(
 
     Pairs are seed-matched runs: each config's reports are in run order (run
     i has seed base + i, one base for all configs), and run i of a config
-    meets run i of the baseline, each scored as its mean return over its
-    agents. So n = n_runs, and 8 runs can reach p = 2/2⁸ ≈ 0.0078. Mixed
-    configs are excluded: their runs mix agent kinds. A config whose run
-    count differs from the baseline's raises ValueError.
+    meets run i of the baseline, each scored by its `run_values` mean return,
+    the summary's per-run number. So n = n_runs, and 8 runs can reach
+    p = 2/2⁸ ≈ 0.0078. Mixed configs are excluded: their runs mix agent
+    kinds. A config whose run count differs from the baseline's raises
+    ValueError.
     """
     if baseline not in reports_by_config:
         return {}
-
-    def run_means(reports: list[MetricsReport]) -> list[float]:
-        return [float(r.mean_return()) for r in reports]
-
-    base = run_means(reports_by_config[baseline])
+    base = [run_values(r)["mean_return"] for r in reports_by_config[baseline]]
     results = {}
     for cid in MARL_ONLY_CONFIGS:
         if cid in reports_by_config:
-            runs = run_means(reports_by_config[cid])
+            runs = [run_values(r)["mean_return"] for r in reports_by_config[cid]]
             if len(runs) != len(base):
                 raise ValueError(f"config {cid} has {len(runs)} runs and {baseline} "
                                  f"{len(base)}: seed-matched pairs need equal run counts")
@@ -468,81 +454,60 @@ def wilcoxon_vs_baseline(
     return results
 
 
-# -- summaries and plot data --------------------------------------------------
+# -- the cross-run summary and plot data -------------------------------------
+
+# the `AgentMetrics` fields and the `MetricsReport` fields in the summary
+AGENT_COLUMNS = (
+    "adjustment_magnitude", "adjustment_frequency", "price_cv", "price_volatility_std",
+)
+MARKET_COLUMNS = (
+    "jain_index", "market_share_volatility_pp", "nash_proximity", "price_convergence",
+)
 
 
-def _mean_std(values) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=float)
-    return float(arr.mean()), float(arr.std())
+def run_values(report: MetricsReport) -> dict[str, float]:
+    """One run's numbers, in summary column order: its mean return, each
+    `AGENT_COLUMNS` metric as the mean over its agents, then its
+    `MARKET_COLUMNS` metrics."""
+    agents = report.agents.values()
+    values = {"mean_return": float(report.mean_return())}
+    values.update((key, float(np.mean([getattr(a, key) for a in agents]))) for key in AGENT_COLUMNS)
+    values.update((key, getattr(report, key)) for key in MARKET_COLUMNS)
+    return values
 
 
-def summarize(reports_by_config: dict[str, list[MetricsReport]]) -> dict[str, list[dict]]:
-    """Cross-run tables: returns vs the all-rule baseline, adaptability, dynamics."""
-    per_config = {
-        cid: _mean_std([r.mean_return() for r in reports])
-        for cid, reports in reports_by_config.items()
-    }
-    baseline = per_config.get("A", (None,))[0]
-    returns_rows = []
-    for cid in sorted(per_config):
-        mean, std = per_config[cid]
-        row = {"config_id": cid, "mean_return": mean, "std_return": std}
-        if baseline and baseline > 0:
-            row["delta_vs_A_pct"] = 100.0 * (mean - baseline) / baseline
-        returns_rows.append(row)
-
-    adaptability_rows = []
+def summarize(reports_by_config: dict[str, list[MetricsReport]]) -> list[dict]:
+    """The cross-run summary: one row per config, sorted by id, holding
+    `config_id`, `n_runs`, then for each `run_values` key the mean over the
+    runs as `<key>` and its 95 % CI half-width as `<key>_ci` (see
+    `confidence_interval`; 0 for one run). When A's mean return is positive,
+    every row ends with `delta_vs_A_pct`, its mean return relative to A's."""
+    rows = []
     for cid, reports in sorted(reports_by_config.items()):
-        row = {"config_id": cid}
-        for key in ("adjustment_magnitude", "adjustment_frequency", "price_stability",
-                    "price_cv", "price_volatility_std"):
-            row[key] = float(np.mean([getattr(a, key) for r in reports for a in r.agents.values()]))
-        adaptability_rows.append(row)
-
-    dynamics_rows = []
-    for cid, reports in sorted(reports_by_config.items()):
-        jain_m, jain_s = _mean_std([r.jain_index for r in reports])
-        mv_m, mv_s = _mean_std([r.market_share_volatility_pp for r in reports])
-        dynamics_rows.append(
-            {
-                "config_id": cid,
-                "jain_mean": jain_m,
-                "jain_std": jain_s,
-                "market_volatility_pp_mean": mv_m,
-                "market_volatility_pp_std": mv_s,
-                "nash_proximity": float(np.mean([r.nash_proximity for r in reports])),
-                "price_convergence": float(np.mean([r.price_convergence for r in reports])),
-            }
-        )
-    return {
-        "returns": returns_rows,
-        "adaptability": adaptability_rows,
-        "dynamics": dynamics_rows,
-    }
+        runs = [run_values(r) for r in reports]
+        row = {"config_id": cid, "n_runs": len(runs)}
+        for key in runs[0]:
+            row[key], row[f"{key}_ci"] = confidence_interval([v[key] for v in runs])
+        rows.append(row)
+    baseline = next((row["mean_return"] for row in rows if row["config_id"] == "A"), None)
+    if baseline and baseline > 0:
+        for row in rows:
+            row["delta_vs_A_pct"] = 100.0 * (row["mean_return"] - baseline) / baseline
+    return rows
 
 
-def write_summary_csvs(tables: dict[str, list[dict]], out_dir) -> list[str]:
+def write_summary_csv(rows: list[dict], out_dir) -> str:
+    """Write `summarize`'s rows to `out_dir/summary.csv`, floats to six
+    places, and return its path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, rows in tables.items():
-        if not rows:
-            continue
-        path = out / f"summary_{name}.csv"
-        fieldnames = list(rows[0].keys())
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames)
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: _fmt(v) for k, v in row.items()})
-        written.append(str(path))
-    return written
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return f"{v:.6f}"
-    return v
+    path = out / "summary.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: f"{v:.6f}" if isinstance(v, float) else v for k, v in row.items()})
+    return str(path)
 
 
 # Two-sided 95 % Student-t quantiles t(0.975, df) for df = 1..30; beyond, z = 1.96.

@@ -193,7 +193,7 @@ class MarketObservation:
     log: EpisodeLog
     weeks: int
     price: list[float]
-    cluster_avg_price: list[float]  # the slot's cluster mean, its own price included
+    relative_price: list[float]  # price / the slot's cluster mean, its own price included
     agent_revenue: dict[str, float]  # the week's revenue per agent, roster order
     market_share: dict[str, float]
 
@@ -218,18 +218,29 @@ class EpisodeLog:
         self.zero_revenue = np.zeros(weeks, dtype=bool)
 
 
+# The agent kinds: each kind's module, relative to this package, and the
+# names there of its settings class and, for a learning kind, its team
+# learner class (see `harness.kind_class`, which imports them on first use).
+AGENT_KINDS = {
+    "rule": {"module": ".rule_agents", "settings": "RuleStrategy"},
+    "madqn": {"module": ".marl.madqn", "settings": "DqnHyper", "learner": "DqnCore"},
+    "maddpg": {
+        "module": ".marl.maddpg", "settings": "MaddpgHyper", "learner": "MaddpgCoordinator",
+    },
+    "qmix": {"module": ".marl.qmix", "settings": "QmixHyper", "learner": "QmixCoordinator"},
+}
+
+
 @dataclass(frozen=True)
 class AgentSpec:
     """One roster entry: who the agent is and how it prices."""
 
     agent_id: str
-    agent_kind: str  # "rule" | "madqn" | "maddpg" | "qmix"
+    agent_kind: str  # a key of AGENT_KINDS
     params: dict[str, Any] = field(default_factory=dict)
 
-    KNOWN_KINDS = ("rule", "madqn", "maddpg", "qmix")
-
     def __post_init__(self):
-        if self.agent_kind not in self.KNOWN_KINDS:
+        if self.agent_kind not in AGENT_KINDS:
             raise ConfigError(f"unknown agent_kind {self.agent_kind!r}")
         # history.csv writes the id unquoted between commas, one row per line,
         # and its writer drops NUL bytes

@@ -115,12 +115,12 @@ def encode_state(agent: PricingAgentBase, observation: MarketObservation) -> np.
         before = [spec.initial_price for spec in agent.product_specs]
     demands = recent(observation, observation.log.demand, span, DEMAND_WINDOW)
     slots: list[float] = []
-    for spec, price, cluster_avg, prev, demand in zip(
-        agent.product_specs, observation.price[span], observation.cluster_avg_price[span],
+    for spec, price, relative, prev, demand in zip(
+        agent.product_specs, observation.price[span], observation.relative_price[span],
         before, demands,
     ):
         slots += (
-            price / cluster_avg,
+            relative,
             (price - spec.unit_cost) / price,
             *demand_features(demand, spec.baseline_demand),
             week_sin,

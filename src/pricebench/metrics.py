@@ -6,12 +6,14 @@ pure; `compute_report` folds a run's episodes, one at a time, into its
 report.
 
 The price-series metrics (`price_volatility`, `price_cv`,
-`adjustment_magnitude`, `adjustment_frequency`, `price_stability`) reduce
-over the last axis: a 1-D series of T weekly prices gives a float, and an
-array of such series (one row per slot, say) gives one result per row in a
-single call. They reduce a C-contiguous copy of their input, whose rows
-numpy sums in the same pairwise order as a 1-D call, so each row's result is
-bit for bit that series' own.
+`adjustment_magnitude`, `adjustment_frequency`) reduce over the last axis: a
+1-D series of T weekly prices gives a float, and an array of such series
+(one row per slot, say) gives one result per row in a single call. They
+reduce a C-contiguous copy of their input, whose rows numpy sums in the same
+pairwise order as a 1-D call, so each row's result is bit for bit that
+series' own. Price stability is `price_volatility`'s `std_change`
+(`price_volatility_std` in metrics.json), the population std of the relative
+weekly changes; no rescaled copy of it is reported.
 """
 
 from __future__ import annotations
@@ -147,11 +149,6 @@ def adjustment_frequency(prices, tau: float = ADJUSTMENT_THRESHOLD):
     return _rows(np.mean(changes > tau, axis=-1))
 
 
-def price_stability(prices):
-    """1 - min(1, 10 * population std of relative weekly changes)."""
-    return _rows(1.0 - np.minimum(1.0, 10.0 * _pop_std(_relative_changes(prices))))
-
-
 # -- report assembly ---------------------------------------------------------
 
 
@@ -161,7 +158,6 @@ class AgentMetrics:
     mean_return: float
     adjustment_magnitude: float
     adjustment_frequency: float
-    price_stability: float
     price_volatility_std: float
     price_volatility_max: float
     price_cv: float
@@ -205,7 +201,6 @@ def _slot_metrics(prices: np.ndarray) -> dict[str, np.ndarray]:
     return {
         "adjustment_magnitude": adjustment_magnitude(prices),
         "adjustment_frequency": adjustment_frequency(prices),
-        "price_stability": price_stability(prices),
         "price_volatility_std": volatility["std_change"],
         "price_volatility_max": volatility["max_change"],
         "price_cv": price_cv(prices),

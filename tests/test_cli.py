@@ -290,13 +290,25 @@ def _matrix(out, *flags) -> None:
     assert main(["matrix", "--configs", "AB", "--out", str(out), *flags]) == 0
 
 
+def _printed_summary(out, printed: str) -> dict[str, list[str]]:
+    """`out/summary.csv`'s columns by name, after checking that `printed`
+    holds its every line, header included, as the file has it."""
+    lines = (out / "summary.csv").read_text().splitlines()
+    assert "\n".join(lines) in printed
+    header, *rows = (line.split(",") for line in lines)
+    for key in ("mean_return", "price_cv", "price_volatility_std", "jain_index",
+                "market_share_volatility_pp"):
+        assert key in header and f"{key}_ci" in header, key
+    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+
+
 class TestMatrix:
     def test_jobs_match_serial(self, tmp_path):
         """matrix writes its summaries, and its runs' bytes do not depend on --jobs."""
         outs = {jobs: tmp_path / f"jobs{jobs}" for jobs in ("1", "2")}
         for jobs, out in outs.items():
             _matrix(out, "--jobs", jobs)
-            assert list(out.glob("summary_*.csv")), "no summary CSV written"
+            assert (out / "summary.csv").exists(), "no summary CSV written"
         artifacts = sorted(
             p.relative_to(outs["1"]) for name in ("history.csv", "metrics.json")
             for p in outs["1"].glob(f"*/{name}")
@@ -310,9 +322,19 @@ class TestMatrix:
         _matrix(runs)
         assert main(["report", "--in", str(runs), "--out", str(tmp_path / "report")]) == 0
         tables = sorted(runs.glob("*.csv"))
-        assert len(tables) == 5  # three summaries, final shares and the demand curve
+        assert [path.name for path in tables] == [
+            "final_market_share.csv", "price_demand_curve.csv", "summary.csv",
+        ]
         for path in tables:
             assert (tmp_path / "report" / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_prints_the_summary_as_written(self, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        _matrix(runs)
+        assert _printed_summary(runs, capsys.readouterr().out)["config_id"] == ["A", "B"]
+        assert main(["report", "--in", str(runs), "--out", str(tmp_path / "report")]) == 0
+        printed = capsys.readouterr().out
+        assert _printed_summary(tmp_path / "report", printed)["n_runs"] == ["2", "2"]
 
     def test_prints_each_p_with_its_floor(self, tmp_path, capsys):
         # the desk preset's 2 seed-matched pairs cannot go below p = 2/2^2
@@ -515,8 +537,9 @@ class TestReport:
         assert main(["simulate", "--config", str(config), "--out", str(runs), "--runs", "2"]) == 0
         out = tmp_path / "report"
         assert main(["report", "--in", str(runs), "--out", str(out)]) == 0
-        assert (out / "summary_returns.csv").exists()
+        assert (out / "summary.csv").exists()
         assert (out / "final_market_share.csv").exists()
+        assert not list(out.glob("summary_*.csv"))
 
     def test_empty_dir_exits_1(self, tmp_path):
         assert main(["report", "--in", str(tmp_path), "--out", str(tmp_path / "o")]) == 1
@@ -548,6 +571,22 @@ class TestReport:
         out = tmp_path / "report"
         assert main(["report", "--in", str(runs), "--out", str(out)]) == 1
         assert "'welfare_fairness'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_metrics_json_with_price_stability_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        # an agent block as runs wrote it while it still held 1 - min(1, 10 x volatility std)
+        config = _experiment_file(tmp_path, weeks=5)
+        runs = tmp_path / "runs"
+        assert main(["simulate", "--config", str(config), "--out", str(runs)]) == 0
+        (metrics,) = runs.glob("*/metrics.json")
+        report = json.loads(metrics.read_text())
+        for block in report["agents"].values():
+            block["price_stability"] = 1.0 - min(1.0, 10.0 * block["price_volatility_std"])
+        metrics.write_text(json.dumps(report))
+        capsys.readouterr()
+        out = tmp_path / "report"
+        assert main(["report", "--in", str(runs), "--out", str(out)]) == 1
+        assert "'price_stability'" in capsys.readouterr().err
         assert not out.exists()
 
 

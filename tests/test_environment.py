@@ -322,8 +322,16 @@ class TestDemandInputs:
 
     def test_observation_shares_the_cluster_mean(self):
         query, obs = _hold_cluster_prices([12.0, 8.0, 4.0])
-        assert obs.cluster_avg_price == [8.0, 8.0, 8.0]
-        assert [p / m for p, m in zip(obs.price, obs.cluster_avg_price)] == query.relative_prices
+        assert obs.relative_price == query.relative_prices == [1.5, 1.0, 0.5]
+
+    def test_week_zero_observation_holds_the_relative_prices(self):
+        config = _config(n_agents=3)
+        agents = [
+            FixedPriceAgent(f"a{i}", [ProductSpec("p", 1, price, price * 0.6, 20.0)], config)
+            for i, price in enumerate([12.0, 8.0, 4.0])
+        ]
+        env = MarketEnvironment(config, agents, RecordingOracle())
+        assert env.bootstrap_observation().relative_price == [1.5, 1.0, 0.5]
 
     def test_one_query_per_week_in_roster_order(self):
         roster = [AgentSpec(f"a{i}", "rule") for i in range(4)]
@@ -434,8 +442,9 @@ def _reference_week(env, submitted, history):
         .standard_normal(config.weeks_per_episode)[t]
         for aid, pid in slots
     ]
+    relative = [p / m for p, m in zip(prices, cluster_avg)]
     demands = _reference_demands(
-        specs, prices, [p / m for p, m in zip(prices, cluster_avg)], lag1,
+        specs, prices, relative, lag1,
         shocks, seasonal_encoding(week)[0], holiday_flag(week), config.demand_params,
     )
 
@@ -454,7 +463,7 @@ def _reference_week(env, submitted, history):
     observation = MarketObservation(
         week_number=next_week, is_holiday=holiday_flag(next_week),
         competitor_slots=competitor_slots, log=env.log, weeks=t + 1, price=prices,
-        cluster_avg_price=cluster_avg, agent_revenue=agent_revenue, market_share=shares,
+        relative_price=relative, agent_revenue=agent_revenue, market_share=shares,
     )
     row = (prices, demands, list(agent_revenue.values()), list(shares.values()), zero_revenue)
     return observation, row, clamps

@@ -17,7 +17,6 @@ import pytest
 
 from pricebench import harness
 from pricebench.harness import (
-    AGENT_KINDS,
     CONFIG_MATRIX,
     ExperimentSpec,
     RunManifest,
@@ -28,14 +27,15 @@ from pricebench.harness import (
     roster_for_config,
     roster_settings,
     run_experiment,
+    run_values,
     summarize,
     wilcoxon_signed_rank,
     wilcoxon_vs_baseline,
-    write_summary_csvs,
+    write_summary_csv,
     write_sweep_csv,
     emit_plotdata,
 )
-from pricebench.market import AgentSpec, ConfigError, from_fields
+from pricebench.market import AGENT_KINDS, AgentSpec, ConfigError, from_fields
 from pricebench.metrics import MetricsReport
 from pricebench.rule_agents import RuleStrategy
 
@@ -106,6 +106,14 @@ class TestRosterParams:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError, match="'madqnn'"):
             ExperimentSpec.from_dict({"config_id": "C", "roster_params": {"madqnn": {}}})
+
+    def test_a_kind_is_one_table_entry(self, monkeypatch):
+        # a new kind needs only its AGENT_KINDS entry for a roster or its params to name it
+        with pytest.raises(ConfigError, match="'tabular_q'"):
+            AgentSpec("t0", "tabular_q")
+        monkeypatch.setitem(AGENT_KINDS, "tabular_q", {"module": ".rule_agents", "settings": "X"})
+        assert AgentSpec("t0", "tabular_q").agent_kind == "tabular_q"
+        assert ExperimentSpec.from_dict({"config_id": "A", "roster_params": {"tabular_q": {}}})
 
     def test_known_kind_absent_from_the_roster_accepted(self):
         spec = ExperimentSpec.from_dict({"config_id": "A", "roster_params": {"qmix": {"lr": 0.01}}})
@@ -412,10 +420,7 @@ def _loaded_after(body: str, cwd: Path) -> tuple[set[str], bool]:
 
 class TestLazyLearners:
     """A kind's module loads the first time a roster names the kind
-    (`harness.AGENT_KINDS`), so a process loads only the learners it builds."""
-
-    def test_every_known_kind_has_a_table_entry(self):
-        assert list(AGENT_KINDS) == list(AgentSpec.KNOWN_KINDS)
+    (`market.AGENT_KINDS`), so a process loads only the learners it builds."""
 
     def test_rule_only_simulation_loads_no_learner(self, tmp_path):
         loaded, pool = _loaded_after(
@@ -588,7 +593,8 @@ class TestWilcoxon:
         assert wilcoxon_vs_baseline({"C": [_fake_report(1.0)]}) == {}
 
 
-def _fake_report(mean_return, jain=0.9, share=0.25):
+def _fake_report(mean_return, jain=0.9, share=0.25, volatility=0.005):
+    """A run whose agents differ only in `price_cv` (0.02, 0.03, 0.04, 0.05)."""
     from pricebench.metrics import AgentMetrics
 
     agents = {
@@ -597,47 +603,80 @@ def _fake_report(mean_return, jain=0.9, share=0.25):
             mean_return=mean_return,
             adjustment_magnitude=0.01,
             adjustment_frequency=0.3,
-            price_stability=0.9,
-            price_volatility_std=0.005,
+            price_volatility_std=volatility,
             price_volatility_max=0.05,
-            price_cv=0.02,
+            price_cv=0.02 + 0.01 * i,
         )
         for i in range(4)
     }
     return MetricsReport(
         agents=agents, jain_index=jain, gini=1 - jain, social_welfare=mean_return,
-        nash_proximity=0.8, price_convergence=0.7, market_share_volatility_pp=1.0,
+        nash_proximity=0.8, price_convergence=0.7, market_share_volatility_pp=1.0 + jain,
         final_market_share={f"a{i}": share for i in range(4)},
     )
 
 
+SUMMARY_KEYS = [
+    "mean_return", "adjustment_magnitude", "adjustment_frequency", "price_cv",
+    "price_volatility_std", "jain_index", "market_share_volatility_pp", "nash_proximity",
+    "price_convergence",
+]
+
+
 class TestSummaries:
+    def test_run_values_in_column_order(self):
+        values = run_values(_fake_report(100.0, jain=0.8, volatility=0.007))
+        assert list(values) == SUMMARY_KEYS
+        assert values["mean_return"] == 100.0
+        assert values["price_cv"] == pytest.approx(0.035)  # the mean over the run's agents
+        assert values["price_volatility_std"] == pytest.approx(0.007)
+        assert values["jain_index"] == 0.8
+        assert values["market_share_volatility_pp"] == pytest.approx(1.8)
+        assert all(isinstance(v, float) for v in values.values())
+
+    def test_each_column_is_the_ci_over_the_runs(self):
+        reports = [
+            _fake_report(m, jain=j, volatility=v)
+            for m, j, v in [(100.0, 0.9, 0.005), (130.0, 0.7, 0.009), (90.0, 0.8, 0.004)]
+        ]
+        (row,) = summarize({"C": reports})
+        assert list(row) == ["config_id", "n_runs"] + [
+            name for key in SUMMARY_KEYS for name in (key, f"{key}_ci")
+        ]
+        assert row["config_id"] == "C" and row["n_runs"] == 3
+        for key in SUMMARY_KEYS:
+            mean, half = confidence_interval([run_values(r)[key] for r in reports])
+            assert (row[key], row[f"{key}_ci"]) == (mean, half), key
+        assert row["mean_return_ci"] > 0 and row["jain_index_ci"] > 0
+        assert row["price_cv_ci"] == pytest.approx(0.0, abs=1e-15)  # every run's agents agree
+
     def test_delta_vs_baseline(self):
-        tables = summarize({"A": [_fake_report(100.0)], "C": [_fake_report(400.0)]})
-        rows = {r["config_id"]: r for r in tables["returns"]}
-        assert rows["A"]["delta_vs_A_pct"] == pytest.approx(0.0)
-        assert rows["C"]["delta_vs_A_pct"] == pytest.approx(300.0)
+        rows = summarize({"C": [_fake_report(400.0)], "A": [_fake_report(100.0)]})
+        assert [row["config_id"] for row in rows] == ["A", "C"]
+        assert rows[0]["delta_vs_A_pct"] == pytest.approx(0.0)
+        assert rows[1]["delta_vs_A_pct"] == pytest.approx(300.0)
+        assert list(rows[1])[-1] == "delta_vs_A_pct"
+
+    @pytest.mark.parametrize("reports", [
+        {"C": [_fake_report(400.0)]}, {"A": [_fake_report(0.0)], "C": [_fake_report(400.0)]},
+    ], ids=["no-A", "A-earns-nothing"])
+    def test_no_delta_without_a_positive_baseline(self, reports):
+        assert all("delta_vs_A_pct" not in row for row in summarize(reports))
 
     def test_single_run_std_zero(self):
-        tables = summarize({"A": [_fake_report(100.0)]})
-        assert tables["returns"][0]["std_return"] == 0.0
+        # one run has no spread: n_runs is 1 and every CI half-width is 0
+        (row,) = summarize({"A": [_fake_report(100.0)]})
+        assert row["n_runs"] == 1
+        assert all(row[f"{key}_ci"] == 0.0 for key in SUMMARY_KEYS)
 
     def test_csv_emission(self, tmp_path):
-        tables = summarize({"A": [_fake_report(100.0)]})
-        written = write_summary_csvs(tables, tmp_path)
-        assert len(written) == 3
-        header = Path(written[0]).read_text().splitlines()[0]
-        assert "config_id" in header
-        headers = {Path(p).name: Path(p).read_text().splitlines()[0] for p in written}
-        assert headers["summary_adaptability.csv"] == (
-            "config_id,adjustment_magnitude,adjustment_frequency,price_stability,price_cv,"
-            "price_volatility_std"
-        )
-        assert tables["adaptability"][0]["price_volatility_std"] == pytest.approx(0.005)
-        assert headers["summary_dynamics.csv"] == (
-            "config_id,jain_mean,jain_std,market_volatility_pp_mean,market_volatility_pp_std,"
-            "nash_proximity,price_convergence"
-        )
+        rows = summarize({"A": [_fake_report(100.0), _fake_report(120.0)]})
+        path = Path(write_summary_csv(rows, tmp_path))
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"] == [path.name]
+        header, line = path.read_text().splitlines()
+        assert header.split(",") == list(rows[0])
+        assert line.startswith("A,2,110.000000,127.060000,0.010000,0.000000,")
+        assert line.endswith(",0.000000")  # delta_vs_A_pct
 
     def test_ci_formula(self):
         # sample std of {.2,.3,.2,.3} = 0.057735; t(0.975, 3) * std / sqrt(4) = 0.0918673

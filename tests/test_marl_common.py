@@ -361,8 +361,11 @@ def _reference_encode_state(agent, observation, recorder: _WeekRecorder):
                 return default
 
         price = prices[-1] if prices else spec.initial_price
+        # the cluster's slots are this one and its competitors' (one product per cluster)
+        cluster = [slot, *observation.competitor_slots[slot]]
+        cluster_avg = math.fsum(observation.price[j] for j in cluster) / len(cluster)
         slots.extend([
-            price / observation.cluster_avg_price[slot],
+            price / cluster_avg,
             (price - spec.unit_cost) / price,
             (history[-1] / baseline) if history else 1.0,
             ratio_or(qrm, 1.0, 2),

@@ -18,7 +18,6 @@ from pricebench.metrics import (
     nash_proximity,
     price_convergence,
     price_cv,
-    price_stability,
     price_volatility,
     social_welfare,
 )
@@ -222,26 +221,6 @@ class TestAdjustments:
         prices = [1.0, 1.5, 2.25]
         assert adjustment_frequency(prices, tau=0.5) == 0.0
 
-    def test_stability_constant_prices(self):
-        assert price_stability([10.0] * 5) == pytest.approx(1.0, abs=1e-12)
-
-    def test_stability_steady_drift(self):
-        series = [100 * 1.02**t for t in range(6)]
-        assert price_stability(series) == pytest.approx(1.0, abs=1e-9)
-
-    def test_stability_alternating_clamped(self):
-        series = [100.0]
-        for t in range(8):
-            series.append(series[-1] * (1.1 if t % 2 == 0 else 0.9))
-        assert price_stability(series) == pytest.approx(0.0, abs=1e-9)
-
-    @given(st.lists(st.floats(min_value=1.0, max_value=100.0), min_size=2, max_size=15),
-           st.floats(min_value=0.01, max_value=100))
-    @settings(max_examples=60)
-    def test_stability_rescale_invariance(self, prices, c):
-        assert price_stability(prices) == pytest.approx(
-            price_stability([p * c for p in prices]), abs=1e-9
-        )
 
 
 def _episode(slots, prices, demands):
@@ -310,7 +289,6 @@ class TestComputeReport:
 PRICE_METRICS = {
     "adjustment_magnitude": adjustment_magnitude,
     "adjustment_frequency": adjustment_frequency,
-    "price_stability": price_stability,
     "price_cv": price_cv,
     # the mean |change| price_volatility once reported; adjustment_magnitude computes it
     "mean_abs_change": adjustment_magnitude,
@@ -379,7 +357,6 @@ class TestComputeReportMatchesSeriesCalls:
             vols = [price_volatility(p) for p in own]
             assert got.adjustment_magnitude == float(np.mean([adjustment_magnitude(p) for p in own]))
             assert got.adjustment_frequency == float(np.mean([adjustment_frequency(p) for p in own]))
-            assert got.price_stability == float(np.mean([price_stability(p) for p in own]))
             assert got.price_volatility_std == float(np.mean([v["std_change"] for v in vols]))
             assert got.price_volatility_max == float(np.mean([v["max_change"] for v in vols]))
             assert got.price_cv == float(np.mean([price_cv(p) for p in own]))

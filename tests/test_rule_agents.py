@@ -66,7 +66,7 @@ def _observation(week=20, competitor_prices=(), holiday=False, price=10.0):
         log=EpisodeLog(0, slots, ids, [6.0] * n),
         weeks=0,
         price=pool,
-        cluster_avg_price=[sum(pool) / n] * n,
+        relative_price=[p / (sum(pool) / n) for p in pool],
         agent_revenue={aid: 200.0 for aid in ids},
         market_share={aid: 1.0 / n for aid in ids},
     )
