@@ -10,8 +10,11 @@ and each changed submission is counted in `clamp_events`.
 
 A slot is one (agent, product) pair, in roster x portfolio order. Slot tables
 hold what an episode cannot change: each slot's product spec, margin floor,
-unit cost, cluster and demand shocks (one draw per (agent, product, episode)
-stream, so roster order does not matter). They are built once per episode.
+unit cost, cluster and demand shocks. They are built once per episode. The
+shocks are one episode stream's rows, row i for slot i, so slot i draws the
+same shocks whichever agent holds it: configs that share a seed share their
+demand noise (common random numbers), and permuting the roster moves the
+shocks with the slots, not with the agents.
 A week is a few passes over per-slot lists: one validates the submissions,
 one applies the market rule, one demand-oracle call prices every slot, and
 one settles them. The week's calendar terms come from a 52-week table.
@@ -119,9 +122,11 @@ class MarketEnvironment:
     """One episode's market. Construct fresh per episode.
 
     The slot tables are built here once: per slot, its product spec, margin
-    floor, unit cost, cluster and the episode's demand shocks, one
-    `standard_normal(weeks_per_episode)` draw per (agent, product, episode)
-    stream; per agent, its span of slots.
+    floor, unit cost, cluster and the episode's demand shocks; per agent, its
+    span of slots. The shocks are one `standard_normal((slots,
+    weeks_per_episode))` draw from the stream `derive_rng(seed, "demand",
+    episode_index)`: row i is slot i's, and depends only on the seed, the
+    episode, i and the episode length.
     """
 
     def __init__(
@@ -163,11 +168,9 @@ class MarketEnvironment:
             tuple(j for j in self._cluster_members[c] if pairs[j][0] != aid)
             for (aid, _), c in zip(pairs, self._slot_cluster)
         )
-        weeks = config.weeks_per_episode
-        self._shocks = np.array([
-            derive_rng(config.seed, "demand", aid, pid, episode_index).standard_normal(weeks)
-            for aid, pid in self.slots
-        ]).T.tolist()
+        self._shocks = derive_rng(config.seed, "demand", episode_index).standard_normal(
+            (len(pairs), config.weeks_per_episode)
+        ).T.tolist()
         self._last_demand = [spec.baseline_demand for spec in self._specs]
 
     # -- observation plumbing ---------------------------------------------

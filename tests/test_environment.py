@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pricebench import environment, harness
 from pricebench.demand import DemandQuery, ParametricDemandModel
 from pricebench.features import seasonal_encoding
 from pricebench.harness import build_agents, desk_spec, simulate
@@ -25,6 +26,7 @@ from pricebench.environment import (
 )
 from pricebench.market import (
     AgentSpec,
+    DemandParams,
     EpisodeLog,
     MarketConfig,
     MarketObservation,
@@ -349,6 +351,8 @@ class TestDemandInputs:
 
     @pytest.mark.parametrize("sigma", [0.05, 0.37])
     def test_shocks_are_the_streams_weekly_normal_draws(self, sigma):
+        """Slot i's weekly shocks are the episode stream's draws
+        weeks * i to weeks * (i + 1) - 1, in slot order."""
         weeks = 30
         config = _config(n_agents=3, weeks=weeks, noise=sigma)
         agents = _agents(config)
@@ -356,10 +360,57 @@ class TestDemandInputs:
         env = MarketEnvironment(config, agents, oracle, episode_index=2)
         for _ in range(weeks):
             env.step({a.agent_id: a.propose_prices(None) for a in agents})
-        for (agent_id, pid), i in env.slots.items():
-            rng = derive_rng(config.seed, "demand", agent_id, pid, 2)
+        rng = derive_rng(config.seed, "demand", 2)
+        for i in range(len(env.slots)):
             expected = [rng.normal(0.0, sigma) for _ in range(weeks)]
             assert [sigma * q.shocks[i] for q in oracle.queries] == expected
+
+    def test_configs_at_one_seed_share_their_shocks(self, monkeypatch):
+        """Common random numbers: the shocks depend on the slot, not on the
+        agent holding it, so A and E at one seed hand the oracle the same
+        shocks every week, and a 3-agent market's slots get the first 15
+        slots' shocks of a 4-agent market."""
+        queries = []
+
+        class Recording(ParametricDemandModel):
+            def sample_demand(self, query):
+                queries.append(query)
+                return super().sample_demand(query)
+
+        monkeypatch.setattr(harness, "ParametricDemandModel", Recording)
+
+        def shocks(config):
+            queries.clear()
+            for _ in simulate(config, build_agents(config)):
+                pass
+            return [list(q.shocks) for q in queries]
+
+        a, e = (desk_spec(cid, seed=31).market for cid in "AE")
+        assert [s.agent_kind for s in a.agent_roster] != [s.agent_kind for s in e.agent_roster]
+        a_shocks = shocks(a)
+        assert a_shocks == shocks(e)
+        assert len(a_shocks) == a.weeks_per_episode * a.episodes and len(a_shocks[0]) == 20
+
+        def rule_market(n_agents):
+            roster = [AgentSpec(f"r{i}", "rule") for i in range(n_agents)]
+            return MarketConfig(agent_roster=roster, weeks_per_episode=7, episodes=2, seed=31)
+
+        three, four = shocks(rule_market(3)), shocks(rule_market(4))
+        assert [week[:15] for week in four] == three
+
+    def test_one_stream_per_environment(self, monkeypatch):
+        """Building a `MarketEnvironment` derives one generator, whatever
+        the slot count."""
+        calls = []
+
+        def counting(*parts):
+            calls.append(parts)
+            return derive_rng(*parts)
+
+        monkeypatch.setattr(environment, "derive_rng", counting)
+        config = desk_spec("A", seed=31).market
+        MarketEnvironment(config, build_agents(config), RecordingOracle(), episode_index=1)
+        assert calls == [(31, "demand", 1)]
 
     def test_stepping_past_the_episode_is_protocol_error(self):
         config = _config(n_agents=1, weeks=2)
@@ -437,11 +488,9 @@ def _reference_week(env, submitted, history):
         cluster_avg.append(math.fsum(members) / len(members))
     lag1 = [demands[-1] if demands else spec.baseline_demand
             for spec, (_, demands) in zip(specs, history)]
-    shocks = [
-        derive_rng(config.seed, "demand", aid, pid, env.episode_index)
-        .standard_normal(config.weeks_per_episode)[t]
-        for aid, pid in slots
-    ]
+    shocks = derive_rng(config.seed, "demand", env.episode_index).standard_normal(
+        (len(slots), config.weeks_per_episode)
+    )[:, t].tolist()
     relative = [p / m for p, m in zip(prices, cluster_avg)]
     demands = _reference_demands(
         specs, prices, relative, lag1,
@@ -708,6 +757,9 @@ class TestRunEpisode:
         assert first.zero_revenue.tolist() == second.zero_revenue.tolist()
 
     def test_roster_permutation_invariance(self):
+        """Without noise, rule play does not depend on roster order. With
+        noise on it does: the shocks are keyed by slot, so permuting the
+        roster hands each agent other slots' shocks."""
         def run_with_order(reverse):
             roster = [AgentSpec("a0", "rule"), AgentSpec("a1", "rule"), AgentSpec("a2", "rule")]
             config = MarketConfig(
@@ -716,6 +768,7 @@ class TestRunEpisode:
                 weeks_per_episode=5,
                 episodes=1,
                 seed=21,
+                demand_params=DemandParams(noise_sigma=0.0),
             )
             portfolio = make_default_portfolio([1, 2], config.seed)
             strategies = {
