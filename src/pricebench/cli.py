@@ -145,15 +145,26 @@ def _signed_rank_line(result: WilcoxonResult) -> str:
     return f"W={result.w_statistic:g} n={n} p={result.p_value:.6g} p_floor={2.0 ** (1 - n):.6g}"
 
 
-def _write_report(reports_by_config: dict[str, list[MetricsReport]], out, demand_params) -> None:
+def _summary_lines(rows: list[dict]) -> list[str]:
+    """`summarize`'s rows as an aligned table of equal-length lines: one line
+    per summary.csv column, its name, then each config's value to four
+    significant digits, right-aligned under the config's id."""
+    table = [[key] + [f"{row[key]:.4g}" if isinstance(row[key], float) else str(row[key])
+                      for row in rows] for key in rows[0]]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    return ["  ".join([name.ljust(widths[0])] + [c.rjust(w) for c, w in zip(cells, widths[1:])])
+            for name, *cells in table]
+
+
+def _write_report(reports_by_config: dict[str, list[MetricsReport]], out) -> None:
     """Write the summary table and plot data of each config's runs under
-    `out`, and print the table as written."""
-    summary = write_summary_csv(summarize(reports_by_config), out)
-    written = [summary, *emit_plotdata(reports_by_config, out, demand_params=demand_params)]
-    for path in written:
+    `out`, and print the table, one config per column."""
+    rows = summarize(reports_by_config)
+    summary = write_summary_csv(rows, out)
+    for path in [summary, *emit_plotdata(reports_by_config, out)]:
         print(f"wrote {path}")
-    print("\nsummary (mean and 95 % CI half-width over runs):")
-    print(Path(summary).read_text(), end="")
+    print(f"\nsummary (mean and 95 % CI half-width over runs; six decimals in {summary}):")
+    print("\n".join(_summary_lines(rows)))
 
 
 def cmd_simulate(args) -> int:
@@ -187,7 +198,7 @@ def cmd_matrix(args) -> int:
     reports_by_config = {
         spec.config_id: [report for _, report in runs] for spec, runs in zip(specs, results)
     }
-    _write_report(reports_by_config, args.out, specs[0].market.demand_params)
+    _write_report(reports_by_config, args.out)
     tests = wilcoxon_vs_baseline(reports_by_config)
     if tests:
         print("\npaired signed-rank vs A (homogeneous MARL configs only):")
@@ -225,7 +236,6 @@ def cmd_report(args) -> int:
     if not manifests:
         raise ValueError(f"no run manifests found under {in_dir}")
     reports_by_config: dict[str, list[MetricsReport]] = {}
-    demand_params = None
     for path in manifests:
         with open(path, encoding="utf-8") as fh:
             manifest = RunManifest.from_dict(json.load(fh))
@@ -237,13 +247,9 @@ def cmd_report(args) -> int:
             report = MetricsReport.from_dict(json.load(fh))
         cid = manifest.config["config_id"]
         reports_by_config.setdefault(cid, []).append(report)
-        if demand_params is None:
-            dp = manifest.config["market"].get("demand_params")
-            if dp:
-                demand_params = DemandParams.from_dict(dp)
     if not reports_by_config:
         raise ValueError(f"no run under {in_dir} has a metrics.json")
-    _write_report(reports_by_config, args.out, demand_params)
+    _write_report(reports_by_config, args.out)
     return EXIT_OK
 
 

@@ -461,7 +461,7 @@ AGENT_COLUMNS = (
     "adjustment_magnitude", "adjustment_frequency", "price_cv", "price_volatility_std",
 )
 MARKET_COLUMNS = (
-    "jain_index", "market_share_volatility_pp", "nash_proximity", "price_convergence",
+    "jain_index", "market_share_volatility_pp", "nash_proximity",
 )
 
 
@@ -530,16 +530,12 @@ def confidence_interval(values) -> tuple[float, float]:
     return mean, quantile * float(arr.std(ddof=1)) / math.sqrt(n)
 
 
-def emit_plotdata(
-    reports_by_config: dict[str, list[MetricsReport]],
-    out_dir,
-    demand_params=None,
-) -> list[str]:
-    """Per-figure CSVs: final-episode shares with CI, and the demand sweep."""
+def emit_plotdata(reports_by_config: dict[str, list[MetricsReport]], out_dir) -> list[str]:
+    """The plot data: `final_market_share.csv`, each agent's final-week share
+    per config, with its CI over the runs. (`pricebench elasticity` writes the
+    demand sweep's.)"""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-
     path = out / "final_market_share.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -553,12 +549,7 @@ def emit_plotdata(
                 writer.writerow(
                     [cid, aid, f"{mean:.6f}", f"{half:.6f}", len(values), flag]
                 )
-    written.append(str(path))
-
-    if demand_params is not None:
-        path = out / "price_demand_curve.csv"
-        written.append(str(write_sweep_csv(demand_params, path)))
-    return written
+    return [str(path)]
 
 
 def write_sweep_csv(demand_params, path) -> str:

@@ -1,4 +1,4 @@
-"""Evaluation metrics: fairness, welfare, coordination, adaptability, stability.
+"""Evaluation metrics: fairness, coordination, adaptability, stability.
 
 All statistics use population (1/N) normalization. Price-change statistics
 average over the number of changes (T - 1 for a T-week series). Functions are
@@ -11,9 +11,9 @@ The price-series metrics (`price_volatility`, `price_cv`,
 (one row per slot, say) gives one result per row in a single call. They
 reduce a C-contiguous copy of their input, whose rows numpy sums in the same
 pairwise order as a 1-D call, so each row's result is bit for bit that
-series' own. Price stability is `price_volatility`'s `std_change`
-(`price_volatility_std` in metrics.json), the population std of the relative
-weekly changes; no rescaled copy of it is reported.
+series' own. Price stability is `price_volatility` (`price_volatility_std` in
+metrics.json), the population std of the relative weekly changes; no
+rescaled copy of it is reported.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import numpy as np
 from .market import EpisodeLog, JsonFields, from_fields, left_sum
 
 NASH_WINDOW_WEEKS = 12
-CONVERGENCE_WINDOW_WEEKS = 8
 ADJUSTMENT_THRESHOLD = 0.01
 
 
@@ -66,24 +65,6 @@ def jain_index(revenues: Sequence[float]) -> float:
     return float(np.sum(arr)) ** 2 / denom
 
 
-def gini(revenues: Sequence[float]) -> float:
-    """Mean absolute pairwise difference over 2N * total; 0 when all zero."""
-    arr = np.asarray(revenues, dtype=float)
-    if arr.size == 0:
-        raise ValueError("need at least one revenue")
-    if np.any(arr < 0):
-        raise ValueError("revenues must be >= 0")
-    total = float(arr.sum())
-    if total == 0:
-        return 0.0
-    diffs = np.abs(arr[:, None] - arr[None, :]).sum()
-    return float(diffs / (2.0 * arr.size * total))
-
-
-def social_welfare(revenues: Sequence[float]) -> float:
-    return float(left_sum(revenues)) * (1.0 - gini(revenues))
-
-
 def nash_proximity(price_series, window: int | None = NASH_WINDOW_WEEKS) -> float:
     """1 - min(1, 10 * mean |relative weekly change|) over the trailing window.
 
@@ -113,11 +94,10 @@ def market_share_volatility_pp(share_series: dict[str, Sequence[float]]) -> floa
     return 100.0 * float(np.mean([_pop_std(s) for s in share_series.values()]))
 
 
-def price_volatility(prices) -> dict:
-    """Population std of the relative weekly changes and their max |change|,
-    per series (their mean |change| is `adjustment_magnitude`)."""
-    changes = _relative_changes(prices)
-    return {"std_change": _pop_std(changes), "max_change": _rows(np.abs(changes).max(axis=-1))}
+def price_volatility(prices):
+    """Population std of the relative weekly changes (their mean |change| is
+    `adjustment_magnitude`)."""
+    return _pop_std(_relative_changes(prices))
 
 
 def price_cv(prices):
@@ -127,15 +107,6 @@ def price_cv(prices):
     with np.errstate(divide="ignore", invalid="ignore"):
         cv = _pop_std(arr) / mean
     return _rows(np.where(mean == 0, 0.0, cv))
-
-
-def price_convergence(pooled_prices: Sequence[float]) -> float:
-    """1 - population std / max over the pooled final-window prices."""
-    arr = np.asarray(pooled_prices, dtype=float)
-    peak = float(arr.max())
-    if peak <= 0:
-        raise ValueError("max price must be > 0")
-    return 1.0 - _pop_std(arr) / peak
 
 
 def adjustment_magnitude(prices):
@@ -154,12 +125,10 @@ def adjustment_frequency(prices, tau: float = ADJUSTMENT_THRESHOLD):
 
 @dataclass
 class AgentMetrics:
-    total_revenue: float
     mean_return: float
     adjustment_magnitude: float
     adjustment_frequency: float
     price_volatility_std: float
-    price_volatility_max: float
     price_cv: float
 
 
@@ -170,10 +139,7 @@ class MetricsReport(JsonFields):
 
     agents: dict[str, AgentMetrics]
     jain_index: float
-    gini: float
-    social_welfare: float
     nash_proximity: float
-    price_convergence: float
     market_share_volatility_pp: float
     final_market_share: dict[str, float]
     flags: list[str] = field(default_factory=list)
@@ -197,12 +163,10 @@ class MetricsReport(JsonFields):
 
 def _slot_metrics(prices: np.ndarray) -> dict[str, np.ndarray]:
     """Per-slot AgentMetrics price fields of one episode's `(slots, weeks)` prices."""
-    volatility = price_volatility(prices)
     return {
         "adjustment_magnitude": adjustment_magnitude(prices),
         "adjustment_frequency": adjustment_frequency(prices),
-        "price_volatility_std": volatility["std_change"],
-        "price_volatility_max": volatility["max_change"],
+        "price_volatility_std": price_volatility(prices),
         "price_cv": price_cv(prices),
     }
 
@@ -216,9 +180,9 @@ def compute_report(episodes: Iterable[EpisodeLog]) -> MetricsReport:
     one or two episodes, not all of them.
 
     Per-agent change statistics average over the agent's products and
-    episodes, in (episode, product) order. Share volatility, coordination and
-    convergence metrics are computed on the final episode; fairness and
-    welfare use per-agent mean episode returns.
+    episodes, in (episode, product) order. Share volatility and coordination
+    are computed on the final episode; fairness uses per-agent mean episode
+    returns.
     """
     episode_returns: list[list[float]] = []
     per_agent: list[list[np.ndarray]] = []
@@ -239,7 +203,6 @@ def compute_report(episodes: Iterable[EpisodeLog]) -> MetricsReport:
     # one contiguous row per agent, summed pairwise as np.mean of its list is
     returns = np.ascontiguousarray(np.array(episode_returns).T)
     mean_returns = returns.mean(axis=-1).tolist()
-    totals = returns.sum(axis=-1).tolist()
 
     agents = {}
     for j, aid in enumerate(agent_ids):
@@ -247,7 +210,7 @@ def compute_report(episodes: Iterable[EpisodeLog]) -> MetricsReport:
         # mean sums pairwise (as np.mean of a list does) only along contiguous rows
         values = np.ascontiguousarray(np.concatenate([ep[j] for ep in per_agent], axis=1))
         means = dict(zip(slot_metrics, values.mean(axis=-1).tolist()))
-        agents[aid] = AgentMetrics(total_revenue=totals[j], mean_return=mean_returns[j], **means)
+        agents[aid] = AgentMetrics(mean_return=mean_returns[j], **means)
 
     # the final episode's weekly shares, as the environment settled them
     shares = dict(zip(agent_ids, final.share.T))
@@ -255,24 +218,13 @@ def compute_report(episodes: Iterable[EpisodeLog]) -> MetricsReport:
     if zero_weeks:
         flags.append(f"zero-revenue-weeks:{zero_weeks}")
 
-    final_window = prices[:, -CONVERGENCE_WINDOW_WEEKS:]  # the loop ends on the final episode
-    slots_of: dict[str, list[int]] = {}
-    for (_aid, pid), i in final.slots.items():
-        slots_of.setdefault(pid, []).append(i)
-    convergence_values = [
-        price_convergence(final_window[slots_of[pid]].ravel()) for pid in sorted(slots_of)
-    ]
-
     if all(v == 0 for v in mean_returns):
         flags.append("all-zero-returns")
 
     return MetricsReport(
         agents=agents,
         jain_index=jain_index(mean_returns),
-        gini=gini(mean_returns),
-        social_welfare=social_welfare(mean_returns),
         nash_proximity=nash_proximity(prices),
-        price_convergence=float(np.mean(convergence_values)),
         market_share_volatility_pp=market_share_volatility_pp(shares),
         final_market_share=dict(zip(agent_ids, final.share[-1].tolist())),
         flags=flags,

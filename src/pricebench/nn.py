@@ -380,18 +380,19 @@ class Adam:
     the first step, so an optimizer that never steps holds none.
 
     Every FLUSH_EVERY steps the moment entries below the smallest normal
-    float are set to 0. A parameter whose gradient stays 0 has its `m`
-    scaled by beta1 each step until it sticks at a subnormal (beta1 times
-    the smallest one rounds back to it), and numpy's passes over subnormals
-    run tens of times slower. At lr <= 1 such an entry moves its parameter
-    by less than 1e-298, below the last bit of any parameter above 1e-280,
-    so the flush leaves the parameters as they were.
+    float are set to 0, chunk by chunk after the update. A parameter whose
+    gradient stays 0 has its `m` scaled by beta1 each step until it sticks
+    at a subnormal (beta1 times the smallest one rounds back to it), and
+    numpy's passes over subnormals run tens of times slower. At lr <= 1
+    such an entry moves its parameter by less than 1e-298, below the last
+    bit of any parameter above 1e-280, so the flush leaves the parameters as
+    they were.
     """
 
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
-    FLUSH_EVERY = 1024
+    FLUSH_EVERY = 64
 
     def __init__(self, params: Sequence[np.ndarray]):
         self._n_params = len(params)
@@ -436,10 +437,9 @@ class Adam:
                 np.multiply(mc, alpha, out=step)
                 step /= denom
                 p[chunk] -= step
-        if self.t % self.FLUSH_EVERY == 0:
-            tiny = np.finfo(float).tiny  # the smallest normal float
-            for moment in (*self.m, *self.v):
-                moment[np.abs(moment) < tiny] = 0.0
+                if self.t % self.FLUSH_EVERY == 0:  # tiny: the smallest normal float
+                    for moment in (mc, vc):
+                        moment[np.abs(moment, out=step) < np.finfo(float).tiny] = 0.0
 
 
 class ReplayBuffer:

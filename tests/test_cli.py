@@ -3,10 +3,10 @@ import json
 
 import pytest
 
-from pricebench.cli import main
+from pricebench.cli import _summary_lines, main
 from pricebench.demand import DemandParams
-from pricebench.harness import desk_spec
-from tests.test_harness import ROOT, _run_python
+from pricebench.harness import desk_spec, summarize
+from tests.test_harness import ROOT, _fake_report, _run_python
 from tests.test_transactions import HEADER, synthetic_records
 
 
@@ -292,14 +292,29 @@ def _matrix(out, *flags) -> None:
 
 def _printed_summary(out, printed: str) -> dict[str, list[str]]:
     """`out/summary.csv`'s columns by name, after checking that `printed`
-    holds its every line, header included, as the file has it."""
-    lines = (out / "summary.csv").read_text().splitlines()
-    assert "\n".join(lines) in printed
-    header, *rows = (line.split(",") for line in lines)
+    holds them as an aligned table: one line per column, in file order, of
+    equal length, each its name and then every config's value to four
+    significant digits, and a line that names the file."""
+    path = out / "summary.csv"
+    header, *rows = (line.split(",") for line in path.read_text().splitlines())
     for key in ("mean_return", "price_cv", "price_volatility_std", "jain_index",
                 "market_share_volatility_pp"):
         assert key in header and f"{key}_ci" in header, key
-    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+    columns = {name: [row[i] for row in rows] for i, name in enumerate(header)}
+    lines = printed.splitlines()
+    assert any(str(path) in line for line in lines)
+    start = next(i for i, line in enumerate(lines) if line.startswith("config_id "))
+    table = lines[start : start + len(header)]
+    assert len({len(line) for line in table}) == 1 and len(table[0]) <= 120
+    for line, name in zip(table, header):
+        label, *cells = line.split()
+        assert label == name and len(cells) == len(rows), line
+        for cell, value in zip(cells, columns[name]):
+            if name == "config_id":
+                assert cell == value
+            else:
+                assert float(cell) == pytest.approx(float(value), rel=5e-4, abs=1e-6), name
+    return columns
 
 
 class TestMatrix:
@@ -323,7 +338,7 @@ class TestMatrix:
         assert main(["report", "--in", str(runs), "--out", str(tmp_path / "report")]) == 0
         tables = sorted(runs.glob("*.csv"))
         assert [path.name for path in tables] == [
-            "final_market_share.csv", "price_demand_curve.csv", "summary.csv",
+            "final_market_share.csv", "summary.csv",
         ]
         for path in tables:
             assert (tmp_path / "report" / path.name).read_bytes() == path.read_bytes(), path.name
@@ -335,6 +350,13 @@ class TestMatrix:
         assert main(["report", "--in", str(runs), "--out", str(tmp_path / "report")]) == 0
         printed = capsys.readouterr().out
         assert _printed_summary(tmp_path / "report", printed)["n_runs"] == ["2", "2"]
+
+    def test_printed_table_of_eight_configs_fits_120_columns(self):
+        # a run-away mean return and its CI print 9 characters each, as wide as a value gets
+        reports = {cid: [_fake_report(1.234e8 * (i + 1)), _fake_report(2.5e7)]
+                   for i, cid in enumerate("ABCDEFGH")}
+        lines = _summary_lines(summarize(reports))
+        assert len({len(line) for line in lines}) == 1 and len(lines[0]) <= 120
 
     def test_prints_each_p_with_its_floor(self, tmp_path, capsys):
         # the desk preset's 2 seed-matched pairs cannot go below p = 2/2^2
@@ -560,34 +582,41 @@ class TestReport:
 
     def test_metrics_json_with_a_dropped_key_exits_1_and_writes_nothing(self, tmp_path, capsys):
         # metrics.json as runs wrote it while it still held the duplicate keys
-        config = _experiment_file(tmp_path, weeks=5)
-        runs = tmp_path / "runs"
-        assert main(["simulate", "--config", str(config), "--out", str(runs)]) == 0
-        (metrics,) = runs.glob("*/metrics.json")
-        report = json.loads(metrics.read_text())
-        report["market"]["welfare_fairness"] = 1.0 - report["market"]["gini"]
-        metrics.write_text(json.dumps(report))
-        capsys.readouterr()
-        out = tmp_path / "report"
-        assert main(["report", "--in", str(runs), "--out", str(out)]) == 1
-        assert "'welfare_fairness'" in capsys.readouterr().err
-        assert not out.exists()
+        _assert_report_rejects(tmp_path, capsys, "market.welfare_fairness")
 
     def test_metrics_json_with_price_stability_exits_1_and_writes_nothing(self, tmp_path, capsys):
         # an agent block as runs wrote it while it still held 1 - min(1, 10 x volatility std)
-        config = _experiment_file(tmp_path, weeks=5)
-        runs = tmp_path / "runs"
-        assert main(["simulate", "--config", str(config), "--out", str(runs)]) == 0
-        (metrics,) = runs.glob("*/metrics.json")
-        report = json.loads(metrics.read_text())
-        for block in report["agents"].values():
-            block["price_stability"] = 1.0 - min(1.0, 10.0 * block["price_volatility_std"])
-        metrics.write_text(json.dumps(report))
-        capsys.readouterr()
-        out = tmp_path / "report"
-        assert main(["report", "--in", str(runs), "--out", str(out)]) == 1
-        assert "'price_stability'" in capsys.readouterr().err
-        assert not out.exists()
+        _assert_report_rejects(tmp_path, capsys, "agents.price_stability")
+
+    @pytest.mark.parametrize("key", [
+        "market.gini", "market.social_welfare", "market.price_convergence",
+        "agents.price_volatility_max", "agents.total_revenue",
+    ])
+    def test_metrics_json_with_a_retired_metric_exits_1_and_writes_nothing(
+        self, tmp_path, capsys, key
+    ):
+        # metrics.json as runs wrote it while it still held numbers no result read
+        _assert_report_rejects(tmp_path, capsys, key)
+
+
+def _assert_report_rejects(tmp_path, capsys, key):
+    """`report` over a run whose metrics.json also holds `key` (`market.<name>`,
+    or `agents.<name>` in every agent block; any number stands in for its
+    value) exits 1, names the key and writes nothing."""
+    config = _experiment_file(tmp_path, weeks=5)
+    runs = tmp_path / "runs"
+    assert main(["simulate", "--config", str(config), "--out", str(runs)]) == 0
+    (metrics,) = runs.glob("*/metrics.json")
+    report = json.loads(metrics.read_text())
+    block, name = key.split(".")
+    for target in report["agents"].values() if block == "agents" else [report["market"]]:
+        target[name] = report["market"]["jain_index"]
+    metrics.write_text(json.dumps(report))
+    capsys.readouterr()
+    out = tmp_path / "report"
+    assert main(["report", "--in", str(runs), "--out", str(out)]) == 1
+    assert repr(name) in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestWilcoxonCommand:

@@ -37,7 +37,6 @@ import pytest
 
 from pricebench import BLAS_THREAD_VARS, harness, nn
 from pricebench.harness import CONFIG_MATRIX, desk_spec, run_experiment
-from tests.test_acceptance import _assert_learners_stepped
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).with_name("golden_bytes.json")
@@ -47,6 +46,12 @@ SCALES = {
     "training": (("B", "C", "F"), {"episodes": 2, "weeks_per_episode": 52}),
     "long": (("A", "D", "E", "G", "H"), {"episodes": 1, "weeks_per_episode": 104}),
 }
+
+
+def _assert_learners_stepped(agents):
+    """Every agent with a learner saw that learner take a gradient step."""
+    learners = [agent.learner for agent in agents if hasattr(agent, "learner")]
+    assert learners and all(learner.learn_calls > 0 for learner in learners)
 
 
 def artifact_hashes(spec, out: Path) -> dict[str, str]:

@@ -599,19 +599,17 @@ def _fake_report(mean_return, jain=0.9, share=0.25, volatility=0.005):
 
     agents = {
         f"a{i}": AgentMetrics(
-            total_revenue=mean_return * 3,
             mean_return=mean_return,
             adjustment_magnitude=0.01,
             adjustment_frequency=0.3,
             price_volatility_std=volatility,
-            price_volatility_max=0.05,
             price_cv=0.02 + 0.01 * i,
         )
         for i in range(4)
     }
     return MetricsReport(
-        agents=agents, jain_index=jain, gini=1 - jain, social_welfare=mean_return,
-        nash_proximity=0.8, price_convergence=0.7, market_share_volatility_pp=1.0 + jain,
+        agents=agents, jain_index=jain, nash_proximity=0.8,
+        market_share_volatility_pp=1.0 + jain,
         final_market_share={f"a{i}": share for i in range(4)},
     )
 
@@ -619,7 +617,6 @@ def _fake_report(mean_return, jain=0.9, share=0.25, volatility=0.005):
 SUMMARY_KEYS = [
     "mean_return", "adjustment_magnitude", "adjustment_frequency", "price_cv",
     "price_volatility_std", "jain_index", "market_share_volatility_pp", "nash_proximity",
-    "price_convergence",
 ]
 
 
@@ -705,15 +702,10 @@ class TestSummaries:
         assert half == 0.0
 
     def test_plotdata_files(self, tmp_path):
-        from pricebench.demand import DemandParams
-
         reports = {"A": [_fake_report(100.0), _fake_report(120.0)]}
-        written = emit_plotdata(reports, tmp_path, demand_params=DemandParams())
-        names = {Path(w).name for w in written}
-        assert "final_market_share.csv" in names
-        assert "price_demand_curve.csv" in names
-        curve = (tmp_path / "price_demand_curve.csv").read_text().splitlines()
-        assert len(curve) == 42  # header + 41 grid points
+        written = emit_plotdata(reports, tmp_path)
+        assert [Path(w).name for w in written] == ["final_market_share.csv"]
+        assert [p.name for p in tmp_path.iterdir()] == ["final_market_share.csv"]
 
     def test_single_run_ci_flagged(self, tmp_path):
         emit_plotdata({"A": [_fake_report(100.0)]}, tmp_path)

@@ -1,4 +1,3 @@
-import itertools
 import json
 from dataclasses import replace
 
@@ -7,30 +6,20 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pricebench.metrics import (
-    CONVERGENCE_WINDOW_WEEKS,
     MetricsReport,
     adjustment_frequency,
     adjustment_magnitude,
     compute_report,
-    gini,
     jain_index,
     market_share_volatility_pp,
     nash_proximity,
-    price_convergence,
     price_cv,
     price_volatility,
-    social_welfare,
 )
 
 revenue_vectors = st.lists(
     st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=8
 ).filter(lambda v: sum(v) > 0)
-
-
-def brute_force_gini(values):
-    total = sum(values)
-    pairs = sum(abs(a - b) for a, b in itertools.product(values, values))
-    return pairs / (2 * len(values) * total)
 
 
 class TestJain:
@@ -56,46 +45,6 @@ class TestJain:
     @settings(max_examples=60)
     def test_scale_invariance(self, v, c):
         assert jain_index([x * c for x in v]) == pytest.approx(jain_index(v), rel=1e-9)
-
-
-class TestGini:
-    def test_equality(self):
-        assert gini([5, 5, 5]) == pytest.approx(0.0, abs=1e-12)
-
-    def test_two_point(self):
-        assert gini([0, 1]) == pytest.approx(0.5, abs=1e-12)
-
-    def test_hand_value(self):
-        assert gini([1, 2, 3]) == pytest.approx(8 / 36, abs=1e-12)
-
-    @given(revenue_vectors)
-    def test_matches_brute_force(self, v):
-        assert gini(v) == pytest.approx(brute_force_gini(v), abs=1e-9)
-
-    @given(revenue_vectors)
-    def test_bounds(self, v):
-        g = gini(v)
-        assert -1e-9 <= g <= 1.0 - 1.0 / len(v) + 1e-9
-
-    @given(revenue_vectors, st.floats(min_value=0.001, max_value=1000))
-    @settings(max_examples=60)
-    def test_scale_invariance(self, v, c):
-        assert gini([x * c for x in v]) == pytest.approx(gini(v), rel=1e-9, abs=1e-12)
-
-
-class TestWelfare:
-    def test_social_welfare_equal(self):
-        assert social_welfare([1, 1]) == pytest.approx(2.0, abs=1e-12)
-
-    def test_social_welfare_composition(self):
-        assert social_welfare([0, 1]) == pytest.approx(0.5, abs=1e-12)
-
-    def test_all_zero(self):
-        assert social_welfare([0, 0]) == 0.0
-
-    @given(revenue_vectors)
-    def test_identities(self, v):
-        assert social_welfare(v) == pytest.approx(sum(v) * (1.0 - gini(v)), rel=1e-9)
 
 
 class TestNashProximity:
@@ -173,32 +122,18 @@ class TestMarketShare:
 
 class TestPriceVolatility:
     def test_constant(self):
-        stats = price_volatility([10.0] * 5)
-        assert stats == {"std_change": 0.0, "max_change": 0.0}
+        assert price_volatility([10.0] * 5) == 0.0
 
     def test_two_week(self):
-        stats = price_volatility([100.0, 110.0])
-        assert stats["max_change"] == pytest.approx(0.10, abs=1e-12)
+        assert price_volatility([100.0, 110.0]) == 0.0  # one change has no spread
 
     def test_three_week(self):
-        stats = price_volatility([100.0, 110.0, 99.0])
-        assert stats["std_change"] == pytest.approx(0.10, abs=1e-12)  # +10 %, then -10 %
-        assert stats["max_change"] == pytest.approx(0.10, abs=1e-12)
+        # +10 %, then -10 %
+        assert price_volatility([100.0, 110.0, 99.0]) == pytest.approx(0.10, abs=1e-12)
 
     def test_cv(self):
         assert price_cv([10.0, 10.0]) == 0.0
         assert price_cv([1.0, 3.0]) == pytest.approx(0.5, abs=1e-12)  # std 1, mean 2
-
-
-class TestPriceConvergence:
-    def test_identical(self):
-        assert price_convergence([7.0, 7.0, 7.0]) == pytest.approx(1.0, abs=1e-12)
-
-    def test_two_point(self):
-        assert price_convergence([1.0, 3.0]) == pytest.approx(1 - 1 / 3, abs=1e-12)
-
-    def test_extreme_spread(self):
-        assert price_convergence([0.0001, 10.0]) == pytest.approx(0.5, abs=1e-4)
 
 
 class TestAdjustments:
@@ -267,7 +202,6 @@ class TestComputeReport:
         # a earns less than b in both runs; per-agent metrics must follow the id
         assert fwd.agents["a"].mean_return == pytest.approx(rev.agents["a"].mean_return)
         assert fwd.jain_index == pytest.approx(rev.jain_index)
-        assert fwd.gini == pytest.approx(rev.gini)
 
     def test_json_is_stable(self):
         report = compute_report(_toy_episodes())
@@ -292,8 +226,7 @@ PRICE_METRICS = {
     "price_cv": price_cv,
     # the mean |change| price_volatility once reported; adjustment_magnitude computes it
     "mean_abs_change": adjustment_magnitude,
-    "std_change": lambda prices: price_volatility(prices)["std_change"],
-    "max_change": lambda prices: price_volatility(prices)["max_change"],
+    "std_change": price_volatility,
 }
 CHANGE_METRICS = sorted(set(PRICE_METRICS) - {"price_cv"})
 
@@ -354,11 +287,9 @@ class TestComputeReportMatchesSeriesCalls:
         series = [{key: ep.price[:, i].tolist() for key, i in ep.slots.items()} for ep in episodes]
         for aid, got in report.agents.items():
             own = [prices for ep in series for (a, _), prices in ep.items() if a == aid]
-            vols = [price_volatility(p) for p in own]
             assert got.adjustment_magnitude == float(np.mean([adjustment_magnitude(p) for p in own]))
             assert got.adjustment_frequency == float(np.mean([adjustment_frequency(p) for p in own]))
-            assert got.price_volatility_std == float(np.mean([v["std_change"] for v in vols]))
-            assert got.price_volatility_max == float(np.mean([v["max_change"] for v in vols]))
+            assert got.price_volatility_std == float(np.mean([price_volatility(p) for p in own]))
             assert got.price_cv == float(np.mean([price_cv(p) for p in own]))
         final = series[-1]
         changes = [
@@ -366,9 +297,3 @@ class TestComputeReportMatchesSeriesCalls:
             for c in np.diff(prices[-13:]) / np.asarray(prices[-13:-1])
         ]
         assert report.nash_proximity == 1.0 - min(1.0, 10.0 * sum(changes) / len(changes))
-        pooled = {}
-        for (_, pid), prices in final.items():
-            pooled.setdefault(pid, []).extend(prices[-CONVERGENCE_WINDOW_WEEKS:])
-        assert report.price_convergence == float(
-            np.mean([price_convergence(pooled[pid]) for pid in sorted(pooled)])
-        )

@@ -243,27 +243,50 @@ class TestAdam:
     def test_moments_never_stick_at_a_subnormal(self):
         # an entry whose gradient stays 0 has m scaled by beta1 each step until it sticks
         # at a subnormal (after about 6,700 steps); the flush every FLUSH_EVERY steps sets
-        # it to 0 and moves no parameter
+        # it to 0 within 64 steps and moves no parameter
         rng = derive_rng(6, "adam-subnormal")
         params = [rng.normal(size=16)]
         ref_params = [params[0].copy()]
         opt, ref = Adam(params), Adam(ref_params)
         ref.FLUSH_EVERY = 10**9  # the unflushed reference
+
+        def subnormal(a):
+            return (a != 0) & (np.abs(a) < np.finfo(float).tiny)
+
         frozen = np.arange(16) % 4 == 0
+        first_ref_subnormal = None
+        run = np.zeros(32, dtype=int)  # consecutive subnormal steps of each m and v entry
+        longest = 0
         for t in range(9_000):
             g = rng.normal(size=16)
             if t >= 100:
                 g[frozen] = 0.0
             opt.step(params, [g], lr=1e-3)
             ref.step(ref_params, [g], lr=1e-3)
+            if first_ref_subnormal is None and subnormal(ref.m[0]).any():
+                first_ref_subnormal = t
+            run = np.where(subnormal(np.concatenate(opt.m + opt.v)), run + 1, 0)
+            longest = max(longest, int(run.max()))
 
-        def subnormal(a):
-            return (a != 0) & (np.abs(a) < np.finfo(float).tiny)
-
+        assert 6_000 < first_ref_subnormal < 7_500
+        assert 0 < longest <= 64
         assert subnormal(ref.m[0][frozen]).all()
         assert not any(subnormal(a).any() for a in opt.m + opt.v)
         assert np.array_equal(opt.m[0][frozen], np.zeros(frozen.sum()))
         assert np.array_equal(params[0], ref_params[0])
+
+    def test_flush_reaches_every_chunk(self):
+        # subnormal moments in the last chunk of a long vector and in a short second one
+        sizes = (2 * CHUNK + 123, 7)
+        params = [np.ones(n) for n in sizes]
+        opt = Adam(params)
+        opt.step(params, [np.ones(n) for n in sizes], lr=1e-3)
+        for moment in opt.m + opt.v:
+            moment[-3:] = 5e-320
+        opt.t = Adam.FLUSH_EVERY - 1  # the next step flushes
+        opt.step(params, [np.zeros(n) for n in sizes], lr=1e-3)
+        assert not any(moment[-3:].any() for moment in opt.m + opt.v)
+        assert all(moment[:-3].all() for moment in opt.m + opt.v)
 
     def test_strided_parameters_rejected(self):
         team = DenseNet([3, 2], ["linear"], [derive_rng(i, "adam") for i in range(2)])
