@@ -352,4 +352,4 @@ class QTeamLearner(TeamLearner):
         upstream = self._work.get("upstream", (n, b, n_heads * self.n_bins))
         upstream.fill(0.0)
         upstream.reshape(-1)[taken] = grad
-        self.nets.backward(cache, upstream, inputs=False)
+        self.nets.backward(cache, upstream)

@@ -50,7 +50,9 @@ class MaddpgCoordinator(TeamLearner):
     targets) with a leading members axis, member i's actor then critic drawn
     from its generator, and one Adam per role. Each member acts on its view
     of the team actor (`views`, from `DenseNet.member`), and each team
-    trains in one batched pass.
+    trains in one batched pass. The actor step reads a critic's input
+    gradient at the member's own action only: it multiplies the dz1 that
+    the critics' backward returns by those columns of W1.
     """
 
     def __init__(
@@ -76,11 +78,6 @@ class MaddpgCoordinator(TeamLearner):
         self.target_critics = self.critics.clone()
         self.actor_opt = Adam([self.actors.flat])
         self.critic_opt = Adam([self.critics.flat])
-        # each member's own action columns of W1: all the actor update reads of a critic's
-        # input gradient (the critic input is every state, then every member's action)
-        self._own_action_columns = self.critics.input_columns(
-            n * local_dim, n_products, shift=n_products
-        )
         self.rng = derive_rng(config.seed, "team", "maddpg")
 
     def encode(self, agent, observation: MarketObservation) -> np.ndarray:
@@ -150,7 +147,7 @@ class MaddpgCoordinator(TeamLearner):
         q, cache = self.critics.forward_cached(critic_in)
         err = q[..., 0] - y
         critic_loss = np.mean(err**2, axis=1)
-        self.critics.backward(cache, (2.0 * err / b)[..., None], inputs=False)
+        self.critics.backward(cache, (2.0 * err / b)[..., None])
         self.critic_opt.step([self.critics.flat], [self.critics.grad], hp.critic_lr)
 
         # actors: ascend Q with each member's own action replaced by its policy output
@@ -161,11 +158,16 @@ class MaddpgCoordinator(TeamLearner):
         replaced[:, :, joint_dim:].reshape(n, b, n, -1)[own, :, own] = actor_out * max_change
         q_pi, critic_cache = self.critics.forward_cached(replaced)
         actor_loss = -np.mean(q_pi[..., 0], axis=1)
-        _, own_action_grad = self.critics.backward(
-            critic_cache, np.full((n, b, 1), -1.0 / b), params=False,
-            inputs=self._own_action_columns,
-        )
-        self.actors.backward(actor_cache, own_action_grad * max_change, inputs=False)
+        dz1 = self.critics.backward(critic_cache, np.full((n, b, 1), -1.0 / b), params=False)
+        # member i's own action columns of its critic's input gradient dz1 @ W1 (the
+        # critic input is every state, then every member's action)
+        width, w1 = actor_out.shape[-1], self.critics.weights[0]
+        own_action_grad = work.get("own_action_grad", actor_out.shape)
+        for i in range(n):
+            start = joint_dim + i * width
+            np.matmul(dz1[i], w1[i, :, start : start + width], out=own_action_grad[i])
+        own_action_grad *= max_change
+        self.actors.backward(actor_cache, own_action_grad)
         self.actor_opt.step([self.actors.flat], [self.actors.grad], hp.actor_lr)
 
         soft_update(self.target_actors, self.actors, hp.tau)

@@ -47,9 +47,6 @@ class MonotonicMixer:
         ]
         self._work = Workspace()
 
-    def params(self) -> list[np.ndarray]:
-        return [p for net in self.hypernets for p in net.params()]
-
     def clone(self) -> "MonotonicMixer":
         """A target mixer: a copy of the hypernetworks' parameters that shares
         the mixer's buffers and theirs, as a target `DenseNet` does."""
@@ -91,13 +88,13 @@ class MonotonicMixer:
         """Q_tot as an array the caller owns."""
         return self.forward_cached(qs, states)[0].copy()
 
-    def backward(self, cache, upstream: np.ndarray):
+    def backward(self, cache, upstream: np.ndarray) -> np.ndarray:
         """Gradients of sum(upstream * Q_tot) w.r.t. params and agent utilities.
 
-        The parameter gradients, in params() order, are views of the
-        hypernetworks' `grad`, which their next backward overwrites. The
-        utilities' gradient is a view of the mixer's buffers, valid until its
-        next backward at this batch size.
+        The parameter gradients go to the hypernetworks' `grad`, which their
+        next backward overwrites. Returns the utilities' gradient (B, agents),
+        a view of the mixer's buffers, valid until its next backward at this
+        batch size.
         """
         g = np.asarray(upstream, dtype=float)
         qs = cache["qs"]
@@ -106,11 +103,11 @@ class MonotonicMixer:
         w1_net, b1_net, w2_net, b2_net = self.hypernets
         w1_cache, b1_cache, w2_cache, b2_cache = cache["hypernets"]
 
-        b2_grads, _ = b2_net.backward(b2_cache, g[:, None], inputs=False)
+        b2_net.backward(b2_cache, g[:, None])
 
         d_u2 = np.multiply(g[:, None], cache["h"], out=work.get("d_u2", (b, m)))  # d_w2
         d_u2 *= np.sign(cache["u2"], out=work.get("sign_u2", (b, m)))
-        w2_grads, _ = w2_net.backward(w2_cache, d_u2, inputs=False)
+        w2_net.backward(w2_cache, d_u2)
 
         # d_h times elu's derivative: 1 where h_pre > 0, else exp(min(h_pre, 0))
         h_pre = cache["h_pre"]
@@ -119,7 +116,7 @@ class MonotonicMixer:
         np.copyto(elu_grad, 1.0, where=np.greater(h_pre, 0, out=work.get("h_pre>0", (b, m), bool)))
         d_h_pre = np.multiply(g[:, None], cache["w2"], out=work.get("d_h_pre", (b, m)))  # d_h
         d_h_pre *= elu_grad
-        b1_grads, _ = b1_net.backward(b1_cache, d_h_pre, inputs=False)
+        b1_net.backward(b1_cache, d_h_pre)
 
         # d_w1 = qs[:, :, None] * d_h_pre[:, None, :], from full-shape copies: a broadcast
         # ufunc operand costs a temporary buffer per call, a broadcast copyto does not
@@ -129,10 +126,9 @@ class MonotonicMixer:
         np.copyto(d_w1, d_h_pre[:, None, :])
         np.multiply(qs_rep, d_w1, out=d_w1)
         d_w1 *= np.sign(cache["u1"], out=work.get("sign_u1", (b, n * m))).reshape(b, n, m)
-        w1_grads, _ = w1_net.backward(w1_cache, d_w1.reshape(b, n * m), inputs=False)
+        w1_net.backward(w1_cache, d_w1.reshape(b, n * m))
 
-        d_qs = np.einsum("bm,bnm->bn", d_h_pre, cache["w1"], out=work.get("d_qs", (b, n)))
-        return [*w1_grads, *b1_grads, *w2_grads, *b2_grads], d_qs
+        return np.einsum("bm,bnm->bn", d_h_pre, cache["w1"], out=work.get("d_qs", (b, n)))
 
 
 class QmixCoordinator(QTeamLearner):
@@ -183,7 +179,7 @@ class QmixCoordinator(QTeamLearner):
         err = q_tot - y
         loss = float(np.mean(err**2))
         upstream = 2.0 * err / b
-        _, d_qs = self.mixer.backward(mix_cache, upstream)
+        d_qs = self.mixer.backward(mix_cache, upstream)
 
         share = np.divide(d_qs.T, self.n_heads, out=per_member)
         self._backward_taken(cache, taken, share[:, :, None])

@@ -11,11 +11,13 @@ slice, so a team trains in one batched pass while each member acts on its
 own, in one memory layout from construction on.
 
 Two passes skip work that the learners would throw away. A backward pass
-can limit the first layer's input product to given columns of W1 per member
-(`DenseNet.input_columns`), for a caller that reads the gradient of a few
-inputs only, as MADDPG's actor update reads each member's own action. Adam
-keeps the textbook moments `m` and `v` and folds both bias corrections into
-a step size alpha_t and an eps_hat, so its update divides once per element.
+writes the parameter gradients into the net's `grad` and returns dz1, the
+gradient of the first layer's pre-activation, without forming the input
+gradient dz1 @ W1: no learner reads a Q-net's or an actor's input gradient,
+and MADDPG's actor update reads only each member's own action columns of its
+critic's, which it multiplies out itself. Adam keeps the textbook moments
+`m` and `v` and folds both bias corrections into a step size alpha_t and an
+eps_hat, so its update divides once per element.
 
 Buffers. A net keeps its activations and backward intermediates in scratch
 arrays (`Workspace`) that it reuses from call to call, one per layer and
@@ -26,12 +28,13 @@ optimizer and target net, so a run holds one however many it builds. One
 rule says which arrays a caller may keep:
 
 - `DenseNet.forward` returns an array the caller owns.
-- The cache and output of `forward_cached` and the `input_grad` of
-  `backward` are views of the net's buffers. Each stays valid until the
-  same net's next pass of the same kind (forward or backward) whose output
-  has the same shape; a pass of another shape leaves it alone.
-- The `grads` of `backward` are views of `net.grad`, which the net's next
-  backward with `params=True` overwrites.
+- The cache and output of `forward_cached` and the dz1 that `backward`
+  returns are views of the net's buffers. Each stays valid until the same
+  net's next pass of the same kind (forward or backward) whose output has
+  the same shape; a pass of another shape leaves it alone. (A net of one
+  linear layer returns the `upstream` it was given as its dz1.)
+- `net.grad` holds the parameter gradients, laid out like `flat`; the net's
+  next backward with `params=True` overwrites it.
 
 A target net (`clone()`) shares its online net's `Workspace`, so the two
 hold one set of buffers: each learner runs its target passes and reduces
@@ -136,10 +139,6 @@ def _layer_views(layer_sizes: Sequence[int], flat: np.ndarray, members: int | No
     return weights, biases
 
 
-def _interleave(weights: list[np.ndarray], biases: list[np.ndarray]) -> list[np.ndarray]:
-    return [a for pair in zip(weights, biases) for a in pair]
-
-
 class DenseNet:
     """Fully-connected network with per-layer activations and cached backprop.
 
@@ -206,9 +205,6 @@ class DenseNet:
         size = self.flat.size // self.members
         return self._like(self.flat[i * size : (i + 1) * size], None)
 
-    def params(self) -> list[np.ndarray]:
-        return _interleave(self.weights, self.biases)
-
     def scale_output_layer(self, factor: float) -> None:
         self.weights[-1] *= factor
         self.biases[-1] *= factor
@@ -252,49 +248,17 @@ class DenseNet:
         y = post[-1][..., 0, :] if squeeze else post[-1]
         return y, {"post": post, "squeeze": squeeze}
 
-    def input_columns(self, start: int, width: int, shift: int = 0) -> np.ndarray:
-        """`width` columns of W1 per member, as a read-only view for backward().
+    def backward(self, cache, upstream: np.ndarray, params: bool = True) -> np.ndarray:
+        """Exact gradients of sum(output * upstream) w.r.t. the parameters,
+        written into `self.grad` (none with `params=False`).
 
-        Member i's columns are start + i * shift to start + i * shift + width;
-        a single net's are start to start + width. The view reads `flat`, so
-        it follows every later write to the weights and is built once.
-        """
-        fan_in, w1 = self.layer_sizes[0], self.weights[0]
-        last = start + ((self.members or 1) - 1) * shift + width
-        if start < 0 or width < 1 or shift < 0 or last > fan_in:
-            raise ShapeError(f"columns {start}..{last} of a {fan_in}-input layer")
-        if self.members is None:
-            return w1[:, start : start + width]
-        member, row, col = w1.strides
-        return np.lib.stride_tricks.as_strided(
-            w1[0, :, start:],
-            shape=(self.members, self.layer_sizes[1], width),
-            strides=(member + shift * col, row, col),
-            writeable=False,
-        )
-
-    def backward(
-        self, cache, upstream: np.ndarray, params: bool = True, inputs: bool | np.ndarray = True
-    ):
-        """Exact gradients of sum(output * upstream) w.r.t. params and input.
-
-        Returns (grads, input_grad). `grads` is [dW1, db1, dW2, db2, ...],
-        aligned with params(): views of `self.grad`, which the next backward
-        overwrites. A team's input gradient has one batch per member; it is a
-        view of the net's buffers, valid until the next backward whose output
-        has its shape. With `params=False` no weight gradient is computed and
-        `grads` is None; with `inputs=False` the first layer's input product
-        is neither computed nor given a buffer, and `input_grad` is None.
-        `inputs` may also be a view from `input_columns`: the first layer's
-        input product then reads only those columns of W1, and `input_grad`
-        holds the gradient of those inputs alone, `width` per row.
+        Returns dz1, the gradient w.r.t. the first layer's pre-activation,
+        with the output's leading axes and the first layer's width: a view
+        of the net's buffers (see the module docstring). The input gradient
+        is dz1 @ W1, which the pass leaves to a caller that reads it.
         """
         if cache is None:
             raise RuntimeError("backward() called without a cached forward pass")
-        columns = inputs if isinstance(inputs, np.ndarray) else None
-        if columns is not None and columns.shape[:-1] != self.weights[0].shape[:-1]:
-            raise ShapeError(f"input columns {columns.shape} for first layer {self.weights[0].shape}")
-        inputs = columns is not None or bool(inputs)
         upstream = np.ascontiguousarray(upstream, dtype=float)
         if cache["squeeze"]:
             upstream = upstream[..., None, :]
@@ -328,15 +292,10 @@ class DenseNet:
             if params:
                 np.matmul(dz.swapaxes(-1, -2), post[layer], out=self._grad_weights[layer])
                 np.sum(dz, axis=-2, out=self._grad_biases[layer])
-            if layer or inputs:
-                w = columns if columns is not None and not layer else self.weights[layer]
-                input_grad = work.get(("input_grad", layer), lead + (w.shape[-1],))
-                g = np.matmul(dz, w, out=input_grad)
-        grads = _interleave(self._grad_weights, self._grad_biases) if params else None
-        input_grad = None
-        if inputs:
-            input_grad = g[..., 0, :] if cache["squeeze"] else g
-        return grads, input_grad
+            if layer:
+                d_post = work.get(("d_post", layer), lead + (self.layer_sizes[layer],))
+                g = np.matmul(dz, self.weights[layer], out=d_post)
+        return dz[..., 0, :] if cache["squeeze"] else dz
 
     def clone(self) -> "DenseNet":
         """A copy of the parameters that shares this net's buffers (see the

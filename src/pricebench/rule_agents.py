@@ -64,7 +64,7 @@ class RuleStrategy:
             raise ConfigError("anchor_window must be >= 1")
 
 
-def static_markup_price(spec: ProductSpec, markup: float = 0.5) -> float:
+def static_markup_price(spec: ProductSpec, markup: float) -> float:
     """Cost-plus price, constant across weeks."""
     return spec.unit_cost * (1.0 + markup)
 
@@ -72,8 +72,8 @@ def static_markup_price(spec: ProductSpec, markup: float = 0.5) -> float:
 def competitor_match_price(
     spec: ProductSpec,
     competitors: list[float],
-    undercut_fraction: float = 0.03,
-    markup: float = 0.5,
+    undercut_fraction: float,
+    markup: float,
 ) -> float:
     """Mean competitor cluster price minus a small undercut.
 
@@ -96,7 +96,7 @@ def historical_anchor_price(window: Sequence[float], initial_price: float) -> fl
 
 
 def demand_responsive_price(
-    price: float, demand: Sequence[float], response_step: float = 0.02
+    price: float, demand: Sequence[float], response_step: float
 ) -> float:
     """Step the current `price` up when the product's demand (oldest first)
     rose last week, down when it fell; hold on a tie or before two weeks."""
@@ -112,8 +112,8 @@ def demand_responsive_price(
 def seasonal_price(
     spec: ProductSpec,
     is_holiday: bool,
-    seasonal_uplift: float = 0.10,
-    markup: float = 0.5,
+    seasonal_uplift: float,
+    markup: float,
 ) -> float:
     """Cost-plus base, raised by the uplift during holiday weeks."""
     base = static_markup_price(spec, markup)

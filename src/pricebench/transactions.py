@@ -35,6 +35,8 @@ REQUIRED_COLUMNS = (
 )
 
 DATE_FORMATS = ("%Y-%m-%d %H:%M:%S", "%Y-%m-%dT%H:%M:%S", "%Y-%m-%d %H:%M", "%Y-%m-%d")
+# the fewest weekly aggregates calibrate() fits on
+MIN_RECORDS = 30
 
 
 class SchemaError(ValueError):
@@ -163,7 +165,6 @@ def aggregate_weekly(table: TransactionTable) -> list[WeeklyAggregate]:
 def calibrate(
     records: list[WeeklyAggregate],
     cluster_of: dict[str, int] | None = None,
-    min_records: int = 30,
 ) -> DemandParams:
     """Fit the reference-model coefficients on weekly aggregates.
 
@@ -171,8 +172,8 @@ def calibrate(
     holiday flag, the week sine, and lagged log quantity. Requires genuine
     price variation; a flat-price design is rank deficient and rejected.
     """
-    if len(records) < min_records:
-        raise CalibrationError(f"need at least {min_records} records, got {len(records)}")
+    if len(records) < MIN_RECORDS:
+        raise CalibrationError(f"need at least {MIN_RECORDS} records, got {len(records)}")
 
     by_product: dict[str, list[WeeklyAggregate]] = {}
     for rec in records:

@@ -11,6 +11,7 @@ from pricebench.market import (
 from pricebench.marl.common import ACTION_SMOOTHING, TeamMember, smoothed, state_dim
 from pricebench.marl.maddpg import MaddpgCoordinator, MaddpgHyper
 from pricebench.nn import Adam, DenseNet, soft_update
+from tests.test_nn import _reference_backward, _reference_forward
 
 
 def _config(n_agents=2, n_products=2, seed=23, weeks=10):
@@ -147,23 +148,55 @@ class TestLearning:
         d = critic.layer_sizes[0]
         x = rng.normal(size=d)
         _, cache = critic.forward_cached(x)
-        grads, input_grad = critic.backward(cache, np.array([1.0]))
+        critic.backward(cache, np.array([1.0]))
         h = 1e-5
         worst = 0.0
-        params = critic.params()
-        for _ in range(100):
-            pi = rng.integers(len(params))
-            flat_p, flat_g = params[pi].ravel(), grads[pi].ravel()
-            i = rng.integers(flat_p.size)
-            orig = flat_p[i]
-            flat_p[i] = orig + h
+        for i in rng.integers(critic.flat.size, size=100):
+            orig = critic.flat[i]
+            critic.flat[i] = orig + h
             up = critic.forward(x)[0]
-            flat_p[i] = orig - h
+            critic.flat[i] = orig - h
             dn = critic.forward(x)[0]
-            flat_p[i] = orig
+            critic.flat[i] = orig
             fd = (up - dn) / (2 * h)
-            worst = max(worst, abs(fd - flat_g[i]) / max(abs(fd), abs(flat_g[i]), 1e-8))
+            worst = max(worst, abs(fd - critic.grad[i]) / max(abs(fd), abs(critic.grad[i]), 1e-8))
         assert worst < 1e-4
+
+    def test_own_action_gradient_is_its_columns_of_the_input_gradient(self):
+        # the actor step's upstream is each member's own action columns of its critic's
+        # input gradient, taken at the critics and the replaced batch of that step
+        config = _config(n_agents=3, n_products=2, weeks=40)
+        team = _team(config, warm_up=16, batch_size=16, critic_lr=0.01)
+        coord = _fill_buffer(team, lambda s, a: float(np.tanh(a.sum())), n=40)
+        seen = {}
+        critic_backward, actor_backward = coord.critics.backward, coord.actors.backward
+
+        def record_critic(cache, upstream, params=True):
+            if not params:  # the actor step's pass over the replaced batch
+                seen.update(replaced=cache["post"][0].copy(), upstream=upstream.copy(),
+                            flat=coord.critics.flat.copy())
+            return critic_backward(cache, upstream, params)
+
+        def record_actor(cache, upstream, params=True):
+            seen["own"] = upstream.copy()
+            return actor_backward(cache, upstream, params)
+
+        coord.critics.backward, coord.actors.backward = record_critic, record_actor
+        coord.learn()
+        critics = coord.critics.clone()
+        critics.flat[:] = seen["flat"]
+        _, cache = _reference_forward(critics, seen["replaced"])
+        _, dz1, full = _reference_backward(critics, cache, seen["upstream"], params=False)
+        n, b, width = seen["own"].shape
+        first_action = critics.layer_sizes[0] - n * width
+        max_change = config.max_weekly_change
+        for i in range(n):
+            cols = slice(first_action + i * width, first_action + (i + 1) * width)
+            expected = full[i, :, cols] * max_change
+            assert np.abs(seen["own"][i] - expected).max() <= 1e-12 * np.abs(expected).max()
+            # bit for bit: the reference dz1 times those columns of W1 alone
+            own = dz1[i] @ critics.weights[0][i, :, cols]
+            assert seen["own"][i].tobytes() == (own * max_change).tobytes()
 
     def test_actor_update_improves_critic_score(self):
         config = _config(n_agents=1, weeks=64)  # a run as long as the buffer's 64 pushes
@@ -222,20 +255,18 @@ def _reference_learn(coord, nets, opts, rng):
         q_next = r["target_critic"].forward(critic_next_in)[:, 0]
         y = rewards[i] + hp.gamma * (1.0 - done) * q_next
         q, cache = r["critic"].forward_cached(critic_in)
-        grads, _ = r["critic"].backward(cache, (2.0 * (q[:, 0] - y) / b)[:, None])
-        critic_opt.step(r["critic"].params(), grads, hp.critic_lr)
+        r["critic"].backward(cache, (2.0 * (q[:, 0] - y) / b)[:, None])
+        critic_opt.step([r["critic"].flat], [r["critic"].grad], hp.critic_lr)
         actor_out, actor_cache = r["actor"].forward_cached(states[i])
         replaced = critic_in.copy()
         lo = joint_state.shape[1] + i * width
         replaced[:, lo : lo + width] = actor_out * max_change
         _, critic_cache = r["critic"].forward_cached(replaced)
         # the gradient of the member's own action columns only, as the team step takes it
-        _, own_grad = r["critic"].backward(
-            critic_cache, np.full((b, 1), -1.0 / b), params=False,
-            inputs=r["critic"].input_columns(lo, width),
-        )
-        actor_grads, _ = r["actor"].backward(actor_cache, own_grad * max_change)
-        actor_opt.step(r["actor"].params(), actor_grads, hp.actor_lr)
+        dz1 = r["critic"].backward(critic_cache, np.full((b, 1), -1.0 / b), params=False)
+        own_grad = dz1 @ r["critic"].weights[0][:, lo : lo + width]
+        r["actor"].backward(actor_cache, own_grad * max_change)
+        actor_opt.step([r["actor"].flat], [r["actor"].grad], hp.actor_lr)
         soft_update(r["target_actor"], r["actor"], hp.tau)
         soft_update(r["target_critic"], r["critic"], hp.tau)
 
@@ -246,7 +277,7 @@ class TestTeamStep:
         team = _team(config, warm_up=16, batch_size=16, actor_lr=0.01, critic_lr=0.01, tau=0.1)
         coord = _fill_buffer(team, lambda s, a: float(np.tanh(a.sum())), n=40)
         nets = [{role: _view(m, role).clone() for role in ROLES} for m in team]
-        opts = [(Adam(r["actor"].params()), Adam(r["critic"].params())) for r in nets]
+        opts = [(Adam([r["actor"].flat]), Adam([r["critic"].flat])) for r in nets]
         rng = copy.deepcopy(coord.rng)
         for _ in range(3):
             coord.learn()

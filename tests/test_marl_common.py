@@ -508,11 +508,11 @@ def test_target_nets_share_their_online_nets_buffers(config_id):
     else:
         pairs = [(learner.target_nets, learner.nets)]
     if config_id == "F":
-        pairs += [(learner.target_mixer, learner.mixer),
-                  *zip(learner.target_mixer.hypernets, learner.mixer.hypernets)]
+        assert learner.target_mixer._work is learner.mixer._work
+        pairs += zip(learner.target_mixer.hypernets, learner.mixer.hypernets)
     for target, net in pairs:
         assert target._work is net._work
-        assert not np.shares_memory(target.params()[0], net.params()[0])
+        assert not np.shares_memory(target.flat, net.flat)
 
 
 class TestLearningPersistence:

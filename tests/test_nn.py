@@ -21,30 +21,34 @@ from pricebench.nn import (
 
 
 def finite_difference_check(net, x, rng, n_coords=100, h=1e-5):
-    """Central-difference oracle over randomly sampled parameter coordinates."""
+    """Central-difference oracle over randomly sampled coordinates of `flat`,
+    against the same coordinates of `grad`."""
     upstream = rng.normal(size=net.layer_sizes[-1])
     _, cache = net.forward_cached(x)
-    grads, _ = net.backward(cache, upstream)
+    net.backward(cache, upstream)
 
     def loss():
         return float(np.dot(net.forward(x), upstream))
 
-    params = net.params()
     worst = 0.0
-    for _ in range(n_coords):
-        p_idx = rng.integers(len(params))
-        flat_p = params[p_idx].ravel()
-        flat_g = grads[p_idx].ravel()
-        i = rng.integers(flat_p.size)
-        orig = flat_p[i]
-        flat_p[i] = orig + h
+    for i in rng.integers(net.flat.size, size=n_coords):
+        orig = net.flat[i]
+        net.flat[i] = orig + h
         up = loss()
-        flat_p[i] = orig - h
+        net.flat[i] = orig - h
         dn = loss()
-        flat_p[i] = orig
+        net.flat[i] = orig
         fd = (up - dn) / (2 * h)
-        worst = max(worst, abs(fd - flat_g[i]) / max(abs(fd), abs(flat_g[i]), 1e-8))
+        worst = max(worst, abs(fd - net.grad[i]) / max(abs(fd), abs(net.grad[i]), 1e-8))
     return worst
+
+
+def _input_grad(net, dz1, squeeze):
+    """The input gradient dz1 @ W1 that backward leaves to its caller, as the
+    allocating reference forms it (`squeeze`: the forward took one sample)."""
+    dz = dz1[..., None, :] if squeeze else dz1
+    g = dz @ net.weights[0]
+    return g[..., 0, :] if squeeze else g
 
 
 class TestForward:
@@ -88,16 +92,16 @@ class TestBackward:
         net.weights[0][:] = 2.0
         net.biases[0][:] = 0.5
         _, cache = net.forward_cached(np.array([3.0]))
-        grads, _ = net.backward(cache, np.array([1.0]))
-        assert grads[0] == pytest.approx(3.0)  # dw = x
-        assert grads[1] == pytest.approx(1.0)  # db = 1
+        net.backward(cache, np.array([1.0]))
+        assert net.grad[0] == pytest.approx(3.0)  # dw = x
+        assert net.grad[1] == pytest.approx(1.0)  # db = 1
 
     def test_zero_upstream_zero_grads(self):
         rng = derive_rng(1, "net")
         net = DenseNet([3, 5, 2], ["relu", "linear"], rng)
         _, cache = net.forward_cached(rng.normal(size=3))
-        grads, _ = net.backward(cache, np.zeros(2))
-        assert all(np.all(g == 0) for g in grads)
+        net.backward(cache, np.zeros(2))
+        assert np.all(net.grad == 0)
 
     @pytest.mark.parametrize(
         "sizes,acts",
@@ -118,7 +122,7 @@ class TestBackward:
         net = DenseNet([4, 8, 1], ["relu", "linear"], rng)
         x = rng.normal(size=4)
         _, cache = net.forward_cached(x)
-        _, input_grad = net.backward(cache, np.array([1.0]))
+        input_grad = net.backward(cache, np.array([1.0])) @ net.weights[0]
         h = 1e-6
         for i in range(4):
             xp, xm = x.copy(), x.copy()
@@ -131,10 +135,9 @@ class TestBackward:
 class TestAdam:
     def test_zero_gradient_no_change(self):
         net = DenseNet([2, 2], ["linear"], derive_rng(0, "adam"))
-        params = net.params()
-        before = [p.copy() for p in params]
-        Adam(params).step(params, [np.zeros_like(p) for p in params], lr=0.1)
-        assert all(np.allclose(a, b) for a, b in zip(before, params))
+        before = net.flat.copy()
+        Adam([net.flat]).step([net.flat], [np.zeros_like(net.flat)], lr=0.1)
+        assert np.allclose(before, net.flat)
 
     def test_constant_gradient_step_approaches_lr(self):
         # Adam normalizes: with a constant gradient the step magnitude -> lr
@@ -290,7 +293,7 @@ class TestAdam:
 
     def test_strided_parameters_rejected(self):
         team = DenseNet([3, 2], ["linear"], [derive_rng(i, "adam") for i in range(2)])
-        params = team.params()
+        params = [team.weights[0], team.biases[0]]  # member-strided views of flat
         with pytest.raises(ShapeError):
             Adam(params).step(params, [np.zeros(p.shape) for p in params], lr=0.01)
 
@@ -325,16 +328,19 @@ class TestTeamNets:
         x = rng.normal(size=(b, sizes[0]) if shared else (m, b, sizes[0]))
         up = rng.normal(size=(m, b, sizes[-1]))
         y, cache = team.forward_cached(x)
-        grads, no_input = team.backward(cache, up, inputs=False)
-        no_grads, input_grad = team.backward(cache, up, params=False)
-        assert no_input is None and no_grads is None
-        assert y.shape == (m, b, sizes[-1]) and input_grad.shape == (m, b, sizes[0])
-        for i, net in enumerate(copies):
+        team.backward(cache, up)
+        grad = team.grad.copy()
+        # a pass without params leaves grad as it was
+        dz1 = team.backward(cache, 2.0 * up, params=False)
+        assert np.array_equal(team.grad, grad)
+        assert y.shape == (m, b, sizes[-1]) and dz1.shape == (m, b, sizes[1])
+        for i, (net, grad_i) in enumerate(zip(copies, grad.reshape(m, -1))):
             y_i, cache_i = net.forward_cached(x if shared else x[i])
-            grads_i, input_grad_i = net.backward(cache_i, up[i])
+            dz1_i = net.backward(cache_i, 2.0 * up[i])
             assert np.array_equal(y[i], y_i)
-            assert all(np.array_equal(g[i], g_i) for g, g_i in zip(grads, grads_i))
-            assert np.array_equal(input_grad[i], input_grad_i)
+            assert np.array_equal(dz1[i], dz1_i)
+            net.backward(cache_i, up[i])
+            assert np.array_equal(grad_i, net.grad)
 
     def test_team_gradient_matches_finite_differences(self):
         sizes, acts, _ = TEAM_SHAPES["maddpg_critic"]
@@ -343,7 +349,7 @@ class TestTeamNets:
         x = rng.normal(size=(4, sizes[0]))
         up = rng.normal(size=(3, 4, 1))
         _, cache = team.forward_cached(x)
-        team.backward(cache, up, inputs=False)
+        team.backward(cache, up)
         grad = team.grad.copy()
 
         def loss():
@@ -384,13 +390,13 @@ class TestTeamNets:
         team, _, copies = _team([6, 5, 2], ["relu", "tanh"], members=3)
         x = derive_rng(6, "team-x").normal(size=6)
         y, cache = team.forward_cached(x)
-        grads, input_grad = team.backward(cache, np.ones((3, 2)))
-        assert y.shape == (3, 2) and input_grad.shape == (3, 6)
-        for i, net in enumerate(copies):
+        dz1 = team.backward(cache, np.ones((3, 2)))
+        assert y.shape == (3, 2) and dz1.shape == (3, 5)
+        for i, (net, grad_i) in enumerate(zip(copies, team.grad.reshape(3, -1))):
             y_i, cache_i = net.forward_cached(x)
-            grads_i, input_grad_i = net.backward(cache_i, np.ones(2))
-            assert np.array_equal(y[i], y_i) and np.array_equal(input_grad[i], input_grad_i)
-            assert all(np.array_equal(g[i], g_i) for g, g_i in zip(grads, grads_i))
+            dz1_i = net.backward(cache_i, np.ones(2))
+            assert np.array_equal(y[i], y_i) and np.array_equal(dz1[i], dz1_i)
+            assert np.array_equal(grad_i, net.grad)
 
     def test_team_input_batches_must_match_members(self):
         team, _, _ = _team([6, 5, 2], ["relu", "linear"], members=3)
@@ -431,59 +437,30 @@ def _critic(members):
 
 
 class TestInputColumns:
-    """backward(inputs=net.input_columns(...)) gives only some columns of the input gradient."""
+    """Columns of the input gradient from the dz1 that backward returns, as
+    MADDPG's actor update takes each member's own action columns."""
 
     @pytest.mark.parametrize("members", [None, 1, 3, 4])
     @pytest.mark.parametrize("batch", [(), (64,)])
     def test_matches_the_columns_of_the_full_input_gradient(self, members, batch):
         net, joint_dim, width = _critic(members)
         rng = derive_rng(7, "columns", members, batch)
-        lead = (members,) if members else ()
         x = rng.normal(size=batch + (net.layer_sizes[0],))
         y, cache = net.forward_cached(x)
         up = rng.normal(size=y.shape)
-        _, full = net.backward(cache, up, params=False)
-        full = full.copy()
-        columns = net.input_columns(joint_dim, width, shift=width)
-        assert columns.shape == lead + (net.layer_sizes[1], width)
-        grads, own = net.backward(cache, up, params=True, inputs=columns)
-        assert own.shape == lead + batch + (width,)
-        if members is None:
-            expected = full[..., joint_dim : joint_dim + width]
-        else:
-            expected = np.stack([
-                full[i, ..., joint_dim + i * width : joint_dim + (i + 1) * width]
-                for i in range(members)
-            ])
-        assert np.abs(own - expected).max() <= 1e-12 * np.abs(expected).max()
-        # the weight gradients do not depend on which inputs are asked for
-        full_grads, _ = net.backward(cache, up)
-        assert all(np.array_equal(a, b) for a, b in zip(grads, full_grads))
-
-    def test_view_follows_the_weights_and_is_read_only(self):
-        net, joint_dim, width = _critic(3)
-        columns = net.input_columns(joint_dim, width, shift=width)
-        net.flat += 1.0
-        for i in range(3):
+        dz1 = net.backward(cache, up, params=False).copy()
+        full = _input_grad(net, dz1, cache["squeeze"])
+        for i in range(members or 1):
             lo = joint_dim + i * width
-            assert np.array_equal(columns[i], net.weights[0][i, :, lo : lo + width])
-        with pytest.raises(ValueError):
-            columns[0, 0, 0] = 1.0
-
-    @pytest.mark.parametrize("start, width, shift", [(-1, 5, 0), (0, 0, 0), (191, 5, 0), (181, 5, 5), (0, 5, -5)])
-    def test_columns_outside_the_first_layer_rejected(self, start, width, shift):
-        net, _, _ = _critic(3)  # 195 inputs
-        with pytest.raises(ShapeError):
-            net.input_columns(start, width, shift=shift)
-        # the last columns themselves are in range
-        assert net.input_columns(190, 5).shape == net.input_columns(180, 5, shift=5).shape
-
-    def test_columns_of_another_net_rejected(self):
-        net, joint_dim, width = _critic(3)
-        other, _, _ = _critic(4)
-        _, cache = net.forward_cached(np.zeros(net.layer_sizes[0]))
-        with pytest.raises(ShapeError):
-            net.backward(cache, np.ones((3, 1)), inputs=other.input_columns(0, width))
+            if members is None:
+                own, expected = dz1 @ net.weights[0][:, lo : lo + width], full[..., lo : lo + width]
+            else:
+                own = dz1[i] @ net.weights[0][i, :, lo : lo + width]
+                expected = full[i, ..., lo : lo + width]
+            assert own.shape == batch + (width,)
+            assert np.abs(own - expected).max() <= 1e-12 * np.abs(expected).max()
+        # dz1 does not depend on whether the weight gradients are computed
+        assert np.array_equal(net.backward(cache, up), dz1)
 
 
 def _reference_forward(net, x):
@@ -501,7 +478,9 @@ def _reference_forward(net, x):
 
 
 def _reference_backward(net, cache, upstream, params=True, inputs=True):
-    """The allocating backward pass that the buffered one replaced, into its own grad vector."""
+    """The allocating backward pass that the buffered one replaced: its own
+    grad vector (None without `params`), dz1, and the input gradient (None
+    without `inputs`)."""
     upstream = np.asarray(upstream, dtype=float)
     if cache["squeeze"]:
         upstream = upstream[..., None, :]
@@ -522,9 +501,10 @@ def _reference_backward(net, cache, upstream, params=True, inputs=True):
             np.sum(dz, axis=-2, out=grad_biases[layer])
         if layer or inputs:
             g = dz @ net.weights[layer]
-    grads = [a for pair in zip(grad_weights, grad_biases) for a in pair] if params else None
-    input_grad = (g[..., 0, :] if cache["squeeze"] else g) if inputs else None
-    return grads, input_grad
+    squeeze = cache["squeeze"]
+    dz1 = dz[..., 0, :] if squeeze else dz
+    input_grad = (g[..., 0, :] if squeeze else g) if inputs else None
+    return grad if params else None, dz1, input_grad
 
 
 def _same_bits(a, b) -> bool:
@@ -556,7 +536,7 @@ class TestBufferedPasses:
     @pytest.mark.parametrize("net_name", BUFFER_NETS)
     @pytest.mark.parametrize("input_name", BUFFER_INPUTS)
     @pytest.mark.parametrize("params", [True, False])
-    @pytest.mark.parametrize("inputs", [True, False])
+    @pytest.mark.parametrize("inputs", [True, False])  # also form the input gradient from dz1
     def test_equals_allocating_reference(self, net_name, input_name, params, inputs):
         sizes, acts = BUFFER_NETS[net_name]
         members, lead = BUFFER_INPUTS[input_name]
@@ -566,18 +546,19 @@ class TestBufferedPasses:
         y_ref, cache_ref = _reference_forward(net, x)
         up = rng.normal(size=y_ref.shape)
         up[..., 0] = -0.0  # a signed zero meets dead relu units and linear layers
-        grads_ref, input_grad_ref = _reference_backward(net, cache_ref, up, params, inputs)
+        grad_ref, dz1_ref, input_grad_ref = _reference_backward(net, cache_ref, up, params, inputs)
 
         y, cache = net.forward_cached(x)
         assert _same_bits(y, y_ref)
         assert all(_same_bits(a, b) for a, b in zip(cache["post"], cache_ref["post"]))
         for _ in range(2):  # a second backward on the same cache gives the same again
-            grads, input_grad = net.backward(cache, up, params=params, inputs=inputs)
-            assert (grads is None) == (not params) and (input_grad is None) == (not inputs)
+            dz1 = net.backward(cache, up, params=params)
+            assert _same_bits(dz1, dz1_ref)
+            assert (net.grad is None) == (not params)
             if params:
-                assert all(_same_bits(g, g_ref) for g, g_ref in zip(grads, grads_ref))
+                assert _same_bits(net.grad, grad_ref)
             if inputs:
-                assert _same_bits(input_grad, input_grad_ref)
+                assert _same_bits(_input_grad(net, dz1, cache["squeeze"]), input_grad_ref)
         assert _same_bits(net.forward(x), y_ref)
 
     def test_successive_forward_outputs_stay_distinct(self):
@@ -602,17 +583,17 @@ class TestBufferedPasses:
         x, up = rng.normal(size=(3, 7, 6)), rng.normal(size=(3, 7, 2))
         y, cache = team.forward_cached(x)
         kept_y = y.copy()
-        grads, input_grad = team.backward(cache, up)
-        kept = [g.copy() for g in grads], input_grad.copy()
+        dz1 = team.backward(cache, up)
+        kept = team.grad.copy(), dz1.copy()
         # a pass at another batch size, and a single-sample one, in between
         for other in (rng.normal(size=(3, 4, 6)), rng.normal(size=6)):
             _, other_cache = team.forward_cached(other)
             team.backward(other_cache, np.ones((3, 4, 2) if other.ndim == 3 else (3, 2)))
         assert _same_bits(y, kept_y)
-        assert _same_bits(input_grad, kept[1])
-        grads, input_grad = team.backward(cache, up)
-        assert all(_same_bits(g, k) for g, k in zip(grads, kept[0]))
-        assert _same_bits(input_grad, kept[1])
+        assert _same_bits(dz1, kept[1])
+        dz1 = team.backward(cache, up)
+        assert _same_bits(team.grad, kept[0])
+        assert _same_bits(dz1, kept[1])
 
     def test_soft_update_across_chunks_equals_formula(self):
         rng = derive_rng(15, "soft-chunks")
@@ -699,13 +680,13 @@ class TestSoftUpdate:
     def test_tau_one_copies(self):
         target, online = self._pair()
         soft_update(target, online, 1.0)
-        assert all(np.allclose(t, o) for t, o in zip(target.params(), online.params()))
+        assert np.allclose(target.flat, online.flat)
 
     def test_tau_zero_freezes(self):
         target, online = self._pair()
-        before = [p.copy() for p in target.params()]
+        before = target.flat.copy()
         soft_update(target, online, 0.0)
-        assert all(np.allclose(b, p) for b, p in zip(before, target.params()))
+        assert np.allclose(before, target.flat)
 
     def test_halfway(self):
         target, online = self._pair()
@@ -738,7 +719,6 @@ class TestSoftUpdate:
     def test_hard_update(self):
         target, online = self._pair()
         hard_update(target, online)
-        assert all(np.allclose(t, o) for t, o in zip(target.params(), online.params()))
         assert np.array_equal(target.flat, online.flat) and not np.shares_memory(target.flat, online.flat)
 
 

@@ -22,8 +22,8 @@ def _mixer(n_agents=2, state=4, embed=8, seed=1):
 class TestMixerForward:
     def test_zero_hypernets_give_constant_bias(self):
         mixer = _mixer()
-        for p in mixer.params():
-            p[:] = 0.0
+        for net in mixer.hypernets:
+            net.flat[:] = 0.0
         mixer.hypernets[3].biases[0][:] = 3.25  # the second layer's bias
         qs = derive_rng(2, "q").normal(size=(6, 2))
         states = derive_rng(3, "s").normal(size=(6, 4))
@@ -32,8 +32,8 @@ class TestMixerForward:
 
     def test_identity_passthrough_single_agent(self):
         mixer = _mixer(n_agents=1, embed=4)
-        for p in mixer.params():
-            p[:] = 0.0
+        for net in mixer.hypernets:
+            net.flat[:] = 0.0
         w1, _, w2, _ = mixer.hypernets
         w1.biases[0][0] = 1.0  # first mixing unit weight 1 on the single agent
         w2.biases[0][0] = 1.0
@@ -85,23 +85,25 @@ class TestMonotonicity:
         up = rng.normal(size=4)
         _, cache = mixer.forward_cached(qs, states)
         qtot, cache = mixer.forward_cached(qs, states)
-        grads, dqs = mixer.backward(cache, up)
+        dqs = mixer.backward(cache, up).copy()
 
         def loss():
             return float(np.sum(up * mixer.forward(qs, states)))
 
         h = 1e-6
-        for p, g in zip(mixer.params(), grads):
-            flat_p, flat_g = p.ravel(), g.ravel()
-            for i in range(0, flat_p.size, max(1, flat_p.size // 10)):
-                orig = flat_p[i]
-                flat_p[i] = orig + h
-                up_l = loss()
-                flat_p[i] = orig - h
-                dn_l = loss()
-                flat_p[i] = orig
-                fd = (up_l - dn_l) / (2 * h)
-                assert fd == pytest.approx(flat_g[i], rel=1e-4, abs=1e-7)
+        # each hypernetwork's flat parameters, then the agent utilities
+        coords = [(net.flat, net.grad, i) for net in mixer.hypernets
+                  for i in range(0, net.flat.size, max(1, net.flat.size // 10))]
+        coords += [(qs.reshape(-1), dqs.reshape(-1), i) for i in range(qs.size)]
+        for flat_p, flat_g, i in coords:
+            orig = flat_p[i]
+            flat_p[i] = orig + h
+            up_l = loss()
+            flat_p[i] = orig - h
+            dn_l = loss()
+            flat_p[i] = orig
+            fd = (up_l - dn_l) / (2 * h)
+            assert fd == pytest.approx(flat_g[i], rel=1e-4, abs=1e-7)
 
 
 def _coordinator(n_agents=2, state_size=2, n_bins=3, seed=6, **hyper_kw) -> QmixCoordinator:
@@ -181,14 +183,13 @@ def _reference_learn(coord, nets, targets, mixer, target_mixer, opt, rng, step):
         qs[:, i] = q[rows, heads, actions[i]].mean(axis=1)
         caches.append((cache, q.shape))
     q_tot, mix_cache = mixer.forward_cached(qs, np.concatenate(states, axis=1))
-    mixer_grads, d_qs = mixer.backward(mix_cache, 2.0 * (q_tot - y) / b)
-    grads, params = [], []
+    d_qs = mixer.backward(mix_cache, 2.0 * (q_tot - y) / b)
     for i, (net, (cache, shape)) in enumerate(zip(nets, caches)):
         upstream = np.zeros(shape)
         upstream[rows, heads, actions[i]] = d_qs[:, i][:, None]
-        grads.extend(net.backward(cache, upstream.reshape(b, -1))[0])
-        params.extend(net.params())
-    opt.step(params + mixer.params(), grads + mixer_grads, hp.lr)
+        net.backward(cache, upstream.reshape(b, -1))
+    trained = [*nets, *mixer.hypernets]
+    opt.step([net.flat for net in trained], [net.grad for net in trained], hp.lr)
     if step % hp.target_update_every == 0:
         for target, net in zip(targets, nets):
             hard_update(target, net)
@@ -204,7 +205,7 @@ class TestTeamStep:
         nets = [net.clone() for net, _ in members]
         targets = [target.clone() for _, target in members]
         mixer, target_mixer = coord.mixer.clone(), coord.target_mixer.clone()
-        opt = Adam([p for net in nets for p in net.params()] + mixer.params())
+        opt = Adam([net.flat for net in [*nets, *mixer.hypernets]])
         rng = copy.deepcopy(coord.rng)
         for step in range(1, 6):
             coord.learn()

@@ -81,7 +81,7 @@ class TestStaticMarkup:
 
     def test_constant_across_weeks(self):
         spec = _spec()
-        assert static_markup_price(spec) == static_markup_price(spec)
+        assert static_markup_price(spec, 0.5) == static_markup_price(spec, 0.5)
 
 
 def _matcher(agent_id="me", cost=6.0, **strategy):
@@ -100,7 +100,7 @@ class TestCompetitorMatch:
     def test_undercuts_mean(self):
         obs = _observation(competitor_prices=(9.0, 11.0))
         assert _matcher(undercut_fraction=0.03).propose_prices(obs) == [pytest.approx(9.70)]
-        assert competitor_match_price(_spec(), [9.0, 11.0], 0.03) == pytest.approx(9.70)
+        assert competitor_match_price(_spec(), [9.0, 11.0], 0.03, 0.5) == pytest.approx(9.70)
 
     def test_floor_binds(self):
         # undercutting a rival priced just above the floor lands below it;
@@ -143,7 +143,8 @@ class TestCompetitorMatch:
             # a matcher in the agent's place undercuts exactly those prices
             matcher = RuleAgent(agent.agent_id, portfolio, config, RuleStrategy("competitor_match"))
             assert matcher.propose_prices(obs) == [
-                competitor_match_price(spec, _rival_prices(obs, agent.agent_id, spec.product_id))
+                competitor_match_price(spec, _rival_prices(obs, agent.agent_id, spec.product_id),
+                                       0.03, 0.5)
                 for spec in portfolio
             ]
         assert _rival_prices(obs, "a0", "prod1") == [
@@ -154,7 +155,7 @@ class TestCompetitorMatch:
     def test_no_competitors_falls_back_to_markup(self):
         obs = _observation(competitor_prices=())
         assert _matcher(cost=6.0, markup=0.5).propose_prices(obs) == [pytest.approx(9.0)]
-        assert competitor_match_price(_spec(cost=6.0), [], markup=0.5) == pytest.approx(9.0)
+        assert competitor_match_price(_spec(cost=6.0), [], 0.03, markup=0.5) == pytest.approx(9.0)
 
 
 class TestHistoricalAnchor:
@@ -189,10 +190,10 @@ class TestDemandResponsive:
         assert demand_responsive_price(10.0, [12.0, 10.0], response_step=0.02) == pytest.approx(9.80)
 
     def test_tie_holds(self):
-        assert demand_responsive_price(10.0, [10.0, 10.0]) == pytest.approx(10.0)
+        assert demand_responsive_price(10.0, [10.0, 10.0], 0.02) == pytest.approx(10.0)
 
     def test_cold_start_holds(self):
-        assert demand_responsive_price(10.0, [12.0]) == 10.0
+        assert demand_responsive_price(10.0, [12.0], 0.02) == 10.0
 
     def test_floor_clamps_down_step(self):
         # falling demand steps 6.31 down 2 % in week 3; the environment floors it at 6.30
@@ -205,18 +206,18 @@ class TestDemandResponsive:
 
 class TestSeasonal:
     def test_holiday_uplift(self):
-        assert seasonal_price(_spec(cost=6.0), True, seasonal_uplift=0.10) == pytest.approx(9.90)
+        assert seasonal_price(_spec(cost=6.0), True, seasonal_uplift=0.10, markup=0.5) == pytest.approx(9.90)
         agent = RuleAgent("me", [_spec(cost=6.0)], _one_product_config(1),
                           RuleStrategy("seasonal", seasonal_uplift=0.10))
         assert agent.propose_prices(_observation(week=50, holiday=True)) == [pytest.approx(9.90)]
 
     def test_off_peak_base(self):
-        assert seasonal_price(_spec(cost=6.0), False) == pytest.approx(9.0)
+        assert seasonal_price(_spec(cost=6.0), False, 0.10, 0.5) == pytest.approx(9.0)
         agent = RuleAgent("me", [_spec(cost=6.0)], _one_product_config(1), RuleStrategy("seasonal"))
         assert agent.propose_prices(_observation(week=20)) == [pytest.approx(9.0)]
 
     def test_zero_uplift(self):
-        assert seasonal_price(_spec(cost=6.0), True, seasonal_uplift=0.0) == pytest.approx(9.0)
+        assert seasonal_price(_spec(cost=6.0), True, seasonal_uplift=0.0, markup=0.5) == pytest.approx(9.0)
 
 
 class TestRuleStrategyValidation:

@@ -40,19 +40,20 @@ NETS = {
 
 
 def _passes(team, x, up, params, inputs):
-    """Output, post-activations, grad and input grad of one forward and one backward."""
+    """Output, post-activations, grad, dz1 and, with `inputs`, the input
+    gradient dz1 @ W1 of one forward and one backward."""
     y, cache = team.forward_cached(x)
-    grads, input_grad = team.backward(cache, up, params=params, inputs=inputs)
-    copy = lambda a: None if a is None else a.copy()  # noqa: E731
+    dz1 = team.backward(cache, up, params=params)
     return (y.copy(), [a.copy() for a in cache["post"]],
-            None if grads is None else team.grad.copy(), copy(input_grad))
+            None if team.grad is None else team.grad.copy(), dz1.copy(),
+            dz1 @ team.weights[0] if inputs else None)
 
 
 @pytest.mark.parametrize("net_name", NETS)
 @pytest.mark.parametrize("members", [4, 3])  # 3: the halves hold 1 and 2 members
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-member"])
 @pytest.mark.parametrize("params", [True, False])
-@pytest.mark.parametrize("inputs", [True, False])
+@pytest.mark.parametrize("inputs", [True, False])  # also form the input gradient from dz1
 def test_team_passes_split_equal_serial(net_name, members, shared, params, inputs, batch=37):
     sizes, acts = NETS[net_name]
     rng = derive_rng(21, "split-pass", net_name, members, shared)
@@ -67,7 +68,7 @@ def test_team_passes_split_equal_serial(net_name, members, shared, params, input
                 x if shared else x[part], up[part], params, inputs)
         for part in (slice(0, h), slice(h, members))
     ]
-    y, post, grad, input_grad = whole
+    y, post, grad, dz1, input_grad = whole
     assert _same_bits(y, np.concatenate([half[0] for half in halves]))
     # post[0] is the input itself; a shared input has no members axis
     if shared:
@@ -80,10 +81,10 @@ def test_team_passes_split_equal_serial(net_name, members, shared, params, input
         assert _same_bits(grad, np.concatenate([half[2] for half in halves]))
     else:
         assert grad is None and all(half[2] is None for half in halves)
-    if inputs:  # one input batch per member, shared input or not
-        assert _same_bits(input_grad, np.concatenate([half[3] for half in halves]))
-    else:
-        assert input_grad is None and all(half[3] is None for half in halves)
+    # one batch per member, shared input or not
+    assert _same_bits(dz1, np.concatenate([half[3] for half in halves]))
+    if inputs:
+        assert _same_bits(input_grad, np.concatenate([half[4] for half in halves]))
 
 
 def _adam_run(params, grads, lr=0.01):
