@@ -257,7 +257,8 @@ def execute_run(
     run_dir = out / run_id
     run_dir.mkdir(parents=True, exist_ok=True)
 
-    # each phase's wall seconds, summed over the episodes
+    # each phase's wall seconds, summed over the episodes; a learner builds its
+    # critics, target nets and mixer at its first learn step, inside simulate
     phases = ("build_agents", "simulate", "compute_report", "history_csv", "metrics_json")
     timings = dict.fromkeys(phases, 0.0)
     clock = time.perf_counter()

@@ -240,8 +240,11 @@ class TeamLearner:
     It knows its members by id, never as agents: the members own it, and
     with no reference back a finished run is freed by reference counting
     alone. Member i's generator is `derive_rng(seed, "agent", id)`; a
-    subclass draws the member's nets from it in __init__, and the member
-    explores with what is left. A subclass supplies:
+    subclass draws the member's acting net from it in __init__, and the
+    member explores with what is left. What only training reads (critics,
+    target nets, a mixer) is built by the kind's `build_training`, which
+    `learn` calls at its first step past warm-up, so a run that never
+    trains never builds it. A subclass supplies:
     - `choose(i, state, episode, prev_changes)`: member i's replay action and
       its list of price changes, in portfolio order;
     - `encode(agent, observation)`: a call of its own module's `encode_state`,
@@ -290,10 +293,12 @@ class QTeamLearner(TeamLearner):
     """A team of Q-networks, `n_heads` heads of `n_bins` bins each: the team
     net `nets` (member i's drawn from its generator, as a single net built
     from that generator would be), member i's view of it `views[i]`, and its
-    target. Members choose ε-greedy bins; a kind sets `smooths`: whether a
-    price change is an EMA with the previous one or the bin's own. A
-    subclass adds its optimizer and `learn`, which reads the nets through
-    the helpers below.
+    target `target_nets`, None until `build_training` clones it: the online
+    nets do not change before the first optimizer step, so the clone is the
+    one construction would make. Members choose ε-greedy bins; a kind sets
+    `smooths`: whether a price change is an EMA with the previous one or
+    the bin's own. A subclass adds its optimizer and `learn`, which reads
+    the nets through the helpers below.
     """
 
     smooths: bool
@@ -310,9 +315,13 @@ class QTeamLearner(TeamLearner):
             self.rngs,
         )
         self.views = [self.nets.member(i) for i in range(len(self.member_ids))]
-        self.target_nets = self.nets.clone()
+        self.target_nets: DenseNet | None = None
         # each (member, row, head)'s first bin in the team's flat output, set by the first step
         self._offsets: np.ndarray | None = None
+
+    def build_training(self) -> None:
+        """Build what only training reads: the target nets."""
+        self.target_nets = self.nets.clone()
 
     def choose(self, i: int, state: np.ndarray, episode: int, prev_changes: list[float]):
         """Member i's bins, ε-greedy over its view with its generator, and its changes."""

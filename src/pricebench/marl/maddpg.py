@@ -9,6 +9,7 @@ observations, through a view of its own actor.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,13 +47,20 @@ class MaddpgCoordinator(TeamLearner):
     every member's applied action, the members' rewards and the shared done
     flag.
 
-    It builds the team whole: four team nets (actors, critics and their
-    targets) with a leading members axis, member i's actor then critic drawn
-    from its generator, and one Adam per role. Each member acts on its view
-    of the team actor (`views`, from `DenseNet.member`), and each team
-    trains in one batched pass. The actor step reads a critic's input
-    gradient at the member's own action only: it multiplies the dz1 that
-    the critics' backward returns by those columns of W1.
+    Its four team nets (actors, critics and their targets) have a leading
+    members axis, member i's actor then critic drawn from its generator, and
+    each role has one Adam. Members act on their views of the team actor
+    (`views`, from `DenseNet.member`), so __init__ builds the actors only:
+    it keeps a copy of each member generator as it stands before the critic
+    draw and advances the generator past that draw (PCG64's `uniform` takes
+    one 64-bit word per double), so the member explores with what an eager
+    draw would leave. The first learn step's `build_training` draws the
+    critics from the copies, clones both targets and builds the critic
+    Adam; the actors do not change before then, so every net is the one an
+    eager build would make. Each team trains in one batched pass. The actor
+    step reads a critic's input gradient at the member's own action only: it
+    multiplies the dz1 that the critics' backward returns by those columns
+    of W1.
     """
 
     def __init__(
@@ -69,16 +77,23 @@ class MaddpgCoordinator(TeamLearner):
         # near-hold initial policy: standard small final-layer init for DDPG actors
         self.actors.scale_output_layer(0.01)
         self.views = [self.actors.member(i) for i in range(n)]
-        self.critics = DenseNet(
-            [n * (local_dim + n_products), *hyper.critic_hidden, 1],
-            ["relu"] * len(hyper.critic_hidden) + ["linear"],
-            self.rngs,
-        )
+        self.actor_opt = Adam([self.actors.flat])
+        self.rng = derive_rng(config.seed, "team", "maddpg")
+        sizes = [n * (local_dim + n_products), *hyper.critic_hidden, 1]
+        self._critic_draw = (sizes, [copy.deepcopy(rng) for rng in self.rngs])
+        for rng in self.rngs:  # past the critic's W1, b1, W2, b2, ...
+            rng.bit_generator.advance(sum((a + 1) * b for a, b in zip(sizes, sizes[1:])))
+        self.critics = self.target_actors = self.target_critics = self.critic_opt = None
+
+    def build_training(self) -> None:
+        """Draw the critics from the kept generators, clone both targets and
+        build the critic Adam."""
+        sizes, rngs = self._critic_draw
+        self.critics = DenseNet(sizes, ["relu"] * (len(sizes) - 2) + ["linear"], rngs)
         self.target_actors = self.actors.clone()
         self.target_critics = self.critics.clone()
-        self.actor_opt = Adam([self.actors.flat])
         self.critic_opt = Adam([self.critics.flat])
-        self.rng = derive_rng(config.seed, "team", "maddpg")
+        self._critic_draw = None
 
     def encode(self, agent, observation: MarketObservation) -> np.ndarray:
         return encode_state(agent, observation)
@@ -136,6 +151,8 @@ class MaddpgCoordinator(TeamLearner):
         hp = self.hyper
         if len(self.buffer) < max(hp.warm_up, hp.batch_size):
             return None
+        if self.critics is None:
+            self.build_training()
         rows = self.buffer.sample(hp.batch_size, self.rng)
         states, critic_in, next_states, rewards, done = self._batch(rows)
         (b, n, _), critic_dim = states.shape, critic_in.shape[1]

@@ -43,13 +43,13 @@ class DqnHyper:
 class DqnCore(QTeamLearner):
     """A team of independent Q-learners.
 
-    It builds the team whole: the members' Q-nets and targets
-    (`QTeamLearner`) and one Adam over the team's flat vector, which updates
-    each member's slice as a per-member Adam would. A ring row holds every
-    member's state, next state, bins and reward, plus the shared done. The
-    members push, warm up and hard-copy their targets in lockstep, so a team
-    step is the members' steps stacked. A member's price changes are its
-    bins' own.
+    It builds the members' Q-nets as one team (`QTeamLearner`), their
+    targets at its first learn step, and one Adam over the team's flat
+    vector, which updates each member's slice as a per-member Adam would. A
+    ring row holds every member's state, next state, bins and reward, plus
+    the shared done. The members push, warm up and hard-copy their targets
+    in lockstep, so a team step is the members' steps stacked. A member's
+    price changes are its bins' own.
     """
 
     smooths = False
@@ -76,6 +76,8 @@ class DqnCore(QTeamLearner):
         hp = self.hyper
         if len(self.buffer) < max(hp.warm_up, 1):
             return None
+        if self.target_nets is None:
+            self.build_training()
         rows = self._work.get("rows", (len(self.member_ids), hp.batch_size), np.intp)
         for i, rng in enumerate(self.rngs):
             rows[i] = self.buffer.sample(hp.batch_size, rng)

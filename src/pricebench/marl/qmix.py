@@ -134,11 +134,12 @@ class MonotonicMixer:
 class QmixCoordinator(QTeamLearner):
     """Joint trainer for the member Q-networks and the mixing network.
 
-    It builds the team whole: the member Q-networks and their targets
-    (`QTeamLearner`), the mixer and its target, and a single Adam over the
-    team and the mixer. Each member acts on its view of the team net
-    (`DenseNet.member`), EMA-smoothing its bins' changes, and the team and
-    the mixer train in one batched pass.
+    Each member acts on its view of the team net (`DenseNet.member`),
+    EMA-smoothing its bins' changes. The team's targets, the mixer and its
+    target, and a single Adam over the team and the mixer are built at the
+    first learn step (`build_training`); the mixer draws from the team
+    generator `rng`, which nothing reads before that step's replay sample.
+    The team and the mixer train in one batched pass.
     """
 
     smooths = True
@@ -148,9 +149,14 @@ class QmixCoordinator(QTeamLearner):
         n_heads: int, n_bins: int = N_PRICE_BINS,
     ):
         super().__init__(config, hyper, member_ids, local_state_size, n_heads, n_bins)
-        n = len(self.member_ids)
         self.rng = derive_rng(config.seed, "team", "qmix")
-        self.mixer = MonotonicMixer(n, n * local_state_size, hyper.mixing_dim, self.rng)
+        self.mixer = self.target_mixer = self.optimizer = None
+
+    def build_training(self) -> None:
+        """Build the team's targets, the mixer from `rng`, its target and the joint Adam."""
+        super().build_training()
+        n, state_size = len(self.member_ids), self.nets.layer_sizes[0]
+        self.mixer = MonotonicMixer(n, n * state_size, self.hyper.mixing_dim, self.rng)
         self.target_mixer = self.mixer.clone()
         self.optimizer = Adam([net.flat for net in self._trained()])
 
@@ -164,6 +170,8 @@ class QmixCoordinator(QTeamLearner):
         hp = self.hyper
         if len(self.buffer) < max(hp.warm_up, 1):
             return None
+        if self.target_nets is None:
+            self.build_training()
         rows = self.buffer.sample(hp.batch_size, self.rng)
         # (B, members, local state), (B, members, local state), (B, members, heads), (B,), (B,)
         states, next_states, actions, rewards, done = self.buffer.gather(rows, self._work)

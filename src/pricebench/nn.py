@@ -39,7 +39,9 @@ rule says which arrays a caller may keep:
 A target net (`clone()`) shares its online net's `Workspace`, so the two
 hold one set of buffers: each learner runs its target passes and reduces
 their output into an array it keeps (`forward` copies) before its online
-pass, so neither net's pass meets the other's output in use.
+pass, so neither net's pass meets the other's output in use. A learner
+clones its targets at its first learn step, not when it is built; its
+online nets do not change before then, so the clones are the same.
 
 Replay. A `ReplayBuffer` keeps the transitions' states in one ring and one
 array per other field (the learners choose the fields). A push writes its

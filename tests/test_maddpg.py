@@ -132,6 +132,7 @@ class TestLearning:
         # tau=0.001 for 1000 steps shrinks the gap by 0.999^1000 ~ 0.368
         config = _config(n_agents=1)
         team = _team(config)
+        team[0].learner.build_training()
         critic, target_critic = _view(team[0], "critic"), _view(team[0], "target_critic")
         target_critic.weights[0][:] = 0.0
         critic.weights[0][:] = 1.0
@@ -143,6 +144,7 @@ class TestLearning:
     def test_single_agent_critic_gradient_matches_fd(self):
         config = _config(n_agents=1)
         (agent,) = _team(config)
+        agent.learner.build_training()
         critic = _view(agent, "critic")
         rng = derive_rng(8, "fd")
         d = critic.layer_sizes[0]
@@ -168,6 +170,7 @@ class TestLearning:
         config = _config(n_agents=3, n_products=2, weeks=40)
         team = _team(config, warm_up=16, batch_size=16, critic_lr=0.01)
         coord = _fill_buffer(team, lambda s, a: float(np.tanh(a.sum())), n=40)
+        coord.build_training()
         seen = {}
         critic_backward, actor_backward = coord.critics.backward, coord.actors.backward
 
@@ -206,6 +209,7 @@ class TestLearning:
         coord = agent.learner
         rng = derive_rng(9, "actor")
         _fill_buffer(team, lambda s, a: 0.0, n=64, rng=rng)
+        coord.build_training()
 
         states = coord.buffer.states[: len(coord.buffer), 0].copy()
 
@@ -224,9 +228,10 @@ class TestLearning:
         team = _team(config, warm_up=500)
         coord = team[0].learner
         _fill_buffer(team, lambda s, a: 0.0, n=10)
+        coord.build_training()
         critic = _view(team[0], "critic")
         before = [w.copy() for w in critic.weights]
-        coord.learn()
+        assert coord.learn() is None
         assert all(np.array_equal(b, w) for b, w in zip(before, critic.weights))
 
 
@@ -276,6 +281,7 @@ class TestTeamStep:
         config = _config(n_agents=3, weeks=40)  # a run as long as the buffer's 40 pushes
         team = _team(config, warm_up=16, batch_size=16, actor_lr=0.01, critic_lr=0.01, tau=0.1)
         coord = _fill_buffer(team, lambda s, a: float(np.tanh(a.sum())), n=40)
+        coord.build_training()
         nets = [{role: _view(m, role).clone() for role in ROLES} for m in team]
         opts = [(Adam([r["actor"].flat]), Adam([r["critic"].flat])) for r in nets]
         rng = copy.deepcopy(coord.rng)
@@ -292,6 +298,7 @@ class TestTeamConstruction:
     def test_members_view_the_team_nets_before_any_learn_step(self):
         team = _team(_config(n_agents=3))
         coord = team[0].learner
+        coord.build_training()
         for i, agent in enumerate(team):
             assert np.shares_memory(_actor(agent).flat, coord.actors.flat)
             for role in ROLES:
@@ -304,6 +311,7 @@ class TestTeamConstruction:
         config = _config(n_agents=3, n_products=2)
         team = _team(config)
         coord, hp, local = team[0].learner, MaddpgHyper(), state_dim(2)
+        coord.build_training()
         for i, agent in enumerate(team):
             # each member draws its actor, then its critic, from its own generator
             rng = derive_rng(config.seed, "agent", agent.agent_id)
@@ -317,6 +325,25 @@ class TestTeamConstruction:
             assert coord.rngs[agent.index].random() == rng.random()
 
 
+    def test_deferred_critics_equal_an_eager_draw(self):
+        config = _config(n_agents=3, n_products=2)
+        team = _team(config, noise_start=0.3, noise_decay=1.0, noise_floor=0.3)
+        coord, hp, local = team[0].learner, MaddpgHyper(), state_dim(2)
+        rngs = [derive_rng(config.seed, "agent", agent.agent_id) for agent in team]
+        for rng in rngs:  # the actor's draw, as the coordinator made it
+            DenseNet([local, *hp.actor_hidden, 2], ["relu", "relu", "tanh"], rng)
+        eager = DenseNet([3 * (local + 2), *hp.critic_hidden, 1], ["relu", "relu", "linear"], rngs)
+        # past the critic draw, one 64-bit word per double: exploration reads the eager stream
+        for agent, rng in zip(team, rngs):
+            assert coord.rngs[agent.index].normal(size=8).tobytes() == rng.normal(size=8).tobytes()
+        for agent in team:  # acting before the first learn step leaves the critic draw alone
+            coord.choose(agent.index, np.zeros(local), 0, [0.0, 0.0])
+        assert coord.critics is None
+        coord.build_training()
+        assert coord.critics.flat.tobytes() == eager.flat.tobytes()
+        assert coord.target_critics.flat.tobytes() == eager.flat.tobytes()
+
+
 class TestJointAlignment:
     def test_team_stores_one_joint_transition_per_step(self):
         config = _config(n_agents=2, weeks=6)
@@ -326,6 +353,7 @@ class TestJointAlignment:
         assert len(coord.buffer) == 6
         d, p = _actor(team[0]).layer_sizes[0], _actor(team[0]).layer_sizes[-1]
         rows = np.arange(2)
+        coord.build_training()  # the critic input's width is the critics'
         states, next_states, actions, rewards, done = coord.buffer.gather(rows, coord._work)
         critic_in = coord._batch(rows)[1]
         assert critic_in.shape == (2, 2 * (d + p))  # both members' states, then both actions

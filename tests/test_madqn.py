@@ -146,6 +146,7 @@ class TestLearn:
         for _ in range(2):
             core.buffer.push((np.ones(3),) * 2, (np.ones(3),) * 2,
                              *core._row((np.zeros(1, int),) * 2, (0.0, 0.0), False))
+        core.build_training()  # the targets stay finite: only the online loss is not
         core.nets.member(1).biases[-1][:] = np.inf
         with pytest.raises(TrainingError, match="member 'q1'"):
             core.learn()

@@ -1,6 +1,8 @@
 import copy
+import dataclasses
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -502,6 +504,7 @@ def test_target_nets_share_their_online_nets_buffers(config_id):
     """Every learner runs its target passes before its online pass, so a
     target net needs no buffers of its own (see `nn`)."""
     learner = build_agents(desk_spec(config_id).market)[0].learner
+    learner.build_training()
     if config_id == "B":
         pairs = [(learner.target_actors, learner.actors),
                  (learner.target_critics, learner.critics)]
@@ -513,6 +516,74 @@ def test_target_nets_share_their_online_nets_buffers(config_id):
     for target, net in pairs:
         assert target._work is net._work
         assert not np.shares_memory(target.flat, net.flat)
+
+
+# what only training reads, by learner attribute; each kind has some of them
+TRAINING_STATE = ("critics", "target_actors", "target_critics", "critic_opt",
+                  "target_nets", "mixer", "target_mixer")
+
+
+def _learners(agents):
+    """The run's learners, one per team, in roster order."""
+    return list({id(a.learner): a.learner for a in agents if isinstance(a, TeamMember)}.values())
+
+
+def _training_state(learner) -> list:
+    return [getattr(learner, name) for name in TRAINING_STATE if hasattr(learner, name)]
+
+
+def _adams(learner) -> list[nn.Adam]:
+    return [v for v in vars(learner).values() if isinstance(v, nn.Adam)]
+
+
+@pytest.mark.parametrize("config_id", list("BCDEFGH"))
+def test_desk_run_builds_no_training_state(config_id):
+    """No learner passes warm-up at the desk preset, so a run builds none of
+    what only training reads, and no Adam holds a moment."""
+    config = desk_spec(config_id).market
+    agents = build_agents(config)
+    list(simulate(config, agents))
+    for learner in _learners(agents):
+        assert learner.learn_calls == 0
+        assert _training_state(learner) and all(part is None for part in _training_state(learner))
+        assert all(opt.m == [] and opt.v == [] for opt in _adams(learner))
+
+
+@pytest.mark.parametrize("config_id", list("BCDEFGH"))
+def test_training_state_is_built_once_at_the_first_learn_step(config_id):
+    market = desk_spec(config_id, episodes=1, weeks_per_episode=12).market
+    roster = [a if a.agent_kind == "rule" else
+              dataclasses.replace(a, params={**a.params, "warm_up": 4, "batch_size": 4})
+              for a in market.agent_roster]
+    config = dataclasses.replace(market, agent_roster=roster)
+    agents = build_agents(config)
+    builds = {}
+    for learner in _learners(agents):
+        def counting(learner=learner, build=learner.build_training):
+            assert all(part is None for part in _training_state(learner))
+            builds.setdefault(id(learner), []).append(learner.learn_calls)
+            build()
+        learner.build_training = counting
+    list(simulate(config, agents))
+    for learner in _learners(agents):
+        assert builds[id(learner)] == [0]  # built by the step that takes learn_calls to 1
+        assert learner.learn_calls >= 1
+        assert all(part is not None for part in _training_state(learner))
+
+
+def test_build_agents_b_holds_about_the_actor_team():
+    """Building config B allocates little beyond its actor team: an eager
+    critic team alone is about five times the actors' parameter bytes."""
+    config = desk_spec("B").market
+    build_agents(config)  # imports and first-use caches outside the trace
+    tracemalloc.start()
+    try:
+        agents = build_agents(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    actor_bytes = agents[0].learner.actors.flat.nbytes
+    assert peak <= 2 * actor_bytes, f"build_agents(B) peaked at {peak} bytes"
 
 
 class TestLearningPersistence:

@@ -201,6 +201,7 @@ class TestTeamStep:
     def test_team_step_equals_per_member_reference(self):
         coord = _coordinator(n_agents=3, lr=0.02, target_update_every=2)
         _fill(coord)
+        coord.build_training()
         members = [(coord.nets.member(i), coord.target_nets.member(i)) for i in range(3)]
         nets = [net.clone() for net, _ in members]
         targets = [target.clone() for _, target in members]
@@ -284,6 +285,7 @@ class TestTeamConstruction:
     def test_members_view_the_team_nets_before_any_learn_step(self):
         _, team = _market_team(n_agents=3)
         coord = team[0].learner
+        coord.build_training()
         for i, agent in enumerate(team):
             view = coord.views[agent.index]
             assert np.shares_memory(view.flat, coord.nets.flat)
@@ -295,6 +297,7 @@ class TestTeamConstruction:
     def test_team_equals_nets_drawn_from_each_members_generator(self):
         config, team = _market_team(n_agents=3, seed=41)
         coord, hp = team[0].learner, QmixHyper()
+        coord.build_training()
         sizes = [state_dim(2), *hp.hidden, 2 * N_PRICE_BINS]
         acts = ["relu"] * len(hp.hidden) + ["linear"]
         for i, agent in enumerate(team):

@@ -180,6 +180,7 @@ def test_maddpg_batch_equals_stacked_joint_transitions():
     rng = derive_rng(6, "sample")
     rows = coord.buffer.sample(64, copy.deepcopy(rng))
     batch = reference.sample(64, rng)
+    coord.build_training()  # the critic input's width is the critics'
     states, critic_in, next_states, rewards, done = coord._batch(rows)
 
     old_states = np.stack([t[0] for t in batch])
