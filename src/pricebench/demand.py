@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import repeat
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -160,30 +160,28 @@ def price_multipliers(
     return np.geomspace(lo, hi, n)
 
 
-def centered_rolling_mean(values: np.ndarray, window: int = SMOOTHING_WINDOW) -> np.ndarray:
-    """Full-window centered rolling mean; output is shorter by window - 1."""
-    if window % 2 == 0 or window < 1:
-        raise ValueError("window must be odd and positive")
-    if len(values) < window:
-        raise ValueError(f"need at least {window} points, got {len(values)}")
-    kernel = np.full(window, 1.0 / window)
+def centered_rolling_mean(values: np.ndarray) -> np.ndarray:
+    """Full-window centered rolling mean over SMOOTHING_WINDOW points; output
+    is shorter by SMOOTHING_WINDOW - 1."""
+    if len(values) < SMOOTHING_WINDOW:
+        raise ValueError(f"need at least {SMOOTHING_WINDOW} points, got {len(values)}")
+    kernel = np.full(SMOOTHING_WINDOW, 1.0 / SMOOTHING_WINDOW)
     return np.convolve(values, kernel, mode="valid")
 
 
 def elasticity_sweep(
-    oracle: DemandOracle | Callable[[DemandQuery], Sequence[float]],
+    oracle: DemandOracle,
     base_query: DemandQuery,
     scales: Sequence[float] | np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate expected demand over scaled prices, holding all other inputs fixed.
 
     Returns (prices, demands) over the sweep. Noise never enters: the oracle's
-    expected_demand path is used (a bare callable is treated as deterministic).
+    expected_demand path is used.
     """
     if scales is None:
         scales = price_multipliers()
     scales = np.asarray(scales, dtype=float)
-    predict = oracle.expected_demand if hasattr(oracle, "expected_demand") else oracle
     ((spec,), (price,), (relative,), (lag1,)) = (
         base_query.specs, base_query.prices, base_query.relative_prices, base_query.lag1_demands
     )
@@ -193,11 +191,11 @@ def elasticity_sweep(
         base_query, specs=[spec] * n, prices=prices.tolist(), relative_prices=[relative] * n,
         lag1_demands=[lag1] * n, shocks=None,
     )
-    return prices, np.asarray(predict(sweep), dtype=float)
+    return prices, np.asarray(oracle.expected_demand(sweep), dtype=float)
 
 
 def estimate_elasticity(
-    oracle: DemandOracle | Callable[[DemandQuery], Sequence[float]],
+    oracle: DemandOracle,
     base_query: DemandQuery,
     scales: Sequence[float] | np.ndarray | None = None,
 ) -> float:

@@ -73,15 +73,13 @@ class ProtocolError(RuntimeError):
 class PricingAgentBase:
     """An agent pricing its `product_specs`, which are its contiguous slots
     in that order. Subclasses implement propose_prices(), which returns one
-    price per product in that order. The agent keeps no history:
-    `slot_range` finds its slots in the episode log an observation carries,
-    and `recent` reads them from the log's columns."""
+    price per product in that order. The agent holds no market config and
+    no history: `slot_range` finds its slots in the episode log an
+    observation carries, and `recent` reads them from the log's columns."""
 
-    def __init__(self, agent_id: str, product_specs: list[ProductSpec], config: MarketConfig):
+    def __init__(self, agent_id: str, product_specs: list[ProductSpec]):
         self.agent_id = agent_id
         self.product_specs = list(product_specs)
-        self.config = config
-        self.episode_index = 0
         self.begin_episode(0)
 
     def begin_episode(self, episode_index: int) -> None:
@@ -139,7 +137,6 @@ class MarketEnvironment:
         self.config = config
         self.agents = list(agents)
         self.demand_model = demand_model
-        self.episode_index = episode_index
         self.week_index = 0  # weeks settled so far
         self.week_number = 1  # the calendar week agents price next, 1..52
         self.clamp_events = 0

@@ -220,14 +220,14 @@ def build_agents(config: MarketConfig) -> list[PricingAgentBase]:
     for spec in config.agent_roster:
         aid, kind = spec.agent_id, spec.agent_kind
         if kind == "rule":
-            built[aid] = RuleAgent(aid, portfolio, config, settings[aid])
+            built[aid] = RuleAgent(aid, portfolio, settings[aid])
         else:
             teams.setdefault((kind, settings[aid]), []).append(aid)
     for (kind, hyper), ids in teams.items():
         from .marl.common import TeamMember, state_dim  # the learner stack, on first use
 
         learner = kind_class(kind, "learner")(config, hyper, ids, state_dim(n), n)
-        built.update((aid, TeamMember(aid, portfolio, config, learner)) for aid in ids)
+        built.update((aid, TeamMember(aid, portfolio, learner)) for aid in ids)
     return [built[spec.agent_id] for spec in config.agent_roster]
 
 
@@ -497,18 +497,22 @@ def summarize(reports_by_config: dict[str, list[MetricsReport]]) -> list[dict]:
     return rows
 
 
+def write_csv(path, header: list[str], rows) -> str:
+    """Write `header`, then `rows`, to the CSV file `path`, floats to six
+    places, and return its path: the harness's one CSV writer."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([f"{v:.6f}" if isinstance(v, float) else v for v in row] for row in rows)
+    return str(path)
+
+
 def write_summary_csv(rows: list[dict], out_dir) -> str:
-    """Write `summarize`'s rows to `out_dir/summary.csv`, floats to six
-    places, and return its path."""
+    """Write `summarize`'s rows to `out_dir/summary.csv` (`write_csv`) and
+    return its path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / "summary.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: f"{v:.6f}" if isinstance(v, float) else v for k, v in row.items()})
-    return str(path)
+    return write_csv(out / "summary.csv", list(rows[0]), [row.values() for row in rows])
 
 
 # Two-sided 95 % Student-t quantiles t(0.975, df) for df = 1..30; beyond, z = 1.96.
@@ -532,25 +536,19 @@ def confidence_interval(values) -> tuple[float, float]:
 
 
 def emit_plotdata(reports_by_config: dict[str, list[MetricsReport]], out_dir) -> list[str]:
-    """The plot data: `final_market_share.csv`, each agent's final-week share
-    per config, with its CI over the runs. (`pricebench elasticity` writes the
-    demand sweep's.)"""
+    """The plot data: `final_market_share.csv` (`write_csv`), each agent's
+    final-week share per config, with its CI over the runs. (`pricebench
+    elasticity` writes the demand sweep's.)"""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / "final_market_share.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["config_id", "agent_id", "mean_share", "ci_halfwidth", "n_runs", "flag"])
-        for cid, reports in sorted(reports_by_config.items()):
-            agent_ids = sorted(reports[0].final_market_share)
-            for aid in agent_ids:
-                values = [r.final_market_share[aid] for r in reports]
-                mean, half = confidence_interval(values)
-                flag = "single-run" if len(values) < 2 else ""
-                writer.writerow(
-                    [cid, aid, f"{mean:.6f}", f"{half:.6f}", len(values), flag]
-                )
-    return [str(path)]
+    rows = []
+    for cid, reports in sorted(reports_by_config.items()):
+        for aid in sorted(reports[0].final_market_share):
+            values = [r.final_market_share[aid] for r in reports]
+            flag = "single-run" if len(values) < 2 else ""
+            rows.append([cid, aid, *confidence_interval(values), len(values), flag])
+    header = ["config_id", "agent_id", "mean_share", "ci_halfwidth", "n_runs", "flag"]
+    return [write_csv(out / "final_market_share.csv", header, rows)]
 
 
 def write_sweep_csv(demand_params, path) -> str:
@@ -558,9 +556,4 @@ def write_sweep_csv(demand_params, path) -> str:
     model, query = sweep_reference(demand_params)
     scales = price_multipliers()
     prices, demands = elasticity_sweep(model, query, scales)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["multiplier", "price", "expected_demand"])
-        for s, p, q in zip(scales, prices, demands):
-            writer.writerow([f"{s:.6f}", f"{p:.6f}", f"{q:.6f}"])
-    return str(path)
+    return write_csv(path, ["multiplier", "price", "expected_demand"], zip(scales, prices, demands))

@@ -63,7 +63,7 @@ def epsilon_greedy(
     return np.where(explore, random_bins, np.argmax(q(), axis=1))
 
 
-def discretize_action(bin_index: int, n_bins: int = N_PRICE_BINS, max_change: float = 0.10) -> float:
+def discretize_action(bin_index: int, n_bins: int, max_change: float) -> float:
     """Map a discrete bin onto a relative price change in [-max_change, +max_change]."""
     if not 0 <= bin_index < n_bins:
         raise ValueError(f"bin must be in 0..{n_bins - 1}, got {bin_index}")
@@ -150,21 +150,17 @@ class TeamMember(PricingAgentBase):
     pending step. feedback() encodes the next state, rewards the week just
     settled against that revenue and hands the transition to
     learner.contribute(agent_id, state, action, reward, next_state, done),
-    which stores it and learns.
+    which stores it and learns. The reward's λ is the learner's config's.
     """
 
-    def __init__(
-        self, agent_id: str, product_specs: list[ProductSpec], config: MarketConfig,
-        learner: TeamLearner,
-    ):
-        super().__init__(agent_id, product_specs, config)
+    def __init__(self, agent_id: str, product_specs: list[ProductSpec], learner: TeamLearner):
+        super().__init__(agent_id, product_specs)
         self.learner = learner
         self.index = learner.member_ids.index(agent_id)
 
     def begin_episode(self, episode_index: int) -> None:
         super().begin_episode(episode_index)
         self._revenue_total = 0.0  # the episode's revenue samples, added in order
-        self._revenue_count = 0
         self._prev_changes = [0.0] * len(self.product_specs)  # portfolio order
         self._encoded: tuple[MarketObservation | None, np.ndarray | None] = (None, None)
         # the week's (state, action, revenue in the observation acted on)
@@ -210,32 +206,32 @@ class TeamMember(PricingAgentBase):
         """`compute_reward` for the week just settled, whose encoded state is
         `state`, against `prev_revenue`, the agent's revenue the week before.
 
-        The running mean is over the episode's revenues so far, opened by the
-        week before the first; the instability term is the RMS of the
-        products' last relative price changes, read from the state's last
-        slot per product. Both sums add left to right.
+        The running mean is over the episode's `observation.weeks` revenues
+        so far, opened by the week before the first; the instability term is
+        the RMS of the products' last relative price changes, read from the
+        state's last slot per product. Both sums add left to right.
         """
         revenue = observation.agent_revenue[self.agent_id]
-        if not self._revenue_count:
+        if observation.weeks == 1:
             self._revenue_total = prev_revenue
-            self._revenue_count = 1
-        running_mean = self._revenue_total / self._revenue_count
+        running_mean = self._revenue_total / observation.weeks
         changes = state[STATE_SLOTS_PER_PRODUCT - 1 :: STATE_SLOTS_PER_PRODUCT].tolist()
         squares = 0.0
         for change in changes:
             squares += change * change
         change_rms = math.sqrt(squares / len(changes))
         reward = compute_reward(
-            prev_revenue, revenue, change_rms, self.config.reward_penalty_lambda, running_mean
+            prev_revenue, revenue, change_rms, self.learner.config.reward_penalty_lambda,
+            running_mean,
         )
         self._revenue_total += revenue
-        self._revenue_count += 1
         return reward
 
 
 class TeamLearner:
-    """A team's learner: its members' generators, its replay ring of team
-    steps, and the wait for every member's step.
+    """A team's learner: the run's `config` (its members' only one), its
+    members' generators, its replay ring of team steps, and the wait for
+    every member's step.
 
     It knows its members by id, never as agents: the members own it, and
     with no reference back a finished run is freed by reference counting

@@ -9,7 +9,6 @@ observations, through a view of its own actor.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,17 +49,23 @@ class MaddpgCoordinator(TeamLearner):
     Its four team nets (actors, critics and their targets) have a leading
     members axis, member i's actor then critic drawn from its generator, and
     each role has one Adam. Members act on their views of the team actor
-    (`views`, from `DenseNet.member`), so __init__ builds the actors only:
-    it keeps a copy of each member generator as it stands before the critic
-    draw and advances the generator past that draw (PCG64's `uniform` takes
-    one 64-bit word per double), so the member explores with what an eager
-    draw would leave. The first learn step's `build_training` draws the
-    critics from the copies, clones both targets and builds the critic
-    Adam; the actors do not change before then, so every net is the one an
-    eager build would make. Each team trains in one batched pass. The actor
-    step reads a critic's input gradient at the member's own action only: it
-    multiplies the dz1 that the critics' backward returns by those columns
-    of W1.
+    (`views`, from `DenseNet.member`), so __init__ builds the actors only
+    and advances each member generator past the critic's draw (PCG64's
+    `uniform` takes one 64-bit word per double), so the member explores
+    with what an eager draw would leave; it keeps only the critic's layer
+    sizes. The first learn step's `build_training` re-derives each member
+    stream, `derive_rng(seed, "agent", id)`, advances it past the actor's
+    draw by the same rule and draws the critic from it, then clones both
+    targets and builds the critic Adam; the actors do not change before
+    then, so every net is the one an eager build would make. Each team
+    trains in one batched pass. The actor step reads a critic's input
+    gradient at the member's own action only: it multiplies the dz1 that
+    the critics' backward returns by those columns of W1.
+
+    Known mismatch, kept as it stands (a mend moves B, D, G and H's bytes):
+    replay rows hold the *applied* change, the EMA of the previous change
+    and the noisy scaled actor output, but `_td_target` and the actor step
+    put the *raw* scaled actor output in the same critic input columns.
     """
 
     def __init__(
@@ -79,21 +84,22 @@ class MaddpgCoordinator(TeamLearner):
         self.views = [self.actors.member(i) for i in range(n)]
         self.actor_opt = Adam([self.actors.flat])
         self.rng = derive_rng(config.seed, "team", "maddpg")
-        sizes = [n * (local_dim + n_products), *hyper.critic_hidden, 1]
-        self._critic_draw = (sizes, [copy.deepcopy(rng) for rng in self.rngs])
+        sizes = self._critic_sizes = [n * (local_dim + n_products), *hyper.critic_hidden, 1]
         for rng in self.rngs:  # past the critic's W1, b1, W2, b2, ...
             rng.bit_generator.advance(sum((a + 1) * b for a, b in zip(sizes, sizes[1:])))
         self.critics = self.target_actors = self.target_critics = self.critic_opt = None
 
     def build_training(self) -> None:
-        """Draw the critics from the kept generators, clone both targets and
-        build the critic Adam."""
-        sizes, rngs = self._critic_draw
+        """Draw the critics from each member's stream re-derived and advanced
+        past its actor's draw, clone both targets and build the critic Adam."""
+        sizes = self._critic_sizes
+        rngs = [derive_rng(self.config.seed, "agent", aid) for aid in self.member_ids]
+        for rng in rngs:  # past the actor's W1, b1, W2, b2, ...
+            rng.bit_generator.advance(self.actors.flat.size // len(rngs))
         self.critics = DenseNet(sizes, ["relu"] * (len(sizes) - 2) + ["linear"], rngs)
         self.target_actors = self.actors.clone()
         self.target_critics = self.critics.clone()
         self.critic_opt = Adam([self.critics.flat])
-        self._critic_draw = None
 
     def encode(self, agent, observation: MarketObservation) -> np.ndarray:
         return encode_state(agent, observation)

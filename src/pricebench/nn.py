@@ -424,7 +424,7 @@ class ReplayBuffer:
     overwrites the oldest row.
     """
 
-    def __init__(self, capacity: int, recency_decay: float = 0.999):
+    def __init__(self, capacity: int, recency_decay: float):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         if not 0 < recency_decay <= 1:

@@ -19,7 +19,6 @@ from typing import Sequence
 from .environment import PricingAgentBase, recent
 from .market import (
     ConfigError,
-    MarketConfig,
     MarketObservation,
     ProductSpec,
     left_sum,
@@ -134,13 +133,7 @@ class RuleAgent(PricingAgentBase):
     observation's log.
     """
 
-    def __init__(
-        self,
-        agent_id: str,
-        product_specs: list[ProductSpec],
-        config: MarketConfig,
-        strategy: RuleStrategy,
-    ):
+    def __init__(self, agent_id: str, product_specs: list[ProductSpec], strategy: RuleStrategy):
         self.strategy = strategy
         # the class's function, not a bound method: that would make a reference
         # cycle, and the agent would outlive its run until the cyclic collector ran
@@ -153,7 +146,7 @@ class RuleAgent(PricingAgentBase):
             ]
             for holiday in (False, True)
         }
-        super().__init__(agent_id, product_specs, config)
+        super().__init__(agent_id, product_specs)
 
     def propose_prices(self, observation: MarketObservation) -> list[float]:
         return self._price_portfolio(self, observation)

@@ -13,7 +13,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import date, datetime
 
 import numpy as np
 
@@ -162,15 +162,14 @@ def aggregate_weekly(table: TransactionTable) -> list[WeeklyAggregate]:
     return records
 
 
-def calibrate(
-    records: list[WeeklyAggregate],
-    cluster_of: dict[str, int] | None = None,
-) -> DemandParams:
+def calibrate(records: list[WeeklyAggregate]) -> DemandParams:
     """Fit the reference-model coefficients on weekly aggregates.
 
     Regresses log quantity on per-product intercepts, log price ratio, the
-    holiday flag, the week sine, and lagged log quantity. Requires genuine
-    price variation; a flat-price design is rank deficient and rejected.
+    holiday flag, the week sine, and lagged log quantity: the product's ISO
+    week before, so a record after a week without sales is not fitted.
+    Requires genuine price variation; a flat-price design is rank deficient
+    and rejected. `cluster_base` is left empty: a params JSON sets it.
     """
     if len(records) < MIN_RECORDS:
         raise CalibrationError(f"need at least {MIN_RECORDS} records, got {len(records)}")
@@ -186,7 +185,10 @@ def calibrate(
     rows_x, rows_y = [], []
     for p, rows in by_product.items():
         rows = sorted(rows, key=lambda r: (r.year, r.week))
-        for prev, cur in zip(rows, rows[1:]):
+        mondays = [date.fromisocalendar(r.year, r.week, 1) for r in rows]
+        for prev, cur, gap in zip(rows, rows[1:], np.diff(mondays)):
+            if gap.days != 7:  # `prev` is an earlier week's, not last week's
+                continue
             if cur.total_quantity <= 0 or prev.total_quantity <= 0 or cur.mean_price <= 0:
                 continue
             dummies = [1.0 if p == q else 0.0 for q in products]
@@ -228,22 +230,10 @@ def calibrate(
     residuals = y - x @ coef
     noise_sigma = float(np.sqrt(np.mean(residuals**2)))
 
-    grand_mean = float(np.mean([r.total_quantity for r in records]))
-    cluster_base: dict[int, float] = {}
-    if cluster_of:
-        cluster_totals: dict[int, list[float]] = {}
-        for rec in records:
-            cluster = cluster_of.get(rec.product)
-            if cluster is not None:
-                cluster_totals.setdefault(cluster, []).append(rec.total_quantity)
-        cluster_base = {
-            c: (sum(v) / len(v)) / grand_mean for c, v in sorted(cluster_totals.items())
-        }
-
     return DemandParams(
         elasticity=elasticity,
         holiday_uplift=holiday_uplift,
-        cluster_base=cluster_base,
+        cluster_base={},
         seasonal_amp=seasonal_amp,
         lag_weight=lag_weight,
         noise_sigma=noise_sigma,

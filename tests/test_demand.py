@@ -34,6 +34,21 @@ def _params(**kw):
     return DemandParams(**{"noise_sigma": 0.0, **kw}).with_clusters([1])
 
 
+class CurveOracle:
+    """A demand oracle whose demand at each slot is `curve(price)`; it keeps
+    every query it was asked."""
+
+    def __init__(self, curve):
+        self.curve = curve
+        self.queries: list[DemandQuery] = []
+
+    def expected_demand(self, query: DemandQuery) -> list[float]:
+        self.queries.append(query)
+        return [self.curve(p) for p in query.prices]
+
+    sample_demand = expected_demand
+
+
 class TestDemandParams:
     def test_positive_elasticity_rejected(self):
         with pytest.raises(ConfigError):
@@ -169,7 +184,7 @@ class TestElasticity:
 
     def test_rolling_mean_matches_bruteforce(self):
         values = np.arange(10.0) ** 2
-        smoothed = centered_rolling_mean(values, 5)
+        smoothed = centered_rolling_mean(values)
         brute = [values[i - 2 : i + 3].mean() for i in range(2, 8)]
         assert np.allclose(smoothed, brute)
 
@@ -181,29 +196,24 @@ class TestElasticity:
 
     def test_constant_oracle(self):
         q = neutral_query(_spec())
-        oracle = lambda query: [42.0] * len(query.prices)
+        oracle = CurveOracle(lambda p: 42.0)
         assert estimate_elasticity(oracle, q) == pytest.approx(0.0, abs=1e-9)
 
     def test_unit_elastic_oracle(self):
         q = neutral_query(_spec())
-        oracle = lambda query: [500.0 / p for p in query.prices]
+        oracle = CurveOracle(lambda p: 500.0 / p)
         assert estimate_elasticity(oracle, q) == pytest.approx(-1.0, abs=1e-6)
 
     def test_too_few_points(self):
         q = neutral_query(_spec())
         with pytest.raises(ValueError):
-            estimate_elasticity(lambda query: [1.0] * len(query.prices), q, scales=[0.5, 1.0, 2.5])
+            estimate_elasticity(CurveOracle(lambda p: 1.0), q, scales=[0.5, 1.0, 2.5])
 
     def test_sweep_is_one_batch(self):
-        calls = []
-
-        def oracle(query):
-            calls.append(query)
-            return [1.0] * len(query.prices)
-
+        oracle = CurveOracle(lambda p: 1.0)
         q = neutral_query(_spec())
         prices, _ = elasticity_sweep(oracle, q)
-        (query,) = calls
+        (query,) = oracle.queries
         assert query.prices == pytest.approx(list(prices))
         assert query.specs == [q.specs[0]] * 41 and query.shocks is None
 
@@ -246,7 +256,7 @@ class TestSlotConstants:
         config = MarketConfig(agent_roster=roster, clusters=clusters, weeks_per_episode=12,
                               episodes=1, seed=seed)
         portfolio = make_default_portfolio(clusters, seed)
-        agents = [RuleAgent(s.agent_id, portfolio, config, RuleStrategy(kind))
+        agents = [RuleAgent(s.agent_id, portfolio, RuleStrategy(kind))
                   for s, kind in zip(roster, DIVERSE_STRATEGIES)]
         return agents, MarketEnvironment(config, agents, oracle)
 

@@ -64,8 +64,8 @@ class RecordingOracle(StubOracle):
 
 
 class FixedPriceAgent(PricingAgentBase):
-    def __init__(self, agent_id, specs, config, prices=None):
-        super().__init__(agent_id, specs, config)
+    def __init__(self, agent_id, specs, prices=None):
+        super().__init__(agent_id, specs)
         self.prices = prices
 
     def propose_prices(self, observation):
@@ -78,8 +78,8 @@ class FeedbackLog(FixedPriceAgent):
     """Keeps every observation it acts on, and every (observation, done)
     pair `feedback` is given."""
 
-    def __init__(self, agent_id, specs, config):
-        super().__init__(agent_id, specs, config)
+    def __init__(self, agent_id, specs):
+        super().__init__(agent_id, specs)
         self.acted, self.fed = [], []
 
     def propose_prices(self, observation):
@@ -105,7 +105,7 @@ def _config(n_agents=2, weeks=4, seed=11, noise=0.0, **kw):
 
 def _agents(config, cls=FixedPriceAgent, **kw):
     portfolio = make_default_portfolio(config.clusters, config.seed)
-    return [cls(spec.agent_id, portfolio, config, **kw) for spec in config.agent_roster]
+    return [cls(spec.agent_id, portfolio, **kw) for spec in config.agent_roster]
 
 
 class TestStep:
@@ -232,7 +232,7 @@ class TestMarketRules:
         # markup 1.0 prices at twice the cost, 20 % above the initial price
         config = _config(n_agents=1)
         portfolio = make_default_portfolio([1], config.seed)
-        agent = RuleAgent("a0", portfolio, config, RuleStrategy("static_markup", markup=1.0))
+        agent = RuleAgent("a0", portfolio, RuleStrategy("static_markup", markup=1.0))
         env = MarketEnvironment(config, [agent], StubOracle())
         obs = env.bootstrap_observation()
         spec = portfolio[0]
@@ -261,7 +261,7 @@ def _hold_cluster_prices(prices):
     the week's one demand query and the observation after it."""
     config = _config(n_agents=len(prices))
     agents = [
-        FixedPriceAgent(f"a{i}", [ProductSpec("p", 1, price, price * 0.6, 20.0)], config)
+        FixedPriceAgent(f"a{i}", [ProductSpec("p", 1, price, price * 0.6, 20.0)])
         for i, price in enumerate(prices)
     ]
     oracle = RecordingOracle()
@@ -329,7 +329,7 @@ class TestDemandInputs:
     def test_week_zero_observation_holds_the_relative_prices(self):
         config = _config(n_agents=3)
         agents = [
-            FixedPriceAgent(f"a{i}", [ProductSpec("p", 1, price, price * 0.6, 20.0)], config)
+            FixedPriceAgent(f"a{i}", [ProductSpec("p", 1, price, price * 0.6, 20.0)])
             for i, price in enumerate([12.0, 8.0, 4.0])
         ]
         env = MarketEnvironment(config, agents, RecordingOracle())
@@ -339,7 +339,7 @@ class TestDemandInputs:
         roster = [AgentSpec(f"a{i}", "rule") for i in range(4)]
         config = MarketConfig(agent_roster=roster, weeks_per_episode=3, episodes=1)
         portfolio = make_default_portfolio(config.clusters, config.seed)
-        agents = [FixedPriceAgent(s.agent_id, portfolio, config) for s in roster]
+        agents = [FixedPriceAgent(s.agent_id, portfolio) for s in roster]
         oracle = RecordingOracle()
         log = run_episode(config, agents, oracle)
         order = [(f"a{i}", spec.product_id) for i in range(4) for spec in portfolio]
@@ -463,10 +463,11 @@ def _reference_demands(specs, prices, relative_prices, lag1_demands, shocks, wee
     return demands
 
 
-def _reference_week(env, submitted, history):
-    """The week `env.step(submitted)` should settle, slot by slot from
-    `history`, each slot's lists of the prices and demands settled so far:
-    the market rule as min/max of each price and the demand above. Returns
+def _reference_week(env, submitted, history, episode):
+    """The week `env.step(submitted)` should settle in episode `episode`,
+    slot by slot from `history`, each slot's lists of the prices and
+    demands settled so far: the market rule as min/max of each price and
+    the demand above. Returns
     the observation, the week's log row (price, demand, revenue, share and
     zero-revenue flag) and the clamp count."""
     config = env.config
@@ -488,7 +489,7 @@ def _reference_week(env, submitted, history):
         cluster_avg.append(math.fsum(members) / len(members))
     lag1 = [demands[-1] if demands else spec.baseline_demand
             for spec, (_, demands) in zip(specs, history)]
-    shocks = derive_rng(config.seed, "demand", env.episode_index).standard_normal(
+    shocks = derive_rng(config.seed, "demand", episode).standard_normal(
         (len(slots), config.weeks_per_episode)
     )[:, t].tolist()
     relative = [p / m for p, m in zip(prices, cluster_avg)]
@@ -540,8 +541,8 @@ class RandomPriceAgent(PricingAgentBase):
 
     MULTIPLIERS = (0.01, 0.5, 0.85, 0.93, 0.97, 1.0, 1.04, 1.2, 4.0)
 
-    def __init__(self, agent_id, specs, config, rng):
-        super().__init__(agent_id, specs, config)
+    def __init__(self, agent_id, specs, rng):
+        super().__init__(agent_id, specs)
         self.rng = rng
 
     def propose_prices(self, observation):
@@ -580,7 +581,7 @@ class TestReferenceWeek:
             for week in range(1, config.weeks_per_episode + 1):
                 submitted = {a.agent_id: a.propose_prices(observation) for a in agents}
                 hits |= _rule_hits(env, submitted, history)
-                expected, row, clamps = _reference_week(env, submitted, history)
+                expected, row, clamps = _reference_week(env, submitted, history, ep)
                 before, t, log = env.clamp_events, env.week_index, env.log
                 new_observation = env.step(submitted)
                 assert new_observation == expected
@@ -609,7 +610,7 @@ class TestReferenceWeek:
                               seed=505)
         portfolio = make_default_portfolio(config.clusters, config.seed)
         rng = derive_rng(505, "submissions")
-        agents = [RandomPriceAgent(s.agent_id, portfolio, config, rng) for s in roster]
+        agents = [RandomPriceAgent(s.agent_id, portfolio, rng) for s in roster]
         hits = self._drive(config, agents, ParametricDemandModel(config.demand_params),
                            episodes=2)
         # the cap alone, the floor alone, and a capped price raised to the floor
@@ -726,7 +727,7 @@ class TestRunEpisode:
                               episodes=1, seed=41)
         portfolio = make_default_portfolio(config.clusters, config.seed)
         agents = [
-            RuleAgent(s.agent_id, portfolio, config, RuleStrategy(kind))
+            RuleAgent(s.agent_id, portfolio, RuleStrategy(kind))
             for s, kind in zip(roster, ["historical_anchor", "demand_responsive", "seasonal"])
         ]
         env = MarketEnvironment(config, agents, ParametricDemandModel(config.demand_params))
@@ -777,7 +778,7 @@ class TestRunEpisode:
                 "a2": RuleStrategy("seasonal"),
             }
             agents = [
-                RuleAgent(s.agent_id, portfolio, config, strategies[s.agent_id])
+                RuleAgent(s.agent_id, portfolio, strategies[s.agent_id])
                 for s in config.agent_roster
             ]
             (log,) = simulate(config, agents)

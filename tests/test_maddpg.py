@@ -33,7 +33,7 @@ def _team(config, **params):
     ids = [s.agent_id for s in config.agent_roster]
     n = len(portfolio)
     coord = MaddpgCoordinator(config, from_fields(MaddpgHyper, params), ids, state_dim(n), n)
-    return [TeamMember(aid, portfolio, config, coord) for aid in ids]
+    return [TeamMember(aid, portfolio, coord) for aid in ids]
 
 
 def _view(agent, role):

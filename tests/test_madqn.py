@@ -17,7 +17,7 @@ def _team_of_one(hyper, state, n_heads, n_bins, seed=1):
     config = _config(["q0"], seed)
     core = DqnCore(config, hyper, ["q0"], state, n_heads, n_bins)
     specs = [ProductSpec(f"p{h}", 1, 10.0, 6.0, 10.0) for h in range(n_heads)]
-    return core, TeamMember("q0", specs, config, core)
+    return core, TeamMember("q0", specs, core)
 
 
 def _core(n_heads=1, n_bins=5, state=3, epsilon=0.0, seed=1, **hyper_kw):

@@ -67,33 +67,34 @@ class TestParseHyper:
 
 class TestDiscretize:
     def test_center_bin_holds(self):
-        assert discretize_action(10) == pytest.approx(0.0)
+        assert discretize_action(10, N_PRICE_BINS, 0.10) == pytest.approx(0.0)
 
     def test_endpoints(self):
-        assert discretize_action(0) == pytest.approx(-0.10)
-        assert discretize_action(20) == pytest.approx(+0.10)
+        assert discretize_action(0, N_PRICE_BINS, 0.10) == pytest.approx(-0.10)
+        assert discretize_action(20, N_PRICE_BINS, 0.10) == pytest.approx(+0.10)
 
     def test_mapping_arithmetic(self):
-        assert discretize_action(13) == pytest.approx(0.03)
+        assert discretize_action(13, N_PRICE_BINS, 0.10) == pytest.approx(0.03)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            discretize_action(21)
+            discretize_action(21, N_PRICE_BINS, 0.10)
         with pytest.raises(ValueError):
-            discretize_action(-1)
+            discretize_action(-1, N_PRICE_BINS, 0.10)
 
     @given(st.integers(min_value=0, max_value=20))
     def test_within_band(self, b):
-        assert abs(discretize_action(b)) <= 0.10 + 1e-12
+        assert abs(discretize_action(b, N_PRICE_BINS, 0.10)) <= 0.10 + 1e-12
 
 
 class _FixedChange:
-    """A learner whose one member, "q0", always chooses `change`."""
+    """A learner of the run `config` whose one member, "q0", always chooses
+    `change`."""
 
     member_ids = ["q0"]
 
-    def __init__(self, change):
-        self.change = change
+    def __init__(self, change, config):
+        self.change, self.config = change, config
 
     def encode(self, agent, observation):
         return np.zeros(1)
@@ -111,7 +112,7 @@ class TestApplyAction:
             agent_roster=[AgentSpec("q0", "madqn")], clusters=(1,)
         )
         spec = ProductSpec("p", 1, price, cost, 10.0)
-        agent = TeamMember("q0", [spec], config, _FixedChange(change))
+        agent = TeamMember("q0", [spec], _FixedChange(change, config))
         env = MarketEnvironment(config, [agent], ParametricDemandModel(config.demand_params))
         return agent.propose_prices(env.bootstrap_observation()), agent
 
@@ -127,8 +128,9 @@ class TestApplyAction:
         prices, agent = self._proposed(-0.10, price=6.5, cost=6.0)
         (submitted,) = prices
         assert submitted == pytest.approx(5.85)
-        floor = agent.config.price_floor(agent.product_specs[0])
-        assert agent.config.allowed_prices((6.5,), (submitted,), (floor,)) == [pytest.approx(6.30)]
+        config = agent.learner.config
+        floor = config.price_floor(agent.product_specs[0])
+        assert config.allowed_prices((6.5,), (submitted,), (floor,)) == [pytest.approx(6.30)]
 
 
 class TestReward:
@@ -194,8 +196,8 @@ class TestEncodeState:
         initial price in week 1, then from the week before."""
         config = MarketConfig(agent_roster=[AgentSpec("q0", "madqn")], clusters=(1,),
                               weeks_per_episode=3, episodes=1)
-        agent = TeamMember("q0", [ProductSpec("p", 1, 10.0, 6.0, 20.0)], config,
-                           _FixedChange(0.0))
+        agent = TeamMember("q0", [ProductSpec("p", 1, 10.0, 6.0, 20.0)],
+                           _FixedChange(0.0, config))
         env = MarketEnvironment(config, [agent], ParametricDemandModel(config.demand_params))
         observations = [env.bootstrap_observation()]
         observations += [env.step({"q0": [price]}) for price in (11.0, 11.55, 11.55)]
@@ -435,7 +437,8 @@ def _reference_reward(agent, observation, prev_observation, samples: list[float]
         changes.append((observation.price[slot] - before) / before)
     change_rms = math.sqrt(left_sum(c * c for c in changes) / len(changes))
     reward = compute_reward(
-        prev_revenue, revenue, change_rms, agent.config.reward_penalty_lambda, running_mean
+        prev_revenue, revenue, change_rms, agent.learner.config.reward_penalty_lambda,
+        running_mean,
     )
     samples.append(revenue)
     return reward

@@ -608,7 +608,7 @@ class TestBufferedPasses:
 
 class TestReplayBuffer:
     def test_eviction_order(self):
-        buf = ReplayBuffer(capacity=5)
+        buf = ReplayBuffer(capacity=5, recency_decay=0.999)
         for i in range(8):
             buf.push(i, i + 1, i)
         assert len(buf) == 5
@@ -617,7 +617,7 @@ class TestReplayBuffer:
         assert buf.states.tolist() == [6, 7, 8, 3, 4, 5]
 
     def test_single_entry_always_sampled(self):
-        buf = ReplayBuffer(capacity=4)
+        buf = ReplayBuffer(capacity=4, recency_decay=0.999)
         buf.push("only", "only")
         rng = derive_rng(0, "buf")
         assert set(buf.states[buf.sample(16, rng)]) == {"only"}
@@ -644,10 +644,10 @@ class TestReplayBuffer:
 
     def test_empty_buffer_unavailable(self):
         with pytest.raises(ValueError):
-            ReplayBuffer(capacity=2).sample(1, derive_rng(0, "buf"))
+            ReplayBuffer(capacity=2, recency_decay=0.999).sample(1, derive_rng(0, "buf"))
 
     def test_first_push_allocates_every_row_keeping_order(self):
-        buf = ReplayBuffer(capacity=10)
+        buf = ReplayBuffer(capacity=10, recency_decay=0.999)
         for i in range(12):
             buf.push(np.full(2, i), np.full(2, i + 1), float(i), i % 2 == 0)
             assert len(buf.states) == len(buf.fields[0]) == 11
@@ -658,7 +658,7 @@ class TestReplayBuffer:
         assert states[:, 0].tolist() == [11.0, 12.0, *range(2, 11)]
 
     def test_gather_writes_kept_arrays(self):
-        buf = ReplayBuffer(capacity=8)
+        buf = ReplayBuffer(capacity=8, recency_decay=0.999)
         for i in range(8):
             buf.push(np.arange(3.0) + i, np.arange(3.0) + i + 1, i)
         work = Workspace()
@@ -755,7 +755,7 @@ class TestSchedules:
 
 class TestTransitionAndIO:
     def test_dimension_mismatch(self):
-        buf = ReplayBuffer(capacity=4)
+        buf = ReplayBuffer(capacity=4, recency_decay=0.999)
         buf.push(np.zeros(3), np.zeros(3), 0, 0.0, False)
         with pytest.raises(ShapeError):  # a next state of another shape
             buf.push(np.zeros(3), np.zeros(4), 0, 0.0, False)

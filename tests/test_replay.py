@@ -116,7 +116,7 @@ def test_sample_picks_the_list_buffers_entries(capacity, warm_up, draws, decay):
     (np.ones(3), np.ones(2), 2.0),  # a next state of another shape
 ])
 def test_push_of_a_wrong_row_shape_writes_nothing(row):
-    ring = ReplayBuffer(4)
+    ring = ReplayBuffer(4, 0.999)
     ring.push(np.zeros(3), np.zeros(3), 1.0)
     states, (rewards,) = ring.states, ring.fields
     states[1:3], rewards[1] = 7.0, 7.0

@@ -87,8 +87,7 @@ class TestStaticMarkup:
 def _matcher(agent_id="me", cost=6.0, **strategy):
     """A competitor-matching agent with `_spec`'s product."""
     spec = ProductSpec("p", 1, 10.0, cost, 20.0)
-    return RuleAgent(agent_id, [spec], _one_product_config(1),
-                     RuleStrategy("competitor_match", **strategy))
+    return RuleAgent(agent_id, [spec], RuleStrategy("competitor_match", **strategy))
 
 
 def _rival_prices(observation, agent_id, product_id):
@@ -107,8 +106,8 @@ class TestCompetitorMatch:
         # the environment raises the submission to the floor
         config = _one_product_config(2)
         spec = ProductSpec("p", 1, 6.31, 6.0, 20.0)
-        me = RuleAgent("rule-0", [spec], config, RuleStrategy("competitor_match"))
-        rival = RuleAgent("rule-1", [spec], config, RuleStrategy("historical_anchor"))
+        me = RuleAgent("rule-0", [spec], RuleStrategy("competitor_match"))
+        rival = RuleAgent("rule-1", [spec], RuleStrategy("historical_anchor"))
         env = MarketEnvironment(config, [me, rival], ParametricDemandModel(config.demand_params))
         obs = env.bootstrap_observation()
         assert me.propose_prices(obs) == [pytest.approx(6.31 * 0.97)]
@@ -123,7 +122,7 @@ class TestCompetitorMatch:
         clusters = (1, 1, 2, 3, 5)
         config = MarketConfig(agent_roster=roster, clusters=clusters, episodes=1)
         portfolio = make_default_portfolio(clusters, config.seed)
-        agents = [RuleAgent(s.agent_id, portfolio, config, RuleStrategy("static_markup"))
+        agents = [RuleAgent(s.agent_id, portfolio, RuleStrategy("static_markup"))
                   for s in roster]
         env = MarketEnvironment(config, agents, ParametricDemandModel(config.demand_params))
         submitted = {
@@ -141,7 +140,7 @@ class TestCompetitorMatch:
                 ]
                 assert _rival_prices(obs, agent.agent_id, spec.product_id) == expected
             # a matcher in the agent's place undercuts exactly those prices
-            matcher = RuleAgent(agent.agent_id, portfolio, config, RuleStrategy("competitor_match"))
+            matcher = RuleAgent(agent.agent_id, portfolio, RuleStrategy("competitor_match"))
             assert matcher.propose_prices(obs) == [
                 competitor_match_price(spec, _rival_prices(obs, agent.agent_id, spec.product_id),
                                        0.03, 0.5)
@@ -173,7 +172,7 @@ class TestHistoricalAnchor:
         config = replace(_one_product_config(2, weeks=4), clusters=(1, 2))
         specs = [ProductSpec("p", 1, 10.0, 6.0, 20.0), ProductSpec("q", 2, 20.0, 12.0, 20.0)]
         strategy = RuleStrategy("historical_anchor", anchor_window=3)
-        agents = [RuleAgent(f"rule-{i}", specs, config, strategy) for i in range(2)]
+        agents = [RuleAgent(f"rule-{i}", specs, strategy) for i in range(2)]
         env = MarketEnvironment(config, agents, FallingDemand())
         weekly = [[10.0, 20.0, 10.5, 21.0], [10.5, 21.5, 11.0, 22.0], [11.0, 23.0, 11.5, 23.0],
                   [11.5, 24.0, 12.0, 25.0]]
@@ -199,7 +198,7 @@ class TestDemandResponsive:
         # falling demand steps 6.31 down 2 % in week 3; the environment floors it at 6.30
         config = _one_product_config(1, weeks=3)
         spec = ProductSpec("p", 1, 6.31, 6.0, 20.0)
-        agent = RuleAgent("rule-0", [spec], config, RuleStrategy("demand_responsive"))
+        agent = RuleAgent("rule-0", [spec], RuleStrategy("demand_responsive"))
         log = run_episode(config, [agent], FallingDemand())
         assert log.price[:, 0].tolist() == pytest.approx([6.31, 6.31, 6.30])
 
@@ -207,13 +206,12 @@ class TestDemandResponsive:
 class TestSeasonal:
     def test_holiday_uplift(self):
         assert seasonal_price(_spec(cost=6.0), True, seasonal_uplift=0.10, markup=0.5) == pytest.approx(9.90)
-        agent = RuleAgent("me", [_spec(cost=6.0)], _one_product_config(1),
-                          RuleStrategy("seasonal", seasonal_uplift=0.10))
+        agent = RuleAgent("me", [_spec(cost=6.0)], RuleStrategy("seasonal", seasonal_uplift=0.10))
         assert agent.propose_prices(_observation(week=50, holiday=True)) == [pytest.approx(9.90)]
 
     def test_off_peak_base(self):
         assert seasonal_price(_spec(cost=6.0), False, 0.10, 0.5) == pytest.approx(9.0)
-        agent = RuleAgent("me", [_spec(cost=6.0)], _one_product_config(1), RuleStrategy("seasonal"))
+        agent = RuleAgent("me", [_spec(cost=6.0)], RuleStrategy("seasonal"))
         assert agent.propose_prices(_observation(week=20)) == [pytest.approx(9.0)]
 
     def test_zero_uplift(self):
@@ -242,7 +240,7 @@ def _rule_market(weeks=40, seed=31, noise=0.0):
     config = replace(config, demand_params=replace(config.demand_params, noise_sigma=noise))
     portfolio = make_default_portfolio([1, 2], config.seed)
     agents = [
-        RuleAgent(s.agent_id, portfolio, config, RuleStrategy(DIVERSE_STRATEGIES[i]))
+        RuleAgent(s.agent_id, portfolio, RuleStrategy(DIVERSE_STRATEGIES[i]))
         for i, s in enumerate(config.agent_roster)
     ]
     return config, agents

@@ -177,11 +177,16 @@ class TestCalibrate:
         with pytest.raises(CalibrationError):
             calibrate(synthetic_records(weeks=10))
 
-    def test_cluster_base_from_mapping(self):
-        records = synthetic_records()
-        params = calibrate(records, cluster_of={"prodX": 3})
-        assert 3 in params.cluster_base
-        assert params.cluster_base[3] > 0
+    def test_pairs_only_consecutive_weeks(self):
+        """A record after a week without sales has no lag-1 demand: with
+        every tenth week dropped, the noise-free fit is still exact, where
+        pairing each record with the one before read elasticity -0.283,
+        lag weight 0.247 and a noise sigma of 0.0076."""
+        records = [r for t, r in enumerate(synthetic_records()) if t % 10 != 9]
+        params = calibrate(records)
+        assert params.elasticity == pytest.approx(-0.3, abs=1e-9)
+        assert params.lag_weight == pytest.approx(0.3, abs=1e-9)
+        assert params.noise_sigma == pytest.approx(0.0, abs=1e-9)
 
     def test_returns_valid_params(self):
         params = calibrate(synthetic_records())
