@@ -112,7 +112,7 @@ def _read_number_column(path) -> tuple[list[float], int]:
     """
     values = []
     first_line = 1
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         for row in reader:
             try:
@@ -222,7 +222,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_elasticity(args) -> int:
-    with open(args.params, encoding="utf-8") as fh:
+    with open(args.params, encoding="utf-8-sig") as fh:
         params = DemandParams.from_dict(json.load(fh))
     write_sweep_csv(params, args.out)
     epsilon = estimate_elasticity(*sweep_reference(params))

@@ -151,13 +151,9 @@ class ParametricDemandModel:
         return _log_linear(query, params, self._constants(query.specs), params.noise_sigma)
 
 
-def price_multipliers(
-    n: int = ELASTICITY_SWEEP_POINTS,
-    lo: float = ELASTICITY_SWEEP_RANGE[0],
-    hi: float = ELASTICITY_SWEEP_RANGE[1],
-) -> np.ndarray:
+def price_multipliers() -> np.ndarray:
     """Sweep grid: multipliers spaced evenly on the ratio (log) scale."""
-    return np.geomspace(lo, hi, n)
+    return np.geomspace(*ELASTICITY_SWEEP_RANGE, ELASTICITY_SWEEP_POINTS)
 
 
 def centered_rolling_mean(values: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ demand noise (common random numbers), and permuting the roster moves the
 shocks with the slots, not with the agents.
 A week is a few passes over per-slot lists: one validates the submissions,
 one applies the market rule, one demand-oracle call prices every slot, and
-one settles them. The week's calendar terms come from a 52-week table.
+one settles them. The week's calendar terms come from `market.CALENDAR`.
 
 `step` returns one `MarketObservation` per settled week, which the agents
 read next, and writes the week into the episode's `EpisodeLog`, one row of
@@ -39,14 +39,13 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from .demand import DemandOracle, DemandQuery
-from .features import seasonal_encoding
 from .market import (
+    CALENDAR,
     EpisodeLog,
     MarketConfig,
     MarketObservation,
     ProductSpec,
     derive_rng,
-    holiday_flag,
     left_sum,
 )
 
@@ -110,10 +109,6 @@ def recent(
     in the episode)."""
     settled = observation.weeks
     return column[max(0, settled - weeks):settled, span].T.tolist()
-
-
-# Each calendar week's (holiday flag, seasonal sine); `step` wraps week 52 to 1.
-_CALENDAR = {week: (holiday_flag(week), seasonal_encoding(week)[0]) for week in range(1, 53)}
 
 
 class MarketEnvironment:
@@ -205,7 +200,7 @@ class MarketEnvironment:
             log.zero_revenue[row] = total <= 0
         week = self.week_number
         return MarketObservation(
-            week_number=week, is_holiday=_CALENDAR[week][0],
+            week_number=week, is_holiday=CALENDAR[week][0],
             competitor_slots=self.competitor_slots, log=self.log, weeks=self.week_index,
             price=prices, relative_price=relative,
             agent_revenue=agent_revenue, market_share=shares,
@@ -261,7 +256,7 @@ class MarketEnvironment:
         if t >= self.config.weeks_per_episode:
             raise ProtocolError(f"the episode's {self.config.weeks_per_episode} weeks are over")
         week = self.week_number
-        is_holiday, week_sin = _CALENDAR[week]
+        is_holiday, week_sin, _ = CALENDAR[week]
 
         # validate every submission, then apply the market rule to each
         submitted = self._submissions(submitted_prices)

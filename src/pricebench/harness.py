@@ -133,7 +133,7 @@ class ExperimentSpec(JsonFields):
 
     @classmethod
     def from_file(cls, path) -> "ExperimentSpec":
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return cls.from_dict(json.load(fh))
 
 

@@ -1,5 +1,6 @@
 """Core market domain types: products, per-slot observations, run configuration,
-and `from_fields`, the one parser that builds a settings dataclass from JSON."""
+the calendar table (`CALENDAR`), and `from_fields`, the one parser that builds a
+settings dataclass from JSON."""
 
 from __future__ import annotations
 
@@ -27,6 +28,20 @@ def holiday_flag(week_number: int) -> bool:
     if not 1 <= week_number <= 53:
         raise ConfigError(f"week_number must be in 1..53, got {week_number}")
     return week_number in HOLIDAY_WEEKS
+
+
+def seasonal_encoding(week: int) -> tuple[float, float]:
+    """Sine/cosine decomposition of the calendar week (period 52)."""
+    if not 1 <= week <= 53:
+        raise ValueError(f"week must be in 1..53, got {week}")
+    wa = 2.0 * math.pi * week / 52.0
+    return math.sin(wa), math.cos(wa)
+
+
+# Each calendar week's (holiday flag, seasonal sine, seasonal cosine): the
+# market's demand terms, the learners' state and the calibration regressors
+# all read it. Weeks 1..53: the market wraps week 52 to 1, ISO years reach 53.
+CALENDAR = {week: (holiday_flag(week), *seasonal_encoding(week)) for week in range(1, 54)}
 
 
 def from_fields(cls, d: dict, what: str | None = None):

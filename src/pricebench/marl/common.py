@@ -1,18 +1,19 @@
-"""The learning agents' shared week: state encoding, reward shaping, the one
-learning-agent class (`TeamMember`), the team learner that every learner
-kind builds on, and the ε-greedy choice that MADQN and QMIX share."""
+"""The learning agents' shared week: state encoding with its trailing demand
+features, reward shaping, the one learning-agent class (`TeamMember`), the
+team learner that every learner kind builds on, and the ε-greedy choice that
+MADQN and QMIX share."""
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ..environment import PricingAgentBase, recent
-from ..features import DEMAND_WINDOW, demand_features, seasonal_encoding
 from ..market import (
-    ConfigError, MarketConfig, MarketObservation, ProductSpec, derive_rng, require_finite,
+    CALENDAR, ConfigError, MarketConfig, MarketObservation, ProductSpec, derive_rng,
+    require_finite,
 )
 from ..nn import DenseNet, ReplayBuffer, ShapeError, Workspace, exploration_rate
 
@@ -21,6 +22,8 @@ STATE_SLOTS_PER_PRODUCT = 12
 N_PRICE_BINS = 21
 
 ACTION_SMOOTHING = 0.5  # EMA weight on the previous applied change
+
+DEMAND_WINDOW = 4  # weeks behind the 4-week mean, the trend and the volatility
 
 
 def check_hyper(hyper, counts: tuple[str, ...], widths: tuple[str, ...]) -> None:
@@ -89,21 +92,57 @@ def compute_reward(
     return (revenue - prev_revenue) / max(1.0, running_mean) - penalty_lambda * price_change_rel**2
 
 
+def demand_features(
+    history: Sequence[float], baseline: float
+) -> tuple[float, float, float, float, float]:
+    """(lag, 2-week mean, 4-week mean, trend, volatility) of one product's
+    demand history, oldest first, each / `baseline`.
+
+    Trend is the 4-week mean minus the 2-week mean (negative when demand is
+    rising); volatility is the population (1/4) standard deviation of the
+    last four demands. Until a window is full its entries take cold-start
+    substitutes: the lag and the 2- and 4-week means read 1.0 (demand at
+    baseline), trend and volatility read 0.0. The last four demands are read
+    by index and every sum adds them oldest first. Each squared deviation is
+    a float pow, `** 2`, which the C library can round differently from
+    `d * d`, so it stays a pow.
+    """
+    n = len(history)
+    if n == 0:
+        return 1.0, 1.0, 1.0, 0.0, 0.0
+    q1 = history[-1]
+    if n < 2:
+        return q1 / baseline, 1.0, 1.0, 0.0, 0.0
+    q2 = history[-2]
+    mean2 = (q2 + q1) / 2
+    if n < DEMAND_WINDOW:
+        return q1 / baseline, mean2 / baseline, 1.0, 0.0, 0.0
+    q4, q3 = history[-4], history[-3]
+    mean4 = (q4 + q3 + q2 + q1) / DEMAND_WINDOW
+    volatility = math.sqrt(
+        ((q4 - mean4) ** 2 + (q3 - mean4) ** 2 + (q2 - mean4) ** 2 + (q1 - mean4) ** 2)
+        / DEMAND_WINDOW
+    )
+    return (
+        q1 / baseline, mean2 / baseline, mean4 / baseline, (mean4 - mean2) / baseline,
+        volatility / baseline,
+    )
+
+
 def encode_state(agent: PricingAgentBase, observation: MarketObservation) -> np.ndarray:
     """Fixed-layout state vector: 12 slots per product, portfolio order.
 
     Per product: [price vs cluster avg, margin ratio, lag demand ratio,
     2-week mean ratio, 4-week mean ratio, trend ratio, volatility ratio,
     week sin, week cos, holiday, own market share, last relative price change].
-    The five demand entries come from `features.demand_features` of the
-    product's last demands in the observation's log, with its cold-start
-    substitutes until enough history exists. The price change is relative
-    to the week before, or to the initial price in week 1 (0 at week zero,
-    whose prices are the initial ones). The week's entries are looked up
-    once, then each product is visited once; a non-finite entry raises
-    ValueError.
+    The five demand entries are `demand_features` of the product's last
+    demands in the observation's log; the week's sine and cosine are its
+    `market.CALENDAR` entry's. The price change is relative to the week
+    before, or to the initial price in week 1 (0 at week zero, whose prices
+    are the initial ones). The week's entries are looked up once, then each
+    product is visited once; a non-finite entry raises ValueError.
     """
-    week_sin, week_cos = seasonal_encoding(observation.week_number)
+    _, week_sin, week_cos = CALENDAR[observation.week_number]
     holiday = 1.0 if observation.is_holiday else 0.0
     agent_id = agent.agent_id
     share = observation.market_share[agent_id]

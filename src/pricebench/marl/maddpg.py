@@ -80,7 +80,8 @@ class MaddpgCoordinator(TeamLearner):
             self.rngs,
         )
         # near-hold initial policy: standard small final-layer init for DDPG actors
-        self.actors.scale_output_layer(0.01)
+        self.actors.weights[-1] *= 0.01
+        self.actors.biases[-1] *= 0.01
         self.views = [self.actors.member(i) for i in range(n)]
         self.actor_opt = Adam([self.actors.flat])
         self.rng = derive_rng(config.seed, "team", "maddpg")

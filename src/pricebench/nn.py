@@ -207,10 +207,6 @@ class DenseNet:
         size = self.flat.size // self.members
         return self._like(self.flat[i * size : (i + 1) * size], None)
 
-    def scale_output_layer(self, factor: float) -> None:
-        self.weights[-1] *= factor
-        self.biases[-1] *= factor
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         """The net's output for `x`, as an array the caller owns."""
         y, _ = self.forward_cached(x)

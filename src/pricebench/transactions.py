@@ -18,8 +18,7 @@ from datetime import date, datetime
 import numpy as np
 
 from .demand import DemandParams
-from .features import seasonal_encoding
-from .market import holiday_flag
+from .market import CALENDAR
 
 log = logging.getLogger(__name__)
 
@@ -96,7 +95,7 @@ def _parse_date(raw: str) -> datetime:
 def load_transactions(path) -> TransactionTable:
     """Parse the CSV; malformed rows become RowError records, never silent drops."""
     table = TransactionTable()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         missing = [c for c in REQUIRED_COLUMNS if c not in header]
@@ -192,12 +191,12 @@ def calibrate(records: list[WeeklyAggregate]) -> DemandParams:
             if cur.total_quantity <= 0 or prev.total_quantity <= 0 or cur.mean_price <= 0:
                 continue
             dummies = [1.0 if p == q else 0.0 for q in products]
-            week_sin = seasonal_encoding(cur.week)[0]
+            is_holiday, week_sin, _ = CALENDAR[cur.week]
             rows_x.append(
                 dummies
                 + [
                     math.log(cur.mean_price / ref_price[p]),
-                    1.0 if holiday_flag(cur.week) else 0.0,
+                    1.0 if is_holiday else 0.0,
                     week_sin,
                     math.log(prev.total_quantity),
                 ]

@@ -344,3 +344,13 @@ def test_criterion_13_toy_mdp_learning():
             greedy, optimal = run_toy_mdp(seed, steps=5000)
             wins += greedy == list(optimal)
         assert wins >= 2
+
+
+def test_qmix_two_step_game():
+    """QMIX's greedy joint policy earns the two-step game's optimal 8 (Rashid et
+    al. report 7 for an additive mixer) on each of seeds 1-5 (README Findings)."""
+    with _Timer("QMIX two-step game", 60.0):
+        from tests.test_qmix import run_two_step_game
+
+        returns = {seed: run_two_step_game(seed) for seed in range(1, 6)}
+        assert returns == {1: 8.0, 2: 8.0, 3: 8.0, 4: 8.0, 5: 8.0}

@@ -3,9 +3,9 @@ import json
 
 import pytest
 
-from pricebench.cli import _summary_lines, main
+from pricebench.cli import _read_number_column, _summary_lines, main
 from pricebench.demand import DemandParams
-from pricebench.harness import desk_spec, summarize
+from pricebench.harness import ExperimentSpec, desk_spec, summarize
 from tests.test_harness import ROOT, _fake_report, _run_python
 from tests.test_transactions import HEADER, synthetic_records
 
@@ -22,6 +22,14 @@ def _experiment_file(tmp_path, config_id="A", episodes=1, weeks=6, seed=9):
         )
     )
     return path
+
+
+def _bom_copy(path):
+    """A copy of `path` beside it, prefixed with the UTF-8 byte-order mark
+    that spreadsheet exports write."""
+    copy = path.with_name("bom_" + path.name)
+    copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return copy
 
 
 class TestSimulate:
@@ -52,6 +60,10 @@ class TestSimulate:
         (manifest,) = out.glob("*/manifest.json")
         market = json.loads(manifest.read_text())["config"]["market"]
         assert (market["episodes"], market["weeks_per_episode"], market["seed"]) == (1, 104, 77)
+
+    def test_byte_order_mark_reads_as_the_plain_file(self, tmp_path):
+        config = _experiment_file(tmp_path)
+        assert ExperimentSpec.from_file(_bom_copy(config)) == ExperimentSpec.from_file(config)
 
     def test_invalid_config_id_exits_1(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -536,6 +548,18 @@ class TestCalibrate:
         params = DemandParams.from_dict(json.loads(out.read_text()))
         assert params.elasticity < 0  # the script draws its demand at elasticity -0.25
 
+    def test_byte_order_mark_reads_as_the_plain_file(self, tmp_path, capsys):
+        csv_path = tmp_path / "tx.csv"
+        run = _run_python([str(ROOT / "scripts" / "make_transactions.py"), "--out", str(csv_path)],
+                          tmp_path)
+        assert run.returncode == 0, run.stderr
+        outputs = []
+        for i, path in enumerate((csv_path, _bom_copy(csv_path))):
+            out = tmp_path / f"params{i}.json"
+            assert main(["calibrate", "--csv", str(path), "--out", str(out)]) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr().out.replace(str(out), "")))
+        assert outputs[0] == outputs[1]
+
     def test_missing_column_exits_1(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("InvoiceNo,StockCode\n1,2\n")
@@ -550,6 +574,16 @@ class TestElasticity:
         assert main(["elasticity", "--params", str(params_path), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 42
         assert "-0.072" in capsys.readouterr().out
+
+    def test_byte_order_mark_reads_as_the_plain_file(self, tmp_path, capsys):
+        params_path = tmp_path / "params.json"
+        params_path.write_text(json.dumps({"elasticity": -0.3, "noise_sigma": 0.0}))
+        outputs = []
+        for i, path in enumerate((params_path, _bom_copy(params_path))):
+            out = tmp_path / f"curve{i}.csv"
+            assert main(["elasticity", "--params", str(path), "--out", str(out)]) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr().out.replace(str(out), "")))
+        assert outputs[0] == outputs[1]
 
 
 class TestReport:
@@ -674,6 +708,19 @@ class TestWilcoxonCommand:
         b.write_text("0\n1\n2\n3\n")
         assert main(["wilcoxon", "--a", str(a), "--b", str(b)]) == 0
         assert "W=0 n=4 p=0.125 p_floor=0.125" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", ["1.5\n2.2\n2.9\n4\n", "value\n1.5\n2.2\n2.9\n4\n"])
+    def test_byte_order_mark_reads_as_the_plain_file(self, tmp_path, capsys, text):
+        # a headerless column's first value must not be taken for a header
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text(text)
+        b.write_text("0\n1\n2\n3\n")
+        assert _read_number_column(_bom_copy(a)) == _read_number_column(a)
+        assert main(["wilcoxon", "--a", str(a), "--b", str(b)]) == 0
+        plain = capsys.readouterr().out
+        assert main(["wilcoxon", "--a", str(_bom_copy(a)), "--b", str(_bom_copy(b))]) == 0
+        assert capsys.readouterr().out == plain
 
     def test_unknown_subcommand_exits_1(self):
         assert main(["frobnicate"]) == 1

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from pricebench import environment, harness
 from pricebench.demand import DemandQuery, ParametricDemandModel
-from pricebench.features import seasonal_encoding
 from pricebench.harness import build_agents, desk_spec, simulate
 from pricebench.environment import (
     HISTORY_COLUMNS,
@@ -34,6 +33,7 @@ from pricebench.market import (
     derive_rng,
     holiday_flag,
     make_default_portfolio,
+    seasonal_encoding,
 )
 from pricebench.marl.common import encode_state
 from pricebench.rule_agents import RuleAgent, RuleStrategy

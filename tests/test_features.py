@@ -3,7 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from pricebench.features import DEMAND_WINDOW, demand_features, seasonal_encoding
+from pricebench.market import seasonal_encoding
+from pricebench.marl.common import DEMAND_WINDOW, demand_features
 
 demands = st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=4, max_size=40)
 

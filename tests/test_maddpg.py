@@ -316,7 +316,8 @@ class TestTeamConstruction:
             # each member draws its actor, then its critic, from its own generator
             rng = derive_rng(config.seed, "agent", agent.agent_id)
             actor = DenseNet([local, *hp.actor_hidden, 2], ["relu", "relu", "tanh"], rng)
-            actor.scale_output_layer(0.01)
+            actor.weights[-1] *= 0.01
+            actor.biases[-1] *= 0.01
             critic = DenseNet([3 * (local + 2), *hp.critic_hidden, 1], ["relu", "relu", "linear"], rng)
             for role, single in (("actor", actor), ("critic", critic)):
                 assert np.array_equal(getattr(coord, role + "s").member(i).flat, single.flat)

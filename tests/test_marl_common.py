@@ -324,7 +324,7 @@ class _WeekRecorder:
 def _reference_encode_state(agent, observation, recorder: _WeekRecorder):
     """The encoder as it was before `features.demand_features`: one helper
     per entry, over each product's whole history in `recorder`."""
-    from pricebench.features import seasonal_encoding
+    from pricebench.market import seasonal_encoding
 
     def qrm(history, k):
         if len(history) < k:

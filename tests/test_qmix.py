@@ -1,4 +1,5 @@
 import copy
+import itertools
 
 import numpy as np
 import pytest
@@ -269,6 +270,41 @@ class TestMatrixGame:
             coord.learn()
         greedy = [int(np.argmax(coord.nets.member(i).forward(np.ones(1)))) for i in range(2)]
         assert tuple(greedy) == oracle
+
+
+# Rashid et al.'s two-step game (QMIX, ICML 2018): agent 1's first action picks
+# state 2A (action 0) or 2B (action 1), where the joint action pays this table
+TWO_STEP_PAYOFFS = (np.full((2, 2), 7.0), np.array([[0.0, 1.0], [1.0, 8.0]]))
+
+
+def run_two_step_game(seed: int) -> float:
+    """The return of the greedy joint policy of a two-member coordinator
+    trained offline on the two-step game.
+
+    The members see one-hot states s1, 2A, 2B. The ring holds, twice over,
+    every step-1 joint action (reward 0, not done), each followed by every
+    step-2 joint action in the state it leads to (done). The coordinator
+    then takes 3,000 learn steps, and the greedy policy is read from the
+    member views.
+    """
+    states = np.eye(3)
+    coord = _coordinator(state_size=3, n_bins=2, lr=0.01, seed=seed)
+    joint = list(itertools.product(range(2), repeat=2))
+    for _ in range(2):
+        for a1, a2 in joint:
+            s1, s2 = [states[0]] * 2, [states[1 + a1]] * 2
+            coord.buffer.push(s1, s2, [[a1], [a2]], 0.0, False)
+            for b1, b2 in joint:
+                coord.buffer.push(s2, s2, [[b1], [b2]], TWO_STEP_PAYOFFS[a1][b1, b2], True)
+    for _ in range(3000):
+        coord.learn()
+
+    def greedy(state):
+        return [int(np.argmax(view.forward(state))) for view in coord.views]
+
+    a1, _ = greedy(states[0])
+    b1, b2 = greedy(states[1 + a1])
+    return float(TWO_STEP_PAYOFFS[a1][b1, b2])
 
 
 def _market_team(n_agents=2, seed=33):

@@ -4,8 +4,7 @@ from datetime import datetime, timedelta
 import pytest
 
 from pricebench.demand import DemandParams
-from pricebench.features import seasonal_encoding
-from pricebench.market import holiday_flag
+from pricebench.market import holiday_flag, seasonal_encoding
 from pricebench.transactions import (
     CalibrationError,
     SchemaError,
